@@ -5,7 +5,7 @@ from .evaluation import chi2_sf_1df, f1_macro, mcnemar_yates
 from .experiment import ExperimentConfig, ExperimentRecord, run_cell, run_grid, verify
 from .governance import IccPrior, NodeProfile, compute_icc, normalize_prior
 from .local_model import HybridModel, fit_hybrid, joint_log_scores, predict_local
-from .mog import MoGEnsemble, anll, log_softmax, mog_log_scores, predict_mog
+from .mog import MoGEnsemble, anll, log_softmax, predict_mog
 from .partition import dirichlet_partition, jsd_heterogeneity, stratified_split
 from .weights import (
     OptimizerConfig,
@@ -41,7 +41,6 @@ __all__ = [
     "load_csv",
     "log_softmax",
     "mcnemar_yates",
-    "mog_log_scores",
     "nelder_mead",
     "normalize_prior",
     "predict_local",

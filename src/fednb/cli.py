@@ -1,8 +1,11 @@
 """Command-line entry point.
 
 Subcommands: run-grid, verify, partition, train, emit-plots.
+run-grid builds plots/ from the results.csv and grid.json it wrote, the same
+way emit-plots does, so emit-plots regenerates identical files.
 Exit codes: 0 success (and 15/15 verification for run-grid/verify),
-2 verification failure, 64 usage or invalid config, 1 any other error.
+2 verification failure, 64 usage or invalid config, 1 a failed grid cell
+or any other error.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import sys
 import numpy as np
 
 from .config import config_from_dict, config_to_dict, load_config
-from .data import SynthSpec
 from .errors import ConfigError, FedNBError
 from .experiment import (
     GridResult,
@@ -23,12 +25,12 @@ from .experiment import (
     emit_results_csv,
     load_results_csv,
     materialize_dataset,
+    prepare_cell,
     run_grid,
     verify,
 )
 from .governance import IccPrior
 from .local_model import fit_hybrid, save_model
-from .mog import MoGEnsemble
 from .partition import dirichlet_partition, jsd_heterogeneity
 from .weights import OptimizationTrace
 
@@ -91,43 +93,26 @@ def cmd_run_grid(args) -> int:
     result = run_grid(config)
     emit_results_csv(result.records, os.path.join(args.out, RESULTS_CSV))
     _save_bundle(result, args.out)
-
-    # plot data: densities from the last cell's local models
-    dataset, _ = materialize_dataset(config)
-    ensemble = _refit_ensemble(config, dataset)
-    prior = IccPrior.from_profiles(config.profiles)
-    emit_plot_data(
-        result.records,
-        ensemble,
-        os.path.join(args.out, "plots"),
-        node_names=[p.name for p in config.profiles],
-        prior=prior.normalized,
-    )
-
+    _write_plots(args.out, os.path.join(args.out, "plots"))
     report = verify(result)
     _write_report(report, args.out)
     print(report.to_text())
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 
 
-def _refit_ensemble(config, dataset):
-    from .partition import SplitConfig, stratified_split
-    from .data import degrade_copy
-    from .experiment import _cell_seeds
-
-    alpha = config.alphas[-1]
-    rep = config.reps - 1
-    split_seed, part_seed, degr_seed, _ = _cell_seeds(config, len(config.alphas) - 1, rep)
-    f = config.split_fracs
-    train, _, _ = stratified_split(dataset, SplitConfig(f[0], f[1], f[2], seed=split_seed))
-    part = dirichlet_partition(train.labels, config.k, alpha, part_seed)
-    models = []
-    for node, ix in enumerate(part.node_indices):
-        local = train.subset(ix)
-        if isinstance(config.source, SynthSpec):
-            local = degrade_copy(local, config.source.node_noise[node], degr_seed + node)
-        models.append(fit_hybrid(local))
-    return MoGEnsemble(models, np.full(config.k, 1.0 / config.k))
+def _write_plots(results_dir: str, out_dir: str) -> None:
+    """Plot data from a saved grid; densities come from the last cell's local models."""
+    result = _load_bundle(results_dir)
+    config = result.config
+    dataset, _ = materialize_dataset(config)
+    cell = prepare_cell(config, len(config.alphas) - 1, config.reps - 1, dataset)
+    emit_plot_data(
+        result.records,
+        cell.models,
+        out_dir,
+        node_names=[p.name for p in config.profiles],
+        prior=IccPrior.from_profiles(config.profiles).normalized,
+    )
 
 
 def _write_report(report, out_dir: str) -> None:
@@ -177,19 +162,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_emit_plots(args) -> int:
-    records = load_results_csv(os.path.join(args.results, RESULTS_CSV))
-    ensemble = None
-    node_names = None
-    prior = None
-    bundle_path = os.path.join(args.results, GRID_BUNDLE)
-    if os.path.exists(bundle_path):
-        with open(bundle_path, encoding="utf-8") as fh:
-            config = config_from_dict(json.load(fh)["config"])
-        node_names = [p.name for p in config.profiles]
-        prior = IccPrior.from_profiles(config.profiles).normalized
-        dataset, _ = materialize_dataset(config)
-        ensemble = _refit_ensemble(config, dataset)
-    emit_plot_data(records, ensemble, args.out, node_names=node_names, prior=prior)
+    _write_plots(args.results, args.out)
     print(f"plot data written to {args.out}")
     return EXIT_OK
 

@@ -63,3 +63,11 @@ class InversionError(FedNBError):
 
 class ConfigError(FedNBError):
     """Invalid experiment/CLI configuration."""
+
+
+class CellError(FedNBError):
+    """A grid cell failed; names the cell by (alpha, rep)."""
+
+    def __init__(self, alpha: float, rep: int, cause: Exception):
+        super().__init__(f"cell (alpha={alpha}, rep={rep}) failed: {cause}")
+        self.alpha, self.rep = alpha, rep

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import CategoryMap, Dataset, FeatureSchema, SynthSpec, degrade_copy, load_csv, synth_generate
-from .errors import ConfigError
+from .errors import CellError, ConfigError
 from .evaluation import f1_macro, mcnemar_yates
 from .governance import IccPrior, NodeProfile, compute_icc
 from .local_model import fit_hybrid
 from .mog import MoGEnsemble, anll, mog_log_scores_batch
-from .partition import SplitConfig, dirichlet_partition, jsd_heterogeneity, stratified_split
+from .partition import Partition, SplitConfig, dirichlet_partition, jsd_heterogeneity, stratified_split
 from .weights import (
     OptimizationTrace,
     OptimizerConfig,
@@ -76,6 +76,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown proposals: {bad}")
         if isinstance(self.source, SynthSpec) and len(self.source.node_noise) != len(self.profiles):
             raise ConfigError("node_noise length must match number of profiles")
+        if "A" in self.proposals:
+            if self.k < 2:
+                raise ConfigError("proposal A needs at least 2 node profiles")
+            if self.k * self.optimizer.floor_delta >= 1.0:
+                raise ConfigError("proposal A needs K * floor_delta < 1 (infeasible weight floor)")
 
     @property
     def k(self) -> int:
@@ -145,6 +150,33 @@ def _cell_seeds(config: ExperimentConfig, alpha_index: int, rep: int) -> list[in
     return [int(s) for s in ss.generate_state(4)]
 
 
+@dataclass
+class PreparedCell:
+    train: Dataset
+    val: Dataset
+    test: Dataset
+    partition: Partition
+    models: list  # one fitted HybridModel per node, in profile order
+    opt_seed: int
+
+
+def prepare_cell(
+    config: ExperimentConfig, alpha_index: int, rep: int, dataset: Dataset
+) -> PreparedCell:
+    """Split, partition the training split, degrade (synthetic sources only)
+    and fit one local model per node: everything a cell does before weighting."""
+    split_seed, part_seed, degr_seed, opt_seed = _cell_seeds(config, alpha_index, rep)
+    train, val, test = stratified_split(dataset, SplitConfig(*config.split_fracs, seed=split_seed))
+    part = dirichlet_partition(train.labels, config.k, config.alphas[alpha_index], part_seed)
+    models = []
+    for node, ix in enumerate(part.node_indices):
+        local = train.subset(ix)
+        if isinstance(config.source, SynthSpec):
+            local = degrade_copy(local, config.source.node_noise[node], degr_seed + node)
+        models.append(fit_hybrid(local))
+    return PreparedCell(train, val, test, part, models, opt_seed)
+
+
 def run_cell(
     config: ExperimentConfig,
     alpha: float,
@@ -157,33 +189,17 @@ def run_cell(
         raise ConfigError(f"alpha {alpha} not in configured grid") from None
     if dataset is None:
         dataset, _ = materialize_dataset(config)
-    split_seed, part_seed, degr_seed, opt_seed = _cell_seeds(config, alpha_index, rep)
-
-    fracs = config.split_fracs
-    train, val, test = stratified_split(
-        dataset, SplitConfig(fracs[0], fracs[1], fracs[2], seed=split_seed)
-    )
+    cell = prepare_cell(config, alpha_index, rep, dataset)
+    train, test, part = cell.train, cell.test, cell.partition
     k = config.k
-    part = dirichlet_partition(train.labels, k, alpha, part_seed)
     counts = part.class_counts(train.labels, dataset.schema.n_classes)
     jsd = jsd_heterogeneity(counts) if k >= 2 else 0.0
-
-    synth = isinstance(config.source, SynthSpec)
-    locals_ = []
-    for node, ix in enumerate(part.node_indices):
-        local = train.subset(ix)
-        if synth:
-            local = degrade_copy(local, config.source.node_noise[node], degr_seed + node)
-        locals_.append(local)
-    models = [fit_hybrid(local) for local in locals_]
-    prior = IccPrior.from_profiles(config.profiles)
 
     records: list[ExperimentRecord] = []
     trace = None
     scores_ok = True
     preds_by_proposal: dict[str, np.ndarray] = {}
-    ordered = [p for p in PROPOSAL_ORDER if p in config.proposals]
-    for proposal in ordered:
+    for proposal in [p for p in PROPOSAL_ORDER if p in config.proposals]:
         t0 = time.perf_counter()
         weights = None
         if proposal == "C":
@@ -196,13 +212,13 @@ def run_cell(
                 w = weights_entropy(counts)
             else:  # A
                 w, trace = learn_weights_icc(
-                    MoGEnsemble(models, np.full(k, 1.0 / k)),
-                    val,
-                    prior,
-                    replace(config.optimizer, seed=opt_seed),
+                    MoGEnsemble(cell.models, np.full(k, 1.0 / k)),
+                    cell.val,
+                    IccPrior.from_profiles(config.profiles),
+                    replace(config.optimizer, seed=cell.opt_seed),
                 )
             weights = tuple(float(x) for x in w)
-            ens = MoGEnsemble(models, np.asarray(w))
+            ens = MoGEnsemble(cell.models, np.asarray(w))
         scores = mog_log_scores_batch(ens, test)
         if np.isnan(scores).any() or np.isposinf(scores).any():
             scores_ok = False
@@ -239,7 +255,7 @@ def run_grid(config: ExperimentConfig) -> GridResult:
             try:
                 cell = run_cell(config, alpha, rep, dataset)
             except Exception as exc:
-                raise ConfigError(f"cell (alpha={alpha}, rep={rep}) failed: {exc}") from exc
+                raise CellError(alpha, rep, exc) from exc
             result.records.extend(cell.records)
             if cell.trace is not None:
                 result.traces[(alpha_index, rep)] = cell.trace
@@ -452,15 +468,6 @@ def _jsd_curve(config: ExperimentConfig, n_seeds: int = 20) -> np.ndarray:
     return np.array(curve)
 
 
-def _mean_jsd_per_alpha(records, alphas) -> np.ndarray:
-    out = []
-    for a in alphas:
-        vals = [r.jsd for r in records if abs(r.alpha - a) < 1e-12]
-        if vals:
-            out.append(float(np.mean(vals)))
-    return np.array(out)
-
-
 def _per_rep_gradient(records, config) -> tuple[bool, str]:
     if len(config.alphas) < 2:
         return True, "single alpha level (vacuous)"
@@ -571,8 +578,9 @@ def load_results_csv(path) -> list[ExperimentRecord]:
     return records
 
 
-def emit_plot_data(records, ensemble, out_dir, node_names=None, prior=None) -> list[str]:
-    """Write four tab-separated plot-data files; returns the paths written."""
+def emit_plot_data(records, models, out_dir, node_names=None, prior=None) -> list[str]:
+    """Write four tab-separated plot-data files; returns the paths written.
+    Density profiles come from the given local models."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
@@ -621,10 +629,10 @@ def emit_plot_data(records, ensemble, out_dir, node_names=None, prior=None) -> l
 
     path = os.path.join(out_dir, "density_profiles.tsv")
     lines = ["x\t" + "\t".join(node_names)]
-    if ensemble is not None and ensemble.models[0].gauss_mean.shape[1] > 0:
-        feature, cls = 0, _common_class(ensemble)
-        means = np.array([m.gauss_mean[cls, feature] for m in ensemble.models])
-        sds = np.array([np.sqrt(m.gauss_var[cls, feature]) for m in ensemble.models])
+    if models[0].gauss_mean.shape[1] > 0:
+        feature, cls = 0, _common_class(models)
+        means = np.array([m.gauss_mean[cls, feature] for m in models])
+        sds = np.array([np.sqrt(m.gauss_var[cls, feature]) for m in models])
         lo = float((means - 6 * sds).min())
         hi = float((means + 6 * sds).max())
         xs = np.linspace(lo, hi, 200)
@@ -636,8 +644,8 @@ def emit_plot_data(records, ensemble, out_dir, node_names=None, prior=None) -> l
     return written
 
 
-def _common_class(ensemble) -> int:
-    common = set.intersection(*(set(m.classes_present) for m in ensemble.models))
+def _common_class(models) -> int:
+    common = set.intersection(*(set(m.classes_present) for m in models))
     return min(common) if common else 0
 
 

@@ -24,7 +24,7 @@ from .local_model import NEG_INF, HybridModel, joint_log_scores_batch
 SENTINEL_ANLL_PENALTY = 50.0  # nats charged when the true class exists in no node
 
 
-def check_weights(w, k: int, floor: float | None = None) -> np.ndarray:
+def check_weights(w, k: int) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (k,):
         raise EnsembleError(f"weight vector has shape {w.shape}, expected ({k},)")
@@ -32,8 +32,6 @@ def check_weights(w, k: int, floor: float | None = None) -> np.ndarray:
         raise EnsembleError("negative weight")
     if abs(w.sum() - 1.0) > 1e-9:
         raise EnsembleError(f"weights sum to {w.sum()}, not 1")
-    if floor is not None and (w < floor - 1e-12).any():
-        raise EnsembleError(f"weight below floor {floor}")
     return w
 
 
@@ -70,32 +68,15 @@ def mix_scores(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     out = np.full(m.shape, NEG_INF)
     finite = np.isfinite(m)
     if finite.any():
-        shifted = np.exp(np.where(finite[None], a - np.where(finite, m, 0.0)[None], NEG_INF))
-        out[finite] = m[finite] + np.log(shifted.sum(axis=0)[finite])
+        # shifted and exponentiated in place: each call allocates one (K, n, C) buffer
+        a -= np.where(finite, m, 0.0)
+        a[:, ~finite] = NEG_INF
+        out[finite] = m[finite] + np.log(np.exp(a, out=a).sum(axis=0)[finite])
     return out
 
 
 def mog_log_scores_batch(ensemble: MoGEnsemble, data: Dataset) -> np.ndarray:
     return mix_scores(ensemble.weights, stack_scores(ensemble.models, data))
-
-
-def mog_log_scores(ensemble: MoGEnsemble, cat_codes, num_values) -> np.ndarray:
-    """Per-class mixture log-scores for a single encoded sample."""
-    cat = np.asarray(cat_codes, dtype=np.int64).reshape(1, -1)
-    num = np.asarray(num_values, dtype=np.float64).reshape(1, -1)
-    one = _single_row_dataset(ensemble.models[0], cat, num)
-    return mog_log_scores_batch(ensemble, one)[0]
-
-
-def _single_row_dataset(model: HybridModel, cat, num) -> Dataset:
-    # schema-free wrapper: scoring only touches the arrays and n_cats
-    ds = Dataset.__new__(Dataset)
-    ds.categorical = cat
-    ds.numerical = num
-    ds.labels = np.zeros(1, dtype=np.int64)
-    ds.n_cats = model.n_cats
-    ds.schema = None
-    return ds
 
 
 def log_softmax(v: np.ndarray) -> np.ndarray:

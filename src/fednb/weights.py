@@ -64,12 +64,11 @@ def from_simplex(w, delta: float) -> np.ndarray:
     return logp[:-1] - logp[-1]
 
 
-def objective(w, ensemble: MoGEnsemble, val: Dataset, prior, lam: float) -> float:
-    """Composite validation objective: normalized ANLL plus prior penalty."""
-    stacked = stack_scores(ensemble.models, val)
-    prior = np.asarray(prior, dtype=np.float64)
+def objective(w, stacked: np.ndarray, labels: np.ndarray, prior, lam: float) -> float:
+    """Composite validation objective J(w) over a precomputed (K, n, C) score
+    tensor (see mog.stack_scores): normalized ANLL plus prior penalty."""
     w = np.asarray(w, dtype=np.float64)
-    return anll_from_stacked(w, stacked, val.labels) + lam * float(((w - prior) ** 2).sum())
+    return anll_from_stacked(w, stacked, labels) + lam * float(((w - prior) ** 2).sum())
 
 
 def nelder_mead(f, start, max_iters: int = 500, spread_tol: float = 1e-10):
@@ -199,14 +198,11 @@ def learn_weights_icc(
         raise ValueError("K * floor_delta must be < 1")
 
     stacked = stack_scores(ensemble.models, val)
-    labels = val.labels
     target = np.asarray(prior.normalized, dtype=np.float64)
-    lam = config.lam
     delta = config.floor_delta
 
     def f(theta):
-        w = to_floored_simplex(theta, k, delta)
-        return anll_from_stacked(w, stacked, labels) + lam * float(((w - target) ** 2).sum())
+        return objective(to_floored_simplex(theta, k, delta), stacked, val.labels, target, config.lam)
 
     rng = np.random.default_rng(config.seed)
     d1 = rng.dirichlet(np.ones(k))

@@ -1,10 +1,21 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
+import fednb.experiment
 from fednb.cli import main
+from fednb.errors import PartitionError
 from fednb.experiment import load_results_csv
+
+SYNTH_CFG = Path(__file__).resolve().parents[1] / "configs" / "synth.cfg"
+PLOT_FILES = (
+    "gradient_curves.tsv",
+    "alignment_bars.tsv",
+    "weight_trajectories.tsv",
+    "density_profiles.tsv",
+)
 
 SMALL_CFG = """\
 [experiment]
@@ -55,12 +66,7 @@ def grid_dir(cfg_path, tmp_path_factory):
 def test_run_grid_outputs(grid_dir):
     for name in ("results.csv", "grid.json", "verification.txt", "verification.kv"):
         assert (grid_dir / name).exists()
-    for name in (
-        "gradient_curves.tsv",
-        "alignment_bars.tsv",
-        "weight_trajectories.tsv",
-        "density_profiles.tsv",
-    ):
+    for name in PLOT_FILES:
         assert (grid_dir / "plots" / name).exists()
     records = load_results_csv(grid_dir / "results.csv")
     assert len(records) == 3 * 1 * 4
@@ -123,6 +129,25 @@ def test_unknown_override_is_usage_error(cfg_path, tmp_path, capsys):
     assert code == 64
 
 
+def test_infeasible_floor_is_usage_error(cfg_path, tmp_path, capsys):
+    code = main(
+        ["run-grid", "--config", str(cfg_path), "--out", str(tmp_path), "--set", "delta=0.4"]
+    )
+    assert code == 64
+    assert "floor" in capsys.readouterr().err
+
+
+def test_failed_cell_exits_1_and_names_the_cell(cfg_path, tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise PartitionError("forced failure")
+
+    monkeypatch.setattr(fednb.experiment, "dirichlet_partition", broken)
+    code = main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "alpha=0.1" in err and "rep=0" in err and "forced failure" in err
+
+
 def test_bad_config_path_is_usage_error(tmp_path):
     assert main(["run-grid", "--config", str(tmp_path / "no.cfg"), "--out", str(tmp_path)]) == 64
 
@@ -170,3 +195,13 @@ def test_emit_plots_command(grid_dir, tmp_path):
     assert (out / "gradient_curves.tsv").read_bytes() == (
         grid_dir / "plots" / "gradient_curves.tsv"
     ).read_bytes()
+
+
+def test_emit_plots_reproduces_run_grid_plots(tmp_path):
+    out = tmp_path / "grid"
+    args = ["--config", str(SYNTH_CFG), "--set", "reps=2", "--set", "alphas=0.05,0.1"]
+    assert main(["run-grid", *args, "--out", str(out)]) == 0
+    again = tmp_path / "again"
+    assert main(["emit-plots", "--results", str(out), "--out", str(again)]) == 0
+    for name in PLOT_FILES:
+        assert (again / name).read_bytes() == (out / "plots" / name).read_bytes(), name

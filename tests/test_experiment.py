@@ -10,14 +10,15 @@ from fednb.experiment import (
     emit_results_csv,
     load_results_csv,
     materialize_dataset,
+    prepare_cell,
     run_cell,
     run_grid,
     verify,
 )
 from fednb.governance import NodeProfile
 from fednb.local_model import fit_hybrid
-from fednb.mog import MoGEnsemble
 from fednb.partition import dirichlet_partition
+from fednb.weights import OptimizerConfig
 
 PROFILES = (
     NodeProfile("Financial", 4, 0.82, 0.12, 3.2),
@@ -52,6 +53,16 @@ def test_config_validation():
         small_config(proposals=("C", "X"))
     with pytest.raises(ConfigError):
         small_config(source=SynthSpec(100, 2, 1, 1, (0.0,)))  # noise len != K
+
+
+def test_config_rejects_infeasible_proposal_a():
+    with pytest.raises(ConfigError, match="floor"):
+        small_config(optimizer=OptimizerConfig(floor_delta=0.4))  # K * delta = 1.2
+    with pytest.raises(ConfigError, match="2 node"):
+        small_config(profiles=PROFILES[:1], source=SynthSpec(100, 2, 1, 1, (0.0,)))
+    # without proposal A neither constraint applies
+    small_config(optimizer=OptimizerConfig(floor_delta=0.4), proposals=("C", "B"))
+    small_config(profiles=PROFILES[:1], source=SynthSpec(100, 2, 1, 1, (0.0,)), proposals=("B",))
 
 
 def test_grid_record_count(grid):
@@ -124,14 +135,7 @@ def test_equal_size_nodes_give_uniform_fedavg():
     cfg = small_config(proposals=("B",))
     cell = run_cell(cfg, 1.0, 0)
     dataset, _ = materialize_dataset(cfg)
-    f = cfg.split_fracs
-    from fednb.partition import SplitConfig, stratified_split
-    from fednb.experiment import _cell_seeds
-
-    split_seed, part_seed, _, _ = _cell_seeds(cfg, 2, 0)
-    train, _, _ = stratified_split(dataset, SplitConfig(*f, seed=split_seed))
-    part = dirichlet_partition(train.labels, 3, 1.0, part_seed)
-    sizes = np.array(part.sizes(), dtype=float)
+    sizes = np.array(prepare_cell(cfg, 2, 0, dataset).partition.sizes(), dtype=float)
     assert np.allclose(cell.records[0].weights, sizes / sizes.sum(), atol=1e-12)
 
 
@@ -205,10 +209,9 @@ def test_emit_plot_data_files(tmp_path, grid):
     dataset, _ = materialize_dataset(cfg)
     part = dirichlet_partition(dataset.labels, 3, 1.0, 0)
     models = [fit_hybrid(dataset.subset(ix)) for ix in part.node_indices]
-    ens = MoGEnsemble(models, np.full(3, 1 / 3))
     prior = np.array([0.667, 0.261, 0.071])
     paths = emit_plot_data(
-        grid.records, ens, tmp_path, node_names=[p.name for p in PROFILES], prior=prior
+        grid.records, models, tmp_path, node_names=[p.name for p in PROFILES], prior=prior
     )
     assert len(paths) == 4
 

@@ -5,7 +5,7 @@ from fednb.data import SynthSpec, synth_generate
 from fednb.errors import OptimizerError
 from fednb.governance import IccPrior, NodeProfile
 from fednb.local_model import fit_hybrid
-from fednb.mog import MoGEnsemble, anll
+from fednb.mog import MoGEnsemble, anll, stack_scores
 from fednb.weights import (
     OptimizerConfig,
     from_simplex,
@@ -110,10 +110,13 @@ def small_setup():
 
 def test_objective_reduces_to_anll(small_setup):
     ens, val, prior = small_setup
+    stacked = stack_scores(ens.models, val)
     w = np.full(3, 1 / 3)
     base = anll(MoGEnsemble(ens.models, w), val)
-    assert objective(w, ens, val, prior.normalized, 0.0) == pytest.approx(base, abs=1e-12)
-    assert objective(prior.normalized, ens, val, prior.normalized, 0.1) == pytest.approx(
+    assert objective(w, stacked, val.labels, prior.normalized, 0.0) == pytest.approx(
+        base, abs=1e-12
+    )
+    assert objective(prior.normalized, stacked, val.labels, prior.normalized, 0.1) == pytest.approx(
         anll(MoGEnsemble(ens.models, prior.normalized), val), abs=1e-12
     )
 
@@ -123,7 +126,10 @@ def test_objective_penalty_arithmetic(small_setup):
     w = np.full(3, 1 / 3)
     pen = float(((w - prior.normalized) ** 2).sum())
     expected = anll(MoGEnsemble(ens.models, w), val) + 0.1 * pen
-    assert objective(w, ens, val, prior.normalized, 0.1) == pytest.approx(expected, abs=1e-12)
+    stacked = stack_scores(ens.models, val)
+    assert objective(w, stacked, val.labels, prior.normalized, 0.1) == pytest.approx(
+        expected, abs=1e-12
+    )
 
 
 def test_huge_lambda_pins_weights_to_prior(small_setup):
