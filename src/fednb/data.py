@@ -11,6 +11,7 @@ category).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,11 +165,14 @@ def load_csv(path, schema: FeatureSchema, category_map: CategoryMap | None = Non
             for n in num_names:
                 cell = row[col_of[n]]
                 try:
-                    vals.append(float(cell))
+                    v = float(cell)
                 except ValueError:
                     raise ParseError(
                         f"{path}: row {i}, column {n!r}: not numeric: {cell!r}"
                     ) from None
+                if not math.isfinite(v):
+                    raise ParseError(f"{path}: row {i}, column {n!r}: not finite: {cell!r}")
+                vals.append(v)
             num_rows.append(vals)
             raw_labels.append(row[col_of[schema.label_name]])
 

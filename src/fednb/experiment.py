@@ -430,7 +430,14 @@ def verify(result: GridResult, csv_quantized: bool = False) -> VerificationRepor
             ok = False
     if "A" in config.proposals and not result.traces:
         ok = False
-    checks.append(("trace_sanity", ok, f"{len(result.traces)} traces checked"))
+    stops = [s.converged for trace in result.traces.values() for s in trace.starts]
+    msg = (
+        f"{len(result.traces)} traces checked; starts: {stops.count(True)} converged, "
+        f"{stops.count(False)} at max_iters"
+    )
+    if None in stops:
+        msg += f", {stops.count(None)} without a recorded stop reason"
+    checks.append(("trace_sanity", ok, msg))
 
     return VerificationReport(checks)
 

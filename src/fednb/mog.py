@@ -55,20 +55,26 @@ class MoGEnsemble:
 
 
 def stack_scores(models, data: Dataset) -> np.ndarray:
-    """(K, n_rows, n_classes) joint log-score tensor, one slice per node."""
-    return np.stack([joint_log_scores_batch(m, data) for m in models])
+    """C-contiguous class-major (K, n_classes, n_rows) joint log-score tensor,
+    one slice per node, so node and class reductions run over leading axes."""
+    scores = [joint_log_scores_batch(m, data).T for m in models]
+    # np.stack alone would keep the column-major strides of the .T views
+    return np.stack(scores, out=np.empty((len(scores),) + scores[0].shape))
 
 
 def mix_scores(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """logsumexp over nodes of (log w_k + score_k), sentinel-safe."""
+    """logsumexp over nodes of (log w_k + score_k), sentinel-safe: (K, C, n) -> (C, n)."""
     with np.errstate(divide="ignore"):
         logw = np.log(np.asarray(weights, dtype=np.float64))
+    # shifted and exponentiated in place: each call allocates one (K, C, n) buffer
     a = logw[:, None, None] + stacked
     m = a.max(axis=0)
-    out = np.full(m.shape, NEG_INF)
     finite = np.isfinite(m)
+    if finite.all():  # no sentinel-only (class, row): skip the masking
+        a -= m
+        return m + np.log(np.exp(a, out=a).sum(axis=0))
+    out = np.full(m.shape, NEG_INF)
     if finite.any():
-        # shifted and exponentiated in place: each call allocates one (K, n, C) buffer
         a -= np.where(finite, m, 0.0)
         a[:, ~finite] = NEG_INF
         out[finite] = m[finite] + np.log(np.exp(a, out=a).sum(axis=0)[finite])
@@ -76,27 +82,29 @@ def mix_scores(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
 
 
 def mog_log_scores_batch(ensemble: MoGEnsemble, data: Dataset) -> np.ndarray:
-    return mix_scores(ensemble.weights, stack_scores(ensemble.models, data))
+    """(n_rows, n_classes) mixture scores, a transposed view of the class-major result."""
+    return mix_scores(ensemble.weights, stack_scores(ensemble.models, data)).T
+
+
+def _logsumexp_classes(a: np.ndarray) -> np.ndarray:
+    """logsumexp over the leading class axis of a (C, n) array."""
+    m = a.max(axis=0)
+    if not np.isfinite(m).all():
+        raise NormalizationError("log_softmax input has no finite entry")
+    return m + np.log(np.exp(a - m).sum(axis=0))
 
 
 def log_softmax(v: np.ndarray) -> np.ndarray:
     """Row-wise v - logsumexp(v); -inf sentinels pass through unchanged."""
     v = np.asarray(v, dtype=np.float64)
-    single = v.ndim == 1
-    a = v.reshape(1, -1) if single else v
-    m = a.max(axis=1)
-    if not np.isfinite(m).all():
-        raise NormalizationError("log_softmax input has no finite entry")
-    shifted = a - m[:, None]
-    lse = m + np.log(np.exp(shifted).sum(axis=1))
-    out = a - lse[:, None]
-    return out[0] if single else out
+    return v - _logsumexp_classes(v.T)[..., None]
 
 
 def anll_from_stacked(weights, stacked: np.ndarray, labels: np.ndarray) -> float:
-    """Fast ANLL given a precomputed score tensor (used by the optimizer)."""
-    norm = log_softmax(mix_scores(np.asarray(weights), stacked))
-    ll = norm[np.arange(len(labels)), labels]
+    """Fast ANLL given a precomputed class-major (K, C, n) score tensor (used by
+    the optimizer): log-softmax over classes, evaluated at the true labels only."""
+    mixed = mix_scores(np.asarray(weights), stacked)
+    ll = mixed[labels, np.arange(len(labels))] - _logsumexp_classes(mixed)
     ll = np.where(np.isfinite(ll), ll, -SENTINEL_ANLL_PENALTY)
     return float(-ll.mean())
 

@@ -65,8 +65,9 @@ def from_simplex(w, delta: float) -> np.ndarray:
 
 
 def objective(w, stacked: np.ndarray, labels: np.ndarray, prior, lam: float) -> float:
-    """Composite validation objective J(w) over a precomputed (K, n, C) score
-    tensor (see mog.stack_scores): normalized ANLL plus prior penalty."""
+    """Composite validation objective J(w) over a precomputed class-major
+    (K, C, n) score tensor (see mog.stack_scores): normalized ANLL plus prior
+    penalty."""
     w = np.asarray(w, dtype=np.float64)
     return anll_from_stacked(w, stacked, labels) + lam * float(((w - prior) ** 2).sum())
 
@@ -76,7 +77,8 @@ def nelder_mead(f, start, max_iters: int = 500, spread_tol: float = 1e-10):
 
     Initial simplex perturbs each coordinate by 5% (0.00025 absolute for
     zero coordinates). Stops at max_iters or when the vertex function
-    spread falls below spread_tol. Returns (best x, best f, n_evals).
+    spread falls below spread_tol. Returns (best x, best f, n_evals,
+    iterations, converged); converged is False when max_iters ran out.
     """
     x0 = np.asarray(start, dtype=np.float64)
     n = len(x0)
@@ -84,24 +86,29 @@ def nelder_mead(f, start, max_iters: int = 500, spread_tol: float = 1e-10):
     if not np.isfinite(f0):
         raise OptimizerError(f"objective not finite at start: {f0}")
     evals = 1
-    simplex = [x0]
+    simplex = np.tile(x0, (n + 1, 1))
     for i in range(n):
-        x = x0.copy()
+        x = simplex[i + 1]
         x[i] = x[i] * 1.05 if x[i] != 0.0 else 0.00025
-        simplex.append(x)
-    fvals = [f0] + [f(x) for x in simplex[1:]]
+    fvals = np.empty(n + 1)
+    fvals[0] = f0
+    for i in range(1, n + 1):
+        fvals[i] = f(simplex[i])
     evals += n
 
-    for _ in range(max_iters):
+    iterations, converged = 0, False
+    while iterations < max_iters:
         order = np.argsort(fvals, kind="stable")
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
+        simplex = simplex[order]
+        fvals = fvals[order]
         # function spread alone can hit zero on a symmetric stall, so also
         # require the simplex itself to have collapsed
-        xspread = max(np.max(np.abs(x - simplex[0])) for x in simplex[1:])
+        xspread = np.abs(simplex[1:] - simplex[0]).max()
         if fvals[-1] - fvals[0] < spread_tol and xspread < 1e-8:
+            converged = True
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        iterations += 1
+        centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
 
         xr = centroid + (centroid - worst)
@@ -127,13 +134,13 @@ def nelder_mead(f, start, max_iters: int = 500, spread_tol: float = 1e-10):
             if fc < min(fr, fvals[-1]):
                 simplex[-1], fvals[-1] = xc, fc
             else:
-                best = simplex[0]
-                simplex = [best] + [best + 0.5 * (x - best) for x in simplex[1:]]
-                fvals = [fvals[0]] + [f(x) for x in simplex[1:]]
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                for i in range(1, n + 1):
+                    fvals[i] = f(simplex[i])
                 evals += n
 
     i = int(np.argmin(fvals))
-    return simplex[i], float(fvals[i]), evals
+    return simplex[i].copy(), float(fvals[i]), evals, iterations, converged
 
 
 @dataclass
@@ -142,6 +149,8 @@ class StartResult:
     final_theta: np.ndarray
     final_objective: float
     evaluations: int
+    iterations: int | None = None  # None when read from a trace that predates the field
+    converged: bool | None = None  # False: stopped at max_iters
 
 
 @dataclass
@@ -158,6 +167,8 @@ class OptimizationTrace:
                     "final_theta": s.final_theta.tolist(),
                     "final_objective": s.final_objective,
                     "evaluations": s.evaluations,
+                    "iterations": s.iterations,
+                    "converged": s.converged,
                 }
                 for s in self.starts
             ],
@@ -175,6 +186,8 @@ class OptimizationTrace:
                     np.array(s["final_theta"]),
                     float(s["final_objective"]),
                     int(s["evaluations"]),
+                    s.get("iterations"),
+                    s.get("converged"),
                 )
             )
         return t
@@ -219,8 +232,8 @@ def learn_weights_icc(
     best_theta, best_f = None, np.inf
     for w0 in start_points:
         theta0 = from_simplex(w0, delta)
-        theta, fv, ev = nelder_mead(f, theta0, max_iters=config.max_iters)
-        trace.starts.append(StartResult(theta0, theta, fv, ev))
+        theta, fv, ev, iters, converged = nelder_mead(f, theta0, max_iters=config.max_iters)
+        trace.starts.append(StartResult(theta0, theta, fv, ev, iters, converged))
         trace.evaluations += ev
         if fv < best_f:
             best_theta, best_f = theta, fv

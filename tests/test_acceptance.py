@@ -5,6 +5,7 @@ is the slowest in the suite (a few seconds per grid run).
 """
 
 import copy
+import hashlib
 import math
 from pathlib import Path
 
@@ -27,6 +28,9 @@ from fednb.partition import dirichlet_partition, jsd_heterogeneity
 from fednb.weights import OptimizerConfig, learn_weights_icc, nelder_mead
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "synth.cfg"
+# sha256 of the results.csv that configs/synth.cfg produces; any change to the
+# numerics that moves a printed digit moves this hash
+RESULTS_SHA256 = "01102000be67071f90862196de0bc5664555bf36fd6706b9aaf2347aace3552c"
 
 PROFILES = (
     NodeProfile("Financial", 4, 0.82, 0.12, 3.2),
@@ -169,9 +173,9 @@ def test_criterion_04_mixture_degeneracy_and_stability():
 
 
 def test_criterion_05_optimizer_convergence():
-    x1, _, _ = nelder_mead(lambda t: (t[0] - 3.0) ** 2, np.array([0.0]), max_iters=500)
+    x1, *_ = nelder_mead(lambda t: (t[0] - 3.0) ** 2, np.array([0.0]), max_iters=500)
     assert abs(x1[0] - 3.0) <= 1e-5
-    x2, _, _ = nelder_mead(lambda t: t[0] ** 2 + 10.0 * t[1] ** 2, np.array([5.0, 5.0]), max_iters=500)
+    x2, *_ = nelder_mead(lambda t: t[0] ** 2 + 10.0 * t[1] ** 2, np.array([5.0, 5.0]), max_iters=500)
     assert np.max(np.abs(x2)) <= 1e-5
     _report(5, "simplex search recovers both analytic minima within 1e-5")
 
@@ -278,6 +282,12 @@ def test_criterion_11_byte_identical_results(full_config, full_grid, tmp_path):
     emit_results_csv(second.records, p2)
     assert p1.read_bytes() == p2.read_bytes()
     _report(11, "two independent grid runs emit byte-identical results files")
+
+
+def test_results_csv_matches_reference_sha256(full_grid, tmp_path):
+    path = tmp_path / "results.csv"
+    emit_results_csv(full_grid.records, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RESULTS_SHA256
 
 
 def test_criterion_12_external_dataset_optional():

@@ -45,6 +45,13 @@ def test_parse_error_names_row(tmp_path):
         load_csv(p, SCHEMA)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_value_names_row_and_column(tmp_path, cell):
+    p = _write(tmp_path, ["tcp,1.0,a", "udp,2.0,b", f"tcp,{cell},a"])
+    with pytest.raises(ParseError, match=f"row 2, column 'dur': not finite: '{cell}'"):
+        load_csv(p, SCHEMA)
+
+
 def test_header_mismatch(tmp_path):
     p = _write(tmp_path, ["tcp,1.0,a"], header="protocol,dur,label")
     with pytest.raises(SchemaError):

@@ -172,6 +172,26 @@ def test_verify_clean_run_passes(grid):
     assert report.passed_count == 15, report.to_text()
 
 
+def test_trace_sanity_quotes_stop_reasons(grid):
+    import copy
+
+    report = verify(grid)
+    msg = {name: m for name, _, m in report.checks}["trace_sanity"]
+    starts = [s for t in grid.traces.values() for s in t.starts]
+    n_conv = sum(s.converged for s in starts)
+    assert msg == (
+        f"{len(grid.traces)} traces checked; starts: {n_conv} converged, "
+        f"{len(starts) - n_conv} at max_iters"
+    )
+    # a grid.json written before stop reasons were recorded
+    legacy = copy.deepcopy(grid)
+    for t in legacy.traces.values():
+        for s in t.starts:
+            s.iterations = s.converged = None
+    msg = {name: m for name, _, m in verify(legacy).checks}["trace_sanity"]
+    assert msg.endswith(f"0 converged, 0 at max_iters, {len(starts)} without a recorded stop reason")
+
+
 def test_verify_detects_weight_sum_tamper(grid):
     import copy
 

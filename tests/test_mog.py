@@ -7,6 +7,7 @@ from fednb.data import SynthSpec, synth_generate
 from fednb.errors import EnsembleError, MetricError, NormalizationError
 from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch, predict_local
 from fednb.mog import (
+    SENTINEL_ANLL_PENALTY,
     MoGEnsemble,
     anll,
     anll_from_stacked,
@@ -14,6 +15,7 @@ from fednb.mog import (
     mix_scores,
     mog_log_scores_batch,
     predict_mog,
+    stack_scores,
 )
 
 
@@ -109,23 +111,22 @@ def test_anll_perfect_predictor_is_zero():
 
 
 def test_anll_uniform_scores_ln2():
-    s = np.zeros((1, 3, 2))
+    s = np.zeros((1, 2, 3))  # class-major (K, C, n)
     labels = np.array([0, 1, 0])
     assert anll_from_stacked(np.array([1.0]), s, labels) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_anll_hand_built_three_rows():
-    # per-row scores with known normalization
-    raw = np.array([[[math.log(0.9), math.log(0.1)],
-                     [math.log(0.2), math.log(0.8)],
-                     [math.log(0.5), math.log(0.5)]]])
+    # per-row scores with known normalization, class-major (K, C, n)
+    raw = np.array([[[math.log(0.9), math.log(0.2), math.log(0.5)],
+                     [math.log(0.1), math.log(0.8), math.log(0.5)]]])
     labels = np.array([0, 1, 1])
     expected = -(math.log(0.9) + math.log(0.8) + math.log(0.5)) / 3
     assert anll_from_stacked(np.array([1.0]), raw, labels) == pytest.approx(expected, abs=1e-12)
 
 
 def test_anll_sentinel_clamped_to_50():
-    s = np.array([[[0.0, NEG_INF]]])  # true class 1 missing everywhere
+    s = np.array([[[0.0], [NEG_INF]]])  # (K, C, n); true class 1 missing everywhere
     labels = np.array([1])
     assert anll_from_stacked(np.array([1.0]), s, labels) == pytest.approx(50.0, abs=1e-12)
 
@@ -176,3 +177,123 @@ def test_mixture_scores_never_nan(dataset):
         w = rng.dirichlet(np.ones(2))
         out = mog_log_scores_batch(MoGEnsemble(models, w), dataset)
         assert not np.isnan(out).any()
+
+
+def test_stack_scores_is_class_major_and_contiguous(dataset):
+    models = [fit_hybrid(dataset.subset(np.arange(i, 400, 2))) for i in range(2)]
+    stacked = stack_scores(models, dataset)
+    assert stacked.shape == (2, dataset.schema.n_classes, dataset.n_rows)
+    assert stacked.flags["C_CONTIGUOUS"]
+    for k, m in enumerate(models):
+        assert np.array_equal(stacked[k], joint_log_scores_batch(m, dataset).T)
+
+
+# Oracle tests for the class-major kernel. Each case is (K, C, n, sentinels):
+# sentinels knocks out (node, class) pairs, and a class missing from every node
+# is the one whose true-label rows hit the 50-nat ANLL clamp.
+ORACLE_CASES = [
+    (3, 2, 40, ()),
+    (3, 2, 40, ((0, 1), (2, 1))),
+    (3, 2, 40, ((0, 1), (1, 1), (2, 1))),
+    (10, 2, 60, ((4, 0), (7, 1))),
+    (10, 5, 60, ((0, 3), (5, 3), (9, 0))),
+    (3, 5, 40, ((0, 4), (1, 4), (2, 4), (1, 2))),
+]
+
+
+def _oracle_inputs(k, c, n, sentinels, seed):
+    rng = np.random.default_rng(seed)
+    stacked = rng.normal(scale=30.0, size=(k, c, n)) - 200.0
+    for node, cls in sentinels:
+        stacked[node, cls, :] = NEG_INF
+    weights = rng.dirichlet(np.ones(k))
+    labels = np.arange(n) % c  # every class, including a sentinel-only one
+    return weights, stacked, labels
+
+
+def _py_logsumexp(values):
+    finite = [v for v in values if v != NEG_INF]
+    if not finite:
+        return NEG_INF
+    m = max(finite)
+    return m + math.log(sum(math.exp(v - m) for v in finite))
+
+
+def _py_mix(weights, stacked):
+    k, c, n = stacked.shape
+    return [
+        [_py_logsumexp([math.log(weights[j]) + stacked[j, cls, r] for j in range(k)])
+         for r in range(n)]
+        for cls in range(c)
+    ]
+
+
+def _py_anll(weights, stacked, labels):
+    mixed = _py_mix(weights, stacked)
+    total = 0.0
+    for r, y in enumerate(labels):
+        column = [mixed[cls][r] for cls in range(len(mixed))]
+        ll = column[y] - _py_logsumexp(column)
+        total += ll if math.isfinite(ll) else -SENTINEL_ANLL_PENALTY
+    return -total / len(labels)
+
+
+def _pre_class_major_anll(weights, stacked, labels):
+    """The ANLL as computed before the class-major layout: row-major (K, n, C)
+    tensor, full row-wise log-softmax, then the label gather."""
+    mixed = mix_scores(weights, np.ascontiguousarray(stacked.transpose(0, 2, 1)))
+    m = mixed.max(axis=1)
+    lse = m + np.log(np.exp(mixed - m[:, None]).sum(axis=1))
+    norm = mixed - lse[:, None]
+    ll = norm[np.arange(len(labels)), labels]
+    ll = np.where(np.isfinite(ll), ll, -SENTINEL_ANLL_PENALTY)
+    return float(-ll.mean())
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_kernel_matches_python_oracle(case):
+    weights, stacked, labels = _oracle_inputs(*case, seed=sum(case[:3]))
+    mixed = mix_scores(weights, stacked)
+    expected = np.array(_py_mix(weights, stacked))
+    assert mixed.shape == expected.shape
+    assert np.array_equal(np.isneginf(mixed), np.isneginf(expected))
+    finite = np.isfinite(expected)
+    assert np.max(np.abs(mixed[finite] - expected[finite])) <= 1e-12
+    assert anll_from_stacked(weights, stacked, labels) == pytest.approx(
+        _py_anll(weights, stacked, labels), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_kernel_matches_scipy_logsumexp(case):
+    special = pytest.importorskip("scipy.special")
+    weights, stacked, labels = _oracle_inputs(*case, seed=sum(case[:3]) + 1)
+    with np.errstate(divide="ignore"):
+        expected = special.logsumexp(np.log(weights)[:, None, None] + stacked, axis=0)
+    mixed = mix_scores(weights, stacked)
+    assert np.array_equal(np.isneginf(mixed), np.isneginf(expected))
+    finite = np.isfinite(expected)
+    assert np.max(np.abs(mixed[finite] - expected[finite])) <= 1e-12
+    norm = expected - special.logsumexp(expected, axis=0)
+    ll = norm[labels, np.arange(len(labels))]
+    want = float(-np.where(np.isfinite(ll), ll, -SENTINEL_ANLL_PENALTY).mean())
+    assert anll_from_stacked(weights, stacked, labels) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_kernel_matches_pre_class_major_formula(case):
+    # bit-exact for two classes; with more, the class-axis sum may reassociate
+    weights, stacked, labels = _oracle_inputs(*case, seed=sum(case[:3]) + 2)
+    got = anll_from_stacked(weights, stacked, labels)
+    want = _pre_class_major_anll(weights, stacked, labels)
+    if case[1] == 2:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_anll_row_without_any_finite_class_error():
+    s = np.full((2, 2, 3), NEG_INF)
+    s[:, :, :2] = 0.0
+    with pytest.raises(NormalizationError):
+        anll_from_stacked(np.array([0.5, 0.5]), s, np.array([0, 1, 0]))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fednb.governance import IccPrior, NodeProfile
 from fednb.local_model import fit_hybrid
 from fednb.mog import MoGEnsemble, anll, stack_scores
 from fednb.weights import (
+    OptimizationTrace,
     OptimizerConfig,
     from_simplex,
     learn_weights_icc,
@@ -76,19 +79,34 @@ def test_from_simplex_clips_floor_entries():
 
 
 def test_nelder_mead_1d_quadratic():
-    x, fx, _ = nelder_mead(lambda t: (t[0] - 3.0) ** 2, np.array([0.0]), max_iters=500)
+    x, fx, _, iters, converged = nelder_mead(
+        lambda t: (t[0] - 3.0) ** 2, np.array([0.0]), max_iters=500
+    )
     assert x[0] == pytest.approx(3.0, abs=1e-6)
+    assert converged and 0 < iters < 500
+
+
+def test_nelder_mead_reports_max_iters_stop():
+    evals = []
+
+    def f(t):
+        evals.append(1)
+        return (t[0] - 3.0) ** 2 + t[1] ** 2
+
+    _, _, n_evals, iters, converged = nelder_mead(f, np.array([0.0, 1.0]), max_iters=4)
+    assert (iters, converged) == (4, False)
+    assert n_evals == len(evals)  # one objective call per counted evaluation
 
 
 def test_nelder_mead_2d_anisotropic():
-    x, fx, _ = nelder_mead(
+    x, fx, *_ = nelder_mead(
         lambda t: t[0] ** 2 + 10.0 * t[1] ** 2, np.array([5.0, 5.0]), max_iters=500
     )
     assert np.max(np.abs(x)) < 1e-5
 
 
 def test_nelder_mead_constant_function():
-    x, fx, _ = nelder_mead(lambda t: 7.0, np.array([1.0, 2.0]), max_iters=100)
+    x, fx, *_ = nelder_mead(lambda t: 7.0, np.array([1.0, 2.0]), max_iters=100)
     assert fx == 7.0
 
 
@@ -180,6 +198,24 @@ def test_best_start_not_worse_than_prior_start(small_setup):
     best = min(s.final_objective for s in trace.starts)
     assert best <= trace.starts[0].final_objective + 1e-12
     assert trace.chosen == int(np.argmin([s.final_objective for s in trace.starts]))
+
+
+def test_trace_records_stop_reason_and_round_trips(small_setup):
+    ens, val, prior = small_setup
+    _, trace = learn_weights_icc(ens, val, prior, OptimizerConfig(seed=12, max_iters=6))
+    assert all(s.iterations is not None and s.converged is not None for s in trace.starts)
+    assert any(s.converged is False and s.iterations == 6 for s in trace.starts)
+    d = json.loads(json.dumps(trace.to_dict()))
+    back = OptimizationTrace.from_dict(d)
+    assert [(s.iterations, s.converged) for s in back.starts] == [
+        (s.iterations, s.converged) for s in trace.starts
+    ]
+    # traces written before the stop reason was recorded still load
+    for sd in d["starts"]:
+        del sd["iterations"], sd["converged"]
+    old = OptimizationTrace.from_dict(d)
+    assert [s.evaluations for s in old.starts] == [s.evaluations for s in trace.starts]
+    assert all(s.iterations is None and s.converged is None for s in old.starts)
 
 
 def test_learned_weights_on_simplex_with_floor(small_setup):
