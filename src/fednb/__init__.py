@@ -1,8 +1,9 @@
 """Governance-regularized federated Naive Bayes simulation framework."""
 
+from .config import ExperimentConfig
 from .data import CategoryMap, Dataset, FeatureSchema, SynthSpec, load_csv, synth_generate
 from .evaluation import chi2_sf_1df, f1_macro, mcnemar_yates
-from .experiment import ExperimentConfig, ExperimentRecord, run_cell, run_grid, verify
+from .experiment import ExperimentRecord, run_cell, run_grid, verify
 from .governance import IccPrior, NodeProfile, compute_icc, normalize_prior
 from .local_model import HybridModel, fit_hybrid, joint_log_scores, predict_local
 from .mog import MoGEnsemble, anll, log_softmax, predict_mog

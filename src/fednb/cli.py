@@ -47,7 +47,7 @@ def _parse_overrides(pairs) -> dict:
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise FedNBError(f"--set expects key=value, got {pair!r}")
+            raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, val = pair.split("=", 1)
         out[key.strip()] = val.strip()
     return out

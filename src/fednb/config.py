@@ -1,9 +1,9 @@
-"""Experiment configuration: plain-text config files and JSON round-trip.
+"""Experiment configuration: the config types, INI files and the JSON echo.
 
 Config file grammar (INI-style, case-sensitive keys, `#` comments):
 
     [experiment]
-    name = synth-demo          # dataset label in outputs (synth only)
+    name = synth-demo          # dataset label in outputs
     seed = 42
     alphas = 0.05, 0.10, 0.20, 0.30, 0.50, 0.70, 1.00
     reps = 5
@@ -14,7 +14,7 @@ Config file grammar (INI-style, case-sensitive keys, `#` comments):
     lambda = 0.10
     floor_delta = 0.05
     max_iters = 500
-    n_starts = 5
+    n_starts = 5               # 1..5 Nelder-Mead start points
 
     [synth]                    # either [synth] or [csv], not both
     n_rows = 3000
@@ -42,207 +42,238 @@ Schema file grammar:
     protocol_type = categorical
     duration = numerical
     label = label
+
+A missing key takes its dataclass default. An unknown key or a bad value is
+a ConfigError that names the key. load_config reads a file into the dict
+schema of config_to_dict (the grid.json echo), applies `--set` overrides to
+that dict, and hands it to config_from_dict, the one constructor of an
+ExperimentConfig from outside input; its values may be JSON or INI strings.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 
 from .data import FeatureSchema, SynthSpec
-from .errors import ConfigError
-from .experiment import CsvSource, ExperimentConfig
+from .errors import ConfigError, FedNBError
 from .governance import NodeProfile
+from .partition import SplitConfig
 from .weights import OptimizerConfig
 
-_OVERRIDE_KEYS = {"seed", "alphas", "reps", "lambda", "delta"}
+DEFAULT_ALPHAS = (0.05, 0.10, 0.20, 0.30, 0.50, 0.70, 1.00)
+PROPOSAL_ORDER = ("C", "B", "E", "A")
 
 
-def _parser() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+@dataclass(frozen=True)
+class CsvSource:
+    path: str
+    schema: FeatureSchema
+    name: str = "csv"
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    source: object  # SynthSpec or CsvSource
+    profiles: tuple[NodeProfile, ...]
+    alphas: tuple[float, ...] = DEFAULT_ALPHAS
+    reps: int = 5
+    seed: int = 42
+    split_fracs: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    proposals: tuple[str, ...] = PROPOSAL_ORDER
+
+    def __post_init__(self):
+        if len(self.profiles) < 1:
+            raise ConfigError("need at least one node profile")
+        if any(a <= 0 for a in self.alphas):
+            raise ConfigError("alphas must be positive")
+        if list(self.alphas) != sorted(set(self.alphas)):
+            raise ConfigError("alphas must be strictly increasing")
+        if self.reps < 1:
+            raise ConfigError("reps must be >= 1")
+        try:
+            SplitConfig(*self.split_fracs, seed=0)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"split_fracs {self.split_fracs}: {exc}") from exc
+        bad = [p for p in self.proposals if p not in PROPOSAL_ORDER]
+        if bad:
+            raise ConfigError(f"unknown proposals: {bad}")
+        if isinstance(self.source, SynthSpec) and len(self.source.node_noise) != len(self.profiles):
+            raise ConfigError("node_noise length must match number of profiles")
+        if "A" in self.proposals:
+            if self.k < 2:
+                raise ConfigError("proposal A needs at least 2 node profiles")
+            if self.k * self.optimizer.floor_delta >= 1.0:
+                raise ConfigError("proposal A needs K * floor_delta < 1 (infeasible weight floor)")
+
+    @property
+    def k(self) -> int:
+        return len(self.profiles)
+
+    @property
+    def dataset_name(self) -> str:
+        return self.source.name
+
+
+# [experiment] keys other than the split fractions -> path in the dict schema
+_EXPERIMENT_KEYS = {
+    "name": ("source", "name"),
+    **{key: (key,) for key in ("seed", "alphas", "reps", "proposals")},
+    **{key: ("optimizer", key) for key in ("lambda", "floor_delta", "max_iters", "n_starts")},
+}
+_FRAC_KEYS = ("train_frac", "val_frac", "test_frac")
+_OVERRIDE_KEYS = {
+    "delta": _EXPERIMENT_KEYS["floor_delta"],
+    **{key: _EXPERIMENT_KEYS[key] for key in ("seed", "alphas", "reps", "lambda")},
+}
+
+
+@contextmanager
+def _blame(where: str):
+    """Re-raise an error from a bad value as a ConfigError that says where it is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing key {exc}") from exc
+    except (ValueError, TypeError, FedNBError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _read_ini(path, sections) -> configparser.ConfigParser:
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     cp.optionxform = str  # keep case of column and node names
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not found:
+        raise ConfigError(f"cannot read {path}")
+    if any(s not in cp for s in sections):
+        raise ConfigError(f"{path}: needs " + " and ".join(f"[{s}]" for s in sections) + " sections")
     return cp
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.replace(",", " ").split())
-
-
-def load_schema_file(path) -> FeatureSchema:
-    cp = _parser()
-    if not cp.read(path):
-        raise ConfigError(f"cannot read schema file {path}")
-    if "schema" not in cp or "columns" not in cp:
-        raise ConfigError(f"{path}: needs [schema] and [columns] sections")
-    n_classes = cp.getint("schema", "n_classes")
-    columns = tuple((name, kind.strip()) for name, kind in cp["columns"].items())
-    return FeatureSchema(columns, n_classes)
+def _put(d: dict, path: tuple, value) -> None:
+    *parents, last = path
+    for key in parents:
+        d = d.setdefault(key, {})
+    d[last] = value
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    cp = _parser()
-    if not cp.read(path):
-        raise ConfigError(f"cannot read config file {path}")
-    if "experiment" not in cp or "profiles" not in cp:
-        raise ConfigError(f"{path}: needs [experiment] and [profiles] sections")
-    exp = cp["experiment"]
-
-    profiles = []
-    for name, raw in cp["profiles"].items():
-        vals = _floats(raw)
-        if len(vals) != 4:
-            raise ConfigError(f"profile {name}: expected cmm, kci, kri, cvss")
-        profiles.append(NodeProfile(name, int(vals[0]), vals[1], vals[2], vals[3]))
-    if not profiles:
-        raise ConfigError("no node profiles defined")
-
+    """Read an INI config, apply `--set` overrides (seed, alphas, reps, lambda, delta)."""
+    cp = _read_ini(path, ("experiment", "profiles"))
     if ("synth" in cp) == ("csv" in cp):
         raise ConfigError("config needs exactly one of [synth] or [csv]")
+    exp = dict(cp["experiment"])
+    d = {
+        "split_fracs": [exp.pop(k, x) for k, x in zip(_FRAC_KEYS, ExperimentConfig.split_fracs)],
+        "profiles": [],
+    }
+    for name, raw in cp["profiles"].items():
+        vals = raw.replace(",", " ").split()
+        if len(vals) != 4:
+            raise ConfigError(f"profile {name}: expected cmm, kci, kri, cvss")
+        d["profiles"].append({"name": name, **dict(zip(("cmm", "kci", "kri", "cvss"), vals))})
     if "synth" in cp:
-        s = cp["synth"]
-        source = SynthSpec(
-            n_rows=s.getint("n_rows"),
-            n_classes=s.getint("n_classes"),
-            n_categorical=s.getint("n_categorical"),
-            n_numerical=s.getint("n_numerical"),
-            node_noise=_floats(s.get("node_noise", "")),
-            n_categories=s.getint("n_categories", fallback=4),
-            class_sep=s.getfloat("class_sep", fallback=3.0),
-            name=exp.get("name", "synthetic"),
-        )
+        d["source"] = {"kind": "synth", **cp["synth"]}
     else:
-        c = cp["csv"]
-        schema_path = c.get("schema")
-        if not os.path.isabs(schema_path):
-            schema_path = os.path.join(os.path.dirname(os.path.abspath(path)), schema_path)
-        csv_path = c.get("path")
-        if not os.path.isabs(csv_path):
-            csv_path = os.path.join(os.path.dirname(os.path.abspath(path)), csv_path)
-        source = CsvSource(csv_path, load_schema_file(schema_path), exp.get("name", "csv"))
-
-    cfg = ExperimentConfig(
-        source=source,
-        profiles=tuple(profiles),
-        alphas=_floats(exp.get("alphas", "0.05, 0.10, 0.20, 0.30, 0.50, 0.70, 1.00")),
-        reps=exp.getint("reps", fallback=5),
-        seed=exp.getint("seed", fallback=42),
-        split_fracs=(
-            exp.getfloat("train_frac", fallback=0.6),
-            exp.getfloat("val_frac", fallback=0.2),
-            exp.getfloat("test_frac", fallback=0.2),
-        ),
-        optimizer=OptimizerConfig(
-            lam=exp.getfloat("lambda", fallback=0.10),
-            floor_delta=exp.getfloat("floor_delta", fallback=0.05),
-            max_iters=exp.getint("max_iters", fallback=500),
-            n_starts=exp.getint("n_starts", fallback=5),
-        ),
-        proposals=tuple(p.strip() for p in exp.get("proposals", "C, B, E, A").split(",")),
-    )
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg
-
-
-def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Apply --set key=value pairs; unknown keys are rejected."""
-    from dataclasses import replace
-
-    for key, raw in overrides.items():
+        csv, base = dict(cp["csv"]), os.path.dirname(os.path.abspath(path))
+        with _blame("[csv]"):
+            csv_path, schema_path = (os.path.join(base, csv.pop(k)) for k in ("path", "schema"))
+        schema = _read_ini(schema_path, ("schema", "columns"))
+        d["source"] = {"kind": "csv", "path": csv_path, **csv, "n_classes": schema["schema"].get("n_classes"),
+                       "columns": list(schema["columns"].items())}
+    for key, value in exp.items():
+        if key not in _EXPERIMENT_KEYS:
+            raise ConfigError(f"[experiment]: unknown key {key!r}")
+        _put(d, _EXPERIMENT_KEYS[key], value)
+    for key, value in (overrides or {}).items():
         if key not in _OVERRIDE_KEYS:
             raise ConfigError(f"unknown override key {key!r} (allowed: {sorted(_OVERRIDE_KEYS)})")
-        try:
-            if key == "seed":
-                cfg = replace(cfg, seed=int(raw))
-            elif key == "reps":
-                cfg = replace(cfg, reps=int(raw))
-            elif key == "alphas":
-                cfg = replace(cfg, alphas=_floats(raw))
-            elif key == "lambda":
-                cfg = replace(cfg, optimizer=replace(cfg.optimizer, lam=float(raw)))
-            elif key == "delta":
-                cfg = replace(cfg, optimizer=replace(cfg.optimizer, floor_delta=float(raw)))
-        except ValueError as exc:
-            raise ConfigError(f"override {key}={raw!r}: {exc}") from exc
-    return cfg
+        _put(d, _OVERRIDE_KEYS[key], value)
+    return config_from_dict(d)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    src = cfg.source
-    if isinstance(src, SynthSpec):
-        source = {
-            "kind": "synth",
-            "n_rows": src.n_rows,
-            "n_classes": src.n_classes,
-            "n_categorical": src.n_categorical,
-            "n_numerical": src.n_numerical,
-            "node_noise": list(src.node_noise),
-            "n_categories": src.n_categories,
-            "class_sep": src.class_sep,
-            "name": src.name,
-        }
-    else:
-        source = {
-            "kind": "csv",
-            "path": src.path,
-            "name": src.name,
-            "n_classes": src.schema.n_classes,
-            "columns": [list(c) for c in src.schema.columns],
-        }
-    return {
-        "source": source,
-        "profiles": [
-            {"name": p.name, "cmm": p.cmm, "kci": p.kci, "kri": p.kri, "cvss": p.cvss}
-            for p in cfg.profiles
-        ],
-        "alphas": list(cfg.alphas),
-        "reps": cfg.reps,
-        "seed": cfg.seed,
-        "split_fracs": list(cfg.split_fracs),
-        "optimizer": {
-            "lambda": cfg.optimizer.lam,
-            "floor_delta": cfg.optimizer.floor_delta,
-            "max_iters": cfg.optimizer.max_iters,
-            "n_starts": cfg.optimizer.n_starts,
-            "seed": cfg.optimizer.seed,
-        },
-        "proposals": list(cfg.proposals),
-    }
+    d = asdict(cfg)
+    src, opt = d["source"], d["optimizer"]
+    if isinstance(cfg.source, CsvSource):
+        src.update(src.pop("schema"))
+    d["source"] = {"kind": "csv" if isinstance(cfg.source, CsvSource) else "synth", **src}
+    d["optimizer"] = {"lambda": opt.pop("lam"), **opt}
+    return d
+
+
+def _int(v) -> int:
+    if isinstance(v, float):  # int(2.5) would truncate silently
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _float(v) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{v!r} is not a finite number")
+    return x
+
+
+def _floats(v) -> tuple[float, ...]:
+    return tuple(_float(x) for x in (v.replace(",", " ").split() if isinstance(v, str) else v))
+
+
+def _names(v) -> tuple[str, ...]:
+    return tuple(str(x).strip() for x in (v.split(",") if isinstance(v, str) else v))
+
+
+def _build(cls, where: str, raw: dict, convert: dict):
+    """cls(**converted raw); unknown keys are errors, missing ones take cls's defaults."""
+    unknown = sorted(set(raw) - set(convert))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+    kwargs = {}
+    for key, value in raw.items():
+        with _blame(f"{where}.{key} = {value!r}"):
+            kwargs["lam" if key == "lambda" else key] = convert[key](value)
+    with _blame(where):
+        return cls(**kwargs)
+
+
+def _csv_source(path, columns, n_classes, **name) -> CsvSource:
+    """CsvSource from the flat echo keys; without a name, CsvSource's default applies."""
+    return CsvSource(path, FeatureSchema(columns, n_classes), **name)
+
+
+def _source(raw: dict):
+    raw = dict(raw)
+    kind = raw.pop("kind", None)
+    if kind == "synth":
+        return _build(SynthSpec, "source", raw, _SYNTH)
+    if kind == "csv":
+        return _build(_csv_source, "source", raw, _CSV)
+    raise ConfigError(f"source: unknown kind {kind!r}")
+
+
+_SYNTH = dict(n_rows=_int, n_classes=_int, n_categorical=_int, n_numerical=_int,
+              node_noise=_floats, n_categories=_int, class_sep=_float, name=str)
+_CSV = dict(path=str, name=str, n_classes=_int,
+            columns=lambda cols: tuple((str(n), str(kind)) for n, kind in cols))
+_PROFILE = dict(name=str, cmm=_int, kci=_float, kri=_float, cvss=_float)
+_OPTIMIZER = {"lambda": _float, "floor_delta": _float, "max_iters": _int, "n_starts": _int, "seed": _int}
+_CONFIG = dict(
+    source=_source,
+    profiles=lambda ps: tuple(_build(NodeProfile, "profiles", p, _PROFILE) for p in ps),
+    optimizer=lambda opt: _build(OptimizerConfig, "optimizer", opt, _OPTIMIZER),
+    alphas=_floats, reps=_int, seed=_int, split_fracs=_floats, proposals=_names,
+)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    s = d["source"]
-    if s["kind"] == "synth":
-        source = SynthSpec(
-            n_rows=s["n_rows"],
-            n_classes=s["n_classes"],
-            n_categorical=s["n_categorical"],
-            n_numerical=s["n_numerical"],
-            node_noise=tuple(s["node_noise"]),
-            n_categories=s["n_categories"],
-            class_sep=s["class_sep"],
-            name=s["name"],
-        )
-    else:
-        schema = FeatureSchema(tuple(tuple(c) for c in s["columns"]), s["n_classes"])
-        source = CsvSource(s["path"], schema, s["name"])
-    opt = d["optimizer"]
-    return ExperimentConfig(
-        source=source,
-        profiles=tuple(
-            NodeProfile(p["name"], p["cmm"], p["kci"], p["kri"], p["cvss"])
-            for p in d["profiles"]
-        ),
-        alphas=tuple(d["alphas"]),
-        reps=d["reps"],
-        seed=d["seed"],
-        split_fracs=tuple(d["split_fracs"]),
-        optimizer=OptimizerConfig(
-            lam=opt["lambda"],
-            floor_delta=opt["floor_delta"],
-            max_iters=opt["max_iters"],
-            n_starts=opt["n_starts"],
-            seed=opt["seed"],
-        ),
-        proposals=tuple(d["proposals"]),
-    )
+    """The one constructor of an ExperimentConfig from outside input (see module doc)."""
+    return _build(ExperimentConfig, "config", d, _CONFIG)

@@ -14,11 +14,12 @@ via per-cell seed sequences, making the grid fully re-runnable cell by cell.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .data import CategoryMap, Dataset, FeatureSchema, SynthSpec, degrade_copy, load_csv, synth_generate
+from .config import PROPOSAL_ORDER, ExperimentConfig, config_from_dict, config_to_dict
+from .data import CategoryMap, Dataset, SynthSpec, degrade_copy, load_csv, synth_generate
 from .errors import CellError, ConfigError
 from .evaluation import f1_macro, mcnemar_yates
 from .governance import IccPrior, NodeProfile, compute_icc
@@ -27,14 +28,10 @@ from .mog import MoGEnsemble, anll, mog_log_scores_batch
 from .partition import Partition, SplitConfig, dirichlet_partition, jsd_heterogeneity, stratified_split
 from .weights import (
     OptimizationTrace,
-    OptimizerConfig,
     learn_weights_icc,
     weights_entropy,
     weights_fedavg,
 )
-
-DEFAULT_ALPHAS = (0.05, 0.10, 0.20, 0.30, 0.50, 0.70, 1.00)
-PROPOSAL_ORDER = ("C", "B", "E", "A")
 
 # Reference governance profiles used by the formula self-check.
 REFERENCE_PROFILES = (
@@ -42,53 +39,6 @@ REFERENCE_PROFILES = (
     ("Health", 3, 0.70, 0.25, 5.1, 0.154),
     ("Government", 2, 0.55, 0.40, 6.8, 0.042),
 )
-
-
-@dataclass(frozen=True)
-class CsvSource:
-    path: str
-    schema: FeatureSchema
-    name: str = "csv"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    source: object  # SynthSpec or CsvSource
-    profiles: tuple[NodeProfile, ...]
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS
-    reps: int = 5
-    seed: int = 42
-    split_fracs: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    proposals: tuple[str, ...] = PROPOSAL_ORDER
-
-    def __post_init__(self):
-        if len(self.profiles) < 1:
-            raise ConfigError("need at least one node profile")
-        if any(a <= 0 for a in self.alphas):
-            raise ConfigError("alphas must be positive")
-        if list(self.alphas) != sorted(set(self.alphas)):
-            raise ConfigError("alphas must be strictly increasing")
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
-        bad = [p for p in self.proposals if p not in PROPOSAL_ORDER]
-        if bad:
-            raise ConfigError(f"unknown proposals: {bad}")
-        if isinstance(self.source, SynthSpec) and len(self.source.node_noise) != len(self.profiles):
-            raise ConfigError("node_noise length must match number of profiles")
-        if "A" in self.proposals:
-            if self.k < 2:
-                raise ConfigError("proposal A needs at least 2 node profiles")
-            if self.k * self.optimizer.floor_delta >= 1.0:
-                raise ConfigError("proposal A needs K * floor_delta < 1 (infeasible weight floor)")
-
-    @property
-    def k(self) -> int:
-        return len(self.profiles)
-
-    @property
-    def dataset_name(self) -> str:
-        return self.source.name
 
 
 @dataclass
@@ -296,18 +246,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _is_default_params(config: ExperimentConfig) -> bool:
-    return (
-        config.alphas == DEFAULT_ALPHAS
-        and config.reps == 5
-        and config.seed == 42
-        and config.split_fracs == (0.6, 0.2, 0.2)
-        and abs(config.optimizer.lam - 0.10) < 1e-12
-        and abs(config.optimizer.floor_delta - 0.05) < 1e-12
-        and config.optimizer.max_iters == 500
-    )
-
-
 def verify(result: GridResult, csv_quantized: bool = False) -> VerificationReport:
     """Evaluate the 15-check protocol on a completed grid. Failures are
     reported, never raised. csv_quantized relaxes equality tolerances to the
@@ -407,11 +345,12 @@ def verify(result: GridResult, csv_quantized: bool = False) -> VerificationRepor
     ok = len(records) == expected
     checks.append(("grid_completeness", ok, f"{len(records)}/{expected} records"))
 
-    # 13. config echo against the published defaults
-    if _is_default_params(config):
-        ok, msg = True, "default parameters in effect and echoed"
-    else:
-        ok, msg = True, "non-default configuration (echo not applicable)"
+    # 13. config echo: the grid.json echo rebuilds this exact config
+    try:
+        diff = _first_difference(config, config_from_dict(config_to_dict(config)))
+        ok, msg = diff is None, f"echo differs at {diff}" if diff else "echo rebuilds the config"
+    except ConfigError as exc:
+        ok, msg = False, f"echo does not load: {exc}"
     checks.append(("config_echo", ok, msg))
 
     # 14. learned weights respect the floor
@@ -440,6 +379,16 @@ def verify(result: GridResult, csv_quantized: bool = False) -> VerificationRepor
     checks.append(("trace_sanity", ok, msg))
 
     return VerificationReport(checks)
+
+
+def _first_difference(a, b, path: str = "config") -> str | None:
+    """Dotted field name (and both values) where a and b first differ, or None."""
+    if a == b:
+        return None
+    if is_dataclass(a) and type(a) is type(b):
+        diffs = (_first_difference(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}") for f in fields(a))
+        return next(d for d in diffs if d)
+    return f"{path} ({a!r} vs {b!r})"
 
 
 def _fields_close(a: tuple, b: tuple, tol: float) -> bool:

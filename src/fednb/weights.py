@@ -21,6 +21,10 @@ from .governance import IccPrior
 from .mog import MoGEnsemble, anll_from_stacked, stack_scores
 
 
+# learn_weights_icc's start points: prior, uniform, two Dirichlet draws, their midpoint
+N_START_POINTS = 5
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     lam: float = 0.10
@@ -34,8 +38,10 @@ class OptimizerConfig:
             raise ValueError("lambda must be >= 0")
         if not 0.0 <= self.floor_delta < 1.0:
             raise ValueError("floor_delta outside [0, 1)")
-        if self.max_iters < 1 or self.n_starts < 1:
-            raise ValueError("max_iters and n_starts must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters {self.max_iters} must be >= 1")
+        if not 1 <= self.n_starts <= N_START_POINTS:
+            raise ValueError(f"n_starts {self.n_starts} outside [1, {N_START_POINTS}]")
 
 
 def to_floored_simplex(theta, k: int, delta: float) -> np.ndarray:
@@ -45,8 +51,9 @@ def to_floored_simplex(theta, k: int, delta: float) -> np.ndarray:
         raise ValueError(f"theta must have {k - 1} coordinates")
     if k * delta >= 1.0:
         raise ValueError(f"K*delta = {k * delta} >= 1: floor infeasible")
-    z = np.append(theta, 0.0)
-    z -= z.max()
+    z = np.zeros(k)
+    z[:-1] = theta
+    z -= max(0.0, *theta.tolist())  # same value as z.max(), without a numpy reduction
     p = np.exp(z)
     p /= p.sum()
     return delta + (1.0 - k * delta) * p

@@ -156,7 +156,7 @@ def test_malformed_override_is_error(cfg_path, tmp_path):
     code = main(
         ["run-grid", "--config", str(cfg_path), "--out", str(tmp_path), "--set", "nonsense"]
     )
-    assert code == 1
+    assert code == 64
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,0 +1,174 @@
+import json
+
+import pytest
+
+import fednb.experiment
+from fednb.cli import main
+from fednb.config import CsvSource, ExperimentConfig, config_from_dict, config_to_dict, load_config
+from fednb.data import FeatureSchema, SynthSpec
+from fednb.experiment import GridResult, verify
+from fednb.governance import NodeProfile
+from fednb.weights import OptimizerConfig
+
+PROFILES = (
+    NodeProfile("Financial", 4, 0.82, 0.12, 3.2),
+    NodeProfile("Health", 3, 0.70, 0.25, 5.1),
+    NodeProfile("Government", 2, 0.55, 0.40, 6.8),
+)
+SYNTH = SynthSpec(300, 2, 1, 2, (0.0, 0.2, 0.45), n_categories=3, class_sep=2.0, name="cfg-test")
+NON_DEFAULT = dict(
+    alphas=(0.1, 1.0),
+    reps=1,
+    seed=7,
+    split_fracs=(0.5, 0.25, 0.25),
+    optimizer=OptimizerConfig(lam=0.2, floor_delta=0.1, max_iters=50, n_starts=3),
+    proposals=("B", "A"),
+)
+
+CFG = """\
+[experiment]
+name = cfg-test
+seed = 7
+alphas = 0.05, 1.0
+reps = 1
+proposals = C, B, E, A
+train_frac = 0.6
+val_frac = 0.2
+test_frac = 0.2
+lambda = 0.10
+floor_delta = 0.05
+max_iters = 500
+n_starts = 5
+
+[synth]
+n_rows = 900
+n_classes = 2
+n_categorical = 1
+n_numerical = 2
+n_categories = 4
+class_sep = 2.0
+node_noise = 0.0, 0.2, 0.45
+
+[profiles]
+Financial = 4, 0.82, 0.12, 3.2
+Health = 3, 0.70, 0.25, 5.1
+Government = 2, 0.55, 0.40, 6.8
+"""
+
+# the config echo as grid.json files written before this schema had one reader
+LEGACY_ECHO = {
+    "source": {
+        "kind": "synth", "n_rows": 900, "n_classes": 2, "n_categorical": 1, "n_numerical": 2,
+        "node_noise": [0.0, 0.2, 0.45], "n_categories": 4, "class_sep": 2.0, "name": "cfg-test",
+    },
+    "profiles": [
+        {"name": "Financial", "cmm": 4, "kci": 0.82, "kri": 0.12, "cvss": 3.2},
+        {"name": "Health", "cmm": 3, "kci": 0.7, "kri": 0.25, "cvss": 5.1},
+        {"name": "Government", "cmm": 2, "kci": 0.55, "kri": 0.4, "cvss": 6.8},
+    ],
+    "alphas": [0.05, 1.0],
+    "reps": 1,
+    "seed": 7,
+    "split_fracs": [0.6, 0.2, 0.2],
+    "optimizer": {"lambda": 0.1, "floor_delta": 0.05, "max_iters": 500, "n_starts": 5, "seed": 0},
+    "proposals": ["C", "B", "E", "A"],
+}
+
+
+def _round_trips(cfg):
+    d = config_to_dict(cfg)
+    assert config_from_dict(d) == cfg
+    assert config_from_dict(json.loads(json.dumps(d))) == cfg
+
+
+def test_synth_config_round_trips():
+    _round_trips(ExperimentConfig(source=SYNTH, profiles=PROFILES, **NON_DEFAULT))
+
+
+def test_csv_config_round_trips():
+    schema = FeatureSchema((("proto", "categorical"), ("dur", "numerical"), ("y", "label")), 3)
+    source = CsvSource("/data/x.csv", schema, "x")
+    _round_trips(ExperimentConfig(source=source, profiles=PROFILES, **NON_DEFAULT))
+
+
+def test_ini_and_legacy_echo_build_the_same_config(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text(CFG)
+    assert load_config(path) == config_from_dict(LEGACY_ECHO)
+
+
+def test_percent_sign_in_a_value_is_literal(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text(CFG.replace("name = cfg-test", "name = 50%-sample"))
+    assert load_config(path).dataset_name == "50%-sample"
+
+
+def test_minimal_ini_takes_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "min.cfg"
+    path.write_text(
+        "[experiment]\n"
+        "[synth]\nn_rows = 300\nn_classes = 2\nn_categorical = 1\nn_numerical = 2\n"
+        "node_noise = 0.0, 0.2, 0.45\n"
+        "[profiles]\nFinancial = 4, 0.82, 0.12, 3.2\nHealth = 3, 0.70, 0.25, 5.1\n"
+        "Government = 2, 0.55, 0.40, 6.8\n"
+    )
+    expected = ExperimentConfig(source=SynthSpec(300, 2, 1, 2, (0.0, 0.2, 0.45)), profiles=PROFILES)
+    assert load_config(path) == expected
+
+
+def test_csv_section_reads_the_schema_file(tmp_path):
+    (tmp_path / "schema.cfg").write_text(
+        "[schema]\nn_classes = 2\n[columns]\nproto = categorical\ndur = numerical\ny = label\n"
+    )
+    csv = "[csv]\npath = x.csv\nschema = schema.cfg\n\n"
+    (tmp_path / "c.cfg").write_text(CFG[: CFG.index("[synth]")] + csv + CFG[CFG.index("[profiles]") :])
+    cfg = load_config(tmp_path / "c.cfg")
+    schema = FeatureSchema((("proto", "categorical"), ("dur", "numerical"), ("y", "label")), 2)
+    assert cfg.source == CsvSource(str(tmp_path / "x.csv"), schema, "cfg-test")
+
+
+@pytest.mark.parametrize(
+    "line, bad, named",
+    [
+        ("lambda = 0.10", "lambda = -1", "lambda"),
+        ("Financial = 4,", "Financial = 7,", "cmm 7"),
+        ("n_rows = 900", "n_rows = abc", "n_rows"),
+        ("max_iters = 500", "max_iters = 0", "max_iters"),
+        ("n_rows = 900", "n_rows = 0", "n_rows"),
+        ("train_frac = 0.6", "train_frac = 0.7", "0.7"),
+        ("n_starts = 5", "n_starts = 9", "n_starts"),
+        ("lambda = 0.10", "lamda = 0.10", "lamda"),
+        ("reps = 1", "reps = 0", "reps"),
+        ("n_categories = 4", "n_categorys = 4", "n_categorys"),
+    ],
+)
+def test_bad_config_value_exits_64_and_names_it(tmp_path, capsys, line, bad, named):
+    assert line in CFG
+    path = tmp_path / "bad.cfg"
+    path.write_text(CFG.replace(line, bad))
+    code = main(["run-grid", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--set", "alphas=0.05,1.0"])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+def _config_echo(result):
+    return next(c for c in verify(result).checks if c[0] == "config_echo")
+
+
+def test_config_echo_check_fails_when_the_round_trip_breaks(monkeypatch):
+    cfg = ExperimentConfig(source=SYNTH, profiles=PROFILES, **NON_DEFAULT)
+    result = GridResult(cfg, [], {}, {})
+    assert _config_echo(result)[1]
+
+    def drop_n_starts(c):
+        d = config_to_dict(c)
+        del d["optimizer"]["n_starts"]
+        return d
+
+    monkeypatch.setattr(fednb.experiment, "config_to_dict", drop_n_starts)
+    _, ok, msg = _config_echo(result)
+    assert not ok
+    assert "optimizer.n_starts (3 vs 5)" in msg

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from fednb.config import DEFAULT_ALPHAS, ExperimentConfig
 from fednb.data import SynthSpec
 from fednb.errors import ConfigError
 from fednb.experiment import (
-    DEFAULT_ALPHAS,
-    ExperimentConfig,
     emit_plot_data,
     emit_results_csv,
     load_results_csv,

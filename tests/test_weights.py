@@ -56,6 +56,18 @@ def test_floored_simplex_respects_floor_everywhere():
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_floored_simplex_is_bit_exact_with_append_formula():
+    rng = np.random.default_rng(2)
+    for k in (2, 3, 10):
+        for scale in (1e-3, 1.0, 30.0, 800.0):
+            theta = rng.normal(scale=scale, size=k - 1)
+            z = np.append(theta, 0.0)
+            z -= z.max()
+            p = np.exp(z) / np.exp(z).sum()
+            expected = 0.05 + (1.0 - k * 0.05) * p
+            assert to_floored_simplex(theta, k, 0.05).tobytes() == expected.tobytes()
+
+
 def test_from_simplex_uniform_gives_zero_theta():
     theta = from_simplex(np.full(3, 1 / 3), 0.05)
     assert np.allclose(theta, 0.0, atol=1e-12)
