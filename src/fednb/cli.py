@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .config import config_from_dict, config_to_dict, load_config
-from .errors import ConfigError, FedNBError
+from .errors import ConfigError, FedNBError, ParseError
 from .experiment import (
     GridResult,
     emit_plot_data,
@@ -70,21 +70,26 @@ def _save_bundle(result: GridResult, out_dir: str) -> None:
 
 
 def _load_bundle(results_dir: str) -> GridResult:
-    csv_path = os.path.join(results_dir, RESULTS_CSV)
+    """The saved grid; a malformed results.csv or grid.json raises ParseError naming it."""
+    records = load_results_csv(os.path.join(results_dir, RESULTS_CSV))
     bundle_path = os.path.join(results_dir, GRID_BUNDLE)
-    records = load_results_csv(csv_path)
-    with open(bundle_path, encoding="utf-8") as fh:
-        bundle = json.load(fh)
-    config = config_from_dict(bundle["config"])
-    traces = {}
-    for key, td in bundle["traces"].items():
-        ai, rep = key.split(",")
-        traces[(int(ai), int(rep))] = OptimizationTrace.from_dict(td)
-    partitions = {}
-    for key, counts in bundle["partitions"].items():
-        ai, rep = key.split(",")
-        partitions[(int(ai), int(rep))] = np.array(counts, dtype=np.int64)
-    return GridResult(config, records, traces, partitions, bool(bundle["scores_ok"]))
+    try:
+        with open(bundle_path, encoding="utf-8") as fh:
+            bundle = json.load(fh)
+        config = config_from_dict(bundle["config"])
+        traces = {}
+        for key, td in bundle["traces"].items():
+            ai, rep = key.split(",")
+            traces[(int(ai), int(rep))] = OptimizationTrace.from_dict(td)
+        partitions = {}
+        for key, counts in bundle["partitions"].items():
+            ai, rep = key.split(",")
+            partitions[(int(ai), int(rep))] = np.array(counts, dtype=np.int64)
+        return GridResult(config, records, traces, partitions, bool(bundle["scores_ok"]))
+    except KeyError as exc:
+        raise ParseError(f"{bundle_path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{bundle_path}: {exc}") from None
 
 
 def cmd_run_grid(args) -> int:
@@ -123,11 +128,7 @@ def _write_report(report, out_dir: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        result = _load_bundle(args.results)
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load results from {args.results}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    result = _load_bundle(args.results)
     report = verify(result, csv_quantized=True)
     print(report.to_text())
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL

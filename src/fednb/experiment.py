@@ -7,8 +7,11 @@ Proposals per cell:
     A  mixture with weights learned by Nelder-Mead under the coherence prior
 
 B/E/A share the same K fitted local models within a cell, so metric deltas
-isolate the weighting strategy. All randomness derives from the master seed
-via per-cell seed sequences, making the grid fully re-runnable cell by cell.
+isolate the weighting strategy. They also share one (K, C, n) test score
+tensor: each test row is scored once per local model (and once by C's pooled
+model), and each proposal mixes that tensor under its own weights. All
+randomness derives from the master seed via per-cell seed sequences, making
+the grid fully re-runnable cell by cell.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import numpy as np
 
 from .config import PROPOSAL_ORDER, ExperimentConfig, config_from_dict, config_to_dict
 from .data import CategoryMap, Dataset, SynthSpec, degrade_copy, load_csv, synth_generate
-from .errors import CellError, ConfigError
+from .errors import CellError, ConfigError, ParseError
 from .evaluation import f1_macro, mcnemar_yates
 from .governance import IccPrior, NodeProfile, compute_icc
 from .local_model import fit_hybrid
-from .mog import MoGEnsemble, anll, mog_log_scores_batch
+from . import mog
+from .mog import MoGEnsemble, anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
 from .partition import Partition, SplitConfig, dirichlet_partition, jsd_heterogeneity, stratified_split
 from .weights import (
     OptimizationTrace,
@@ -149,12 +153,13 @@ def run_cell(
     trace = None
     scores_ok = True
     preds_by_proposal: dict[str, np.ndarray] = {}
+    shared = None  # test scores of cell.models, stacked by the first of B/E/A
     for proposal in [p for p in PROPOSAL_ORDER if p in config.proposals]:
         t0 = time.perf_counter()
         weights = None
         if proposal == "C":
-            pooled = fit_hybrid(train)
-            ens = MoGEnsemble([pooled], np.array([1.0]))
+            ens = MoGEnsemble([fit_hybrid(train)], np.array([1.0]))
+            stacked = mog.stack_scores(ens.models, test)
         else:
             if proposal == "B":
                 w = weights_fedavg(part.sizes())
@@ -169,10 +174,13 @@ def run_cell(
                 )
             weights = tuple(float(x) for x in w)
             ens = MoGEnsemble(cell.models, np.asarray(w))
-        scores = mog_log_scores_batch(ens, test)
-        if np.isnan(scores).any() or np.isposinf(scores).any():
+            if shared is None:
+                shared = mog.stack_scores(cell.models, test)
+            stacked = shared
+        mixed = mog.mix_scores(ens.weights, stacked)
+        if np.isnan(mixed).any() or np.isposinf(mixed).any():
             scores_ok = False
-        preds = np.argmax(scores, axis=1)
+        preds = mixed.argmax(axis=0)
         preds_by_proposal[proposal] = preds
         rec = ExperimentRecord(
             dataset_name=config.dataset_name,
@@ -180,7 +188,7 @@ def run_cell(
             rep=rep,
             proposal=proposal,
             f1_macro=f1_macro(test.labels, preds, dataset.schema.n_classes),
-            anll=anll(ens, test),
+            anll=mog.anll_from_stacked(ens.weights, stacked, test.labels),
             jsd=jsd,
             weights=weights,
             mcnemar_p_vs_B=None,
@@ -502,35 +510,42 @@ def emit_results_csv(records, path) -> None:
 
 
 def load_results_csv(path) -> list[ExperimentRecord]:
+    """Records of a CSV written by emit_results_csv; ParseError names the bad row."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise ParseError(f"{path}: empty file")
     header = lines[0].split(",")
     w_cols = [i for i, h in enumerate(header) if h.startswith("w_")]
     col = {h: i for i, h in enumerate(header)}
     records = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
         if len(parts) != len(header):
-            raise ConfigError(f"{path}: malformed row: {ln!r}")
-        wvals = [parts[i] for i in w_cols]
-        weights = tuple(float(v) for v in wvals if v != "") or None
-        p_raw = parts[col["mcnemar_p_vs_B"]]
-        rt_raw = parts[col["runtime_ms"]]
-        records.append(
-            ExperimentRecord(
-                dataset_name=parts[col["dataset"]],
-                alpha=float(parts[col["alpha"]]),
-                rep=int(parts[col["rep"]]),
-                proposal=parts[col["proposal"]],
-                f1_macro=float(parts[col["f1_macro"]]),
-                anll=float(parts[col["anll"]]),
-                jsd=float(parts[col["jsd"]]),
-                weights=weights,
-                mcnemar_p_vs_B=float(p_raw) if p_raw else None,
-                runtime_ms=float(rt_raw) if rt_raw else 0.0,
-                n_nodes=len(w_cols),
+            raise ParseError(f"{path}: row {row} has {len(parts)} fields, expected {len(header)}")
+        try:
+            weights = tuple(float(parts[i]) for i in w_cols if parts[i] != "") or None
+            p_raw = parts[col["mcnemar_p_vs_B"]]
+            rt_raw = parts[col["runtime_ms"]]
+            records.append(
+                ExperimentRecord(
+                    dataset_name=parts[col["dataset"]],
+                    alpha=float(parts[col["alpha"]]),
+                    rep=int(parts[col["rep"]]),
+                    proposal=parts[col["proposal"]],
+                    f1_macro=float(parts[col["f1_macro"]]),
+                    anll=float(parts[col["anll"]]),
+                    jsd=float(parts[col["jsd"]]),
+                    weights=weights,
+                    mcnemar_p_vs_B=float(p_raw) if p_raw else None,
+                    runtime_ms=float(rt_raw) if rt_raw else 0.0,
+                    n_nodes=len(w_cols),
+                )
             )
-        )
+        except KeyError as exc:
+            raise ParseError(f"{path}: no column {exc}") from None
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {row}: {exc}") from None
     return records
 
 

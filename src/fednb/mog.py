@@ -103,6 +103,8 @@ def log_softmax(v: np.ndarray) -> np.ndarray:
 def anll_from_stacked(weights, stacked: np.ndarray, labels: np.ndarray) -> float:
     """Fast ANLL given a precomputed class-major (K, C, n) score tensor (used by
     the optimizer): log-softmax over classes, evaluated at the true labels only."""
+    if len(labels) == 0:
+        raise MetricError("ANLL on empty data")
     mixed = mix_scores(np.asarray(weights), stacked)
     ll = mixed[labels, np.arange(len(labels))] - _logsumexp_classes(mixed)
     ll = np.where(np.isfinite(ll), ll, -SENTINEL_ANLL_PENALTY)
@@ -111,8 +113,6 @@ def anll_from_stacked(weights, stacked: np.ndarray, labels: np.ndarray) -> float
 
 def anll(ensemble: MoGEnsemble, data: Dataset) -> float:
     """Mean negative log-softmax score of the true labels; always finite."""
-    if data.n_rows == 0:
-        raise MetricError("ANLL on empty data")
     return anll_from_stacked(ensemble.weights, stack_scores(ensemble.models, data), data.labels)
 
 

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import fednb.cli
 import fednb.experiment
 from fednb.cli import main
-from fednb.errors import PartitionError
+from fednb.errors import CellError, ConfigError, FedNBError, PartitionError
 from fednb.experiment import load_results_csv
 
 SYNTH_CFG = Path(__file__).resolve().parents[1] / "configs" / "synth.cfg"
@@ -205,3 +206,62 @@ def test_emit_plots_reproduces_run_grid_plots(tmp_path):
     assert main(["emit-plots", "--results", str(out), "--out", str(again)]) == 0
     for name in PLOT_FILES:
         assert (again / name).read_bytes() == (out / "plots" / name).read_bytes(), name
+
+
+def _corrupt_copy(grid_dir, dest, name, edit):
+    shutil.copytree(grid_dir, dest)
+    (dest / name).write_text(edit((dest / name).read_text()))
+    return dest
+
+
+def _bad_partition_key(text):
+    bundle = json.loads(text)
+    bundle["partitions"]["x,0"] = bundle["partitions"].pop("0,0")
+    return json.dumps(bundle)
+
+
+def _bad_f1_cell(text):
+    lines = text.splitlines()
+    fields = lines[1].split(",")
+    fields[4] = "abc"  # f1_macro
+    lines[1] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [("grid.json", _bad_partition_key, "'x'"), ("results.csv", _bad_f1_cell, "row 1")],
+)
+@pytest.mark.parametrize("command", ["verify", "emit-plots"])
+def test_malformed_results_exit_1_naming_the_file(
+    grid_dir, tmp_path, capsys, command, name, edit, message
+):
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", name, edit)
+    argv = [command, "--results", str(bad)]
+    if command == "emit-plots":
+        argv += ["--out", str(tmp_path / "plots")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and message in err
+    assert "Traceback" not in err
+
+
+def _error_classes(cls=FedNBError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_error_classes()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_each_error_class_maps_to_its_exit_code(cfg_path, tmp_path, monkeypatch, capsys, error):
+    exc = error(0.1, 0, RuntimeError("boom")) if error is CellError else error("boom")
+
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(fednb.cli, "materialize_dataset", raising)
+    code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "m.json")])
+    assert code == (64 if error is ConfigError else 1)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "boom" in err

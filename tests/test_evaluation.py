@@ -110,3 +110,9 @@ def test_mcnemar_antisymmetric():
 def test_mcnemar_length_mismatch():
     with pytest.raises(ShapeError):
         mcnemar_yates([0, 1], [0], [0, 1])
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for x in (0.0, 1e-6, 0.5, 1.0, 3.841458820694124, 10.0, 50.0, 200.0):
+        assert chi2_sf_1df(x) == pytest.approx(stats.chi2.sf(x, 1), rel=1e-12, abs=1e-300)

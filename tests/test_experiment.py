@@ -14,8 +14,13 @@ from fednb.experiment import (
     run_grid,
     verify,
 )
+import fednb.experiment
+import fednb.mog
+from fednb.errors import MetricError
+from fednb.evaluation import f1_macro, mcnemar_yates
 from fednb.governance import NodeProfile
 from fednb.local_model import fit_hybrid
+from fednb.mog import MoGEnsemble, anll, predict_mog
 from fednb.partition import dirichlet_partition
 from fednb.weights import OptimizerConfig
 
@@ -256,3 +261,57 @@ def test_proposal_subset_runs():
     result = run_grid(cfg)
     assert [r.proposal for r in result.records] == ["B", "E"]
     assert not result.traces
+
+
+def test_run_cell_scores_the_test_split_once_per_model(monkeypatch):
+    cfg = small_config()
+    cells, scored = [], []
+    real_prepare, real_score = fednb.experiment.prepare_cell, fednb.mog.joint_log_scores_batch
+
+    def prepare(*args):
+        cells.append(real_prepare(*args))
+        return cells[-1]
+
+    def score(model, data):
+        scored.append(data)
+        return real_score(model, data)
+
+    monkeypatch.setattr(fednb.experiment, "prepare_cell", prepare)
+    monkeypatch.setattr(fednb.mog, "joint_log_scores_batch", score)
+    run_cell(cfg, 0.5, 0)
+    (cell,) = cells
+    # the K local models once for B/E/A, the pooled model once for C
+    assert sum(d is cell.test for d in scored) == cfg.k + 1
+    assert sum(d is cell.val for d in scored) == cfg.k  # proposal A's optimizer
+    assert len(scored) == 2 * cfg.k + 1
+
+
+def test_shared_test_scores_match_per_proposal_formulas():
+    cfg = small_config()
+    result = run_cell(cfg, 0.1, 1)
+    dataset, _ = materialize_dataset(cfg)
+    cell = prepare_cell(cfg, 0, 1, dataset)
+    assert [r.proposal for r in result.records] == ["C", "B", "E", "A"]
+    preds = {}
+    for rec in result.records:
+        if rec.proposal == "C":
+            ens = MoGEnsemble([fit_hybrid(cell.train)], np.array([1.0]))
+        else:
+            ens = MoGEnsemble(cell.models, np.array(rec.weights))
+        preds[rec.proposal] = predict_mog(ens, cell.test)
+        assert rec.anll == anll(ens, cell.test)
+        assert rec.f1_macro == f1_macro(cell.test.labels, preds[rec.proposal], dataset.schema.n_classes)
+    a = result.records[-1]
+    assert a.mcnemar_p_vs_B == mcnemar_yates(preds["A"], preds["B"], cell.test.labels).p_value
+
+
+def test_run_cell_rejects_an_empty_test_split(monkeypatch):
+    real_split = fednb.experiment.stratified_split
+
+    def no_test_rows(*args):
+        train, val, test = real_split(*args)
+        return train, val, test.subset(np.array([], dtype=np.int64))
+
+    monkeypatch.setattr(fednb.experiment, "stratified_split", no_test_rows)
+    with pytest.raises(MetricError, match="empty"):
+        run_cell(small_config(proposals=("B",)), 0.5, 0)

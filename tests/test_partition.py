@@ -131,3 +131,58 @@ def test_jsd_permutation_symmetric():
 def test_jsd_empty_node_error():
     with pytest.raises(MetricError):
         jsd_heterogeneity(np.array([[0, 0], [5, 5]]))
+
+
+def _unique_class_partition(labels, k, alpha, seed):
+    """The partition as written with np.unique for class discovery."""
+    labels = np.asarray(labels, dtype=np.int64)
+    for attempt in range(100):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt]))
+        node_lists = [[] for _ in range(k)]
+        for cls in np.unique(labels):
+            idx = np.flatnonzero(labels == cls)
+            rng.shuffle(idx)
+            counts = largest_remainder(len(idx), rng.dirichlet(np.full(k, alpha)))
+            start = 0
+            for node in range(k):
+                node_lists[node].append(idx[start : start + counts[node]])
+                start += counts[node]
+        nodes = [np.concatenate(chunks) for chunks in node_lists]
+        if all(len(ix) > 0 for ix in nodes):
+            return nodes
+    raise AssertionError("no non-empty partition")
+
+
+@pytest.mark.parametrize(
+    "k, alpha, seed, classes",
+    [
+        (2, 0.05, 0, (0, 1)),
+        (3, 0.1, 7, (0, 1)),
+        (3, 1.0, 42, (0, 1, 2, 3, 4)),
+        (10, 0.5, 3, (0, 1, 2, 3)),
+        (4, 100.0, 11, (0, 1, 2)),
+        (3, 0.3, 9, (0, 2)),  # class 1 absent
+    ],
+)
+def test_partition_matches_unique_class_discovery(k, alpha, seed, classes):
+    labels = np.random.default_rng(seed).choice(classes, 3000)
+    got = dirichlet_partition(labels, k, alpha, seed).node_indices
+    want = _unique_class_partition(labels, k, alpha, seed)
+    assert [ix.tobytes() for ix in got] == [ix.tobytes() for ix in want]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_partition_rejects_negative_labels(k):
+    with pytest.raises(PartitionError, match="non-negative"):
+        dirichlet_partition(np.array([0, 1, -1, 1, 0, 1]), k, 1.0, 0)
+
+
+def test_jsd_matches_scipy_jensenshannon_for_two_nodes():
+    distance = pytest.importorskip("scipy.spatial.distance")
+    rng = np.random.default_rng(4)
+    for n_classes in (2, 3, 7):
+        counts = rng.integers(0, 50, size=(2, n_classes))
+        counts[:, 0] += 1  # no empty node
+        p, q = counts / counts.sum(axis=1, keepdims=True)
+        want = distance.jensenshannon(p, q, base=2) ** 2
+        assert jsd_heterogeneity(counts) == pytest.approx(want, abs=1e-12)
