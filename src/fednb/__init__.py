@@ -5,8 +5,8 @@ from .data import CategoryMap, Dataset, FeatureSchema, SynthSpec, load_csv, synt
 from .evaluation import chi2_sf_1df, f1_macro, mcnemar_yates
 from .experiment import ExperimentRecord, run_cell, run_grid, verify
 from .governance import IccPrior, NodeProfile, compute_icc, normalize_prior
-from .local_model import HybridModel, fit_hybrid, joint_log_scores, predict_local
-from .mog import MoGEnsemble, anll, log_softmax, predict_mog
+from .local_model import HybridModel, fit_hybrid, joint_log_scores
+from .mog import MoGEnsemble, anll
 from .partition import dirichlet_partition, jsd_heterogeneity, stratified_split
 from .weights import (
     OptimizerConfig,
@@ -40,12 +40,9 @@ __all__ = [
     "jsd_heterogeneity",
     "learn_weights_icc",
     "load_csv",
-    "log_softmax",
     "mcnemar_yates",
     "nelder_mead",
     "normalize_prior",
-    "predict_local",
-    "predict_mog",
     "run_cell",
     "run_grid",
     "stratified_split",

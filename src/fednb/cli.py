@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run-grid, verify, partition, train, emit-plots.
-run-grid builds plots/ from the results.csv and grid.json it wrote, the same
-way emit-plots does, so emit-plots regenerates identical files.
+Each command materializes its dataset once. run-grid builds plots/ from the
+results.csv and grid.json it wrote, the same way emit-plots does, so
+emit-plots regenerates identical files.
 Exit codes: 0 success (and 15/15 verification for run-grid/verify),
 2 verification failure, 64 usage or invalid config, 1 a failed grid cell
 or any other error.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -95,21 +97,20 @@ def _load_bundle(results_dir: str) -> GridResult:
 def cmd_run_grid(args) -> int:
     config = load_config(args.config, _parse_overrides(args.set))
     os.makedirs(args.out, exist_ok=True)
-    result = run_grid(config)
+    dataset = materialize_dataset(config)
+    result = run_grid(config, dataset)
     emit_results_csv(result.records, os.path.join(args.out, RESULTS_CSV))
     _save_bundle(result, args.out)
-    _write_plots(args.out, os.path.join(args.out, "plots"))
-    report = verify(result)
+    _write_plots(_load_bundle(args.out), dataset, os.path.join(args.out, "plots"))
+    report = verify(result, dataset)
     _write_report(report, args.out)
     print(report.to_text())
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 
 
-def _write_plots(results_dir: str, out_dir: str) -> None:
+def _write_plots(result: GridResult, dataset, out_dir: str) -> None:
     """Plot data from a saved grid; densities come from the last cell's local models."""
-    result = _load_bundle(results_dir)
     config = result.config
-    dataset, _ = materialize_dataset(config)
     cell = prepare_cell(config, len(config.alphas) - 1, config.reps - 1, dataset)
     emit_plot_data(
         result.records,
@@ -129,14 +130,18 @@ def _write_report(report, out_dir: str) -> None:
 
 def cmd_verify(args) -> int:
     result = _load_bundle(args.results)
-    report = verify(result, csv_quantized=True)
+    # rebuilt from the grid.json echo, so check 2 also tests that the data
+    # comes out the same in a new process
+    report = verify(result, materialize_dataset(result.config), csv_quantized=True)
     print(report.to_text())
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 
 
 def cmd_partition(args) -> int:
+    if not 0 < args.alpha < math.inf:
+        raise ConfigError(f"--alpha must be finite and positive, got {args.alpha}")
     config = load_config(args.config, _parse_overrides(args.set))
-    dataset, _ = materialize_dataset(config)
+    dataset = materialize_dataset(config)
     part = dirichlet_partition(dataset.labels, config.k, args.alpha, args.seed)
     counts = part.class_counts(dataset.labels, dataset.schema.n_classes)
     jsd = jsd_heterogeneity(counts) if config.k >= 2 else 0.0
@@ -155,15 +160,15 @@ def cmd_partition(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, _parse_overrides(args.set))
-    dataset, _ = materialize_dataset(config)
-    model = fit_hybrid(dataset)
+    model = fit_hybrid(materialize_dataset(config))
     save_model(model, args.out)
     print(f"model written to {args.out}")
     return EXIT_OK
 
 
 def cmd_emit_plots(args) -> int:
-    _write_plots(args.results, args.out)
+    result = _load_bundle(args.results)
+    _write_plots(result, materialize_dataset(result.config), args.out)
     print(f"plot data written to {args.out}")
     return EXIT_OK
 

@@ -61,8 +61,11 @@ class FeatureSchema:
 class CategoryMap:
     """Raw-text-to-code mapping for categorical columns, plus the label universe.
 
-    Built from training data only. ``encode`` maps unknown raw values to the
-    OOD code ``n_cats`` for that column.
+    ``load_csv`` builds it from the whole file, before any train/val/test
+    split, so a category seen only in test rows still gets a code and counts
+    in the arity (ROADMAP item 5 takes the arities from each cell's training
+    split instead). ``encode`` maps unknown raw values to the OOD code
+    ``n_cats`` for that column.
     """
 
     mappings: tuple[dict, ...]
@@ -76,26 +79,11 @@ class CategoryMap:
         m = self.mappings[col]
         return m.get(raw, len(m))
 
-    def decode(self, col: int, code: int) -> str:
-        m = self.mappings[col]
-        if code >= len(m):
-            return "__OOD__"
-        for raw, c in m.items():
-            if c == code:
-                return raw
-        raise KeyError(code)
-
     def encode_label(self, raw: str) -> int:
         try:
             return self.label_values.index(raw)
         except ValueError:
             raise LabelError(f"unknown label value {raw!r}") from None
-
-    @staticmethod
-    def identity(n_cats: tuple[int, ...], n_classes: int) -> "CategoryMap":
-        """Map where raw values are the string form of their own codes."""
-        mappings = tuple({str(c): c for c in range(n)} for n in n_cats)
-        return CategoryMap(mappings, tuple(str(c) for c in range(n_classes)))
 
 
 @dataclass
@@ -200,26 +188,6 @@ def load_csv(path, schema: FeatureSchema, category_map: CategoryMap | None = Non
     labels = np.array([category_map.encode_label(r) for r in raw_labels], dtype=np.int64)
     ds = Dataset(schema, cat, num, labels, category_map.n_cats)
     return ds, category_map
-
-
-def write_csv(dataset: Dataset, path, category_map: CategoryMap | None = None) -> None:
-    """Write a dataset back to CSV (inverse of load_csv given the same map)."""
-    schema = dataset.schema
-    cat_names = schema.categorical_names
-    num_names = schema.numerical_names
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(cat_names) + list(num_names) + [schema.label_name])
-        for i in range(dataset.n_rows):
-            row = []
-            for j in range(len(cat_names)):
-                code = int(dataset.categorical[i, j])
-                row.append(category_map.decode(j, code) if category_map else str(code))
-            for j in range(len(num_names)):
-                row.append(repr(float(dataset.numerical[i, j])))
-            lab = int(dataset.labels[i])
-            row.append(category_map.label_values[lab] if category_map else str(lab))
-            writer.writerow(row)
 
 
 @dataclass(frozen=True)

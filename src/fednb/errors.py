@@ -46,7 +46,7 @@ class MetricError(FedNBError):
 
 
 class NormalizationError(FedNBError):
-    """log-softmax over a vector with no finite entry."""
+    """Class scores to normalize with no finite entry in a row."""
 
 
 class DegeneratePriorError(FedNBError):

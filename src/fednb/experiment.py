@@ -9,9 +9,13 @@ Proposals per cell:
 B/E/A share the same K fitted local models within a cell, so metric deltas
 isolate the weighting strategy. They also share one (K, C, n) test score
 tensor: each test row is scored once per local model (and once by C's pooled
-model), and each proposal mixes that tensor under its own weights. All
+model), and each proposal mixes that tensor once under its own weights. All
 randomness derives from the master seed via per-cell seed sequences, making
 the grid fully re-runnable cell by cell.
+
+Each command materializes its dataset once and hands it on: run_grid, the
+re-run and the JSD curve of verify, and prepare_cell all take it from their
+caller.
 """
 
 from __future__ import annotations
@@ -91,12 +95,11 @@ class GridResult:
     scores_ok: bool = True
 
 
-def materialize_dataset(config: ExperimentConfig):
+def materialize_dataset(config: ExperimentConfig) -> Dataset:
     """Deterministic dataset construction from the config source."""
     if isinstance(config.source, SynthSpec):
-        return synth_generate(config.source, config.seed), None
-    ds, cmap = load_csv(config.source.path, config.source.schema)
-    return ds, cmap
+        return synth_generate(config.source, config.seed)
+    return load_csv(config.source.path, config.source.schema)[0]
 
 
 def _cell_seeds(config: ExperimentConfig, alpha_index: int, rep: int) -> list[int]:
@@ -141,8 +144,8 @@ def run_cell(
         alpha_index = config.alphas.index(alpha)
     except ValueError:
         raise ConfigError(f"alpha {alpha} not in configured grid") from None
-    if dataset is None:
-        dataset, _ = materialize_dataset(config)
+    if dataset is None:  # a standalone call; the commands pass the dataset they built
+        dataset = materialize_dataset(config)
     cell = prepare_cell(config, alpha_index, rep, dataset)
     train, test, part = cell.train, cell.test, cell.partition
     k = config.k
@@ -188,7 +191,7 @@ def run_cell(
             rep=rep,
             proposal=proposal,
             f1_macro=f1_macro(test.labels, preds, dataset.schema.n_classes),
-            anll=mog.anll_from_stacked(ens.weights, stacked, test.labels),
+            anll=mog.anll_from_mixed(mixed, test.labels),
             jsd=jsd,
             weights=weights,
             mcnemar_p_vs_B=None,
@@ -205,8 +208,7 @@ def run_cell(
     return CellResult(records, trace, counts, scores_ok)
 
 
-def run_grid(config: ExperimentConfig) -> GridResult:
-    dataset, _ = materialize_dataset(config)
+def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
     result = GridResult(config, [], {}, {})
     for alpha_index, alpha in enumerate(config.alphas):
         for rep in range(config.reps):
@@ -254,10 +256,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify(result: GridResult, csv_quantized: bool = False) -> VerificationReport:
-    """Evaluate the 15-check protocol on a completed grid. Failures are
-    reported, never raised. csv_quantized relaxes equality tolerances to the
-    6-decimal precision of the results CSV."""
+def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) -> VerificationReport:
+    """Evaluate the 15-check protocol on a completed grid whose cells ran on
+    dataset. Failures are reported, never raised. csv_quantized relaxes
+    equality tolerances to the 6-decimal precision of the results CSV."""
     config = result.config
     records = result.records
     checks: list = []
@@ -274,7 +276,7 @@ def verify(result: GridResult, csv_quantized: bool = False) -> VerificationRepor
 
     # 2. seed reproducibility: re-run the first cell, compare records
     try:
-        cell = run_cell(config, config.alphas[0], 0)
+        cell = run_cell(config, config.alphas[0], 0, dataset)
         expect = [r for r in records if r.alpha == config.alphas[0] and r.rep == 0]
         ok = len(cell.records) == len(expect)
         if ok:
@@ -289,7 +291,7 @@ def verify(result: GridResult, csv_quantized: bool = False) -> VerificationRepor
     # 3. mean JSD non-increasing across ascending alphas (20-seed average;
     # the handful of grid reps alone is too noisy to order adjacent levels)
     try:
-        mean_jsd = _jsd_curve(config, n_seeds=20)
+        mean_jsd = _jsd_curve(config, dataset, n_seeds=20)
         diffs = np.diff(mean_jsd)
         ok = bool((diffs <= 1e-9).all())
         msg = f"mean JSD per alpha: {np.round(mean_jsd, 4).tolist()}"
@@ -417,9 +419,8 @@ def _fields_close(a: tuple, b: tuple, tol: float) -> bool:
     return True
 
 
-def _jsd_curve(config: ExperimentConfig, n_seeds: int = 20) -> np.ndarray:
-    """Mean JSD per alpha over fresh partition seeds on the configured data."""
-    dataset, _ = materialize_dataset(config)
+def _jsd_curve(config: ExperimentConfig, dataset: Dataset, n_seeds: int = 20) -> np.ndarray:
+    """Mean JSD per alpha over fresh partition seeds on the whole dataset."""
     k = max(config.k, 2)
     curve = []
     for alpha in config.alphas:

@@ -34,9 +34,6 @@ class ScalerParams:
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.scale
 
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        return z * self.scale + self.mean
-
 
 @dataclass
 class HybridModel:
@@ -145,11 +142,6 @@ def _scores(model: HybridModel, cat: np.ndarray, num: np.ndarray) -> np.ndarray:
     return scores
 
 
-def predict_local(model: HybridModel, data: Dataset) -> np.ndarray:
-    """Argmax class per row; ties go to the smallest class index."""
-    return np.argmax(joint_log_scores_batch(model, data), axis=1)
-
-
 def model_to_dict(model: HybridModel) -> dict:
     return {
         "scaler_mean": model.scaler.mean.tolist(),
@@ -166,27 +158,6 @@ def model_to_dict(model: HybridModel) -> dict:
     }
 
 
-def model_from_dict(d: dict) -> HybridModel:
-    log_prior = np.array([NEG_INF if v == "-inf" else float(v) for v in d["log_prior"]])
-    return HybridModel(
-        scaler=ScalerParams(np.array(d["scaler_mean"]), np.array(d["scaler_scale"])),
-        cat_log_prob=[np.array(t) for t in d["cat_log_prob"]],
-        gauss_mean=np.array(d["gauss_mean"]),
-        gauss_var=np.array(d["gauss_var"]),
-        log_prior=log_prior,
-        classes_present=frozenset(d["classes_present"]),
-        n_train=int(d["n_train"]),
-        n_classes=int(d["n_classes"]),
-        n_cats=tuple(d["n_cats"]),
-        smoothing=float(d["smoothing"]),
-    )
-
-
 def save_model(model: HybridModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh)
-
-
-def load_model(path) -> HybridModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -90,32 +90,25 @@ def _logsumexp_classes(a: np.ndarray) -> np.ndarray:
     """logsumexp over the leading class axis of a (C, n) array."""
     m = a.max(axis=0)
     if not np.isfinite(m).all():
-        raise NormalizationError("log_softmax input has no finite entry")
+        raise NormalizationError("a row has no finite class score to normalize")
     return m + np.log(np.exp(a - m).sum(axis=0))
 
 
-def log_softmax(v: np.ndarray) -> np.ndarray:
-    """Row-wise v - logsumexp(v); -inf sentinels pass through unchanged."""
-    v = np.asarray(v, dtype=np.float64)
-    return v - _logsumexp_classes(v.T)[..., None]
-
-
-def anll_from_stacked(weights, stacked: np.ndarray, labels: np.ndarray) -> float:
-    """Fast ANLL given a precomputed class-major (K, C, n) score tensor (used by
-    the optimizer): log-softmax over classes, evaluated at the true labels only."""
+def anll_from_mixed(mixed: np.ndarray, labels: np.ndarray) -> float:
+    """ANLL of class-major (C, n) mixture scores: log-softmax over classes,
+    evaluated at the true labels only."""
     if len(labels) == 0:
         raise MetricError("ANLL on empty data")
-    mixed = mix_scores(np.asarray(weights), stacked)
     ll = mixed[labels, np.arange(len(labels))] - _logsumexp_classes(mixed)
     ll = np.where(np.isfinite(ll), ll, -SENTINEL_ANLL_PENALTY)
     return float(-ll.mean())
 
 
+def anll_from_stacked(weights, stacked: np.ndarray, labels: np.ndarray) -> float:
+    """ANLL given a precomputed class-major (K, C, n) score tensor (used by the optimizer)."""
+    return anll_from_mixed(mix_scores(np.asarray(weights), stacked), labels)
+
+
 def anll(ensemble: MoGEnsemble, data: Dataset) -> float:
     """Mean negative log-softmax score of the true labels; always finite."""
     return anll_from_stacked(ensemble.weights, stack_scores(ensemble.models, data), data.labels)
-
-
-def predict_mog(ensemble: MoGEnsemble, data: Dataset) -> np.ndarray:
-    """Row-wise argmax of the mixture scores; ties to the smallest class."""
-    return np.argmax(mog_log_scores_batch(ensemble, data), axis=1)

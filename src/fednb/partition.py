@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,8 @@ def dirichlet_partition(labels, k: int, alpha: float, seed: int) -> Partition:
     """
     if k < 1:
         raise PartitionError("k must be >= 1")
-    if alpha <= 0:
-        raise PartitionError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise PartitionError(f"alpha must be finite and positive, got {alpha}")
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     try:  # the classes present, ascending; a tenth of np.unique's cost on 200k labels

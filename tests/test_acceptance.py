@@ -23,7 +23,7 @@ from fednb.experiment import (
 )
 from fednb.governance import IccPrior, NodeProfile, compute_icc
 from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores, joint_log_scores_batch
-from fednb.mog import MoGEnsemble, log_softmax, mog_log_scores_batch
+from fednb.mog import MoGEnsemble, anll_from_stacked, mog_log_scores_batch
 from fednb.partition import dirichlet_partition, jsd_heterogeneity
 from fednb.weights import OptimizerConfig, learn_weights_icc, nelder_mead
 
@@ -49,8 +49,13 @@ def full_config():
 
 
 @pytest.fixture(scope="module")
-def full_grid(full_config):
-    return run_grid(full_config)
+def full_dataset(full_config):
+    return materialize_dataset(full_config)
+
+
+@pytest.fixture(scope="module")
+def full_grid(full_config, full_dataset):
+    return run_grid(full_config, full_dataset)
 
 
 def test_criterion_01_icc_reference_values():
@@ -164,8 +169,12 @@ def test_criterion_04_mixture_degeneracy_and_stability():
     single = MoGEnsemble([model], np.array([1.0]))
     assert np.array_equal(mog_log_scores_batch(single, ds), joint_log_scores_batch(model, ds))
 
+    # log-softmax of each row, read off the ANLL of a one-node, one-row tensor
     big = np.array([[1e4, -1e4, 5e3], [-1e4, 1e4, 0.0]])
-    mixed = log_softmax(big)
+    one = np.array([1.0])
+    mixed = np.array([
+        [-anll_from_stacked(one, row[None, :, None], np.array([c])) for c in range(3)] for row in big
+    ])
     assert np.isfinite(mixed).all()
     sums = np.exp(mixed).sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
@@ -222,10 +231,9 @@ def test_criterion_07_mcnemar_reference_values():
     _report(7, "paired-test p-values and chi-square tail references all within tolerance")
 
 
-def test_criterion_08_jsd_alpha_gradient(full_config):
-    dataset, _ = materialize_dataset(full_config)
-    labels = dataset.labels
-    n_classes = dataset.schema.n_classes
+def test_criterion_08_jsd_alpha_gradient(full_config, full_dataset):
+    labels = full_dataset.labels
+    n_classes = full_dataset.schema.n_classes
     means = []
     for alpha in full_config.alphas:
         vals = []
@@ -252,30 +260,30 @@ def test_criterion_09_alignment_and_f1(full_grid):
     _report(9, f"highest-ICC node outweighs lowest in all 35 cells; grid-mean F1 A={f1_a:.4f} >= B={f1_b:.4f}")
 
 
-def test_criterion_10_verification_protocol(full_grid):
-    clean = verify(full_grid)
+def test_criterion_10_verification_protocol(full_grid, full_dataset):
+    clean = verify(full_grid, full_dataset)
     assert clean.passed_count == 15, clean.to_text()
 
     tampered = copy.deepcopy(full_grid)
     victim = [r for r in tampered.records if r.proposal == "B"][-1]
     victim.weights = tuple(w + 0.05 for w in victim.weights)
-    failed = [n for n, ok, _ in verify(tampered).checks if not ok]
+    failed = [n for n, ok, _ in verify(tampered, full_dataset).checks if not ok]
     assert failed == ["weights_sum_to_one"]
 
     tampered = copy.deepcopy(full_grid)
     tampered.records.pop()
-    failed = [n for n, ok, _ in verify(tampered).checks if not ok]
+    failed = [n for n, ok, _ in verify(tampered, full_dataset).checks if not ok]
     assert failed == ["grid_completeness"]
 
     tampered = copy.deepcopy(full_grid)
     tampered.records[-1].runtime_ms = float("nan")
-    failed = [n for n, ok, _ in verify(tampered).checks if not ok]
+    failed = [n for n, ok, _ in verify(tampered, full_dataset).checks if not ok]
     assert failed == ["no_nan_inf"]
     _report(10, "clean run 15/15; each injected corruption trips exactly one check")
 
 
 def test_criterion_11_byte_identical_results(full_config, full_grid, tmp_path):
-    second = run_grid(full_config)
+    second = run_grid(full_config, materialize_dataset(full_config))
     p1 = tmp_path / "first.csv"
     p2 = tmp_path / "second.csv"
     emit_results_csv(full_grid.records, p1)

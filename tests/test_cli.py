@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,40 @@ def test_partition_command(cfg_path, tmp_path, capsys):
 def test_partition_stdout(cfg_path, capsys):
     assert main(["partition", "--config", str(cfg_path), "--alpha", "1.0"]) == 0
     assert "Financial" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
+def test_partition_rejects_a_bad_alpha_as_a_usage_error(cfg_path, capsys, alpha):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["partition", "--config", str(cfg_path), "--alpha", alpha])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--alpha" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_each_command_materializes_its_dataset_once(cfg_path, grid_dir, tmp_path, monkeypatch):
+    calls = []
+    real = fednb.experiment.materialize_dataset
+
+    def counting(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(fednb.cli, "materialize_dataset", counting)
+    monkeypatch.setattr(fednb.experiment, "materialize_dataset", counting)
+    counts = {}
+    for argv in (
+        ["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        ["verify", "--results", str(grid_dir)],
+        ["emit-plots", "--results", str(grid_dir), "--out", str(tmp_path / "plots")],
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        counts[argv[0]] = len(calls)
+    assert counts == {"run-grid": 1, "verify": 1, "emit-plots": 1}
 
 
 def test_train_command(cfg_path, tmp_path):

@@ -6,7 +6,7 @@ import fednb.experiment
 from fednb.cli import main
 from fednb.config import CsvSource, ExperimentConfig, config_from_dict, config_to_dict, load_config
 from fednb.data import FeatureSchema, SynthSpec
-from fednb.experiment import GridResult, verify
+from fednb.experiment import GridResult, materialize_dataset, verify
 from fednb.governance import NodeProfile
 from fednb.weights import OptimizerConfig
 
@@ -155,7 +155,8 @@ def test_bad_config_value_exits_64_and_names_it(tmp_path, capsys, line, bad, nam
 
 
 def _config_echo(result):
-    return next(c for c in verify(result).checks if c[0] == "config_echo")
+    checks = verify(result, materialize_dataset(result.config)).checks
+    return next(c for c in checks if c[0] == "config_echo")
 
 
 def test_config_echo_check_fails_when_the_round_trip_breaks(monkeypatch):

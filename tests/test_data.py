@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from fednb.cli import main
 from fednb.data import (
     CategoryMap,
     Dataset,
@@ -9,13 +12,28 @@ from fednb.data import (
     degrade_copy,
     load_csv,
     synth_generate,
-    write_csv,
 )
 from fednb.errors import LabelError, ParseError, SchemaError, SynthSpecError
 from fednb.evaluation import f1_macro
-from fednb.local_model import fit_hybrid, predict_local
+from fednb.local_model import fit_hybrid, joint_log_scores_batch
 
 SCHEMA = FeatureSchema((("proto", "categorical"), ("dur", "numerical"), ("label", "label")), 2)
+LABEL_NAMES = ("benign", "attack")
+
+
+def write_csv(ds, path, label_names=LABEL_NAMES):
+    """Write ds as text: categorical code c becomes "v<c>" and label i becomes label_names[i]."""
+    schema = ds.schema
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*schema.categorical_names, *schema.numerical_names, schema.label_name])
+        for cat, num, label in zip(ds.categorical, ds.numerical, ds.labels):
+            writer.writerow([*(f"v{c}" for c in cat), *(repr(float(x)) for x in num), label_names[label]])
+
+
+def text_map(ds, label_names=LABEL_NAMES) -> CategoryMap:
+    """The CategoryMap that reads write_csv's text back to ds's codes."""
+    return CategoryMap(tuple({f"v{c}": c for c in range(n)} for n in ds.n_cats), label_names)
 
 
 def _write(tmp_path, rows, header="proto,dur,label"):
@@ -83,10 +101,9 @@ def test_encoding_with_fixed_map_is_pure(tmp_path):
 def test_csv_round_trip(tmp_path):
     spec = SynthSpec(50, 2, 2, 2, (0.0,), n_categories=3)
     ds = synth_generate(spec, 7)
-    cmap = CategoryMap.identity(ds.n_cats, 2)
     path = tmp_path / "rt.csv"
-    write_csv(ds, path, cmap)
-    back, _ = load_csv(path, ds.schema, cmap)
+    write_csv(ds, path)
+    back, _ = load_csv(path, ds.schema, text_map(ds))
     assert np.array_equal(back.categorical, ds.categorical)
     assert np.array_equal(back.numerical, ds.numerical)
     assert np.array_equal(back.labels, ds.labels)
@@ -108,7 +125,7 @@ def test_synth_separable_classes_perfectly_learnable():
     spec = SynthSpec(2000, 2, 0, 2, (0.0, 0.0, 0.0), class_sep=6.0)
     ds = synth_generate(spec, 1)
     model = fit_hybrid(ds)
-    assert f1_macro(ds.labels, predict_local(model, ds), 2) == 1.0
+    assert f1_macro(ds.labels, joint_log_scores_batch(model, ds).argmax(axis=1), 2) == 1.0
 
 
 def test_synth_spec_validation():
@@ -144,3 +161,50 @@ def test_dataset_row_count_mismatch():
             np.zeros(3, dtype=np.int64),
             (2,),
         )
+
+
+CSV_CFG = """\
+[experiment]
+name = csv-test
+seed = 3
+alphas = 0.10, 1.00
+reps = 1
+proposals = C, B, E, A
+
+[csv]
+path = data.csv
+schema = schema.cfg
+
+[profiles]
+Financial = 4, 0.82, 0.12, 3.2
+Health = 3, 0.70, 0.25, 5.1
+Government = 2, 0.55, 0.40, 6.8
+"""
+
+CSV_SCHEMA = """\
+[schema]
+n_classes = 2
+
+[columns]
+cat0 = categorical
+cat1 = categorical
+num0 = numerical
+num1 = numerical
+label = label
+"""
+
+
+def test_csv_source_runs_the_grid_end_to_end(tmp_path):
+    write_csv(synth_generate(SynthSpec(900, 2, 2, 2, (0.0,), n_categories=3), 5), tmp_path / "data.csv")
+    (tmp_path / "schema.cfg").write_text(CSV_SCHEMA)
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text(CSV_CFG)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run-grid", "--config", str(cfg), "--out", str(first)]) == 0
+    assert "15/15 passed" in (first / "verification.txt").read_text()
+    assert main(["verify", "--results", str(first)]) == 0
+    assert main(["emit-plots", "--results", str(first), "--out", str(tmp_path / "plots")]) == 0
+    for plot in (first / "plots").iterdir():
+        assert (tmp_path / "plots" / plot.name).read_bytes() == plot.read_bytes()
+    assert main(["run-grid", "--config", str(cfg), "--out", str(second)]) == 0
+    assert (second / "results.csv").read_bytes() == (first / "results.csv").read_bytes()

@@ -20,7 +20,7 @@ from fednb.errors import MetricError
 from fednb.evaluation import f1_macro, mcnemar_yates
 from fednb.governance import NodeProfile
 from fednb.local_model import fit_hybrid
-from fednb.mog import MoGEnsemble, anll, predict_mog
+from fednb.mog import MoGEnsemble, anll, mog_log_scores_batch
 from fednb.partition import dirichlet_partition
 from fednb.weights import OptimizerConfig
 
@@ -44,8 +44,13 @@ def small_config(**kw):
 
 
 @pytest.fixture(scope="module")
-def grid():
-    return run_grid(small_config())
+def dataset():
+    return materialize_dataset(small_config())
+
+
+@pytest.fixture(scope="module")
+def grid(dataset):
+    return run_grid(small_config(), dataset)
 
 
 def test_config_validation():
@@ -91,8 +96,6 @@ def test_records_in_grid_order(grid):
 
 
 def test_fedavg_weights_match_partition_sizes(grid):
-    cfg = small_config()
-    dataset, _ = materialize_dataset(cfg)
     for r in grid.records:
         if r.proposal == "B":
             assert sum(r.weights) == pytest.approx(1.0, abs=1e-9)
@@ -138,7 +141,7 @@ def test_equal_size_nodes_give_uniform_fedavg():
     # B weights equal sizes/total exactly
     cfg = small_config(proposals=("B",))
     cell = run_cell(cfg, 1.0, 0)
-    dataset, _ = materialize_dataset(cfg)
+    dataset = materialize_dataset(cfg)
     sizes = np.array(prepare_cell(cfg, 2, 0, dataset).partition.sizes(), dtype=float)
     assert np.allclose(cell.records[0].weights, sizes / sizes.sum(), atol=1e-12)
 
@@ -171,15 +174,15 @@ def test_results_csv_round_trip(tmp_path, grid):
             assert np.allclose(a.weights, b.weights, atol=1e-6)
 
 
-def test_verify_clean_run_passes(grid):
-    report = verify(grid)
+def test_verify_clean_run_passes(grid, dataset):
+    report = verify(grid, dataset)
     assert report.passed_count == 15, report.to_text()
 
 
-def test_trace_sanity_quotes_stop_reasons(grid):
+def test_trace_sanity_quotes_stop_reasons(grid, dataset):
     import copy
 
-    report = verify(grid)
+    report = verify(grid, dataset)
     msg = {name: m for name, _, m in report.checks}["trace_sanity"]
     starts = [s for t in grid.traces.values() for s in t.starts]
     n_conv = sum(s.converged for s in starts)
@@ -192,45 +195,43 @@ def test_trace_sanity_quotes_stop_reasons(grid):
     for t in legacy.traces.values():
         for s in t.starts:
             s.iterations = s.converged = None
-    msg = {name: m for name, _, m in verify(legacy).checks}["trace_sanity"]
+    msg = {name: m for name, _, m in verify(legacy, dataset).checks}["trace_sanity"]
     assert msg.endswith(f"0 converged, 0 at max_iters, {len(starts)} without a recorded stop reason")
 
 
-def test_verify_detects_weight_sum_tamper(grid):
+def test_verify_detects_weight_sum_tamper(grid, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
     # tamper a record in the *last* cell so the first-cell re-run check is unaffected
     victim = [r for r in tampered.records if r.proposal == "B"][-1]
     victim.weights = tuple(w + 0.1 / 3 for w in victim.weights)
-    report = verify(tampered)
+    report = verify(tampered, dataset)
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["weights_sum_to_one"]
 
 
-def test_verify_detects_missing_record(grid):
+def test_verify_detects_missing_record(grid, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
     tampered.records.pop()  # last record: proposal A of the last cell
-    report = verify(tampered)
+    report = verify(tampered, dataset)
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["grid_completeness"]
 
 
-def test_verify_detects_nan(grid):
+def test_verify_detects_nan(grid, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
     tampered.records[-1].runtime_ms = float("nan")
-    report = verify(tampered)
+    report = verify(tampered, dataset)
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["no_nan_inf"]
 
 
-def test_emit_plot_data_files(tmp_path, grid):
-    cfg = small_config()
-    dataset, _ = materialize_dataset(cfg)
+def test_emit_plot_data_files(tmp_path, grid, dataset):
     part = dirichlet_partition(dataset.labels, 3, 1.0, 0)
     models = [fit_hybrid(dataset.subset(ix)) for ix in part.node_indices]
     prior = np.array([0.667, 0.261, 0.071])
@@ -258,7 +259,7 @@ def test_emit_plot_data_files(tmp_path, grid):
 
 def test_proposal_subset_runs():
     cfg = small_config(proposals=("B", "E"), alphas=(0.5,), reps=1)
-    result = run_grid(cfg)
+    result = run_grid(cfg, materialize_dataset(cfg))
     assert [r.proposal for r in result.records] == ["B", "E"]
     assert not result.traces
 
@@ -289,7 +290,7 @@ def test_run_cell_scores_the_test_split_once_per_model(monkeypatch):
 def test_shared_test_scores_match_per_proposal_formulas():
     cfg = small_config()
     result = run_cell(cfg, 0.1, 1)
-    dataset, _ = materialize_dataset(cfg)
+    dataset = materialize_dataset(cfg)
     cell = prepare_cell(cfg, 0, 1, dataset)
     assert [r.proposal for r in result.records] == ["C", "B", "E", "A"]
     preds = {}
@@ -298,7 +299,7 @@ def test_shared_test_scores_match_per_proposal_formulas():
             ens = MoGEnsemble([fit_hybrid(cell.train)], np.array([1.0]))
         else:
             ens = MoGEnsemble(cell.models, np.array(rec.weights))
-        preds[rec.proposal] = predict_mog(ens, cell.test)
+        preds[rec.proposal] = mog_log_scores_batch(ens, cell.test).argmax(axis=1)
         assert rec.anll == anll(ens, cell.test)
         assert rec.f1_macro == f1_macro(cell.test.labels, preds[rec.proposal], dataset.schema.n_classes)
     a = result.records[-1]

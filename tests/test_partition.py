@@ -91,6 +91,12 @@ def test_partition_bad_args():
         dirichlet_partition(labels, 2, -1.0, seed=1)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_partition_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(PartitionError, match="finite and positive"):
+        dirichlet_partition(np.array([0, 1, 0, 1]), 2, alpha, seed=1)
+
+
 def test_low_alpha_more_heterogeneous():
     labels = np.concatenate([np.zeros(5000, dtype=int), np.ones(5000, dtype=int)])
     means = {}
