@@ -55,39 +55,47 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
+def _by_cell_key(d: dict, convert) -> dict:
+    """{(ai, rep): v} -> {"ai,rep": convert(v)}, the key form of grid.json."""
+    return {f"{ai},{rep}": convert(v) for (ai, rep), v in d.items()}
+
+
+def _from_cell_key(d: dict, convert) -> dict:
+    """Inverse of _by_cell_key; a malformed key raises ValueError."""
+    out = {}
+    for key, v in d.items():
+        ai, rep = key.split(",")
+        out[(int(ai), int(rep))] = convert(v)
+    return out
+
+
 def _save_bundle(result: GridResult, out_dir: str) -> None:
     bundle = {
         "config": config_to_dict(result.config),
         "scores_ok": result.scores_ok,
-        "traces": {
-            f"{ai},{rep}": trace.to_dict() for (ai, rep), trace in result.traces.items()
-        },
-        "partitions": {
-            f"{ai},{rep}": counts.tolist() for (ai, rep), counts in result.partitions.items()
-        },
-        "runtimes_ms": [r.runtime_ms for r in result.records],
+        "traces": _by_cell_key(result.traces, OptimizationTrace.to_dict),
+        "partitions": _by_cell_key(result.partitions, np.ndarray.tolist),
+        "runtimes_ms": _by_cell_key(result.runtimes_ms, dict),
     }
     with open(os.path.join(out_dir, GRID_BUNDLE), "w", encoding="utf-8") as fh:
         json.dump(bundle, fh)
 
 
 def _load_bundle(results_dir: str) -> GridResult:
-    """The saved grid; a malformed results.csv or grid.json raises ParseError naming it."""
+    """The saved grid, without its timings; a malformed results.csv or
+    grid.json raises ParseError naming it."""
     records = load_results_csv(os.path.join(results_dir, RESULTS_CSV))
     bundle_path = os.path.join(results_dir, GRID_BUNDLE)
     try:
         with open(bundle_path, encoding="utf-8") as fh:
             bundle = json.load(fh)
         config = config_from_dict(bundle["config"])
-        traces = {}
-        for key, td in bundle["traces"].items():
-            ai, rep = key.split(",")
-            traces[(int(ai), int(rep))] = OptimizationTrace.from_dict(td)
-        partitions = {}
-        for key, counts in bundle["partitions"].items():
-            ai, rep = key.split(",")
-            partitions[(int(ai), int(rep))] = np.array(counts, dtype=np.int64)
-        return GridResult(config, records, traces, partitions, bool(bundle["scores_ok"]))
+        traces = _from_cell_key(bundle["traces"], OptimizationTrace.from_dict)
+        partitions = _from_cell_key(bundle["partitions"], lambda c: np.array(c, dtype=np.int64))
+        scores_ok = bundle["scores_ok"]
+        if not isinstance(scores_ok, bool):
+            raise TypeError(f"scores_ok must be true or false, got {scores_ok!r}")
+        return GridResult(config, records, traces, partitions, scores_ok)
     except KeyError as exc:
         raise ParseError(f"{bundle_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -116,8 +124,8 @@ def _write_plots(result: GridResult, dataset, out_dir: str) -> None:
         result.records,
         cell.models,
         out_dir,
-        node_names=[p.name for p in config.profiles],
-        prior=IccPrior.from_profiles(config.profiles).normalized,
+        [p.name for p in config.profiles],
+        IccPrior.from_profiles(config.profiles).normalized,
     )
 
 

@@ -93,6 +93,9 @@ class ExperimentConfig:
             raise ConfigError("alphas must be positive")
         if list(self.alphas) != sorted(set(self.alphas)):
             raise ConfigError("alphas must be strictly increasing")
+        too_fine = [a for a in self.alphas if float(f"{a:.6f}") != a]
+        if too_fine:  # results.csv prints 6 decimals, and records read back must match the grid
+            raise ConfigError(f"alphas must have at most 6 decimals, got {too_fine}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
         try:

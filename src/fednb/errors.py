@@ -57,10 +57,6 @@ class OptimizerError(FedNBError):
     """Optimizer started at a non-finite objective value."""
 
 
-class InversionError(FedNBError):
-    """Weight vector cannot be mapped back to unconstrained space."""
-
-
 class ConfigError(FedNBError):
     """Invalid experiment/CLI configuration."""
 

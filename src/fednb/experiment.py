@@ -21,7 +21,7 @@ caller.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -60,22 +60,7 @@ class ExperimentRecord:
     jsd: float
     weights: tuple | None
     mcnemar_p_vs_B: float | None
-    runtime_ms: float
     n_nodes: int
-
-    def key_fields(self) -> tuple:
-        """Everything that must be reproducible (runtime excluded)."""
-        return (
-            self.dataset_name,
-            round(self.alpha, 9),
-            self.rep,
-            self.proposal,
-            self.f1_macro,
-            self.anll,
-            self.jsd,
-            self.weights,
-            self.mcnemar_p_vs_B,
-        )
 
 
 @dataclass
@@ -84,6 +69,7 @@ class CellResult:
     trace: OptimizationTrace | None
     class_counts: np.ndarray
     scores_ok: bool
+    runtimes_ms: dict  # proposal -> ms of wall time for its weighting and scoring
 
 
 @dataclass
@@ -93,6 +79,8 @@ class GridResult:
     traces: dict  # (alpha_index, rep) -> OptimizationTrace
     partitions: dict  # (alpha_index, rep) -> class count matrix
     scores_ok: bool = True
+    # (alpha_index, rep) -> {proposal: ms}; written to grid.json, not read back
+    runtimes_ms: dict = field(default_factory=dict)
 
 
 def materialize_dataset(config: ExperimentConfig) -> Dataset:
@@ -153,6 +141,7 @@ def run_cell(
     jsd = jsd_heterogeneity(counts) if k >= 2 else 0.0
 
     records: list[ExperimentRecord] = []
+    runtimes_ms: dict[str, float] = {}
     trace = None
     scores_ok = True
     preds_by_proposal: dict[str, np.ndarray] = {}
@@ -185,7 +174,7 @@ def run_cell(
             scores_ok = False
         preds = mixed.argmax(axis=0)
         preds_by_proposal[proposal] = preds
-        rec = ExperimentRecord(
+        records.append(ExperimentRecord(
             dataset_name=config.dataset_name,
             alpha=alpha,
             rep=rep,
@@ -195,17 +184,16 @@ def run_cell(
             jsd=jsd,
             weights=weights,
             mcnemar_p_vs_B=None,
-            runtime_ms=(time.perf_counter() - t0) * 1000.0,
             n_nodes=k,
-        )
-        records.append(rec)
+        ))
+        runtimes_ms[proposal] = (time.perf_counter() - t0) * 1000.0
 
     if "A" in preds_by_proposal and "B" in preds_by_proposal:
         res = mcnemar_yates(preds_by_proposal["A"], preds_by_proposal["B"], test.labels)
         for rec in records:
             if rec.proposal == "A":
                 rec.mcnemar_p_vs_B = res.p_value
-    return CellResult(records, trace, counts, scores_ok)
+    return CellResult(records, trace, counts, scores_ok, runtimes_ms)
 
 
 def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
@@ -220,6 +208,7 @@ def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
             if cell.trace is not None:
                 result.traces[(alpha_index, rep)] = cell.trace
             result.partitions[(alpha_index, rep)] = cell.class_counts
+            result.runtimes_ms[(alpha_index, rep)] = cell.runtimes_ms
             result.scores_ok = result.scores_ok and cell.scores_ok
     return result
 
@@ -258,12 +247,12 @@ class VerificationReport:
 
 def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) -> VerificationReport:
     """Evaluate the 15-check protocol on a completed grid whose cells ran on
-    dataset. Failures are reported, never raised. csv_quantized relaxes
-    equality tolerances to the 6-decimal precision of the results CSV."""
+    dataset. Failures are reported, never raised. csv_quantized says the
+    records were read from a results CSV: check 2 then compares CSV rows, and
+    checks 7 and 14 allow for its 6-decimal precision."""
     config = result.config
     records = result.records
     checks: list = []
-    tol = 1e-6 if csv_quantized else 1e-12
     sum_tol = 5e-6 * max(config.k, 1) if csv_quantized else 1e-9
 
     # 1. coherence index formula against reference values
@@ -274,15 +263,15 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     ok = max(errs) <= 0.0005
     checks.append(("icc_formula", ok, f"max deviation {max(errs):.2e}"))
 
-    # 2. seed reproducibility: re-run the first cell, compare records
+    # 2. seed reproducibility: re-run the first cell; records read back from
+    # a results CSV are compared as the CSV rows they were read from
     try:
         cell = run_cell(config, config.alphas[0], 0, dataset)
         expect = [r for r in records if r.alpha == config.alphas[0] and r.rep == 0]
-        ok = len(cell.records) == len(expect)
-        if ok:
-            for a, b in zip(cell.records, expect):
-                ka, kb = a.key_fields(), b.key_fields()
-                ok = ok and _fields_close(ka, kb, tol)
+        if csv_quantized:
+            ok = [_csv_row(r, config.k) for r in cell.records] == [_csv_row(r, config.k) for r in expect]
+        else:
+            ok = cell.records == expect
         msg = "first cell re-run matches" if ok else "first cell re-run diverges"
     except Exception as exc:
         ok, msg = False, f"re-run failed: {exc}"
@@ -291,7 +280,7 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     # 3. mean JSD non-increasing across ascending alphas (20-seed average;
     # the handful of grid reps alone is too noisy to order adjacent levels)
     try:
-        mean_jsd = _jsd_curve(config, dataset, n_seeds=20)
+        mean_jsd = _jsd_curve(config, dataset)
         diffs = np.diff(mean_jsd)
         ok = bool((diffs <= 1e-9).all())
         msg = f"mean JSD per alpha: {np.round(mean_jsd, 4).tolist()}"
@@ -340,7 +329,7 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     # 11. no NaN/Inf anywhere in records
     ok = True
     for r in records:
-        vals = [r.f1_macro, r.anll, r.jsd, r.runtime_ms]
+        vals = [r.f1_macro, r.anll, r.jsd]
         if r.weights is not None:
             vals.extend(r.weights)
         if r.mcnemar_p_vs_B is not None:
@@ -401,31 +390,13 @@ def _first_difference(a, b, path: str = "config") -> str | None:
     return f"{path} ({a!r} vs {b!r})"
 
 
-def _fields_close(a: tuple, b: tuple, tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if isinstance(x, tuple) or isinstance(y, tuple):
-            if x is None or y is None or not _fields_close(tuple(x), tuple(y), tol):
-                return False
-        elif isinstance(x, float) or isinstance(y, float):
-            if x is None or y is None:
-                if x is not y:
-                    return False
-            elif abs(float(x) - float(y)) > tol:
-                return False
-        elif x != y:
-            return False
-    return True
-
-
-def _jsd_curve(config: ExperimentConfig, dataset: Dataset, n_seeds: int = 20) -> np.ndarray:
-    """Mean JSD per alpha over fresh partition seeds on the whole dataset."""
+def _jsd_curve(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
+    """Mean JSD per alpha over 20 fresh partition seeds on the whole dataset."""
     k = max(config.k, 2)
     curve = []
     for alpha in config.alphas:
         vals = []
-        for seed in range(n_seeds):
+        for seed in range(20):
             part = dirichlet_partition(dataset.labels, k, alpha, seed)
             counts = part.class_counts(dataset.labels, dataset.schema.n_classes)
             vals.append(jsd_heterogeneity(counts))
@@ -440,7 +411,7 @@ def _per_rep_gradient(records, config) -> tuple[bool, str]:
     for rep in range(config.reps):
         seq = []
         for a in config.alphas:
-            vals = [r.jsd for r in records if r.rep == rep and abs(r.alpha - a) < 1e-12]
+            vals = [r.jsd for r in records if r.rep == rep and r.alpha == a]
             if vals:
                 seq.append(vals[0])
         if len(seq) >= 2:
@@ -476,36 +447,27 @@ def _fmt(x) -> str:
     return "" if x is None else f"{x:.6f}"
 
 
+def _csv_row(r: ExperimentRecord, k: int) -> str:
+    """One results CSV line: weights padded to k columns, runtime_ms empty."""
+    weights = [] if r.weights is None else [_fmt(w) for w in r.weights]
+    row = [r.dataset_name, f"{r.alpha:.6f}", str(r.rep), r.proposal, _fmt(r.f1_macro), _fmt(r.anll), _fmt(r.jsd)]
+    row += weights + [""] * (k - len(weights)) + [_fmt(r.mcnemar_p_vs_B), ""]
+    return ",".join(row)
+
+
 def emit_results_csv(records, path) -> None:
     """Grid-order CSV with fixed 6-decimal formatting; byte-stable.
 
-    The runtime_ms column is left empty: wall-clock time is not a function
-    of the configuration, and the CSV is the deterministic artifact. Measured
-    runtimes live in the grid bundle diagnostics instead.
+    Each line is exactly one record (see _csv_row). The runtime_ms column is
+    kept in the header but left empty: wall-clock time is not a function of
+    the configuration, and the CSV is the deterministic artifact. Measured
+    times are in grid.json, per cell and proposal.
     """
     k = max((r.n_nodes for r in records), default=0)
     header = ["dataset", "alpha", "rep", "proposal", "f1_macro", "anll", "jsd"]
     header += [f"w_{i + 1}" for i in range(k)]
     header += ["mcnemar_p_vs_B", "runtime_ms"]
-    lines = [",".join(header)]
-    for r in records:
-        row = [
-            r.dataset_name,
-            f"{r.alpha:.6f}",
-            str(r.rep),
-            r.proposal,
-            _fmt(r.f1_macro),
-            _fmt(r.anll),
-            _fmt(r.jsd),
-        ]
-        if r.weights is None:
-            row += [""] * k
-        else:
-            row += [_fmt(w) for w in r.weights]
-            row += [""] * (k - len(r.weights))
-        row.append(_fmt(r.mcnemar_p_vs_B))
-        row.append("")  # runtime_ms: diagnostic only, see docstring
-        lines.append(",".join(row))
+    lines = [",".join(header)] + [_csv_row(r, k) for r in records]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -527,7 +489,6 @@ def load_results_csv(path) -> list[ExperimentRecord]:
         try:
             weights = tuple(float(parts[i]) for i in w_cols if parts[i] != "") or None
             p_raw = parts[col["mcnemar_p_vs_B"]]
-            rt_raw = parts[col["runtime_ms"]]
             records.append(
                 ExperimentRecord(
                     dataset_name=parts[col["dataset"]],
@@ -539,7 +500,6 @@ def load_results_csv(path) -> list[ExperimentRecord]:
                     jsd=float(parts[col["jsd"]]),
                     weights=weights,
                     mcnemar_p_vs_B=float(p_raw) if p_raw else None,
-                    runtime_ms=float(rt_raw) if rt_raw else 0.0,
                     n_nodes=len(w_cols),
                 )
             )
@@ -550,24 +510,22 @@ def load_results_csv(path) -> list[ExperimentRecord]:
     return records
 
 
-def emit_plot_data(records, models, out_dir, node_names=None, prior=None) -> list[str]:
+def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
     """Write four tab-separated plot-data files; returns the paths written.
-    Density profiles come from the given local models."""
+    Density profiles come from the given local models; node_names and the
+    normalized coherence prior label and annotate the per-node files."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    alphas = sorted({round(r.alpha, 9) for r in records})
+    alphas = sorted({r.alpha for r in records})
     proposals = [p for p in PROPOSAL_ORDER if any(r.proposal == p for r in records)]
-    k = max((r.n_nodes for r in records), default=0)
-    if node_names is None:
-        node_names = [f"node_{i}" for i in range(k)]
 
     path = os.path.join(out_dir, "gradient_curves.tsv")
     lines = ["alpha\tproposal\tf1_mean\tf1_std\tanll_mean\tanll_std"]
     for a in alphas:
         for p in proposals:
-            sel = [r for r in records if r.proposal == p and abs(r.alpha - a) < 1e-9]
+            sel = [r for r in records if r.proposal == p and r.alpha == a]
             f1s = np.array([r.f1_macro for r in sel])
             anlls = np.array([r.anll for r in sel])
             lines.append(
@@ -583,15 +541,14 @@ def emit_plot_data(records, models, out_dir, node_names=None, prior=None) -> lis
     if a_recs:
         mean_w = np.array([r.weights for r in a_recs]).mean(axis=0)
         for i, name in enumerate(node_names):
-            pr = f"{prior[i]:.6f}" if prior is not None else ""
-            lines.append(f"{name}\t{mean_w[i]:.6f}\t{pr}")
+            lines.append(f"{name}\t{mean_w[i]:.6f}\t{prior[i]:.6f}")
     _write(path, lines)
     written.append(path)
 
     path = os.path.join(out_dir, "weight_trajectories.tsv")
     lines = ["alpha\tnode\tmean_weight"]
     for a in alphas:
-        sel = [r for r in a_recs if abs(r.alpha - a) < 1e-9]
+        sel = [r for r in a_recs if r.alpha == a]
         if sel:
             mean_w = np.array([r.weights for r in sel]).mean(axis=0)
             for i, name in enumerate(node_names):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import InversionError, OptimizerError
+from .errors import OptimizerError
 from .governance import IccPrior
 from .mog import MoGEnsemble, anll_from_stacked, stack_scores
 
@@ -64,8 +64,6 @@ def from_simplex(w, delta: float) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     k = len(w)
     w = np.maximum(w, delta + 1e-6)
-    if (w <= delta).any():
-        raise InversionError("weight at or below the floor after clipping")
     p = (w - delta) / (1.0 - k * delta)
     logp = np.log(p)
     return logp[:-1] - logp[-1]
@@ -79,13 +77,14 @@ def objective(w, stacked: np.ndarray, labels: np.ndarray, prior, lam: float) -> 
     return anll_from_stacked(w, stacked, labels) + lam * float(((w - prior) ** 2).sum())
 
 
-def nelder_mead(f, start, max_iters: int = 500, spread_tol: float = 1e-10):
+def nelder_mead(f, start, max_iters: int = 500):
     """Simplex minimization: reflect 1, expand 2, contract 0.5, shrink 0.5.
 
     Initial simplex perturbs each coordinate by 5% (0.00025 absolute for
     zero coordinates). Stops at max_iters or when the vertex function
-    spread falls below spread_tol. Returns (best x, best f, n_evals,
-    iterations, converged); converged is False when max_iters ran out.
+    spread falls below 1e-10 with the vertices within 1e-8. Returns (best x,
+    best f, n_evals, iterations, converged); converged is False when
+    max_iters ran out.
     """
     x0 = np.asarray(start, dtype=np.float64)
     n = len(x0)
@@ -111,7 +110,7 @@ def nelder_mead(f, start, max_iters: int = 500, spread_tol: float = 1e-10):
         # function spread alone can hit zero on a symmetric stall, so also
         # require the simplex itself to have collapsed
         xspread = np.abs(simplex[1:] - simplex[0]).max()
-        if fvals[-1] - fvals[0] < spread_tol and xspread < 1e-8:
+        if fvals[-1] - fvals[0] < 1e-10 and xspread < 1e-8:
             converged = True
             break
         iterations += 1
@@ -256,8 +255,9 @@ def weights_fedavg(node_sizes) -> np.ndarray:
     return sizes / sizes.sum()
 
 
-def weights_entropy(per_node_class_counts, eps: float = 1e-6) -> np.ndarray:
-    """Inverse label-entropy weighting (baseline E), base-2 entropy."""
+def weights_entropy(per_node_class_counts) -> np.ndarray:
+    """Inverse label-entropy weighting (baseline E), base-2 entropy; 1e-6 is
+    added to each entropy so that a single-class node gets a finite weight."""
     counts = np.asarray(per_node_class_counts, dtype=np.float64)
     totals = counts.sum(axis=1)
     if (totals <= 0).any():
@@ -267,5 +267,5 @@ def weights_entropy(per_node_class_counts, eps: float = 1e-6) -> np.ndarray:
     for i, d in enumerate(dists):
         nz = d[d > 0]
         h[i] = float(-(nz * np.log2(nz)).sum())
-    w = 1.0 / (h + eps)
+    w = 1.0 / (h + 1e-6)
     return w / w.sum()

@@ -276,7 +276,7 @@ def test_criterion_10_verification_protocol(full_grid, full_dataset):
     assert failed == ["grid_completeness"]
 
     tampered = copy.deepcopy(full_grid)
-    tampered.records[-1].runtime_ms = float("nan")
+    tampered.records[-1].jsd = float("nan")
     failed = [n for n, ok, _ in verify(tampered, full_dataset).checks if not ok]
     assert failed == ["no_nan_inf"]
     _report(10, "clean run 15/15; each injected corruption trips exactly one check")

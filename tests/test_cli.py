@@ -108,6 +108,29 @@ def test_verify_detects_corruption(grid_dir, tmp_path, capsys):
     assert "weights_sum_to_one" in capsys.readouterr().out
 
 
+def test_verify_compares_the_rerun_as_csv_rows(grid_dir, tmp_path, capsys):
+    def move_first_f1(text):
+        lines = text.splitlines()
+        fields = lines[1].split(",")  # proposal C of the first cell, which check 2 re-runs
+        f1 = float(fields[4])
+        fields[4] = f"{f1 - 1e-6 if f1 > 0.5 else f1 + 1e-6:.6f}"  # one unit in the 6th decimal
+        lines[1] = ",".join(fields)
+        return "\n".join(lines) + "\n"
+
+    moved = _corrupt_copy(grid_dir, tmp_path / "moved", "results.csv", move_first_f1)
+    assert main(["verify", "--results", str(moved)]) == 2
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+    assert failed == ["[FAIL] seed_reproducibility: first cell re-run diverges"]
+
+
+def test_grid_json_keys_runtimes_by_cell_and_proposal(grid_dir):
+    runtimes = json.loads((grid_dir / "grid.json").read_text())["runtimes_ms"]
+    assert sorted(runtimes) == ["0,0", "1,0", "2,0"]  # "alpha_index,rep", like traces
+    for per_proposal in runtimes.values():
+        assert list(per_proposal) == ["C", "B", "E", "A"]
+        assert all(isinstance(ms, float) for ms in per_proposal.values())
+
+
 def test_verify_missing_directory(tmp_path, capsys):
     assert main(["verify", "--results", str(tmp_path / "nope")]) == 1
 
@@ -255,6 +278,12 @@ def _bad_partition_key(text):
     return json.dumps(bundle)
 
 
+def _string_scores_ok(text):
+    bundle = json.loads(text)
+    bundle["scores_ok"] = "false"
+    return json.dumps(bundle)
+
+
 def _bad_f1_cell(text):
     lines = text.splitlines()
     fields = lines[1].split(",")
@@ -265,7 +294,11 @@ def _bad_f1_cell(text):
 
 @pytest.mark.parametrize(
     "name, edit, message",
-    [("grid.json", _bad_partition_key, "'x'"), ("results.csv", _bad_f1_cell, "row 1")],
+    [
+        ("grid.json", _bad_partition_key, "'x'"),
+        ("grid.json", _string_scores_ok, "scores_ok"),
+        ("results.csv", _bad_f1_cell, "row 1"),
+    ],
 )
 @pytest.mark.parametrize("command", ["verify", "emit-plots"])
 def test_malformed_results_exit_1_naming_the_file(

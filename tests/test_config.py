@@ -140,6 +140,7 @@ def test_csv_section_reads_the_schema_file(tmp_path):
         ("lambda = 0.10", "lamda = 0.10", "lamda"),
         ("reps = 1", "reps = 0", "reps"),
         ("n_categories = 4", "n_categorys = 4", "n_categorys"),
+        ("alphas = 0.05, 1.0", "alphas = 0.1234567, 1.0", "alphas"),
     ],
 )
 def test_bad_config_value_exits_64_and_names_it(tmp_path, capsys, line, bad, named):
@@ -147,7 +148,7 @@ def test_bad_config_value_exits_64_and_names_it(tmp_path, capsys, line, bad, nam
     path = tmp_path / "bad.cfg"
     path.write_text(CFG.replace(line, bad))
     code = main(["run-grid", "--config", str(path), "--out", str(tmp_path / "out"),
-                 "--set", "alphas=0.05,1.0"])
+                 "--set", "seed=7"])
     err = capsys.readouterr().err
     assert code == 64
     assert err.startswith("error: ") and named in err

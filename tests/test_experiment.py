@@ -121,14 +121,14 @@ def test_cell_determinism():
     cfg = small_config()
     a = run_cell(cfg, 0.5, 1)
     b = run_cell(cfg, 0.5, 1)
-    assert [r.key_fields() for r in a.records] == [r.key_fields() for r in b.records]
+    assert a.records == b.records
 
 
 def test_cell_seed_varies_with_alpha_and_rep():
     cfg = small_config()
     a = run_cell(cfg, 0.5, 0)
     b = run_cell(cfg, 0.5, 1)
-    assert [r.key_fields() for r in a.records] != [r.key_fields() for r in b.records]
+    assert a.records != b.records
 
 
 def test_unknown_alpha_rejected():
@@ -225,10 +225,21 @@ def test_verify_detects_nan(grid, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
-    tampered.records[-1].runtime_ms = float("nan")
+    tampered.records[-1].jsd = float("nan")
     report = verify(tampered, dataset)
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["no_nan_inf"]
+
+
+def test_verify_detects_a_one_ulp_rerun_difference(grid, dataset):
+    import copy
+
+    tampered = copy.deepcopy(grid)
+    first = tampered.records[0]  # proposal C of the first cell, which check 2 re-runs
+    first.f1_macro = float(np.nextafter(first.f1_macro, 0.0))
+    report = verify(tampered, dataset)
+    failed = [name for name, ok, _ in report.checks if not ok]
+    assert failed == ["seed_reproducibility"]
 
 
 def test_emit_plot_data_files(tmp_path, grid, dataset):
