@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LabelError, ParseError, SchemaError, SynthSpecError
+from .errors import LabelError, ParseError, SchemaError, ShapeError, SynthSpecError
 
 KIND_CATEGORICAL = "categorical"
 KIND_NUMERICAL = "numerical"
@@ -88,7 +88,12 @@ class CategoryMap:
 
 @dataclass
 class Dataset:
-    """Column-typed tabular data with aligned row counts."""
+    """Column-typed tabular data with aligned row counts.
+
+    Datasets derived from another (``subset``, ``degrade_copy``) may share
+    arrays with it, so nothing writes into a Dataset's arrays after it is
+    built; code that needs changed values copies them first.
+    """
 
     schema: FeatureSchema
     categorical: np.ndarray  # (n, n_cat_cols) int64 codes
@@ -108,12 +113,20 @@ class Dataset:
         return len(self.labels)
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        """The rows at integer positions ``indices``, in that order, in
+        C-contiguous arrays that may be shared with this dataset (see the
+        class docstring). A boolean mask is refused: read as integers it
+        would select rows 0 and 1.
+        """
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":  # [] arrives as float64
+            raise ShapeError(f"row indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         return Dataset(
             self.schema,
-            self.categorical[idx],
-            self.numerical[idx],
-            self.labels[idx],
+            self.categorical.take(idx, axis=0),
+            self.numerical.take(idx, axis=0),
+            self.labels.take(idx),
             self.n_cats,
         )
 
@@ -257,9 +270,14 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
 
 def degrade_copy(dataset: Dataset, noise: float, seed: int) -> Dataset:
     """Node-local quality degradation: label flips w.p. noise, feature noise
-    at ``noise`` times the per-column std. noise=0 returns an identical copy."""
+    at ``noise`` times the per-column std.
+
+    The input is never written. Arrays the degradation leaves unchanged are
+    shared with it, not copied: the categorical codes always, and at noise 0
+    the whole dataset, which is returned as it is.
+    """
     if noise <= 0.0:
-        return dataset.subset(np.arange(dataset.n_rows))
+        return dataset
     rng = np.random.default_rng(seed)
     labels = dataset.labels.copy()
     n_classes = dataset.schema.n_classes
@@ -273,4 +291,4 @@ def degrade_copy(dataset: Dataset, noise: float, seed: int) -> Dataset:
         std = num.std(axis=0)
         std[std == 0.0] = 1.0
         num += rng.normal(0.0, noise * std, size=num.shape)
-    return Dataset(dataset.schema, dataset.categorical.copy(), num, labels, dataset.n_cats)
+    return Dataset(dataset.schema, dataset.categorical, num, labels, dataset.n_cats)

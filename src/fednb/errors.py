@@ -34,7 +34,7 @@ class FitError(FedNBError):
 
 
 class ShapeError(FedNBError):
-    """Dimension mismatch between a model and a sample."""
+    """Dimension mismatch between a model and a sample, or row indices that are not integers."""
 
 
 class EnsembleError(FedNBError):

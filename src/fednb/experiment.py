@@ -33,7 +33,9 @@ from .governance import IccPrior, NodeProfile, compute_icc
 from .local_model import fit_hybrid
 from . import mog
 from .mog import MoGEnsemble, anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
-from .partition import Partition, SplitConfig, dirichlet_partition, jsd_heterogeneity, stratified_split
+from .partition import (
+    Partition, SplitConfig, class_rows, dirichlet_partition, jsd_heterogeneity, stratified_split,
+)
 from .weights import (
     OptimizationTrace,
     learn_weights_icc,
@@ -393,13 +395,13 @@ def _first_difference(a, b, path: str = "config") -> str | None:
 def _jsd_curve(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
     """Mean JSD per alpha over 20 fresh partition seeds on the whole dataset."""
     k = max(config.k, 2)
+    by_class = class_rows(dataset.labels)
     curve = []
     for alpha in config.alphas:
         vals = []
         for seed in range(20):
-            part = dirichlet_partition(dataset.labels, k, alpha, seed)
-            counts = part.class_counts(dataset.labels, dataset.schema.n_classes)
-            vals.append(jsd_heterogeneity(counts))
+            part = dirichlet_partition(dataset.labels, k, alpha, seed, by_class=by_class)
+            vals.append(jsd_heterogeneity(part.counts))
         curve.append(float(np.mean(vals)))
     return np.array(curve)
 

@@ -32,7 +32,9 @@ class ScalerParams:
     scale: np.ndarray
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.scale
+        z = x - self.mean
+        z /= self.scale
+        return z
 
 
 @dataclass
@@ -63,18 +65,23 @@ def fit_hybrid(train: Dataset, smoothing: float = 1.0) -> HybridModel:
     for c in present:
         log_prior[c] = np.log(class_counts[c] / train.n_rows)
 
+    # np.mean's and np.std's own steps (axis-0 sum, divide by n; square,
+    # axis-0 sum, divide by n, sqrt), so every float equals theirs, with
+    # num - mean computed once for the std and the standardization
     num = train.numerical
-    mean = num.mean(axis=0) if num.shape[1] else np.zeros(0)
-    std = num.std(axis=0) if num.shape[1] else np.zeros(0)
+    mean = np.add.reduce(num, axis=0) / train.n_rows
+    z = num - mean
+    std = np.sqrt(np.add.reduce(np.square(z), axis=0) / train.n_rows)
     scale = np.where(std > 0, std, 1.0)
     scaler = ScalerParams(mean, scale)
-    z = scaler.transform(num) if num.shape[1] else num
+    z /= scale
 
+    rows_of = {c: np.flatnonzero(train.labels == c) for c in present}
     cat_log_prob = []
     for j, m in enumerate(n_cats):
         table = np.full((n_classes, m + 1), 1.0 / (m + 1))
         for c in present:
-            cnt = np.bincount(train.categorical[train.labels == c, j], minlength=m + 1)
+            cnt = np.bincount(train.categorical[:, j].take(rows_of[c]), minlength=m + 1)
             probs = (cnt + smoothing) / (class_counts[c] + smoothing * (m + 1))
             table[c] = probs
         cat_log_prob.append(np.log(table))
@@ -86,9 +93,8 @@ def fit_hybrid(train: Dataset, smoothing: float = 1.0) -> HybridModel:
         col_var = z.var(axis=0)
         floor = 1e-9 * np.maximum(col_var, 1.0)
         for c in present:
-            zc = z[train.labels == c]
-            gauss_mean[c] = zc.mean(axis=0)
-            gauss_var[c] = zc.var(axis=0) + floor
+            gauss_mean[c], var = _mean_var(z.take(rows_of[c], axis=0))
+            gauss_var[c] = var + floor
 
     return HybridModel(
         scaler=scaler,
@@ -102,6 +108,16 @@ def fit_hybrid(train: Dataset, smoothing: float = 1.0) -> HybridModel:
         n_cats=n_cats,
         smoothing=smoothing,
     )
+
+
+def _mean_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and population variance of an (n, F) array by np.var's own
+    steps (axis-0 sum, divide by n; square x - mean, axis-0 sum, divide by n),
+    so both equal np.mean's and np.var's floats, with the mean summed once."""
+    mean = np.add.reduce(x, axis=0) / x.shape[0]
+    sq = x - mean
+    np.square(sq, out=sq)
+    return mean, np.add.reduce(sq, axis=0) / x.shape[0]
 
 
 def joint_log_scores_batch(model: HybridModel, data: Dataset) -> np.ndarray:
@@ -130,12 +146,16 @@ def _scores(model: HybridModel, cat: np.ndarray, num: np.ndarray) -> np.ndarray:
         codes = cat[:, j]
         if codes.min(initial=0) < 0 or codes.max(initial=0) > m:
             raise ShapeError(f"categorical column {j}: code outside [0, {m}]")
-        scores = scores + model.cat_log_prob[j][:, codes].T
+        scores += model.cat_log_prob[j].T.take(codes, axis=0)
     if num.shape[1]:
-        z = model.scaler.transform(num)
-        diff = z[:, None, :] - model.gauss_mean[None, :, :]
-        ll = -0.5 * (_LOG_2PI + np.log(model.gauss_var) + diff**2 / model.gauss_var)
-        scores = scores + ll.sum(axis=2)
+        # -0.5 * (LOG_2PI + log var + (z - mean)**2 / var), built in place in
+        # one (n, C, F) buffer by the same operations in the same order
+        ll = model.scaler.transform(num)[:, None, :] - model.gauss_mean[None, :, :]
+        ll *= ll
+        ll /= model.gauss_var
+        ll += _LOG_2PI + np.log(model.gauss_var)
+        ll *= -0.5
+        scores += ll.sum(axis=2)
     absent = [c for c in range(model.n_classes) if c not in model.classes_present]
     if absent:
         scores[:, absent] = NEG_INF

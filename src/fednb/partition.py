@@ -64,10 +64,12 @@ def stratified_split(dataset: Dataset, config: SplitConfig):
 
 @dataclass
 class Partition:
-    """Disjoint per-node row-index lists covering the full index set."""
+    """Disjoint per-node row-index lists covering the full index set, and
+    ``counts[node, cls]``: the rows of each class dealt to each node."""
 
     node_indices: list[np.ndarray]
     alpha: float
+    counts: np.ndarray  # (k, max label + 1) int64
 
     @property
     def k(self) -> int:
@@ -83,41 +85,56 @@ class Partition:
         return out
 
 
-def dirichlet_partition(labels, k: int, alpha: float, seed: int) -> Partition:
+def class_rows(labels) -> dict[int, np.ndarray]:
+    """Ascending row indices of each class present in labels, by ascending class.
+
+    Callers that partition one label array many times build this once and
+    pass it to ``dirichlet_partition`` as ``by_class``.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    try:  # the classes present, ascending; a tenth of np.unique's cost on 200k labels
+        classes = np.flatnonzero(np.bincount(labels))
+    except ValueError:
+        raise PartitionError("labels must be non-negative") from None
+    return {int(cls): np.flatnonzero(labels == cls) for cls in classes}
+
+
+def dirichlet_partition(labels, k: int, alpha: float, seed: int, by_class=None) -> Partition:
     """Per-class Dirichlet(alpha) proportions, integerized by largest remainder.
 
+    ``by_class`` is ``class_rows(labels)``, computed here when not given.
     Retries with fresh sub-seeds (up to 100) if any node comes out empty.
     """
     if k < 1:
         raise PartitionError("k must be >= 1")
     if not 0 < alpha < math.inf:
         raise PartitionError(f"alpha must be finite and positive, got {alpha}")
-    labels = np.asarray(labels, dtype=np.int64)
+    if by_class is None:
+        by_class = class_rows(labels)
     n = len(labels)
-    try:  # the classes present, ascending; a tenth of np.unique's cost on 200k labels
-        classes = np.flatnonzero(np.bincount(labels))
-    except ValueError:
-        raise PartitionError("labels must be non-negative") from None
+    width = max(by_class, default=-1) + 1
     if k == 1:
-        return Partition([np.arange(n, dtype=np.int64)], alpha)
+        counts = np.array([[len(by_class.get(cls, ())) for cls in range(width)]], dtype=np.int64)
+        return Partition([np.arange(n, dtype=np.int64)], alpha, counts)
     for attempt in range(100):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt]))
         node_lists: list[list[np.ndarray]] = [[] for _ in range(k)]
-        for cls in classes:
-            idx = np.flatnonzero(labels == cls)
+        counts = np.zeros((k, width), dtype=np.int64)
+        for cls, rows in by_class.items():
+            idx = rows.copy()  # shuffled in place; by_class is reused across calls
             rng.shuffle(idx)
             p = rng.dirichlet(np.full(k, alpha))
-            counts = largest_remainder(len(idx), p)
+            counts[:, cls] = largest_remainder(len(idx), p)
             start = 0
             for node in range(k):
-                node_lists[node].append(idx[start : start + counts[node]])
-                start += counts[node]
+                node_lists[node].append(idx[start : start + counts[node, cls]])
+                start += counts[node, cls]
         node_indices = [
             np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
             for chunks in node_lists
         ]
         if all(len(ix) > 0 for ix in node_indices):
-            return Partition(node_indices, alpha)
+            return Partition(node_indices, alpha, counts)
     raise PartitionError(f"empty node persisted across 100 retries (alpha={alpha}, k={k})")
 
 

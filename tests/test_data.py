@@ -13,7 +13,7 @@ from fednb.data import (
     load_csv,
     synth_generate,
 )
-from fednb.errors import LabelError, ParseError, SchemaError, SynthSpecError
+from fednb.errors import LabelError, ParseError, SchemaError, ShapeError, SynthSpecError
 from fednb.evaluation import f1_macro
 from fednb.local_model import fit_hybrid, joint_log_scores_batch
 
@@ -208,3 +208,32 @@ def test_csv_source_runs_the_grid_end_to_end(tmp_path):
         assert (tmp_path / "plots" / plot.name).read_bytes() == plot.read_bytes()
     assert main(["run-grid", "--config", str(cfg), "--out", str(second)]) == 0
     assert (second / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
+
+
+def test_subset_refuses_a_boolean_mask():
+    ds = synth_generate(SynthSpec(50, 2, 1, 1, (0.0,)), 3)
+    with pytest.raises(ShapeError, match="dtype bool"):
+        ds.subset(ds.labels == 1)
+
+
+@pytest.mark.parametrize("indices", [[], [4, 0, 4, 49], np.arange(49, 0, -3), np.array([], dtype=np.int64)])
+def test_subset_equals_fancy_indexing_bitwise(indices):
+    ds = synth_generate(SynthSpec(50, 3, 2, 2, (0.0,)), 3)
+    got = ds.subset(indices)
+    idx = np.asarray(indices, dtype=np.int64)
+    for name in ("categorical", "numerical", "labels"):
+        a, want = getattr(got, name), getattr(ds, name)[idx]
+        assert a.dtype == want.dtype and a.shape == want.shape and np.array_equal(a, want), name
+        assert a.flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_degrade_copy_never_writes_into_its_input(noise):
+    ds = synth_generate(SynthSpec(500, 3, 2, 2, (0.0,)), 5)
+    arrays = (ds.categorical, ds.numerical, ds.labels)
+    before = [a.copy() for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False  # any write into them raises
+    out = degrade_copy(ds, noise, 11)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    assert np.array_equal(out.categorical, ds.categorical)

@@ -1,9 +1,15 @@
-"""Layout rule: no fednb module imports another fednb module's private helpers."""
+"""Layout rules: no fednb module imports another fednb module's private helpers,
+every definition is used, and every lookup point of perfbench/tracer.py exists."""
 
 import ast
+import importlib.util
+from importlib import import_module
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fednb"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fednb"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -69,3 +75,16 @@ def test_every_definition_is_referenced_outside_itself():
             if not outside and node.name not in UNREFERENCED_ALLOWED:
                 unreferenced.append(f"{module}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+@pytest.mark.parametrize("module, attr, span", _load_tracer().WRAPS)
+def test_every_tracer_lookup_point_resolves(module, attr, span):
+    """A rename in src/fednb would otherwise break only `pytest perfbench`."""
+    assert callable(getattr(import_module(module), attr, None)), f"{module}.{attr} ({span})"

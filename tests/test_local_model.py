@@ -228,3 +228,93 @@ def _load_model(path) -> HybridModel:
         n_cats=tuple(d["n_cats"]),
         smoothing=float(d["smoothing"]),
     )
+
+
+# Bitwise oracles: the fit and the scorer as first written, with np.mean,
+# np.std and np.var, boolean class masks and an out-of-place Gaussian term.
+# fit_hybrid and joint_log_scores_batch must reproduce every float exactly.
+
+
+def _fit_by_numpy_reductions(train, smoothing=1.0):
+    num, labels, n_classes = train.numerical, train.labels, train.schema.n_classes
+    counts = np.bincount(labels, minlength=n_classes)
+    present = np.flatnonzero(counts)
+    log_prior = np.full(n_classes, NEG_INF)
+    for c in present:
+        log_prior[c] = np.log(counts[c] / train.n_rows)
+    mean, std = num.mean(axis=0), num.std(axis=0)
+    scale = np.where(std > 0, std, 1.0)
+    z = (num - mean) / scale
+    cat_log_prob = []
+    for j, m in enumerate(train.n_cats):
+        table = np.full((n_classes, m + 1), 1.0 / (m + 1))
+        for c in present:
+            cnt = np.bincount(train.categorical[labels == c, j], minlength=m + 1)
+            table[c] = (cnt + smoothing) / (counts[c] + smoothing * (m + 1))
+        cat_log_prob.append(np.log(table))
+    gauss_mean = np.zeros((n_classes, num.shape[1]))
+    gauss_var = np.ones((n_classes, num.shape[1]))
+    if num.shape[1]:
+        floor = 1e-9 * np.maximum(z.var(axis=0), 1.0)
+        for c in present:
+            gauss_mean[c] = z[labels == c].mean(axis=0)
+            gauss_var[c] = z[labels == c].var(axis=0) + floor
+    return {
+        "scaler.mean": mean, "scaler.scale": scale, "gauss_mean": gauss_mean,
+        "gauss_var": gauss_var, "log_prior": log_prior, "cat_log_prob": cat_log_prob,
+    }
+
+
+def _scores_out_of_place(model, data):
+    scores = np.tile(model.log_prior, (data.n_rows, 1))
+    for j in range(len(model.n_cats)):
+        scores = scores + model.cat_log_prob[j][:, data.categorical[:, j]].T
+    if data.numerical.shape[1]:
+        z = (data.numerical - model.scaler.mean) / model.scaler.scale
+        diff = z[:, None, :] - model.gauss_mean[None, :, :]
+        var = model.gauss_var
+        scores = scores + (-0.5 * (np.log(2.0 * np.pi) + np.log(var) + diff**2 / var)).sum(axis=2)
+    scores[:, [c for c in range(model.n_classes) if c not in model.classes_present]] = NEG_INF
+    return scores
+
+
+def _oracle_case(n_cat, n_num, classes, seed, n=20_000):
+    """Columns on different scales; numerical column 0 has zero spread."""
+    rng = np.random.default_rng(seed)
+    cat = rng.integers(0, 4, size=(n, n_cat))
+    num = rng.normal(size=(n, n_num)) * rng.uniform(0.01, 300.0, n_num) + rng.uniform(-50, 50, n_num)
+    if n_num:
+        num[:, 0] = 2.5
+    return _make_dataset(cat, num, rng.choice(classes, n), 3, (4,) * n_cat)
+
+
+ORACLE_CASES = {
+    "three classes, a zero-spread column": (2, 3, (0, 1, 2)),
+    "class 1 absent from the node": (1, 2, (0, 2)),
+    "no numerical columns": (2, 0, (0, 1, 2)),
+    "no categorical columns": (0, 3, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_fit_and_scores_equal_the_numpy_reduction_oracle_bitwise(case):
+    n_cat, n_num, classes = ORACLE_CASES[case]
+    train = _oracle_case(n_cat, n_num, classes, seed=1)
+    model = fit_hybrid(train)
+    want = _fit_by_numpy_reductions(train)
+    got = {
+        "scaler.mean": model.scaler.mean, "scaler.scale": model.scaler.scale,
+        "gauss_mean": model.gauss_mean, "gauss_var": model.gauss_var, "log_prior": model.log_prior,
+    }
+    for name, value in got.items():
+        assert value.shape == want[name].shape and np.array_equal(value, want[name]), name
+    assert all(np.array_equal(a, b) for a, b in zip(model.cat_log_prob, want["cat_log_prob"], strict=True))
+
+    test = _oracle_case(n_cat, n_num, (0, 1, 2), seed=2)
+    cat = test.categorical.copy()
+    cat[::7] = 4  # the OOD slot of every categorical column
+    test = _make_dataset(cat, test.numerical, test.labels, 3, test.n_cats)
+    for data in (test, test.subset([]), test.subset([5, 0, 5, 19_999])):
+        assert np.array_equal(joint_log_scores_batch(model, data), _scores_out_of_place(model, data))
+    if 1 not in classes:
+        assert (joint_log_scores_batch(model, test)[:, 1] == NEG_INF).all()

@@ -5,6 +5,7 @@ from fednb.data import SynthSpec, synth_generate
 from fednb.errors import MetricError, PartitionError, StratificationError
 from fednb.partition import (
     SplitConfig,
+    class_rows,
     dirichlet_partition,
     jsd_heterogeneity,
     largest_remainder,
@@ -139,10 +140,10 @@ def test_jsd_empty_node_error():
         jsd_heterogeneity(np.array([[0, 0], [5, 5]]))
 
 
-def _unique_class_partition(labels, k, alpha, seed):
+def _unique_class_partition(labels, k, alpha, seed, attempts=100):
     """The partition as written with np.unique for class discovery."""
     labels = np.asarray(labels, dtype=np.int64)
-    for attempt in range(100):
+    for attempt in range(attempts):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt]))
         node_lists = [[] for _ in range(k)]
         for cls in np.unique(labels):
@@ -192,3 +193,35 @@ def test_jsd_matches_scipy_jensenshannon_for_two_nodes():
         p, q = counts / counts.sum(axis=1, keepdims=True)
         want = distance.jensenshannon(p, q, base=2) ** 2
         assert jsd_heterogeneity(counts) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "k, alpha, seed, classes, retries",
+    [
+        (1, 0.5, 0, (0, 1), False),
+        (3, 0.1, 7, (0, 1), False),
+        (3, 1.0, 42, (0, 1, 2, 3, 4), False),
+        (3, 0.3, 9, (0, 2), False),  # class 1 absent: a zero column
+        (4, 0.05, 2, (0, 2), True),
+    ],
+)
+def test_apportioned_counts_equal_class_counts(k, alpha, seed, classes, retries):
+    labels = np.random.default_rng(seed).choice(classes, 600)
+    part = dirichlet_partition(labels, k, alpha, seed)
+    assert np.array_equal(part.counts, part.class_counts(labels, max(classes) + 1))
+    if retries:  # the first attempt leaves a node empty
+        with pytest.raises(AssertionError, match="no non-empty"):
+            _unique_class_partition(labels, k, alpha, seed, attempts=1)
+
+
+def test_partition_reuses_class_rows_without_changing_them():
+    labels = np.random.default_rng(6).choice((0, 1, 3), 900)
+    by_class = class_rows(labels)
+    kept = {cls: rows.copy() for cls, rows in by_class.items()}
+    for seed in range(3):
+        got = dirichlet_partition(labels, 3, 0.2, seed, by_class=by_class)
+        want = dirichlet_partition(labels, 3, 0.2, seed)
+        assert [ix.tobytes() for ix in got.node_indices] == [ix.tobytes() for ix in want.node_indices]
+        assert np.array_equal(got.counts, want.counts)
+    assert by_class.keys() == kept.keys()
+    assert all(np.array_equal(by_class[cls], kept[cls]) for cls in kept)
