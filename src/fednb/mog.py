@@ -13,12 +13,13 @@ finite under extreme partitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import EnsembleError, MetricError, NormalizationError
+from .errors import EnsembleError, MetricError, NormalizationError, ShapeError
 from .local_model import NEG_INF, HybridModel, joint_log_scores_batch
 
 SENTINEL_ANLL_PENALTY = 50.0  # nats charged when the true class exists in no node
@@ -62,23 +63,34 @@ def stack_scores(models, data: Dataset) -> np.ndarray:
     return np.stack(scores, out=np.empty((len(scores),) + scores[0].shape))
 
 
-def mix_scores(weights: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """logsumexp over nodes of (log w_k + score_k), sentinel-safe: (K, C, n) -> (C, n)."""
-    with np.errstate(divide="ignore"):
-        logw = np.log(np.asarray(weights, dtype=np.float64))
-    # shifted and exponentiated in place: each call allocates one (K, C, n) buffer
-    a = logw[:, None, None] + stacked
-    m = a.max(axis=0)
-    finite = np.isfinite(m)
-    if finite.all():  # no sentinel-only (class, row): skip the masking
-        a -= m
-        return m + np.log(np.exp(a, out=a).sum(axis=0))
-    out = np.full(m.shape, NEG_INF)
-    if finite.any():
-        a -= np.where(finite, m, 0.0)
-        a[:, ~finite] = NEG_INF
-        out[finite] = m[finite] + np.log(np.exp(a, out=a).sum(axis=0)[finite])
-    return out
+def mix_scores(weights, stacked: np.ndarray, out=None, *, covered: bool = False) -> np.ndarray:
+    """logsumexp over nodes of (log w_k + score_k), sentinel-safe: (K, C, n) -> (C, n).
+
+    out: a C-contiguous (K, C, n) float64 scratch buffer to shift and
+    exponentiate in, overwritten by the call; without it each call allocates
+    one. covered: the caller's promise that every weight is finite and > 0 and
+    every (class, row) has a finite score in some node (StackedScores.covered).
+    The node maximum is then finite everywhere, so the errstate block and the
+    finiteness test are skipped; the floats are the same either way.
+    """
+    if covered:
+        logw = np.log(weights)
+    else:
+        with np.errstate(divide="ignore"):
+            logw = np.log(np.asarray(weights, dtype=np.float64))
+    a = np.add(logw[:, None, None], stacked, out=out)
+    m = np.maximum.reduce(a, axis=0)
+    if not covered:
+        finite = np.isfinite(m)
+        if not finite.all():  # a sentinel-only (class, row): mask it
+            mixed = np.full(m.shape, NEG_INF)
+            if finite.any():
+                a -= np.where(finite, m, 0.0)
+                a[:, ~finite] = NEG_INF
+                mixed[finite] = m[finite] + np.log(np.exp(a, out=a).sum(axis=0)[finite])
+            return mixed
+    a -= m
+    return m + np.log(np.add.reduce(np.exp(a, out=a), axis=0))
 
 
 def mog_log_scores_batch(ensemble: MoGEnsemble, data: Dataset) -> np.ndarray:
@@ -86,17 +98,20 @@ def mog_log_scores_batch(ensemble: MoGEnsemble, data: Dataset) -> np.ndarray:
     return mix_scores(ensemble.weights, stack_scores(ensemble.models, data)).T
 
 
-def _logsumexp_classes(a: np.ndarray) -> np.ndarray:
-    """logsumexp over the leading class axis of a (C, n) array."""
-    m = a.max(axis=0)
-    if not np.isfinite(m).all():
+def _logsumexp_classes(a: np.ndarray, checked: bool = True) -> np.ndarray:
+    """logsumexp over the leading class axis of a (C, n) array; checked=False
+    skips the test for a row without any finite class score."""
+    m = np.maximum.reduce(a, axis=0)
+    if checked and not np.isfinite(m).all():
         raise NormalizationError("a row has no finite class score to normalize")
-    return m + np.log(np.exp(a - m).sum(axis=0))
+    shifted = a - m
+    return m + np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=0))
 
 
 def anll_from_mixed(mixed: np.ndarray, labels: np.ndarray) -> float:
     """ANLL of class-major (C, n) mixture scores: log-softmax over classes,
-    evaluated at the true labels only."""
+    evaluated at the true labels only, with a -inf entry clamped at the
+    50-nat penalty."""
     if len(labels) == 0:
         raise MetricError("ANLL on empty data")
     ll = mixed[labels, np.arange(len(labels))] - _logsumexp_classes(mixed)
@@ -104,11 +119,58 @@ def anll_from_mixed(mixed: np.ndarray, labels: np.ndarray) -> float:
     return float(-ll.mean())
 
 
-def anll_from_stacked(weights, stacked: np.ndarray, labels: np.ndarray) -> float:
-    """ANLL given a precomputed class-major (K, C, n) score tensor (used by the optimizer)."""
-    return anll_from_mixed(mix_scores(np.asarray(weights), stacked), labels)
+class StackedScores:
+    """A class-major (K, C, n) score tensor (see stack_scores) with the true
+    labels of its n rows, and the constants of the ANLL kernel that depend
+    only on them, built once instead of on every weight vector:
+
+    - flat_index: labels * n + arange(n), the true-label entries of a (C, n)
+      array, read with ``take``;
+    - covered: every (class, row) has a finite score in at least one node and
+      no score is NaN or +inf, so the mixture under positive finite weights
+      has no sentinel entry;
+    - scratch: the (K, C, n) buffer that mix_scores overwrites on each call,
+      so one StackedScores must not serve two calls at once.
+    """
+
+    def __init__(self, stacked: np.ndarray, labels: np.ndarray):
+        labels = np.asarray(labels)
+        n = len(labels)
+        if n == 0:
+            raise MetricError("ANLL on empty data")
+        stacked = np.ascontiguousarray(stacked, dtype=np.float64)
+        if stacked.ndim != 3 or stacked.shape[2] != n:
+            raise ShapeError(f"score tensor of shape {stacked.shape} for {n} labels")
+        finite = np.isfinite(stacked)
+        self.stacked = stacked
+        self.labels = labels
+        self.flat_index = labels.astype(np.intp) * n + np.arange(n)
+        self.covered = bool(finite.any(axis=0).all() and (finite | (stacked == NEG_INF)).all())
+        self.scratch = np.empty_like(stacked)
+
+
+def anll_from_stacked(weights, scores: StackedScores) -> float:
+    """ANLL of the mixture of scores.stacked under weights; the optimizer's
+    validation ANLL, called once per objective evaluation.
+
+    When scores.covered holds and every weight is finite and > 0, the call
+    mixes into scores.scratch, takes the log-softmax over classes, gathers the
+    true-label entries with scores.flat_index and returns add.reduce(ll) / n
+    (what ll.mean() computes). The steps it skips (errstate, finiteness
+    tests, the 50-nat clamp) are identities under that condition, so the
+    float equals anll_from_mixed(mix_scores(weights, stacked), labels).
+    Otherwise, e.g. for a class absent from every node or a zero weight, it
+    takes that masked path itself.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if not (scores.covered and all(0.0 < x < math.inf for x in w.tolist())):
+        return anll_from_mixed(mix_scores(w, scores.stacked, scores.scratch), scores.labels)
+    mixed = mix_scores(w, scores.stacked, scores.scratch, covered=True)
+    ll = mixed.take(scores.flat_index) - _logsumexp_classes(mixed, checked=False)
+    return float(-(np.add.reduce(ll) / len(ll)))
 
 
 def anll(ensemble: MoGEnsemble, data: Dataset) -> float:
     """Mean negative log-softmax score of the true labels; always finite."""
-    return anll_from_stacked(ensemble.weights, stack_scores(ensemble.models, data), data.labels)
+    scores = StackedScores(stack_scores(ensemble.models, data), data.labels)
+    return anll_from_stacked(ensemble.weights, scores)

@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset
 from .errors import OptimizerError
 from .governance import IccPrior
-from .mog import MoGEnsemble, anll_from_stacked, stack_scores
+from .mog import MoGEnsemble, StackedScores, anll_from_stacked, stack_scores
 
 
 # learn_weights_icc's start points: prior, uniform, two Dirichlet draws, their midpoint
@@ -69,12 +69,13 @@ def from_simplex(w, delta: float) -> np.ndarray:
     return logp[:-1] - logp[-1]
 
 
-def objective(w, stacked: np.ndarray, labels: np.ndarray, prior, lam: float) -> float:
-    """Composite validation objective J(w) over a precomputed class-major
-    (K, C, n) score tensor (see mog.stack_scores): normalized ANLL plus prior
-    penalty."""
+def objective(w, scores: StackedScores, prior, lam: float) -> float:
+    """Composite validation objective J(w): validation ANLL plus prior penalty.
+    scores holds the cell's validation tensor, labels and per-cell constants
+    (mog.StackedScores); the ANLL takes anll_from_stacked's cheap path when
+    scores.covered holds and every weight is > 0, with the same float."""
     w = np.asarray(w, dtype=np.float64)
-    return anll_from_stacked(w, stacked, labels) + lam * float(((w - prior) ** 2).sum())
+    return anll_from_stacked(w, scores) + lam * float(np.add.reduce((w - prior) ** 2))
 
 
 def nelder_mead(f, start, max_iters: int = 500):
@@ -108,13 +109,12 @@ def nelder_mead(f, start, max_iters: int = 500):
         simplex = simplex[order]
         fvals = fvals[order]
         # function spread alone can hit zero on a symmetric stall, so also
-        # require the simplex itself to have collapsed
-        xspread = np.abs(simplex[1:] - simplex[0]).max()
-        if fvals[-1] - fvals[0] < 1e-10 and xspread < 1e-8:
+        # require the simplex itself to have collapsed (tested only then)
+        if fvals[-1] - fvals[0] < 1e-10 and np.abs(simplex[1:] - simplex[0]).max() < 1e-8:
             converged = True
             break
         iterations += 1
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n  # what .mean(axis=0) computes
         worst = simplex[-1]
 
         xr = centroid + (centroid - worst)
@@ -209,6 +209,12 @@ def learn_weights_icc(
 
     Starts: the coherence prior, the uniform vector, two Dirichlet(1) draws
     and their elementwise midpoint — all mapped to unconstrained space.
+
+    The per-cell constants are built once, in one mog.StackedScores that
+    every evaluation of every start reuses: the flat label index, the flag
+    saying whether every (class, row) has a finite score in some node, and
+    the (K, C, n) scratch buffer. With that flag set and a positive floor,
+    every evaluation takes anll_from_stacked's cheap path.
     """
     k = ensemble.k
     if k < 2:
@@ -216,12 +222,12 @@ def learn_weights_icc(
     if k * config.floor_delta >= 1.0:
         raise ValueError("K * floor_delta must be < 1")
 
-    stacked = stack_scores(ensemble.models, val)
+    scores = StackedScores(stack_scores(ensemble.models, val), val.labels)
     target = np.asarray(prior.normalized, dtype=np.float64)
     delta = config.floor_delta
 
     def f(theta):
-        return objective(to_floored_simplex(theta, k, delta), stacked, val.labels, target, config.lam)
+        return objective(to_floored_simplex(theta, k, delta), scores, target, config.lam)
 
     rng = np.random.default_rng(config.seed)
     d1 = rng.dirichlet(np.ones(k))

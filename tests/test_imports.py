@@ -1,5 +1,6 @@
 """Layout rules: no fednb module imports another fednb module's private helpers,
-every definition is used, and every lookup point of perfbench/tracer.py exists."""
+every definition is used, every lookup point of perfbench/tracer.py exists, and
+a traced run passes the tracer's consistency check."""
 
 import ast
 import importlib.util
@@ -7,6 +8,8 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+import fednb.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fednb"
@@ -88,3 +91,50 @@ def _load_tracer():
 def test_every_tracer_lookup_point_resolves(module, attr, span):
     """A rename in src/fednb would otherwise break only `pytest perfbench`."""
     assert callable(getattr(import_module(module), attr, None)), f"{module}.{attr} ({span})"
+
+
+TRACED_CFG = """\
+[experiment]
+name = traced
+seed = 3
+alphas = 0.1, 1.0
+reps = 1
+proposals = C, B, E, A
+train_frac = 0.6
+val_frac = 0.2
+test_frac = 0.2
+lambda = 0.10
+floor_delta = 0.05
+max_iters = 500
+n_starts = 5
+
+[synth]
+n_rows = 600
+n_classes = 2
+n_categorical = 1
+n_numerical = 2
+n_categories = 4
+class_sep = 2.0
+node_noise = 0.0, 0.2, 0.45
+
+[profiles]
+Financial = 4, 0.82, 0.12, 3.2
+Health = 3, 0.70, 0.25, 5.1
+Government = 2, 0.55, 0.40, 6.8
+"""
+
+
+def test_traced_run_grid_passes_the_tracer_consistency_check(tmp_path):
+    """The tracer counts one weights.anll_from_stacked call under nelder_mead per
+    objective evaluation; a second call per evaluation, or a call that bypasses
+    that lookup point, would otherwise break only `pytest perfbench`."""
+    tracer = _load_tracer()
+    cfg = tmp_path / "traced.cfg"
+    cfg.write_text(TRACED_CFG)
+    with tracer.Tracer() as tr:
+        tr.instrument()
+        # through the module attribute, which instrument() wraps
+        assert fednb.cli.main(["run-grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert tracer.consistency_errors(tr.spans) == []
+    evaluations = sum(tracer.evals_per_start(tr.spans))
+    assert evaluations > 0 and len(tracer.objective_calls(tr.spans)) == evaluations

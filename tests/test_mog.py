@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fednb.data import SynthSpec, synth_generate
-from fednb.errors import EnsembleError, MetricError, NormalizationError
+from fednb.errors import EnsembleError, MetricError, NormalizationError, ShapeError
 from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch
 from fednb.mog import (
     SENTINEL_ANLL_PENALTY,
     MoGEnsemble,
+    StackedScores,
     anll,
     anll_from_mixed,
     anll_from_stacked,
@@ -79,7 +81,9 @@ def log_softmax(v):
     tensor; a -inf entry reads as the 50-nat clamp."""
     v = np.asarray(v, dtype=np.float64)
     one = np.array([1.0])
-    return np.array([-anll_from_stacked(one, v[None, :, None], np.array([c])) for c in range(len(v))])
+    return np.array([
+        -anll_from_stacked(one, StackedScores(v[None, :, None], np.array([c]))) for c in range(len(v))
+    ])
 
 
 def test_log_softmax_symmetric_pair():
@@ -117,13 +121,13 @@ def test_anll_perfect_predictor_is_zero():
     # a point-mass on the true class: normalized score 0 everywhere
     s = np.array([[[0.0, NEG_INF], [NEG_INF, 0.0]]])
     labels = np.array([0, 1])
-    assert anll_from_stacked(np.array([1.0]), s, labels) == pytest.approx(0.0, abs=1e-12)
+    assert anll_from_stacked(np.array([1.0]), StackedScores(s, labels)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_anll_uniform_scores_ln2():
     s = np.zeros((1, 2, 3))  # class-major (K, C, n)
     labels = np.array([0, 1, 0])
-    assert anll_from_stacked(np.array([1.0]), s, labels) == pytest.approx(math.log(2), abs=1e-12)
+    assert anll_from_stacked(np.array([1.0]), StackedScores(s, labels)) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_anll_hand_built_three_rows():
@@ -132,13 +136,13 @@ def test_anll_hand_built_three_rows():
                      [math.log(0.1), math.log(0.8), math.log(0.5)]]])
     labels = np.array([0, 1, 1])
     expected = -(math.log(0.9) + math.log(0.8) + math.log(0.5)) / 3
-    assert anll_from_stacked(np.array([1.0]), raw, labels) == pytest.approx(expected, abs=1e-12)
+    assert anll_from_stacked(np.array([1.0]), StackedScores(raw, labels)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_anll_sentinel_clamped_to_50():
     s = np.array([[[0.0], [NEG_INF]]])  # (K, C, n); true class 1 missing everywhere
     labels = np.array([1])
-    assert anll_from_stacked(np.array([1.0]), s, labels) == pytest.approx(50.0, abs=1e-12)
+    assert anll_from_stacked(np.array([1.0]), StackedScores(s, labels)) == pytest.approx(50.0, abs=1e-12)
 
 
 def test_anll_empty_data_error(dataset):
@@ -269,16 +273,98 @@ def test_kernel_matches_python_oracle(case):
     assert np.array_equal(np.isneginf(mixed), np.isneginf(expected))
     finite = np.isfinite(expected)
     assert np.max(np.abs(mixed[finite] - expected[finite])) <= 1e-12
-    assert anll_from_stacked(weights, stacked, labels) == pytest.approx(
+    assert anll_from_stacked(weights, StackedScores(stacked, labels)) == pytest.approx(
         _py_anll(weights, stacked, labels), abs=1e-12
     )
 
 
+def _reference_anll(weights, stacked, labels):
+    """The validation ANLL as computed before StackedScores, kept verbatim as an
+    oracle: every call masks, tests finiteness and gathers with two arrays."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.asarray(weights, dtype=np.float64))
+    a = logw[:, None, None] + stacked
+    m = a.max(axis=0)
+    finite = np.isfinite(m)
+    if finite.all():
+        a -= m
+        mixed = m + np.log(np.exp(a, out=a).sum(axis=0))
+    else:
+        mixed = np.full(m.shape, NEG_INF)
+        if finite.any():
+            a -= np.where(finite, m, 0.0)
+            a[:, ~finite] = NEG_INF
+            mixed[finite] = m[finite] + np.log(np.exp(a, out=a).sum(axis=0)[finite])
+    mc = mixed.max(axis=0)
+    ll = mixed[labels, np.arange(len(labels))] - (mc + np.log(np.exp(mixed - mc).sum(axis=0)))
+    ll = np.where(np.isfinite(ll), ll, -SENTINEL_ANLL_PENALTY)
+    return float(-ll.mean())
+
+
+def _assert_optimizer_path_bit_exact(scores, weight_vectors):
+    """anll_from_stacked, reusing one StackedScores (and its scratch buffer)
+    across weight vectors as the optimizer does, equals both the unfused path
+    and the reference formula with ==."""
+    for w in weight_vectors:
+        got = anll_from_stacked(w, scores)
+        assert got == anll_from_mixed(mix_scores(w, scores.stacked), scores.labels)
+        assert got == _reference_anll(w, scores.stacked, scores.labels)
+
+
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_anll_from_mixed_equals_anll_from_stacked(case):
+    k, c, n, sentinels = case
     weights, stacked, labels = _oracle_inputs(*case, seed=sum(case[:3]))
-    got = anll_from_mixed(mix_scores(weights, stacked), labels)
-    assert got == anll_from_stacked(weights, stacked, labels)
+    scores = StackedScores(stacked, labels)
+    in_no_node = [cls for cls in range(c) if all((node, cls) in sentinels for node in range(k))]
+    assert scores.covered == (not in_no_node)  # cheap path, or masked with the clamp
+    others = np.random.default_rng(n).dirichlet(np.ones(k), size=3)
+    _assert_optimizer_path_bit_exact(scores, [weights, *others, weights])
+    assert np.array_equal(scores.stacked, stacked)
+
+
+def test_cheap_path_when_a_node_lacks_a_class_another_has():
+    weights, stacked, labels = _oracle_inputs(3, 3, 50, ((0, 2), (1, 0), (2, 0)), seed=11)
+    scores = StackedScores(stacked, labels)
+    assert scores.covered
+    _assert_optimizer_path_bit_exact(scores, [weights, np.array([0.05, 0.05, 0.9])])
+
+
+def test_masked_path_clamps_a_class_absent_from_every_node():
+    weights, stacked, labels = _oracle_inputs(3, 3, 50, ((0, 2), (1, 2), (2, 2)), seed=12)
+    scores = StackedScores(stacked, labels)
+    assert not scores.covered
+    _assert_optimizer_path_bit_exact(scores, [weights])
+    got = anll_from_stacked(weights, scores)
+    assert got == pytest.approx(_py_anll(weights, stacked, labels), abs=1e-12)
+    assert got > SENTINEL_ANLL_PENALTY * np.mean(labels == 2)  # each such row costs 50 nats
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.4, 0.6], [0.3, 0.7, 0.0]])
+def test_zero_weight_takes_the_masked_path_without_warnings(weights):
+    # only node 2 scores class 1, so the second vector leaves class 1 in no node
+    _, stacked, labels = _oracle_inputs(3, 2, 40, ((0, 1), (1, 1)), seed=13)
+    scores = StackedScores(stacked, labels)
+    assert scores.covered
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_optimizer_path_bit_exact(scores, [np.array(weights)])
+
+
+def test_stacked_scores_constants_and_input_errors():
+    _, stacked, labels = _oracle_inputs(3, 2, 40, (), seed=14)
+    scores = StackedScores(stacked, labels)
+    assert scores.covered
+    assert np.array_equal(scores.flat_index, labels * 40 + np.arange(40))
+    assert scores.scratch.shape == stacked.shape and scores.scratch is not scores.stacked
+    for bad in (np.nan, np.inf):  # neither is a score or the -inf sentinel
+        poisoned = stacked.copy()
+        poisoned[1, 0, 5] = bad
+        assert not StackedScores(poisoned, labels).covered
+    with pytest.raises(MetricError):
+        StackedScores(stacked[:, :, :0], labels[:0])
+    with pytest.raises(ShapeError):
+        StackedScores(stacked, labels[:-1])
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -294,14 +380,14 @@ def test_kernel_matches_scipy_logsumexp(case):
     norm = expected - special.logsumexp(expected, axis=0)
     ll = norm[labels, np.arange(len(labels))]
     want = float(-np.where(np.isfinite(ll), ll, -SENTINEL_ANLL_PENALTY).mean())
-    assert anll_from_stacked(weights, stacked, labels) == pytest.approx(want, abs=1e-12)
+    assert anll_from_stacked(weights, StackedScores(stacked, labels)) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_kernel_matches_pre_class_major_formula(case):
     # bit-exact for two classes; with more, the class-axis sum may reassociate
     weights, stacked, labels = _oracle_inputs(*case, seed=sum(case[:3]) + 2)
-    got = anll_from_stacked(weights, stacked, labels)
+    got = anll_from_stacked(weights, StackedScores(stacked, labels))
     want = _pre_class_major_anll(weights, stacked, labels)
     if case[1] == 2:
         assert got == want
@@ -313,4 +399,4 @@ def test_anll_row_without_any_finite_class_error():
     s = np.full((2, 2, 3), NEG_INF)
     s[:, :, :2] = 0.0
     with pytest.raises(NormalizationError):
-        anll_from_stacked(np.array([0.5, 0.5]), s, np.array([0, 1, 0]))
+        anll_from_stacked(np.array([0.5, 0.5]), StackedScores(s, np.array([0, 1, 0])))

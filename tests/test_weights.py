@@ -7,7 +7,7 @@ from fednb.data import SynthSpec, synth_generate
 from fednb.errors import OptimizerError
 from fednb.governance import IccPrior, NodeProfile
 from fednb.local_model import fit_hybrid
-from fednb.mog import MoGEnsemble, anll, stack_scores
+from fednb.mog import MoGEnsemble, StackedScores, anll, stack_scores
 from fednb.weights import (
     OptimizationTrace,
     OptimizerConfig,
@@ -66,6 +66,39 @@ def test_floored_simplex_is_bit_exact_with_append_formula():
             p = np.exp(z) / np.exp(z).sum()
             expected = 0.05 + (1.0 - k * 0.05) * p
             assert to_floored_simplex(theta, k, 0.05).tobytes() == expected.tobytes()
+
+
+def test_centroid_expression_is_bit_exact_with_mean():
+    # nelder_mead's centroid: np.add.reduce(...) / n, the steps of .mean(axis=0)
+    rng = np.random.default_rng(4)
+    for n in range(1, 10):
+        for scale in (1e-3, 1.0, 40.0, 1e6):
+            simplex = rng.normal(scale=scale, size=(n + 1, n))
+            got = np.add.reduce(simplex[:-1], axis=0) / n
+            assert got.tobytes() == simplex[:-1].mean(axis=0).tobytes()
+
+
+# nelder_mead on Rosenbrock from linspace(-1.2, 1.3, n), max_iters 300, recorded
+# with the centroid as .mean(axis=0): (best x, best f, evaluations, iterations,
+# converged). At n = 2 (the K = 3 grid) any centroid formula divides exactly,
+# so only these dimensions can show a last-ulp drift in the simplex steps.
+NM_PINS = {
+    3: ([1.0000000006515632, 1.0000000011179118, 1.00000000253859], 1.427146514102616e-17, 403, 222, True),
+    5: ([-0.6543143322206715, 0.4370090236207769, 0.20198418451542552, 0.04911340606674355,
+         -0.0005592334026299272], 4.6225321077101285, 483, 300, False),
+    9: ([-0.7763649572595553, 0.5931313995835341, 0.2766349947142636, -0.31797406788433974,
+         0.11372192697042614, 0.5232089137559438, 0.5103241094469436, 0.2597579372086035,
+         0.17625628587263537], 56.35361963130279, 429, 300, False),
+}
+
+
+@pytest.mark.parametrize("n", sorted(NM_PINS))
+def test_nelder_mead_matches_pinned_floats(n):
+    def rosen(x):
+        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+    x, fv, ev, it, conv = nelder_mead(rosen, np.linspace(-1.2, 1.3, n), max_iters=300)
+    assert (x.tolist(), fv, ev, it, conv) == NM_PINS[n]
 
 
 def test_from_simplex_uniform_gives_zero_theta():
@@ -140,13 +173,13 @@ def small_setup():
 
 def test_objective_reduces_to_anll(small_setup):
     ens, val, prior = small_setup
-    stacked = stack_scores(ens.models, val)
+    scores = StackedScores(stack_scores(ens.models, val), val.labels)
     w = np.full(3, 1 / 3)
     base = anll(MoGEnsemble(ens.models, w), val)
-    assert objective(w, stacked, val.labels, prior.normalized, 0.0) == pytest.approx(
+    assert objective(w, scores, prior.normalized, 0.0) == pytest.approx(
         base, abs=1e-12
     )
-    assert objective(prior.normalized, stacked, val.labels, prior.normalized, 0.1) == pytest.approx(
+    assert objective(prior.normalized, scores, prior.normalized, 0.1) == pytest.approx(
         anll(MoGEnsemble(ens.models, prior.normalized), val), abs=1e-12
     )
 
@@ -156,8 +189,8 @@ def test_objective_penalty_arithmetic(small_setup):
     w = np.full(3, 1 / 3)
     pen = float(((w - prior.normalized) ** 2).sum())
     expected = anll(MoGEnsemble(ens.models, w), val) + 0.1 * pen
-    stacked = stack_scores(ens.models, val)
-    assert objective(w, stacked, val.labels, prior.normalized, 0.1) == pytest.approx(
+    scores = StackedScores(stack_scores(ens.models, val), val.labels)
+    assert objective(w, scores, prior.normalized, 0.1) == pytest.approx(
         expected, abs=1e-12
     )
 
