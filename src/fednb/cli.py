@@ -31,7 +31,7 @@ from .experiment import (
     run_grid,
     verify,
 )
-from .governance import IccPrior
+from .governance import coherence_prior
 from .local_model import fit_hybrid, save_model
 from .partition import dirichlet_partition, jsd_heterogeneity
 from .weights import OptimizationTrace
@@ -125,7 +125,7 @@ def _write_plots(result: GridResult, dataset, out_dir: str) -> None:
         cell.models,
         out_dir,
         [p.name for p in config.profiles],
-        IccPrior.from_profiles(config.profiles).normalized,
+        coherence_prior(config.profiles),
     )
 
 
@@ -151,8 +151,8 @@ def cmd_partition(args) -> int:
     config = load_config(args.config, _parse_overrides(args.set))
     dataset = materialize_dataset(config)
     part = dirichlet_partition(dataset.labels, config.k, args.alpha, args.seed)
-    counts = part.class_counts(dataset.labels, dataset.schema.n_classes)
-    jsd = jsd_heterogeneity(counts) if config.k >= 2 else 0.0
+    counts = np.pad(part.counts, ((0, 0), (0, dataset.schema.n_classes - part.counts.shape[1])))
+    jsd = jsd_heterogeneity(counts)
     lines = ["node\tsize\t" + "\t".join(f"class_{c}" for c in range(counts.shape[1]))]
     for i, p in enumerate(config.profiles):
         lines.append(f"{p.name}\t{len(part.node_indices[i])}\t" + "\t".join(map(str, counts[i])))

@@ -145,6 +145,9 @@ def load_csv(path, schema: FeatureSchema, category_map: CategoryMap | None = Non
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise SchemaError(f"{path}: header repeats column {repeated[0]!r}")
         names = [n for n, _ in schema.columns]
         if set(header) != set(names):
             missing = set(names) - set(header)
@@ -176,6 +179,8 @@ def load_csv(path, schema: FeatureSchema, category_map: CategoryMap | None = Non
                 vals.append(v)
             num_rows.append(vals)
             raw_labels.append(row[col_of[schema.label_name]])
+    if not raw_labels:
+        raise ParseError(f"{path}: no data rows")
 
     if category_map is None:
         mappings = []
@@ -226,6 +231,8 @@ class SynthSpec:
             raise SynthSpecError("n_rows must be positive")
         if self.n_classes < 2:
             raise SynthSpecError("n_classes must be >= 2")
+        if self.n_rows < 3 * self.n_classes:  # the smallest class could not be split three ways
+            raise SynthSpecError(f"n_rows {self.n_rows} must be >= 3 * n_classes = {3 * self.n_classes}")
         if self.n_categorical < 0 or self.n_numerical < 0:
             raise SynthSpecError("negative feature counts")
         if self.n_categorical + self.n_numerical < 1:

@@ -21,6 +21,7 @@ caller.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -29,10 +30,10 @@ from .config import PROPOSAL_ORDER, ExperimentConfig, config_from_dict, config_t
 from .data import CategoryMap, Dataset, SynthSpec, degrade_copy, load_csv, synth_generate
 from .errors import CellError, ConfigError, ParseError
 from .evaluation import f1_macro, mcnemar_yates
-from .governance import IccPrior, NodeProfile, compute_icc
+from .governance import NodeProfile, coherence_prior, compute_icc
 from .local_model import fit_hybrid
 from . import mog
-from .mog import MoGEnsemble, anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
+from .mog import anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
 from .partition import (
     Partition, SplitConfig, class_rows, dirichlet_partition, jsd_heterogeneity, stratified_split,
 )
@@ -69,7 +70,7 @@ class ExperimentRecord:
 class CellResult:
     records: list[ExperimentRecord]
     trace: OptimizationTrace | None
-    class_counts: np.ndarray
+    counts: np.ndarray  # (K, n_classes) rows of each class dealt to each node
     scores_ok: bool
     runtimes_ms: dict  # proposal -> ms of wall time for its weighting and scoring
 
@@ -139,21 +140,22 @@ def run_cell(
     cell = prepare_cell(config, alpha_index, rep, dataset)
     train, test, part = cell.train, cell.test, cell.partition
     k = config.k
-    counts = part.class_counts(train.labels, dataset.schema.n_classes)
-    jsd = jsd_heterogeneity(counts) if k >= 2 else 0.0
+    n_classes = dataset.schema.n_classes
+    counts = np.pad(part.counts, ((0, 0), (0, n_classes - part.counts.shape[1])))
+    jsd = jsd_heterogeneity(counts)
 
     records: list[ExperimentRecord] = []
     runtimes_ms: dict[str, float] = {}
     trace = None
     scores_ok = True
-    preds_by_proposal: dict[str, np.ndarray] = {}
+    preds_b = None  # B's test predictions, for A's McNemar test (B runs first)
     shared = None  # test scores of cell.models, stacked by the first of B/E/A
     for proposal in [p for p in PROPOSAL_ORDER if p in config.proposals]:
         t0 = time.perf_counter()
         weights = None
         if proposal == "C":
-            ens = MoGEnsemble([fit_hybrid(train)], np.array([1.0]))
-            stacked = mog.stack_scores(ens.models, test)
+            w = np.array([1.0])
+            stacked = mog.stack_scores([fit_hybrid(train)], test)
         else:
             if proposal == "B":
                 w = weights_fedavg(part.sizes())
@@ -161,40 +163,38 @@ def run_cell(
                 w = weights_entropy(counts)
             else:  # A
                 w, trace = learn_weights_icc(
-                    MoGEnsemble(cell.models, np.full(k, 1.0 / k)),
+                    cell.models,
                     cell.val,
-                    IccPrior.from_profiles(config.profiles),
+                    coherence_prior(config.profiles),
                     replace(config.optimizer, seed=cell.opt_seed),
                 )
+            w = mog.check_weights(w, k)
             weights = tuple(float(x) for x in w)
-            ens = MoGEnsemble(cell.models, np.asarray(w))
             if shared is None:
                 shared = mog.stack_scores(cell.models, test)
             stacked = shared
-        mixed = mog.mix_scores(ens.weights, stacked)
+        mixed = mog.mix_scores(w, stacked)
         if np.isnan(mixed).any() or np.isposinf(mixed).any():
             scores_ok = False
         preds = mixed.argmax(axis=0)
-        preds_by_proposal[proposal] = preds
+        p_vs_b = None
+        if proposal == "B":
+            preds_b = preds
+        elif proposal == "A" and preds_b is not None:
+            p_vs_b = mcnemar_yates(preds, preds_b, test.labels).p_value
         records.append(ExperimentRecord(
             dataset_name=config.dataset_name,
             alpha=alpha,
             rep=rep,
             proposal=proposal,
-            f1_macro=f1_macro(test.labels, preds, dataset.schema.n_classes),
+            f1_macro=f1_macro(test.labels, preds, n_classes),
             anll=mog.anll_from_mixed(mixed, test.labels),
             jsd=jsd,
             weights=weights,
-            mcnemar_p_vs_B=None,
+            mcnemar_p_vs_B=p_vs_b,
             n_nodes=k,
         ))
         runtimes_ms[proposal] = (time.perf_counter() - t0) * 1000.0
-
-    if "A" in preds_by_proposal and "B" in preds_by_proposal:
-        res = mcnemar_yates(preds_by_proposal["A"], preds_by_proposal["B"], test.labels)
-        for rec in records:
-            if rec.proposal == "A":
-                rec.mcnemar_p_vs_B = res.p_value
     return CellResult(records, trace, counts, scores_ok, runtimes_ms)
 
 
@@ -209,7 +209,7 @@ def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
             result.records.extend(cell.records)
             if cell.trace is not None:
                 result.traces[(alpha_index, rep)] = cell.trace
-            result.partitions[(alpha_index, rep)] = cell.class_counts
+            result.partitions[(alpha_index, rep)] = cell.counts
             result.runtimes_ms[(alpha_index, rep)] = cell.runtimes_ms
             result.scores_ok = result.scores_ok and cell.scores_ok
     return result
@@ -341,10 +341,14 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
             break
     checks.append(("no_nan_inf", ok, "all record fields finite" if ok else "non-finite field"))
 
-    # 12. grid completeness
-    expected = len(config.alphas) * config.reps * len(config.proposals)
-    ok = len(records) == expected
-    checks.append(("grid_completeness", ok, f"{len(records)}/{expected} records"))
+    # 12. grid completeness: each (alpha, rep, proposal) of the grid exactly once
+    grid = [(a, rep, p) for a in config.alphas for rep in range(config.reps) for p in config.proposals]
+    seen = Counter((r.alpha, r.rep, r.proposal) for r in records)
+    bad = next((key for key in grid if seen[key] != 1), None)
+    msg = f"{len(records)}/{len(grid)} records"
+    if bad is not None:
+        msg += f"; (alpha, rep, proposal) {bad} appears {seen[bad]} times"
+    checks.append(("grid_completeness", bad is None and len(records) == len(grid), msg))
 
     # 13. config echo: the grid.json echo rebuilds this exact config
     try:

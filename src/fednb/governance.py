@@ -52,14 +52,7 @@ def normalize_prior(iccs) -> np.ndarray:
     return v / total
 
 
-@dataclass(frozen=True)
-class IccPrior:
-    """Per-node coherence indices plus their simplex normalization."""
-
-    icc: tuple[float, ...]
-    normalized: np.ndarray
-
-    @staticmethod
-    def from_profiles(profiles) -> "IccPrior":
-        iccs = tuple(compute_icc(p) for p in profiles)
-        return IccPrior(iccs, normalize_prior(iccs))
+def coherence_prior(profiles) -> np.ndarray:
+    """The optimizer's prior: the nodes' coherence indices, in profile order,
+    normalized to sum to one (normalize_prior)."""
+    return normalize_prior([compute_icc(p) for p in profiles])

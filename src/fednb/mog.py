@@ -14,18 +14,19 @@ finite under extreme partitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import EnsembleError, MetricError, NormalizationError, ShapeError
-from .local_model import NEG_INF, HybridModel, joint_log_scores_batch
+from .local_model import NEG_INF, joint_log_scores_batch
 
 SENTINEL_ANLL_PENALTY = 50.0  # nats charged when the true class exists in no node
 
 
 def check_weights(w, k: int) -> np.ndarray:
+    """w as a float64 vector; EnsembleError unless it holds k non-negative
+    weights that sum to 1."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (k,):
         raise EnsembleError(f"weight vector has shape {w.shape}, expected ({k},)")
@@ -34,25 +35,6 @@ def check_weights(w, k: int) -> np.ndarray:
     if abs(w.sum() - 1.0) > 1e-9:
         raise EnsembleError(f"weights sum to {w.sum()}, not 1")
     return w
-
-
-@dataclass
-class MoGEnsemble:
-    models: list[HybridModel]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if not self.models:
-            raise EnsembleError("ensemble needs at least one model")
-        first = self.models[0]
-        for m in self.models[1:]:
-            if m.n_classes != first.n_classes or m.n_cats != first.n_cats:
-                raise EnsembleError("models disagree on schema or class universe")
-        self.weights = check_weights(self.weights, len(self.models))
-
-    @property
-    def k(self) -> int:
-        return len(self.models)
 
 
 def stack_scores(models, data: Dataset) -> np.ndarray:
@@ -93,9 +75,11 @@ def mix_scores(weights, stacked: np.ndarray, out=None, *, covered: bool = False)
     return m + np.log(np.add.reduce(np.exp(a, out=a), axis=0))
 
 
-def mog_log_scores_batch(ensemble: MoGEnsemble, data: Dataset) -> np.ndarray:
-    """(n_rows, n_classes) mixture scores, a transposed view of the class-major result."""
-    return mix_scores(ensemble.weights, stack_scores(ensemble.models, data)).T
+def mog_log_scores_batch(models, weights, data: Dataset) -> np.ndarray:
+    """(n_rows, n_classes) scores of the mixture of models under weights (checked
+    by check_weights first), a transposed view of the class-major result."""
+    weights = check_weights(weights, len(models))
+    return mix_scores(weights, stack_scores(models, data)).T
 
 
 def _logsumexp_classes(a: np.ndarray, checked: bool = True) -> np.ndarray:
@@ -170,7 +154,9 @@ def anll_from_stacked(weights, scores: StackedScores) -> float:
     return float(-(np.add.reduce(ll) / len(ll)))
 
 
-def anll(ensemble: MoGEnsemble, data: Dataset) -> float:
-    """Mean negative log-softmax score of the true labels; always finite."""
-    scores = StackedScores(stack_scores(ensemble.models, data), data.labels)
-    return anll_from_stacked(ensemble.weights, scores)
+def anll(models, weights, data: Dataset) -> float:
+    """ANLL of the mixture of models under weights (checked by check_weights
+    first) on data: the mean negative log-softmax score of the true labels,
+    always finite."""
+    weights = check_weights(weights, len(models))
+    return anll_from_stacked(weights, StackedScores(stack_scores(models, data), data.labels))

@@ -68,7 +68,6 @@ class Partition:
     ``counts[node, cls]``: the rows of each class dealt to each node."""
 
     node_indices: list[np.ndarray]
-    alpha: float
     counts: np.ndarray  # (k, max label + 1) int64
 
     @property
@@ -77,12 +76,6 @@ class Partition:
 
     def sizes(self) -> list[int]:
         return [len(ix) for ix in self.node_indices]
-
-    def class_counts(self, labels: np.ndarray, n_classes: int) -> np.ndarray:
-        out = np.zeros((self.k, n_classes), dtype=np.int64)
-        for i, ix in enumerate(self.node_indices):
-            out[i] = np.bincount(labels[ix], minlength=n_classes)
-        return out
 
 
 def class_rows(labels) -> dict[int, np.ndarray]:
@@ -115,7 +108,7 @@ def dirichlet_partition(labels, k: int, alpha: float, seed: int, by_class=None) 
     width = max(by_class, default=-1) + 1
     if k == 1:
         counts = np.array([[len(by_class.get(cls, ())) for cls in range(width)]], dtype=np.int64)
-        return Partition([np.arange(n, dtype=np.int64)], alpha, counts)
+        return Partition([np.arange(n, dtype=np.int64)], counts)
     for attempt in range(100):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt]))
         node_lists: list[list[np.ndarray]] = [[] for _ in range(k)]
@@ -134,11 +127,12 @@ def dirichlet_partition(labels, k: int, alpha: float, seed: int, by_class=None) 
             for chunks in node_lists
         ]
         if all(len(ix) > 0 for ix in node_indices):
-            return Partition(node_indices, alpha, counts)
+            return Partition(node_indices, counts)
     raise PartitionError(f"empty node persisted across 100 retries (alpha={alpha}, k={k})")
 
 
-def _entropy2(p: np.ndarray) -> float:
+def entropy2(p: np.ndarray) -> float:
+    """Base-2 entropy of a probability vector; zero entries contribute 0."""
     nz = p[p > 0]
     return float(-(nz * np.log2(nz)).sum())
 
@@ -146,16 +140,19 @@ def _entropy2(p: np.ndarray) -> float:
 def jsd_heterogeneity(per_node_class_counts) -> float:
     """Generalized Jensen-Shannon divergence of per-node class distributions.
 
-    Equal node weights, base-2 entropy, normalized by log2(K) into [0, 1].
+    Equal node weights, base-2 entropy, normalized by log2(K) into [0, 1];
+    a single node is not heterogeneous, so K = 1 gives 0.
     """
     counts = np.asarray(per_node_class_counts, dtype=np.float64)
-    if counts.ndim != 2 or counts.shape[0] < 2:
-        raise MetricError("need a K x n_classes count matrix with K >= 2")
+    if counts.ndim != 2 or counts.shape[0] < 1:
+        raise MetricError("need a K x n_classes count matrix with K >= 1")
+    if counts.shape[0] == 1:
+        return 0.0
     totals = counts.sum(axis=1)
     if (totals == 0).any():
         raise MetricError("empty node: class distribution undefined")
     dists = counts / totals[:, None]
     mixture = dists.mean(axis=0)
-    jsd = _entropy2(mixture) - float(np.mean([_entropy2(d) for d in dists]))
+    jsd = entropy2(mixture) - float(np.mean([entropy2(d) for d in dists]))
     jsd /= np.log2(counts.shape[0])
     return float(min(max(jsd, 0.0), 1.0))

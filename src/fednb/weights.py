@@ -17,8 +17,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import OptimizerError
-from .governance import IccPrior
-from .mog import MoGEnsemble, StackedScores, anll_from_stacked, stack_scores
+from .mog import StackedScores, anll_from_stacked, stack_scores
+from .partition import entropy2
 
 
 # learn_weights_icc's start points: prior, uniform, two Dirichlet draws, their midpoint
@@ -199,16 +199,16 @@ class OptimizationTrace:
         return t
 
 
-def learn_weights_icc(
-    ensemble: MoGEnsemble,
-    val: Dataset,
-    prior: IccPrior,
-    config: OptimizerConfig,
-):
+def learn_weights_icc(models, val: Dataset, prior, config: OptimizerConfig):
     """Multi-start Nelder-Mead over the floored simplex; returns (weights, trace).
 
-    Starts: the coherence prior, the uniform vector, two Dirichlet(1) draws
-    and their elementwise midpoint — all mapped to unconstrained space.
+    models: the K local models whose mixture is weighted; val: the validation
+    split the ANLL is taken on; prior: the normalized coherence vector
+    (governance.coherence_prior), both a start point and the target of the
+    penalty. Starts: the prior, the uniform vector, two Dirichlet(1) draws
+    and their elementwise midpoint — all mapped to unconstrained space. The
+    weights returned are those of trace.chosen, the first start with the
+    lowest final objective.
 
     The per-cell constants are built once, in one mog.StackedScores that
     every evaluation of every start reuses: the flat label index, the flag
@@ -216,14 +216,14 @@ def learn_weights_icc(
     the (K, C, n) scratch buffer. With that flag set and a positive floor,
     every evaluation takes anll_from_stacked's cheap path.
     """
-    k = ensemble.k
+    k = len(models)
     if k < 2:
         raise ValueError("weight learning needs K >= 2 nodes")
     if k * config.floor_delta >= 1.0:
         raise ValueError("K * floor_delta must be < 1")
 
-    scores = StackedScores(stack_scores(ensemble.models, val), val.labels)
-    target = np.asarray(prior.normalized, dtype=np.float64)
+    scores = StackedScores(stack_scores(models, val), val.labels)
+    target = np.asarray(prior, dtype=np.float64)
     delta = config.floor_delta
 
     def f(theta):
@@ -241,16 +241,13 @@ def learn_weights_icc(
     ][: config.n_starts]
 
     trace = OptimizationTrace()
-    best_theta, best_f = None, np.inf
     for w0 in start_points:
         theta0 = from_simplex(w0, delta)
         theta, fv, ev, iters, converged = nelder_mead(f, theta0, max_iters=config.max_iters)
         trace.starts.append(StartResult(theta0, theta, fv, ev, iters, converged))
         trace.evaluations += ev
-        if fv < best_f:
-            best_theta, best_f = theta, fv
     trace.chosen = int(np.argmin([s.final_objective for s in trace.starts]))
-    return to_floored_simplex(best_theta, k, delta), trace
+    return to_floored_simplex(trace.starts[trace.chosen].final_theta, k, delta), trace
 
 
 def weights_fedavg(node_sizes) -> np.ndarray:
@@ -268,10 +265,6 @@ def weights_entropy(per_node_class_counts) -> np.ndarray:
     totals = counts.sum(axis=1)
     if (totals <= 0).any():
         raise ValueError("empty node")
-    dists = counts / totals[:, None]
-    h = np.zeros(len(counts))
-    for i, d in enumerate(dists):
-        nz = d[d > 0]
-        h[i] = float(-(nz * np.log2(nz)).sum())
+    h = np.array([entropy2(d) for d in counts / totals[:, None]])
     w = 1.0 / (h + 1e-6)
     return w / w.sum()

@@ -22,9 +22,9 @@ from fednb.experiment import (
     run_grid,
     verify,
 )
-from fednb.governance import IccPrior, NodeProfile, compute_icc
+from fednb.governance import NodeProfile, coherence_prior, compute_icc
 from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores, joint_log_scores_batch
-from fednb.mog import MoGEnsemble, StackedScores, anll_from_stacked, mog_log_scores_batch
+from fednb.mog import StackedScores, anll_from_stacked, mog_log_scores_batch
 from fednb.partition import dirichlet_partition, jsd_heterogeneity
 from fednb.weights import OptimizerConfig, learn_weights_icc, nelder_mead
 
@@ -174,8 +174,7 @@ def test_criterion_03_ood_slot_contract():
 def test_criterion_04_mixture_degeneracy_and_stability():
     ds = synth_generate(SynthSpec(300, 3, 1, 2, (0.0,)), 7)
     model = fit_hybrid(ds)
-    single = MoGEnsemble([model], np.array([1.0]))
-    assert np.array_equal(mog_log_scores_batch(single, ds), joint_log_scores_batch(model, ds))
+    assert np.array_equal(mog_log_scores_batch([model], np.array([1.0]), ds), joint_log_scores_batch(model, ds))
 
     # log-softmax of each row, read off the ANLL of a one-node, one-row tensor
     big = np.array([[1e4, -1e4, 5e3], [-1e4, 1e4, 0.0]])
@@ -207,13 +206,12 @@ def test_criterion_06_objective_limits():
     noise.labels[:] = rng.integers(0, 2, size=noise.n_rows)
     models = [fit_hybrid(clean_a), fit_hybrid(clean_b), fit_hybrid(noise)]
     val = ds.subset(np.arange(2600, 3000))
-    ens = MoGEnsemble(models, np.full(3, 1 / 3))
-    prior = IccPrior.from_profiles(PROFILES)
+    prior = coherence_prior(PROFILES)
 
-    w_pinned, _ = learn_weights_icc(ens, val, prior, OptimizerConfig(lam=1e6, seed=2))
-    assert np.max(np.abs(w_pinned - prior.normalized)) <= 1e-3
+    w_pinned, _ = learn_weights_icc(models, val, prior, OptimizerConfig(lam=1e6, seed=2))
+    assert np.max(np.abs(w_pinned - prior)) <= 1e-3
 
-    w_free, _ = learn_weights_icc(ens, val, prior, OptimizerConfig(lam=0.0, seed=3))
+    w_free, _ = learn_weights_icc(models, val, prior, OptimizerConfig(lam=0.0, seed=3))
     assert abs(w_free[2] - 0.05) <= 0.02
     _report(6, "huge lambda pins weights to the prior; zero lambda floors the noise node")
 
@@ -242,13 +240,12 @@ def test_criterion_07_mcnemar_reference_values():
 
 def test_criterion_08_jsd_alpha_gradient(full_config, full_dataset):
     labels = full_dataset.labels
-    n_classes = full_dataset.schema.n_classes
     means = []
     for alpha in full_config.alphas:
         vals = []
         for seed in range(20):
             part = dirichlet_partition(labels, full_config.k, alpha, seed)
-            vals.append(jsd_heterogeneity(part.class_counts(labels, n_classes)))
+            vals.append(jsd_heterogeneity(part.counts))
         means.append(float(np.mean(vals)))
     assert all(a >= b for a, b in zip(means, means[1:])), f"not monotone: {means}"
     _report(8, f"20-seed mean heterogeneity non-increasing in alpha: {[round(m, 4) for m in means]}")

@@ -123,6 +123,20 @@ def test_verify_compares_the_rerun_as_csv_rows(grid_dir, tmp_path, capsys):
     assert failed == ["[FAIL] seed_reproducibility: first cell re-run diverges"]
 
 
+def test_verify_names_a_cell_row_replaced_by_another_of_the_same_cell(grid_dir, tmp_path, capsys):
+    def e_row_as_c_row(text):
+        lines = text.splitlines()  # the last cell's rows are C, B, E, A
+        lines[-2] = lines[-4]
+        return "\n".join(lines) + "\n"
+
+    replaced = _corrupt_copy(grid_dir, tmp_path / "replaced", "results.csv", e_row_as_c_row)
+    assert main(["verify", "--results", str(replaced)]) == 2
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] grid_completeness: 12/12 records; (alpha, rep, proposal) (1.0, 0, 'C') appears 2 times"
+    ]
+
+
 def test_grid_json_keys_runtimes_by_cell_and_proposal(grid_dir):
     runtimes = json.loads((grid_dir / "grid.json").read_text())["runtimes_ms"]
     assert sorted(runtimes) == ["0,0", "1,0", "2,0"]  # "alpha_index,rep", like traces

@@ -135,6 +135,7 @@ def test_csv_section_reads_the_schema_file(tmp_path):
         ("n_rows = 900", "n_rows = abc", "n_rows"),
         ("max_iters = 500", "max_iters = 0", "max_iters"),
         ("n_rows = 900", "n_rows = 0", "n_rows"),
+        ("n_rows = 900", "n_rows = 5", "n_rows"),
         ("train_frac = 0.6", "train_frac = 0.7", "0.7"),
         ("n_starts = 5", "n_starts = 9", "n_starts"),
         ("lambda = 0.10", "lamda = 0.10", "lamda"),

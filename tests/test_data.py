@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ def test_header_mismatch(tmp_path):
         load_csv(p, SCHEMA)
 
 
+def test_header_repeating_a_column_is_a_schema_error(tmp_path):
+    p = _write(tmp_path, ["tcp,1.0,2.0,a", "udp,3.0,4.0,b"], header="proto,dur,dur,label")
+    with pytest.raises(SchemaError, match="repeats column 'dur'"):
+        load_csv(p, SCHEMA)
+
+
 def test_unknown_label_with_fixed_map(tmp_path):
     p = _write(tmp_path, ["tcp,1.0,a", "udp,2.0,b", "udp,2.5,b"])
     _, cmap = load_csv(p, SCHEMA)
@@ -135,6 +142,9 @@ def test_synth_spec_validation():
         SynthSpec(0, 2, 1, 1, (0.0,))
     with pytest.raises(SynthSpecError):
         SynthSpec(100, 2, 1, 1, (1.5,))
+    with pytest.raises(SynthSpecError, match="n_rows 8 must be >= 3 \\* n_classes = 9"):
+        SynthSpec(8, 3, 1, 1, (0.0,))  # the smallest class would have 2 rows to split three ways
+    SynthSpec(9, 3, 1, 1, (0.0,))
 
 
 def test_degrade_copy_zero_noise_is_identity():
@@ -194,11 +204,17 @@ label = label
 """
 
 
-def test_csv_source_runs_the_grid_end_to_end(tmp_path):
-    write_csv(synth_generate(SynthSpec(900, 2, 2, 2, (0.0,), n_categories=3), 5), tmp_path / "data.csv")
-    (tmp_path / "schema.cfg").write_text(CSV_SCHEMA)
+def _csv_config(tmp_path, n_classes=2):
+    """Write CSV_CFG and its schema next to tmp_path/data.csv; returns the config path."""
+    (tmp_path / "schema.cfg").write_text(CSV_SCHEMA.replace("n_classes = 2", f"n_classes = {n_classes}"))
     cfg = tmp_path / "csv.cfg"
     cfg.write_text(CSV_CFG)
+    return cfg
+
+
+def test_csv_source_runs_the_grid_end_to_end(tmp_path):
+    write_csv(synth_generate(SynthSpec(900, 2, 2, 2, (0.0,), n_categories=3), 5), tmp_path / "data.csv")
+    cfg = _csv_config(tmp_path)
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(["run-grid", "--config", str(cfg), "--out", str(first)]) == 0
     assert "15/15 passed" in (first / "verification.txt").read_text()
@@ -208,6 +224,30 @@ def test_csv_source_runs_the_grid_end_to_end(tmp_path):
         assert (tmp_path / "plots" / plot.name).read_bytes() == plot.read_bytes()
     assert main(["run-grid", "--config", str(cfg), "--out", str(second)]) == 0
     assert (second / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
+
+
+def test_csv_header_without_data_rows_exits_1_naming_the_file(tmp_path, capsys):
+    (tmp_path / "data.csv").write_text("cat0,cat1,num0,num1,label\n")
+    cfg = _csv_config(tmp_path)
+    assert main(["run-grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'data.csv'}: no data rows\n"
+
+
+def test_count_matrices_keep_a_column_for_each_class_the_data_lack(tmp_path, capsys):
+    write_csv(synth_generate(SynthSpec(900, 2, 2, 2, (0.0,), n_categories=3), 5), tmp_path / "data.csv")
+    cfg = _csv_config(tmp_path, n_classes=3)
+    out = tmp_path / "out"
+    assert main(["run-grid", "--config", str(cfg), "--out", str(out)]) == 0
+    partitions = json.loads((out / "grid.json").read_text())["partitions"]
+    assert sorted(partitions) == ["0,0", "1,0"]
+    for counts in partitions.values():
+        assert len(counts) == 3 and all(len(row) == 3 and row[2] == 0 for row in counts)
+    capsys.readouterr()
+    assert main(["partition", "--config", str(cfg), "--alpha", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "node\tsize\tclass_0\tclass_1\tclass_2"
+    assert [ln.split("\t")[-1] for ln in lines[1:4]] == ["0", "0", "0"]
 
 
 def test_subset_refuses_a_boolean_mask():

@@ -20,7 +20,7 @@ from fednb.errors import MetricError
 from fednb.evaluation import f1_macro, mcnemar_yates
 from fednb.governance import NodeProfile
 from fednb.local_model import fit_hybrid
-from fednb.mog import MoGEnsemble, anll, mog_log_scores_batch
+from fednb.mog import anll, mog_log_scores_batch
 from fednb.partition import dirichlet_partition
 from fednb.weights import OptimizerConfig
 
@@ -307,11 +307,11 @@ def test_shared_test_scores_match_per_proposal_formulas():
     preds = {}
     for rec in result.records:
         if rec.proposal == "C":
-            ens = MoGEnsemble([fit_hybrid(cell.train)], np.array([1.0]))
+            models, w = [fit_hybrid(cell.train)], np.array([1.0])
         else:
-            ens = MoGEnsemble(cell.models, np.array(rec.weights))
-        preds[rec.proposal] = mog_log_scores_batch(ens, cell.test).argmax(axis=1)
-        assert rec.anll == anll(ens, cell.test)
+            models, w = cell.models, np.array(rec.weights)
+        preds[rec.proposal] = mog_log_scores_batch(models, w, cell.test).argmax(axis=1)
+        assert rec.anll == anll(models, w, cell.test)
         assert rec.f1_macro == f1_macro(cell.test.labels, preds[rec.proposal], dataset.schema.n_classes)
     a = result.records[-1]
     assert a.mcnemar_p_vs_B == mcnemar_yates(preds["A"], preds["B"], cell.test.labels).p_value

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fednb.errors import DegeneratePriorError
-from fednb.governance import IccPrior, NodeProfile, compute_icc, normalize_prior
+from fednb.governance import NodeProfile, coherence_prior, compute_icc, normalize_prior
 
 TABLE = [
     (4, 0.82, 0.12, 3.2, 0.393),
@@ -78,6 +78,7 @@ def test_all_zero_prior_error():
 
 def test_prior_from_profiles():
     profiles = [NodeProfile("f", 4, 0.82, 0.12, 3.2), NodeProfile("g", 2, 0.55, 0.40, 6.8)]
-    prior = IccPrior.from_profiles(profiles)
-    assert prior.icc[0] > prior.icc[1]
-    assert prior.normalized.sum() == pytest.approx(1.0, abs=1e-12)
+    prior = coherence_prior(profiles)
+    assert prior[0] > prior[1]
+    assert prior.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(prior, normalize_prior([compute_icc(p) for p in profiles]))

@@ -9,7 +9,6 @@ from fednb.errors import EnsembleError, MetricError, NormalizationError, ShapeEr
 from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch
 from fednb.mog import (
     SENTINEL_ANLL_PENALTY,
-    MoGEnsemble,
     StackedScores,
     anll,
     anll_from_mixed,
@@ -27,21 +26,19 @@ def dataset():
 
 def test_k1_mixture_equals_local_model(dataset):
     model = fit_hybrid(dataset)
-    ens = MoGEnsemble([model], np.array([1.0]))
     assert np.array_equal(
-        mog_log_scores_batch(ens, dataset), joint_log_scores_batch(model, dataset)
+        mog_log_scores_batch([model], np.array([1.0]), dataset), joint_log_scores_batch(model, dataset)
     )
     assert np.array_equal(
-        mog_log_scores_batch(ens, dataset).argmax(axis=1),
+        mog_log_scores_batch([model], np.array([1.0]), dataset).argmax(axis=1),
         joint_log_scores_batch(model, dataset).argmax(axis=1),
     )
 
 
 def test_identical_components_any_weights(dataset):
     model = fit_hybrid(dataset)
-    ens = MoGEnsemble([model, model], np.array([0.7, 0.3]))
     assert np.allclose(
-        mog_log_scores_batch(ens, dataset), joint_log_scores_batch(model, dataset), atol=1e-12
+        mog_log_scores_batch([model, model], np.array([0.7, 0.3]), dataset), joint_log_scores_batch(model, dataset), atol=1e-12
     )
 
 
@@ -71,9 +68,9 @@ def test_all_sentinel_class_stays_sentinel():
 def test_weight_model_count_mismatch(dataset):
     model = fit_hybrid(dataset)
     with pytest.raises(EnsembleError):
-        MoGEnsemble([model], np.array([0.5, 0.5]))
+        mog_log_scores_batch([model], np.array([0.5, 0.5]), dataset)
     with pytest.raises(EnsembleError):
-        MoGEnsemble([model], np.array([1.2]))
+        anll([model], np.array([1.2]), dataset)
 
 
 def log_softmax(v):
@@ -147,17 +144,16 @@ def test_anll_sentinel_clamped_to_50():
 
 def test_anll_empty_data_error(dataset):
     model = fit_hybrid(dataset)
-    ens = MoGEnsemble([model], np.array([1.0]))
     with pytest.raises(MetricError):
-        anll(ens, dataset.subset([]))
+        anll([model], np.array([1.0]), dataset.subset([]))
 
 
 def test_mixture_permutation_invariance(dataset):
     half = dataset.subset(np.arange(0, 200))
     other = dataset.subset(np.arange(200, 400))
     m1, m2 = fit_hybrid(half), fit_hybrid(other)
-    a = mog_log_scores_batch(MoGEnsemble([m1, m2], np.array([0.3, 0.7])), dataset)
-    b = mog_log_scores_batch(MoGEnsemble([m2, m1], np.array([0.7, 0.3])), dataset)
+    a = mog_log_scores_batch([m1, m2], np.array([0.3, 0.7]), dataset)
+    b = mog_log_scores_batch([m2, m1], np.array([0.7, 0.3]), dataset)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -177,8 +173,7 @@ def test_missing_class_never_predicted():
     sub = ds.subset(np.flatnonzero(ds.labels != 2))
     m1 = fit_hybrid(sub.subset(np.arange(0, sub.n_rows, 2)))
     m2 = fit_hybrid(sub.subset(np.arange(1, sub.n_rows, 2)))
-    ens = MoGEnsemble([m1, m2], np.array([0.5, 0.5]))
-    preds = mog_log_scores_batch(ens, ds).argmax(axis=1)
+    preds = mog_log_scores_batch([m1, m2], np.array([0.5, 0.5]), ds).argmax(axis=1)
     assert (preds != 2).all()
 
 
@@ -189,7 +184,7 @@ def test_mixture_scores_never_nan(dataset):
     models = [fit_hybrid(half), fit_hybrid(other)]
     for _ in range(20):
         w = rng.dirichlet(np.ones(2))
-        out = mog_log_scores_batch(MoGEnsemble(models, w), dataset)
+        out = mog_log_scores_batch(models, w, dataset)
         assert not np.isnan(out).any()
 
 

@@ -105,8 +105,7 @@ def test_low_alpha_more_heterogeneous():
         vals = []
         for seed in range(20):
             part = dirichlet_partition(labels, 3, alpha, seed=seed)
-            counts = part.class_counts(labels, 2)
-            vals.append(jsd_heterogeneity(counts))
+            vals.append(jsd_heterogeneity(part.counts))
         means[alpha] = np.mean(vals)
     assert means[0.05] > means[1.0]
 
@@ -133,6 +132,10 @@ def test_jsd_permutation_symmetric():
     for _ in range(10):
         perm = rng.permutation(3)
         assert jsd_heterogeneity(counts[perm]) == pytest.approx(base, abs=1e-12)
+
+
+def test_jsd_single_node_is_zero():
+    assert jsd_heterogeneity(np.array([[30, 0, 7]])) == 0.0
 
 
 def test_jsd_empty_node_error():
@@ -208,7 +211,9 @@ def test_jsd_matches_scipy_jensenshannon_for_two_nodes():
 def test_apportioned_counts_equal_class_counts(k, alpha, seed, classes, retries):
     labels = np.random.default_rng(seed).choice(classes, 600)
     part = dirichlet_partition(labels, k, alpha, seed)
-    assert np.array_equal(part.counts, part.class_counts(labels, max(classes) + 1))
+    bincounts = [np.bincount(labels[ix], minlength=max(classes) + 1) for ix in part.node_indices]
+    assert part.counts.dtype == np.int64
+    assert np.array_equal(part.counts, np.array(bincounts))
     if retries:  # the first attempt leaves a node empty
         with pytest.raises(AssertionError, match="no non-empty"):
             _unique_class_partition(labels, k, alpha, seed, attempts=1)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from fednb.data import SynthSpec, synth_generate  # noqa: E402
 from fednb.errors import PartitionError  # noqa: E402
-from fednb.governance import IccPrior, NodeProfile  # noqa: E402
+from fednb.governance import NodeProfile, coherence_prior  # noqa: E402
 from fednb.local_model import fit_hybrid  # noqa: E402
-from fednb.mog import MoGEnsemble  # noqa: E402
 from fednb.partition import dirichlet_partition  # noqa: E402
 from fednb.weights import OptimizerConfig, from_simplex, learn_weights_icc, to_floored_simplex  # noqa: E402
 
@@ -55,7 +54,7 @@ def test_floored_simplex_round_trip(theta, delta):
 def nodes():
     ds = synth_generate(SynthSpec(600, 2, 1, 2, (0.0, 0.2, 0.45), class_sep=1.0), 3)
     models = [fit_hybrid(ds.subset(np.arange(i, 600, 3))) for i in range(3)]
-    return MoGEnsemble(models, np.full(3, 1 / 3)), ds.subset(np.arange(1, 600, 5))
+    return models, ds.subset(np.arange(1, 600, 5))
 
 
 @settings(max_examples=15, deadline=None, database=None)
@@ -65,8 +64,8 @@ def nodes():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_learned_weights_stay_at_or_above_the_floor(nodes, lam, delta, seed):
-    ens, val = nodes
+    models, val = nodes
     config = OptimizerConfig(lam=lam, floor_delta=delta, max_iters=60, n_starts=2, seed=seed)
-    w, _ = learn_weights_icc(ens, val, IccPrior.from_profiles(PROFILES), config)
+    w, _ = learn_weights_icc(models, val, coherence_prior(PROFILES), config)
     assert w.min() >= delta
     assert w.sum() == pytest.approx(1.0, abs=1e-12)

@@ -5,9 +5,9 @@ import pytest
 
 from fednb.data import SynthSpec, synth_generate
 from fednb.errors import OptimizerError
-from fednb.governance import IccPrior, NodeProfile
+from fednb.governance import NodeProfile, coherence_prior
 from fednb.local_model import fit_hybrid
-from fednb.mog import MoGEnsemble, StackedScores, anll, stack_scores
+from fednb.mog import StackedScores, anll, stack_scores
 from fednb.weights import (
     OptimizationTrace,
     OptimizerConfig,
@@ -166,40 +166,38 @@ def small_setup():
     thirds = [ds.subset(np.arange(i, 900, 3)) for i in range(3)]
     models = [fit_hybrid(t) for t in thirds]
     val = ds.subset(np.arange(0, 900, 7))
-    ens = MoGEnsemble(models, np.full(3, 1 / 3))
-    prior = IccPrior.from_profiles(PROFILES)
-    return ens, val, prior
+    return models, val, coherence_prior(PROFILES)
 
 
 def test_objective_reduces_to_anll(small_setup):
-    ens, val, prior = small_setup
-    scores = StackedScores(stack_scores(ens.models, val), val.labels)
+    models, val, prior = small_setup
+    scores = StackedScores(stack_scores(models, val), val.labels)
     w = np.full(3, 1 / 3)
-    base = anll(MoGEnsemble(ens.models, w), val)
-    assert objective(w, scores, prior.normalized, 0.0) == pytest.approx(
+    base = anll(models, w, val)
+    assert objective(w, scores, prior, 0.0) == pytest.approx(
         base, abs=1e-12
     )
-    assert objective(prior.normalized, scores, prior.normalized, 0.1) == pytest.approx(
-        anll(MoGEnsemble(ens.models, prior.normalized), val), abs=1e-12
+    assert objective(prior, scores, prior, 0.1) == pytest.approx(
+        anll(models, prior, val), abs=1e-12
     )
 
 
 def test_objective_penalty_arithmetic(small_setup):
-    ens, val, prior = small_setup
+    models, val, prior = small_setup
     w = np.full(3, 1 / 3)
-    pen = float(((w - prior.normalized) ** 2).sum())
-    expected = anll(MoGEnsemble(ens.models, w), val) + 0.1 * pen
-    scores = StackedScores(stack_scores(ens.models, val), val.labels)
-    assert objective(w, scores, prior.normalized, 0.1) == pytest.approx(
+    pen = float(((w - prior) ** 2).sum())
+    expected = anll(models, w, val) + 0.1 * pen
+    scores = StackedScores(stack_scores(models, val), val.labels)
+    assert objective(w, scores, prior, 0.1) == pytest.approx(
         expected, abs=1e-12
     )
 
 
 def test_huge_lambda_pins_weights_to_prior(small_setup):
-    ens, val, prior = small_setup
+    models, val, prior = small_setup
     cfg = OptimizerConfig(lam=1e6, seed=2)
-    w, trace = learn_weights_icc(ens, val, prior, cfg)
-    assert np.max(np.abs(w - prior.normalized)) < 1e-3
+    w, trace = learn_weights_icc(models, val, prior, cfg)
+    assert np.max(np.abs(w - prior)) < 1e-3
 
 
 def test_zero_lambda_floors_noise_node():
@@ -212,42 +210,40 @@ def test_zero_lambda_floors_noise_node():
     noise.labels[:] = rng.integers(0, 2, size=noise.n_rows)
     models = [fit_hybrid(clean_a), fit_hybrid(clean_b), fit_hybrid(noise)]
     val = ds.subset(np.arange(2600, 3000))
-    ens = MoGEnsemble(models, np.full(3, 1 / 3))
-    prior = IccPrior.from_profiles(PROFILES)
-    w, _ = learn_weights_icc(ens, val, prior, OptimizerConfig(lam=0.0, seed=3))
+    prior = coherence_prior(PROFILES)
+    w, _ = learn_weights_icc(models, val, prior, OptimizerConfig(lam=0.0, seed=3))
     assert w[2] == pytest.approx(0.05, abs=0.02)
 
 
 def test_identical_models_converge_to_prior():
     ds = synth_generate(SynthSpec(600, 2, 1, 1, (0.0, 0.0), class_sep=2.0), 7)
     model = fit_hybrid(ds)
-    ens = MoGEnsemble([model, model], np.array([0.5, 0.5]))
     val = ds.subset(np.arange(0, 600, 3))
-    prior = IccPrior((0.6, 0.2), np.array([0.75, 0.25]))
-    w, _ = learn_weights_icc(ens, val, prior, OptimizerConfig(seed=4))
-    assert np.max(np.abs(w - prior.normalized)) < 1e-3
+    prior = np.array([0.75, 0.25])
+    w, _ = learn_weights_icc([model, model], val, prior, OptimizerConfig(seed=4))
+    assert np.max(np.abs(w - prior)) < 1e-3
 
 
 def test_learn_weights_deterministic(small_setup):
-    ens, val, prior = small_setup
+    models, val, prior = small_setup
     cfg = OptimizerConfig(seed=11)
-    w1, t1 = learn_weights_icc(ens, val, prior, cfg)
-    w2, t2 = learn_weights_icc(ens, val, prior, cfg)
+    w1, t1 = learn_weights_icc(models, val, prior, cfg)
+    w2, t2 = learn_weights_icc(models, val, prior, cfg)
     assert np.array_equal(w1, w2)
     assert t1.chosen == t2.chosen
 
 
 def test_best_start_not_worse_than_prior_start(small_setup):
-    ens, val, prior = small_setup
-    _, trace = learn_weights_icc(ens, val, prior, OptimizerConfig(seed=12))
+    models, val, prior = small_setup
+    _, trace = learn_weights_icc(models, val, prior, OptimizerConfig(seed=12))
     best = min(s.final_objective for s in trace.starts)
     assert best <= trace.starts[0].final_objective + 1e-12
     assert trace.chosen == int(np.argmin([s.final_objective for s in trace.starts]))
 
 
 def test_trace_records_stop_reason_and_round_trips(small_setup):
-    ens, val, prior = small_setup
-    _, trace = learn_weights_icc(ens, val, prior, OptimizerConfig(seed=12, max_iters=6))
+    models, val, prior = small_setup
+    _, trace = learn_weights_icc(models, val, prior, OptimizerConfig(seed=12, max_iters=6))
     assert all(s.iterations is not None and s.converged is not None for s in trace.starts)
     assert any(s.converged is False and s.iterations == 6 for s in trace.starts)
     d = json.loads(json.dumps(trace.to_dict()))
@@ -264,8 +260,8 @@ def test_trace_records_stop_reason_and_round_trips(small_setup):
 
 
 def test_learned_weights_on_simplex_with_floor(small_setup):
-    ens, val, prior = small_setup
-    w, _ = learn_weights_icc(ens, val, prior, OptimizerConfig(seed=13))
+    models, val, prior = small_setup
+    w, _ = learn_weights_icc(models, val, prior, OptimizerConfig(seed=13))
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
     assert (w >= 0.05 - 1e-12).all()
 
