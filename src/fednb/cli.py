@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: run-grid, verify, partition, train, emit-plots.
+Subcommands: run-grid, verify, partition, emit-plots.
 Each command materializes its dataset once. run-grid builds plots/ from the
 results.csv and grid.json it wrote, the same way emit-plots does, so
 emit-plots regenerates identical files.
@@ -32,7 +32,6 @@ from .experiment import (
     verify,
 )
 from .governance import coherence_prior
-from .local_model import fit_hybrid, save_model
 from .partition import dirichlet_partition, jsd_heterogeneity
 from .weights import OptimizationTrace
 
@@ -107,7 +106,7 @@ def cmd_run_grid(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     dataset = materialize_dataset(config)
     result = run_grid(config, dataset)
-    emit_results_csv(result.records, os.path.join(args.out, RESULTS_CSV))
+    emit_results_csv(result.records, config.k, os.path.join(args.out, RESULTS_CSV))
     _save_bundle(result, args.out)
     _write_plots(_load_bundle(args.out), dataset, os.path.join(args.out, "plots"))
     report = verify(result, dataset)
@@ -166,14 +165,6 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    config = load_config(args.config, _parse_overrides(args.set))
-    model = fit_hybrid(materialize_dataset(config))
-    save_model(model, args.out)
-    print(f"model written to {args.out}")
-    return EXIT_OK
-
-
 def cmd_emit_plots(args) -> int:
     result = _load_bundle(args.results)
     _write_plots(result, materialize_dataset(result.config), args.out)
@@ -205,11 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("train", help="fit one pooled hybrid model and serialize it")
-    common(p)
-    p.add_argument("--out", required=True, help="model output file (JSON)")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("emit-plots", help="emit plot-ready TSV files from saved results")
     p.add_argument("--results", required=True, help="directory written by run-grid")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class CategoryMap:
 
     ``load_csv`` builds it from the whole file, before any train/val/test
     split, so a category seen only in test rows still gets a code and counts
-    in the arity (ROADMAP item 5 takes the arities from each cell's training
+    in the arity (the plan is to take the arities from each cell's training
     split instead). ``encode`` maps unknown raw values to the OOD code
     ``n_cats`` for that column.
     """
@@ -99,12 +99,15 @@ class Dataset:
     categorical: np.ndarray  # (n, n_cat_cols) int64 codes
     numerical: np.ndarray  # (n, n_num_cols) float64
     labels: np.ndarray  # (n,) int64 in [0, n_classes)
-    n_cats: tuple[int, ...] = field(default=())  # category arity per categorical column
+    n_cats: tuple[int, ...]  # category arity per categorical column
 
     def __post_init__(self):
         n = len(self.labels)
         if self.categorical.shape[0] != n or self.numerical.shape[0] != n:
             raise SchemaError("categorical/numerical/label row counts differ")
+        n_cat_cols = self.categorical.shape[1]
+        if len(self.n_cats) != n_cat_cols:
+            raise SchemaError(f"{len(self.n_cats)} category arities for {n_cat_cols} categorical columns")
         if n and (self.labels.min() < 0 or self.labels.max() >= self.schema.n_classes):
             raise LabelError("label outside [0, n_classes)")
 

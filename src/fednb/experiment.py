@@ -63,7 +63,6 @@ class ExperimentRecord:
     jsd: float
     weights: tuple | None
     mcnemar_p_vs_B: float | None
-    n_nodes: int
 
 
 @dataclass
@@ -192,7 +191,6 @@ def run_cell(
             jsd=jsd,
             weights=weights,
             mcnemar_p_vs_B=p_vs_b,
-            n_nodes=k,
         ))
         runtimes_ms[proposal] = (time.perf_counter() - t0) * 1000.0
     return CellResult(records, trace, counts, scores_ok, runtimes_ms)
@@ -379,8 +377,6 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
         f"{len(result.traces)} traces checked; starts: {stops.count(True)} converged, "
         f"{stops.count(False)} at max_iters"
     )
-    if None in stops:
-        msg += f", {stops.count(None)} without a recorded stop reason"
     checks.append(("trace_sanity", ok, msg))
 
     return VerificationReport(checks)
@@ -413,6 +409,8 @@ def _jsd_curve(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
 def _per_rep_gradient(records, config) -> tuple[bool, str]:
     if len(config.alphas) < 2:
         return True, "single alpha level (vacuous)"
+    if config.reps < 2:  # one Dirichlet draw per alpha need not order two levels
+        return True, "single rep (vacuous)"
     drops = []
     for rep in range(config.reps):
         seq = []
@@ -461,15 +459,15 @@ def _csv_row(r: ExperimentRecord, k: int) -> str:
     return ",".join(row)
 
 
-def emit_results_csv(records, path) -> None:
+def emit_results_csv(records, k: int, path) -> None:
     """Grid-order CSV with fixed 6-decimal formatting; byte-stable.
 
-    Each line is exactly one record (see _csv_row). The runtime_ms column is
-    kept in the header but left empty: wall-clock time is not a function of
-    the configuration, and the CSV is the deterministic artifact. Measured
-    times are in grid.json, per cell and proposal.
+    Each line is exactly one record (see _csv_row), with k weight columns.
+    The runtime_ms column is kept in the header but left empty: wall-clock
+    time is not a function of the configuration, and the CSV is the
+    deterministic artifact. Measured times are in grid.json, per cell and
+    proposal.
     """
-    k = max((r.n_nodes for r in records), default=0)
     header = ["dataset", "alpha", "rep", "proposal", "f1_macro", "anll", "jsd"]
     header += [f"w_{i + 1}" for i in range(k)]
     header += ["mcnemar_p_vs_B", "runtime_ms"]
@@ -506,7 +504,6 @@ def load_results_csv(path) -> list[ExperimentRecord]:
                     jsd=float(parts[col["jsd"]]),
                     weights=weights,
                     mcnemar_p_vs_B=float(p_raw) if p_raw else None,
-                    n_nodes=len(w_cols),
                 )
             )
         except KeyError as exc:

@@ -1,8 +1,9 @@
 """Per-node hybrid Naive Bayes classifier.
 
-Categorical features get Laplace-smoothed per-class tables with a reserved
-out-of-distribution slot at index n_cats; numerical features get per-class
-Gaussians on standardized values. The joint per-class score is
+Categorical features get per-class tables, Laplace-smoothed with the constant
+SMOOTHING (add-one), with a reserved out-of-distribution slot at index n_cats;
+numerical features get per-class Gaussians on standardized values. The joint
+per-class score is
 
     log_prior(c) + sum_j log P_cat(code_j | c) + sum_j log N(z_j; mean, var)
 
@@ -12,7 +13,6 @@ Classes absent from a node's training data score the explicit -inf sentinel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import FitError, ShapeError
 
 NEG_INF = float("-inf")
 _LOG_2PI = float(np.log(2.0 * np.pi))
+SMOOTHING = 1.0  # Laplace pseudo-count added to each (class, category) count
 
 
 @dataclass
@@ -45,19 +46,15 @@ class HybridModel:
     gauss_var: np.ndarray  # (n_classes, n_num)
     log_prior: np.ndarray  # (n_classes,), -inf for absent classes
     classes_present: frozenset
-    n_train: int
     n_classes: int
     n_cats: tuple[int, ...]
-    smoothing: float = 1.0
 
 
-def fit_hybrid(train: Dataset, smoothing: float = 1.0) -> HybridModel:
+def fit_hybrid(train: Dataset) -> HybridModel:
     if train.n_rows == 0:
         raise FitError("cannot fit on an empty dataset")
     n_classes = train.schema.n_classes
     n_cats = train.n_cats
-    if len(n_cats) != train.categorical.shape[1]:
-        raise FitError("dataset is missing category arities (n_cats)")
 
     class_counts = np.bincount(train.labels, minlength=n_classes)
     present = frozenset(int(c) for c in np.flatnonzero(class_counts))
@@ -82,7 +79,7 @@ def fit_hybrid(train: Dataset, smoothing: float = 1.0) -> HybridModel:
         table = np.full((n_classes, m + 1), 1.0 / (m + 1))
         for c in present:
             cnt = np.bincount(train.categorical[:, j].take(rows_of[c]), minlength=m + 1)
-            probs = (cnt + smoothing) / (class_counts[c] + smoothing * (m + 1))
+            probs = (cnt + SMOOTHING) / (class_counts[c] + SMOOTHING * (m + 1))
             table[c] = probs
         cat_log_prob.append(np.log(table))
 
@@ -103,10 +100,8 @@ def fit_hybrid(train: Dataset, smoothing: float = 1.0) -> HybridModel:
         gauss_var=gauss_var,
         log_prior=log_prior,
         classes_present=present,
-        n_train=train.n_rows,
         n_classes=n_classes,
         n_cats=n_cats,
-        smoothing=smoothing,
     )
 
 
@@ -123,17 +118,6 @@ def _mean_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def joint_log_scores_batch(model: HybridModel, data: Dataset) -> np.ndarray:
     """(n_rows, n_classes) joint log-scores; absent classes are -inf columns."""
     cat, num = data.categorical, data.numerical
-    return _scores(model, cat, num)
-
-
-def joint_log_scores(model: HybridModel, cat_codes, num_values) -> np.ndarray:
-    """Per-class joint log-score vector for one encoded sample."""
-    cat = np.asarray(cat_codes, dtype=np.int64).reshape(1, -1)
-    num = np.asarray(num_values, dtype=np.float64).reshape(1, -1)
-    return _scores(model, cat, num)[0]
-
-
-def _scores(model: HybridModel, cat: np.ndarray, num: np.ndarray) -> np.ndarray:
     if cat.shape[1] != len(model.n_cats):
         raise ShapeError(f"expected {len(model.n_cats)} categorical columns, got {cat.shape[1]}")
     if num.shape[1] != model.gauss_mean.shape[1]:
@@ -160,24 +144,3 @@ def _scores(model: HybridModel, cat: np.ndarray, num: np.ndarray) -> np.ndarray:
     if absent:
         scores[:, absent] = NEG_INF
     return scores
-
-
-def model_to_dict(model: HybridModel) -> dict:
-    return {
-        "scaler_mean": model.scaler.mean.tolist(),
-        "scaler_scale": model.scaler.scale.tolist(),
-        "cat_log_prob": [t.tolist() for t in model.cat_log_prob],
-        "gauss_mean": model.gauss_mean.tolist(),
-        "gauss_var": model.gauss_var.tolist(),
-        "log_prior": ["-inf" if not np.isfinite(v) else v for v in model.log_prior],
-        "classes_present": sorted(model.classes_present),
-        "n_train": model.n_train,
-        "n_classes": model.n_classes,
-        "n_cats": list(model.n_cats),
-        "smoothing": model.smoothing,
-    }
-
-
-def save_model(model: HybridModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)

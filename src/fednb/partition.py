@@ -70,10 +70,6 @@ class Partition:
     node_indices: list[np.ndarray]
     counts: np.ndarray  # (k, max label + 1) int64
 
-    @property
-    def k(self) -> int:
-        return len(self.node_indices)
-
     def sizes(self) -> list[int]:
         return [len(ix) for ix in self.node_indices]
 

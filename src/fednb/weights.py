@@ -155,8 +155,8 @@ class StartResult:
     final_theta: np.ndarray
     final_objective: float
     evaluations: int
-    iterations: int | None = None  # None when read from a trace that predates the field
-    converged: bool | None = None  # False: stopped at max_iters
+    iterations: int
+    converged: bool  # False: stopped at max_iters
 
 
 @dataclass
@@ -192,8 +192,8 @@ class OptimizationTrace:
                     np.array(s["final_theta"]),
                     float(s["final_objective"]),
                     int(s["evaluations"]),
-                    s.get("iterations"),
-                    s.get("converged"),
+                    int(s["iterations"]),
+                    s["converged"],
                 )
             )
         return t

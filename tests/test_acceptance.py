@@ -23,7 +23,7 @@ from fednb.experiment import (
     verify,
 )
 from fednb.governance import NodeProfile, coherence_prior, compute_icc
-from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores, joint_log_scores_batch
+from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch
 from fednb.mog import StackedScores, anll_from_stacked, mog_log_scores_batch
 from fednb.partition import dirichlet_partition, jsd_heterogeneity
 from fednb.weights import OptimizerConfig, learn_weights_icc, nelder_mead
@@ -115,6 +115,18 @@ def _tiny_dataset(cat, num, labels, n_classes, n_cats):
     return Dataset(FeatureSchema(tuple(cols), n_classes), cat, num, labels, n_cats)
 
 
+def _score_row(model, row_cat, row_num):
+    """Per-class joint log-scores of one encoded row, through the batch scorer."""
+    row = _tiny_dataset(
+        np.array([row_cat], dtype=np.int64),
+        np.array([row_num], dtype=np.float64),
+        np.zeros(1, dtype=np.int64),
+        model.n_classes,
+        model.n_cats,
+    )
+    return joint_log_scores_batch(model, row)[0]
+
+
 def test_criterion_02_scoring_oracle_equivalence():
     rng = np.random.default_rng(2024)
     n_trials = 100
@@ -139,7 +151,7 @@ def test_criterion_02_scoring_oracle_equivalence():
         model = fit_hybrid(ds)
         row_cat = [int(rng.integers(0, m + 1)) for m in n_cats]
         row_num = list(rng.normal(size=n_num))
-        got = joint_log_scores(model, row_cat, row_num)
+        got = _score_row(model, row_cat, row_num)
         want = _oracle_scores(cat.tolist(), num.tolist(), labels.tolist(), n_cats, n_classes, row_cat, row_num)
         for c in range(n_classes):
             if want[c] == NEG_INF:
@@ -156,9 +168,9 @@ def test_criterion_03_ood_slot_contract():
     model = fit_hybrid(ds)
     m = ds.n_cats[0]
     tables_before = [t.copy() for t in model.cat_log_prob]
-    s_known_before = joint_log_scores(model, [0], [0.0])
-    s_ood = joint_log_scores(model, [m], [0.0])
-    s_known_after = joint_log_scores(model, [0], [0.0])
+    s_known_before = _score_row(model, [0], [0.0])
+    s_ood = _score_row(model, [m], [0.0])
+    s_known_after = _score_row(model, [0], [0.0])
     for c in model.classes_present:
         assert s_ood[c] == pytest.approx(
             model.log_prior[c]
@@ -292,15 +304,15 @@ def test_criterion_11_byte_identical_results(full_config, full_grid, tmp_path):
     second = run_grid(full_config, materialize_dataset(full_config))
     p1 = tmp_path / "first.csv"
     p2 = tmp_path / "second.csv"
-    emit_results_csv(full_grid.records, p1)
-    emit_results_csv(second.records, p2)
+    emit_results_csv(full_grid.records, full_grid.config.k, p1)
+    emit_results_csv(second.records, second.config.k, p2)
     assert p1.read_bytes() == p2.read_bytes()
     _report(11, "two independent grid runs emit byte-identical results files")
 
 
 def test_results_csv_matches_reference_sha256(full_grid, tmp_path):
     path = tmp_path / "results.csv"
-    emit_results_csv(full_grid.records, path)
+    emit_results_csv(full_grid.records, full_grid.config.k, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RESULTS_SHA256
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -11,7 +12,8 @@ from fednb.cli import main
 from fednb.errors import CellError, ConfigError, FedNBError, PartitionError
 from fednb.experiment import load_results_csv
 
-SYNTH_CFG = Path(__file__).resolve().parents[1] / "configs" / "synth.cfg"
+ROOT = Path(__file__).resolve().parents[1]
+SYNTH_CFG = ROOT / "configs" / "synth.cfg"
 PLOT_FILES = (
     "gradient_curves.tsv",
     "alignment_bars.tsv",
@@ -82,6 +84,41 @@ def test_run_grid_verification_text(grid_dir, capsys):
     )
     assert kv["passed_count"] == "15"
     assert kv["total"] == "15"
+
+
+ONE_REP_CFG = """\
+[experiment]
+name = one-rep
+seed = 7
+alphas = 0.10, 1.00
+reps = 1
+proposals = C, B, E, A
+
+[synth]
+n_rows = 600
+n_classes = 2
+n_categorical = 2
+n_numerical = 3
+n_categories = 4
+class_sep = 2.0
+node_noise = 0.0, 0.2, 0.45
+
+[profiles]
+Financial = 4, 0.82, 0.12, 3.2
+Health = 3, 0.70, 0.25, 5.1
+Government = 2, 0.55, 0.40, 6.8
+"""
+
+
+def test_one_rep_grid_passes_whatever_its_single_partition_draws(tmp_path, capsys):
+    # at this seed the one Dirichlet draw at alpha 0.10 is less heterogeneous
+    # than the one at 1.00, so a per-rep JSD drop would fail a correct grid
+    cfg = tmp_path / "one-rep.cfg"
+    cfg.write_text(ONE_REP_CFG)
+    assert main(["run-grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] jsd_gradient_per_rep: single rep (vacuous)" in out
+    assert out.rstrip().endswith("15/15 passed")
 
 
 def test_run_grid_deterministic_csv(cfg_path, tmp_path, grid_dir):
@@ -202,6 +239,16 @@ def test_missing_subcommand_is_usage_error():
     assert main([]) == 64
 
 
+def test_docs_name_exactly_the_registered_subcommands():
+    parser = fednb.cli.build_parser()
+    registered = set(next(a for a in parser._actions if a.choices and a.dest == "command").choices)
+    docstring = re.search(r"^Subcommands: (.*)\.$", fednb.cli.__doc__, re.M).group(1)
+    assert set(docstring.split(", ")) == registered
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    readme = {m for block in blocks for m in re.findall(r"^fednb (\S+)", block, re.M)}
+    assert readme == registered
+
+
 def test_partition_command(cfg_path, tmp_path, capsys):
     out = tmp_path / "part.tsv"
     code = main(
@@ -255,13 +302,6 @@ def test_each_command_materializes_its_dataset_once(cfg_path, grid_dir, tmp_path
     assert counts == {"run-grid": 1, "verify": 1, "emit-plots": 1}
 
 
-def test_train_command(cfg_path, tmp_path):
-    out = tmp_path / "model.json"
-    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
-    model = json.loads(out.read_text())
-    assert "log_prior" in model
-
-
 def test_emit_plots_command(grid_dir, tmp_path):
     out = tmp_path / "plots2"
     assert main(["emit-plots", "--results", str(grid_dir), "--out", str(out)]) == 0
@@ -298,6 +338,12 @@ def _string_scores_ok(text):
     return json.dumps(bundle)
 
 
+def _trace_start_without_iterations(text):
+    bundle = json.loads(text)
+    del bundle["traces"]["0,0"]["starts"][0]["iterations"]
+    return json.dumps(bundle)
+
+
 def _bad_f1_cell(text):
     lines = text.splitlines()
     fields = lines[1].split(",")
@@ -311,6 +357,7 @@ def _bad_f1_cell(text):
     [
         ("grid.json", _bad_partition_key, "'x'"),
         ("grid.json", _string_scores_ok, "scores_ok"),
+        ("grid.json", _trace_start_without_iterations, "iterations"),
         ("results.csv", _bad_f1_cell, "row 1"),
     ],
 )
@@ -343,7 +390,8 @@ def test_each_error_class_maps_to_its_exit_code(cfg_path, tmp_path, monkeypatch,
         raise exc
 
     monkeypatch.setattr(fednb.cli, "materialize_dataset", raising)
-    code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "m.json")])
+    argv = ["partition", "--config", str(cfg_path), "--alpha", "0.1", "--out", str(tmp_path / "p.tsv")]
+    code = main(argv)
     assert code == (64 if error is ConfigError else 1)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "boom" in err

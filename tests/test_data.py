@@ -173,6 +173,13 @@ def test_dataset_row_count_mismatch():
         )
 
 
+@pytest.mark.parametrize("n_cats", [(), (2, 2)])
+def test_dataset_refuses_arities_that_miss_a_categorical_column(n_cats):
+    cat, num, labels = np.zeros((3, 1), dtype=np.int64), np.zeros((3, 1)), np.zeros(3, dtype=np.int64)
+    with pytest.raises(SchemaError, match=f"{len(n_cats)} category arities for 1 categorical columns"):
+        Dataset(SCHEMA, cat, num, labels, n_cats)
+
+
 CSV_CFG = """\
 [experiment]
 name = csv-test

@@ -39,7 +39,6 @@ def test_no_module_imports_private_names_of_another():
 
 # Kept although nothing in src/fednb refers to them, each for a stated reason.
 UNREFERENCED_ALLOWED = {
-    "joint_log_scores": "the single-row scorer that acceptance criteria 2 and 3 test against",
     "mog_log_scores_batch": "a lookup point of perfbench/tracer.py, imported by experiment.py",
 }
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,15 +5,7 @@ import pytest
 
 from fednb.data import Dataset, FeatureSchema, SynthSpec, synth_generate
 from fednb.errors import FitError, ShapeError
-from fednb.local_model import (
-    NEG_INF,
-    HybridModel,
-    ScalerParams,
-    fit_hybrid,
-    joint_log_scores,
-    joint_log_scores_batch,
-    save_model,
-)
+from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch
 
 
 def _make_dataset(cat, num, labels, n_classes, n_cats):
@@ -25,6 +16,18 @@ def _make_dataset(cat, num, labels, n_classes, n_cats):
     cols.append(("y", "label"))
     schema = FeatureSchema(tuple(cols), n_classes)
     return Dataset(schema, cat, num, labels, n_cats)
+
+
+def _score_row(model, row_cat, row_num):
+    """Per-class joint log-scores of one encoded row, through the batch scorer."""
+    row = _make_dataset(
+        np.array([row_cat], dtype=np.int64),
+        np.array([row_num], dtype=np.float64),
+        np.zeros(1, dtype=np.int64),
+        model.n_classes,
+        model.n_cats,
+    )
+    return joint_log_scores_batch(model, row)[0]
 
 
 def oracle_scores(cat, num, labels, n_cats, n_classes, row_cat, row_num, smoothing=1.0):
@@ -114,8 +117,8 @@ def test_ood_slot_used_not_last_category():
     ds = synth_generate(SynthSpec(300, 2, 1, 0, (0.0,)), 12)
     model = fit_hybrid(ds)
     m = ds.n_cats[0]
-    s_ood = joint_log_scores(model, [m], [])
-    s_last = joint_log_scores(model, [m - 1], [])
+    s_ood = _score_row(model, [m], [])
+    s_last = _score_row(model, [m - 1], [])
     for c in model.classes_present:
         assert s_ood[c] != s_last[c]
         assert s_ood[c] == pytest.approx(model.log_prior[c] + model.cat_log_prob[0][c, m])
@@ -127,12 +130,12 @@ def test_unseen_category_does_not_contaminate_known_probs():
     ds = synth_generate(SynthSpec(300, 2, 1, 1, (0.0,)), 13)
     model = fit_hybrid(ds)
     before = [t.copy() for t in model.cat_log_prob]
-    _ = joint_log_scores(model, [ds.n_cats[0]], [0.0])
+    _ = _score_row(model, [ds.n_cats[0]], [0.0])
     for a, b in zip(before, model.cat_log_prob):
         assert np.array_equal(a, b)
-    known = joint_log_scores(model, [0], [0.0])
-    _ = joint_log_scores(model, [ds.n_cats[0]], [0.0])
-    assert np.array_equal(known, joint_log_scores(model, [0], [0.0]))
+    known = _score_row(model, [0], [0.0])
+    _ = _score_row(model, [ds.n_cats[0]], [0.0])
+    assert np.array_equal(known, _score_row(model, [0], [0.0]))
 
 
 def test_oracle_equivalence_random_instances():
@@ -155,7 +158,7 @@ def test_oracle_equivalence_random_instances():
         model = fit_hybrid(ds)
         row_cat = [int(rng.integers(0, m + 1)) for m in n_cats]  # may hit OOD
         row_num = list(rng.normal(size=n_num))
-        got = joint_log_scores(model, row_cat, row_num)
+        got = _score_row(model, row_cat, row_num)
         want = oracle_scores(cat.tolist(), num.tolist(), labels.tolist(), n_cats, n_classes, row_cat, row_num)
         for c in range(n_classes):
             if want[c] == NEG_INF:
@@ -197,37 +200,10 @@ def test_tie_breaks_to_smaller_class():
 def test_shape_error_on_dimension_mismatch():
     ds = synth_generate(SynthSpec(100, 2, 1, 2, (0.0,)), 31)
     model = fit_hybrid(ds)
-    with pytest.raises(ShapeError):
-        joint_log_scores(model, [0, 0], [0.0, 0.0])
-    with pytest.raises(ShapeError):
-        joint_log_scores(model, [0], [0.0])
-
-
-def test_model_serialization_round_trip(tmp_path):
-    ds = synth_generate(SynthSpec(300, 3, 2, 2, (0.0,)), 17)
-    model = fit_hybrid(ds)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = _load_model(path)
-    assert np.allclose(joint_log_scores_batch(back, ds), joint_log_scores_batch(model, ds))
-    assert back.classes_present == model.classes_present
-
-
-def _load_model(path) -> HybridModel:
-    """Reads what save_model writes."""
-    d = json.loads(path.read_text())
-    return HybridModel(
-        scaler=ScalerParams(np.array(d["scaler_mean"]), np.array(d["scaler_scale"])),
-        cat_log_prob=[np.array(t) for t in d["cat_log_prob"]],
-        gauss_mean=np.array(d["gauss_mean"]),
-        gauss_var=np.array(d["gauss_var"]),
-        log_prior=np.array([NEG_INF if v == "-inf" else float(v) for v in d["log_prior"]]),
-        classes_present=frozenset(d["classes_present"]),
-        n_train=int(d["n_train"]),
-        n_classes=int(d["n_classes"]),
-        n_cats=tuple(d["n_cats"]),
-        smoothing=float(d["smoothing"]),
-    )
+    with pytest.raises(ShapeError):  # two categorical columns, not one
+        joint_log_scores_batch(model, synth_generate(SynthSpec(20, 2, 2, 2, (0.0,)), 31))
+    with pytest.raises(ShapeError):  # one numerical column, not two
+        joint_log_scores_batch(model, synth_generate(SynthSpec(20, 2, 1, 1, (0.0,)), 31))
 
 
 # Bitwise oracles: the fit and the scorer as first written, with np.mean,

@@ -63,7 +63,7 @@ def test_largest_remainder_conserves_total():
 def test_partition_single_node():
     labels = np.array([0, 1, 0, 1, 1])
     part = dirichlet_partition(labels, 1, 0.05, seed=3)
-    assert part.k == 1
+    assert len(part.node_indices) == 1
     assert sorted(part.node_indices[0].tolist()) == [0, 1, 2, 3, 4]
 
 

@@ -34,7 +34,7 @@ def test_dirichlet_partition_is_disjoint_and_covers_every_index(labels, k, alpha
     except PartitionError as exc:  # a few rows at a tiny alpha can leave a node empty every time
         assert "empty node persisted" in str(exc)
         return
-    assert part.k == k and all(len(ix) > 0 for ix in part.node_indices)
+    assert len(part.node_indices) == k and all(len(ix) > 0 for ix in part.node_indices)
     every = np.concatenate(part.node_indices)
     assert np.array_equal(np.sort(every), np.arange(len(labels)))
 

@@ -251,12 +251,6 @@ def test_trace_records_stop_reason_and_round_trips(small_setup):
     assert [(s.iterations, s.converged) for s in back.starts] == [
         (s.iterations, s.converged) for s in trace.starts
     ]
-    # traces written before the stop reason was recorded still load
-    for sd in d["starts"]:
-        del sd["iterations"], sd["converged"]
-    old = OptimizationTrace.from_dict(d)
-    assert [s.evaluations for s in old.starts] == [s.evaluations for s in trace.starts]
-    assert all(s.iterations is None and s.converged is None for s in old.starts)
 
 
 def test_learned_weights_on_simplex_with_floor(small_setup):
