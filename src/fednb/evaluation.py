@@ -43,7 +43,6 @@ class McNemarResult:
     c: int  # A wrong, B correct
     chi2: float
     p_value: float
-    significant: bool  # at the 0.05 threshold
 
 
 def mcnemar_yates(preds_a, preds_b, y_true) -> McNemarResult:
@@ -66,4 +65,4 @@ def mcnemar_yates(preds_a, preds_b, y_true) -> McNemarResult:
     else:
         chi2 = max(0.0, abs(b - c) - 1.0) ** 2 / (b + c)
         p = chi2_sf_1df(chi2)
-    return McNemarResult(b=b, c=c, chi2=chi2, p_value=p, significant=p < 0.05)
+    return McNemarResult(b=b, c=c, chi2=chi2, p_value=p)

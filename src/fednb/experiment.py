@@ -157,7 +157,7 @@ def run_cell(
             stacked = mog.stack_scores([fit_hybrid(train)], test)
         else:
             if proposal == "B":
-                w = weights_fedavg(part.sizes())
+                w = weights_fedavg(part.counts.sum(axis=1))
             elif proposal == "E":
                 w = weights_entropy(counts)
             else:  # A
@@ -577,8 +577,9 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
 
 
 def _common_class(models) -> int:
-    common = set.intersection(*(set(m.classes_present) for m in models))
-    return min(common) if common else 0
+    """The lowest class every model saw in training, else 0."""
+    common = np.logical_and.reduce([np.isfinite(m.log_prior) for m in models])
+    return int(np.argmax(common)) if common.any() else 0
 
 
 def _write(path, lines) -> None:

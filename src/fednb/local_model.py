@@ -2,8 +2,9 @@
 
 Categorical features get per-class tables, Laplace-smoothed with the constant
 SMOOTHING (add-one), with a reserved out-of-distribution slot at index n_cats;
-numerical features get per-class Gaussians on standardized values. The joint
-per-class score is
+numerical features get per-class Gaussians on values standardized by the
+training columns' mean and spread (num_mean, num_scale). The joint per-class
+score is
 
     log_prior(c) + sum_j log P_cat(code_j | c) + sum_j log N(z_j; mean, var)
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import FitError, ShapeError
+from .partition import class_rows
 
 NEG_INF = float("-inf")
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -26,40 +28,25 @@ SMOOTHING = 1.0  # Laplace pseudo-count added to each (class, category) count
 
 
 @dataclass
-class ScalerParams:
-    """Per-column standardization; zero-spread columns use scale 1."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        z = x - self.mean
-        z /= self.scale
-        return z
-
-
-@dataclass
 class HybridModel:
-    scaler: ScalerParams
+    """Fitted arrays only: class count, arities and classes present are read off them."""
+
+    num_mean: np.ndarray  # (n_num,) training column means
+    num_scale: np.ndarray  # (n_num,) training column std; 1 for zero-spread columns
     cat_log_prob: list[np.ndarray]  # per cat column: (n_classes, n_cats+1)
-    gauss_mean: np.ndarray  # (n_classes, n_num)
-    gauss_var: np.ndarray  # (n_classes, n_num)
+    gauss_mean: np.ndarray  # (n_classes, n_num), on standardized values
+    gauss_var: np.ndarray  # (n_classes, n_num), on standardized values
     log_prior: np.ndarray  # (n_classes,), -inf for absent classes
-    classes_present: frozenset
-    n_classes: int
-    n_cats: tuple[int, ...]
 
 
 def fit_hybrid(train: Dataset) -> HybridModel:
     if train.n_rows == 0:
         raise FitError("cannot fit on an empty dataset")
     n_classes = train.schema.n_classes
-    n_cats = train.n_cats
 
     class_counts = np.bincount(train.labels, minlength=n_classes)
-    present = frozenset(int(c) for c in np.flatnonzero(class_counts))
     log_prior = np.full(n_classes, NEG_INF)
-    for c in present:
+    for c in np.flatnonzero(class_counts):
         log_prior[c] = np.log(class_counts[c] / train.n_rows)
 
     # np.mean's and np.std's own steps (axis-0 sum, divide by n; square,
@@ -70,17 +57,17 @@ def fit_hybrid(train: Dataset) -> HybridModel:
     z = num - mean
     std = np.sqrt(np.add.reduce(np.square(z), axis=0) / train.n_rows)
     scale = np.where(std > 0, std, 1.0)
-    scaler = ScalerParams(mean, scale)
     z /= scale
 
-    rows_of = {c: np.flatnonzero(train.labels == c) for c in present}
+    # listed after the standardization: listed before it, the row lists would
+    # be alive alongside its temporaries and raise the peak memory
+    rows_of = class_rows(train.labels)
     cat_log_prob = []
-    for j, m in enumerate(n_cats):
+    for j, m in enumerate(train.n_cats):
         table = np.full((n_classes, m + 1), 1.0 / (m + 1))
-        for c in present:
-            cnt = np.bincount(train.categorical[:, j].take(rows_of[c]), minlength=m + 1)
-            probs = (cnt + SMOOTHING) / (class_counts[c] + SMOOTHING * (m + 1))
-            table[c] = probs
+        for c, rows in rows_of.items():
+            cnt = np.bincount(train.categorical[:, j].take(rows), minlength=m + 1)
+            table[c] = (cnt + SMOOTHING) / (class_counts[c] + SMOOTHING * (m + 1))
         cat_log_prob.append(np.log(table))
 
     n_num = num.shape[1]
@@ -89,20 +76,11 @@ def fit_hybrid(train: Dataset) -> HybridModel:
     if n_num:
         col_var = z.var(axis=0)
         floor = 1e-9 * np.maximum(col_var, 1.0)
-        for c in present:
-            gauss_mean[c], var = _mean_var(z.take(rows_of[c], axis=0))
+        for c, rows in rows_of.items():
+            gauss_mean[c], var = _mean_var(z.take(rows, axis=0))
             gauss_var[c] = var + floor
 
-    return HybridModel(
-        scaler=scaler,
-        cat_log_prob=cat_log_prob,
-        gauss_mean=gauss_mean,
-        gauss_var=gauss_var,
-        log_prior=log_prior,
-        classes_present=present,
-        n_classes=n_classes,
-        n_cats=n_cats,
-    )
+    return HybridModel(mean, scale, cat_log_prob, gauss_mean, gauss_var, log_prior)
 
 
 def _mean_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,29 +96,27 @@ def _mean_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def joint_log_scores_batch(model: HybridModel, data: Dataset) -> np.ndarray:
     """(n_rows, n_classes) joint log-scores; absent classes are -inf columns."""
     cat, num = data.categorical, data.numerical
-    if cat.shape[1] != len(model.n_cats):
-        raise ShapeError(f"expected {len(model.n_cats)} categorical columns, got {cat.shape[1]}")
+    if cat.shape[1] != len(model.cat_log_prob):
+        raise ShapeError(f"expected {len(model.cat_log_prob)} categorical columns, got {cat.shape[1]}")
     if num.shape[1] != model.gauss_mean.shape[1]:
-        raise ShapeError(
-            f"expected {model.gauss_mean.shape[1]} numerical columns, got {num.shape[1]}"
-        )
-    n = cat.shape[0]
-    scores = np.tile(model.log_prior, (n, 1))
-    for j, m in enumerate(model.n_cats):
-        codes = cat[:, j]
+        raise ShapeError(f"expected {model.gauss_mean.shape[1]} numerical columns, got {num.shape[1]}")
+    scores = np.tile(model.log_prior, (cat.shape[0], 1))
+    for j, table in enumerate(model.cat_log_prob):
+        codes, m = cat[:, j], table.shape[1] - 1
         if codes.min(initial=0) < 0 or codes.max(initial=0) > m:
             raise ShapeError(f"categorical column {j}: code outside [0, {m}]")
-        scores += model.cat_log_prob[j].T.take(codes, axis=0)
+        scores += table.T.take(codes, axis=0)
     if num.shape[1]:
         # -0.5 * (LOG_2PI + log var + (z - mean)**2 / var), built in place in
         # one (n, C, F) buffer by the same operations in the same order
-        ll = model.scaler.transform(num)[:, None, :] - model.gauss_mean[None, :, :]
+        z = num - model.num_mean
+        z /= model.num_scale
+        ll = z[:, None, :] - model.gauss_mean[None, :, :]
+        del z  # kept alive beside ll, it would raise the peak memory
         ll *= ll
         ll /= model.gauss_var
         ll += _LOG_2PI + np.log(model.gauss_var)
         ll *= -0.5
         scores += ll.sum(axis=2)
-    absent = [c for c in range(model.n_classes) if c not in model.classes_present]
-    if absent:
-        scores[:, absent] = NEG_INF
+    scores[:, np.isneginf(model.log_prior)] = NEG_INF
     return scores

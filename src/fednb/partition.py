@@ -48,9 +48,9 @@ def stratified_split(dataset: Dataset, config: SplitConfig):
     rng = np.random.default_rng(config.seed)
     fracs = (config.train_frac, config.val_frac, config.test_frac)
     parts: list[list[np.ndarray]] = [[], [], []]
-    for cls in range(dataset.schema.n_classes):
-        idx = np.flatnonzero(dataset.labels == cls)
-        if 0 < len(idx) < 3:
+    # an absent class would shuffle an empty array, which draws nothing
+    for cls, idx in class_rows(dataset.labels).items():
+        if len(idx) < 3:
             raise StratificationError(f"class {cls} has only {len(idx)} samples")
         rng.shuffle(idx)
         counts = largest_remainder(len(idx), fracs)
@@ -69,9 +69,6 @@ class Partition:
 
     node_indices: list[np.ndarray]
     counts: np.ndarray  # (k, max label + 1) int64
-
-    def sizes(self) -> list[int]:
-        return [len(ix) for ix in self.node_indices]
 
 
 def class_rows(labels) -> dict[int, np.ndarray]:

@@ -163,7 +163,6 @@ class StartResult:
 class OptimizationTrace:
     starts: list[StartResult] = field(default_factory=list)
     chosen: int = -1
-    evaluations: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -179,24 +178,33 @@ class OptimizationTrace:
                 for s in self.starts
             ],
             "chosen": self.chosen,
-            "evaluations": self.evaluations,
+            "evaluations": sum(s.evaluations for s in self.starts),
         }
 
     @staticmethod
     def from_dict(d: dict) -> "OptimizationTrace":
-        t = OptimizationTrace(chosen=int(d["chosen"]), evaluations=int(d["evaluations"]))
+        """The trace of to_dict's output; TypeError names a field of the wrong JSON type."""
+        t = OptimizationTrace(chosen=_json_value(d, "chosen", int))
         for s in d["starts"]:
             t.starts.append(
                 StartResult(
                     np.array(s["initial_theta"]),
                     np.array(s["final_theta"]),
                     float(s["final_objective"]),
-                    int(s["evaluations"]),
-                    int(s["iterations"]),
-                    s["converged"],
+                    _json_value(s, "evaluations", int),
+                    _json_value(s, "iterations", int),
+                    _json_value(s, "converged", bool),
                 )
             )
         return t
+
+
+def _json_value(d: dict, key: str, kind: type):
+    """d[key] when its type is exactly kind, so neither true nor 2.0 is an int."""
+    v = d[key]
+    if type(v) is not kind:
+        raise TypeError(f"{key} must be {kind.__name__}, got {v!r}")
+    return v
 
 
 def learn_weights_icc(models, val: Dataset, prior, config: OptimizerConfig):
@@ -245,7 +253,6 @@ def learn_weights_icc(models, val: Dataset, prior, config: OptimizerConfig):
         theta0 = from_simplex(w0, delta)
         theta, fv, ev, iters, converged = nelder_mead(f, theta0, max_iters=config.max_iters)
         trace.starts.append(StartResult(theta0, theta, fv, ev, iters, converged))
-        trace.evaluations += ev
     trace.chosen = int(np.argmin([s.final_objective for s in trace.starts]))
     return to_floored_simplex(trace.starts[trace.chosen].final_theta, k, delta), trace
 

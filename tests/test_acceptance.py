@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fednb.config import load_config
-from fednb.data import Dataset, FeatureSchema, SynthSpec, synth_generate
+from fednb.data import SynthSpec, synth_generate
 from fednb.evaluation import chi2_sf_1df, mcnemar_yates
 from fednb.experiment import (
     emit_results_csv,
@@ -27,6 +27,8 @@ from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch
 from fednb.mog import StackedScores, anll_from_stacked, mog_log_scores_batch
 from fednb.partition import dirichlet_partition, jsd_heterogeneity
 from fednb.weights import OptimizerConfig, learn_weights_icc, nelder_mead
+
+from conftest import classes_present, make_dataset, score_row
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "synth.cfg"
 # sha256 of the results.csv that configs/synth.cfg produces; any change to the
@@ -108,25 +110,6 @@ def _oracle_scores(cat, num, labels, n_cats, n_classes, row_cat, row_num):
     return out
 
 
-def _tiny_dataset(cat, num, labels, n_classes, n_cats):
-    cols = [(f"c{j}", "categorical") for j in range(cat.shape[1])]
-    cols += [(f"x{j}", "numerical") for j in range(num.shape[1])]
-    cols.append(("y", "label"))
-    return Dataset(FeatureSchema(tuple(cols), n_classes), cat, num, labels, n_cats)
-
-
-def _score_row(model, row_cat, row_num):
-    """Per-class joint log-scores of one encoded row, through the batch scorer."""
-    row = _tiny_dataset(
-        np.array([row_cat], dtype=np.int64),
-        np.array([row_num], dtype=np.float64),
-        np.zeros(1, dtype=np.int64),
-        model.n_classes,
-        model.n_cats,
-    )
-    return joint_log_scores_batch(model, row)[0]
-
-
 def test_criterion_02_scoring_oracle_equivalence():
     rng = np.random.default_rng(2024)
     n_trials = 100
@@ -147,11 +130,11 @@ def test_criterion_02_scoring_oracle_equivalence():
         num = rng.normal(size=(n, n_num))
         labels = rng.integers(0, n_classes, size=n).astype(np.int64)
         labels[0] = 0
-        ds = _tiny_dataset(cat, num, labels, n_classes, n_cats)
+        ds = make_dataset(cat, num, labels, n_classes, n_cats)
         model = fit_hybrid(ds)
         row_cat = [int(rng.integers(0, m + 1)) for m in n_cats]
         row_num = list(rng.normal(size=n_num))
-        got = _score_row(model, row_cat, row_num)
+        got = score_row(model, row_cat, row_num)
         want = _oracle_scores(cat.tolist(), num.tolist(), labels.tolist(), n_cats, n_classes, row_cat, row_num)
         for c in range(n_classes):
             if want[c] == NEG_INF:
@@ -168,10 +151,10 @@ def test_criterion_03_ood_slot_contract():
     model = fit_hybrid(ds)
     m = ds.n_cats[0]
     tables_before = [t.copy() for t in model.cat_log_prob]
-    s_known_before = _score_row(model, [0], [0.0])
-    s_ood = _score_row(model, [m], [0.0])
-    s_known_after = _score_row(model, [0], [0.0])
-    for c in model.classes_present:
+    s_known_before = score_row(model, [0], [0.0])
+    s_ood = score_row(model, [m], [0.0])
+    s_known_after = score_row(model, [0], [0.0])
+    for c in classes_present(model):
         assert s_ood[c] == pytest.approx(
             model.log_prior[c]
             + model.cat_log_prob[0][c, m]

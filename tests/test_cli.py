@@ -344,6 +344,34 @@ def _trace_start_without_iterations(text):
     return json.dumps(bundle)
 
 
+def _edit_trace(text, key, value, start=None):
+    """Set key of trace "0,0" (of its start number start, if given) to value."""
+    bundle = json.loads(text)
+    trace = bundle["traces"]["0,0"]
+    (trace if start is None else trace["starts"][start])[key] = value
+    return json.dumps(bundle)
+
+
+def _float_chosen(text):
+    return _edit_trace(text, "chosen", 2.9)
+
+
+def _bool_chosen(text):
+    return _edit_trace(text, "chosen", True)
+
+
+def _string_evaluations(text):
+    return _edit_trace(text, "evaluations", "273", start=0)
+
+
+def _float_iterations(text):
+    return _edit_trace(text, "iterations", 12.5, start=0)
+
+
+def _string_converged(text):
+    return _edit_trace(text, "converged", "no", start=0)
+
+
 def _bad_f1_cell(text):
     lines = text.splitlines()
     fields = lines[1].split(",")
@@ -359,6 +387,11 @@ def _bad_f1_cell(text):
         ("grid.json", _string_scores_ok, "scores_ok"),
         ("grid.json", _trace_start_without_iterations, "iterations"),
         ("results.csv", _bad_f1_cell, "row 1"),
+        ("grid.json", _float_chosen, "chosen"),
+        ("grid.json", _bool_chosen, "chosen"),
+        ("grid.json", _string_evaluations, "evaluations"),
+        ("grid.json", _float_iterations, "iterations"),
+        ("grid.json", _string_converged, "converged"),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "emit-plots"])

@@ -73,7 +73,7 @@ def test_mcnemar_hand_example():
     assert (res.b, res.c) == (10, 2)
     assert res.chi2 == pytest.approx(49 / 12, abs=1e-9)
     assert res.p_value == pytest.approx(0.0433, abs=1e-3)
-    assert res.significant
+    assert res.p_value < 0.05
 
 
 def test_mcnemar_equal_discordance():
@@ -81,7 +81,7 @@ def test_mcnemar_equal_discordance():
     res = mcnemar_yates(a, b, y)
     assert res.chi2 == 0.0
     assert res.p_value == 1.0
-    assert not res.significant
+    assert not res.p_value < 0.05
 
 
 def test_mcnemar_identical_predictions():

@@ -142,7 +142,7 @@ def test_equal_size_nodes_give_uniform_fedavg():
     cfg = small_config(proposals=("B",))
     cell = run_cell(cfg, 1.0, 0)
     dataset = materialize_dataset(cfg)
-    sizes = np.array(prepare_cell(cfg, 2, 0, dataset).partition.sizes(), dtype=float)
+    sizes = np.array([len(ix) for ix in prepare_cell(cfg, 2, 0, dataset).partition.node_indices], dtype=float)
     assert np.allclose(cell.records[0].weights, sizes / sizes.sum(), atol=1e-12)
 
 

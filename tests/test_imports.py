@@ -1,6 +1,7 @@
 """Layout rules: no fednb module imports another fednb module's private helpers,
-every definition is used, every lookup point of perfbench/tracer.py exists, and
-a traced run passes the tracer's consistency check."""
+every definition is used, every field is read, every lookup point of
+perfbench/tracer.py exists, and a traced run passes the tracer's consistency
+check."""
 
 import ast
 import importlib.util
@@ -77,6 +78,46 @@ def test_every_definition_is_referenced_outside_itself():
             if not outside and node.name not in UNREFERENCED_ALLOWED:
                 unreferenced.append(f"{module}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+# Kept although nothing in src/fednb reads them, each for a stated reason.
+UNREAD_FIELDS_ALLOWED = {
+    "McNemarResult.b": "a discordant count that acceptance criterion 7 checks",
+    "McNemarResult.c": "a discordant count that acceptance criterion 7 checks",
+    "McNemarResult.chi2": "the Yates statistic that the McNemar hand example checks",
+}
+
+
+def _fields(tree: ast.Module):
+    """(class, name, first line, last line) of every class-level annotated
+    field and @property of the top-level classes."""
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for m in cls.body:
+            if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name):
+                yield cls.name, m.target.id, m.lineno, m.end_lineno
+            elif isinstance(m, ast.FunctionDef) and any(
+                isinstance(d, ast.Name) and d.id == "property" for d in m.decorator_list
+            ):
+                yield cls.name, m.name, m.lineno, m.end_lineno
+
+
+def test_every_field_is_read_outside_its_declaration():
+    """A field or property that nothing reads restates something or is dead."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    reads = [
+        (module, node.attr, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for module, tree in trees.items():
+        for cls, name, first, last in _fields(tree):
+            if f"{cls}.{name}" in UNREAD_FIELDS_ALLOWED:
+                continue
+            if not any(a == name and not (m == module and first <= line <= last) for m, a, line in reads):
+                unread.append(f"{module}:{first} {cls}.{name}")
+    assert unread == []
 
 
 def _load_tracer():

@@ -7,27 +7,7 @@ from fednb.data import Dataset, FeatureSchema, SynthSpec, synth_generate
 from fednb.errors import FitError, ShapeError
 from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch
 
-
-def _make_dataset(cat, num, labels, n_classes, n_cats):
-    n_cat_cols = cat.shape[1]
-    n_num_cols = num.shape[1]
-    cols = [(f"c{j}", "categorical") for j in range(n_cat_cols)]
-    cols += [(f"x{j}", "numerical") for j in range(n_num_cols)]
-    cols.append(("y", "label"))
-    schema = FeatureSchema(tuple(cols), n_classes)
-    return Dataset(schema, cat, num, labels, n_cats)
-
-
-def _score_row(model, row_cat, row_num):
-    """Per-class joint log-scores of one encoded row, through the batch scorer."""
-    row = _make_dataset(
-        np.array([row_cat], dtype=np.int64),
-        np.array([row_num], dtype=np.float64),
-        np.zeros(1, dtype=np.int64),
-        model.n_classes,
-        model.n_cats,
-    )
-    return joint_log_scores_batch(model, row)[0]
+from conftest import classes_present, make_dataset, score_row
 
 
 def oracle_scores(cat, num, labels, n_cats, n_classes, row_cat, row_num, smoothing=1.0):
@@ -82,7 +62,7 @@ def test_constant_column_variance_floor():
     cat = np.zeros((4, 0), dtype=np.int64)
     num = np.array([[1.0], [1.0], [2.0], [3.0]])
     labels = np.array([0, 0, 1, 1])
-    ds = _make_dataset(cat, num, labels, 2, ())
+    ds = make_dataset(cat, num, labels, 2, ())
     model = fit_hybrid(ds)
     assert model.gauss_var[0, 0] > 0
     scores = joint_log_scores_batch(model, ds)
@@ -93,13 +73,13 @@ def test_class_priors_are_frequencies():
     cat = np.zeros((4, 1), dtype=np.int64)
     num = np.zeros((4, 0))
     labels = np.array([0, 0, 1, 1])
-    ds = _make_dataset(cat, num, labels, 2, (1,))
+    ds = make_dataset(cat, num, labels, 2, (1,))
     model = fit_hybrid(ds)
     assert np.allclose(np.exp(model.log_prior), [0.5, 0.5])
 
 
 def test_fit_empty_dataset_error():
-    ds = _make_dataset(np.zeros((0, 1), dtype=np.int64), np.zeros((0, 0)), np.zeros(0, dtype=np.int64), 2, (2,))
+    ds = make_dataset(np.zeros((0, 1), dtype=np.int64), np.zeros((0, 0)), np.zeros(0, dtype=np.int64), 2, (2,))
     with pytest.raises(FitError):
         fit_hybrid(ds)
 
@@ -117,9 +97,9 @@ def test_ood_slot_used_not_last_category():
     ds = synth_generate(SynthSpec(300, 2, 1, 0, (0.0,)), 12)
     model = fit_hybrid(ds)
     m = ds.n_cats[0]
-    s_ood = _score_row(model, [m], [])
-    s_last = _score_row(model, [m - 1], [])
-    for c in model.classes_present:
+    s_ood = score_row(model, [m], [])
+    s_last = score_row(model, [m - 1], [])
+    for c in classes_present(model):
         assert s_ood[c] != s_last[c]
         assert s_ood[c] == pytest.approx(model.log_prior[c] + model.cat_log_prob[0][c, m])
 
@@ -130,12 +110,12 @@ def test_unseen_category_does_not_contaminate_known_probs():
     ds = synth_generate(SynthSpec(300, 2, 1, 1, (0.0,)), 13)
     model = fit_hybrid(ds)
     before = [t.copy() for t in model.cat_log_prob]
-    _ = _score_row(model, [ds.n_cats[0]], [0.0])
+    _ = score_row(model, [ds.n_cats[0]], [0.0])
     for a, b in zip(before, model.cat_log_prob):
         assert np.array_equal(a, b)
-    known = _score_row(model, [0], [0.0])
-    _ = _score_row(model, [ds.n_cats[0]], [0.0])
-    assert np.array_equal(known, _score_row(model, [0], [0.0]))
+    known = score_row(model, [0], [0.0])
+    _ = score_row(model, [ds.n_cats[0]], [0.0])
+    assert np.array_equal(known, score_row(model, [0], [0.0]))
 
 
 def test_oracle_equivalence_random_instances():
@@ -154,11 +134,11 @@ def test_oracle_equivalence_random_instances():
         num = rng.normal(size=(n, n_num))
         labels = rng.integers(0, n_classes, size=n)
         labels[0] = 0  # at least one class present
-        ds = _make_dataset(cat.astype(np.int64), num, labels.astype(np.int64), n_classes, n_cats)
+        ds = make_dataset(cat.astype(np.int64), num, labels.astype(np.int64), n_classes, n_cats)
         model = fit_hybrid(ds)
         row_cat = [int(rng.integers(0, m + 1)) for m in n_cats]  # may hit OOD
         row_num = list(rng.normal(size=n_num))
-        got = _score_row(model, row_cat, row_num)
+        got = score_row(model, row_cat, row_num)
         want = oracle_scores(cat.tolist(), num.tolist(), labels.tolist(), n_cats, n_classes, row_cat, row_num)
         for c in range(n_classes):
             if want[c] == NEG_INF:
@@ -177,7 +157,7 @@ def test_single_class_always_predicted():
     cat = np.zeros((5, 1), dtype=np.int64)
     num = np.random.default_rng(0).normal(size=(5, 1))
     labels = np.ones(5, dtype=np.int64)
-    ds = _make_dataset(cat, num, labels, 3, (1,))
+    ds = make_dataset(cat, num, labels, 3, (1,))
     model = fit_hybrid(ds)
     assert (joint_log_scores_batch(model, ds).argmax(axis=1) == 1).all()
     scores = joint_log_scores_batch(model, ds)
@@ -189,9 +169,9 @@ def test_tie_breaks_to_smaller_class():
     cat = np.zeros((4, 0), dtype=np.int64)
     num = np.array([[-1.0], [-2.0], [1.0], [2.0]])
     labels = np.array([0, 0, 1, 1])
-    ds = _make_dataset(cat, num, labels, 2, ())
+    ds = make_dataset(cat, num, labels, 2, ())
     model = fit_hybrid(ds)
-    mid = _make_dataset(np.zeros((1, 0), dtype=np.int64), np.array([[0.0]]), np.array([0]), 2, ())
+    mid = make_dataset(np.zeros((1, 0), dtype=np.int64), np.array([[0.0]]), np.array([0]), 2, ())
     scores = joint_log_scores_batch(model, mid)
     assert scores[0, 0] == pytest.approx(scores[0, 1], abs=1e-12)
     assert scores[0].argmax() == 0  # ties go to the smaller class
@@ -236,21 +216,21 @@ def _fit_by_numpy_reductions(train, smoothing=1.0):
             gauss_mean[c] = z[labels == c].mean(axis=0)
             gauss_var[c] = z[labels == c].var(axis=0) + floor
     return {
-        "scaler.mean": mean, "scaler.scale": scale, "gauss_mean": gauss_mean,
+        "num_mean": mean, "num_scale": scale, "gauss_mean": gauss_mean,
         "gauss_var": gauss_var, "log_prior": log_prior, "cat_log_prob": cat_log_prob,
     }
 
 
 def _scores_out_of_place(model, data):
     scores = np.tile(model.log_prior, (data.n_rows, 1))
-    for j in range(len(model.n_cats)):
+    for j in range(len(model.cat_log_prob)):
         scores = scores + model.cat_log_prob[j][:, data.categorical[:, j]].T
     if data.numerical.shape[1]:
-        z = (data.numerical - model.scaler.mean) / model.scaler.scale
+        z = (data.numerical - model.num_mean) / model.num_scale
         diff = z[:, None, :] - model.gauss_mean[None, :, :]
         var = model.gauss_var
         scores = scores + (-0.5 * (np.log(2.0 * np.pi) + np.log(var) + diff**2 / var)).sum(axis=2)
-    scores[:, [c for c in range(model.n_classes) if c not in model.classes_present]] = NEG_INF
+    scores[:, [c for c in range(len(model.log_prior)) if c not in classes_present(model)]] = NEG_INF
     return scores
 
 
@@ -261,7 +241,7 @@ def _oracle_case(n_cat, n_num, classes, seed, n=20_000):
     num = rng.normal(size=(n, n_num)) * rng.uniform(0.01, 300.0, n_num) + rng.uniform(-50, 50, n_num)
     if n_num:
         num[:, 0] = 2.5
-    return _make_dataset(cat, num, rng.choice(classes, n), 3, (4,) * n_cat)
+    return make_dataset(cat, num, rng.choice(classes, n), 3, (4,) * n_cat)
 
 
 ORACLE_CASES = {
@@ -279,7 +259,7 @@ def test_fit_and_scores_equal_the_numpy_reduction_oracle_bitwise(case):
     model = fit_hybrid(train)
     want = _fit_by_numpy_reductions(train)
     got = {
-        "scaler.mean": model.scaler.mean, "scaler.scale": model.scaler.scale,
+        "num_mean": model.num_mean, "num_scale": model.num_scale,
         "gauss_mean": model.gauss_mean, "gauss_var": model.gauss_var, "log_prior": model.log_prior,
     }
     for name, value in got.items():
@@ -289,7 +269,7 @@ def test_fit_and_scores_equal_the_numpy_reduction_oracle_bitwise(case):
     test = _oracle_case(n_cat, n_num, (0, 1, 2), seed=2)
     cat = test.categorical.copy()
     cat[::7] = 4  # the OOD slot of every categorical column
-    test = _make_dataset(cat, test.numerical, test.labels, 3, test.n_cats)
+    test = make_dataset(cat, test.numerical, test.labels, 3, test.n_cats)
     for data in (test, test.subset([]), test.subset([5, 0, 5, 19_999])):
         assert np.array_equal(joint_log_scores_batch(model, data), _scores_out_of_place(model, data))
     if 1 not in classes:

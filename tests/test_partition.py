@@ -43,6 +43,36 @@ def test_split_small_class_error():
         stratified_split(ds, SplitConfig(0.6, 0.2, 0.2, seed=5))
 
 
+def _split_over_every_class(dataset, config):
+    """The split's row lists as first written: one pass per class of the
+    schema, shuffling an empty array for an absent class."""
+    rng = np.random.default_rng(config.seed)
+    fracs = (config.train_frac, config.val_frac, config.test_frac)
+    parts = [[], [], []]
+    for cls in range(dataset.schema.n_classes):
+        idx = np.flatnonzero(dataset.labels == cls)
+        rng.shuffle(idx)
+        counts = largest_remainder(len(idx), fracs)
+        start = 0
+        for s in range(3):
+            parts[s].append(idx[start : start + counts[s]])
+            start += counts[s]
+    return [np.concatenate(p) for p in parts]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_split_skips_an_absent_class_without_changing_a_draw(seed):
+    ds = synth_generate(SynthSpec(300, 3, 1, 1, (0.0,)), seed)
+    ds.labels[ds.labels == 1] = 2  # class 1 absent, between two present classes
+    config = SplitConfig(0.6, 0.2, 0.2, seed=seed)
+    got = stratified_split(ds, config)
+    want = [ds.subset(ix) for ix in _split_over_every_class(ds, config)]
+    for g, w in zip(got, want, strict=True):
+        assert g.labels.tobytes() == w.labels.tobytes()
+        assert g.categorical.tobytes() == w.categorical.tobytes()
+        assert g.numerical.tobytes() == w.numerical.tobytes()
+
+
 def test_split_config_validation():
     with pytest.raises(ValueError):
         SplitConfig(0.5, 0.2, 0.2, seed=0)
