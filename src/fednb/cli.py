@@ -33,7 +33,7 @@ from .experiment import (
 )
 from .governance import coherence_prior
 from .partition import dirichlet_partition, jsd_heterogeneity
-from .weights import OptimizationTrace
+from .weights import OptimizationTrace, json_value
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -91,10 +91,7 @@ def _load_bundle(results_dir: str) -> GridResult:
         config = config_from_dict(bundle["config"])
         traces = _from_cell_key(bundle["traces"], OptimizationTrace.from_dict)
         partitions = _from_cell_key(bundle["partitions"], lambda c: np.array(c, dtype=np.int64))
-        scores_ok = bundle["scores_ok"]
-        if not isinstance(scores_ok, bool):
-            raise TypeError(f"scores_ok must be true or false, got {scores_ok!r}")
-        return GridResult(config, records, traces, partitions, scores_ok)
+        return GridResult(config, records, traces, partitions, json_value(bundle, "scores_ok", bool))
     except KeyError as exc:
         raise ParseError(f"{bundle_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

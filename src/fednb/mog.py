@@ -115,6 +115,9 @@ class StackedScores:
       has no sentinel entry;
     - scratch: the (K, C, n) buffer that mix_scores overwrites on each call,
       so one StackedScores must not serve two calls at once.
+
+    It also keeps anll_from_stacked's last weight vector (as bytes) and its
+    ANLL, so the tensor and labels must not change after construction.
     """
 
     def __init__(self, stacked: np.ndarray, labels: np.ndarray):
@@ -131,11 +134,19 @@ class StackedScores:
         self.flat_index = labels.astype(np.intp) * n + np.arange(n)
         self.covered = bool(finite.any(axis=0).all() and (finite | (stacked == NEG_INF)).all())
         self.scratch = np.empty_like(stacked)
+        self._last_weights: bytes | None = None
+        self._last_anll = 0.0
 
 
 def anll_from_stacked(weights, scores: StackedScores) -> float:
     """ANLL of the mixture of scores.stacked under weights; the optimizer's
     validation ANLL, called once per objective evaluation.
+
+    When the weights are byte-equal to those of the previous call on the same
+    scores, the call returns that call's float without mixing again (a
+    Nelder-Mead start often evaluates a point whose floored weights equal
+    the last ones). Only the last call is kept; -0.0 and 0.0 differ, and a
+    call that raises keeps nothing.
 
     When scores.covered holds and every weight is finite and > 0, the call
     mixes into scores.scratch, takes the log-softmax over classes, gathers the
@@ -147,11 +158,17 @@ def anll_from_stacked(weights, scores: StackedScores) -> float:
     takes that masked path itself.
     """
     w = np.asarray(weights, dtype=np.float64)
-    if not (scores.covered and all(0.0 < x < math.inf for x in w.tolist())):
-        return anll_from_mixed(mix_scores(w, scores.stacked, scores.scratch), scores.labels)
-    mixed = mix_scores(w, scores.stacked, scores.scratch, covered=True)
-    ll = mixed.take(scores.flat_index) - _logsumexp_classes(mixed, checked=False)
-    return float(-(np.add.reduce(ll) / len(ll)))
+    key = w.tobytes()
+    if key == scores._last_weights:
+        return scores._last_anll
+    if scores.covered and all(0.0 < x < math.inf for x in w.tolist()):
+        mixed = mix_scores(w, scores.stacked, scores.scratch, covered=True)
+        ll = mixed.take(scores.flat_index) - _logsumexp_classes(mixed, checked=False)
+        value = float(-(np.add.reduce(ll) / len(ll)))
+    else:
+        value = anll_from_mixed(mix_scores(w, scores.stacked, scores.scratch), scores.labels)
+    scores._last_weights, scores._last_anll = key, value
+    return value
 
 
 def anll(models, weights, data: Dataset) -> float:

@@ -11,6 +11,7 @@ simplex search never sees an infeasible point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +52,22 @@ def to_floored_simplex(theta, k: int, delta: float) -> np.ndarray:
         raise ValueError(f"theta must have {k - 1} coordinates")
     if k * delta >= 1.0:
         raise ValueError(f"K*delta = {k * delta} >= 1: floor infeasible")
-    z = np.zeros(k)
-    z[:-1] = theta
-    z -= max(0.0, *theta.tolist())  # same value as z.max(), without a numpy reduction
+    return _floored_simplex(theta, k, delta)
+
+
+def _floored_simplex(theta: np.ndarray, k: int, delta: float) -> np.ndarray:
+    """to_floored_simplex without its checks, the map of every objective
+    evaluation. exp and the (pairwise) sum stay in numpy; the shift, the
+    division, the scale and the floor are the same IEEE operations on
+    Python floats."""
+    t = theta.tolist()
+    top = max(0.0, *t)
+    z = [x - top for x in t]
+    z.append(-top)
     p = np.exp(z)
-    p /= p.sum()
-    return delta + (1.0 - k * delta) * p
+    total = float(np.add.reduce(p))
+    scale = 1.0 - k * delta
+    return np.array([delta + scale * (x / total) for x in p.tolist()])
 
 
 def from_simplex(w, delta: float) -> np.ndarray:
@@ -86,67 +97,99 @@ def nelder_mead(f, start, max_iters: int = 500):
     spread falls below 1e-10 with the vertices within 1e-8. Returns (best x,
     best f, n_evals, iterations, converged); converged is False when
     max_iters ran out.
+
+    The vertices and their values are Python floats, and each step is the
+    same IEEE operation in the same order as on float64 arrays: the centroid
+    is a left-to-right sum over the vertices divided by n. f still receives
+    a float64 array. The vertices stay ranked as np.argsort(kind="stable")
+    ranks their values, so ties keep their vertex order and a NaN value
+    ranks last; the best vertex is np.argmin's, so a NaN value left in the
+    simplex at max_iters is returned before any number.
     """
     x0 = np.asarray(start, dtype=np.float64)
     n = len(x0)
     f0 = f(x0)
     if not np.isfinite(f0):
         raise OptimizerError(f"objective not finite at start: {f0}")
-    evals = 1
-    simplex = np.tile(x0, (n + 1, 1))
+    simplex = [x0.tolist()]
     for i in range(n):
-        x = simplex[i + 1]
+        x = list(simplex[0])
         x[i] = x[i] * 1.05 if x[i] != 0.0 else 0.00025
-    fvals = np.empty(n + 1)
-    fvals[0] = f0
-    for i in range(1, n + 1):
-        fvals[i] = f(simplex[i])
-    evals += n
+        simplex.append(x)
+    fvals = [float(f0)] + [float(f(np.array(x))) for x in simplex[1:]]
+    evals = n + 1
+    _rank(simplex, fvals)
 
     iterations, converged = 0, False
     while iterations < max_iters:
-        order = np.argsort(fvals, kind="stable")
-        simplex = simplex[order]
-        fvals = fvals[order]
+        best = simplex[0]
         # function spread alone can hit zero on a symmetric stall, so also
         # require the simplex itself to have collapsed (tested only then)
-        if fvals[-1] - fvals[0] < 1e-10 and np.abs(simplex[1:] - simplex[0]).max() < 1e-8:
+        if fvals[-1] - fvals[0] < 1e-10 and all(
+            abs(a - b) < 1e-8 for x in simplex[1:] for a, b in zip(x, best)
+        ):
             converged = True
             break
         iterations += 1
-        centroid = np.add.reduce(simplex[:-1], axis=0) / n  # what .mean(axis=0) computes
+        centroid = best
+        for x in simplex[1:-1]:
+            centroid = [a + b for a, b in zip(centroid, x)]
+        centroid = [a / n for a in centroid]
         worst = simplex[-1]
 
-        xr = centroid + (centroid - worst)
-        fr = f(xr)
+        xr = [c + (c - w) for c, w in zip(centroid, worst)]
+        fr = float(f(np.array(xr)))
         evals += 1
         if fr < fvals[0]:
-            xe = centroid + 2.0 * (centroid - worst)
-            fe = f(xe)
+            xe = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
+            fe = float(f(np.array(xe)))
             evals += 1
             if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
+                _replace_worst(simplex, fvals, xe, fe)
             else:
-                simplex[-1], fvals[-1] = xr, fr
+                _replace_worst(simplex, fvals, xr, fr)
         elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
+            _replace_worst(simplex, fvals, xr, fr)
         else:
             if fr < fvals[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
+                xc = [c + 0.5 * (r - c) for c, r in zip(centroid, xr)]
             else:
-                xc = centroid + 0.5 * (worst - centroid)
-            fc = f(xc)
+                xc = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+            fc = float(f(np.array(xc)))
             evals += 1
             if fc < min(fr, fvals[-1]):
-                simplex[-1], fvals[-1] = xc, fc
+                _replace_worst(simplex, fvals, xc, fc)
             else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
                 for i in range(1, n + 1):
-                    fvals[i] = f(simplex[i])
+                    simplex[i] = [b + 0.5 * (a - b) for a, b in zip(simplex[i], best)]
+                    fvals[i] = float(f(np.array(simplex[i])))
                 evals += n
+                _rank(simplex, fvals)
 
-    i = int(np.argmin(fvals))
-    return simplex[i].copy(), float(fvals[i]), evals, iterations, converged
+    i = next((i for i, v in enumerate(fvals) if v != v), 0)
+    return np.array(simplex[i]), fvals[i], evals, iterations, converged
+
+
+def _rank(simplex: list, fvals: list) -> None:
+    """Reorder both lists as np.argsort(fvals, kind="stable") orders them: a
+    stable sort with every NaN after every number."""
+    order = sorted(range(len(fvals)), key=lambda i: (fvals[i] != fvals[i], fvals[i]))
+    simplex[:] = [simplex[i] for i in order]
+    fvals[:] = [fvals[i] for i in order]
+
+
+def _replace_worst(simplex: list, fvals: list, x: list, fx: float) -> None:
+    """Replace the last-ranked vertex by x, whose value fx compared below
+    another and so is a number, keeping the ranking of _rank: x goes after
+    the vertices whose values are <= fx and before those that are NaN."""
+    simplex.pop()
+    fvals.pop()
+    numbers = len(fvals)
+    while numbers and fvals[numbers - 1] != fvals[numbers - 1]:
+        numbers -= 1
+    i = bisect_right(fvals, fx, 0, numbers)
+    simplex.insert(i, x)
+    fvals.insert(i, fx)
 
 
 @dataclass
@@ -184,27 +227,36 @@ class OptimizationTrace:
     @staticmethod
     def from_dict(d: dict) -> "OptimizationTrace":
         """The trace of to_dict's output; TypeError names a field of the wrong JSON type."""
-        t = OptimizationTrace(chosen=_json_value(d, "chosen", int))
+        t = OptimizationTrace(chosen=json_value(d, "chosen", int))
         for s in d["starts"]:
             t.starts.append(
                 StartResult(
-                    np.array(s["initial_theta"]),
-                    np.array(s["final_theta"]),
-                    float(s["final_objective"]),
-                    _json_value(s, "evaluations", int),
-                    _json_value(s, "iterations", int),
-                    _json_value(s, "converged", bool),
+                    _json_floats(s, "initial_theta"),
+                    _json_floats(s, "final_theta"),
+                    json_value(s, "final_objective", float),
+                    json_value(s, "evaluations", int),
+                    json_value(s, "iterations", int),
+                    json_value(s, "converged", bool),
                 )
             )
         return t
 
 
-def _json_value(d: dict, key: str, kind: type):
-    """d[key] when its type is exactly kind, so neither true nor 2.0 is an int."""
+def json_value(d: dict, key: str, kind: type):
+    """d[key] when its type is exactly kind, so neither true nor 2.0 is an
+    int and neither 1 nor "0.5" is a float; TypeError names the key."""
     v = d[key]
     if type(v) is not kind:
         raise TypeError(f"{key} must be {kind.__name__}, got {v!r}")
     return v
+
+
+def _json_floats(d: dict, key: str) -> np.ndarray:
+    """d[key] as a float64 array when it is a list of JSON floats."""
+    v = json_value(d, key, list)
+    if any(type(x) is not float for x in v):
+        raise TypeError(f"{key} must hold floats, got {v!r}")
+    return np.array(v, dtype=np.float64)
 
 
 def learn_weights_icc(models, val: Dataset, prior, config: OptimizerConfig):
@@ -235,7 +287,7 @@ def learn_weights_icc(models, val: Dataset, prior, config: OptimizerConfig):
     delta = config.floor_delta
 
     def f(theta):
-        return objective(to_floored_simplex(theta, k, delta), scores, target, config.lam)
+        return objective(_floored_simplex(theta, k, delta), scores, target, config.lam)
 
     rng = np.random.default_rng(config.seed)
     d1 = rng.dirichlet(np.ones(k))

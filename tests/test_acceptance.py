@@ -19,6 +19,7 @@ from fednb.evaluation import chi2_sf_1df, mcnemar_yates
 from fednb.experiment import (
     emit_results_csv,
     materialize_dataset,
+    run_cell,
     run_grid,
     verify,
 )
@@ -41,6 +42,12 @@ RESULTS_SHA256 = "01102000be67071f90862196de0bc5664555bf36fd6706b9aaf2347aace355
 # the validation tensors of (0.10, 0) and (0.05, 1) have a node without a
 # class: -inf sentinel columns that the objective's cheap path still covers.
 TRACES_PATH = Path(__file__).resolve().parent / "data" / "synth_optimizer_traces.json"
+# The same for one K = 10 cell (WIDE_CELL), recorded before nelder_mead kept its
+# simplex as Python floats. At K = 3 the centroid divides by 2 exactly; in 9
+# dimensions it does not, so only this trace can show a last-ulp drift there.
+# Its validation tensor has two sentinel (node, class) pairs.
+WIDE_TRACE_PATH = Path(__file__).resolve().parent / "data" / "wide_k10_optimizer_trace.json"
+WIDE_CELL = (0.30, 0)
 
 PROFILES = (
     NodeProfile("Financial", 4, 0.82, 0.12, 3.2),
@@ -307,6 +314,37 @@ def test_optimizer_traces_match_the_pinned_floats(full_config, full_grid):
         trace = full_grid.traces[(full_config.alphas.index(float(alpha)), int(rep))]
         # a JSON round trip reproduces each float exactly, so == compares bits
         assert json.loads(json.dumps(trace.to_dict())) == want, key
+
+
+def _wide_config_text() -> str:
+    """A 1,200-row synthetic config of WIDE_CELL with k = 10 nodes: node i has
+    cmm 5 - floor(4i/k), kci 0.90 - 0.04i, kri 0.10 + 0.04i, cvss 3.0 + 0.4i,
+    and label noise rising linearly from 0 to 0.45."""
+    alpha, rep = WIDE_CELL
+    k = 10
+    lines = [
+        "[experiment]", "name = wide-k10", "seed = 42", f"alphas = {alpha:.2f}",
+        f"reps = {rep + 1}", "proposals = A", "lambda = 0.10", "floor_delta = 0.05",
+        "max_iters = 500", "n_starts = 5",
+        "[synth]", "n_rows = 1200", "n_classes = 2", "n_categorical = 2",
+        "n_numerical = 3", "n_categories = 4", "class_sep = 2.0",
+        "node_noise = " + ", ".join(str(round(0.45 * i / (k - 1), 6)) for i in range(k)),
+        "[profiles]",
+    ]
+    lines += [
+        f"N{i} = {5 - (4 * i) // k}, {0.90 - 0.04 * i:.2f}, {0.10 + 0.04 * i:.2f}, {3.0 + 0.4 * i:.1f}"
+        for i in range(k)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_k10_optimizer_trace_matches_the_pinned_floats(tmp_path):
+    path = tmp_path / "wide.cfg"
+    path.write_text(_wide_config_text(), encoding="utf-8")
+    trace = run_cell(load_config(path), *WIDE_CELL).trace
+    want = json.loads(WIDE_TRACE_PATH.read_text(encoding="utf-8"))
+    assert len(want["starts"]) == 5 and len(want["starts"][0]["final_theta"]) == 9
+    assert json.loads(json.dumps(trace.to_dict())) == want
 
 
 def test_criterion_12_external_dataset_optional():

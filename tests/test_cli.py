@@ -372,6 +372,22 @@ def _string_converged(text):
     return _edit_trace(text, "converged", "no", start=0)
 
 
+def _string_final_objective(text):
+    return _edit_trace(text, "final_objective", "0.3", start=0)
+
+
+def _int_final_objective(text):
+    return _edit_trace(text, "final_objective", 1, start=0)
+
+
+def _string_final_theta(text):
+    return _edit_trace(text, "final_theta", ["a", "b"], start=0)
+
+
+def _int_initial_theta(text):
+    return _edit_trace(text, "initial_theta", [1, 0.5], start=0)
+
+
 def _bad_f1_cell(text):
     lines = text.splitlines()
     fields = lines[1].split(",")
@@ -392,6 +408,10 @@ def _bad_f1_cell(text):
         ("grid.json", _string_evaluations, "evaluations"),
         ("grid.json", _float_iterations, "iterations"),
         ("grid.json", _string_converged, "converged"),
+        ("grid.json", _string_final_objective, "final_objective"),
+        ("grid.json", _int_final_objective, "final_objective"),
+        ("grid.json", _string_final_theta, "final_theta"),
+        ("grid.json", _int_initial_theta, "initial_theta"),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "emit-plots"])

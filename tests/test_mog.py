@@ -395,3 +395,63 @@ def test_anll_row_without_any_finite_class_error():
     s[:, :, :2] = 0.0
     with pytest.raises(NormalizationError):
         anll_from_stacked(np.array([0.5, 0.5]), StackedScores(s, np.array([0, 1, 0])))
+
+
+@pytest.fixture
+def counted_mixes(monkeypatch):
+    """The number of fednb.mog.mix_scores calls made so far, in a list."""
+    calls = [0]
+    real = mix_scores
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("fednb.mog.mix_scores", counting)
+    return calls
+
+
+def test_repeated_weights_reuse_the_last_anll(counted_mixes):
+    weights, stacked, labels = _oracle_inputs(3, 2, 60, (), seed=21)
+    scores = StackedScores(stacked, labels)
+    first = anll_from_stacked(weights, scores)
+    again = anll_from_stacked(weights.copy(), scores)
+    assert counted_mixes == [1] and np.float64(again).tobytes() == np.float64(first).tobytes()
+    assert first == _reference_anll(weights, stacked, labels)
+    # a fresh StackedScores of the same tensor keeps nothing of the first
+    anll_from_stacked(weights, StackedScores(stacked, labels))
+    assert counted_mixes == [2]
+
+
+def test_weights_one_ulp_or_one_sign_bit_away_recompute(counted_mixes):
+    weights, stacked, labels = _oracle_inputs(3, 2, 60, (), seed=22)
+    scores = StackedScores(stacked, labels)
+    anll_from_stacked(weights, scores)
+    nudged = weights.copy()
+    nudged[1] = np.nextafter(nudged[1], 1.0)
+    assert anll_from_stacked(nudged, scores) == _reference_anll(nudged, stacked, labels)
+    assert counted_mixes == [2]
+    zero, negative_zero = np.array([0.0, 0.4, 0.6]), np.array([-0.0, 0.4, 0.6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert anll_from_stacked(zero, scores) == anll_from_stacked(negative_zero, scores)
+    assert counted_mixes == [4]
+
+
+def test_a_call_that_raises_keeps_nothing(counted_mixes):
+    weights, stacked, labels = _oracle_inputs(2, 2, 3, (), seed=23)
+    stacked[:, :, 2] = NEG_INF  # row 2 has no finite class score in any node
+    scores = StackedScores(stacked, labels)
+    for _ in range(2):
+        with pytest.raises(NormalizationError):
+            anll_from_stacked(weights, scores)
+    assert counted_mixes == [2]
+
+
+def test_only_the_last_weights_are_kept(counted_mixes):
+    a, stacked, labels = _oracle_inputs(3, 2, 60, (), seed=24)
+    b = np.array([0.2, 0.3, 0.5])
+    scores = StackedScores(stacked, labels)
+    values = [anll_from_stacked(w, scores) for w in (a, b, a)]
+    assert counted_mixes == [3]
+    assert values[0] == values[2] == _reference_anll(a, stacked, labels)

@@ -10,6 +10,7 @@ from fednb.local_model import fit_hybrid
 from fednb.mog import StackedScores, anll, stack_scores
 from fednb.weights import (
     OptimizationTrace,
+    _floored_simplex,
     OptimizerConfig,
     from_simplex,
     learn_weights_icc,
@@ -56,16 +57,25 @@ def test_floored_simplex_respects_floor_everywhere():
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _append_formula(theta, k, delta=0.05):
+    """The floored simplex through np.append and z.max(), an independent oracle."""
+    z = np.append(theta, 0.0)
+    z -= z.max()
+    p = np.exp(z) / np.exp(z).sum()
+    return (delta + (1.0 - k * delta) * p).tobytes()
+
+
 def test_floored_simplex_is_bit_exact_with_append_formula():
+    # both the public map and the unchecked one each objective evaluation uses
     rng = np.random.default_rng(2)
+    thetas = [np.array(t) for t in ([0.0], [-0.0, 0.0], [-800.0, 800.0, -0.0])]
     for k in (2, 3, 10):
         for scale in (1e-3, 1.0, 30.0, 800.0):
-            theta = rng.normal(scale=scale, size=k - 1)
-            z = np.append(theta, 0.0)
-            z -= z.max()
-            p = np.exp(z) / np.exp(z).sum()
-            expected = 0.05 + (1.0 - k * 0.05) * p
-            assert to_floored_simplex(theta, k, 0.05).tobytes() == expected.tobytes()
+            thetas += list(rng.normal(scale=scale, size=(25, k - 1)))
+    for theta in thetas:
+        k = len(theta) + 1
+        assert to_floored_simplex(theta, k, 0.05).tobytes() == _append_formula(theta, k)
+        assert _floored_simplex(theta, k, 0.05).tobytes() == _append_formula(theta, k)
 
 
 def test_centroid_expression_is_bit_exact_with_mean():
@@ -99,6 +109,160 @@ def test_nelder_mead_matches_pinned_floats(n):
 
     x, fv, ev, it, conv = nelder_mead(rosen, np.linspace(-1.2, 1.3, n), max_iters=300)
     assert (x.tolist(), fv, ev, it, conv) == NM_PINS[n]
+
+
+def _reference_nelder_mead(f, start, max_iters: int = 500):
+    """nelder_mead as it was before it kept its simplex as Python floats, kept
+    verbatim as an oracle: the simplex is a 2-D array, re-sorted by argsort
+    with two fancy-index copies on every iteration."""
+    x0 = np.asarray(start, dtype=np.float64)
+    n = len(x0)
+    f0 = f(x0)
+    if not np.isfinite(f0):
+        raise OptimizerError(f"objective not finite at start: {f0}")
+    evals = 1
+    simplex = np.tile(x0, (n + 1, 1))
+    for i in range(n):
+        x = simplex[i + 1]
+        x[i] = x[i] * 1.05 if x[i] != 0.0 else 0.00025
+    fvals = np.empty(n + 1)
+    fvals[0] = f0
+    for i in range(1, n + 1):
+        fvals[i] = f(simplex[i])
+    evals += n
+
+    iterations, converged = 0, False
+    while iterations < max_iters:
+        order = np.argsort(fvals, kind="stable")
+        simplex = simplex[order]
+        fvals = fvals[order]
+        # function spread alone can hit zero on a symmetric stall, so also
+        # require the simplex itself to have collapsed (tested only then)
+        if fvals[-1] - fvals[0] < 1e-10 and np.abs(simplex[1:] - simplex[0]).max() < 1e-8:
+            converged = True
+            break
+        iterations += 1
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n  # what .mean(axis=0) computes
+        worst = simplex[-1]
+
+        xr = centroid + (centroid - worst)
+        fr = f(xr)
+        evals += 1
+        if fr < fvals[0]:
+            xe = centroid + 2.0 * (centroid - worst)
+            fe = f(xe)
+            evals += 1
+            if fe < fr:
+                simplex[-1], fvals[-1] = xe, fe
+            else:
+                simplex[-1], fvals[-1] = xr, fr
+        elif fr < fvals[-2]:
+            simplex[-1], fvals[-1] = xr, fr
+        else:
+            if fr < fvals[-1]:
+                xc = centroid + 0.5 * (xr - centroid)
+            else:
+                xc = centroid + 0.5 * (worst - centroid)
+            fc = f(xc)
+            evals += 1
+            if fc < min(fr, fvals[-1]):
+                simplex[-1], fvals[-1] = xc, fc
+            else:
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                for i in range(1, n + 1):
+                    fvals[i] = f(simplex[i])
+                evals += n
+
+    i = int(np.argmin(fvals))
+    return simplex[i].copy(), float(fvals[i]), evals, iterations, converged
+
+
+def _bits(result):
+    """nelder_mead's result with x and f as bytes, so == compares bits (NaN too)."""
+    x, fv, evals, iterations, converged = result
+    return x.tobytes(), np.float64(fv).tobytes(), evals, iterations, converged
+
+
+def _rosen(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _quadratic(n, seed):
+    """A random positive-definite quadratic in n dimensions and a start point."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    hess, centre = a @ a.T + 0.1 * np.eye(n), rng.normal(scale=3.0, size=n)
+
+    def f(x):
+        d = x - centre
+        return float(d @ hess @ d)
+
+    return f, rng.normal(scale=2.0, size=n)
+
+
+def _nan_beyond_half(x):
+    """NaN where a coordinate exceeds 0.5; the minimum lies in that part."""
+    return float("nan") if x.max() > 0.5 else float(np.sum((x - 2.0) ** 2))
+
+
+def _assert_matches_reference(f, start, **kw):
+    want = _reference_nelder_mead(f, start, **kw)
+    assert _bits(nelder_mead(f, start, **kw)) == _bits(want)
+    return want
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_nelder_mead_equals_the_reference_on_quadratics(n):
+    _assert_matches_reference(*_quadratic(n, seed=n))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_nelder_mead_equals_the_reference_on_rosenbrock(n):
+    start = np.random.default_rng(100 + n).uniform(-2.0, 2.0, size=n)
+    _assert_matches_reference(_rosen, start, max_iters=400)
+
+
+@pytest.mark.parametrize("start", [[0.0], [0.0, 0.0, 0.0], [0.0, 1.5, -0.0, 2.0], [-0.0, 3.0]])
+def test_nelder_mead_equals_the_reference_from_zero_coordinates(start):
+    _assert_matches_reference(lambda x: float(np.sum((x - 0.3) ** 2)), np.array(start))
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_nelder_mead_equals_the_reference_through_shrinks(n):
+    # a staircase: reflections and contractions land on the same step, so it shrinks
+    f = lambda x: float(np.floor(4.0 * np.sum(x * x)))  # noqa: E731
+    _, _, evals, iterations, _ = _assert_matches_reference(f, np.linspace(1.0, 3.0, n))
+    # an iteration costs 1 or 2 evaluations, a shrink n more
+    assert evals > 1 + n + 2 * iterations
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_nelder_mead_equals_the_reference_on_plateaus(n):
+    _assert_matches_reference(lambda x: float(np.floor(np.sum(x * x))), np.full(n, 2.5))
+    _assert_matches_reference(lambda x: 7.0, np.arange(1.0, n + 1.0))
+
+
+@pytest.mark.parametrize("max_iters", [1, 7, 40])
+def test_nelder_mead_equals_the_reference_at_max_iters(max_iters):
+    result = _assert_matches_reference(_rosen, np.linspace(-1.2, 1.3, 4), max_iters=max_iters)
+    assert result[3:] == (max_iters, False)
+
+
+@pytest.mark.parametrize("start, max_iters", [
+    ([0.49], 60),
+    ([0.49, 0.2], 2),
+    ([0.49, 0.2, 0.2, 0.2], 60),
+    # two or three NaN vertices: a NaN stays ranked among the best n while
+    # the worst is replaced
+    ([0.49, 0.49, 0.2], 60),
+    ([0.49, 0.49, 0.49, 0.2], 60),
+    # one iteration shrinks the NaN vertex onto another NaN point, and
+    # argmin returns the first NaN before any number
+    ([0.49], 1),
+])
+def test_nelder_mead_equals_the_reference_where_the_objective_is_nan(start, max_iters):
+    # each coordinate of 0.49 perturbs to 0.5145, a vertex with a NaN value
+    _assert_matches_reference(_nan_beyond_half, np.array(start), max_iters=max_iters)
 
 
 def test_from_simplex_uniform_gives_zero_theta():
