@@ -35,7 +35,8 @@ from .local_model import fit_hybrid
 from . import mog
 from .mog import anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
 from .partition import (
-    Partition, SplitConfig, class_rows, dirichlet_partition, jsd_heterogeneity, stratified_split,
+    Partition, SplitConfig, class_rows, dirichlet_counts, dirichlet_partition, jsd_heterogeneity,
+    stratified_split,
 )
 from .weights import (
     OptimizationTrace,
@@ -100,7 +101,7 @@ def _cell_seeds(config: ExperimentConfig, alpha_index: int, rep: int) -> list[in
 @dataclass
 class PreparedCell:
     train: Dataset
-    val: Dataset
+    val: Dataset | None  # None when proposal A does not run
     test: Dataset
     partition: Partition
     models: list  # one fitted HybridModel per node, in profile order
@@ -113,7 +114,10 @@ def prepare_cell(
     """Split, partition the training split, degrade (synthetic sources only)
     and fit one local model per node: everything a cell does before weighting."""
     split_seed, part_seed, degr_seed, opt_seed = _cell_seeds(config, alpha_index, rep)
-    train, val, test = stratified_split(dataset, SplitConfig(*config.split_fracs, seed=split_seed))
+    # only proposal A reads the validation rows
+    train, val, test = stratified_split(
+        dataset, SplitConfig(*config.split_fracs, seed=split_seed), "A" in config.proposals
+    )
     part = dirichlet_partition(train.labels, config.k, config.alphas[alpha_index], part_seed)
     models = []
     for node, ix in enumerate(part.node_indices):
@@ -400,8 +404,7 @@ def _jsd_curve(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
     for alpha in config.alphas:
         vals = []
         for seed in range(20):
-            part = dirichlet_partition(dataset.labels, k, alpha, seed, by_class=by_class)
-            vals.append(jsd_heterogeneity(part.counts))
+            vals.append(jsd_heterogeneity(dirichlet_counts(dataset.labels, k, alpha, seed, by_class)))
         curve.append(float(np.mean(vals)))
     return np.array(curve)
 

@@ -10,6 +10,14 @@ score is
 
 i.e. the two sub-model joint scores with the class prior counted once.
 Classes absent from a node's training data score the explicit -inf sentinel.
+
+Every float equals that of numpy's whole-array reductions over the row-major
+(n, F) numerical columns, which sum in a fixed order: an axis-0 sum adds each
+column in row order when F >= 2 and pairwise when F = 1, and a sum over a
+contiguous inner axis goes left to right below 8 terms and pairwise from 8.
+The kernels keep those orders while working one column, or one feature row,
+at a time (data.column_sums, _feature_sums): on narrow arrays numpy's
+whole-array loops run one short inner loop per row.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import NARROW_COLUMNS, Dataset, column_mean_var
 from .errors import FitError, ShapeError
 from .partition import class_rows
 
@@ -49,15 +57,12 @@ def fit_hybrid(train: Dataset) -> HybridModel:
     for c in np.flatnonzero(class_counts):
         log_prior[c] = np.log(class_counts[c] / train.n_rows)
 
-    # np.mean's and np.std's own steps (axis-0 sum, divide by n; square,
-    # axis-0 sum, divide by n, sqrt), so every float equals theirs, with
-    # num - mean computed once for the std and the standardization
+    # np.mean's and np.std's own steps, so every float equals theirs
     num = train.numerical
-    mean = np.add.reduce(num, axis=0) / train.n_rows
-    z = num - mean
-    std = np.sqrt(np.add.reduce(np.square(z), axis=0) / train.n_rows)
+    mean, var = column_mean_var(num)
+    std = np.sqrt(var)
     scale = np.where(std > 0, std, 1.0)
-    z /= scale
+    z = _standardize(num, mean, scale, np.empty(num.shape))
 
     # listed after the standardization: listed before it, the row lists would
     # be alive alongside its temporaries and raise the peak memory
@@ -74,49 +79,90 @@ def fit_hybrid(train: Dataset) -> HybridModel:
     gauss_mean = np.zeros((n_classes, n_num))
     gauss_var = np.ones((n_classes, n_num))
     if n_num:
-        col_var = z.var(axis=0)
+        col_var = column_mean_var(z)[1]  # z.var(axis=0)'s floats
         floor = 1e-9 * np.maximum(col_var, 1.0)
         for c, rows in rows_of.items():
-            gauss_mean[c], var = _mean_var(z.take(rows, axis=0))
+            gauss_mean[c], var = column_mean_var(z.take(rows, axis=0))
             gauss_var[c] = var + floor
 
     return HybridModel(mean, scale, cat_log_prob, gauss_mean, gauss_var, log_prior)
 
 
-def _mean_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and population variance of an (n, F) array by np.var's own
-    steps (axis-0 sum, divide by n; square x - mean, axis-0 sum, divide by n),
-    so both equal np.mean's and np.var's floats, with the mean summed once."""
-    mean = np.add.reduce(x, axis=0) / x.shape[0]
-    sq = x - mean
-    np.square(sq, out=sq)
-    return mean, np.add.reduce(sq, axis=0) / x.shape[0]
+def _standardize(num: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(num - mean) / scale into out: an (n, F) array, or the transposed view
+    of an (F, n) one. Narrow arrays go one column at a time, each a single
+    strided loop; an elementwise op gives the same floats in any loop shape."""
+    if num.shape[1] >= NARROW_COLUMNS:
+        np.subtract(num, mean, out=out)
+        return np.divide(out, scale, out=out)
+    for j in range(num.shape[1]):
+        np.subtract(num[:, j], mean[j], out=out[:, j])
+        np.divide(out[:, j], scale[j], out=out[:, j])
+    return out
 
 
 def joint_log_scores_batch(model: HybridModel, data: Dataset) -> np.ndarray:
-    """(n_rows, n_classes) joint log-scores; absent classes are -inf columns."""
+    """(n_rows, n_classes) joint log-scores, the transposed view of a
+    C-contiguous class-major array; absent classes are -inf columns."""
     cat, num = data.categorical, data.numerical
     if cat.shape[1] != len(model.cat_log_prob):
         raise ShapeError(f"expected {len(model.cat_log_prob)} categorical columns, got {cat.shape[1]}")
     if num.shape[1] != model.gauss_mean.shape[1]:
         raise ShapeError(f"expected {model.gauss_mean.shape[1]} numerical columns, got {num.shape[1]}")
-    scores = np.tile(model.log_prior, (cat.shape[0], 1))
+    # class-major (C, n) and feature-major (C, F, n) buffers, so that every
+    # broadcast runs along the rows; the (n, C) result is a transposed view
+    scores = np.repeat(model.log_prior[:, None], cat.shape[0], axis=1)
     for j, table in enumerate(model.cat_log_prob):
         codes, m = cat[:, j], table.shape[1] - 1
         if codes.min(initial=0) < 0 or codes.max(initial=0) > m:
             raise ShapeError(f"categorical column {j}: code outside [0, {m}]")
-        scores += table.T.take(codes, axis=0)
+        scores += table.take(codes, axis=1)
     if num.shape[1]:
         # -0.5 * (LOG_2PI + log var + (z - mean)**2 / var), built in place in
-        # one (n, C, F) buffer by the same operations in the same order
-        z = num - model.num_mean
-        z /= model.num_scale
-        ll = z[:, None, :] - model.gauss_mean[None, :, :]
+        # one (C, F, n) buffer by the same operations in the same order
+        z = np.empty(num.shape[::-1])  # (F, n)
+        _standardize(num, model.num_mean, model.num_scale, z.T)
+        ll = z - model.gauss_mean[:, :, None]
         del z  # kept alive beside ll, it would raise the peak memory
         ll *= ll
-        ll /= model.gauss_var
-        ll += _LOG_2PI + np.log(model.gauss_var)
+        ll /= model.gauss_var[:, :, None]
+        ll += (_LOG_2PI + np.log(model.gauss_var))[:, :, None]
         ll *= -0.5
-        scores += ll.sum(axis=2)
-    scores[:, np.isneginf(model.log_prior)] = NEG_INF
-    return scores
+        scores += _feature_sums(ll)
+    scores[np.isneginf(model.log_prior)] = NEG_INF
+    return scores.T
+
+
+def _feature_sums(t: np.ndarray) -> np.ndarray:
+    """(C, F, n) -> (C, n), bit for bit the (n, C, F) array's .sum(axis=2).
+
+    numpy sums a contiguous inner axis onto 0.0: left to right below 8 terms;
+    from 8 terms pairwise, in blocks of at most 128 (see _pairwise_sum).
+    """
+    f = t.shape[1]
+    if f < 8:
+        out = t[:, 0] + 0.0
+        for j in range(1, f):
+            out += t[:, j]
+        return out
+    out = _pairwise_sum(t, 0, f)
+    out += 0.0
+    return out
+
+
+def _pairwise_sum(t: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """numpy's pairwise_sum over t[:, lo:lo + n] for n >= 8: eight running
+    sums r0..r7 over the terms in steps of 8, combined as ((r0 + r1) + (r2 +
+    r3)) + ((r4 + r5) + (r6 + r7)), then the last n % 8 terms added in order;
+    above 128 terms, the sum of two halves split at a multiple of 8."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(t, lo, half) + _pairwise_sum(t, lo + half, n - half)
+    end = lo + n - n % 8
+    r = t[:, lo : lo + 8]
+    for i in range(lo + 8, end, 8):
+        r = r + t[:, i : i + 8]
+    out = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for i in range(end, lo + n):
+        out += t[:, i]
+    return out

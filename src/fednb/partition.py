@@ -43,8 +43,13 @@ def largest_remainder(total: int, proportions) -> np.ndarray:
     return counts
 
 
-def stratified_split(dataset: Dataset, config: SplitConfig):
-    """Per-class proportional train/val/test split, deterministic in seed."""
+def stratified_split(dataset: Dataset, config: SplitConfig, with_val: bool = True):
+    """Per-class proportional train/val/test split, deterministic in seed.
+
+    Without ``with_val`` the validation rows are not gathered and None stands
+    in their place; the shuffles and counts are the same, and so are train
+    and test.
+    """
     rng = np.random.default_rng(config.seed)
     fracs = (config.train_frac, config.val_frac, config.test_frac)
     parts: list[list[np.ndarray]] = [[], [], []]
@@ -58,8 +63,8 @@ def stratified_split(dataset: Dataset, config: SplitConfig):
         for s in range(3):
             parts[s].append(idx[start : start + counts[s]])
             start += counts[s]
-    splits = tuple(np.concatenate(p) if p else np.array([], dtype=np.int64) for p in parts)
-    return tuple(dataset.subset(s) for s in splits)
+    train, val, test = (np.concatenate(p) if p else np.array([], dtype=np.int64) for p in parts)
+    return dataset.subset(train), dataset.subset(val) if with_val else None, dataset.subset(test)
 
 
 @dataclass
@@ -91,36 +96,54 @@ def dirichlet_partition(labels, k: int, alpha: float, seed: int, by_class=None) 
     ``by_class`` is ``class_rows(labels)``, computed here when not given.
     Retries with fresh sub-seeds (up to 100) if any node comes out empty.
     """
+    counts, shuffled = _deal(labels, k, alpha, seed, by_class, keep_rows=True)
+    if k == 1:
+        return Partition([np.arange(len(labels), dtype=np.int64)], counts)
+    node_lists: list[list[np.ndarray]] = [[] for _ in range(k)]
+    for cls, idx in shuffled.items():
+        start = 0
+        for node in range(k):
+            node_lists[node].append(idx[start : start + counts[node, cls]])
+            start += counts[node, cls]
+    node_indices = [
+        np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
+        for chunks in node_lists
+    ]
+    return Partition(node_indices, counts)
+
+
+def dirichlet_counts(labels, k: int, alpha: float, seed: int, by_class=None) -> np.ndarray:
+    """``dirichlet_partition(...).counts``, without building the node index arrays."""
+    return _deal(labels, k, alpha, seed, by_class, keep_rows=False)[0]
+
+
+def _deal(labels, k, alpha, seed, by_class, keep_rows):
+    """Counts and shuffled rows of each class, from the first attempt that
+    leaves no node empty. Each class's shuffle sets the Dirichlet draw after
+    it, and depends only on the class's row count, so without ``keep_rows``
+    the shuffles run on one scratch buffer and no rows are returned."""
     if k < 1:
         raise PartitionError("k must be >= 1")
     if not 0 < alpha < math.inf:
         raise PartitionError(f"alpha must be finite and positive, got {alpha}")
     if by_class is None:
         by_class = class_rows(labels)
-    n = len(labels)
     width = max(by_class, default=-1) + 1
     if k == 1:
-        counts = np.array([[len(by_class.get(cls, ())) for cls in range(width)]], dtype=np.int64)
-        return Partition([np.arange(n, dtype=np.int64)], counts)
+        return np.array([[len(by_class.get(cls, ())) for cls in range(width)]], dtype=np.int64), None
+    if not keep_rows:
+        scratch = np.empty(max(map(len, by_class.values()), default=0), dtype=np.int64)
     for attempt in range(100):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt]))
-        node_lists: list[list[np.ndarray]] = [[] for _ in range(k)]
         counts = np.zeros((k, width), dtype=np.int64)
+        shuffled = {}
         for cls, rows in by_class.items():
-            idx = rows.copy()  # shuffled in place; by_class is reused across calls
+            idx = rows.copy() if keep_rows else scratch[: len(rows)]  # by_class is reused across calls
             rng.shuffle(idx)
-            p = rng.dirichlet(np.full(k, alpha))
-            counts[:, cls] = largest_remainder(len(idx), p)
-            start = 0
-            for node in range(k):
-                node_lists[node].append(idx[start : start + counts[node, cls]])
-                start += counts[node, cls]
-        node_indices = [
-            np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
-            for chunks in node_lists
-        ]
-        if all(len(ix) > 0 for ix in node_indices):
-            return Partition(node_indices, counts)
+            counts[:, cls] = largest_remainder(len(idx), rng.dirichlet(np.full(k, alpha)))
+            shuffled[cls] = idx
+        if counts.any(axis=1).all():
+            return counts, shuffled if keep_rows else None
     raise PartitionError(f"empty node persisted across 100 retries (alpha={alpha}, k={k})")
 
 

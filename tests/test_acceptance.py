@@ -347,5 +347,38 @@ def test_k10_optimizer_trace_matches_the_pinned_floats(tmp_path):
     assert json.loads(json.dumps(trace.to_dict())) == want
 
 
+# results.csv sha256 of _narrow_wide_config_text(n_numerical), recorded before
+# the Naive Bayes kernels worked one column at a time. The reference workloads
+# all have three numerical columns; numpy sums one column pairwise, and nine
+# feature terms pairwise too, so these two pin those orders end to end.
+NARROW_WIDE_SHA256 = {
+    1: "645c22327b6d6234cb2c1af10aa4e1e0459bb8777e2fe466c532bb9ed422bd0a",
+    9: "3e14460a628deed5e3723fc2f2800a0e572bcd466954e2a8604f797c8cd6b49c",
+}
+
+
+def _narrow_wide_config_text(n_numerical: int) -> str:
+    """Two C/B/E cells of a 3,000-row, three-class synthetic config."""
+    return "\n".join([
+        "[experiment]", f"name = narrow-wide-{n_numerical}", "seed = 42", "alphas = 0.10, 1.00",
+        "reps = 1", "proposals = C, B, E",
+        "[synth]", "n_rows = 3000", "n_classes = 3", "n_categorical = 2",
+        f"n_numerical = {n_numerical}", "n_categories = 4", "class_sep = 0.5",
+        "node_noise = 0.0, 0.2, 0.45",
+        "[profiles]", "Financial = 4, 0.82, 0.12, 3.2", "Health = 3, 0.70, 0.25, 5.1",
+        "Government = 2, 0.55, 0.40, 6.8",
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("n_numerical", sorted(NARROW_WIDE_SHA256))
+def test_one_and_nine_numerical_columns_match_the_pinned_results(n_numerical, tmp_path):
+    path = tmp_path / "grid.cfg"
+    path.write_text(_narrow_wide_config_text(n_numerical), encoding="utf-8")
+    config = load_config(path)
+    result = run_grid(config, materialize_dataset(config))
+    emit_results_csv(result.records, config.k, tmp_path / "results.csv")
+    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == NARROW_WIDE_SHA256[n_numerical]
+
+
 def test_criterion_12_external_dataset_optional():
     pytest.skip("optional, not gating: requires user-supplied intrusion-detection CSVs")

@@ -10,6 +10,7 @@ from fednb.data import (
     Dataset,
     FeatureSchema,
     SynthSpec,
+    column_sums,
     degrade_copy,
     load_csv,
     synth_generate,
@@ -145,6 +146,45 @@ def test_synth_spec_validation():
     with pytest.raises(SynthSpecError, match="n_rows 8 must be >= 3 \\* n_classes = 9"):
         SynthSpec(8, 3, 1, 1, (0.0,))  # the smallest class would have 2 rows to split three ways
     SynthSpec(9, 3, 1, 1, (0.0,))
+
+
+def _columns_on_scales(n, f, seed):
+    """(n, f) values whose columns sit on scales from 1e-2 to 1e6, with offsets."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-2, 6, f)
+    return rng.normal(size=(n, f)) * scale + rng.uniform(-3, 3, f) * scale
+
+
+@pytest.mark.parametrize("f", [*range(1, 41), 130])
+def test_column_sums_equal_the_axis0_reduction_bitwise(f):
+    for n in (0, 1, 7, 20_000):
+        x = _columns_on_scales(n, f, seed=n + f)
+        center = x[:1].mean(axis=0) if n else np.ones(f)
+        cases = {
+            "sums": (column_sums(x), np.add.reduce(x, axis=0)),
+            "squared deviations": (column_sums(x, center), np.add.reduce(np.square(x - center), axis=0)),
+            # numpy sums a column-major array pairwise, not in row order
+            "column-major": (column_sums(np.asfortranarray(x)), np.add.reduce(np.asfortranarray(x), axis=0)),
+        }
+        for case, (got, want) in cases.items():
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (case, n)
+    negative_zeros = np.full((7, f), -0.0)  # numpy starts each sum from +0.0
+    assert column_sums(negative_zeros).tobytes() == np.add.reduce(negative_zeros, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("n_num", [1, 4, 7])
+def test_degrade_copy_scales_the_noise_by_the_numpy_std_bitwise(n_num):
+    ds = synth_generate(SynthSpec(3000, 2, 1, n_num, (0.0,)), 3)
+    num = ds.numerical.copy()
+    num[:, -1] = 7.0  # zero spread: noise at unit scale
+    ds = Dataset(ds.schema, ds.categorical, num, ds.labels, ds.n_cats)
+    std = num.std(axis=0)
+    std[std == 0.0] = 1.0
+    rng = np.random.default_rng(5)  # the label flips' draws, then the noise
+    flip = rng.random(ds.n_rows) < 0.25
+    rng.integers(1, 2, size=int(flip.sum()))
+    want = num + rng.normal(0.0, 0.25 * std, size=num.shape)
+    assert degrade_copy(ds, 0.25, 5).numerical.tobytes() == want.tobytes()
 
 
 def test_degrade_copy_zero_noise_is_identity():

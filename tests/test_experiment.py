@@ -273,9 +273,11 @@ def test_emit_plot_data_files(tmp_path, grid, dataset):
 
 def test_proposal_subset_runs():
     cfg = small_config(proposals=("B", "E"), alphas=(0.5,), reps=1)
-    result = run_grid(cfg, materialize_dataset(cfg))
+    dataset = materialize_dataset(cfg)
+    result = run_grid(cfg, dataset)
     assert [r.proposal for r in result.records] == ["B", "E"]
     assert not result.traces
+    assert prepare_cell(cfg, 0, 0, dataset).val is None  # only proposal A reads it
 
 
 def test_run_cell_scores_the_test_split_once_per_model(monkeypatch):

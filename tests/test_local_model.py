@@ -5,7 +5,7 @@ import pytest
 
 from fednb.data import Dataset, FeatureSchema, SynthSpec, synth_generate
 from fednb.errors import FitError, ShapeError
-from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch
+from fednb.local_model import NEG_INF, _feature_sums, fit_hybrid, joint_log_scores_batch
 
 from conftest import classes_present, make_dataset, score_row
 
@@ -235,11 +235,12 @@ def _scores_out_of_place(model, data):
 
 
 def _oracle_case(n_cat, n_num, classes, seed, n=20_000):
-    """Columns on different scales; numerical column 0 has zero spread."""
+    """Columns on different scales; of two or more numerical columns, column 0
+    has zero spread."""
     rng = np.random.default_rng(seed)
     cat = rng.integers(0, 4, size=(n, n_cat))
     num = rng.normal(size=(n, n_num)) * rng.uniform(0.01, 300.0, n_num) + rng.uniform(-50, 50, n_num)
-    if n_num:
+    if n_num > 1:
         num[:, 0] = 2.5
     return make_dataset(cat, num, rng.choice(classes, n), 3, (4,) * n_cat)
 
@@ -249,6 +250,9 @@ ORACLE_CASES = {
     "class 1 absent from the node": (1, 2, (0, 2)),
     "no numerical columns": (2, 0, (0, 1, 2)),
     "no categorical columns": (0, 3, (0, 1)),
+    # numpy sums one column pairwise, and nine feature terms pairwise too
+    "one numerical column": (2, 1, (0, 1, 2)),
+    "nine numerical columns": (2, 9, (0, 1, 2)),
 }
 
 
@@ -274,3 +278,17 @@ def test_fit_and_scores_equal_the_numpy_reduction_oracle_bitwise(case):
         assert np.array_equal(joint_log_scores_batch(model, data), _scores_out_of_place(model, data))
     if 1 not in classes:
         assert (joint_log_scores_batch(model, test)[:, 1] == NEG_INF).all()
+
+
+@pytest.mark.parametrize("f", [*range(1, 41), 130])
+def test_feature_sums_equal_the_inner_axis_sum_bitwise(f):
+    rng = np.random.default_rng(f)
+    for n in (0, 1, 7, 20_000):
+        # (n, C, F) as the scorer first built it, with features on scales 1e-2 to 1e6
+        terms = rng.normal(size=(n, 2, f)) * 10.0 ** rng.uniform(-2, 6, f)
+        want = terms.sum(axis=2)
+        got = _feature_sums(np.ascontiguousarray(terms.transpose(1, 2, 0)))
+        assert got.shape == want.T.shape and got.tobytes() == np.ascontiguousarray(want.T).tobytes(), n
+    negative_zeros = np.full((3, 2, f), -0.0)  # numpy starts each sum from +0.0
+    got = _feature_sums(np.ascontiguousarray(negative_zeros.transpose(1, 2, 0)))
+    assert got.tobytes() == np.ascontiguousarray(negative_zeros.sum(axis=2).T).tobytes()

@@ -6,6 +6,7 @@ from fednb.errors import MetricError, PartitionError, StratificationError
 from fednb.partition import (
     SplitConfig,
     class_rows,
+    dirichlet_counts,
     dirichlet_partition,
     jsd_heterogeneity,
     largest_remainder,
@@ -67,7 +68,9 @@ def test_split_skips_an_absent_class_without_changing_a_draw(seed):
     config = SplitConfig(0.6, 0.2, 0.2, seed=seed)
     got = stratified_split(ds, config)
     want = [ds.subset(ix) for ix in _split_over_every_class(ds, config)]
-    for g, w in zip(got, want, strict=True):
+    train, val, test = stratified_split(ds, config, with_val=False)
+    assert val is None
+    for g, w in zip((*got, train, test), (*want, want[0], want[2]), strict=True):
         assert g.labels.tobytes() == w.labels.tobytes()
         assert g.categorical.tobytes() == w.categorical.tobytes()
         assert g.numerical.tobytes() == w.numerical.tobytes()
@@ -244,6 +247,7 @@ def test_apportioned_counts_equal_class_counts(k, alpha, seed, classes, retries)
     bincounts = [np.bincount(labels[ix], minlength=max(classes) + 1) for ix in part.node_indices]
     assert part.counts.dtype == np.int64
     assert np.array_equal(part.counts, np.array(bincounts))
+    assert np.array_equal(dirichlet_counts(labels, k, alpha, seed), part.counts)
     if retries:  # the first attempt leaves a node empty
         with pytest.raises(AssertionError, match="no non-empty"):
             _unique_class_partition(labels, k, alpha, seed, attempts=1)
