@@ -278,27 +278,18 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
     return Dataset(spec.schema(), cat, num, labels, (m,) * spec.n_categorical)
 
 
-# Below this many columns, numpy's whole-array reduction or broadcast over a
-# row-major (n, F) array runs one short inner loop per row, which costs more
-# than one pass down each column; from it on, the passes cost more. Column
-# sums of 40k rows (numpy 2.4, one thread of an x86-64 Xeon): 0.94 ms whole
-# against 0.51 ms by columns at F = 3, about even at F = 5 to 6, 1.66 ms
-# against 6.1 ms at F = 40.
-NARROW_COLUMNS = 6
-
-
 def column_sums(x: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
     """np.add.reduce(x, axis=0), or with ``center`` np.add.reduce(np.square(x -
     center), axis=0), bit for bit.
 
     On a C-contiguous (n, F) array with F >= 2, numpy adds each column's values
-    in row order onto 0.0. Narrow arrays take that order here, one
-    np.add.accumulate per column into a single reused n-vector. numpy itself
-    sums one column (pairwise, not in row order), no rows, wide arrays and
-    other memory layouts.
+    in row order onto 0.0, but runs one short inner loop per row. This takes
+    that order one column at a time, one np.add.accumulate per column into a
+    single reused n-vector. numpy itself sums one column (pairwise, not in row
+    order), no rows and other memory layouts.
     """
     n, f = x.shape
-    if not 2 <= f < NARROW_COLUMNS or n == 0 or not x.flags.c_contiguous:
+    if f < 2 or n == 0 or not x.flags.c_contiguous:
         if center is not None:
             x = x - center
             np.square(x, out=x)

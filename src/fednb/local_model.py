@@ -16,8 +16,8 @@ Every float equals that of numpy's whole-array reductions over the row-major
 column in row order when F >= 2 and pairwise when F = 1, and a sum over a
 contiguous inner axis goes left to right below 8 terms and pairwise from 8.
 The kernels keep those orders while working one column, or one feature row,
-at a time (data.column_sums, _feature_sums): on narrow arrays numpy's
-whole-array loops run one short inner loop per row.
+at a time (data.column_sums, _feature_sums): over a narrow row-major array,
+numpy's whole-array loops run one short inner loop per row.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NARROW_COLUMNS, Dataset, column_mean_var
+from .data import Dataset, column_mean_var
 from .errors import FitError, ShapeError
 from .partition import class_rows
 
@@ -90,11 +90,8 @@ def fit_hybrid(train: Dataset) -> HybridModel:
 
 def _standardize(num: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(num - mean) / scale into out: an (n, F) array, or the transposed view
-    of an (F, n) one. Narrow arrays go one column at a time, each a single
-    strided loop; an elementwise op gives the same floats in any loop shape."""
-    if num.shape[1] >= NARROW_COLUMNS:
-        np.subtract(num, mean, out=out)
-        return np.divide(out, scale, out=out)
+    of an (F, n) one, one column at a time, each a single strided loop; an
+    elementwise op gives the same floats in any loop shape."""
     for j in range(num.shape[1]):
         np.subtract(num[:, j], mean[j], out=out[:, j])
         np.divide(out[:, j], scale[j], out=out[:, j])
@@ -136,33 +133,14 @@ def joint_log_scores_batch(model: HybridModel, data: Dataset) -> np.ndarray:
 def _feature_sums(t: np.ndarray) -> np.ndarray:
     """(C, F, n) -> (C, n), bit for bit the (n, C, F) array's .sum(axis=2).
 
-    numpy sums a contiguous inner axis onto 0.0: left to right below 8 terms;
-    from 8 terms pairwise, in blocks of at most 128 (see _pairwise_sum).
+    numpy sums a contiguous inner axis onto 0.0, left to right below 8 terms,
+    which this replays one feature row at a time; from 8 terms the sum is
+    pairwise, and numpy itself sums a feature-last copy.
     """
     f = t.shape[1]
-    if f < 8:
-        out = t[:, 0] + 0.0
-        for j in range(1, f):
-            out += t[:, j]
-        return out
-    out = _pairwise_sum(t, 0, f)
-    out += 0.0
-    return out
-
-
-def _pairwise_sum(t: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """numpy's pairwise_sum over t[:, lo:lo + n] for n >= 8: eight running
-    sums r0..r7 over the terms in steps of 8, combined as ((r0 + r1) + (r2 +
-    r3)) + ((r4 + r5) + (r6 + r7)), then the last n % 8 terms added in order;
-    above 128 terms, the sum of two halves split at a multiple of 8."""
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(t, lo, half) + _pairwise_sum(t, lo + half, n - half)
-    end = lo + n - n % 8
-    r = t[:, lo : lo + 8]
-    for i in range(lo + 8, end, 8):
-        r = r + t[:, i : i + 8]
-    out = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    for i in range(end, lo + n):
-        out += t[:, i]
+    if f >= 8:
+        return np.add.reduce(np.ascontiguousarray(t.transpose(0, 2, 1)), axis=2)
+    out = t[:, 0] + 0.0
+    for j in range(1, f):
+        out += t[:, j]
     return out

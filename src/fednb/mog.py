@@ -40,9 +40,7 @@ def check_weights(w, k: int) -> np.ndarray:
 def stack_scores(models, data: Dataset) -> np.ndarray:
     """C-contiguous class-major (K, n_classes, n_rows) joint log-score tensor,
     one slice per node, so node and class reductions run over leading axes."""
-    scores = [joint_log_scores_batch(m, data).T for m in models]
-    # out= keeps the tensor C-contiguous whatever the strides of the .T views
-    return np.stack(scores, out=np.empty((len(scores),) + scores[0].shape))
+    return np.stack([joint_log_scores_batch(m, data).T for m in models])
 
 
 def mix_scores(weights, stacked: np.ndarray, out=None, *, covered: bool = False) -> np.ndarray:
