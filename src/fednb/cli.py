@@ -12,6 +12,7 @@ or any other error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -39,6 +40,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_USAGE = 64
+
+# glibc's mallopt parameters (malloc.h) and the values main sets
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 * 1024 * 1024  # glibc's maximum on 64-bit hosts
+TRIM_THRESHOLD = 1024 * 1024 * 1024
 
 GRID_BUNDLE = "grid.json"
 RESULTS_CSV = "results.csv"
@@ -201,12 +208,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _keep_freed_memory() -> None:
+    """Keep the heap pages a grid cell frees for the next one.
+
+    By default glibc serves blocks above a dynamic threshold with mmap,
+    unmaps them when they are freed and trims the heap top, so each cell
+    faults the same tens of megabytes in again. Setting either threshold
+    alone switches the dynamic threshold off, so both are set. Does nothing
+    where the C library has no mallopt (macOS) or CDLL(None) is unsupported
+    (Windows).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    _keep_freed_memory()
     try:
         return args.func(args)
     except FedNBError as exc:

@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError(f"alphas must have at most 6 decimals, got {too_fine}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        if self.seed < 0:  # numpy's generators take non-negative seeds only
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         try:
             SplitConfig(*self.split_fracs, seed=0)
         except (TypeError, ValueError) as exc:

@@ -400,13 +400,11 @@ def _jsd_curve(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
     """Mean JSD per alpha over 20 fresh partition seeds on the whole dataset."""
     k = max(config.k, 2)
     by_class = class_rows(dataset.labels)
-    curve = []
-    for alpha in config.alphas:
-        vals = []
-        for seed in range(20):
-            vals.append(jsd_heterogeneity(dirichlet_counts(dataset.labels, k, alpha, seed, by_class)))
-        curve.append(float(np.mean(vals)))
-    return np.array(curve)
+    per_seed = [
+        [jsd_heterogeneity(c) for c in dirichlet_counts(dataset.labels, k, config.alphas, seed, by_class)]
+        for seed in range(20)
+    ]
+    return np.array([float(np.mean(vals)) for vals in zip(*per_seed)])
 
 
 def _per_rep_gradient(records, config) -> tuple[bool, str]:

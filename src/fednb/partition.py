@@ -96,7 +96,7 @@ def dirichlet_partition(labels, k: int, alpha: float, seed: int, by_class=None) 
     ``by_class`` is ``class_rows(labels)``, computed here when not given.
     Retries with fresh sub-seeds (up to 100) if any node comes out empty.
     """
-    counts, shuffled = _deal(labels, k, alpha, seed, by_class, keep_rows=True)
+    counts, shuffled = _deal(labels, k, (alpha,), seed, by_class, keep_rows=True)[0]
     if k == 1:
         return Partition([np.arange(len(labels), dtype=np.int64)], counts)
     node_lists: list[list[np.ndarray]] = [[] for _ in range(k)]
@@ -112,39 +112,66 @@ def dirichlet_partition(labels, k: int, alpha: float, seed: int, by_class=None) 
     return Partition(node_indices, counts)
 
 
-def dirichlet_counts(labels, k: int, alpha: float, seed: int, by_class=None) -> np.ndarray:
-    """``dirichlet_partition(...).counts``, without building the node index arrays."""
-    return _deal(labels, k, alpha, seed, by_class, keep_rows=False)[0]
+def dirichlet_counts(labels, k: int, alphas, seed: int, by_class=None) -> list[np.ndarray]:
+    """``[dirichlet_partition(labels, k, a, seed).counts for a in alphas]``,
+    without building the node index arrays."""
+    return [counts for counts, _ in _deal(labels, k, alphas, seed, by_class, keep_rows=False)]
 
 
-def _deal(labels, k, alpha, seed, by_class, keep_rows):
-    """Counts and shuffled rows of each class, from the first attempt that
-    leaves no node empty. Each class's shuffle sets the Dirichlet draw after
-    it, and depends only on the class's row count, so without ``keep_rows``
-    the shuffles run on one scratch buffer and no rows are returned."""
+def _deal(labels, k, alphas, seed, by_class, keep_rows):
+    """Per alpha, the counts and shuffled rows of each class from the first
+    attempt that leaves no node empty.
+
+    Each class's shuffle sets the Dirichlet draw after it, and depends only
+    on the class's row count, so without ``keep_rows`` the shuffles run on
+    one scratch buffer and no rows are returned. The first class's shuffle
+    is the same for every alpha: it runs once per attempt, and the generator
+    state after it is restored for each alpha. A later class's shuffle
+    starts where an alpha's draws left the generator, and numpy shuffles by
+    masked rejection, whose number of draws depends on the values drawn, so
+    it runs once per alpha.
+    """
     if k < 1:
         raise PartitionError("k must be >= 1")
-    if not 0 < alpha < math.inf:
-        raise PartitionError(f"alpha must be finite and positive, got {alpha}")
+    for alpha in alphas:
+        if not 0 < alpha < math.inf:
+            raise PartitionError(f"alpha must be finite and positive, got {alpha}")
     if by_class is None:
         by_class = class_rows(labels)
     width = max(by_class, default=-1) + 1
     if k == 1:
-        return np.array([[len(by_class.get(cls, ())) for cls in range(width)]], dtype=np.int64), None
-    if not keep_rows:
-        scratch = np.empty(max(map(len, by_class.values()), default=0), dtype=np.int64)
+        return [(np.array([[len(by_class.get(cls, ())) for cls in range(width)]], dtype=np.int64), None)
+                for _ in alphas]
+    scratch = None if keep_rows else np.empty(max(map(len, by_class.values()), default=0), dtype=np.int64)
+    found = [None] * len(alphas)
     for attempt in range(100):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt]))
-        counts = np.zeros((k, width), dtype=np.int64)
-        shuffled = {}
-        for cls, rows in by_class.items():
-            idx = rows.copy() if keep_rows else scratch[: len(rows)]  # by_class is reused across calls
-            rng.shuffle(idx)
-            counts[:, cls] = largest_remainder(len(idx), rng.dirichlet(np.full(k, alpha)))
-            shuffled[cls] = idx
-        if counts.any(axis=1).all():
-            return counts, shuffled if keep_rows else None
+        first = {cls: _shuffled(rng, by_class[cls], scratch) for cls in list(by_class)[:1]}
+        after_first = rng.bit_generator.state
+        for i, alpha in enumerate(alphas):
+            if found[i] is not None:
+                continue
+            rng.bit_generator.state = after_first
+            counts = np.zeros((k, width), dtype=np.int64)
+            shuffled = dict(first)
+            for cls, rows in by_class.items():
+                if cls not in shuffled:
+                    shuffled[cls] = _shuffled(rng, rows, scratch)
+                counts[:, cls] = largest_remainder(len(rows), rng.dirichlet(np.full(k, alpha)))
+            if counts.any(axis=1).all():
+                found[i] = counts, shuffled if keep_rows else None
+        if all(f is not None for f in found):
+            return found
+    alpha = next(a for a, f in zip(alphas, found) if f is None)
     raise PartitionError(f"empty node persisted across 100 retries (alpha={alpha}, k={k})")
+
+
+def _shuffled(rng, rows, scratch):
+    """A shuffled copy of rows (callers reuse by_class), or with a scratch
+    buffer only the draws of that shuffle."""
+    idx = rows.copy() if scratch is None else scratch[: len(rows)]
+    rng.shuffle(idx)
+    return idx
 
 
 def entropy2(p: np.ndarray) -> float:

@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fednb.partition
 from fednb.config import load_config
 from fednb.data import SynthSpec, synth_generate
 from fednb.evaluation import chi2_sf_1df, mcnemar_yates
 from fednb.experiment import (
+    _jsd_curve,
     emit_results_csv,
     materialize_dataset,
     run_cell,
@@ -316,17 +318,17 @@ def test_optimizer_traces_match_the_pinned_floats(full_config, full_grid):
         assert json.loads(json.dumps(trace.to_dict())) == want, key
 
 
-def _wide_config_text() -> str:
-    """A 1,200-row synthetic config of WIDE_CELL with k = 10 nodes: node i has
-    cmm 5 - floor(4i/k), kci 0.90 - 0.04i, kri 0.10 + 0.04i, cvss 3.0 + 0.4i,
-    and label noise rising linearly from 0 to 0.45."""
-    alpha, rep = WIDE_CELL
+def _wide_config_text(alphas=(WIDE_CELL[0],), n_classes=2) -> str:
+    """A 1,200-row synthetic config with k = 10 nodes, reps enough for
+    WIDE_CELL: node i has cmm 5 - floor(4i/k), kci 0.90 - 0.04i,
+    kri 0.10 + 0.04i, cvss 3.0 + 0.4i, and label noise rising linearly from
+    0 to 0.45."""
     k = 10
     lines = [
-        "[experiment]", "name = wide-k10", "seed = 42", f"alphas = {alpha:.2f}",
-        f"reps = {rep + 1}", "proposals = A", "lambda = 0.10", "floor_delta = 0.05",
+        "[experiment]", "name = wide-k10", "seed = 42", "alphas = " + ", ".join(f"{a:.2f}" for a in alphas),
+        f"reps = {WIDE_CELL[1] + 1}", "proposals = A", "lambda = 0.10", "floor_delta = 0.05",
         "max_iters = 500", "n_starts = 5",
-        "[synth]", "n_rows = 1200", "n_classes = 2", "n_categorical = 2",
+        "[synth]", "n_rows = 1200", f"n_classes = {n_classes}", "n_categorical = 2",
         "n_numerical = 3", "n_categories = 4", "class_sep = 2.0",
         "node_noise = " + ", ".join(str(round(0.45 * i / (k - 1), 6)) for i in range(k)),
         "[profiles]",
@@ -345,6 +347,43 @@ def test_k10_optimizer_trace_matches_the_pinned_floats(tmp_path):
     want = json.loads(WIDE_TRACE_PATH.read_text(encoding="utf-8"))
     assert len(want["starts"]) == 5 and len(want["starts"][0]["final_theta"]) == 9
     assert json.loads(json.dumps(trace.to_dict())) == want
+
+
+# float.hex of check 3's mean JSD per alpha, recorded before dirichlet_counts
+# took a list of alphas and shuffled each attempt's first class once. Check 3
+# prints 4 decimals, so a change in the order of the random draws could
+# otherwise pass unseen. The K = 10 grid has four classes, and 40 of its 271
+# partition attempts succeed: most draws there retry.
+JSD_CURVE_HEX = {
+    "synth": [
+        "0x1.e53870b693f9ep-2", "0x1.7995f9cb8fb45p-2", "0x1.75d559fc8c643p-2", "0x1.2281ee245b559p-2",
+        "0x1.af6fe787934fep-3", "0x1.4e995b6483977p-3", "0x1.35c05c2b7bfeep-3",
+    ],
+    "wide": ["0x1.db5fe3a8f89fdp-2", "0x1.af0003cbcf37bp-2"],
+}
+
+
+def test_jsd_curve_of_the_shipped_config_matches_the_pinned_floats(full_config, full_dataset):
+    curve = _jsd_curve(full_config, full_dataset)
+    assert [float(x).hex() for x in curve] == JSD_CURVE_HEX["synth"]
+
+
+def test_jsd_curve_with_retried_partitions_matches_the_pinned_floats(tmp_path, monkeypatch):
+    path = tmp_path / "wide.cfg"
+    path.write_text(_wide_config_text(alphas=(0.05, 0.10), n_classes=4), encoding="utf-8")
+    config = load_config(path)
+    dataset = materialize_dataset(config)
+    draws = []
+    real = fednb.partition.largest_remainder
+
+    def counted(total, proportions):
+        draws.append(total)
+        return real(total, proportions)
+
+    monkeypatch.setattr(fednb.partition, "largest_remainder", counted)
+    curve = _jsd_curve(config, dataset)
+    assert [float(x).hex() for x in curve] == JSD_CURVE_HEX["wide"]
+    assert len(draws) == 4 * 271  # one Dirichlet draw per class and attempt
 
 
 # results.csv sha256 of _narrow_wide_config_text(n_numerical), recorded before

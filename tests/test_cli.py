@@ -1,6 +1,11 @@
+import ctypes
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -448,3 +453,52 @@ def test_each_error_class_maps_to_its_exit_code(cfg_path, tmp_path, monkeypatch,
     assert code == (64 if error is ConfigError else 1)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "boom" in err
+
+
+def _no_mallopt(name):
+    return types.SimpleNamespace()
+
+
+def _raises(exc):
+    def cdll(name):
+        raise exc("no C library handle here")
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [_no_mallopt, _raises(OSError), _raises(TypeError)])
+def test_commands_run_where_the_c_library_has_no_mallopt(cfg_path, monkeypatch, capsys, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["partition", "--config", str(cfg_path), "--alpha", "0.5"]) == 0
+    assert "jsd\t" in capsys.readouterr().out
+
+
+def test_main_sets_both_malloc_thresholds_once(cfg_path, monkeypatch, capsys):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert main(["partition", "--config", str(cfg_path), "--alpha", "0.5"]) == 0
+    assert calls == [
+        (fednb.cli.M_MMAP_THRESHOLD, fednb.cli.MMAP_THRESHOLD),
+        (fednb.cli.M_TRIM_THRESHOLD, fednb.cli.TRIM_THRESHOLD),
+    ]
+    assert (fednb.cli.M_MMAP_THRESHOLD, fednb.cli.M_TRIM_THRESHOLD) == (-3, -1)  # glibc's malloc.h
+    assert fednb.cli.MMAP_THRESHOLD == 32 * 1024 * 1024
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
+
+
+def test_importing_the_cli_sets_no_malloc_option():
+    code = (
+        "import ctypes\n"
+        "calls = []\n"
+        "ctypes.CDLL = lambda *a, **kw: calls.append(a)\n"
+        "import fednb.cli\n"
+        "print(len(calls))\n"
+    )
+    src = str(Path(fednb.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

@@ -6,6 +6,7 @@ import fednb.experiment
 from fednb.cli import main
 from fednb.config import CsvSource, ExperimentConfig, config_from_dict, config_to_dict, load_config
 from fednb.data import FeatureSchema, SynthSpec
+from fednb.errors import ConfigError
 from fednb.experiment import GridResult, materialize_dataset, verify
 from fednb.governance import NodeProfile
 from fednb.weights import OptimizerConfig
@@ -153,6 +154,23 @@ def test_bad_config_value_exits_64_and_names_it(tmp_path, capsys, line, bad, nam
     err = capsys.readouterr().err
     assert code == 64
     assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(source=SYNTH, profiles=PROFILES, seed=-1)
+
+
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_negative_seed_exits_64_and_names_it(tmp_path, capsys, where):
+    path = tmp_path / "neg.cfg"
+    path.write_text(CFG.replace("seed = 7", "seed = -1") if where == "file" else CFG)
+    overrides = ["--set", "seed=-1"] if where == "override" else []
+    code = main(["run-grid", "--config", str(path), "--out", str(tmp_path / "out"), *overrides])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith("error: ") and "seed" in err
     assert "Traceback" not in err
 
 

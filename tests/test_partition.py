@@ -247,7 +247,8 @@ def test_apportioned_counts_equal_class_counts(k, alpha, seed, classes, retries)
     bincounts = [np.bincount(labels[ix], minlength=max(classes) + 1) for ix in part.node_indices]
     assert part.counts.dtype == np.int64
     assert np.array_equal(part.counts, np.array(bincounts))
-    assert np.array_equal(dirichlet_counts(labels, k, alpha, seed), part.counts)
+    got = dirichlet_counts(labels, k, [alpha], seed)
+    assert len(got) == 1 and got[0].dtype == np.int64 and np.array_equal(got[0], part.counts)
     if retries:  # the first attempt leaves a node empty
         with pytest.raises(AssertionError, match="no non-empty"):
             _unique_class_partition(labels, k, alpha, seed, attempts=1)
@@ -264,3 +265,47 @@ def test_partition_reuses_class_rows_without_changing_them():
         assert np.array_equal(got.counts, want.counts)
     assert by_class.keys() == kept.keys()
     assert all(np.array_equal(by_class[cls], kept[cls]) for cls in kept)
+
+
+def _first_attempt_succeeds(labels, k, alpha, seed) -> bool:
+    try:
+        _unique_class_partition(labels, k, alpha, seed, attempts=1)
+    except AssertionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "k, alphas, seed, classes, retried",
+    [
+        # class 1 absent; at 0.05 the first attempt leaves a node empty
+        (4, (0.05, 1.0), 2, (0, 2), (True, False)),
+        (4, (1.0, 0.05), 2, (0, 2), (False, True)),
+        (4, (0.05, 0.3, 0.05, 5.0), 2, (0, 2), (True, False, True, False)),
+        (3, (0.1, 0.3, 1.0), 9, (0, 1, 3), None),
+        (1, (0.5, 2.0), 0, (0, 2), None),
+    ],
+)
+def test_counts_for_a_list_of_alphas_equal_one_partition_per_alpha(k, alphas, seed, classes, retried):
+    labels = np.random.default_rng(seed).choice(classes, 600)
+    if retried is not None:
+        assert tuple(not _first_attempt_succeeds(labels, k, a, seed) for a in alphas) == retried
+    by_class = class_rows(labels)
+    kept = {cls: rows.copy() for cls, rows in by_class.items()}
+    got = dirichlet_counts(labels, k, alphas, seed, by_class)
+    want = [dirichlet_partition(labels, k, a, seed).counts for a in alphas]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+    assert len({id(g) for g in got}) == len(got)  # no matrix shared between alphas
+    assert by_class.keys() == kept.keys()
+    assert all(np.array_equal(by_class[cls], kept[cls]) for cls in kept)
+
+
+def test_counts_check_every_alpha_and_name_the_one_that_keeps_a_node_empty():
+    labels = np.random.default_rng(0).choice((0, 1), 600)
+    assert dirichlet_counts(labels, 3, [], 0) == []
+    with pytest.raises(PartitionError, match="finite and positive"):
+        dirichlet_counts(labels, 3, [1.0, -1.0], 0)
+    with pytest.raises(PartitionError, match=r"alpha=0\.001, k=10"):
+        dirichlet_counts(labels, 10, [1.0, 0.001], 0)
