@@ -151,6 +151,8 @@ def cmd_verify(args) -> int:
 def cmd_partition(args) -> int:
     if not 0 < args.alpha < math.inf:
         raise ConfigError(f"--alpha must be finite and positive, got {args.alpha}")
+    if not 0 <= args.seed < 2**32:  # the seed a partition draws from is 32 bits
+        raise ConfigError(f"--seed must be in 0..{2**32 - 1}, got {args.seed}")
     config = load_config(args.config, _parse_overrides(args.set))
     dataset = materialize_dataset(config)
     part = dirichlet_partition(dataset.labels, config.k, args.alpha, args.seed)

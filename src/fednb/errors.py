@@ -54,7 +54,7 @@ class DegeneratePriorError(FedNBError):
 
 
 class OptimizerError(FedNBError):
-    """Optimizer started at a non-finite objective value."""
+    """The objective took a non-finite value (NaN or +-inf) at some point."""
 
 
 class ConfigError(FedNBError):

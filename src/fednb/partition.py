@@ -80,7 +80,7 @@ def class_rows(labels) -> dict[int, np.ndarray]:
     """Ascending row indices of each class present in labels, by ascending class.
 
     Callers that partition one label array many times build this once and
-    pass it to ``dirichlet_partition`` as ``by_class``.
+    pass it to ``dirichlet_counts`` as ``by_class``.
     """
     labels = np.asarray(labels, dtype=np.int64)
     try:  # the classes present, ascending; a tenth of np.unique's cost on 200k labels
@@ -90,13 +90,12 @@ def class_rows(labels) -> dict[int, np.ndarray]:
     return {int(cls): np.flatnonzero(labels == cls) for cls in classes}
 
 
-def dirichlet_partition(labels, k: int, alpha: float, seed: int, by_class=None) -> Partition:
+def dirichlet_partition(labels, k: int, alpha: float, seed: int) -> Partition:
     """Per-class Dirichlet(alpha) proportions, integerized by largest remainder.
 
-    ``by_class`` is ``class_rows(labels)``, computed here when not given.
     Retries with fresh sub-seeds (up to 100) if any node comes out empty.
     """
-    counts, shuffled = _deal(labels, k, (alpha,), seed, by_class, keep_rows=True)[0]
+    counts, shuffled = _deal(labels, k, (alpha,), seed, None, keep_rows=True)[0]
     if k == 1:
         return Partition([np.arange(len(labels), dtype=np.int64)], counts)
     node_lists: list[list[np.ndarray]] = [[] for _ in range(k)]

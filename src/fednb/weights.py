@@ -11,7 +11,7 @@ simplex search never sees an infeasible point.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,21 +45,14 @@ class OptimizerConfig:
             raise ValueError(f"n_starts {self.n_starts} outside [1, {N_START_POINTS}]")
 
 
-def to_floored_simplex(theta, k: int, delta: float) -> np.ndarray:
-    """w = delta + (1 - K*delta) * softmax([theta, 0]); every entry >= delta."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (k - 1,):
-        raise ValueError(f"theta must have {k - 1} coordinates")
-    if k * delta >= 1.0:
-        raise ValueError(f"K*delta = {k * delta} >= 1: floor infeasible")
-    return _floored_simplex(theta, k, delta)
+def to_floored_simplex(theta: np.ndarray, k: int, delta: float) -> np.ndarray:
+    """w = delta + (1 - K*delta) * softmax([theta, 0]); every entry >= delta.
 
-
-def _floored_simplex(theta: np.ndarray, k: int, delta: float) -> np.ndarray:
-    """to_floored_simplex without its checks, the map of every objective
-    evaluation. exp and the (pairwise) sum stay in numpy; the shift, the
-    division, the scale and the floor are the same IEEE operations on
-    Python floats."""
+    theta is a float64 array of K-1 coordinates and K*delta < 1, as
+    learn_weights_icc ensures; this is the map of every objective evaluation.
+    exp and the (pairwise) sum stay in numpy; the shift, the division, the
+    scale and the floor are the same IEEE operations on Python floats.
+    """
     t = theta.tolist()
     top = max(0.0, *t)
     z = [x - top for x in t]
@@ -96,32 +89,39 @@ def nelder_mead(f, start, max_iters: int = 500):
     zero coordinates). Stops at max_iters or when the vertex function
     spread falls below 1e-10 with the vertices within 1e-8. Returns (best x,
     best f, n_evals, iterations, converged); converged is False when
-    max_iters ran out.
+    max_iters ran out. Raises OptimizerError, naming the point, at the first
+    value of f that is not finite.
 
     The vertices and their values are Python floats, and each step is the
     same IEEE operation in the same order as on float64 arrays: the centroid
     is a left-to-right sum over the vertices divided by n. f still receives
-    a float64 array. The vertices stay ranked as np.argsort(kind="stable")
-    ranks their values, so ties keep their vertex order and a NaN value
-    ranks last; the best vertex is np.argmin's, so a NaN value left in the
-    simplex at max_iters is returned before any number.
+    a float64 array. Before each step the vertices are ranked as
+    np.argsort(fvals, kind="stable") ranks them, with a replaced vertex in
+    the last slot, so it goes after the vertices of equal value.
     """
-    x0 = np.asarray(start, dtype=np.float64)
-    n = len(x0)
-    f0 = f(x0)
-    if not np.isfinite(f0):
-        raise OptimizerError(f"objective not finite at start: {f0}")
-    simplex = [x0.tolist()]
+
+    def value(x: list) -> float:
+        fx = float(f(np.array(x)))
+        if not math.isfinite(fx):
+            raise OptimizerError(f"objective not finite at {x}: {fx}")
+        return fx
+
+    simplex = [np.asarray(start, dtype=np.float64).tolist()]
+    n = len(simplex[0])
     for i in range(n):
         x = list(simplex[0])
         x[i] = x[i] * 1.05 if x[i] != 0.0 else 0.00025
         simplex.append(x)
-    fvals = [float(f0)] + [float(f(np.array(x))) for x in simplex[1:]]
+    fvals = [value(x) for x in simplex]
     evals = n + 1
-    _rank(simplex, fvals)
 
     iterations, converged = 0, False
-    while iterations < max_iters:
+    while True:
+        order = sorted(range(n + 1), key=fvals.__getitem__)
+        simplex = [simplex[i] for i in order]
+        fvals = [fvals[i] for i in order]
+        if iterations >= max_iters:
+            break
         best = simplex[0]
         # function spread alone can hit zero on a symmetric stall, so also
         # require the simplex itself to have collapsed (tested only then)
@@ -138,58 +138,31 @@ def nelder_mead(f, start, max_iters: int = 500):
         worst = simplex[-1]
 
         xr = [c + (c - w) for c, w in zip(centroid, worst)]
-        fr = float(f(np.array(xr)))
+        fr = value(xr)
         evals += 1
         if fr < fvals[0]:
             xe = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
-            fe = float(f(np.array(xe)))
+            fe = value(xe)
             evals += 1
-            if fe < fr:
-                _replace_worst(simplex, fvals, xe, fe)
-            else:
-                _replace_worst(simplex, fvals, xr, fr)
+            simplex[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fvals[-2]:
-            _replace_worst(simplex, fvals, xr, fr)
+            simplex[-1], fvals[-1] = xr, fr
         else:
             if fr < fvals[-1]:
                 xc = [c + 0.5 * (r - c) for c, r in zip(centroid, xr)]
             else:
                 xc = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
-            fc = float(f(np.array(xc)))
+            fc = value(xc)
             evals += 1
             if fc < min(fr, fvals[-1]):
-                _replace_worst(simplex, fvals, xc, fc)
+                simplex[-1], fvals[-1] = xc, fc
             else:
                 for i in range(1, n + 1):
                     simplex[i] = [b + 0.5 * (a - b) for a, b in zip(simplex[i], best)]
-                    fvals[i] = float(f(np.array(simplex[i])))
+                    fvals[i] = value(simplex[i])
                 evals += n
-                _rank(simplex, fvals)
 
-    i = next((i for i, v in enumerate(fvals) if v != v), 0)
-    return np.array(simplex[i]), fvals[i], evals, iterations, converged
-
-
-def _rank(simplex: list, fvals: list) -> None:
-    """Reorder both lists as np.argsort(fvals, kind="stable") orders them: a
-    stable sort with every NaN after every number."""
-    order = sorted(range(len(fvals)), key=lambda i: (fvals[i] != fvals[i], fvals[i]))
-    simplex[:] = [simplex[i] for i in order]
-    fvals[:] = [fvals[i] for i in order]
-
-
-def _replace_worst(simplex: list, fvals: list, x: list, fx: float) -> None:
-    """Replace the last-ranked vertex by x, whose value fx compared below
-    another and so is a number, keeping the ranking of _rank: x goes after
-    the vertices whose values are <= fx and before those that are NaN."""
-    simplex.pop()
-    fvals.pop()
-    numbers = len(fvals)
-    while numbers and fvals[numbers - 1] != fvals[numbers - 1]:
-        numbers -= 1
-    i = bisect_right(fvals, fx, 0, numbers)
-    simplex.insert(i, x)
-    fvals.insert(i, fx)
+    return np.array(simplex[0]), fvals[0], evals, iterations, converged
 
 
 @dataclass
@@ -287,7 +260,7 @@ def learn_weights_icc(models, val: Dataset, prior, config: OptimizerConfig):
     delta = config.floor_delta
 
     def f(theta):
-        return objective(_floored_simplex(theta, k, delta), scores, target, config.lam)
+        return objective(to_floored_simplex(theta, k, delta), scores, target, config.lam)
 
     rng = np.random.default_rng(config.seed)
     d1 = rng.dirichlet(np.ones(k))

@@ -13,6 +13,7 @@ import pytest
 
 import fednb.cli
 import fednb.experiment
+import fednb.weights
 from fednb.cli import main
 from fednb.errors import CellError, ConfigError, FedNBError, PartitionError
 from fednb.experiment import load_results_csv
@@ -229,6 +230,31 @@ def test_failed_cell_exits_1_and_names_the_cell(cfg_path, tmp_path, monkeypatch,
     assert "alpha=0.1" in err and "rep=0" in err and "forced failure" in err
 
 
+def test_a_nan_objective_exits_1_and_names_the_cell(cfg_path, tmp_path, monkeypatch, capsys):
+    # the first cell (alpha 0.1) makes 1492 objective evaluations, so the
+    # 2001st, the first NaN, falls in the second
+    real, calls, cells = fednb.weights.anll_from_stacked, [], []
+
+    def turns_nan(*args):
+        calls.append(1)
+        return real(*args) if len(calls) <= 2000 else float("nan")
+
+    real_cell = fednb.experiment.run_cell
+
+    def recording_cell(config, alpha, rep, *rest):
+        cells.append((alpha, rep))
+        return real_cell(config, alpha, rep, *rest)
+
+    monkeypatch.setattr(fednb.weights, "anll_from_stacked", turns_nan)
+    monkeypatch.setattr(fednb.experiment, "run_cell", recording_cell)
+    assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert cells == [(0.1, 0), (0.5, 0)] and len(calls) == 2001
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: cell \(alpha=0\.5, rep=0\) failed: objective not finite at \[[^]]+\]: nan\n", err
+    ), err
+
+
 def test_bad_config_path_is_usage_error(tmp_path):
     assert main(["run-grid", "--config", str(tmp_path / "no.cfg"), "--out", str(tmp_path)]) == 64
 
@@ -283,6 +309,17 @@ def test_partition_rejects_a_bad_alpha_as_a_usage_error(cfg_path, capsys, alpha)
     assert err.startswith("error: ") and "--alpha" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("seed, code", [("-1", 64), ("4294967296", 64), ("0", 0), ("4294967295", 0)])
+def test_partition_takes_seeds_from_0_to_2_to_the_32_minus_1(cfg_path, capsys, seed, code):
+    assert main(["partition", "--config", str(cfg_path), "--alpha", "0.5", f"--seed={seed}"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == f"error: --seed must be in 0..4294967295, got {seed}\n"
+        assert captured.out == ""
+    else:
+        assert captured.out.splitlines()[-1].startswith("jsd\t")
 
 
 def test_each_command_materializes_its_dataset_once(cfg_path, grid_dir, tmp_path, monkeypatch):

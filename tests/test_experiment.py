@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from fednb.config import DEFAULT_ALPHAS, ExperimentConfig
-from fednb.data import SynthSpec
+from fednb.data import CategoryMap, SynthSpec
 from fednb.errors import ConfigError
 from fednb.experiment import (
     emit_plot_data,
@@ -243,6 +245,77 @@ def test_verify_detects_a_one_ulp_rerun_difference(grid, dataset):
     report = verify(tampered, dataset)
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["seed_reproducibility"]
+
+
+def _last_a(grid):
+    return [r for r in grid.records if r.proposal == "A"][-1]
+
+
+def _off_reference_icc(grid, monkeypatch):
+    (*profile, expected), *rest = fednb.experiment.REFERENCE_PROFILES
+    monkeypatch.setattr(fednb.experiment, "REFERENCE_PROFILES", ((*profile, expected + 0.01), *rest))
+
+
+def _jsd_rising_with_alpha(grid, monkeypatch):
+    real = fednb.experiment.dirichlet_counts
+    monkeypatch.setattr(fednb.experiment, "dirichlet_counts", lambda *args: real(*args)[::-1])
+
+
+def _unseen_category_on_a_seen_code(grid, monkeypatch):
+    monkeypatch.setattr(CategoryMap, "encode", lambda self, col, raw: 0)
+
+
+def _bad_scores(grid, monkeypatch):
+    grid.scores_ok = False
+
+
+def _f1_above_one(grid, monkeypatch):
+    grid.records[-1].f1_macro = 1.5  # the last cell, which check 2 does not re-run
+
+
+def _p_above_one(grid, monkeypatch):
+    _last_a(grid).mcnemar_p_vs_B = 1.5
+
+
+def _first_and_last_node_swapped(grid, monkeypatch):
+    first_cell = (grid.config.alphas[0], 0)
+    for r in grid.records:
+        if r.proposal == "A" and (r.alpha, r.rep) != first_cell:
+            r.weights = (r.weights[-1], *r.weights[1:-1], r.weights[0])
+
+
+def _middle_node_below_floor(grid, monkeypatch):
+    r = _last_a(grid)
+    w0, w1, w2 = r.weights
+    r.weights = (w0 + w1 - 0.03, 0.03, w2)
+
+
+def _chosen_not_the_best(grid, monkeypatch):
+    trace = grid.traces[max(grid.traces)]
+    trace.chosen = (int(np.argmin([s.final_objective for s in trace.starts])) + 1) % len(trace.starts)
+
+
+# the checks that no other test drives to FAIL, each with a probe that breaks
+# what it reads; checks 1, 3 and 4 read no record, so their probes patch code
+CHECK_PROBES = {
+    "icc_formula": _off_reference_icc,
+    "jsd_alpha_ordering": _jsd_rising_with_alpha,
+    "ood_slot_index": _unseen_category_on_a_seen_code,
+    "mog_scores_finite": _bad_scores,
+    "metric_ranges": _f1_above_one,
+    "mcnemar_validity": _p_above_one,
+    "icc_weight_alignment": _first_and_last_node_swapped,
+    "weight_floor": _middle_node_below_floor,
+    "trace_sanity": _chosen_not_the_best,
+}
+
+
+@pytest.mark.parametrize("name, probe", CHECK_PROBES.items(), ids=CHECK_PROBES)
+def test_verify_fails_the_probed_check_alone(grid, dataset, monkeypatch, name, probe):
+    tampered = copy.deepcopy(grid)
+    probe(tampered, monkeypatch)
+    report = verify(tampered, dataset)
+    assert [n for n, ok, _ in report.checks if not ok] == [name], report.to_text()
 
 
 def test_emit_plot_data_files(tmp_path, grid, dataset):

@@ -1,7 +1,7 @@
 """Layout rules: no fednb module imports another fednb module's private helpers,
-every definition is used, every field is read, every lookup point of
-perfbench/tracer.py exists, and a traced run passes the tracer's consistency
-check."""
+every definition is used, every defaulted parameter is passed, every field is
+read, every lookup point of perfbench/tracer.py exists, and a traced run passes
+the tracer's consistency check."""
 
 import ast
 import importlib.util
@@ -78,6 +78,61 @@ def test_every_definition_is_referenced_outside_itself():
             if not outside and node.name not in UNREFERENCED_ALLOWED:
                 unreferenced.append(f"{module}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+# Parameters with a default that no call in src/fednb passes, kept each for a stated reason.
+UNPASSED_DEFAULTS_ALLOWED = {
+    "cli.main(argv)": "the entry point: tests and perfbench pass argv, the console script none",
+    "data.load_csv(category_map)": "a fixed category map, which the fixed-map tests and the "
+    "per-split OOD contract of ROADMAP item 4a use",
+}
+
+
+def _defaulted_parameters(module: str, tree: ast.Module):
+    """(function name, "module.function(parameter)", parameter name, its
+    position in a call or None when it is keyword-only) of each parameter
+    with a default."""
+    methods = {
+        id(m) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for m in cls.body
+        if isinstance(m, ast.FunctionDef)
+        and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in m.decorator_list)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        skip = 1 if id(node) in methods else 0  # self or cls, bound before the call
+        first = len(positional) - len(node.args.defaults)
+        named = [(a, i - skip) for i, a in enumerate(positional) if i >= first]
+        named += [(a, None) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+        for arg, position in named:
+            yield node.name, f"{module}.{node.name}({arg.arg})", arg.arg, position
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    """Whether call passes param, by keyword, by position or through * or **."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    """A default that every caller takes is a constant in disguise, and the
+    code for the other values is dead."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unpassed = []
+    for module, tree in trees.items():
+        for name, label, param, position in _defaulted_parameters(module, tree):
+            callers = [
+                c for c in calls
+                if (c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)) == name
+            ]
+            if not any(_passes(c, param, position) for c in callers) and label not in UNPASSED_DEFAULTS_ALLOWED:
+                unpassed.append(label)
+    assert unpassed == []
 
 
 # Kept although nothing in src/fednb reads them, each for a stated reason.

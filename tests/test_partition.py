@@ -254,19 +254,6 @@ def test_apportioned_counts_equal_class_counts(k, alpha, seed, classes, retries)
             _unique_class_partition(labels, k, alpha, seed, attempts=1)
 
 
-def test_partition_reuses_class_rows_without_changing_them():
-    labels = np.random.default_rng(6).choice((0, 1, 3), 900)
-    by_class = class_rows(labels)
-    kept = {cls: rows.copy() for cls, rows in by_class.items()}
-    for seed in range(3):
-        got = dirichlet_partition(labels, 3, 0.2, seed, by_class=by_class)
-        want = dirichlet_partition(labels, 3, 0.2, seed)
-        assert [ix.tobytes() for ix in got.node_indices] == [ix.tobytes() for ix in want.node_indices]
-        assert np.array_equal(got.counts, want.counts)
-    assert by_class.keys() == kept.keys()
-    assert all(np.array_equal(by_class[cls], kept[cls]) for cls in kept)
-
-
 def _first_attempt_succeeds(labels, k, alpha, seed) -> bool:
     try:
         _unique_class_partition(labels, k, alpha, seed, attempts=1)

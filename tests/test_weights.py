@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from fednb.local_model import fit_hybrid
 from fednb.mog import StackedScores, anll, stack_scores
 from fednb.weights import (
     OptimizationTrace,
-    _floored_simplex,
     OptimizerConfig,
     from_simplex,
     learn_weights_icc,
@@ -66,7 +66,6 @@ def _append_formula(theta, k, delta=0.05):
 
 
 def test_floored_simplex_is_bit_exact_with_append_formula():
-    # both the public map and the unchecked one each objective evaluation uses
     rng = np.random.default_rng(2)
     thetas = [np.array(t) for t in ([0.0], [-0.0, 0.0], [-800.0, 800.0, -0.0])]
     for k in (2, 3, 10):
@@ -75,7 +74,6 @@ def test_floored_simplex_is_bit_exact_with_append_formula():
     for theta in thetas:
         k = len(theta) + 1
         assert to_floored_simplex(theta, k, 0.05).tobytes() == _append_formula(theta, k)
-        assert _floored_simplex(theta, k, 0.05).tobytes() == _append_formula(theta, k)
 
 
 def test_centroid_expression_is_bit_exact_with_mean():
@@ -178,7 +176,7 @@ def _reference_nelder_mead(f, start, max_iters: int = 500):
 
 
 def _bits(result):
-    """nelder_mead's result with x and f as bytes, so == compares bits (NaN too)."""
+    """nelder_mead's result with x and f as bytes, so == compares bits."""
     x, fv, evals, iterations, converged = result
     return x.tobytes(), np.float64(fv).tobytes(), evals, iterations, converged
 
@@ -248,21 +246,47 @@ def test_nelder_mead_equals_the_reference_at_max_iters(max_iters):
     assert result[3:] == (max_iters, False)
 
 
+def _recording(f, points):
+    """f, appending each point it is called at to points as a list of floats."""
+    def g(x):
+        points.append(x.tolist())
+        return f(x)
+    return g
+
+
 @pytest.mark.parametrize("start, max_iters", [
     ([0.49], 60),
     ([0.49, 0.2], 2),
     ([0.49, 0.2, 0.2, 0.2], 60),
-    # two or three NaN vertices: a NaN stays ranked among the best n while
-    # the worst is replaced
     ([0.49, 0.49, 0.2], 60),
     ([0.49, 0.49, 0.49, 0.2], 60),
-    # one iteration shrinks the NaN vertex onto another NaN point, and
-    # argmin returns the first NaN before any number
     ([0.49], 1),
 ])
 def test_nelder_mead_equals_the_reference_where_the_objective_is_nan(start, max_iters):
-    # each coordinate of 0.49 perturbs to 0.5145, a vertex with a NaN value
-    _assert_matches_reference(_nan_beyond_half, np.array(start), max_iters=max_iters)
+    # each coordinate of 0.49 perturbs to 0.5145, a vertex with a NaN value:
+    # nelder_mead makes the reference's calls up to the first NaN value, and
+    # there raises, naming that point
+    want, got = [], []
+    _reference_nelder_mead(_recording(_nan_beyond_half, want), np.array(start), max_iters=max_iters)
+    first_nan = next(i for i, x in enumerate(want) if max(x) > 0.5)
+    with pytest.raises(OptimizerError, match=re.escape(f"not finite at {want[first_nan]}: nan")):
+        nelder_mead(_recording(_nan_beyond_half, got), np.array(start), max_iters=max_iters)
+    assert got == want[: first_nan + 1]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_nelder_mead_raises_at_a_non_finite_value_after_the_initial_simplex(bad):
+    # (x - 2)^2 has its minimum beyond 0.5, where the value is bad; the
+    # initial simplex (0.3, 0.315) lies below it
+    points = []
+
+    def f(x):
+        return bad if x[0] > 0.5 else float((x[0] - 2.0) ** 2)
+
+    with pytest.raises(OptimizerError) as info:
+        nelder_mead(_recording(f, points), np.array([0.3]))
+    assert len(points) > 2 and points[-1][0] > 0.5 >= max(p[0] for p in points[:-1])
+    assert str(info.value) == f"objective not finite at {points[-1]}: {bad}"
 
 
 def test_from_simplex_uniform_gives_zero_theta():
