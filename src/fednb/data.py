@@ -2,10 +2,12 @@
 
 A dataset is split by measurement type: categorical columns are stored as
 dense integer codes, numerical columns as floats, and there is exactly one
-integer label column. Categorical codes are assigned in first-seen order
-while building a CategoryMap; values unseen by the map are encoded with the
-reserved out-of-distribution code ``n_cats`` (one past the last known
-category).
+integer label column. Codes and labels are stored in the narrowest unsigned
+dtype that holds their largest value (``narrowest_uint``): the largest code
+is the OOD code, the largest label ``n_classes - 1``. Categorical codes are
+assigned in first-seen order while building a CategoryMap; values unseen by
+the map are encoded with the reserved out-of-distribution code ``n_cats``
+(one past the last known category).
 """
 
 from __future__ import annotations
@@ -22,6 +24,13 @@ KIND_CATEGORICAL = "categorical"
 KIND_NUMERICAL = "numerical"
 KIND_LABEL = "label"
 _KINDS = (KIND_CATEGORICAL, KIND_NUMERICAL, KIND_LABEL)
+
+
+def narrowest_uint(largest: int) -> np.dtype:
+    """The narrowest unsigned integer dtype that holds 0..largest, the storage
+    of category codes (largest: the OOD code, max n_cats) and of labels
+    (largest: n_classes - 1)."""
+    return np.min_scalar_type(largest)
 
 
 @dataclass(frozen=True)
@@ -93,12 +102,19 @@ class Dataset:
     Datasets derived from another (``subset``, ``degrade_copy``) may share
     arrays with it, so nothing writes into a Dataset's arrays after it is
     built; code that needs changed values copies them first.
+
+    The loaders store codes and labels in a narrow unsigned dtype (see
+    ``narrowest_uint``), and derived datasets keep it. Under numpy 2's
+    promotion rules (NEP 50) ``codes + 1`` or ``labels * n`` stays in that
+    dtype and wraps past its top value, so code that does arithmetic on them
+    first casts them to a wider integer (``astype(np.intp)``) or combines
+    them with an int64 array. Indexing, counting and comparing need no cast.
     """
 
     schema: FeatureSchema
-    categorical: np.ndarray  # (n, n_cat_cols) int64 codes
+    categorical: np.ndarray  # (n, n_cat_cols) codes, narrowest_uint(max n_cats)
     numerical: np.ndarray  # (n, n_num_cols) float64
-    labels: np.ndarray  # (n,) int64 in [0, n_classes)
+    labels: np.ndarray  # (n,) in [0, n_classes), narrowest_uint(n_classes - 1)
     n_cats: tuple[int, ...]  # category arity per categorical column
 
     def __post_init__(self):
@@ -201,12 +217,16 @@ def load_csv(path, schema: FeatureSchema, category_map: CategoryMap | None = Non
         category_map = CategoryMap(tuple(mappings), label_values)
 
     n = len(raw_labels)
-    cat = np.zeros((n, len(cat_names)), dtype=np.int64)
+    cat = np.zeros((n, len(cat_names)), dtype=narrowest_uint(max(category_map.n_cats, default=0)))
     for i, r in enumerate(raw_cat):
         for j, raw in enumerate(r):
             cat[i, j] = category_map.encode(j, raw)
     num = np.array(num_rows, dtype=np.float64).reshape(n, len(num_names))
-    labels = np.array([category_map.encode_label(r) for r in raw_labels], dtype=np.int64)
+    codes = [category_map.encode_label(r) for r in raw_labels]
+    i = codes.index(max(codes))  # a supplied map may know more labels than n_classes
+    if codes[i] >= schema.n_classes:
+        raise LabelError(f"{path}: row {i}: label {raw_labels[i]!r} outside [0, n_classes={schema.n_classes})")
+    labels = np.array(codes, dtype=narrowest_uint(schema.n_classes - 1))
     ds = Dataset(schema, cat, num, labels, category_map.n_cats)
     return ds, category_map
 
@@ -258,7 +278,9 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     n, c = spec.n_rows, spec.n_classes
 
-    labels = np.arange(n, dtype=np.int64) % c  # balanced by construction
+    # balanced by construction; cast after the modulo, since an arange in a
+    # narrow dtype would wrap
+    labels = (np.arange(n, dtype=np.int64) % c).astype(narrowest_uint(c - 1))
     rng.shuffle(labels)
 
     num = np.empty((n, spec.n_numerical), dtype=np.float64)
@@ -266,8 +288,8 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
         means = spec.class_sep * np.arange(c, dtype=np.float64)
         num[:, j] = rng.normal(loc=means[labels], scale=1.0)
 
-    cat = np.empty((n, spec.n_categorical), dtype=np.int64)
     m = spec.n_categories
+    cat = np.empty((n, spec.n_categorical), dtype=narrowest_uint(m))
     for j in range(spec.n_categorical):
         for cls in range(c):
             mask = labels == cls

@@ -66,4 +66,7 @@ class CellError(FedNBError):
 
     def __init__(self, alpha: float, rep: int, cause: Exception):
         super().__init__(f"cell (alpha={alpha}, rep={rep}) failed: {cause}")
-        self.alpha, self.rep = alpha, rep
+        self.alpha, self.rep, self.cause = alpha, rep, cause
+
+    def __reduce__(self):  # pickle rebuilds from the three arguments, not from self.args
+        return CellError, (self.alpha, self.rep, self.cause)

@@ -19,9 +19,10 @@ def f1_macro(y_true, y_pred, n_classes: int) -> float:
         raise ShapeError("y_true and y_pred lengths differ")
     total = 0.0
     for c in range(n_classes):
-        tp = int(((y_pred == c) & (y_true == c)).sum())
-        fp = int(((y_pred == c) & (y_true != c)).sum())
-        fn = int(((y_pred != c) & (y_true == c)).sum())
+        pred_c, true_c = y_pred == c, y_true == c
+        tp = int((pred_c & true_c).sum())
+        fp = int(pred_c.sum()) - tp
+        fn = int(true_c.sum()) - tp
         if 2 * tp + fp + fn == 0:
             f1 = 0.0
         else:

@@ -82,11 +82,11 @@ def class_rows(labels) -> dict[int, np.ndarray]:
     Callers that partition one label array many times build this once and
     pass it to ``dirichlet_counts`` as ``by_class``.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)  # any integer dtype, not copied
     try:  # the classes present, ascending; a tenth of np.unique's cost on 200k labels
         classes = np.flatnonzero(np.bincount(labels))
-    except ValueError:
-        raise PartitionError("labels must be non-negative") from None
+    except (TypeError, ValueError):  # floats, uint64; negative values
+        raise PartitionError("labels must be non-negative integers") from None
     return {int(cls): np.flatnonzero(labels == cls) for cls in classes}
 
 
@@ -144,7 +144,7 @@ def _deal(labels, k, alphas, seed, by_class, keep_rows):
     scratch = None if keep_rows else np.empty(max(map(len, by_class.values()), default=0), dtype=np.int64)
     found = [None] * len(alphas)
     for attempt in range(100):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
         first = {cls: _shuffled(rng, by_class[cls], scratch) for cls in list(by_class)[:1]}
         after_first = rng.bit_generator.state
         for i, alpha in enumerate(alphas):

@@ -13,6 +13,7 @@ from fednb.data import (
     column_sums,
     degrade_copy,
     load_csv,
+    narrowest_uint,
     synth_generate,
 )
 from fednb.errors import LabelError, ParseError, SchemaError, ShapeError, SynthSpecError
@@ -324,3 +325,97 @@ def test_degrade_copy_never_writes_into_its_input(noise):
     out = degrade_copy(ds, noise, 11)
     assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
     assert np.array_equal(out.categorical, ds.categorical)
+
+
+def test_storage_dtype_is_the_narrowest_unsigned_that_holds_the_largest_value():
+    # codes: the largest is the OOD code n_cats, so 255 categories still fit in uint8
+    assert narrowest_uint(255) == np.uint8 and narrowest_uint(256) == np.uint16
+    # labels: the largest is n_classes - 1
+    assert narrowest_uint(256 - 1) == np.uint8 and narrowest_uint(257 - 1) == np.uint16
+    assert narrowest_uint(0) == np.uint8
+    assert narrowest_uint(65535) == np.uint16 and narrowest_uint(65536) == np.uint32
+
+
+def _synth_int64(spec, seed):
+    """synth_generate with int64 codes and labels, step for step."""
+    rng = np.random.default_rng(seed)
+    n, c, m = spec.n_rows, spec.n_classes, spec.n_categories
+    labels = np.arange(n, dtype=np.int64) % c
+    rng.shuffle(labels)
+    num = np.empty((n, spec.n_numerical))
+    for j in range(spec.n_numerical):
+        num[:, j] = rng.normal(loc=spec.class_sep * np.arange(c, dtype=np.float64)[labels], scale=1.0)
+    cat = np.empty((n, spec.n_categorical), dtype=np.int64)
+    for j in range(spec.n_categorical):
+        for cls in range(c):
+            mask = labels == cls
+            probs = np.full(m, 0.45 / (m - 1))
+            probs[(cls + j) % m] = 0.55
+            cat[mask, j] = rng.choice(m, size=int(mask.sum()), p=probs)
+    return cat, num, labels
+
+
+@pytest.mark.parametrize(
+    "spec, code_dtype, label_dtype",
+    [
+        (SynthSpec(3000, 2, 3, 2, (0.0,)), np.uint8, np.uint8),
+        (SynthSpec(1500, 3, 2, 1, (0.0,), n_categories=255), np.uint8, np.uint8),  # OOD code 255
+        (SynthSpec(1500, 256, 2, 1, (0.0,), n_categories=256), np.uint16, np.uint8),  # label 255
+        # 257 classes: an arange in uint8 would wrap the labels
+        (SynthSpec(1542, 257, 1, 2, (0.0,), n_categories=3), np.uint8, np.uint16),
+    ],
+)
+def test_synth_stores_narrow_codes_and_labels_with_the_int64_values(spec, code_dtype, label_dtype):
+    ds = synth_generate(spec, 11)
+    cat, num, labels = _synth_int64(spec, 11)
+    assert ds.categorical.dtype == code_dtype and ds.labels.dtype == label_dtype
+    assert ds.categorical.astype(np.int64).tobytes() == cat.tobytes()
+    assert ds.labels.astype(np.int64).tobytes() == labels.tobytes()
+    assert ds.numerical.tobytes() == num.tobytes()
+
+
+def _encoded_int64(path, schema, cmap):
+    """The codes and labels of a CSV file by CategoryMap.encode, as int64."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    cat = [[cmap.encode(j, row[name]) for j, name in enumerate(schema.categorical_names)] for row in rows]
+    labels = [cmap.encode_label(row[schema.label_name]) for row in rows]
+    return np.array(cat, dtype=np.int64).reshape(len(rows), -1), np.array(labels, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n_categories, code_dtype", [(3, np.uint8), (300, np.uint16)])
+def test_load_csv_stores_narrow_codes_and_labels_with_the_int64_values(tmp_path, n_categories, code_dtype):
+    written = synth_generate(SynthSpec(3000, 2, 2, 2, (0.0,), n_categories=n_categories), 5)
+    write_csv(written, tmp_path / "data.csv")
+    schema = written.schema  # the columns of CSV_SCHEMA
+    built, cmap = load_csv(tmp_path / "data.csv", schema)
+    # a fixed map that knows two values per column: every other value gets the OOD code 2
+    fixed = CategoryMap(tuple({"v0": 0, "v1": 1} for _ in range(2)), LABEL_NAMES)
+    ood, _ = load_csv(tmp_path / "data.csv", schema, fixed)
+    assert (ood.categorical == 2).any() and (max(cmap.n_cats) >= 256) == (code_dtype == np.uint16)
+    for ds, m, want_codes in ((built, cmap, code_dtype), (ood, fixed, np.uint8)):
+        cat, labels = _encoded_int64(tmp_path / "data.csv", schema, m)
+        assert ds.categorical.dtype == want_codes and ds.labels.dtype == np.uint8
+        assert ds.categorical.astype(np.int64).tobytes() == cat.tobytes()
+        assert ds.labels.astype(np.int64).tobytes() == labels.tobytes()
+
+
+def test_a_fixed_map_label_past_the_label_dtype_is_a_label_error_naming_the_row(tmp_path):
+    names = tuple(f"l{i}" for i in range(300))
+    p = _write(tmp_path, ["tcp,1.0,l0", "udp,2.0,l1", "tcp,3.0,l299"])
+    with pytest.raises(LabelError, match=r"row 2: label 'l299' outside \[0, n_classes=2\)"):
+        load_csv(p, SCHEMA, CategoryMap(({"tcp": 0, "udp": 1},), names))
+
+
+@pytest.mark.parametrize("n_classes", [3, 255, 256])
+def test_degraded_labels_equal_the_int64_build_at_the_top_class(n_classes):
+    ds = synth_generate(SynthSpec(40 * n_classes, n_classes, 1, 1, (0.0,)), 2)
+    wide = Dataset(ds.schema, ds.categorical.astype(np.int64), ds.numerical, ds.labels.astype(np.int64), ds.n_cats)
+    got, want = degrade_copy(ds, 0.5, 9), degrade_copy(wide, 0.5, 9)
+    assert got.labels.dtype == ds.labels.dtype == np.uint8 and want.labels.dtype == np.int64
+    assert got.labels.astype(np.int64).tobytes() == want.labels.tobytes()
+    assert got.numerical.tobytes() == want.numerical.tobytes()
+    flipped = got.labels != ds.labels
+    top = n_classes - 1  # 255 at 256 classes: the top code of uint8
+    # flips both from and onto the top class; from it, label + shift passes n_classes
+    assert (ds.labels[flipped] == top).any() and (got.labels[flipped] == top).any()

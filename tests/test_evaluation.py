@@ -33,6 +33,20 @@ def test_f1_joint_permutation_invariant():
         assert f1_macro(y[perm], p[perm], 3) == pytest.approx(base, abs=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_f1_equals_the_per_row_count_formula(dtype):
+    rng = np.random.default_rng(3)
+    y = rng.choice((0, 1, 3, 4), 500)  # class 2 never true
+    p = rng.integers(0, 5, 500)
+    want = 0.0
+    for c in range(6):  # class 5 neither true nor predicted
+        tp = sum(1 for a, b in zip(y, p) if a == c and b == c)
+        fp = sum(1 for a, b in zip(y, p) if a != c and b == c)
+        fn = sum(1 for a, b in zip(y, p) if a == c and b != c)
+        want += 0.0 if 2 * tp + fp + fn == 0 else 2 * tp / (2 * tp + fp + fn)
+    assert f1_macro(y.astype(dtype), p, 6) == want / 6
+
+
 def test_f1_length_mismatch():
     with pytest.raises(ShapeError):
         f1_macro([0, 1], [0], 2)

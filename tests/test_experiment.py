@@ -1,11 +1,12 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
 
 from fednb.config import DEFAULT_ALPHAS, ExperimentConfig
 from fednb.data import CategoryMap, SynthSpec
-from fednb.errors import ConfigError
+from fednb.errors import CellError, ConfigError
 from fednb.experiment import (
     emit_plot_data,
     emit_results_csv,
@@ -405,3 +406,11 @@ def test_run_cell_rejects_an_empty_test_split(monkeypatch):
     monkeypatch.setattr(fednb.experiment, "stratified_split", no_test_rows)
     with pytest.raises(MetricError, match="empty"):
         run_cell(small_config(proposals=("B",)), 0.5, 0)
+
+
+def test_cell_error_survives_a_pickle_round_trip():
+    err = CellError(0.1, 3, ValueError("x"))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is CellError and str(back) == str(err) == "cell (alpha=0.1, rep=3) failed: x"
+    assert (back.alpha, back.rep) == (0.1, 3)
+    assert type(back.cause) is ValueError and back.cause.args == ("x",)

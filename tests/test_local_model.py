@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fednb.data import Dataset, FeatureSchema, SynthSpec, synth_generate
+from fednb.data import Dataset, FeatureSchema, SynthSpec, degrade_copy, synth_generate
 from fednb.errors import FitError, ShapeError
 from fednb.local_model import NEG_INF, _feature_sums, fit_hybrid, joint_log_scores_batch
+from fednb.mog import StackedScores, anll_from_mixed, anll_from_stacked, mix_scores, stack_scores
+from fednb.partition import SplitConfig, dirichlet_partition, stratified_split
 
 from conftest import classes_present, make_dataset, score_row
 
@@ -292,3 +294,45 @@ def test_feature_sums_equal_the_inner_axis_sum_bitwise(f):
     negative_zeros = np.full((3, 2, f), -0.0)  # numpy starts each sum from +0.0
     got = _feature_sums(np.ascontiguousarray(negative_zeros.transpose(1, 2, 0)))
     assert got.tobytes() == np.ascontiguousarray(negative_zeros.sum(axis=2).T).tobytes()
+
+
+def _cell_outputs(ds):
+    """Every array and float one cell derives from ds: split, partition,
+    degraded nodes, fitted models, test scores and ANLLs."""
+    train, val, test = stratified_split(ds, SplitConfig(0.6, 0.2, 0.2, seed=4))
+    part = dirichlet_partition(train.labels, 3, 0.3, 5)
+    nodes = [degrade_copy(train.subset(ix), 0.2, 6 + i) for i, ix in enumerate(part.node_indices)]
+    models = [fit_hybrid(node) for node in nodes]
+    scores = StackedScores(stack_scores(models, val), val.labels)
+    out = {"counts": part.counts, "flat_index": scores.flat_index}
+    for name, d in (("train", train), ("val", val), ("test", test), *((f"node{i}", d) for i, d in enumerate(nodes))):
+        out.update({f"{name}.cat": d.categorical, f"{name}.num": d.numerical, f"{name}.labels": d.labels})
+    for i, ix in enumerate(part.node_indices):
+        out[f"rows{i}"] = ix
+    for i, m in enumerate(models):
+        out.update({f"model{i}.{k}": v for k, v in vars(m).items() if k != "cat_log_prob"})
+        out.update({f"model{i}.cat{j}": t for j, t in enumerate(m.cat_log_prob)})
+        out[f"scores{i}"] = joint_log_scores_batch(m, test)
+    for w in ([0.5, 0.3, 0.2], [1.0, 0.0, 0.0]):  # the covered path, then the masked one
+        out[f"anll{w}"] = anll_from_stacked(np.array(w), scores)
+        out[f"test anll{w}"] = anll_from_mixed(mix_scores(np.array(w), stack_scores(models, test)), test.labels)
+    return out
+
+
+def test_narrow_codes_and_labels_give_the_int64_build_bitwise():
+    narrow = synth_generate(SynthSpec(3000, 3, 3, 2, (0.0,), n_categories=5), 8)
+    wide = Dataset(
+        narrow.schema, narrow.categorical.astype(np.int64), narrow.numerical, narrow.labels.astype(np.int64), narrow.n_cats
+    )
+    assert narrow.categorical.dtype == narrow.labels.dtype == np.uint8
+    got, want = _cell_outputs(narrow), _cell_outputs(wide)
+    assert got.keys() == want.keys() and got["counts"].dtype == got["rows0"].dtype == np.int64
+    for key, g in got.items():
+        w = want[key]
+        if isinstance(g, float):
+            assert type(w) is float and np.float64(g).tobytes() == np.float64(w).tobytes(), key
+        elif key.endswith((".cat", ".labels")):  # the codes and labels keep their dtype
+            assert g.dtype == np.uint8 and w.dtype == np.int64, key
+            assert g.astype(np.int64).tobytes() == w.tobytes(), key
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), key

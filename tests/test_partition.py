@@ -180,7 +180,7 @@ def _unique_class_partition(labels, k, alpha, seed, attempts=100):
     """The partition as written with np.unique for class discovery."""
     labels = np.asarray(labels, dtype=np.int64)
     for attempt in range(attempts):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
         node_lists = [[] for _ in range(k)]
         for cls in np.unique(labels):
             idx = np.flatnonzero(labels == cls)
@@ -218,6 +218,21 @@ def test_partition_matches_unique_class_discovery(k, alpha, seed, classes):
 def test_partition_rejects_negative_labels(k):
     with pytest.raises(PartitionError, match="non-negative"):
         dirichlet_partition(np.array([0, 1, -1, 1, 0, 1]), k, 1.0, 0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_partition_rejects_float_labels(k):
+    with pytest.raises(PartitionError, match="non-negative integers"):
+        dirichlet_partition(np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]), k, 1.0, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+def test_class_rows_takes_any_integer_labels_and_returns_int64_rows(dtype):
+    labels = np.random.default_rng(1).choice((0, 2, 3), 500)
+    want = class_rows(labels)
+    got = class_rows(labels.astype(dtype))
+    assert got.keys() == want.keys() == {0, 2, 3}
+    assert all(got[c].dtype == np.int64 and got[c].tobytes() == want[c].tobytes() for c in want)
 
 
 def test_jsd_matches_scipy_jensenshannon_for_two_nodes():
