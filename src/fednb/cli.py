@@ -31,6 +31,7 @@ from .experiment import (
     prepare_cell,
     run_grid,
     verify,
+    write_lines,
 )
 from .governance import coherence_prior
 from .partition import dirichlet_partition, jsd_heterogeneity
@@ -114,7 +115,8 @@ def cmd_run_grid(args) -> int:
     _save_bundle(result, args.out)
     _write_plots(_load_bundle(args.out), dataset, os.path.join(args.out, "plots"))
     report = verify(result, dataset)
-    _write_report(report, args.out)
+    write_lines(os.path.join(args.out, "verification.txt"), [report.to_text()])
+    write_lines(os.path.join(args.out, "verification.kv"), [report.to_kv()])
     print(report.to_text())
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 
@@ -130,13 +132,6 @@ def _write_plots(result: GridResult, dataset, out_dir: str) -> None:
         [p.name for p in config.profiles],
         coherence_prior(config.profiles),
     )
-
-
-def _write_report(report, out_dir: str) -> None:
-    with open(os.path.join(out_dir, "verification.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text() + "\n")
-    with open(os.path.join(out_dir, "verification.kv"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_kv() + "\n")
 
 
 def cmd_verify(args) -> int:
@@ -162,12 +157,10 @@ def cmd_partition(args) -> int:
     for i, p in enumerate(config.profiles):
         lines.append(f"{p.name}\t{len(part.node_indices[i])}\t" + "\t".join(map(str, counts[i])))
     lines.append(f"jsd\t{jsd:.6f}")
-    out = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        write_lines(args.out, lines)
     else:
-        print(out, end="")
+        print("\n".join(lines))
     return EXIT_OK
 
 

@@ -61,7 +61,6 @@ from dataclasses import asdict, dataclass, field
 from .data import FeatureSchema, SynthSpec
 from .errors import ConfigError, FedNBError
 from .governance import NodeProfile
-from .partition import SplitConfig
 from .weights import OptimizerConfig
 
 DEFAULT_ALPHAS = (0.05, 0.10, 0.20, 0.30, 0.50, 0.70, 1.00)
@@ -89,6 +88,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.profiles) < 1:
             raise ConfigError("need at least one node profile")
+        if not self.alphas:
+            raise ConfigError("alphas must name at least one level")
         if any(a <= 0 for a in self.alphas):
             raise ConfigError("alphas must be positive")
         if list(self.alphas) != sorted(set(self.alphas)):
@@ -100,13 +101,15 @@ class ExperimentConfig:
             raise ConfigError("reps must be >= 1")
         if self.seed < 0:  # numpy's generators take non-negative seeds only
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        try:
-            SplitConfig(*self.split_fracs, seed=0)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"split_fracs {self.split_fracs}: {exc}") from exc
+        fracs = self.split_fracs
+        if len(fracs) != 3 or not all(f > 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
+            raise ConfigError(f"split_fracs {fracs}: need three positive fractions summing to 1")
         bad = [p for p in self.proposals if p not in PROPOSAL_ORDER]
         if bad:
             raise ConfigError(f"unknown proposals: {bad}")
+        repeated = sorted({p for p in self.proposals if self.proposals.count(p) > 1})
+        if repeated:
+            raise ConfigError(f"proposals repeated: {repeated}")
         if isinstance(self.source, SynthSpec) and len(self.source.node_noise) != len(self.profiles):
             raise ConfigError("node_noise length must match number of profiles")
         if "A" in self.proposals:

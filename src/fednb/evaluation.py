@@ -31,13 +31,6 @@ def f1_macro(y_true, y_pred, n_classes: int) -> float:
     return total / n_classes
 
 
-def chi2_sf_1df(x: float) -> float:
-    """Upper-tail probability of chi-square with 1 df: erfc(sqrt(x/2))."""
-    if x < 0:
-        raise ValueError(f"chi-square statistic must be >= 0, got {x}")
-    return math.erfc(math.sqrt(x / 2.0))
-
-
 @dataclass(frozen=True)
 class McNemarResult:
     b: int  # A correct, B wrong
@@ -50,7 +43,8 @@ def mcnemar_yates(preds_a, preds_b, y_true) -> McNemarResult:
     """McNemar's test on discordant pairs with Yates' continuity correction.
 
     The correction is clamped at zero so the corrected statistic never
-    exceeds the uncorrected one; b + c = 0 yields p = 1.
+    exceeds the uncorrected one; b + c = 0 yields p = 1. p is the upper
+    tail of chi-square with 1 df, erfc(sqrt(chi2 / 2)).
     """
     preds_a = np.asarray(preds_a)
     preds_b = np.asarray(preds_b)
@@ -65,5 +59,5 @@ def mcnemar_yates(preds_a, preds_b, y_true) -> McNemarResult:
         chi2, p = 0.0, 1.0
     else:
         chi2 = max(0.0, abs(b - c) - 1.0) ** 2 / (b + c)
-        p = chi2_sf_1df(chi2)
+        p = math.erfc(math.sqrt(chi2 / 2.0))
     return McNemarResult(b=b, c=c, chi2=chi2, p_value=p)

@@ -35,8 +35,7 @@ from .local_model import fit_hybrid
 from . import mog
 from .mog import anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
 from .partition import (
-    Partition, SplitConfig, class_rows, dirichlet_counts, dirichlet_partition, jsd_heterogeneity,
-    stratified_split,
+    Partition, class_rows, dirichlet_counts, dirichlet_partition, jsd_heterogeneity, stratified_split,
 )
 from .weights import (
     OptimizationTrace,
@@ -115,9 +114,7 @@ def prepare_cell(
     and fit one local model per node: everything a cell does before weighting."""
     split_seed, part_seed, degr_seed, opt_seed = _cell_seeds(config, alpha_index, rep)
     # only proposal A reads the validation rows
-    train, val, test = stratified_split(
-        dataset, SplitConfig(*config.split_fracs, seed=split_seed), "A" in config.proposals
-    )
+    train, val, test = stratified_split(dataset, config.split_fracs, split_seed, "A" in config.proposals)
     part = dirichlet_partition(train.labels, config.k, config.alphas[alpha_index], part_seed)
     models = []
     for node, ix in enumerate(part.node_indices):
@@ -401,7 +398,7 @@ def _jsd_curve(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
     k = max(config.k, 2)
     by_class = class_rows(dataset.labels)
     per_seed = [
-        [jsd_heterogeneity(c) for c in dirichlet_counts(dataset.labels, k, config.alphas, seed, by_class)]
+        [jsd_heterogeneity(c) for c in dirichlet_counts(by_class, k, config.alphas, seed)]
         for seed in range(20)
     ]
     return np.array([float(np.mean(vals)) for vals in zip(*per_seed)])
@@ -472,9 +469,7 @@ def emit_results_csv(records, k: int, path) -> None:
     header = ["dataset", "alpha", "rep", "proposal", "f1_macro", "anll", "jsd"]
     header += [f"w_{i + 1}" for i in range(k)]
     header += ["mcnemar_p_vs_B", "runtime_ms"]
-    lines = [",".join(header)] + [_csv_row(r, k) for r in records]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, [",".join(header)] + [_csv_row(r, k) for r in records])
 
 
 def load_results_csv(path) -> list[ExperimentRecord]:
@@ -536,7 +531,7 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
                 f"{a:.6f}\t{p}\t{f1s.mean():.6f}\t{f1s.std():.6f}"
                 f"\t{anlls.mean():.6f}\t{anlls.std():.6f}"
             )
-    _write(path, lines)
+    write_lines(path, lines)
     written.append(path)
 
     a_recs = [r for r in records if r.proposal == "A" and r.weights is not None]
@@ -546,7 +541,7 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
         mean_w = np.array([r.weights for r in a_recs]).mean(axis=0)
         for i, name in enumerate(node_names):
             lines.append(f"{name}\t{mean_w[i]:.6f}\t{prior[i]:.6f}")
-    _write(path, lines)
+    write_lines(path, lines)
     written.append(path)
 
     path = os.path.join(out_dir, "weight_trajectories.tsv")
@@ -557,7 +552,7 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
             mean_w = np.array([r.weights for r in sel]).mean(axis=0)
             for i, name in enumerate(node_names):
                 lines.append(f"{a:.6f}\t{name}\t{mean_w[i]:.6f}")
-    _write(path, lines)
+    write_lines(path, lines)
     written.append(path)
 
     path = os.path.join(out_dir, "density_profiles.tsv")
@@ -572,7 +567,7 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
         for x in xs:
             dens = np.exp(-0.5 * ((x - means) / sds) ** 2) / (sds * np.sqrt(2 * np.pi))
             lines.append(f"{x:.6f}\t" + "\t".join(f"{d:.6f}" for d in dens))
-    _write(path, lines)
+    write_lines(path, lines)
     written.append(path)
     return written
 
@@ -583,6 +578,7 @@ def _common_class(models) -> int:
     return int(np.argmax(common)) if common.any() else 0
 
 
-def _write(path, lines) -> None:
+def write_lines(path, lines) -> None:
+    """Each line ended by "\n" on every platform; every text output but grid.json."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

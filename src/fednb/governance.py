@@ -41,18 +41,12 @@ def compute_icc(profile: NodeProfile) -> float:
     return (profile.cmm / 5.0) * profile.kci * (1.0 - profile.kri) * (1.0 - profile.cvss / 10.0)
 
 
-def normalize_prior(iccs) -> np.ndarray:
-    """Sum-to-one normalization of a non-negative coherence vector."""
-    v = np.asarray(iccs, dtype=np.float64)
-    if (v < 0).any():
-        raise ValueError("coherence values must be non-negative")
+def coherence_prior(profiles) -> np.ndarray:
+    """The optimizer's prior: the nodes' coherence indices, in profile order,
+    normalized to sum to one. Each index is in [0, 1], so only an all-zero
+    vector has no normalization."""
+    v = np.asarray([compute_icc(p) for p in profiles], dtype=np.float64)
     total = v.sum()
     if total <= 0.0:
         raise DegeneratePriorError("all-zero coherence vector")
     return v / total
-
-
-def coherence_prior(profiles) -> np.ndarray:
-    """The optimizer's prior: the nodes' coherence indices, in profile order,
-    normalized to sum to one (normalize_prior)."""
-    return normalize_prior([compute_icc(p) for p in profiles])

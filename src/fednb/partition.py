@@ -11,21 +11,6 @@ from .data import Dataset
 from .errors import MetricError, PartitionError, StratificationError
 
 
-@dataclass(frozen=True)
-class SplitConfig:
-    train_frac: float
-    val_frac: float
-    test_frac: float
-    seed: int
-
-    def __post_init__(self):
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
-            raise ValueError("split fractions must be positive")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ValueError(f"split fractions sum to {sum(fracs)}, not 1")
-
-
 def largest_remainder(total: int, proportions) -> np.ndarray:
     """Apportion `total` into integer counts proportional to `proportions`.
 
@@ -43,15 +28,15 @@ def largest_remainder(total: int, proportions) -> np.ndarray:
     return counts
 
 
-def stratified_split(dataset: Dataset, config: SplitConfig, with_val: bool = True):
-    """Per-class proportional train/val/test split, deterministic in seed.
+def stratified_split(dataset: Dataset, fracs, seed: int, with_val: bool):
+    """Per-class proportional train/val/test split by the three positive
+    fractions (ExperimentConfig checks them), deterministic in seed.
 
     Without ``with_val`` the validation rows are not gathered and None stands
     in their place; the shuffles and counts are the same, and so are train
     and test.
     """
-    rng = np.random.default_rng(config.seed)
-    fracs = (config.train_frac, config.val_frac, config.test_frac)
+    rng = np.random.default_rng(seed)
     parts: list[list[np.ndarray]] = [[], [], []]
     # an absent class would shuffle an empty array, which draws nothing
     for cls, idx in class_rows(dataset.labels).items():
@@ -80,7 +65,7 @@ def class_rows(labels) -> dict[int, np.ndarray]:
     """Ascending row indices of each class present in labels, by ascending class.
 
     Callers that partition one label array many times build this once and
-    pass it to ``dirichlet_counts`` as ``by_class``.
+    pass it to ``dirichlet_counts``.
     """
     labels = np.asarray(labels)  # any integer dtype, not copied
     try:  # the classes present, ascending; a tenth of np.unique's cost on 200k labels
@@ -95,7 +80,7 @@ def dirichlet_partition(labels, k: int, alpha: float, seed: int) -> Partition:
 
     Retries with fresh sub-seeds (up to 100) if any node comes out empty.
     """
-    counts, shuffled = _deal(labels, k, (alpha,), seed, None, keep_rows=True)[0]
+    counts, shuffled = _deal(class_rows(labels), k, (alpha,), seed, keep_rows=True)[0]
     if k == 1:
         return Partition([np.arange(len(labels), dtype=np.int64)], counts)
     node_lists: list[list[np.ndarray]] = [[] for _ in range(k)]
@@ -111,13 +96,14 @@ def dirichlet_partition(labels, k: int, alpha: float, seed: int) -> Partition:
     return Partition(node_indices, counts)
 
 
-def dirichlet_counts(labels, k: int, alphas, seed: int, by_class=None) -> list[np.ndarray]:
-    """``[dirichlet_partition(labels, k, a, seed).counts for a in alphas]``,
-    without building the node index arrays."""
-    return [counts for counts, _ in _deal(labels, k, alphas, seed, by_class, keep_rows=False)]
+def dirichlet_counts(by_class, k: int, alphas, seed: int) -> list[np.ndarray]:
+    """``[dirichlet_partition(labels, k, a, seed).counts for a in alphas]``
+    where by_class is ``class_rows(labels)``, without building the node index
+    arrays."""
+    return [counts for counts, _ in _deal(by_class, k, alphas, seed, keep_rows=False)]
 
 
-def _deal(labels, k, alphas, seed, by_class, keep_rows):
+def _deal(by_class, k, alphas, seed, keep_rows):
     """Per alpha, the counts and shuffled rows of each class from the first
     attempt that leaves no node empty.
 
@@ -135,8 +121,6 @@ def _deal(labels, k, alphas, seed, by_class, keep_rows):
     for alpha in alphas:
         if not 0 < alpha < math.inf:
             raise PartitionError(f"alpha must be finite and positive, got {alpha}")
-    if by_class is None:
-        by_class = class_rows(labels)
     width = max(by_class, default=-1) + 1
     if k == 1:
         return [(np.array([[len(by_class.get(cls, ())) for cls in range(width)]], dtype=np.int64), None)

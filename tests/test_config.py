@@ -143,6 +143,10 @@ def test_csv_section_reads_the_schema_file(tmp_path):
         ("reps = 1", "reps = 0", "reps"),
         ("n_categories = 4", "n_categorys = 4", "n_categorys"),
         ("alphas = 0.05, 1.0", "alphas = 0.1234567, 1.0", "alphas"),
+        ("train_frac = 0.6", "train_frac = 0.5", "split_fracs (0.5, 0.2, 0.2)"),
+        ("test_frac = 0.2", "test_frac = -0.0", "split_fracs (0.6, 0.2, -0.0)"),
+        ("alphas = 0.05, 1.0", "alphas =", "alphas"),
+        ("proposals = C, B, E, A", "proposals = C, B, B", "['B']"),
     ],
 )
 def test_bad_config_value_exits_64_and_names_it(tmp_path, capsys, line, bad, named):
@@ -155,6 +159,41 @@ def test_bad_config_value_exits_64_and_names_it(tmp_path, capsys, line, bad, nam
     assert code == 64
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fracs", [[0.6, 0.4], [0.4, 0.2, 0.2, 0.2]])
+def test_grid_json_with_other_than_three_split_fracs_exits_64(tmp_path, capsys, fracs):
+    bundle = {"config": {**LEGACY_ECHO, "split_fracs": fracs}, "scores_ok": True, "traces": {},
+              "partitions": {}, "runtimes_ms": {}}
+    (tmp_path / "grid.json").write_text(json.dumps(bundle))
+    (tmp_path / "results.csv").write_text("dataset,alpha,rep,proposal,f1_macro,anll,jsd\n")
+    assert main(["verify", "--results", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "split_fracs" in err and "Traceback" not in err
+
+
+def test_empty_alpha_grid_exits_64_before_writing_anything(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text(CFG)
+    out = tmp_path / "out"
+    assert main(["run-grid", "--config", str(path), "--set", "alphas=", "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alphas" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_repeated_proposal_is_a_config_error_that_names_it(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"\['A'\]"):
+        ExperimentConfig(source=SYNTH, profiles=PROFILES, proposals=("A", "B", "A"))
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        CFG.replace("proposals = C, B, E, A", "proposals = C, B, B").replace("alphas = 0.05, 1.0", "alphas = 0.5")
+    )
+    out = tmp_path / "out"
+    assert main(["run-grid", "--config", str(path), "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "['B']" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_negative_seed_is_a_config_error():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fednb.errors import ShapeError
-from fednb.evaluation import chi2_sf_1df, f1_macro, mcnemar_yates
+from fednb.evaluation import f1_macro, mcnemar_yates
 
 
 def test_f1_perfect():
@@ -50,24 +50,6 @@ def test_f1_equals_the_per_row_count_formula(dtype):
 def test_f1_length_mismatch():
     with pytest.raises(ShapeError):
         f1_macro([0, 1], [0], 2)
-
-
-def test_chi2_sf_reference_values():
-    assert chi2_sf_1df(0.0) == 1.0
-    assert chi2_sf_1df(3.841) == pytest.approx(0.0500, abs=5e-4)
-    assert chi2_sf_1df(6.635) == pytest.approx(0.0100, abs=5e-4)
-
-
-def test_chi2_sf_strictly_decreasing():
-    xs = np.linspace(0, 30, 200)
-    vals = [chi2_sf_1df(x) for x in xs]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert all(0 < v <= 1 for v in vals)
-
-
-def test_chi2_sf_negative_error():
-    with pytest.raises(ValueError):
-        chi2_sf_1df(-0.1)
 
 
 def _preds_with_discordance(b, c):
@@ -126,7 +108,35 @@ def test_mcnemar_length_mismatch():
         mcnemar_yates([0, 1], [0], [0, 1])
 
 
+# (b, c, Yates statistic, its chi-square 1-df upper tail rounded to 4 decimals)
+P_REFERENCE = [(5, 5, 0.0, 1.0), (5, 0, 16 / 5, 0.0736), (10, 2, 49 / 12, 0.0433),
+               (8, 0, 49 / 8, 0.0133), (15, 3, 121 / 18, 0.0095), (9, 0, 64 / 9, 0.0077)]
+
+
+def _mcnemar(b, c):
+    return mcnemar_yates(*_preds_with_discordance(b, c))
+
+
+def test_chi2_sf_reference_values():
+    # mcnemar_yates's p-value is the chi-square 1-df upper tail of its statistic
+    for b, c, chi2, p in P_REFERENCE:
+        res = _mcnemar(b, c)
+        assert res.chi2 == pytest.approx(chi2, abs=1e-12)
+        assert res.p_value == (1.0 if chi2 == 0.0 else pytest.approx(p, abs=5e-4))
+    # 3.841 and 6.635 are the 5% and 1% critical values of chi-square with 1 df
+    p = {chi2: _mcnemar(b, c).p_value for b, c, chi2, _ in P_REFERENCE}
+    assert p[16 / 5] > 0.05 > p[49 / 12]
+    assert p[49 / 8] > 0.01 > p[121 / 18]
+
+
+def test_chi2_sf_strictly_decreasing():
+    results = [_mcnemar(b, 0) for b in range(2, 80)]
+    assert all(r.chi2 < s.chi2 and r.p_value > s.p_value for r, s in zip(results, results[1:]))
+    assert all(0 < r.p_value <= 1 for r in results)
+
+
 def test_chi2_sf_matches_scipy():
     stats = pytest.importorskip("scipy.stats")
-    for x in (0.0, 1e-6, 0.5, 1.0, 3.841458820694124, 10.0, 50.0, 200.0):
-        assert chi2_sf_1df(x) == pytest.approx(stats.chi2.sf(x, 1), rel=1e-12, abs=1e-300)
+    for b, c in ((3, 2), (4, 2), (5, 0), (10, 2), (40, 25), (60, 1), (400, 0), (3000, 0)):
+        res = _mcnemar(b, c)
+        assert res.p_value == pytest.approx(stats.chi2.sf(res.chi2, 1), rel=1e-12, abs=1e-300)

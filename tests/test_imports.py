@@ -1,7 +1,7 @@
 """Layout rules: no fednb module imports another fednb module's private helpers,
-every definition is used, every defaulted parameter is passed, every field is
-read, every lookup point of perfbench/tracer.py exists, and a traced run passes
-the tracer's consistency check."""
+every definition is used, every default is both overridden and taken by some
+call, every field is read, every lookup point of perfbench/tracer.py exists,
+and a traced run passes the tracer's consistency check."""
 
 import ast
 import importlib.util
@@ -118,21 +118,48 @@ def _passes(call: ast.Call, param: str, position) -> bool:
     return position is not None and len(call.args) > position
 
 
-def test_every_defaulted_parameter_is_passed_by_a_caller():
-    """A default that every caller takes is a constant in disguise, and the
-    code for the other values is dead."""
+def _defaults_and_callers():
+    """(label, parameter, position, the src/fednb calls of its function by
+    name) of each parameter with a default (see _defaulted_parameters)."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    unpassed = []
     for module, tree in trees.items():
         for name, label, param, position in _defaulted_parameters(module, tree):
             callers = [
                 c for c in calls
                 if (c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)) == name
             ]
-            if not any(_passes(c, param, position) for c in callers) and label not in UNPASSED_DEFAULTS_ALLOWED:
-                unpassed.append(label)
+            yield label, param, position, callers
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    """A default that every caller takes is a constant in disguise, and the
+    code for the other values is dead."""
+    unpassed = [
+        label for label, param, position, callers in _defaults_and_callers()
+        if not any(_passes(c, param, position) for c in callers) and label not in UNPASSED_DEFAULTS_ALLOWED
+    ]
     assert unpassed == []
+
+
+# Parameters with a default that every call in src/fednb passes, kept each for a stated reason.
+UNTAKEN_DEFAULTS_ALLOWED = {
+    "config.load_config(overrides)": "perfbench/sweep.py calls load_config(path), and only a "
+    "benchmark change may edit perfbench/",
+    "experiment.run_cell(dataset)": "perfbench/sweep.py calls run_cell(config, alpha, rep), and "
+    "only a benchmark change may edit perfbench/",
+}
+
+
+def test_every_defaulted_parameter_is_left_out_by_a_caller():
+    """A default that every caller overrides is never used, so the parameter
+    should be required and its default is dead."""
+    untaken = [
+        label for label, param, position, callers in _defaults_and_callers()
+        if all(_passes(c, param, position) for c in callers) and label not in UNTAKEN_DEFAULTS_ALLOWED
+    ]
+    assert untaken == []
+    assert set(UNTAKEN_DEFAULTS_ALLOWED) <= {label for label, *_ in _defaults_and_callers()}
 
 
 # Kept although nothing in src/fednb reads them, each for a stated reason.

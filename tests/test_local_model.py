@@ -7,7 +7,7 @@ from fednb.data import Dataset, FeatureSchema, SynthSpec, degrade_copy, synth_ge
 from fednb.errors import FitError, ShapeError
 from fednb.local_model import NEG_INF, _feature_sums, fit_hybrid, joint_log_scores_batch
 from fednb.mog import StackedScores, anll_from_mixed, anll_from_stacked, mix_scores, stack_scores
-from fednb.partition import SplitConfig, dirichlet_partition, stratified_split
+from fednb.partition import dirichlet_partition, stratified_split
 
 from conftest import classes_present, make_dataset, score_row
 
@@ -299,7 +299,7 @@ def test_feature_sums_equal_the_inner_axis_sum_bitwise(f):
 def _cell_outputs(ds):
     """Every array and float one cell derives from ds: split, partition,
     degraded nodes, fitted models, test scores and ANLLs."""
-    train, val, test = stratified_split(ds, SplitConfig(0.6, 0.2, 0.2, seed=4))
+    train, val, test = stratified_split(ds, (0.6, 0.2, 0.2), 4, True)
     part = dirichlet_partition(train.labels, 3, 0.3, 5)
     nodes = [degrade_copy(train.subset(ix), 0.2, 6 + i) for i, ix in enumerate(part.node_indices)]
     models = [fit_hybrid(node) for node in nodes]

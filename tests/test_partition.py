@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from fednb.config import ExperimentConfig, config_from_dict, config_to_dict
 from fednb.data import SynthSpec, synth_generate
-from fednb.errors import MetricError, PartitionError, StratificationError
+from fednb.errors import ConfigError, MetricError, PartitionError, StratificationError
+from fednb.governance import NodeProfile
 from fednb.partition import (
-    SplitConfig,
     class_rows,
     dirichlet_counts,
     dirichlet_partition,
@@ -14,13 +15,16 @@ from fednb.partition import (
 )
 
 
+FRACS = (0.6, 0.2, 0.2)
+
+
 def _balanced_dataset(n=100, n_classes=2, seed=0):
     return synth_generate(SynthSpec(n, n_classes, 1, 1, (0.0,)), seed)
 
 
 def test_split_sizes_exact_divisibility():
     ds = _balanced_dataset(100)
-    train, val, test = stratified_split(ds, SplitConfig(0.6, 0.2, 0.2, seed=5))
+    train, val, test = stratified_split(ds, FRACS, 5, True)
     assert (train.n_rows, val.n_rows, test.n_rows) == (60, 20, 20)
     for part in (train, val, test):
         counts = np.bincount(part.labels, minlength=2)
@@ -29,8 +33,8 @@ def test_split_sizes_exact_divisibility():
 
 def test_split_deterministic():
     ds = _balanced_dataset(100)
-    a = stratified_split(ds, SplitConfig(0.6, 0.2, 0.2, seed=5))
-    b = stratified_split(ds, SplitConfig(0.6, 0.2, 0.2, seed=5))
+    a = stratified_split(ds, FRACS, 5, True)
+    b = stratified_split(ds, FRACS, 5, True)
     for x, y in zip(a, b):
         assert np.array_equal(x.labels, y.labels)
         assert np.array_equal(x.numerical, y.numerical)
@@ -41,14 +45,13 @@ def test_split_small_class_error():
     ds.labels[:] = 0
     ds.labels[:2] = 1
     with pytest.raises(StratificationError):
-        stratified_split(ds, SplitConfig(0.6, 0.2, 0.2, seed=5))
+        stratified_split(ds, FRACS, 5, True)
 
 
-def _split_over_every_class(dataset, config):
+def _split_over_every_class(dataset, fracs, seed):
     """The split's row lists as first written: one pass per class of the
     schema, shuffling an empty array for an absent class."""
-    rng = np.random.default_rng(config.seed)
-    fracs = (config.train_frac, config.val_frac, config.test_frac)
+    rng = np.random.default_rng(seed)
     parts = [[], [], []]
     for cls in range(dataset.schema.n_classes):
         idx = np.flatnonzero(dataset.labels == cls)
@@ -65,10 +68,9 @@ def _split_over_every_class(dataset, config):
 def test_split_skips_an_absent_class_without_changing_a_draw(seed):
     ds = synth_generate(SynthSpec(300, 3, 1, 1, (0.0,)), seed)
     ds.labels[ds.labels == 1] = 2  # class 1 absent, between two present classes
-    config = SplitConfig(0.6, 0.2, 0.2, seed=seed)
-    got = stratified_split(ds, config)
-    want = [ds.subset(ix) for ix in _split_over_every_class(ds, config)]
-    train, val, test = stratified_split(ds, config, with_val=False)
+    got = stratified_split(ds, FRACS, seed, True)
+    want = [ds.subset(ix) for ix in _split_over_every_class(ds, FRACS, seed)]
+    train, val, test = stratified_split(ds, FRACS, seed, with_val=False)
     assert val is None
     for g, w in zip((*got, train, test), (*want, want[0], want[2]), strict=True):
         assert g.labels.tobytes() == w.labels.tobytes()
@@ -77,10 +79,15 @@ def test_split_skips_an_absent_class_without_changing_a_draw(seed):
 
 
 def test_split_config_validation():
-    with pytest.raises(ValueError):
-        SplitConfig(0.5, 0.2, 0.2, seed=0)
-    with pytest.raises(ValueError):
-        SplitConfig(0.8, 0.2, -0.0, seed=0)
+    # ExperimentConfig checks the fractions stratified_split takes
+    base = dict(source=SynthSpec(100, 2, 1, 1, (0.0,)), profiles=(NodeProfile("n", 3, 0.5, 0.5, 5.0),),
+                proposals=("C",))
+    echo = config_to_dict(ExperimentConfig(**base))
+    for fracs in ((0.5, 0.2, 0.2), (0.8, 0.2, -0.0), (0.6, 0.4), (0.4, 0.2, 0.2, 0.2), (0.6, float("nan"), 0.4)):
+        with pytest.raises(ConfigError, match="split_fracs"):
+            ExperimentConfig(**base, split_fracs=fracs)
+        with pytest.raises(ConfigError, match="split_fracs"):
+            config_from_dict({**echo, "split_fracs": list(fracs)})
 
 
 def test_largest_remainder_conserves_total():
@@ -262,7 +269,7 @@ def test_apportioned_counts_equal_class_counts(k, alpha, seed, classes, retries)
     bincounts = [np.bincount(labels[ix], minlength=max(classes) + 1) for ix in part.node_indices]
     assert part.counts.dtype == np.int64
     assert np.array_equal(part.counts, np.array(bincounts))
-    got = dirichlet_counts(labels, k, [alpha], seed)
+    got = dirichlet_counts(class_rows(labels), k, [alpha], seed)
     assert len(got) == 1 and got[0].dtype == np.int64 and np.array_equal(got[0], part.counts)
     if retries:  # the first attempt leaves a node empty
         with pytest.raises(AssertionError, match="no non-empty"):
@@ -294,7 +301,7 @@ def test_counts_for_a_list_of_alphas_equal_one_partition_per_alpha(k, alphas, se
         assert tuple(not _first_attempt_succeeds(labels, k, a, seed) for a in alphas) == retried
     by_class = class_rows(labels)
     kept = {cls: rows.copy() for cls, rows in by_class.items()}
-    got = dirichlet_counts(labels, k, alphas, seed, by_class)
+    got = dirichlet_counts(by_class, k, alphas, seed)
     want = [dirichlet_partition(labels, k, a, seed).counts for a in alphas]
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -306,8 +313,9 @@ def test_counts_for_a_list_of_alphas_equal_one_partition_per_alpha(k, alphas, se
 
 def test_counts_check_every_alpha_and_name_the_one_that_keeps_a_node_empty():
     labels = np.random.default_rng(0).choice((0, 1), 600)
-    assert dirichlet_counts(labels, 3, [], 0) == []
+    by_class = class_rows(labels)
+    assert dirichlet_counts(by_class, 3, [], 0) == []
     with pytest.raises(PartitionError, match="finite and positive"):
-        dirichlet_counts(labels, 3, [1.0, -1.0], 0)
+        dirichlet_counts(by_class, 3, [1.0, -1.0], 0)
     with pytest.raises(PartitionError, match=r"alpha=0\.001, k=10"):
-        dirichlet_counts(labels, 10, [1.0, 0.001], 0)
+        dirichlet_counts(by_class, 10, [1.0, 0.001], 0)
