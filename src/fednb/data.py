@@ -306,9 +306,9 @@ def column_sums(x: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
 
     On a C-contiguous (n, F) array with F >= 2, numpy adds each column's values
     in row order onto 0.0, but runs one short inner loop per row. This takes
-    that order one column at a time, one np.add.accumulate per column into a
-    single reused n-vector. numpy itself sums one column (pairwise, not in row
-    order), no rows and other memory layouts.
+    that order one column at a time (``row_order_sum``) in a single reused
+    n-vector. numpy itself sums one column (pairwise, not in row order), no
+    rows and other memory layouts.
     """
     n, f = x.shape
     if f < 2 or n == 0 or not x.flags.c_contiguous:
@@ -317,14 +317,17 @@ def column_sums(x: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
             np.square(x, out=x)
         return np.add.reduce(x, axis=0)
     acc = np.empty(n)
-    sums = np.empty(f)
-    for j in range(f):
-        col = x[:, j]
-        if center is not None:
-            col = np.square(np.subtract(col, center[j], out=acc), out=acc)
-        sums[j] = np.add.accumulate(col, out=acc)[-1]
-    sums += 0.0  # the start from 0.0: a column of -0.0 sums to +0.0
-    return sums
+    return np.array([row_order_sum(x[:, j], acc, None if center is None else center[j]) for j in range(f)])
+
+
+def row_order_sum(col: np.ndarray, acc: np.ndarray, center: float | None = None) -> np.float64:
+    """The values of col, or with ``center`` their squared deviations from it,
+    added in row order onto 0.0 by one np.add.accumulate into acc, a float64
+    vector of col's length: numpy's float for one column of a C-contiguous
+    (n, F >= 2) array's axis-0 sum."""
+    if center is not None:
+        col = np.square(np.subtract(col, center, out=acc), out=acc)
+    return np.add.accumulate(col, out=acc)[-1] + 0.0  # from 0.0: a column of -0.0 sums to +0.0
 
 
 def column_mean_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,9 +356,16 @@ def degrade_copy(dataset: Dataset, noise: float, seed: int) -> Dataset:
         # flip to a uniformly random *other* class
         shift = rng.integers(1, n_classes, size=int(flip.sum()))
         labels[flip] = (labels[flip] + shift) % n_classes
-    num = dataset.numerical.copy()
+    num = dataset.numerical
     if num.shape[1]:
-        std = np.sqrt(column_mean_var(num)[1])  # num.std(axis=0)'s floats
+        # the floats of .std(axis=0) on a C-ordered copy of num
+        std = np.sqrt(column_mean_var(np.ascontiguousarray(num))[1])
         std[std == 0.0] = 1.0
-        num += rng.normal(0.0, noise * std, size=num.shape)
+        # num + rng.normal(0.0, noise * std, num.shape) in one buffer: normal
+        # draws 0.0 + scale * z, and IEEE + and * commute
+        noisy = rng.standard_normal(num.shape)
+        noisy *= noise * std
+        noisy += 0.0
+        noisy += num
+        num = noisy
     return Dataset(dataset.schema, dataset.categorical, num, labels, dataset.n_cats)

@@ -34,9 +34,7 @@ from .governance import NodeProfile, coherence_prior, compute_icc
 from .local_model import fit_hybrid
 from . import mog
 from .mog import anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
-from .partition import (
-    Partition, class_rows, dirichlet_counts, dirichlet_partition, jsd_heterogeneity, stratified_split,
-)
+from .partition import class_rows, dirichlet_counts, dirichlet_partition, jsd_heterogeneity, stratified_split
 from .weights import (
     OptimizationTrace,
     learn_weights_icc,
@@ -99,10 +97,10 @@ def _cell_seeds(config: ExperimentConfig, alpha_index: int, rep: int) -> list[in
 
 @dataclass
 class PreparedCell:
-    train: Dataset
+    train_rows: np.ndarray  # the dataset rows of the training split
     val: Dataset | None  # None when proposal A does not run
     test: Dataset
-    partition: Partition
+    counts: np.ndarray  # (K, n_classes) training rows of each class dealt to each node
     models: list  # one fitted HybridModel per node, in profile order
     opt_seed: int
 
@@ -110,19 +108,27 @@ class PreparedCell:
 def prepare_cell(
     config: ExperimentConfig, alpha_index: int, rep: int, dataset: Dataset
 ) -> PreparedCell:
-    """Split, partition the training split, degrade (synthetic sources only)
-    and fit one local model per node: everything a cell does before weighting."""
+    """Split, partition the training rows, degrade (synthetic sources only)
+    and fit one local model per node: everything a cell does before weighting.
+
+    The training split stays a row-index array. Each node's rows are gathered
+    from dataset when the node is fitted and freed before the next node's,
+    and the validation and test rows only after the last fit.
+    """
     split_seed, part_seed, degr_seed, opt_seed = _cell_seeds(config, alpha_index, rep)
-    # only proposal A reads the validation rows
-    train, val, test = stratified_split(dataset, config.split_fracs, split_seed, "A" in config.proposals)
-    part = dirichlet_partition(train.labels, config.k, config.alphas[alpha_index], part_seed)
+    train_rows, val_rows, test_rows = stratified_split(dataset.labels, config.split_fracs, split_seed)
+    part = dirichlet_partition(dataset.labels.take(train_rows), config.k, config.alphas[alpha_index], part_seed)
     models = []
     for node, ix in enumerate(part.node_indices):
-        local = train.subset(ix)
+        local = dataset.subset(train_rows.take(ix))
         if isinstance(config.source, SynthSpec):
             local = degrade_copy(local, config.source.node_noise[node], degr_seed + node)
         models.append(fit_hybrid(local))
-    return PreparedCell(train, val, test, part, models, opt_seed)
+        del local
+    # only proposal A reads the validation rows
+    val = dataset.subset(val_rows) if "A" in config.proposals else None
+    counts = np.pad(part.counts, ((0, 0), (0, dataset.schema.n_classes - part.counts.shape[1])))
+    return PreparedCell(train_rows, val, dataset.subset(test_rows), counts, models, opt_seed)
 
 
 def run_cell(
@@ -138,10 +144,9 @@ def run_cell(
     if dataset is None:  # a standalone call; the commands pass the dataset they built
         dataset = materialize_dataset(config)
     cell = prepare_cell(config, alpha_index, rep, dataset)
-    train, test, part = cell.train, cell.test, cell.partition
+    test, counts = cell.test, cell.counts
     k = config.k
     n_classes = dataset.schema.n_classes
-    counts = np.pad(part.counts, ((0, 0), (0, n_classes - part.counts.shape[1])))
     jsd = jsd_heterogeneity(counts)
 
     records: list[ExperimentRecord] = []
@@ -154,11 +159,12 @@ def run_cell(
         t0 = time.perf_counter()
         weights = None
         if proposal == "C":
+            # the pooled training rows are gathered for this one fit
             w = np.array([1.0])
-            stacked = mog.stack_scores([fit_hybrid(train)], test)
+            stacked = mog.stack_scores([fit_hybrid(dataset.subset(cell.train_rows))], test)
         else:
             if proposal == "B":
-                w = weights_fedavg(part.counts.sum(axis=1))
+                w = weights_fedavg(counts.sum(axis=1))
             elif proposal == "E":
                 w = weights_entropy(counts)
             else:  # A
@@ -193,6 +199,7 @@ def run_cell(
             weights=weights,
             mcnemar_p_vs_B=p_vs_b,
         ))
+        del stacked, mixed, preds  # C's arrays are freed before B/E/A stack the shared tensor
         runtimes_ms[proposal] = (time.perf_counter() - t0) * 1000.0
     return CellResult(records, trace, counts, scores_ok, runtimes_ms)
 

@@ -16,7 +16,7 @@ Every float equals that of numpy's whole-array reductions over the row-major
 column in row order when F >= 2 and pairwise when F = 1, and a sum over a
 contiguous inner axis goes left to right below 8 terms and pairwise from 8.
 The kernels keep those orders while working one column, or one feature row,
-at a time (data.column_sums, _feature_sums): over a narrow row-major array,
+at a time (data.row_order_sum, _feature_sums): over a narrow row-major array,
 numpy's whole-array loops run one short inner loop per row.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, column_mean_var
+from .data import Dataset, column_mean_var, row_order_sum
 from .errors import FitError, ShapeError
 from .partition import class_rows
 
@@ -57,15 +57,6 @@ def fit_hybrid(train: Dataset) -> HybridModel:
     for c in np.flatnonzero(class_counts):
         log_prior[c] = np.log(class_counts[c] / train.n_rows)
 
-    # np.mean's and np.std's own steps, so every float equals theirs
-    num = train.numerical
-    mean, var = column_mean_var(num)
-    std = np.sqrt(var)
-    scale = np.where(std > 0, std, 1.0)
-    z = _standardize(num, mean, scale, np.empty(num.shape))
-
-    # listed after the standardization: listed before it, the row lists would
-    # be alive alongside its temporaries and raise the peak memory
     rows_of = class_rows(train.labels)
     cat_log_prob = []
     for j, m in enumerate(train.n_cats):
@@ -75,27 +66,38 @@ def fit_hybrid(train: Dataset) -> HybridModel:
             table[c] = (cnt + SMOOTHING) / (class_counts[c] + SMOOTHING * (m + 1))
         cat_log_prob.append(np.log(table))
 
-    n_num = num.shape[1]
+    # np.mean's and np.std's own steps, so every float equals theirs
+    num = train.numerical
+    mean, var = column_mean_var(num)
+    std = np.sqrt(var)
+    scale = np.where(std > 0, std, 1.0)
+
+    # the Gaussians one standardized column z at a time, each sum in numpy's
+    # order for a column of the (n, F) standardized array and its class rows
+    n, n_num = num.shape
     gauss_mean = np.zeros((n_classes, n_num))
     gauss_var = np.ones((n_classes, n_num))
-    if n_num:
-        col_var = column_mean_var(z)[1]  # z.var(axis=0)'s floats
-        floor = 1e-9 * np.maximum(col_var, 1.0)
+    z, acc = np.empty(n), np.empty(n)
+    for j in range(n_num):
+        np.divide(np.subtract(num[:, j], mean[j], out=z), scale[j], out=z)
+        floor = 1e-9 * np.maximum(_mean_var(z, acc, n_num)[1], 1.0)
         for c, rows in rows_of.items():
-            gauss_mean[c], var = column_mean_var(z.take(rows, axis=0))
-            gauss_var[c] = var + floor
+            gauss_mean[c, j], var = _mean_var(z.take(rows), acc, n_num)
+            gauss_var[c, j] = var + floor
 
     return HybridModel(mean, scale, cat_log_prob, gauss_mean, gauss_var, log_prior)
 
 
-def _standardize(num: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(num - mean) / scale into out: an (n, F) array, or the transposed view
-    of an (F, n) one, one column at a time, each a single strided loop; an
-    elementwise op gives the same floats in any loop shape."""
-    for j in range(num.shape[1]):
-        np.subtract(num[:, j], mean[j], out=out[:, j])
-        np.divide(out[:, j], scale[j], out=out[:, j])
-    return out
+def _mean_var(v: np.ndarray, acc: np.ndarray, n_cols: int) -> tuple[np.float64, np.float64]:
+    """column_mean_var's floats for v, one column of a C-contiguous (len(v),
+    n_cols) array: summed pairwise when it is the only column, else in row
+    order in acc[:len(v)]."""
+    n = len(v)
+    if n_cols < 2:
+        mean = np.add.reduce(v) / n
+        return mean, np.add.reduce(np.square(v - mean)) / n
+    mean = row_order_sum(v, acc[:n]) / n
+    return mean, row_order_sum(v, acc[:n], mean) / n
 
 
 def joint_log_scores_batch(model: HybridModel, data: Dataset) -> np.ndarray:
@@ -117,8 +119,9 @@ def joint_log_scores_batch(model: HybridModel, data: Dataset) -> np.ndarray:
     if num.shape[1]:
         # -0.5 * (LOG_2PI + log var + (z - mean)**2 / var), built in place in
         # one (C, F, n) buffer by the same operations in the same order
-        z = np.empty(num.shape[::-1])  # (F, n)
-        _standardize(num, model.num_mean, model.num_scale, z.T)
+        z = np.empty(num.shape[::-1])  # (F, n), standardized one column at a time
+        for j, row in enumerate(z):
+            np.divide(np.subtract(num[:, j], model.num_mean[j], out=row), model.num_scale[j], out=row)
         ll = z - model.gauss_mean[:, :, None]
         del z  # kept alive beside ll, it would raise the peak memory
         ll *= ll

@@ -25,11 +25,13 @@ SENTINEL_ANLL_PENALTY = 50.0  # nats charged when the true class exists in no no
 
 
 def check_weights(w, k: int) -> np.ndarray:
-    """w as a float64 vector; EnsembleError unless it holds k non-negative
-    weights that sum to 1."""
+    """w as a float64 vector; EnsembleError unless it holds k finite,
+    non-negative weights that sum to 1."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (k,):
         raise EnsembleError(f"weight vector has shape {w.shape}, expected ({k},)")
+    if not np.isfinite(w).all():  # NaN fails neither test below
+        raise EnsembleError(f"non-finite weight in {w}")
     if (w < 0).any():
         raise EnsembleError("negative weight")
     if abs(w.sum() - 1.0) > 1e-9:
@@ -39,8 +41,13 @@ def check_weights(w, k: int) -> np.ndarray:
 
 def stack_scores(models, data: Dataset) -> np.ndarray:
     """C-contiguous class-major (K, n_classes, n_rows) joint log-score tensor,
-    one slice per node, so node and class reductions run over leading axes."""
-    return np.stack([joint_log_scores_batch(m, data).T for m in models])
+    one slice per node, so node and class reductions run over leading axes.
+    Each model's scores are copied into the tensor as they are computed, so
+    one model's (C, n) array is alive beside it at a time."""
+    stacked = np.empty((len(models), data.schema.n_classes, data.n_rows))
+    for k, m in enumerate(models):
+        stacked[k] = joint_log_scores_batch(m, data).T
+    return stacked
 
 
 def mix_scores(weights, stacked: np.ndarray, out=None, *, covered: bool = False) -> np.ndarray:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .errors import MetricError, PartitionError, StratificationError
 
 
@@ -28,18 +27,17 @@ def largest_remainder(total: int, proportions) -> np.ndarray:
     return counts
 
 
-def stratified_split(dataset: Dataset, fracs, seed: int, with_val: bool):
-    """Per-class proportional train/val/test split by the three positive
-    fractions (ExperimentConfig checks them), deterministic in seed.
-
-    Without ``with_val`` the validation rows are not gathered and None stands
-    in their place; the shuffles and counts are the same, and so are train
-    and test.
+def stratified_split(labels, fracs, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class proportional train/val/test split of the rows of labels by
+    the three positive fractions (ExperimentConfig checks them),
+    deterministic in seed: three int64 row-index arrays, each class's rows
+    in its shuffled order, classes ascending. Callers gather the rows they
+    read, when they read them.
     """
     rng = np.random.default_rng(seed)
     parts: list[list[np.ndarray]] = [[], [], []]
     # an absent class would shuffle an empty array, which draws nothing
-    for cls, idx in class_rows(dataset.labels).items():
+    for cls, idx in class_rows(labels).items():
         if len(idx) < 3:
             raise StratificationError(f"class {cls} has only {len(idx)} samples")
         rng.shuffle(idx)
@@ -48,8 +46,7 @@ def stratified_split(dataset: Dataset, fracs, seed: int, with_val: bool):
         for s in range(3):
             parts[s].append(idx[start : start + counts[s]])
             start += counts[s]
-    train, val, test = (np.concatenate(p) if p else np.array([], dtype=np.int64) for p in parts)
-    return dataset.subset(train), dataset.subset(val) if with_val else None, dataset.subset(test)
+    return tuple(np.concatenate(p) if p else np.array([], dtype=np.int64) for p in parts)
 
 
 @dataclass

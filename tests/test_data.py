@@ -173,19 +173,40 @@ def test_column_sums_equal_the_axis0_reduction_bitwise(f):
     assert column_sums(negative_zeros).tobytes() == np.add.reduce(negative_zeros, axis=0).tobytes()
 
 
+def _degraded_numerical(ds, noise, seed):
+    """degrade_copy's numerical columns as first written: a copy, plus noise
+    drawn by Generator.normal at noise times the numpy std."""
+    num = ds.numerical.copy()
+    std = num.std(axis=0)
+    std[std == 0.0] = 1.0
+    rng = np.random.default_rng(seed)  # the label flips' draws, then the noise
+    flip = rng.random(ds.n_rows) < noise
+    rng.integers(1, ds.schema.n_classes, size=int(flip.sum()))
+    return num + rng.normal(0.0, noise * std, size=num.shape)
+
+
 @pytest.mark.parametrize("n_num", [1, 4, 7])
 def test_degrade_copy_scales_the_noise_by_the_numpy_std_bitwise(n_num):
     ds = synth_generate(SynthSpec(3000, 2, 1, n_num, (0.0,)), 3)
     num = ds.numerical.copy()
     num[:, -1] = 7.0  # zero spread: noise at unit scale
     ds = Dataset(ds.schema, ds.categorical, num, ds.labels, ds.n_cats)
-    std = num.std(axis=0)
-    std[std == 0.0] = 1.0
-    rng = np.random.default_rng(5)  # the label flips' draws, then the noise
-    flip = rng.random(ds.n_rows) < 0.25
-    rng.integers(1, 2, size=int(flip.sum()))
-    want = num + rng.normal(0.0, 0.25 * std, size=num.shape)
-    assert degrade_copy(ds, 0.25, 5).numerical.tobytes() == want.tobytes()
+    assert degrade_copy(ds, 0.25, 5).numerical.tobytes() == _degraded_numerical(ds, 0.25, 5).tobytes()
+
+
+@pytest.mark.parametrize("n_num", [1, 3])
+def test_degrade_copy_in_one_buffer_keeps_the_floats_on_one_column_and_on_negative_zeros(n_num):
+    ds = synth_generate(SynthSpec(3000, 3, 1, n_num, (0.0,)), 4)
+    num = ds.numerical.copy()
+    num[::5, 0] = -0.0  # -0.0 among spread values
+    if n_num > 1:
+        num[:, 1] = -0.0  # a column of -0.0 only: zero spread
+    ds = Dataset(ds.schema, ds.categorical, num, ds.labels, ds.n_cats)
+    for noise, seed in ((0.25, 5), (0.9, 6)):
+        want = _degraded_numerical(ds, noise, seed)
+        assert degrade_copy(ds, noise, seed).numerical.tobytes() == want.tobytes()
+    fortran = Dataset(ds.schema, ds.categorical, np.asfortranarray(num), ds.labels, ds.n_cats)
+    assert degrade_copy(fortran, 0.25, 5).numerical.tobytes() == _degraded_numerical(ds, 0.25, 5).tobytes()
 
 
 def test_degrade_copy_zero_noise_is_identity():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fednb.evaluation import f1_macro, mcnemar_yates
 from fednb.governance import NodeProfile
 from fednb.local_model import fit_hybrid
 from fednb.mog import anll, mog_log_scores_batch
-from fednb.partition import dirichlet_partition
+from fednb.partition import dirichlet_partition, stratified_split
 from fednb.weights import OptimizerConfig
 
 PROFILES = (
@@ -145,7 +146,7 @@ def test_equal_size_nodes_give_uniform_fedavg():
     cfg = small_config(proposals=("B",))
     cell = run_cell(cfg, 1.0, 0)
     dataset = materialize_dataset(cfg)
-    sizes = np.array([len(ix) for ix in prepare_cell(cfg, 2, 0, dataset).partition.node_indices], dtype=float)
+    sizes = prepare_cell(cfg, 2, 0, dataset).counts.sum(axis=1).astype(float)
     assert np.allclose(cell.records[0].weights, sizes / sizes.sum(), atol=1e-12)
 
 
@@ -354,6 +355,43 @@ def test_proposal_subset_runs():
     assert prepare_cell(cfg, 0, 0, dataset).val is None  # only proposal A reads it
 
 
+def test_prepare_cell_keeps_the_training_split_as_row_indices(monkeypatch):
+    splits = []
+
+    def split(*args):
+        splits.append(stratified_split(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(fednb.experiment, "stratified_split", split)
+    cfg = small_config()
+    dataset = materialize_dataset(cfg)
+    cell = prepare_cell(cfg, 0, 1, dataset)
+    (train_rows, _, test_rows), = splits
+    assert cell.train_rows.dtype == np.int64 and cell.train_rows.tobytes() == train_rows.tobytes()
+    assert np.array_equal(cell.counts.sum(axis=0), np.bincount(dataset.labels[train_rows], minlength=2))
+    assert cell.test.labels.tobytes() == dataset.labels[test_rows].tobytes()
+
+
+def test_one_cell_peaks_below_1_9_times_the_dataset_in_traced_memory():
+    # C/B/E at pooled-large's shape. Gathering one node's rows at a time and
+    # the pooled training rows only for C's fit, the cell peaks near 1.6x;
+    # holding the gathered training split, two copies of each degraded node
+    # and the (n, F) standardized matrix at once, it peaks near 2.25x
+    cfg = small_config(
+        source=SynthSpec(60_000, 2, 2, 3, (0.0, 0.2, 0.45), class_sep=2.0), alphas=(0.1,), reps=1,
+        proposals=("C", "B", "E"),
+    )
+    dataset = materialize_dataset(cfg)
+    dataset_bytes = dataset.categorical.nbytes + dataset.numerical.nbytes + dataset.labels.nbytes
+    tracemalloc.start()
+    try:
+        run_cell(cfg, 0.1, 0, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9 * dataset_bytes, f"peak {peak} bytes for a {dataset_bytes}-byte dataset"
+
+
 def test_run_cell_scores_the_test_split_once_per_model(monkeypatch):
     cfg = small_config()
     cells, scored = [], []
@@ -386,7 +424,7 @@ def test_shared_test_scores_match_per_proposal_formulas():
     preds = {}
     for rec in result.records:
         if rec.proposal == "C":
-            models, w = [fit_hybrid(cell.train)], np.array([1.0])
+            models, w = [fit_hybrid(dataset.subset(cell.train_rows))], np.array([1.0])
         else:
             models, w = cell.models, np.array(rec.weights)
         preds[rec.proposal] = mog_log_scores_batch(models, w, cell.test).argmax(axis=1)
@@ -401,7 +439,7 @@ def test_run_cell_rejects_an_empty_test_split(monkeypatch):
 
     def no_test_rows(*args):
         train, val, test = real_split(*args)
-        return train, val, test.subset(np.array([], dtype=np.int64))
+        return train, val, test[:0]
 
     monkeypatch.setattr(fednb.experiment, "stratified_split", no_test_rows)
     with pytest.raises(MetricError, match="empty"):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fednb.data import Dataset, FeatureSchema, SynthSpec, degrade_copy, synth_generate
+from fednb.data import Dataset, FeatureSchema, SynthSpec, column_mean_var, degrade_copy, synth_generate
 from fednb.errors import FitError, ShapeError
-from fednb.local_model import NEG_INF, _feature_sums, fit_hybrid, joint_log_scores_batch
+from fednb.local_model import (
+    NEG_INF, SMOOTHING, HybridModel, _feature_sums, fit_hybrid, joint_log_scores_batch,
+)
 from fednb.mog import StackedScores, anll_from_mixed, anll_from_stacked, mix_scores, stack_scores
-from fednb.partition import dirichlet_partition, stratified_split
+from fednb.partition import class_rows, dirichlet_partition, stratified_split
 
 from conftest import classes_present, make_dataset, score_row
 
@@ -282,6 +284,67 @@ def test_fit_and_scores_equal_the_numpy_reduction_oracle_bitwise(case):
         assert (joint_log_scores_batch(model, test)[:, 1] == NEG_INF).all()
 
 
+def _fit_on_the_whole_matrix(train):
+    """fit_hybrid as it was before it fitted one column at a time: the (n, F)
+    standardized matrix, summed by column_mean_var, and an (n_c, F) gather of
+    it per class."""
+    n_classes = train.schema.n_classes
+    class_counts = np.bincount(train.labels, minlength=n_classes)
+    log_prior = np.full(n_classes, NEG_INF)
+    for c in np.flatnonzero(class_counts):
+        log_prior[c] = np.log(class_counts[c] / train.n_rows)
+    num = train.numerical
+    mean, var = column_mean_var(num)
+    std = np.sqrt(var)
+    scale = np.where(std > 0, std, 1.0)
+    z = (num - mean) / scale
+    rows_of = class_rows(train.labels)
+    cat_log_prob = []
+    for j, m in enumerate(train.n_cats):
+        table = np.full((n_classes, m + 1), 1.0 / (m + 1))
+        for c, rows in rows_of.items():
+            cnt = np.bincount(train.categorical[:, j].take(rows), minlength=m + 1)
+            table[c] = (cnt + SMOOTHING) / (class_counts[c] + SMOOTHING * (m + 1))
+        cat_log_prob.append(np.log(table))
+    n_num = num.shape[1]
+    gauss_mean = np.zeros((n_classes, n_num))
+    gauss_var = np.ones((n_classes, n_num))
+    if n_num:
+        floor = 1e-9 * np.maximum(column_mean_var(z)[1], 1.0)
+        for c, rows in rows_of.items():
+            gauss_mean[c], var = column_mean_var(z.take(rows, axis=0))
+            gauss_var[c] = var + floor
+    return HybridModel(mean, scale, cat_log_prob, gauss_mean, gauss_var, log_prior)
+
+
+def _model_arrays(model):
+    arrays = {name: value for name, value in vars(model).items() if name != "cat_log_prob"}
+    return arrays | {f"cat_log_prob[{j}]": t for j, t in enumerate(model.cat_log_prob)}
+
+
+@pytest.mark.parametrize("zero_spread", [False, True])
+@pytest.mark.parametrize("f", [1, 2, 3, 8, 40])
+def test_column_at_a_time_fit_equals_the_whole_matrix_fit_bitwise(f, zero_spread):
+    rng = np.random.default_rng(f)
+    n = 5_000
+    scale = 10.0 ** rng.uniform(-2, 6, f)
+    num = rng.normal(size=(n, f)) * scale + rng.uniform(-3, 3, f) * scale
+    if zero_spread:
+        num[:, -1] = -2.5
+    # four classes: class 1 absent, class 3 on a single row
+    labels = rng.choice(np.array([0, 2], dtype=np.uint8), n)
+    labels[rng.integers(n)] = 3
+    train = make_dataset(rng.integers(0, 3, size=(n, 2)).astype(np.uint8), num, labels, 4, (3, 3))
+    got, want = _model_arrays(fit_hybrid(train)), _model_arrays(_fit_on_the_whole_matrix(train))
+    assert got.keys() == want.keys()
+    for name, g in got.items():
+        w = want[name]
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), name
+    numpy_fit = _fit_by_numpy_reductions(train)
+    for name in ("num_mean", "num_scale", "gauss_mean", "gauss_var", "log_prior"):
+        assert got[name].tobytes() == numpy_fit[name].tobytes(), name
+
+
 @pytest.mark.parametrize("f", [*range(1, 41), 130])
 def test_feature_sums_equal_the_inner_axis_sum_bitwise(f):
     rng = np.random.default_rng(f)
@@ -299,9 +362,10 @@ def test_feature_sums_equal_the_inner_axis_sum_bitwise(f):
 def _cell_outputs(ds):
     """Every array and float one cell derives from ds: split, partition,
     degraded nodes, fitted models, test scores and ANLLs."""
-    train, val, test = stratified_split(ds, (0.6, 0.2, 0.2), 4, True)
+    train_rows, val_rows, test_rows = stratified_split(ds.labels, (0.6, 0.2, 0.2), 4)
+    train, val, test = ds.subset(train_rows), ds.subset(val_rows), ds.subset(test_rows)
     part = dirichlet_partition(train.labels, 3, 0.3, 5)
-    nodes = [degrade_copy(train.subset(ix), 0.2, 6 + i) for i, ix in enumerate(part.node_indices)]
+    nodes = [degrade_copy(ds.subset(train_rows.take(ix)), 0.2, 6 + i) for i, ix in enumerate(part.node_indices)]
     models = [fit_hybrid(node) for node in nodes]
     scores = StackedScores(stack_scores(models, val), val.labels)
     out = {"counts": part.counts, "flat_index": scores.flat_index}

@@ -11,6 +11,7 @@ from fednb.mog import (
     SENTINEL_ANLL_PENALTY,
     StackedScores,
     anll,
+    check_weights,
     anll_from_mixed,
     anll_from_stacked,
     mix_scores,
@@ -71,6 +72,16 @@ def test_weight_model_count_mismatch(dataset):
         mog_log_scores_batch([model], np.array([0.5, 0.5]), dataset)
     with pytest.raises(EnsembleError):
         anll([model], np.array([1.2]), dataset)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", range(3))
+def test_check_weights_rejects_a_non_finite_weight_naming_the_vector(bad, at):
+    w = [0.5, 0.5, 0.0]
+    w[at] = bad
+    # NaN is neither negative nor does its sum miss 1 by more than 1e-9
+    with pytest.raises(EnsembleError, match=r"non-finite weight in \[.*(nan|inf)"):
+        check_weights(w, 3)
 
 
 def log_softmax(v):
@@ -190,11 +201,14 @@ def test_mixture_scores_never_nan(dataset):
 
 def test_stack_scores_is_class_major_and_contiguous(dataset):
     models = [fit_hybrid(dataset.subset(np.arange(i, 400, 2))) for i in range(2)]
-    stacked = stack_scores(models, dataset)
-    assert stacked.shape == (2, dataset.schema.n_classes, dataset.n_rows)
-    assert stacked.flags["C_CONTIGUOUS"]
-    for k, m in enumerate(models):
-        assert np.array_equal(stacked[k], joint_log_scores_batch(m, dataset).T)
+    models.append(fit_hybrid(dataset.subset(np.flatnonzero(dataset.labels == 0))))  # lacks class 1
+    for data in (dataset, dataset.subset([3, 3, 0]), dataset.subset([])):
+        stacked = stack_scores(models, data)
+        assert stacked.shape == (3, dataset.schema.n_classes, data.n_rows)
+        assert stacked.flags["C_CONTIGUOUS"]
+        want = np.stack([joint_log_scores_batch(m, data).T for m in models])
+        assert stacked.dtype == want.dtype and stacked.tobytes() == want.tobytes()
+        assert (stacked[2, 1] == NEG_INF).all()
 
 
 # Oracle tests for the class-major kernel. Each case is (K, C, n, sentinels):

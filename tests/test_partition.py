@@ -24,20 +24,22 @@ def _balanced_dataset(n=100, n_classes=2, seed=0):
 
 def test_split_sizes_exact_divisibility():
     ds = _balanced_dataset(100)
-    train, val, test = stratified_split(ds, FRACS, 5, True)
-    assert (train.n_rows, val.n_rows, test.n_rows) == (60, 20, 20)
-    for part in (train, val, test):
-        counts = np.bincount(part.labels, minlength=2)
+    train, val, test = stratified_split(ds.labels, FRACS, 5)
+    assert (len(train), len(val), len(test)) == (60, 20, 20)
+    for rows in (train, val, test):
+        assert rows.dtype == np.int64
+        counts = np.bincount(ds.labels[rows], minlength=2)
         assert counts[0] == counts[1]
+    assert np.array_equal(np.sort(np.concatenate((train, val, test))), np.arange(100))
 
 
 def test_split_deterministic():
     ds = _balanced_dataset(100)
-    a = stratified_split(ds, FRACS, 5, True)
-    b = stratified_split(ds, FRACS, 5, True)
+    a = stratified_split(ds.labels, FRACS, 5)
+    b = stratified_split(ds.labels, FRACS, 5)
     for x, y in zip(a, b):
-        assert np.array_equal(x.labels, y.labels)
-        assert np.array_equal(x.numerical, y.numerical)
+        assert np.array_equal(ds.subset(x).labels, ds.subset(y).labels)
+        assert np.array_equal(ds.subset(x).numerical, ds.subset(y).numerical)
 
 
 def test_split_small_class_error():
@@ -45,7 +47,7 @@ def test_split_small_class_error():
     ds.labels[:] = 0
     ds.labels[:2] = 1
     with pytest.raises(StratificationError):
-        stratified_split(ds, FRACS, 5, True)
+        stratified_split(ds.labels, FRACS, 5)
 
 
 def _split_over_every_class(dataset, fracs, seed):
@@ -68,14 +70,10 @@ def _split_over_every_class(dataset, fracs, seed):
 def test_split_skips_an_absent_class_without_changing_a_draw(seed):
     ds = synth_generate(SynthSpec(300, 3, 1, 1, (0.0,)), seed)
     ds.labels[ds.labels == 1] = 2  # class 1 absent, between two present classes
-    got = stratified_split(ds, FRACS, seed, True)
-    want = [ds.subset(ix) for ix in _split_over_every_class(ds, FRACS, seed)]
-    train, val, test = stratified_split(ds, FRACS, seed, with_val=False)
-    assert val is None
-    for g, w in zip((*got, train, test), (*want, want[0], want[2]), strict=True):
-        assert g.labels.tobytes() == w.labels.tobytes()
-        assert g.categorical.tobytes() == w.categorical.tobytes()
-        assert g.numerical.tobytes() == w.numerical.tobytes()
+    got = stratified_split(ds.labels, FRACS, seed)
+    want = _split_over_every_class(ds, FRACS, seed)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype == np.int64 and g.tobytes() == w.tobytes()
 
 
 def test_split_config_validation():
