@@ -300,26 +300,6 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
     return Dataset(spec.schema(), cat, num, labels, (m,) * spec.n_categorical)
 
 
-def column_sums(x: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
-    """np.add.reduce(x, axis=0), or with ``center`` np.add.reduce(np.square(x -
-    center), axis=0), bit for bit.
-
-    On a C-contiguous (n, F) array with F >= 2, numpy adds each column's values
-    in row order onto 0.0, but runs one short inner loop per row. This takes
-    that order one column at a time (``row_order_sum``) in a single reused
-    n-vector. numpy itself sums one column (pairwise, not in row order), no
-    rows and other memory layouts.
-    """
-    n, f = x.shape
-    if f < 2 or n == 0 or not x.flags.c_contiguous:
-        if center is not None:
-            x = x - center
-            np.square(x, out=x)
-        return np.add.reduce(x, axis=0)
-    acc = np.empty(n)
-    return np.array([row_order_sum(x[:, j], acc, None if center is None else center[j]) for j in range(f)])
-
-
 def row_order_sum(col: np.ndarray, acc: np.ndarray, center: float | None = None) -> np.float64:
     """The values of col, or with ``center`` their squared deviations from it,
     added in row order onto 0.0 by one np.add.accumulate into acc, a float64
@@ -330,12 +310,29 @@ def row_order_sum(col: np.ndarray, acc: np.ndarray, center: float | None = None)
     return np.add.accumulate(col, out=acc)[-1] + 0.0  # from 0.0: a column of -0.0 sums to +0.0
 
 
+def mean_var(col: np.ndarray, n_cols: int, acc: np.ndarray) -> tuple[np.float64, np.float64]:
+    """np.mean's and np.var's floats for col, one column of a C-contiguous
+    (len(col), n_cols) array, by np.var's own steps (sum, divide by n; square
+    col - mean, sum, divide by n). numpy sums the only column pairwise, and
+    each of several in row order (row_order_sum, here in acc[:len(col)]), but
+    runs one short inner loop per row of a narrow array."""
+    n = len(col)
+    if n_cols == 1:
+        mean = np.add.reduce(col) / n
+        return mean, np.add.reduce(np.square(col - mean)) / n
+    mean = row_order_sum(col, acc[:n]) / n
+    return mean, row_order_sum(col, acc[:n], mean) / n
+
+
 def column_mean_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and population variance of an (n, F) array by np.var's own
-    steps (sum, divide by n; square x - mean, sum, divide by n), so both equal
-    np.mean's and np.var's floats, with the mean summed once."""
-    mean = column_sums(x) / x.shape[0]
-    return mean, column_sums(x, mean) / x.shape[0]
+    """Column mean and population variance of an (n >= 1, F) array, each by
+    mean_var, so both equal np.mean's and np.var's floats for a C-ordered
+    copy of x, whatever its layout."""
+    n, f = x.shape
+    mean, var, acc = np.empty(f), np.empty(f), np.empty(n)
+    for j in range(f):
+        mean[j], var[j] = mean_var(x[:, j], f, acc)
+    return mean, var
 
 
 def degrade_copy(dataset: Dataset, noise: float, seed: int) -> Dataset:
@@ -357,9 +354,9 @@ def degrade_copy(dataset: Dataset, noise: float, seed: int) -> Dataset:
         shift = rng.integers(1, n_classes, size=int(flip.sum()))
         labels[flip] = (labels[flip] + shift) % n_classes
     num = dataset.numerical
-    if num.shape[1]:
+    if num.size:  # no rows or no numerical columns: nothing to perturb
         # the floats of .std(axis=0) on a C-ordered copy of num
-        std = np.sqrt(column_mean_var(np.ascontiguousarray(num))[1])
+        std = np.sqrt(column_mean_var(num)[1])
         std[std == 0.0] = 1.0
         # num + rng.normal(0.0, noise * std, num.shape) in one buffer: normal
         # draws 0.0 + scale * z, and IEEE + and * commute

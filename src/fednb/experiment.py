@@ -20,6 +20,7 @@ caller.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -516,14 +517,11 @@ def load_results_csv(path) -> list[ExperimentRecord]:
     return records
 
 
-def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
-    """Write four tab-separated plot-data files; returns the paths written.
-    Density profiles come from the given local models; node_names and the
-    normalized coherence prior label and annotate the per-node files."""
-    import os
-
+def emit_plot_data(records, models, out_dir, node_names, prior) -> None:
+    """Write four tab-separated plot-data files into out_dir. Density profiles
+    come from the given local models; node_names and the normalized coherence
+    prior label and annotate the per-node files."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
     alphas = sorted({r.alpha for r in records})
     proposals = [p for p in PROPOSAL_ORDER if any(r.proposal == p for r in records)]
 
@@ -539,7 +537,6 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
                 f"\t{anlls.mean():.6f}\t{anlls.std():.6f}"
             )
     write_lines(path, lines)
-    written.append(path)
 
     a_recs = [r for r in records if r.proposal == "A" and r.weights is not None]
     path = os.path.join(out_dir, "alignment_bars.tsv")
@@ -549,7 +546,6 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
         for i, name in enumerate(node_names):
             lines.append(f"{name}\t{mean_w[i]:.6f}\t{prior[i]:.6f}")
     write_lines(path, lines)
-    written.append(path)
 
     path = os.path.join(out_dir, "weight_trajectories.tsv")
     lines = ["alpha\tnode\tmean_weight"]
@@ -560,7 +556,6 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
             for i, name in enumerate(node_names):
                 lines.append(f"{a:.6f}\t{name}\t{mean_w[i]:.6f}")
     write_lines(path, lines)
-    written.append(path)
 
     path = os.path.join(out_dir, "density_profiles.tsv")
     lines = ["x\t" + "\t".join(node_names)]
@@ -575,8 +570,6 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> list[str]:
             dens = np.exp(-0.5 * ((x - means) / sds) ** 2) / (sds * np.sqrt(2 * np.pi))
             lines.append(f"{x:.6f}\t" + "\t".join(f"{d:.6f}" for d in dens))
     write_lines(path, lines)
-    written.append(path)
-    return written
 
 
 def _common_class(models) -> int:

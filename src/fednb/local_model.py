@@ -16,7 +16,7 @@ Every float equals that of numpy's whole-array reductions over the row-major
 column in row order when F >= 2 and pairwise when F = 1, and a sum over a
 contiguous inner axis goes left to right below 8 terms and pairwise from 8.
 The kernels keep those orders while working one column, or one feature row,
-at a time (data.row_order_sum, _feature_sums): over a narrow row-major array,
+at a time (data.mean_var, _feature_sums): over a narrow row-major array,
 numpy's whole-array loops run one short inner loop per row.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, column_mean_var, row_order_sum
+from .data import Dataset, column_mean_var, mean_var
 from .errors import FitError, ShapeError
 from .partition import class_rows
 
@@ -80,24 +80,12 @@ def fit_hybrid(train: Dataset) -> HybridModel:
     z, acc = np.empty(n), np.empty(n)
     for j in range(n_num):
         np.divide(np.subtract(num[:, j], mean[j], out=z), scale[j], out=z)
-        floor = 1e-9 * np.maximum(_mean_var(z, acc, n_num)[1], 1.0)
+        floor = 1e-9 * np.maximum(mean_var(z, n_num, acc)[1], 1.0)
         for c, rows in rows_of.items():
-            gauss_mean[c, j], var = _mean_var(z.take(rows), acc, n_num)
+            gauss_mean[c, j], var = mean_var(z.take(rows), n_num, acc)
             gauss_var[c, j] = var + floor
 
     return HybridModel(mean, scale, cat_log_prob, gauss_mean, gauss_var, log_prior)
-
-
-def _mean_var(v: np.ndarray, acc: np.ndarray, n_cols: int) -> tuple[np.float64, np.float64]:
-    """column_mean_var's floats for v, one column of a C-contiguous (len(v),
-    n_cols) array: summed pairwise when it is the only column, else in row
-    order in acc[:len(v)]."""
-    n = len(v)
-    if n_cols < 2:
-        mean = np.add.reduce(v) / n
-        return mean, np.add.reduce(np.square(v - mean)) / n
-    mean = row_order_sum(v, acc[:n]) / n
-    return mean, row_order_sum(v, acc[:n], mean) / n
 
 
 def joint_log_scores_batch(model: HybridModel, data: Dataset) -> np.ndarray:

@@ -57,8 +57,12 @@ def mix_scores(weights, stacked: np.ndarray, out=None, *, covered: bool = False)
     exponentiate in, overwritten by the call; without it each call allocates
     one. covered: the caller's promise that every weight is finite and > 0 and
     every (class, row) has a finite score in some node (StackedScores.covered).
-    The node maximum is then finite everywhere, so the errstate block and the
+    The node maximum is then finite everywhere, so the errstate blocks and the
     finiteness test are skipped; the floats are the same either way.
+
+    Otherwise a non-finite node maximum is shifted by 0.0 instead: a
+    (class, row) that no node scores mixes to log(0) = -inf, and a NaN or
+    +inf score stays NaN or +inf.
     """
     if covered:
         logw = np.log(weights)
@@ -67,17 +71,13 @@ def mix_scores(weights, stacked: np.ndarray, out=None, *, covered: bool = False)
             logw = np.log(np.asarray(weights, dtype=np.float64))
     a = np.add(logw[:, None, None], stacked, out=out)
     m = np.maximum.reduce(a, axis=0)
-    if not covered:
-        finite = np.isfinite(m)
-        if not finite.all():  # a sentinel-only (class, row): mask it
-            mixed = np.full(m.shape, NEG_INF)
-            if finite.any():
-                a -= np.where(finite, m, 0.0)
-                a[:, ~finite] = NEG_INF
-                mixed[finite] = m[finite] + np.log(np.exp(a, out=a).sum(axis=0)[finite])
-            return mixed
+    if covered:
+        a -= m
+        return m + np.log(np.add.reduce(np.exp(a, out=a), axis=0))
+    m[~np.isfinite(m)] = 0.0
     a -= m
-    return m + np.log(np.add.reduce(np.exp(a, out=a), axis=0))
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.add.reduce(np.exp(a, out=a), axis=0))
 
 
 def mog_log_scores_batch(models, weights, data: Dataset) -> np.ndarray:
@@ -88,11 +88,13 @@ def mog_log_scores_batch(models, weights, data: Dataset) -> np.ndarray:
 
 
 def _logsumexp_classes(a: np.ndarray, checked: bool = True) -> np.ndarray:
-    """logsumexp over the leading class axis of a (C, n) array; checked=False
-    skips the test for a row without any finite class score."""
+    """logsumexp over the leading class axis of a (C, n) array. NormalizationError
+    names the first row whose class maximum is not finite (every score -inf,
+    or one NaN or +inf); checked=False skips that test."""
     m = np.maximum.reduce(a, axis=0)
     if checked and not np.isfinite(m).all():
-        raise NormalizationError("a row has no finite class score to normalize")
+        row = int(np.argmin(np.isfinite(m)))
+        raise NormalizationError(f"row {row} has no finite class maximum: scores {a[:, row].tolist()}")
     shifted = a - m
     return m + np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=0))
 
@@ -160,7 +162,7 @@ def anll_from_stacked(weights, scores: StackedScores) -> float:
     tests, the 50-nat clamp) are identities under that condition, so the
     float equals anll_from_mixed(mix_scores(weights, stacked), labels).
     Otherwise, e.g. for a class absent from every node or a zero weight, it
-    takes that masked path itself.
+    takes that path itself.
     """
     w = np.asarray(weights, dtype=np.float64)
     key = w.tobytes()

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from fednb.data import (
     Dataset,
     FeatureSchema,
     SynthSpec,
-    column_sums,
+    column_mean_var,
     degrade_copy,
     load_csv,
+    mean_var,
     narrowest_uint,
     synth_generate,
 )
@@ -158,19 +160,18 @@ def _columns_on_scales(n, f, seed):
 
 @pytest.mark.parametrize("f", [*range(1, 41), 130])
 def test_column_sums_equal_the_axis0_reduction_bitwise(f):
-    for n in (0, 1, 7, 20_000):
-        x = _columns_on_scales(n, f, seed=n + f)
-        center = x[:1].mean(axis=0) if n else np.ones(f)
-        cases = {
-            "sums": (column_sums(x), np.add.reduce(x, axis=0)),
-            "squared deviations": (column_sums(x, center), np.add.reduce(np.square(x - center), axis=0)),
-            # numpy sums a column-major array pairwise, not in row order
-            "column-major": (column_sums(np.asfortranarray(x)), np.add.reduce(np.asfortranarray(x), axis=0)),
-        }
-        for case, (got, want) in cases.items():
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (case, n)
+    """The column sums of data.mean_var and column_mean_var give the floats of
+    numpy's axis-0 mean and var."""
     negative_zeros = np.full((7, f), -0.0)  # numpy starts each sum from +0.0
-    assert column_sums(negative_zeros).tobytes() == np.add.reduce(negative_zeros, axis=0).tobytes()
+    for x in [*(_columns_on_scales(n, f, seed=n + f) for n in (1, 7, 20_000)), negative_zeros]:
+        acc = np.empty(len(x))
+        mean, var = np.array([mean_var(x[:, j], f, acc) for j in range(f)]).T
+        assert mean.tobytes() == x.mean(axis=0).tobytes(), x.shape
+        assert var.tobytes() == x.var(axis=0).tobytes(), x.shape
+        # numpy sums a column-major array pairwise; column_mean_var keeps the C order's floats
+        for layout in (x, np.asfortranarray(x)):
+            got = column_mean_var(layout)
+            assert got[0].tobytes() == mean.tobytes() and got[1].tobytes() == var.tobytes(), x.shape
 
 
 def _degraded_numerical(ds, noise, seed):
@@ -207,6 +208,14 @@ def test_degrade_copy_in_one_buffer_keeps_the_floats_on_one_column_and_on_negati
         assert degrade_copy(ds, noise, seed).numerical.tobytes() == want.tobytes()
     fortran = Dataset(ds.schema, ds.categorical, np.asfortranarray(num), ds.labels, ds.n_cats)
     assert degrade_copy(fortran, 0.25, 5).numerical.tobytes() == _degraded_numerical(ds, 0.25, 5).tobytes()
+
+
+def test_degrade_copy_keeps_a_zero_row_dataset_at_noise():
+    ds = synth_generate(SynthSpec(200, 2, 1, 3, (0.0,)), 3).subset([])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no column statistics of zero rows
+        out = degrade_copy(ds, 0.3, 99)
+    assert out.n_rows == 0 and out.numerical.shape == (0, 3) and out.labels.dtype == ds.labels.dtype
 
 
 def test_degrade_copy_zero_noise_is_identity():

@@ -7,7 +7,7 @@ import pytest
 
 from fednb.config import DEFAULT_ALPHAS, ExperimentConfig
 from fednb.data import CategoryMap, SynthSpec
-from fednb.errors import CellError, ConfigError
+from fednb.errors import CellError, ConfigError, NormalizationError
 from fednb.experiment import (
     emit_plot_data,
     emit_results_csv,
@@ -324,10 +324,10 @@ def test_emit_plot_data_files(tmp_path, grid, dataset):
     part = dirichlet_partition(dataset.labels, 3, 1.0, 0)
     models = [fit_hybrid(dataset.subset(ix)) for ix in part.node_indices]
     prior = np.array([0.667, 0.261, 0.071])
-    paths = emit_plot_data(
-        grid.records, models, tmp_path, node_names=[p.name for p in PROFILES], prior=prior
-    )
-    assert len(paths) == 4
+    emit_plot_data(grid.records, models, tmp_path, node_names=[p.name for p in PROFILES], prior=prior)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "alignment_bars.tsv", "density_profiles.tsv", "gradient_curves.tsv", "weight_trajectories.tsv"
+    ]
 
     gradient = (tmp_path / "gradient_curves.tsv").read_text().splitlines()
     assert len(gradient) == 1 + 3 * 4  # alphas x proposals
@@ -413,6 +413,19 @@ def test_run_cell_scores_the_test_split_once_per_model(monkeypatch):
     assert sum(d is cell.test for d in scored) == cfg.k + 1
     assert sum(d is cell.val for d in scored) == cfg.k  # proposal A's optimizer
     assert len(scored) == 2 * cfg.k + 1
+
+
+def test_a_nan_test_score_fails_the_cell_instead_of_a_clamped_anll(monkeypatch):
+    real_score = fednb.mog.joint_log_scores_batch
+
+    def one_nan(model, data):
+        scores = real_score(model, data).copy()
+        scores[3, 0] = np.nan
+        return scores
+
+    monkeypatch.setattr(fednb.mog, "joint_log_scores_batch", one_nan)
+    with pytest.raises(NormalizationError, match=r"^row 3 has no finite class maximum: scores \[nan, "):
+        run_cell(small_config(proposals=("C",)), 0.5, 0)
 
 
 def test_shared_test_scores_match_per_proposal_formulas():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fednb.data import Dataset, FeatureSchema, SynthSpec, column_mean_var, degrade_copy, synth_generate
+from fednb.data import Dataset, FeatureSchema, SynthSpec, degrade_copy, synth_generate
 from fednb.errors import FitError, ShapeError
 from fednb.local_model import (
     NEG_INF, SMOOTHING, HybridModel, _feature_sums, fit_hybrid, joint_log_scores_batch,
@@ -285,16 +285,16 @@ def test_fit_and_scores_equal_the_numpy_reduction_oracle_bitwise(case):
 
 
 def _fit_on_the_whole_matrix(train):
-    """fit_hybrid as it was before it fitted one column at a time: the (n, F)
-    standardized matrix, summed by column_mean_var, and an (n_c, F) gather of
-    it per class."""
+    """fit_hybrid as it was before it fitted one column at a time: numpy's mean
+    and var of the (n, F) standardized matrix and of an (n_c, F) gather of it
+    per class."""
     n_classes = train.schema.n_classes
     class_counts = np.bincount(train.labels, minlength=n_classes)
     log_prior = np.full(n_classes, NEG_INF)
     for c in np.flatnonzero(class_counts):
         log_prior[c] = np.log(class_counts[c] / train.n_rows)
     num = train.numerical
-    mean, var = column_mean_var(num)
+    mean, var = num.mean(axis=0), num.var(axis=0)
     std = np.sqrt(var)
     scale = np.where(std > 0, std, 1.0)
     z = (num - mean) / scale
@@ -310,9 +310,10 @@ def _fit_on_the_whole_matrix(train):
     gauss_mean = np.zeros((n_classes, n_num))
     gauss_var = np.ones((n_classes, n_num))
     if n_num:
-        floor = 1e-9 * np.maximum(column_mean_var(z)[1], 1.0)
+        floor = 1e-9 * np.maximum(z.var(axis=0), 1.0)
         for c, rows in rows_of.items():
-            gauss_mean[c], var = column_mean_var(z.take(rows, axis=0))
+            zc = z.take(rows, axis=0)
+            gauss_mean[c], var = zc.mean(axis=0), zc.var(axis=0)
             gauss_var[c] = var + floor
     return HybridModel(mean, scale, cat_log_prob, gauss_mean, gauss_var, log_prior)
 
@@ -377,7 +378,7 @@ def _cell_outputs(ds):
         out.update({f"model{i}.{k}": v for k, v in vars(m).items() if k != "cat_log_prob"})
         out.update({f"model{i}.cat{j}": t for j, t in enumerate(m.cat_log_prob)})
         out[f"scores{i}"] = joint_log_scores_batch(m, test)
-    for w in ([0.5, 0.3, 0.2], [1.0, 0.0, 0.0]):  # the covered path, then the masked one
+    for w in ([0.5, 0.3, 0.2], [1.0, 0.0, 0.0]):  # the covered path, then the uncovered one
         out[f"anll{w}"] = anll_from_stacked(np.array(w), scores)
         out[f"test anll{w}"] = anll_from_mixed(mix_scores(np.array(w), stack_scores(models, test)), test.labels)
     return out

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -287,9 +288,10 @@ def test_kernel_matches_python_oracle(case):
     )
 
 
-def _reference_anll(weights, stacked, labels):
-    """The validation ANLL as computed before StackedScores, kept verbatim as an
-    oracle: every call masks, tests finiteness and gathers with two arrays."""
+def _masked_mix(weights, stacked):
+    """The mixture as computed with a masked branch for sentinel entries, kept
+    verbatim as an oracle: an entry whose node maximum is not finite (a
+    sentinel-only one, but also a NaN or +inf score) is set to -inf."""
     with np.errstate(divide="ignore"):
         logw = np.log(np.asarray(weights, dtype=np.float64))
     a = logw[:, None, None] + stacked
@@ -297,13 +299,48 @@ def _reference_anll(weights, stacked, labels):
     finite = np.isfinite(m)
     if finite.all():
         a -= m
-        mixed = m + np.log(np.exp(a, out=a).sum(axis=0))
-    else:
-        mixed = np.full(m.shape, NEG_INF)
-        if finite.any():
-            a -= np.where(finite, m, 0.0)
-            a[:, ~finite] = NEG_INF
-            mixed[finite] = m[finite] + np.log(np.exp(a, out=a).sum(axis=0)[finite])
+        return m + np.log(np.exp(a, out=a).sum(axis=0))
+    mixed = np.full(m.shape, NEG_INF)
+    if finite.any():
+        a -= np.where(finite, m, 0.0)
+        a[:, ~finite] = NEG_INF
+        mixed[finite] = m[finite] + np.log(np.exp(a, out=a).sum(axis=0)[finite])
+    return mixed
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_nan_and_inf_scores_propagate_and_every_other_entry_keeps_the_masked_floats(case):
+    k, c, n, sentinels = case
+    weights, stacked, labels = _oracle_inputs(*case, seed=sum(case[:3]) + 3)
+    stacked[0, 0, 1] = np.nan  # no case lacks class 0 in every node
+    stacked[k - 1, 0, 2] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mix_scores(weights, stacked)
+    want = _masked_mix(weights, stacked)
+    assert np.isnan(got[0, 1]) and got[0, 2] == np.inf
+    assert want[0, 1] == want[0, 2] == NEG_INF  # read as "class absent" by the masked oracle
+    in_no_node = [cls for cls in range(c) if all((node, cls) in sentinels for node in range(k))]
+    assert (got[in_no_node] == NEG_INF).all()
+    rest = np.ones(got.shape, dtype=bool)
+    rest[0, 1:3] = False
+    assert got[rest].tobytes() == want[rest].tobytes()
+
+
+@pytest.mark.parametrize("row_scores", [[0.0, math.nan, -1.0], [0.0, -1.0, math.inf], [NEG_INF] * 3])
+def test_normalization_error_names_the_first_row_without_a_finite_class_maximum(row_scores):
+    mixed = np.zeros((3, 6))
+    mixed[:, 2] = row_scores
+    mixed[:, 4] = NEG_INF  # a later such row is not the one named
+    message = f"row 2 has no finite class maximum: scores {row_scores}"
+    with pytest.raises(NormalizationError, match=f"^{re.escape(message)}$"):
+        anll_from_mixed(mixed, np.zeros(6, dtype=np.uint8))
+
+
+def _reference_anll(weights, stacked, labels):
+    """The validation ANLL as computed before StackedScores, kept verbatim as an
+    oracle: every call masks, tests finiteness and gathers with two arrays."""
+    mixed = _masked_mix(weights, stacked)
     mc = mixed.max(axis=0)
     ll = mixed[labels, np.arange(len(labels))] - (mc + np.log(np.exp(mixed - mc).sum(axis=0)))
     ll = np.where(np.isfinite(ll), ll, -SENTINEL_ANLL_PENALTY)
@@ -326,7 +363,7 @@ def test_anll_from_mixed_equals_anll_from_stacked(case):
     weights, stacked, labels = _oracle_inputs(*case, seed=sum(case[:3]))
     scores = StackedScores(stacked, labels)
     in_no_node = [cls for cls in range(c) if all((node, cls) in sentinels for node in range(k))]
-    assert scores.covered == (not in_no_node)  # cheap path, or masked with the clamp
+    assert scores.covered == (not in_no_node)  # cheap path, or the uncovered one with the clamp
     others = np.random.default_rng(n).dirichlet(np.ones(k), size=3)
     _assert_optimizer_path_bit_exact(scores, [weights, *others, weights])
     assert np.array_equal(scores.stacked, stacked)
