@@ -31,23 +31,16 @@ from .config import PROPOSAL_ORDER, ExperimentConfig, config_from_dict, config_t
 from .data import CategoryMap, Dataset, SynthSpec, degrade_copy, load_csv, synth_generate
 from .errors import CellError, ConfigError, ParseError
 from .evaluation import f1_macro, mcnemar_yates
-from .governance import NodeProfile, coherence_prior, compute_icc
+from .governance import REFERENCE_PROFILES, NodeProfile, coherence_prior, compute_icc
 from .local_model import fit_hybrid
 from . import mog
 from .mog import anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
-from .partition import class_rows, dirichlet_counts, dirichlet_partition, jsd_heterogeneity, stratified_split
+from .partition import dirichlet_counts, dirichlet_partition, jsd_heterogeneity, stratified_split
 from .weights import (
     OptimizationTrace,
     learn_weights_icc,
     weights_entropy,
     weights_fedavg,
-)
-
-# Reference governance profiles used by the formula self-check.
-REFERENCE_PROFILES = (
-    ("Financial", 4, 0.82, 0.12, 3.2, 0.393),
-    ("Health", 3, 0.70, 0.25, 5.1, 0.154),
-    ("Government", 2, 0.55, 0.40, 6.8, 0.042),
 )
 
 
@@ -69,7 +62,6 @@ class CellResult:
     records: list[ExperimentRecord]
     trace: OptimizationTrace | None
     counts: np.ndarray  # (K, n_classes) rows of each class dealt to each node
-    scores_ok: bool
     runtimes_ms: dict  # proposal -> ms of wall time for its weighting and scoring
 
 
@@ -153,7 +145,6 @@ def run_cell(
     records: list[ExperimentRecord] = []
     runtimes_ms: dict[str, float] = {}
     trace = None
-    scores_ok = True
     preds_b = None  # B's test predictions, for A's McNemar test (B runs first)
     shared = None  # test scores of cell.models, stacked by the first of B/E/A
     for proposal in [p for p in PROPOSAL_ORDER if p in config.proposals]:
@@ -181,8 +172,6 @@ def run_cell(
                 shared = mog.stack_scores(cell.models, test)
             stacked = shared
         mixed = mog.mix_scores(w, stacked)
-        if np.isnan(mixed).any() or np.isposinf(mixed).any():
-            scores_ok = False
         preds = mixed.argmax(axis=0)
         p_vs_b = None
         if proposal == "B":
@@ -202,7 +191,7 @@ def run_cell(
         ))
         del stacked, mixed, preds  # C's arrays are freed before B/E/A stack the shared tensor
         runtimes_ms[proposal] = (time.perf_counter() - t0) * 1000.0
-    return CellResult(records, trace, counts, scores_ok, runtimes_ms)
+    return CellResult(records, trace, counts, runtimes_ms)
 
 
 def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
@@ -214,11 +203,11 @@ def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
             except Exception as exc:
                 raise CellError(alpha, rep, exc) from exc
             result.records.extend(cell.records)
+            key = (alpha_index, rep)
             if cell.trace is not None:
-                result.traces[(alpha_index, rep)] = cell.trace
-            result.partitions[(alpha_index, rep)] = cell.counts
-            result.runtimes_ms[(alpha_index, rep)] = cell.runtimes_ms
-            result.scores_ok = result.scores_ok and cell.scores_ok
+                result.traces[key] = cell.trace
+            result.partitions[key] = cell.counts
+            result.runtimes_ms[key] = cell.runtimes_ms
     return result
 
 
@@ -240,18 +229,12 @@ class VerificationReport:
         return self.passed_count == len(self.checks)
 
     def to_text(self) -> str:
-        lines = []
-        for name, ok, msg in self.checks:
-            status = "PASS" if ok else "FAIL"
-            lines.append(f"[{status}] {name}: {msg}")
-        lines.append(f"{self.passed_count}/{len(self.checks)} passed")
-        return "\n".join(lines)
+        lines = [f"[{'PASS' if ok else 'FAIL'}] {name}: {msg}" for name, ok, msg in self.checks]
+        return "\n".join(lines + [f"{self.passed_count}/{len(self.checks)} passed"])
 
     def to_kv(self) -> str:
         lines = [f"check.{name}={'pass' if ok else 'fail'}" for name, ok, _ in self.checks]
-        lines.append(f"passed_count={self.passed_count}")
-        lines.append(f"total={len(self.checks)}")
-        return "\n".join(lines)
+        return "\n".join(lines + [f"passed_count={self.passed_count}", f"total={len(self.checks)}"])
 
 
 def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) -> VerificationReport:
@@ -265,23 +248,17 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     sum_tol = 5e-6 * max(config.k, 1) if csv_quantized else 1e-9
 
     # 1. coherence index formula against reference values
-    errs = []
-    for name, cmm, kci, kri, cvss, expected in REFERENCE_PROFILES:
-        got = compute_icc(NodeProfile(name, cmm, kci, kri, cvss))
-        errs.append(abs(got - expected))
-    ok = max(errs) <= 0.0005
-    checks.append(("icc_formula", ok, f"max deviation {max(errs):.2e}"))
+    errs = [abs(compute_icc(NodeProfile(*profile)) - expected) for *profile, expected in REFERENCE_PROFILES]
+    checks.append(("icc_formula", max(errs) <= 0.0005, f"max deviation {max(errs):.2e}"))
 
     # 2. seed reproducibility: re-run the first cell; records read back from
     # a results CSV are compared as the CSV rows they were read from
     try:
         cell = run_cell(config, config.alphas[0], 0, dataset)
         expect = [r for r in records if r.alpha == config.alphas[0] and r.rep == 0]
-        if csv_quantized:
-            ok = [_csv_row(r, config.k) for r in cell.records] == [_csv_row(r, config.k) for r in expect]
-        else:
-            ok = cell.records == expect
-        msg = "first cell re-run matches" if ok else "first cell re-run diverges"
+        same = (lambda a, b: _csv_row(a, config.k) == _csv_row(b, config.k)) if csv_quantized else (lambda a, b: a == b)
+        ok = len(cell.records) == len(expect) and all(map(same, cell.records, expect))
+        msg = "first cell re-run matches" if ok else _rerun_divergence(cell.records, expect, same)
     except Exception as exc:
         ok, msg = False, f"re-run failed: {exc}"
     checks.append(("seed_reproducibility", ok, msg))
@@ -290,26 +267,25 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     # the handful of grid reps alone is too noisy to order adjacent levels)
     try:
         mean_jsd = _jsd_curve(config, dataset)
-        diffs = np.diff(mean_jsd)
-        ok = bool((diffs <= 1e-9).all())
+        ok = bool((np.diff(mean_jsd) <= 1e-9).all())
         msg = f"mean JSD per alpha: {np.round(mean_jsd, 4).tolist()}"
     except Exception as exc:
         ok, msg = False, f"could not evaluate: {exc}"
     checks.append(("jsd_alpha_ordering", ok, msg))
 
     # 4. OOD encoding lands on code n_cats
-    cmap = CategoryMap(({"tcp": 0, "udp": 1},), ("0", "1"))
-    code = cmap.encode(0, "icmp")
-    ok = code == 2
-    checks.append(("ood_slot_index", ok, f"unseen value encoded as {code}, n_cats=2"))
+    code = CategoryMap(({"tcp": 0, "udp": 1},), ("0", "1")).encode(0, "icmp")
+    checks.append(("ood_slot_index", code == 2, f"unseen value encoded as {code}, n_cats=2"))
 
     # 5. mixture scores finite or explicit sentinel
-    ok = result.scores_ok and all(np.isfinite(r.anll) for r in records)
-    checks.append(("mog_scores_finite", ok, "no NaN/+inf mixture scores" if ok else "bad scores"))
+    bad = _first_bad(records, lambda f, v: f == "anll" and not np.isfinite(v))
+    ok = result.scores_ok and bad is None
+    msg = "no NaN/+inf mixture scores" if ok else f"bad scores at {bad or 'grid level: scores_ok is false'}"
+    checks.append(("mog_scores_finite", ok, msg))
 
     # 6. metric ranges
-    ok = all(r.anll >= 0 and 0.0 <= r.f1_macro <= 1.0 for r in records)
-    checks.append(("metric_ranges", ok, "ANLL >= 0 and F1 in [0,1]" if ok else "range violation"))
+    bad = _first_bad(records, lambda f, v: (f == "anll" and not v >= 0) or (f == "f1_macro" and not 0.0 <= v <= 1.0))
+    checks.append(("metric_ranges", bad is None, f"range violation at {bad}" if bad else "ANLL >= 0 and F1 in [0,1]"))
 
     # 7. weight vectors sum to 1
     bad = [
@@ -319,13 +295,15 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     ]
     checks.append(("weights_sum_to_one", not bad, f"{len(bad)} violations"))
 
-    # 8. McNemar validity
+    # 8. McNemar validity; the paper finds p < 0.05 in 70 of its 94 configurations
     ps = [r.mcnemar_p_vs_B for r in records if r.mcnemar_p_vs_B is not None]
-    ok = all(0.0 <= p <= 1.0 for p in ps)
-    need = "A" in config.proposals and "B" in config.proposals
-    if need and not ps:
-        ok = False
-    checks.append(("mcnemar_validity", ok, f"{len(ps)} p-values in [0,1]" if ok else "invalid p"))
+    if not ps and "A" in config.proposals and "B" in config.proposals:
+        ok, msg = False, "invalid p: no p-values, though A and B ran"
+    else:
+        bad = _first_bad(records, lambda f, v: f == "mcnemar_p_vs_B" and not 0.0 <= v <= 1.0)
+        ok = bad is None
+        msg = f"invalid p at {bad}" if bad else f"{len(ps)} p-values in [0,1], {sum(p < 0.05 for p in ps)} below 0.05"
+    checks.append(("mcnemar_validity", ok, msg))
 
     # 9. downward JSD gradient at per-rep granularity, on average
     ok, msg = _per_rep_gradient(records, config)
@@ -336,17 +314,8 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     checks.append(("icc_weight_alignment", ok, msg))
 
     # 11. no NaN/Inf anywhere in records
-    ok = True
-    for r in records:
-        vals = [r.f1_macro, r.anll, r.jsd]
-        if r.weights is not None:
-            vals.extend(r.weights)
-        if r.mcnemar_p_vs_B is not None:
-            vals.append(r.mcnemar_p_vs_B)
-        if not all(np.isfinite(v) for v in vals):
-            ok = False
-            break
-    checks.append(("no_nan_inf", ok, "all record fields finite" if ok else "non-finite field"))
+    bad = _first_bad(records, lambda f, v: not np.isfinite(v))
+    checks.append(("no_nan_inf", bad is None, f"non-finite field at {bad}" if bad else "all record fields finite"))
 
     # 12. grid completeness: each (alpha, rep, proposal) of the grid exactly once
     grid = [(a, rep, p) for a in config.alphas for rep in range(config.reps) for p in config.proposals]
@@ -366,22 +335,17 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     checks.append(("config_echo", ok, msg))
 
     # 14. learned weights respect the floor
-    delta = config.optimizer.floor_delta
-    floor_tol = 2e-6 if csv_quantized else 1e-9
+    floor = config.optimizer.floor_delta - (2e-6 if csv_quantized else 1e-9)
     a_recs = [r for r in records if r.proposal == "A" and r.weights is not None]
-    bad = [r for r in a_recs if min(r.weights) < delta - floor_tol]
-    ok = not bad if ("A" not in config.proposals or a_recs) else False
+    bad = [r for r in a_recs if min(r.weights) < floor]
+    ok = not bad and bool(a_recs or "A" not in config.proposals)
     checks.append(("weight_floor", ok, f"{len(bad)} floor violations"))
 
     # 15. trace sanity: chosen start minimizes the final objective
-    ok = True
-    for trace in result.traces.values():
-        finals = [s.final_objective for s in trace.starts]
-        if finals and trace.chosen != int(np.argmin(finals)):
-            ok = False
-    if "A" in config.proposals and not result.traces:
-        ok = False
-    stops = [s.converged for trace in result.traces.values() for s in trace.starts]
+    traces = result.traces.values()
+    ok = all(not t.starts or t.chosen == int(np.argmin([s.final_objective for s in t.starts])) for t in traces)
+    ok = ok and bool(result.traces or "A" not in config.proposals)
+    stops = [s.converged for t in traces for s in t.starts]
     msg = (
         f"{len(result.traces)} traces checked; starts: {stops.count(True)} converged, "
         f"{stops.count(False)} at max_iters"
@@ -401,15 +365,36 @@ def _first_difference(a, b, path: str = "config") -> str | None:
     return f"{path} ({a!r} vs {b!r})"
 
 
+def _first_bad(records, is_bad) -> str | None:
+    """Where the first record number that is_bad(field, value) flags sits,
+    with its field and value; else None."""
+    for r in records:
+        named = [("f1_macro", r.f1_macro), ("anll", r.anll), ("jsd", r.jsd), ("mcnemar_p_vs_B", r.mcnemar_p_vs_B)]
+        for f, v in named + [(f"w_{i + 1}", w) for i, w in enumerate(r.weights or ())]:
+            if v is not None and is_bad(f, v):
+                return f"(alpha, rep, proposal) {(r.alpha, r.rep, r.proposal)}: {f} = {v}"
+    return None
+
+
+def _rerun_divergence(got, want, same) -> str:
+    """Check 2's message: the first recorded field whose re-run value makes a
+    record differ from the recorded one under same."""
+    for g, w in zip(got, want):
+        for f in fields(w):
+            if not same(replace(w, **{f.name: getattr(g, f.name)}), w):
+                return (f"first cell re-run diverges at (alpha, rep, proposal) {(w.alpha, w.rep, w.proposal)}: "
+                        f"{f.name} = {getattr(g, f.name)}, recorded {getattr(w, f.name)}")
+    return f"first cell re-run diverges in length: {len(got)} records, {len(want)} recorded"
+
+
 def _jsd_curve(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
-    """Mean JSD per alpha over 20 fresh partition seeds on the whole dataset."""
-    k = max(config.k, 2)
-    by_class = class_rows(dataset.labels)
-    per_seed = [
-        [jsd_heterogeneity(c) for c in dirichlet_counts(by_class, k, config.alphas, seed)]
-        for seed in range(20)
-    ]
-    return np.array([float(np.mean(vals)) for vals in zip(*per_seed)])
+    """Mean JSD per alpha over 20 fresh seeds of Dirichlet counts drawn from
+    the whole dataset's class sizes."""
+    k, sizes = max(config.k, 2), np.bincount(dataset.labels)
+    return np.array([
+        np.mean([jsd_heterogeneity(dirichlet_counts(sizes, k, alpha, seed)) for seed in range(20)])
+        for alpha in config.alphas
+    ])
 
 
 def _per_rep_gradient(records, config) -> tuple[bool, str]:
@@ -417,15 +402,11 @@ def _per_rep_gradient(records, config) -> tuple[bool, str]:
         return True, "single alpha level (vacuous)"
     if config.reps < 2:  # one Dirichlet draw per alpha need not order two levels
         return True, "single rep (vacuous)"
-    drops = []
-    for rep in range(config.reps):
-        seq = []
-        for a in config.alphas:
-            vals = [r.jsd for r in records if r.rep == rep and r.alpha == a]
-            if vals:
-                seq.append(vals[0])
-        if len(seq) >= 2:
-            drops.append(seq[0] - seq[-1])
+    first = {}  # (rep, alpha) -> the JSD of its first record
+    for r in records:
+        first.setdefault((r.rep, r.alpha), r.jsd)
+    seqs = [[first[rep, a] for a in config.alphas if (rep, a) in first] for rep in range(config.reps)]
+    drops = [seq[0] - seq[-1] for seq in seqs if len(seq) >= 2]
     ok = bool(drops) and float(np.mean(drops)) > 0.0
     return ok, f"mean per-rep JSD drop from first to last alpha: {np.mean(drops) if drops else float('nan'):.4f}"
 
@@ -437,14 +418,15 @@ def _alignment_check(records, config) -> tuple[bool, str]:
     hi, lo = int(np.argmax(iccs)), int(np.argmin(iccs))
     if hi == lo:
         return True, "single node (vacuous)"
-    ws = np.array([r.weights for r in records if r.proposal == "A" and r.weights is not None])
-    if not len(ws):
+    ws = [r.weights for r in records if r.proposal == "A" and r.weights is not None]
+    if not ws:
         return False, "no learned weights recorded"
-    mean_w = ws.mean(axis=0)
-    ok = bool(mean_w[hi] > mean_w[lo])
-    return ok, (
-        f"mean weight {config.profiles[hi].name}={mean_w[hi]:.4f} vs "
-        f"{config.profiles[lo].name}={mean_w[lo]:.4f}"
+    mean_w = np.mean(ws, axis=0)
+    node = [f"{p.name}={w:.4f}" for p, w in zip(config.profiles, mean_w)]
+    at_floor = int((abs(mean_w - config.optimizer.floor_delta) <= 1e-6).sum())
+    return bool(mean_w[hi] > mean_w[lo]), (
+        f"mean weight {node[hi]} vs {node[lo]}; highest {node[int(np.argmax(mean_w))]}; "
+        f"{at_floor} of {len(node)} nodes within 1e-6 of the floor"
     )
 
 
@@ -488,24 +470,24 @@ def load_results_csv(path) -> list[ExperimentRecord]:
         raise ParseError(f"{path}: empty file")
     header = lines[0].split(",")
     w_cols = [i for i, h in enumerate(header) if h.startswith("w_")]
-    col = {h: i for i, h in enumerate(header)}
     records = []
     for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
         if len(parts) != len(header):
             raise ParseError(f"{path}: row {row} has {len(parts)} fields, expected {len(header)}")
+        cols = dict(zip(header, parts))  # a repeated column name keeps its last field
         try:
             weights = tuple(float(parts[i]) for i in w_cols if parts[i] != "") or None
-            p_raw = parts[col["mcnemar_p_vs_B"]]
+            p_raw = cols["mcnemar_p_vs_B"]
             records.append(
                 ExperimentRecord(
-                    dataset_name=parts[col["dataset"]],
-                    alpha=float(parts[col["alpha"]]),
-                    rep=int(parts[col["rep"]]),
-                    proposal=parts[col["proposal"]],
-                    f1_macro=float(parts[col["f1_macro"]]),
-                    anll=float(parts[col["anll"]]),
-                    jsd=float(parts[col["jsd"]]),
+                    dataset_name=cols["dataset"],
+                    alpha=float(cols["alpha"]),
+                    rep=int(cols["rep"]),
+                    proposal=cols["proposal"],
+                    f1_macro=float(cols["f1_macro"]),
+                    anll=float(cols["anll"]),
+                    jsd=float(cols["jsd"]),
                     weights=weights,
                     mcnemar_p_vs_B=float(p_raw) if p_raw else None,
                 )
@@ -525,51 +507,39 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> None:
     alphas = sorted({r.alpha for r in records})
     proposals = [p for p in PROPOSAL_ORDER if any(r.proposal == p for r in records)]
 
-    path = os.path.join(out_dir, "gradient_curves.tsv")
+    a_recs = [r for r in records if r.proposal == "A" and r.weights is not None]
+
     lines = ["alpha\tproposal\tf1_mean\tf1_std\tanll_mean\tanll_std"]
     for a in alphas:
         for p in proposals:
             sel = [r for r in records if r.proposal == p and r.alpha == a]
-            f1s = np.array([r.f1_macro for r in sel])
-            anlls = np.array([r.anll for r in sel])
-            lines.append(
-                f"{a:.6f}\t{p}\t{f1s.mean():.6f}\t{f1s.std():.6f}"
-                f"\t{anlls.mean():.6f}\t{anlls.std():.6f}"
-            )
-    write_lines(path, lines)
+            stats = [np.array([r.f1_macro for r in sel]), np.array([r.anll for r in sel])]
+            lines.append(f"{a:.6f}\t{p}" + "".join(f"\t{x.mean():.6f}\t{x.std():.6f}" for x in stats))
+    write_lines(os.path.join(out_dir, "gradient_curves.tsv"), lines)
 
-    a_recs = [r for r in records if r.proposal == "A" and r.weights is not None]
-    path = os.path.join(out_dir, "alignment_bars.tsv")
     lines = ["node\tmean_learned_weight\ticc_prior"]
     if a_recs:
         mean_w = np.array([r.weights for r in a_recs]).mean(axis=0)
-        for i, name in enumerate(node_names):
-            lines.append(f"{name}\t{mean_w[i]:.6f}\t{prior[i]:.6f}")
-    write_lines(path, lines)
+        lines += [f"{name}\t{w:.6f}\t{q:.6f}" for name, w, q in zip(node_names, mean_w, prior)]
+    write_lines(os.path.join(out_dir, "alignment_bars.tsv"), lines)
 
-    path = os.path.join(out_dir, "weight_trajectories.tsv")
     lines = ["alpha\tnode\tmean_weight"]
     for a in alphas:
         sel = [r for r in a_recs if r.alpha == a]
         if sel:
             mean_w = np.array([r.weights for r in sel]).mean(axis=0)
-            for i, name in enumerate(node_names):
-                lines.append(f"{a:.6f}\t{name}\t{mean_w[i]:.6f}")
-    write_lines(path, lines)
+            lines += [f"{a:.6f}\t{name}\t{w:.6f}" for name, w in zip(node_names, mean_w)]
+    write_lines(os.path.join(out_dir, "weight_trajectories.tsv"), lines)
 
-    path = os.path.join(out_dir, "density_profiles.tsv")
     lines = ["x\t" + "\t".join(node_names)]
     if models[0].gauss_mean.shape[1] > 0:
         feature, cls = 0, _common_class(models)
         means = np.array([m.gauss_mean[cls, feature] for m in models])
         sds = np.array([np.sqrt(m.gauss_var[cls, feature]) for m in models])
-        lo = float((means - 6 * sds).min())
-        hi = float((means + 6 * sds).max())
-        xs = np.linspace(lo, hi, 200)
-        for x in xs:
+        for x in np.linspace(float((means - 6 * sds).min()), float((means + 6 * sds).max()), 200):
             dens = np.exp(-0.5 * ((x - means) / sds) ** 2) / (sds * np.sqrt(2 * np.pi))
             lines.append(f"{x:.6f}\t" + "\t".join(f"{d:.6f}" for d in dens))
-    write_lines(path, lines)
+    write_lines(os.path.join(out_dir, "density_profiles.tsv"), lines)
 
 
 def _common_class(models) -> int:

@@ -16,6 +16,13 @@ import numpy as np
 
 from .errors import DegeneratePriorError
 
+# (name, cmm, kci, kri, cvss, coherence index) of three reference profiles;
+# verification check 1 recomputes each index
+REFERENCE_PROFILES = (
+    ("Financial", 4, 0.82, 0.12, 3.2, 0.393),
+    ("Health", 3, 0.70, 0.25, 5.1, 0.154),
+    ("Government", 2, 0.55, 0.40, 6.8, 0.042),
+)
 
 @dataclass(frozen=True)
 class NodeProfile:

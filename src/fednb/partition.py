@@ -59,11 +59,7 @@ class Partition:
 
 
 def class_rows(labels) -> dict[int, np.ndarray]:
-    """Ascending row indices of each class present in labels, by ascending class.
-
-    Callers that partition one label array many times build this once and
-    pass it to ``dirichlet_counts``.
-    """
+    """Ascending row indices of each class present in labels, by ascending class."""
     labels = np.asarray(labels)  # any integer dtype, not copied
     try:  # the classes present, ascending; a tenth of np.unique's cost on 200k labels
         classes = np.flatnonzero(np.bincount(labels))
@@ -75,83 +71,56 @@ def class_rows(labels) -> dict[int, np.ndarray]:
 def dirichlet_partition(labels, k: int, alpha: float, seed: int) -> Partition:
     """Per-class Dirichlet(alpha) proportions, integerized by largest remainder.
 
-    Retries with fresh sub-seeds (up to 100) if any node comes out empty.
+    Each attempt shuffles a copy of each class's rows, ascending by class, and
+    draws that class's proportions right after its shuffle. Retries with fresh
+    sub-seeds (up to 100) if any node comes out empty.
     """
-    counts, shuffled = _deal(class_rows(labels), k, (alpha,), seed, keep_rows=True)[0]
-    if k == 1:
-        return Partition([np.arange(len(labels), dtype=np.int64)], counts)
-    node_lists: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for cls, idx in shuffled.items():
-        start = 0
-        for node in range(k):
-            node_lists[node].append(idx[start : start + counts[node, cls]])
-            start += counts[node, cls]
+    by_class = class_rows(labels)
+    width = max(by_class, default=-1) + 1
+    for rng in _attempts(k, alpha, seed):
+        if k == 1:  # one node holds every row, in order; nothing is drawn
+            counts = np.bincount(labels)[None].astype(np.int64)
+            return Partition([np.arange(len(labels), dtype=np.int64)], counts)
+        counts = np.zeros((k, width), dtype=np.int64)
+        shuffled = {}
+        for cls, rows in by_class.items():
+            shuffled[cls] = rng.permutation(rows)
+            counts[:, cls] = largest_remainder(len(rows), rng.dirichlet(np.full(k, alpha)))
+        if counts.any(axis=1).all():
+            break
+    del by_class, rows  # the class rows are freed before the node arrays are built
+    ends = counts.cumsum(axis=0)  # each node's rows of a class end where the next node's start
     node_indices = [
-        np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
-        for chunks in node_lists
+        np.concatenate([idx[ends[node, cls] - counts[node, cls] : ends[node, cls]] for cls, idx in shuffled.items()])
+        for node in range(k)
     ]
     return Partition(node_indices, counts)
 
 
-def dirichlet_counts(by_class, k: int, alphas, seed: int) -> list[np.ndarray]:
-    """``[dirichlet_partition(labels, k, a, seed).counts for a in alphas]``
-    where by_class is ``class_rows(labels)``, without building the node index
-    arrays."""
-    return [counts for counts, _ in _deal(by_class, k, alphas, seed, keep_rows=False)]
+def dirichlet_counts(class_sizes, k: int, alpha: float, seed: int) -> np.ndarray:
+    """A (k, len(class_sizes)) int64 matrix of Dirichlet(alpha) counts per node
+    and class, from the class sizes (``np.bincount(labels)``) alone: one draw
+    per present class and attempt, with no shuffles, so not the counts of
+    ``dirichlet_partition``, whose retry rule it shares."""
+    sizes = np.asarray(class_sizes, dtype=np.int64)
+    for rng in _attempts(k, alpha, seed):
+        counts = np.zeros((k, len(sizes)), dtype=np.int64)
+        for cls in np.flatnonzero(sizes):
+            counts[:, cls] = largest_remainder(int(sizes[cls]), rng.dirichlet(np.full(k, alpha)))
+        if counts.any(axis=1).all():
+            return counts
 
 
-def _deal(by_class, k, alphas, seed, keep_rows):
-    """Per alpha, the counts and shuffled rows of each class from the first
-    attempt that leaves no node empty.
-
-    Each class's shuffle sets the Dirichlet draw after it, and depends only
-    on the class's row count, so without ``keep_rows`` the shuffles run on
-    one scratch buffer and no rows are returned. The first class's shuffle
-    is the same for every alpha: it runs once per attempt, and the generator
-    state after it is restored for each alpha. A later class's shuffle
-    starts where an alpha's draws left the generator, and numpy shuffles by
-    masked rejection, whose number of draws depends on the values drawn, so
-    it runs once per alpha.
-    """
+def _attempts(k: int, alpha: float, seed: int):
+    """The generator of each partition attempt, from sub-seed (seed, attempt);
+    raises once 100 attempts have all left a node empty."""
     if k < 1:
         raise PartitionError("k must be >= 1")
-    for alpha in alphas:
-        if not 0 < alpha < math.inf:
-            raise PartitionError(f"alpha must be finite and positive, got {alpha}")
-    width = max(by_class, default=-1) + 1
-    if k == 1:
-        return [(np.array([[len(by_class.get(cls, ())) for cls in range(width)]], dtype=np.int64), None)
-                for _ in alphas]
-    scratch = None if keep_rows else np.empty(max(map(len, by_class.values()), default=0), dtype=np.int64)
-    found = [None] * len(alphas)
+    if not 0 < alpha < math.inf:
+        raise PartitionError(f"alpha must be finite and positive, got {alpha}")
     for attempt in range(100):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        first = {cls: _shuffled(rng, by_class[cls], scratch) for cls in list(by_class)[:1]}
-        after_first = rng.bit_generator.state
-        for i, alpha in enumerate(alphas):
-            if found[i] is not None:
-                continue
-            rng.bit_generator.state = after_first
-            counts = np.zeros((k, width), dtype=np.int64)
-            shuffled = dict(first)
-            for cls, rows in by_class.items():
-                if cls not in shuffled:
-                    shuffled[cls] = _shuffled(rng, rows, scratch)
-                counts[:, cls] = largest_remainder(len(rows), rng.dirichlet(np.full(k, alpha)))
-            if counts.any(axis=1).all():
-                found[i] = counts, shuffled if keep_rows else None
-        if all(f is not None for f in found):
-            return found
-    alpha = next(a for a, f in zip(alphas, found) if f is None)
+        yield np.random.default_rng(np.random.SeedSequence([seed, attempt]))
     raise PartitionError(f"empty node persisted across 100 retries (alpha={alpha}, k={k})")
-
-
-def _shuffled(rng, rows, scratch):
-    """A shuffled copy of rows (callers reuse by_class), or with a scratch
-    buffer only the draws of that shuffle."""
-    idx = rows.copy() if scratch is None else scratch[: len(rows)]
-    rng.shuffle(idx)
-    return idx
 
 
 def entropy2(p: np.ndarray) -> float:

@@ -152,18 +152,24 @@ def test_verify_detects_corruption(grid_dir, tmp_path, capsys):
 
 
 def test_verify_compares_the_rerun_as_csv_rows(grid_dir, tmp_path, capsys):
+    first = (grid_dir / "results.csv").read_text().splitlines()[1].split(",")
+    f1 = float(first[4])
+    moved_f1 = f"{f1 - 1e-6 if f1 > 0.5 else f1 + 1e-6:.6f}"  # one unit in the 6th decimal
+
     def move_first_f1(text):
         lines = text.splitlines()
         fields = lines[1].split(",")  # proposal C of the first cell, which check 2 re-runs
-        f1 = float(fields[4])
-        fields[4] = f"{f1 - 1e-6 if f1 > 0.5 else f1 + 1e-6:.6f}"  # one unit in the 6th decimal
+        fields[4] = moved_f1
         lines[1] = ",".join(fields)
         return "\n".join(lines) + "\n"
 
     moved = _corrupt_copy(grid_dir, tmp_path / "moved", "results.csv", move_first_f1)
     assert main(["verify", "--results", str(moved)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
-    assert failed == ["[FAIL] seed_reproducibility: first cell re-run diverges"]
+    # the re-run's F1 is quoted at full precision, the recorded one as read back
+    want = re.escape(f"[FAIL] seed_reproducibility: first cell re-run diverges at (alpha, rep, proposal) "
+                     f"({float(first[1])}, 0, 'C'): f1_macro = ") + r"0\.\d+" + re.escape(f", recorded {float(moved_f1)}")
+    assert len(failed) == 1 and re.fullmatch(want, failed[0]), failed
 
 
 def test_verify_names_a_cell_row_replaced_by_another_of_the_same_cell(grid_dir, tmp_path, capsys):

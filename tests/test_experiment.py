@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from fednb.config import DEFAULT_ALPHAS, ExperimentConfig
 from fednb.data import CategoryMap, SynthSpec
 from fednb.errors import CellError, ConfigError, NormalizationError
 from fednb.experiment import (
+    _jsd_curve,
     emit_plot_data,
     emit_results_csv,
     load_results_csv,
@@ -20,6 +22,7 @@ from fednb.experiment import (
 )
 import fednb.experiment
 import fednb.mog
+import fednb.partition
 from fednb.errors import MetricError
 from fednb.evaluation import f1_macro, mcnemar_yates
 from fednb.governance import NodeProfile
@@ -234,8 +237,20 @@ def test_verify_detects_nan(grid, dataset):
     tampered = copy.deepcopy(grid)
     tampered.records[-1].jsd = float("nan")
     report = verify(tampered, dataset)
-    failed = [name for name, ok, _ in report.checks if not ok]
-    assert failed == ["no_nan_inf"]
+    failed = [(name, msg) for name, ok, msg in report.checks if not ok]
+    assert failed == [("no_nan_inf", f"non-finite field at {_key(tampered.records[-1])}: jsd = nan")]
+
+
+def test_a_non_finite_anll_is_named_by_checks_5_and_11(grid, dataset):
+    tampered = copy.deepcopy(grid)
+    victim = tampered.records[-2]  # proposal E of the last cell
+    victim.anll = float("inf")
+    report = verify(tampered, dataset)
+    failed = [(name, msg) for name, ok, msg in report.checks if not ok]
+    assert failed == [
+        ("mog_scores_finite", f"bad scores at {_key(victim)}: anll = inf"),
+        ("no_nan_inf", f"non-finite field at {_key(victim)}: anll = inf"),
+    ]
 
 
 def test_verify_detects_a_one_ulp_rerun_difference(grid, dataset):
@@ -243,10 +258,40 @@ def test_verify_detects_a_one_ulp_rerun_difference(grid, dataset):
 
     tampered = copy.deepcopy(grid)
     first = tampered.records[0]  # proposal C of the first cell, which check 2 re-runs
+    rerun = first.f1_macro
     first.f1_macro = float(np.nextafter(first.f1_macro, 0.0))
     report = verify(tampered, dataset)
-    failed = [name for name, ok, _ in report.checks if not ok]
-    assert failed == ["seed_reproducibility"]
+    failed = [(name, msg) for name, ok, msg in report.checks if not ok]
+    assert failed == [(
+        "seed_reproducibility",
+        f"first cell re-run diverges at {_key(first)}: f1_macro = {rerun}, recorded {first.f1_macro}",
+    )]
+
+
+def test_mcnemar_check_fails_without_p_values_when_a_and_b_ran(grid, dataset):
+    tampered = copy.deepcopy(grid)
+    for r in tampered.records:
+        r.mcnemar_p_vs_B = None
+    checks = {name: (ok, msg) for name, ok, msg in verify(tampered, dataset).checks}
+    assert checks["mcnemar_validity"] == (False, "invalid p: no p-values, though A and B ran")
+
+
+def test_verify_names_a_rerun_that_returns_fewer_records(grid, dataset, monkeypatch):
+    real = fednb.experiment.run_cell
+
+    def drop_last(*args):
+        cell = real(*args)
+        cell.records.pop()
+        return cell
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", drop_last)
+    report = verify(grid, dataset)
+    failed = [(name, msg) for name, ok, msg in report.checks if not ok]
+    assert failed == [("seed_reproducibility", "first cell re-run diverges in length: 3 records, 4 recorded")]
+
+
+def _key(r):
+    return f"(alpha, rep, proposal) {(r.alpha, r.rep, r.proposal)}"
 
 
 def _last_a(grid):
@@ -260,7 +305,11 @@ def _off_reference_icc(grid, monkeypatch):
 
 def _jsd_rising_with_alpha(grid, monkeypatch):
     real = fednb.experiment.dirichlet_counts
-    monkeypatch.setattr(fednb.experiment, "dirichlet_counts", lambda *args: real(*args)[::-1])
+    alphas = grid.config.alphas
+    mirror = dict(zip(alphas, alphas[::-1]))
+    monkeypatch.setattr(
+        fednb.experiment, "dirichlet_counts", lambda sizes, k, alpha, seed: real(sizes, k, mirror[alpha], seed)
+    )
 
 
 def _unseen_category_on_a_seen_code(grid, monkeypatch):
@@ -299,6 +348,7 @@ def _chosen_not_the_best(grid, monkeypatch):
 
 # the checks that no other test drives to FAIL, each with a probe that breaks
 # what it reads; checks 1, 3 and 4 read no record, so their probes patch code
+# (check 3's maps each alpha to its mirror in the grid, so the curve rises)
 CHECK_PROBES = {
     "icc_formula": _off_reference_icc,
     "jsd_alpha_ordering": _jsd_rising_with_alpha,
@@ -312,12 +362,47 @@ CHECK_PROBES = {
 }
 
 
+# each probed check's FAIL message as a regular expression, from the grid
+# and dataset before the probe
+FAIL_TEXT = {
+    "icc_formula": lambda grid, dataset: re.escape("max deviation 1.04e-02"),
+    "jsd_alpha_ordering": lambda grid, dataset: re.escape(
+        f"mean JSD per alpha: {np.round(_jsd_curve(grid.config, dataset), 4).tolist()[::-1]}"
+    ),
+    "ood_slot_index": lambda grid, dataset: re.escape("unseen value encoded as 0, n_cats=2"),
+    "mog_scores_finite": lambda grid, dataset: re.escape("bad scores at grid level: scores_ok is false"),
+    "metric_ranges": lambda grid, dataset: re.escape(f"range violation at {_key(grid.records[-1])}: f1_macro = 1.5"),
+    "mcnemar_validity": lambda grid, dataset: re.escape(f"invalid p at {_key(_last_a(grid))}: mcnemar_p_vs_B = 1.5"),
+    "icc_weight_alignment": lambda grid, dataset: (
+        r"mean weight Financial=0\.\d{4} vs Government=0\.\d{4}; highest Government=0\.\d{4}; "
+        r"0 of 3 nodes within 1e-6 of the floor"
+    ),
+    "weight_floor": lambda grid, dataset: re.escape("1 floor violations"),
+    "trace_sanity": lambda grid, dataset: r"6 traces checked; starts: \d+ converged, \d+ at max_iters",
+}
+
+
 @pytest.mark.parametrize("name, probe", CHECK_PROBES.items(), ids=CHECK_PROBES)
 def test_verify_fails_the_probed_check_alone(grid, dataset, monkeypatch, name, probe):
     tampered = copy.deepcopy(grid)
+    want = FAIL_TEXT[name](tampered, dataset)
     probe(tampered, monkeypatch)
     report = verify(tampered, dataset)
-    assert [n for n, ok, _ in report.checks if not ok] == [name], report.to_text()
+    failed = [(n, msg) for n, ok, msg in report.checks if not ok]
+    assert [n for n, _ in failed] == [name], report.to_text()
+    assert re.fullmatch(want, failed[0][1]), failed[0][1]
+
+
+def test_jsd_curve_reads_no_rows_and_no_partition(dataset, monkeypatch):
+    want = _jsd_curve(small_config(), dataset)
+
+    def refuse(*args):
+        raise AssertionError("the JSD curve drew from rows")
+
+    monkeypatch.setattr(fednb.partition, "class_rows", refuse)
+    monkeypatch.setattr(fednb.partition, "dirichlet_partition", refuse)
+    monkeypatch.setattr(fednb.experiment, "dirichlet_partition", refuse)
+    assert _jsd_curve(small_config(), dataset).tobytes() == want.tobytes()
 
 
 def test_emit_plot_data_files(tmp_path, grid, dataset):

@@ -376,7 +376,7 @@ def test_cheap_path_when_a_node_lacks_a_class_another_has():
     _assert_optimizer_path_bit_exact(scores, [weights, np.array([0.05, 0.05, 0.9])])
 
 
-def test_masked_path_clamps_a_class_absent_from_every_node():
+def test_uncovered_zero_shift_clamps_a_class_absent_from_every_node():
     weights, stacked, labels = _oracle_inputs(3, 3, 50, ((0, 2), (1, 2), (2, 2)), seed=12)
     scores = StackedScores(stacked, labels)
     assert not scores.covered
@@ -387,7 +387,7 @@ def test_masked_path_clamps_a_class_absent_from_every_node():
 
 
 @pytest.mark.parametrize("weights", [[0.0, 0.4, 0.6], [0.3, 0.7, 0.0]])
-def test_zero_weight_takes_the_masked_path_without_warnings(weights):
+def test_zero_weight_takes_the_uncovered_zero_shift_without_warnings(weights):
     # only node 2 scores class 1, so the second vector leaves class 1 in no node
     _, stacked, labels = _oracle_inputs(3, 2, 40, ((0, 1), (1, 1)), seed=13)
     scores = StackedScores(stacked, labels)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,26 @@ def test_jsd_matches_scipy_jensenshannon_for_two_nodes():
         assert jsd_heterogeneity(counts) == pytest.approx(want, abs=1e-12)
 
 
+def _oracle_counts(labels, k, alpha, seed):
+    """Check 3's sampler written out with np.unique, a fresh generator per
+    attempt and floor-then-largest-fraction apportioning: the counts and the
+    number of attempts they took."""
+    classes, sizes = np.unique(np.asarray(labels, dtype=np.int64), return_counts=True)
+    for attempt in range(100):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
+        counts = np.zeros((k, classes.max() + 1), dtype=np.int64)
+        for cls, n in zip(classes, sizes):
+            p = rng.dirichlet(np.full(k, alpha))
+            exact = p / p.sum() * n
+            col = np.floor(exact).astype(np.int64)
+            for node in sorted(range(k), key=lambda i: (col[i] - exact[i], i))[: n - col.sum()]:
+                col[node] += 1
+            counts[:, cls] = col
+        if (counts.sum(axis=1) > 0).all():
+            return counts, attempt + 1
+    raise AssertionError("every attempt left a node empty")
+
+
 @pytest.mark.parametrize(
     "k, alpha, seed, classes, retries",
     [
@@ -267,53 +289,52 @@ def test_apportioned_counts_equal_class_counts(k, alpha, seed, classes, retries)
     bincounts = [np.bincount(labels[ix], minlength=max(classes) + 1) for ix in part.node_indices]
     assert part.counts.dtype == np.int64
     assert np.array_equal(part.counts, np.array(bincounts))
-    got = dirichlet_counts(class_rows(labels), k, [alpha], seed)
-    assert len(got) == 1 and got[0].dtype == np.int64 and np.array_equal(got[0], part.counts)
+    got = dirichlet_counts(np.bincount(labels), k, alpha, seed)
+    assert got.dtype == np.int64 and got.shape == part.counts.shape
+    assert np.array_equal(got.sum(axis=0), np.bincount(labels)) and got.any(axis=1).all()
     if retries:  # the first attempt leaves a node empty
         with pytest.raises(AssertionError, match="no non-empty"):
             _unique_class_partition(labels, k, alpha, seed, attempts=1)
 
 
-def _first_attempt_succeeds(labels, k, alpha, seed) -> bool:
-    try:
-        _unique_class_partition(labels, k, alpha, seed, attempts=1)
-    except AssertionError:
-        return False
-    return True
-
-
 @pytest.mark.parametrize(
-    "k, alphas, seed, classes, retried",
+    "k, alpha, seed, classes, attempts",
     [
-        # class 1 absent; at 0.05 the first attempt leaves a node empty
-        (4, (0.05, 1.0), 2, (0, 2), (True, False)),
-        (4, (1.0, 0.05), 2, (0, 2), (False, True)),
-        (4, (0.05, 0.3, 0.05, 5.0), 2, (0, 2), (True, False, True, False)),
-        (3, (0.1, 0.3, 1.0), 9, (0, 1, 3), None),
-        (1, (0.5, 2.0), 0, (0, 2), None),
+        (3, 1.0, 42, (0, 1, 2, 3, 4), 1),
+        (3, 0.1, 7, (0, 1), 6),  # five attempts leave a node empty
+        (3, 0.3, 9, (0, 2), 1),  # class 1 absent: a zero column, and no draw
+        (4, 0.05, 2, (0, 2), 3),
+        (1, 0.5, 0, (0, 1), 1),
     ],
 )
-def test_counts_for_a_list_of_alphas_equal_one_partition_per_alpha(k, alphas, seed, classes, retried):
+def test_counts_match_the_oracle_loop(k, alpha, seed, classes, attempts):
     labels = np.random.default_rng(seed).choice(classes, 600)
-    if retried is not None:
-        assert tuple(not _first_attempt_succeeds(labels, k, a, seed) for a in alphas) == retried
-    by_class = class_rows(labels)
-    kept = {cls: rows.copy() for cls, rows in by_class.items()}
-    got = dirichlet_counts(by_class, k, alphas, seed)
-    want = [dirichlet_partition(labels, k, a, seed).counts for a in alphas]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == np.int64 and np.array_equal(g, w)
-    assert len({id(g) for g in got}) == len(got)  # no matrix shared between alphas
-    assert by_class.keys() == kept.keys()
-    assert all(np.array_equal(by_class[cls], kept[cls]) for cls in kept)
+    want, took = _oracle_counts(labels, k, alpha, seed)
+    assert took == attempts
+    got = dirichlet_counts(np.bincount(labels), k, alpha, seed)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_counts_check_every_alpha_and_name_the_one_that_keeps_a_node_empty():
+    # both samplers share one validation, one retry bound and one message
     labels = np.random.default_rng(0).choice((0, 1), 600)
-    by_class = class_rows(labels)
-    assert dirichlet_counts(by_class, 3, [], 0) == []
-    with pytest.raises(PartitionError, match="finite and positive"):
-        dirichlet_counts(by_class, 3, [1.0, -1.0], 0)
-    with pytest.raises(PartitionError, match=r"alpha=0\.001, k=10"):
-        dirichlet_counts(by_class, 10, [1.0, 0.001], 0)
+    for sample in (dirichlet_partition, lambda lab, *args: dirichlet_counts(np.bincount(lab), *args)):
+        with pytest.raises(PartitionError, match="finite and positive"):
+            sample(labels, 3, -1.0, 0)
+        with pytest.raises(PartitionError, match="k must be"):
+            sample(labels, 0, 1.0, 0)
+        with pytest.raises(PartitionError, match=r"100 retries \(alpha=0\.001, k=10\)"):
+            sample(labels, 10, 0.001, 0)
+
+
+def test_partition_frees_the_class_rows_before_building_the_nodes():
+    labels = np.random.default_rng(3).choice(np.array([0, 1], dtype=np.uint8), 120_000)
+    for alpha in (0.05, 1.0):
+        tracemalloc.start()
+        try:
+            dirichlet_partition(labels, 3, alpha, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # shuffled class rows plus node arrays: 2 x 8n; the class rows as well: 3 x 8n
+        assert peak <= 2.6 * 8 * len(labels), (alpha, peak / (8 * len(labels)))
