@@ -67,10 +67,11 @@ def _by_cell_key(d: dict, convert) -> dict:
     return {f"{ai},{rep}": convert(v) for (ai, rep), v in d.items()}
 
 
-def _from_cell_key(d: dict, convert) -> dict:
-    """Inverse of _by_cell_key; a malformed key raises ValueError."""
+def _from_cell_key(bundle: dict, name: str, convert) -> dict:
+    """Inverse of _by_cell_key on the object bundle[name]; a malformed key
+    raises ValueError, and a value other than an object TypeError."""
     out = {}
-    for key, v in d.items():
+    for key, v in json_value(bundle, name, dict).items():
         ai, rep = key.split(",")
         out[(int(ai), int(rep))] = convert(v)
     return out
@@ -79,7 +80,6 @@ def _from_cell_key(d: dict, convert) -> dict:
 def _save_bundle(result: GridResult, out_dir: str) -> None:
     bundle = {
         "config": config_to_dict(result.config),
-        "scores_ok": result.scores_ok,
         "traces": _by_cell_key(result.traces, OptimizationTrace.to_dict),
         "partitions": _by_cell_key(result.partitions, np.ndarray.tolist),
         "runtimes_ms": _by_cell_key(result.runtimes_ms, dict),
@@ -97,9 +97,9 @@ def _load_bundle(results_dir: str) -> GridResult:
         with open(bundle_path, encoding="utf-8") as fh:
             bundle = json.load(fh)
         config = config_from_dict(bundle["config"])
-        traces = _from_cell_key(bundle["traces"], OptimizationTrace.from_dict)
-        partitions = _from_cell_key(bundle["partitions"], lambda c: np.array(c, dtype=np.int64))
-        return GridResult(config, records, traces, partitions, json_value(bundle, "scores_ok", bool))
+        traces = _from_cell_key(bundle, "traces", OptimizationTrace.from_dict)
+        partitions = _from_cell_key(bundle, "partitions", lambda c: np.array(c, dtype=np.int64))
+        return GridResult(config, records, traces, partitions)
     except KeyError as exc:
         raise ParseError(f"{bundle_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

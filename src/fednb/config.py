@@ -157,8 +157,8 @@ def _read_ini(path, sections) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     cp.optionxform = str  # keep case of column and node names
     try:
-        found = cp.read(path)
-    except configparser.Error as exc:
+        found = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not found:
         raise ConfigError(f"cannot read {path}")
@@ -242,6 +242,8 @@ def _names(v) -> tuple[str, ...]:
 
 def _build(cls, where: str, raw: dict, convert: dict):
     """cls(**converted raw); unknown keys are errors, missing ones take cls's defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object, got {raw!r}")
     unknown = sorted(set(raw) - set(convert))
     if unknown:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")

@@ -150,6 +150,15 @@ class Dataset:
         )
 
 
+def utf8_lines(fh, path):
+    """The lines of fh, a text file opened as UTF-8; bytes that are not
+    UTF-8 raise ParseError naming path."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from None
+
+
 def load_csv(path, schema: FeatureSchema, category_map: CategoryMap | None = None):
     """Read a comma-separated file against a schema.
 
@@ -159,7 +168,7 @@ def load_csv(path, schema: FeatureSchema, category_map: CategoryMap | None = Non
     labels are an error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -201,7 +201,7 @@ class OptimizationTrace:
     def from_dict(d: dict) -> "OptimizationTrace":
         """The trace of to_dict's output; TypeError names a field of the wrong JSON type."""
         t = OptimizationTrace(chosen=json_value(d, "chosen", int))
-        for s in d["starts"]:
+        for s in json_value(d, "starts", list):
             t.starts.append(
                 StartResult(
                     _json_floats(s, "initial_theta"),
@@ -216,8 +216,11 @@ class OptimizationTrace:
 
 
 def json_value(d: dict, key: str, kind: type):
-    """d[key] when its type is exactly kind, so neither true nor 2.0 is an
-    int and neither 1 nor "0.5" is a float; TypeError names the key."""
+    """d[key] when d is a JSON object and d[key]'s type is exactly kind, so
+    neither true nor 2.0 is an int and neither 1 nor "0.5" is a float;
+    TypeError names the key."""
+    if type(d) is not dict:
+        raise TypeError(f"expected an object holding {key}, got {d!r}")
     v = d[key]
     if type(v) is not kind:
         raise TypeError(f"{key} must be {kind.__name__}, got {v!r}")

@@ -172,6 +172,20 @@ def test_verify_compares_the_rerun_as_csv_rows(grid_dir, tmp_path, capsys):
     assert len(failed) == 1 and re.fullmatch(want, failed[0]), failed
 
 
+def test_verify_exits_2_on_an_infinite_anll_and_check_5_alone_names_it(grid_dir, tmp_path, capsys):
+    def infinite_last_anll(text):
+        lines = text.splitlines()
+        fields = lines[-1].split(",")  # proposal A of the last cell, which check 2 does not re-run
+        fields[5] = "inf"  # anll
+        lines[-1] = ",".join(fields)
+        return "\n".join(lines) + "\n"
+
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "results.csv", infinite_last_anll)
+    assert main(["verify", "--results", str(bad)]) == 2
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+    assert failed == ["[FAIL] mog_scores_finite: bad scores at (alpha, rep, proposal) (1.0, 0, 'A'): anll = inf"]
+
+
 def test_verify_names_a_cell_row_replaced_by_another_of_the_same_cell(grid_dir, tmp_path, capsys):
     def e_row_as_c_row(text):
         lines = text.splitlines()  # the last cell's rows are C, B, E, A
@@ -369,8 +383,11 @@ def test_emit_plots_reproduces_run_grid_plots(tmp_path):
 
 
 def _corrupt_copy(grid_dir, dest, name, edit):
+    """A copy of grid_dir at dest whose file name holds edit(its text); bytes
+    that are not UTF-8 map to lone surrogates both ways, so "\udcff" is 0xff."""
     shutil.copytree(grid_dir, dest)
-    (dest / name).write_text(edit((dest / name).read_text()))
+    path = dest / name
+    path.write_text(edit(path.read_text("utf-8", "surrogateescape")), "utf-8", "surrogateescape")
     return dest
 
 
@@ -380,9 +397,15 @@ def _bad_partition_key(text):
     return json.dumps(bundle)
 
 
-def _string_scores_ok(text):
+def _list_traces(text):
     bundle = json.loads(text)
-    bundle["scores_ok"] = "false"
+    bundle["traces"] = []
+    return json.dumps(bundle)
+
+
+def _string_partitions(text):
+    bundle = json.loads(text)
+    bundle["partitions"] = "x"
     return json.dumps(bundle)
 
 
@@ -398,6 +421,16 @@ def _edit_trace(text, key, value, start=None):
     trace = bundle["traces"]["0,0"]
     (trace if start is None else trace["starts"][start])[key] = value
     return json.dumps(bundle)
+
+
+def _list_trace(text):
+    bundle = json.loads(text)
+    bundle["traces"]["0,0"] = []
+    return json.dumps(bundle)
+
+
+def _object_starts(text):
+    return _edit_trace(text, "starts", {"a": 1})
 
 
 def _float_chosen(text):
@@ -436,6 +469,10 @@ def _int_initial_theta(text):
     return _edit_trace(text, "initial_theta", [1, 0.5], start=0)
 
 
+def _non_utf8_byte(text):
+    return text + "\udcff"
+
+
 def _bad_f1_cell(text):
     lines = text.splitlines()
     fields = lines[1].split(",")
@@ -448,9 +485,13 @@ def _bad_f1_cell(text):
     "name, edit, message",
     [
         ("grid.json", _bad_partition_key, "'x'"),
-        ("grid.json", _string_scores_ok, "scores_ok"),
         ("grid.json", _trace_start_without_iterations, "iterations"),
+        ("grid.json", _list_traces, "traces must be dict"),
+        ("grid.json", _string_partitions, "partitions must be dict"),
+        ("grid.json", _list_trace, "expected an object holding chosen"),
+        ("grid.json", _object_starts, "starts must be list"),
         ("results.csv", _bad_f1_cell, "row 1"),
+        ("results.csv", _non_utf8_byte, "not UTF-8"),
         ("grid.json", _float_chosen, "chosen"),
         ("grid.json", _bool_chosen, "chosen"),
         ("grid.json", _string_evaluations, "evaluations"),
@@ -472,8 +513,49 @@ def test_malformed_results_exit_1_naming_the_file(
         argv += ["--out", str(tmp_path / "plots")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err and message in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err and message in err
     assert "Traceback" not in err
+
+
+def _set(*path, value):
+    """An edit of grid.json that sets the entry at the keys path to value."""
+    def edit(text):
+        bundle = json.loads(text)
+        *parents, last = path
+        d = bundle
+        for key in parents:
+            d = d[key]
+        d[last] = value
+        return json.dumps(bundle)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("config",), []), (("config", "optimizer"), []), (("config", "profiles"), [[]])],
+    ids=["config", "optimizer", "profiles"],
+)
+@pytest.mark.parametrize("command", ["verify", "emit-plots"])
+def test_a_config_echo_of_the_wrong_json_type_exits_64_naming_its_key(
+    grid_dir, tmp_path, capsys, command, path, value
+):
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", _set(*path, value=value))
+    argv = [command, "--results", str(bad)]
+    if command == "emit-plots":
+        argv += ["--out", str(tmp_path / "plots")]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err == f"error: {path[-1]}: expected an object, got []\n"
+
+
+@pytest.mark.parametrize("scores_ok", [True, "false"])
+def test_a_grid_json_that_still_holds_scores_ok_verifies_and_plots_as_before(grid_dir, tmp_path, capsys, scores_ok):
+    old = _corrupt_copy(grid_dir, tmp_path / "old", "grid.json", _set("scores_ok", value=scores_ok))
+    assert main(["verify", "--results", str(old)]) == 0
+    assert capsys.readouterr().out.endswith("15/15 passed\n")
+    assert main(["emit-plots", "--results", str(old), "--out", str(tmp_path / "plots")]) == 0
+    for name in PLOT_FILES:
+        assert (tmp_path / "plots" / name).read_bytes() == (grid_dir / "plots" / name).read_bytes(), name
 
 
 def _error_classes(cls=FedNBError):

@@ -161,10 +161,21 @@ def test_bad_config_value_exits_64_and_names_it(tmp_path, capsys, line, bad, nam
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["c.cfg", "schema.cfg"])
+def test_a_config_or_schema_that_is_not_utf8_exits_64_naming_it(tmp_path, capsys, name):
+    (tmp_path / "schema.cfg").write_text("[schema]\nn_classes = 2\n[columns]\nproto = categorical\ny = label\n")
+    csv = "[csv]\npath = x.csv\nschema = schema.cfg\n\n"
+    (tmp_path / "c.cfg").write_text(CFG[: CFG.index("[synth]")] + csv + CFG[CFG.index("[profiles]") :])
+    with open(tmp_path / name, "ab") as fh:
+        fh.write(b"\xff")
+    assert main(["run-grid", "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: ") and "utf-8" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fracs", [[0.6, 0.4], [0.4, 0.2, 0.2, 0.2]])
 def test_grid_json_with_other_than_three_split_fracs_exits_64(tmp_path, capsys, fracs):
-    bundle = {"config": {**LEGACY_ECHO, "split_fracs": fracs}, "scores_ok": True, "traces": {},
-              "partitions": {}, "runtimes_ms": {}}
+    bundle = {"config": {**LEGACY_ECHO, "split_fracs": fracs}, "traces": {}, "partitions": {}, "runtimes_ms": {}}
     (tmp_path / "grid.json").write_text(json.dumps(bundle))
     (tmp_path / "results.csv").write_text("dataset,alpha,rep,proposal,f1_macro,anll,jsd\n")
     assert main(["verify", "--results", str(tmp_path)]) == 64

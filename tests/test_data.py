@@ -312,6 +312,16 @@ def test_csv_header_without_data_rows_exits_1_naming_the_file(tmp_path, capsys):
     assert err == f"error: {tmp_path / 'data.csv'}: no data rows\n"
 
 
+def test_a_dataset_csv_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys):
+    write_csv(synth_generate(SynthSpec(900, 2, 2, 2, (0.0,), n_categories=3), 5), tmp_path / "data.csv")
+    with open(tmp_path / "data.csv", "ab") as fh:
+        fh.write(b"\xff")
+    cfg = _csv_config(tmp_path)
+    assert main(["run-grid", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'data.csv'}: not UTF-8: ") and err.count("\n") == 1
+
+
 def test_count_matrices_keep_a_column_for_each_class_the_data_lack(tmp_path, capsys):
     write_csv(synth_generate(SynthSpec(900, 2, 2, 2, (0.0,), n_categories=3), 5), tmp_path / "data.csv")
     cfg = _csv_config(tmp_path, n_classes=3)

@@ -241,16 +241,13 @@ def test_verify_detects_nan(grid, dataset):
     assert failed == [("no_nan_inf", f"non-finite field at {_key(tampered.records[-1])}: jsd = nan")]
 
 
-def test_a_non_finite_anll_is_named_by_checks_5_and_11(grid, dataset):
+def test_a_non_finite_anll_is_named_by_check_5_alone(grid, dataset):
     tampered = copy.deepcopy(grid)
     victim = tampered.records[-2]  # proposal E of the last cell
     victim.anll = float("inf")
     report = verify(tampered, dataset)
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
-    assert failed == [
-        ("mog_scores_finite", f"bad scores at {_key(victim)}: anll = inf"),
-        ("no_nan_inf", f"non-finite field at {_key(victim)}: anll = inf"),
-    ]
+    assert failed == [("mog_scores_finite", f"bad scores at {_key(victim)}: anll = inf")]
 
 
 def test_verify_detects_a_one_ulp_rerun_difference(grid, dataset):
@@ -317,7 +314,7 @@ def _unseen_category_on_a_seen_code(grid, monkeypatch):
 
 
 def _bad_scores(grid, monkeypatch):
-    grid.scores_ok = False
+    grid.records[-1].anll = float("inf")  # the last cell, which check 2 does not re-run
 
 
 def _f1_above_one(grid, monkeypatch):
@@ -370,7 +367,7 @@ FAIL_TEXT = {
         f"mean JSD per alpha: {np.round(_jsd_curve(grid.config, dataset), 4).tolist()[::-1]}"
     ),
     "ood_slot_index": lambda grid, dataset: re.escape("unseen value encoded as 0, n_cats=2"),
-    "mog_scores_finite": lambda grid, dataset: re.escape("bad scores at grid level: scores_ok is false"),
+    "mog_scores_finite": lambda grid, dataset: re.escape(f"bad scores at {_key(grid.records[-1])}: anll = inf"),
     "metric_ranges": lambda grid, dataset: re.escape(f"range violation at {_key(grid.records[-1])}: f1_macro = 1.5"),
     "mcnemar_validity": lambda grid, dataset: re.escape(f"invalid p at {_key(_last_a(grid))}: mcnemar_p_vs_B = 1.5"),
     "icc_weight_alignment": lambda grid, dataset: (

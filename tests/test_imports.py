@@ -84,7 +84,7 @@ def test_every_definition_is_referenced_outside_itself():
 UNPASSED_DEFAULTS_ALLOWED = {
     "cli.main(argv)": "the entry point: tests and perfbench pass argv, the console script none",
     "data.load_csv(category_map)": "a fixed category map, which the fixed-map tests and the "
-    "per-split OOD contract of ROADMAP item 4a use",
+    "per-split OOD contract of ROADMAP item 6a use",
 }
 
 
