@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run-grid, verify, partition, emit-plots.
-Each command materializes its dataset once. run-grid builds plots/ from the
-results.csv and grid.json it wrote, the same way emit-plots does, so
-emit-plots regenerates identical files.
+Each command that needs the dataset materializes it once; emit-plots needs
+none. run-grid builds plots/ from the results.csv and grid.json it wrote, the
+same way emit-plots does, so emit-plots regenerates identical files.
 Exit codes: 0 success (and 15/15 verification for run-grid/verify),
 2 verification failure, 64 usage or invalid config, 1 a failed grid cell
 or any other error.
@@ -28,14 +28,12 @@ from .experiment import (
     emit_results_csv,
     load_results_csv,
     materialize_dataset,
-    prepare_cell,
     run_grid,
     verify,
     write_lines,
 )
-from .governance import coherence_prior
 from .partition import dirichlet_partition, jsd_heterogeneity
-from .weights import OptimizationTrace, json_value
+from .weights import OptimizationTrace, json_floats, json_value
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -67,20 +65,11 @@ def _by_cell_key(d: dict, convert) -> dict:
     return {f"{ai},{rep}": convert(v) for (ai, rep), v in d.items()}
 
 
-def _from_cell_key(bundle: dict, name: str, convert) -> dict:
-    """Inverse of _by_cell_key on the object bundle[name]; a malformed key
-    raises ValueError, and a value other than an object TypeError."""
-    out = {}
-    for key, v in json_value(bundle, name, dict).items():
-        ai, rep = key.split(",")
-        out[(int(ai), int(rep))] = convert(v)
-    return out
-
-
 def _save_bundle(result: GridResult, out_dir: str) -> None:
     bundle = {
         "config": config_to_dict(result.config),
         "traces": _by_cell_key(result.traces, OptimizationTrace.to_dict),
+        "density": result.density.tolist(),
         "partitions": _by_cell_key(result.partitions, np.ndarray.tolist),
         "runtimes_ms": _by_cell_key(result.runtimes_ms, dict),
     }
@@ -96,10 +85,17 @@ def _load_bundle(results_dir: str) -> GridResult:
     try:
         with open(bundle_path, encoding="utf-8") as fh:
             bundle = json.load(fh)
+        if type(bundle) is not dict:
+            raise TypeError(f"expected a JSON object, got {type(bundle).__name__}")
         config = config_from_dict(bundle["config"])
-        traces = _from_cell_key(bundle, "traces", OptimizationTrace.from_dict)
-        partitions = _from_cell_key(bundle, "partitions", lambda c: np.array(c, dtype=np.int64))
-        return GridResult(config, records, traces, partitions)
+        traces = {}
+        for key, trace in json_value(bundle, "traces", dict).items():
+            ai, rep = key.split(",")  # the form of _by_cell_key
+            traces[int(ai), int(rep)] = OptimizationTrace.from_dict(trace)
+        density = [json_floats({"density": row}, "density") for row in json_value(bundle, "density", list)]
+        if len(density) != 2 or {len(row) for row in density} not in ({config.k}, {0}):
+            raise ValueError(f"density must be two lists of {config.k} floats, or two empty lists")
+        return GridResult(config, records, traces, np.array(density))
     except KeyError as exc:
         raise ParseError(f"{bundle_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -111,27 +107,17 @@ def cmd_run_grid(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     dataset = materialize_dataset(config)
     result = run_grid(config, dataset)
+    # hand back the heap pages the cells freed, so that the peak of the steps
+    # below does not depend on where their allocations land among those pages
+    _c_call("malloc_trim", (ctypes.c_size_t,), 0)
     emit_results_csv(result.records, config.k, os.path.join(args.out, RESULTS_CSV))
     _save_bundle(result, args.out)
-    _write_plots(_load_bundle(args.out), dataset, os.path.join(args.out, "plots"))
+    emit_plot_data(_load_bundle(args.out), os.path.join(args.out, "plots"))
     report = verify(result, dataset)
     write_lines(os.path.join(args.out, "verification.txt"), [report.to_text()])
     write_lines(os.path.join(args.out, "verification.kv"), [report.to_kv()])
     print(report.to_text())
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
-
-
-def _write_plots(result: GridResult, dataset, out_dir: str) -> None:
-    """Plot data from a saved grid; densities come from the last cell's local models."""
-    config = result.config
-    cell = prepare_cell(config, len(config.alphas) - 1, config.reps - 1, dataset)
-    emit_plot_data(
-        result.records,
-        cell.models,
-        out_dir,
-        [p.name for p in config.profiles],
-        coherence_prior(config.profiles),
-    )
 
 
 def cmd_verify(args) -> int:
@@ -165,8 +151,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_emit_plots(args) -> int:
-    result = _load_bundle(args.results)
-    _write_plots(result, materialize_dataset(result.config), args.out)
+    emit_plot_data(_load_bundle(args.results), args.out)
     print(f"plot data written to {args.out}")
     return EXIT_OK
 
@@ -203,24 +188,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _c_call(name: str, argtypes: tuple, *args) -> None:
+    """The C library's name(*args), declared with argtypes and an int result.
+    Does nothing where the C library has no such function (mallopt on macOS)
+    or CDLL(None) is unsupported (Windows)."""
+    try:
+        func = getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError, TypeError):
+        return
+    func.argtypes, func.restype = argtypes, ctypes.c_int
+    func(*args)
+
+
 def _keep_freed_memory() -> None:
     """Keep the heap pages a grid cell frees for the next one.
 
     By default glibc serves blocks above a dynamic threshold with mmap,
     unmaps them when they are freed and trims the heap top, so each cell
     faults the same tens of megabytes in again. Setting either threshold
-    alone switches the dynamic threshold off, so both are set. Does nothing
-    where the C library has no mallopt (macOS) or CDLL(None) is unsupported
-    (Windows).
+    alone switches the dynamic threshold off, so both are set.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    _c_call("mallopt", (ctypes.c_int, ctypes.c_int), M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    _c_call("mallopt", (ctypes.c_int, ctypes.c_int), M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def main(argv=None) -> int:

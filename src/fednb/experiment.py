@@ -13,9 +13,9 @@ model), and each proposal mixes that tensor once under its own weights. All
 randomness derives from the master seed via per-cell seed sequences, making
 the grid fully re-runnable cell by cell.
 
-Each command materializes its dataset once and hands it on: run_grid, the
-re-run and the JSD curve of verify, and prepare_cell all take it from their
-caller.
+Each command that needs the dataset materializes it once and hands it on:
+run_grid, the re-run and the JSD curve of verify, and prepare_cell take it
+from their caller. Plot data comes from a saved grid alone.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .data import CategoryMap, Dataset, SynthSpec, degrade_copy, load_csv, synth
 from .errors import CellError, ConfigError, ParseError
 from .evaluation import f1_macro, mcnemar_yates
 from .governance import REFERENCE_PROFILES, NodeProfile, coherence_prior, compute_icc
-from .local_model import fit_hybrid
+from .local_model import density_profile, fit_hybrid
 from . import mog
 from .mog import anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
 from .partition import dirichlet_counts, dirichlet_partition, jsd_heterogeneity, stratified_split
@@ -63,6 +63,7 @@ class CellResult:
     trace: OptimizationTrace | None
     counts: np.ndarray  # (K, n_classes) rows of each class dealt to each node
     runtimes_ms: dict  # proposal -> ms of wall time for its weighting and scoring
+    density: np.ndarray  # (2, K) local_model.density_profile of the cell's models
 
 
 @dataclass
@@ -70,8 +71,9 @@ class GridResult:
     config: ExperimentConfig
     records: list[ExperimentRecord]
     traces: dict  # (alpha_index, rep) -> OptimizationTrace
-    partitions: dict  # (alpha_index, rep) -> class count matrix
-    # (alpha_index, rep) -> {proposal: ms}; written to grid.json, not read back
+    density: np.ndarray  # the last cell's CellResult.density, drawn by emit_plot_data
+    # (alpha_index, rep) -> class count matrix, and -> {proposal: ms}; written to grid.json, not read back
+    partitions: dict = field(default_factory=dict)
     runtimes_ms: dict = field(default_factory=dict)
 
 
@@ -190,11 +192,11 @@ def run_cell(
         ))
         del stacked, mixed, preds  # C's arrays are freed before B/E/A stack the shared tensor
         runtimes_ms[proposal] = (time.perf_counter() - t0) * 1000.0
-    return CellResult(records, trace, counts, runtimes_ms)
+    return CellResult(records, trace, counts, runtimes_ms, density_profile(cell.models))
 
 
 def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
-    result = GridResult(config, [], {}, {})
+    result = GridResult(config, [], {}, np.empty((2, 0)))
     for alpha_index, alpha in enumerate(config.alphas):
         for rep in range(config.reps):
             try:
@@ -207,6 +209,7 @@ def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
                 result.traces[key] = cell.trace
             result.partitions[key] = cell.counts
             result.runtimes_ms[key] = cell.runtimes_ms
+            result.density = cell.density
     return result
 
 
@@ -339,15 +342,16 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     ok = not bad and bool(a_recs or "A" not in config.proposals)
     checks.append(("weight_floor", ok, f"{len(bad)} floor violations"))
 
-    # 15. trace sanity: chosen start minimizes the final objective
-    traces = result.traces.values()
-    ok = all(not t.starts or t.chosen == int(np.argmin([s.final_objective for s in t.starts])) for t in traces)
-    ok = ok and bool(result.traces or "A" not in config.proposals)
-    stops = [s.converged for t in traces for s in t.starts]
-    msg = (
-        f"{len(result.traces)} traces checked; starts: {stops.count(True)} converged, "
-        f"{stops.count(False)} at max_iters"
-    )
+    # 15. trace sanity: each trace has a start, and its chosen start minimizes the final objective
+    traces = result.traces
+    bad = next((key for key, t in traces.items()
+                if not t.starts or t.chosen != np.argmin([s.final_objective for s in t.starts])), None)
+    ok = bad is None and bool(traces or "A" not in config.proposals)
+    stops = [s.converged for t in traces.values() for s in t.starts]
+    msg = f"{len(traces)} traces checked; starts: {stops.count(True)} converged, {stops.count(False)} at max_iters"
+    if bad is not None:
+        fault = f"chose start {traces[bad].chosen}, not its best" if traces[bad].starts else "has no starts"
+        msg += f"; trace (alpha_index, rep) {bad} {fault}"
     checks.append(("trace_sanity", ok, msg))
 
     return VerificationReport(checks)
@@ -497,11 +501,12 @@ def load_results_csv(path) -> list[ExperimentRecord]:
     return records
 
 
-def emit_plot_data(records, models, out_dir, node_names, prior) -> None:
-    """Write four tab-separated plot-data files into out_dir. Density profiles
-    come from the given local models; node_names and the normalized coherence
-    prior label and annotate the per-node files."""
+def emit_plot_data(result: GridResult, out_dir) -> None:
+    """Write four tab-separated plot-data files into out_dir from a saved
+    grid: its records, the last cell's density profile, and the profiles'
+    names and normalized coherence prior for the per-node files."""
     os.makedirs(out_dir, exist_ok=True)
+    records, node_names = result.records, [p.name for p in result.config.profiles]
     alphas = sorted({r.alpha for r in records})
     proposals = [p for p in PROPOSAL_ORDER if any(r.proposal == p for r in records)]
 
@@ -518,6 +523,7 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> None:
     lines = ["node\tmean_learned_weight\ticc_prior"]
     if a_recs:
         mean_w = np.array([r.weights for r in a_recs]).mean(axis=0)
+        prior = coherence_prior(result.config.profiles)
         lines += [f"{name}\t{w:.6f}\t{q:.6f}" for name, w, q in zip(node_names, mean_w, prior)]
     write_lines(os.path.join(out_dir, "alignment_bars.tsv"), lines)
 
@@ -530,20 +536,12 @@ def emit_plot_data(records, models, out_dir, node_names, prior) -> None:
     write_lines(os.path.join(out_dir, "weight_trajectories.tsv"), lines)
 
     lines = ["x\t" + "\t".join(node_names)]
-    if models[0].gauss_mean.shape[1] > 0:
-        feature, cls = 0, _common_class(models)
-        means = np.array([m.gauss_mean[cls, feature] for m in models])
-        sds = np.array([np.sqrt(m.gauss_var[cls, feature]) for m in models])
+    means, sds = result.density
+    if means.size:
         for x in np.linspace(float((means - 6 * sds).min()), float((means + 6 * sds).max()), 200):
             dens = np.exp(-0.5 * ((x - means) / sds) ** 2) / (sds * np.sqrt(2 * np.pi))
             lines.append(f"{x:.6f}\t" + "\t".join(f"{d:.6f}" for d in dens))
     write_lines(os.path.join(out_dir, "density_profiles.tsv"), lines)
-
-
-def _common_class(models) -> int:
-    """The lowest class every model saw in training, else 0."""
-    common = np.logical_and.reduce([np.isfinite(m.log_prior) for m in models])
-    return int(np.argmax(common)) if common.any() else 0
 
 
 def write_lines(path, lines) -> None:

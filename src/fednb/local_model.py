@@ -88,6 +88,16 @@ def fit_hybrid(train: Dataset) -> HybridModel:
     return HybridModel(mean, scale, cat_log_prob, gauss_mean, gauss_var, log_prior)
 
 
+def density_profile(models) -> np.ndarray:
+    """(2, K): each model's Gaussian mean and standard deviation of numerical feature 0
+    in the lowest class every model saw, else class 0; (2, 0) without numerical features."""
+    if models[0].gauss_mean.shape[1] == 0:
+        return np.empty((2, 0))
+    common = np.logical_and.reduce([np.isfinite(m.log_prior) for m in models])
+    cls = int(np.argmax(common)) if common.any() else 0
+    return np.array([[m.gauss_mean[cls, 0] for m in models], [np.sqrt(m.gauss_var[cls, 0]) for m in models]])
+
+
 def joint_log_scores_batch(model: HybridModel, data: Dataset) -> np.ndarray:
     """(n_rows, n_classes) joint log-scores, the transposed view of a
     C-contiguous class-major array; absent classes are -inf columns."""

@@ -204,8 +204,8 @@ class OptimizationTrace:
         for s in json_value(d, "starts", list):
             t.starts.append(
                 StartResult(
-                    _json_floats(s, "initial_theta"),
-                    _json_floats(s, "final_theta"),
+                    json_floats(s, "initial_theta"),
+                    json_floats(s, "final_theta"),
                     json_value(s, "final_objective", float),
                     json_value(s, "evaluations", int),
                     json_value(s, "iterations", int),
@@ -227,7 +227,7 @@ def json_value(d: dict, key: str, kind: type):
     return v
 
 
-def _json_floats(d: dict, key: str) -> np.ndarray:
+def json_floats(d: dict, key: str) -> np.ndarray:
     """d[key] as a float64 array when it is a list of JSON floats."""
     v = json_value(d, key, list)
     if any(type(x) is not float for x in v):

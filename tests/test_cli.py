@@ -9,6 +9,7 @@ import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fednb.cli
@@ -16,7 +17,7 @@ import fednb.experiment
 import fednb.weights
 from fednb.cli import main
 from fednb.errors import CellError, ConfigError, FedNBError, PartitionError
-from fednb.experiment import load_results_csv
+from fednb.experiment import load_results_csv, prepare_cell
 
 ROOT = Path(__file__).resolve().parents[1]
 SYNTH_CFG = ROOT / "configs" / "synth.cfg"
@@ -343,15 +344,21 @@ def test_partition_takes_seeds_from_0_to_2_to_the_32_minus_1(cfg_path, capsys, s
 
 
 def test_each_command_materializes_its_dataset_once(cfg_path, grid_dir, tmp_path, monkeypatch):
-    calls = []
-    real = fednb.experiment.materialize_dataset
+    """emit-plots needs no dataset: it neither builds one nor fits a model."""
+    calls, fits = [], []
+    real, real_fit = fednb.experiment.materialize_dataset, fednb.experiment.fit_hybrid
 
     def counting(config):
         calls.append(config)
         return real(config)
 
+    def counting_fit(train):
+        fits.append(train.n_rows)
+        return real_fit(train)
+
     monkeypatch.setattr(fednb.cli, "materialize_dataset", counting)
     monkeypatch.setattr(fednb.experiment, "materialize_dataset", counting)
+    monkeypatch.setattr(fednb.experiment, "fit_hybrid", counting_fit)
     counts = {}
     for argv in (
         ["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
@@ -359,9 +366,28 @@ def test_each_command_materializes_its_dataset_once(cfg_path, grid_dir, tmp_path
         ["emit-plots", "--results", str(grid_dir), "--out", str(tmp_path / "plots")],
     ):
         calls.clear()
+        fits.clear()
         assert main(argv) == 0
         counts[argv[0]] = len(calls)
-    assert counts == {"run-grid": 1, "verify": 1, "emit-plots": 1}
+    assert counts == {"run-grid": 1, "verify": 1, "emit-plots": 0}
+    assert fits == []  # those of emit-plots
+
+
+def test_grid_json_saves_the_last_cells_density_profile(grid_dir):
+    """Row 0: each node's Gaussian mean of numerical feature 0 in the lowest
+    class every node saw; row 1: its standard deviation; bit for bit those of
+    the last cell's models."""
+    result = fednb.cli._load_bundle(str(grid_dir))
+    config = result.config
+    dataset = fednb.experiment.materialize_dataset(config)
+    models = prepare_cell(config, len(config.alphas) - 1, config.reps - 1, dataset).models
+    classes = range(dataset.schema.n_classes)
+    cls = next((c for c in classes if all(np.isfinite(m.log_prior[c]) for m in models)), 0)
+    means = [m.gauss_mean[cls, 0] for m in models]
+    sds = [float(np.sqrt(m.gauss_var[cls, 0])) for m in models]
+    saved = json.loads((grid_dir / "grid.json").read_text())["density"]
+    assert saved == [means, sds]
+    assert result.density.tobytes() == np.array([means, sds]).tobytes()
 
 
 def test_emit_plots_command(grid_dir, tmp_path):
@@ -391,9 +417,9 @@ def _corrupt_copy(grid_dir, dest, name, edit):
     return dest
 
 
-def _bad_partition_key(text):
+def _bad_trace_key(text):
     bundle = json.loads(text)
-    bundle["partitions"]["x,0"] = bundle["partitions"].pop("0,0")
+    bundle["traces"]["x,0"] = bundle["traces"].pop("0,0")
     return json.dumps(bundle)
 
 
@@ -403,9 +429,25 @@ def _list_traces(text):
     return json.dumps(bundle)
 
 
-def _string_partitions(text):
+def _top_level_list(text):
+    return "[]"
+
+
+def _without_density(text):
     bundle = json.loads(text)
-    bundle["partitions"] = "x"
+    del bundle["density"]
+    return json.dumps(bundle)
+
+
+def _string_density_entry(text):
+    bundle = json.loads(text)
+    bundle["density"][1][0] = "0.5"
+    return json.dumps(bundle)
+
+
+def _short_density(text):
+    bundle = json.loads(text)
+    bundle["density"] = [row[:-1] for row in bundle["density"]]
     return json.dumps(bundle)
 
 
@@ -484,10 +526,13 @@ def _bad_f1_cell(text):
 @pytest.mark.parametrize(
     "name, edit, message",
     [
-        ("grid.json", _bad_partition_key, "'x'"),
+        ("grid.json", _bad_trace_key, "'x'"),
         ("grid.json", _trace_start_without_iterations, "iterations"),
         ("grid.json", _list_traces, "traces must be dict"),
-        ("grid.json", _string_partitions, "partitions must be dict"),
+        ("grid.json", _top_level_list, "expected a JSON object"),
+        ("grid.json", _without_density, "missing key 'density'"),
+        ("grid.json", _string_density_entry, "density must hold floats"),
+        ("grid.json", _short_density, "density must be two lists of 3 floats"),
         ("grid.json", _list_trace, "expected an object holding chosen"),
         ("grid.json", _object_starts, "starts must be list"),
         ("results.csv", _bad_f1_cell, "row 1"),
@@ -558,6 +603,25 @@ def test_a_grid_json_that_still_holds_scores_ok_verifies_and_plots_as_before(gri
         assert (tmp_path / "plots" / name).read_bytes() == (grid_dir / "plots" / name).read_bytes(), name
 
 
+def test_without_numerical_features_the_density_profile_is_empty(tmp_path):
+    cfg = tmp_path / "nonum.cfg"
+    cfg.write_text(SMALL_CFG.replace("seed = 7", "seed = 1").replace("n_numerical = 2", "n_numerical = 0"))
+    out = tmp_path / "out"
+    assert main(["run-grid", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "grid.json").read_text())["density"] == [[], []]
+    assert main(["emit-plots", "--results", str(out), "--out", str(tmp_path / "plots")]) == 0
+    dens = (tmp_path / "plots" / "density_profiles.tsv").read_bytes()
+    assert dens == (out / "plots" / "density_profiles.tsv").read_bytes() == b"x\tFinancial\tHealth\tGovernment\n"
+
+
+def test_a_trace_without_starts_fails_check_15_alone(grid_dir, tmp_path, capsys):
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", _set("traces", "0,0", "starts", value=[]))
+    assert main(["verify", "--results", str(bad)]) == 2
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] trace_sanity: ")
+    assert failed[0].endswith("; trace (alpha_index, rep) (0, 0) has no starts")
+
+
 def _error_classes(cls=FedNBError):
     yield cls
     for sub in cls.__subclasses__():
@@ -613,6 +677,34 @@ def test_main_sets_both_malloc_thresholds_once(cfg_path, monkeypatch, capsys):
     assert (fednb.cli.M_MMAP_THRESHOLD, fednb.cli.M_TRIM_THRESHOLD) == (-3, -1)  # glibc's malloc.h
     assert fednb.cli.MMAP_THRESHOLD == 32 * 1024 * 1024
     assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
+
+
+def test_run_grid_releases_the_freed_heap_once_after_the_cells(cfg_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    real_run_grid = fednb.cli.run_grid
+
+    def run_grid(*args):
+        calls.append("run_grid")
+        return real_run_grid(*args)
+
+    def malloc_trim(pad):
+        calls.append(("malloc_trim", pad))
+        return 1
+
+    libc = types.SimpleNamespace(mallopt=lambda param, value: 1, malloc_trim=malloc_trim)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(fednb.cli, "run_grid", run_grid)
+    assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == ["run_grid", ("malloc_trim", 0)]
+    assert malloc_trim.argtypes == (ctypes.c_size_t,) and malloc_trim.restype is ctypes.c_int
+    # verify, emit-plots and partition release nothing
+    assert main(["verify", "--results", str(tmp_path / "out")]) == 0
+    assert calls == ["run_grid", ("malloc_trim", 0)]
+
+
+def test_run_grid_runs_where_the_c_library_has_no_malloc_trim(cfg_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ctypes, "CDLL", _no_mallopt)
+    assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_importing_the_cli_sets_no_malloc_option():

@@ -231,7 +231,7 @@ def _config_echo(result):
 
 def test_config_echo_check_fails_when_the_round_trip_breaks(monkeypatch):
     cfg = ExperimentConfig(source=SYNTH, profiles=PROFILES, **NON_DEFAULT)
-    result = GridResult(cfg, [], {}, {})
+    result = GridResult(cfg, [], {}, density=None)  # verify reads no density
     assert _config_echo(result)[1]
 
     def drop_n_starts(c):

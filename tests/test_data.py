@@ -304,6 +304,17 @@ def test_csv_source_runs_the_grid_end_to_end(tmp_path):
     assert (second / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
 
 
+def test_emit_plots_needs_no_dataset_file(tmp_path):
+    write_csv(synth_generate(SynthSpec(900, 2, 2, 2, (0.0,), n_categories=3), 5), tmp_path / "data.csv")
+    out = tmp_path / "out"
+    assert main(["run-grid", "--config", str(_csv_config(tmp_path)), "--out", str(out)]) == 0
+    (tmp_path / "data.csv").unlink()
+    assert main(["emit-plots", "--results", str(out), "--out", str(tmp_path / "plots")]) == 0
+    assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == sorted(p.name for p in (out / "plots").iterdir())
+    for plot in (out / "plots").iterdir():
+        assert (tmp_path / "plots" / plot.name).read_bytes() == plot.read_bytes(), plot.name
+
+
 def test_csv_header_without_data_rows_exits_1_naming_the_file(tmp_path, capsys):
     (tmp_path / "data.csv").write_text("cat0,cat1,num0,num1,label\n")
     cfg = _csv_config(tmp_path)

@@ -28,7 +28,7 @@ from fednb.evaluation import f1_macro, mcnemar_yates
 from fednb.governance import NodeProfile
 from fednb.local_model import fit_hybrid
 from fednb.mog import anll, mog_log_scores_batch
-from fednb.partition import dirichlet_partition, stratified_split
+from fednb.partition import stratified_split
 from fednb.weights import OptimizerConfig
 
 PROFILES = (
@@ -375,7 +375,11 @@ FAIL_TEXT = {
         r"0 of 3 nodes within 1e-6 of the floor"
     ),
     "weight_floor": lambda grid, dataset: re.escape("1 floor violations"),
-    "trace_sanity": lambda grid, dataset: r"6 traces checked; starts: \d+ converged, \d+ at max_iters",
+    "trace_sanity": lambda grid, dataset: (
+        r"6 traces checked; starts: \d+ converged, \d+ at max_iters; "
+        + re.escape(f"trace (alpha_index, rep) {max(grid.traces)} chose start ")
+        + r"\d+, not its best"
+    ),
 }
 
 
@@ -402,11 +406,8 @@ def test_jsd_curve_reads_no_rows_and_no_partition(dataset, monkeypatch):
     assert _jsd_curve(small_config(), dataset).tobytes() == want.tobytes()
 
 
-def test_emit_plot_data_files(tmp_path, grid, dataset):
-    part = dirichlet_partition(dataset.labels, 3, 1.0, 0)
-    models = [fit_hybrid(dataset.subset(ix)) for ix in part.node_indices]
-    prior = np.array([0.667, 0.261, 0.071])
-    emit_plot_data(grid.records, models, tmp_path, node_names=[p.name for p in PROFILES], prior=prior)
+def test_emit_plot_data_files(tmp_path, grid):
+    emit_plot_data(grid, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "alignment_bars.tsv", "density_profiles.tsv", "gradient_curves.tsv", "weight_trajectories.tsv"
     ]

@@ -6,7 +6,7 @@ import pytest
 from fednb.data import Dataset, FeatureSchema, SynthSpec, degrade_copy, synth_generate
 from fednb.errors import FitError, ShapeError
 from fednb.local_model import (
-    NEG_INF, SMOOTHING, HybridModel, _feature_sums, fit_hybrid, joint_log_scores_batch,
+    NEG_INF, SMOOTHING, HybridModel, _feature_sums, density_profile, fit_hybrid, joint_log_scores_batch,
 )
 from fednb.mog import StackedScores, anll_from_mixed, anll_from_stacked, mix_scores, stack_scores
 from fednb.partition import class_rows, dirichlet_partition, stratified_split
@@ -179,6 +179,29 @@ def test_tie_breaks_to_smaller_class():
     scores = joint_log_scores_batch(model, mid)
     assert scores[0, 0] == pytest.approx(scores[0, 1], abs=1e-12)
     assert scores[0].argmax() == 0  # ties go to the smaller class
+
+
+def test_density_profile_takes_the_lowest_class_every_model_saw():
+    num = np.array([[0.0], [1.0], [3.0], [4.0], [8.0], [10.0]])
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    full = fit_hybrid(make_dataset(np.zeros((6, 0), dtype=np.int64), num, labels, 3, ()))
+    no_class_0 = fit_hybrid(make_dataset(np.zeros((4, 0), dtype=np.int64), num[2:], labels[2:], 3, ()))
+    profile = density_profile([full, no_class_0])
+    assert profile.shape == (2, 2)
+    assert profile[0].tolist() == [full.gauss_mean[1, 0], no_class_0.gauss_mean[1, 0]]
+    assert profile[1].tolist() == [np.sqrt(full.gauss_var[1, 0]), np.sqrt(no_class_0.gauss_var[1, 0])]
+    # with no class that both saw, class 0
+    only_class_2 = fit_hybrid(make_dataset(np.zeros((2, 0), dtype=np.int64), num[4:], labels[4:], 3, ()))
+    no_common = fit_hybrid(make_dataset(np.zeros((2, 0), dtype=np.int64), num[:2], labels[:2], 3, ()))
+    assert density_profile([only_class_2, no_common])[0].tolist() == [
+        only_class_2.gauss_mean[0, 0], no_common.gauss_mean[0, 0]
+    ]
+
+
+def test_density_profile_without_numerical_features_is_empty():
+    cat = np.array([[0], [1], [1], [0]])
+    ds = make_dataset(cat, np.zeros((4, 0)), np.array([0, 0, 1, 1]), 2, (2,))
+    assert density_profile([fit_hybrid(ds), fit_hybrid(ds)]).shape == (2, 0)
 
 
 def test_shape_error_on_dimension_mismatch():
