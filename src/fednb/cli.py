@@ -2,8 +2,9 @@
 
 Subcommands: run-grid, verify, partition, emit-plots.
 Each command that needs the dataset materializes it once; emit-plots needs
-none. run-grid builds plots/ from the results.csv and grid.json it wrote, the
-same way emit-plots does, so emit-plots regenerates identical files.
+none. grid.json keeps every record float exactly, and results.csv must be the
+CSV of those records. verify and emit-plots read the grid from the two files,
+so they print and write exactly what run-grid did.
 Exit codes: 0 success (and 15/15 verification for run-grid/verify),
 2 verification failure, 64 usage or invalid config, 1 a failed grid cell
 or any other error.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -21,13 +23,15 @@ import sys
 import numpy as np
 
 from .config import config_from_dict, config_to_dict, load_config
+from .data import utf8_lines
 from .errors import ConfigError, FedNBError, ParseError
 from .experiment import (
+    ExperimentRecord,
     GridResult,
     emit_plot_data,
     emit_results_csv,
-    load_results_csv,
     materialize_dataset,
+    results_csv_lines,
     run_grid,
     verify,
     write_lines,
@@ -70,6 +74,7 @@ def _save_bundle(result: GridResult, out_dir: str) -> None:
         "config": config_to_dict(result.config),
         "traces": _by_cell_key(result.traces, OptimizationTrace.to_dict),
         "density": result.density.tolist(),
+        "records": [dataclasses.asdict(r) for r in result.records],
         "partitions": _by_cell_key(result.partitions, np.ndarray.tolist),
         "runtimes_ms": _by_cell_key(result.runtimes_ms, dict),
     }
@@ -77,10 +82,20 @@ def _save_bundle(result: GridResult, out_dir: str) -> None:
         json.dump(bundle, fh)
 
 
+def _record(d) -> ExperimentRecord:
+    """The record of one grid.json entry; each field must have its exact JSON type."""
+    kinds = {"dataset_name": str, "alpha": float, "rep": int, "proposal": str,
+             "f1_macro": float, "anll": float, "jsd": float}
+    return ExperimentRecord(
+        **{key: json_value(d, key, kind) for key, kind in kinds.items()},
+        weights=None if d["weights"] is None else tuple(json_floats(d, "weights").tolist()),
+        mcnemar_p_vs_B=None if d["mcnemar_p_vs_B"] is None else json_value(d, "mcnemar_p_vs_B", float),
+    )
+
+
 def _load_bundle(results_dir: str) -> GridResult:
-    """The saved grid, without its timings; a malformed results.csv or
-    grid.json raises ParseError naming it."""
-    records = load_results_csv(os.path.join(results_dir, RESULTS_CSV))
+    """The saved grid, without its timings; ParseError names a malformed
+    grid.json, or a results.csv that is not the CSV of its records."""
     bundle_path = os.path.join(results_dir, GRID_BUNDLE)
     try:
         with open(bundle_path, encoding="utf-8") as fh:
@@ -95,11 +110,22 @@ def _load_bundle(results_dir: str) -> GridResult:
         density = [json_floats({"density": row}, "density") for row in json_value(bundle, "density", list)]
         if len(density) != 2 or {len(row) for row in density} not in ({config.k}, {0}):
             raise ValueError(f"density must be two lists of {config.k} floats, or two empty lists")
-        return GridResult(config, records, traces, np.array(density))
+        if not (np.isfinite(density).all() and (density[1] > 0).all()):
+            raise ValueError("density must hold finite means and finite, positive standard deviations")
+        records = [_record(r) for r in json_value(bundle, "records", list)]
     except KeyError as exc:
         raise ParseError(f"{bundle_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{bundle_path}: {exc}") from None
+    csv_path = os.path.join(results_dir, RESULTS_CSV)
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        got = "".join(utf8_lines(fh, csv_path)).split("\n")
+    want = results_csv_lines(records, config.k) + [""]  # write_lines ends the last line too
+    row = next((i for i in range(max(len(got), len(want))) if got[i:i + 1] != want[i:i + 1]), None)
+    if row is not None:
+        raise ParseError(f"{csv_path}: row {row} is {got[row:row + 1]}; the CSV of the records in "
+                         f"{GRID_BUNDLE} has {want[row:row + 1]}")
+    return GridResult(config, records, traces, np.array(density))
 
 
 def cmd_run_grid(args) -> int:
@@ -112,7 +138,7 @@ def cmd_run_grid(args) -> int:
     _c_call("malloc_trim", (ctypes.c_size_t,), 0)
     emit_results_csv(result.records, config.k, os.path.join(args.out, RESULTS_CSV))
     _save_bundle(result, args.out)
-    emit_plot_data(_load_bundle(args.out), os.path.join(args.out, "plots"))
+    emit_plot_data(result, os.path.join(args.out, "plots"))
     report = verify(result, dataset)
     write_lines(os.path.join(args.out, "verification.txt"), [report.to_text()])
     write_lines(os.path.join(args.out, "verification.kv"), [report.to_kv()])
@@ -123,8 +149,8 @@ def cmd_run_grid(args) -> int:
 def cmd_verify(args) -> int:
     result = _load_bundle(args.results)
     # rebuilt from the grid.json echo, so check 2 also tests that the data
-    # comes out the same in a new process
-    report = verify(result, materialize_dataset(result.config), csv_quantized=True)
+    # and the first cell's records come out the same in a new process
+    report = verify(result, materialize_dataset(result.config))
     print(report.to_text())
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 

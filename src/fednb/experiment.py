@@ -15,7 +15,8 @@ the grid fully re-runnable cell by cell.
 
 Each command that needs the dataset materializes it once and hands it on:
 run_grid, the re-run and the JSD curve of verify, and prepare_cell take it
-from their caller. Plot data comes from a saved grid alone.
+from their caller. verify and the plot data read a GridResult alone, whether
+it was run in this process or loaded from grid.json, which keeps it exactly.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .config import PROPOSAL_ORDER, ExperimentConfig, config_from_dict, config_to_dict
-from .data import CategoryMap, Dataset, SynthSpec, degrade_copy, load_csv, synth_generate, utf8_lines
-from .errors import CellError, ConfigError, ParseError
+from .data import CategoryMap, Dataset, SynthSpec, degrade_copy, load_csv, synth_generate
+from .errors import CellError, ConfigError
 from .evaluation import f1_macro, mcnemar_yates
 from .governance import REFERENCE_PROFILES, NodeProfile, coherence_prior, compute_icc
 from .local_model import density_profile, fit_hybrid
@@ -239,28 +240,24 @@ class VerificationReport:
         return "\n".join(lines + [f"passed_count={self.passed_count}", f"total={len(self.checks)}"])
 
 
-def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) -> VerificationReport:
+def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
     """Evaluate the 15-check protocol on a completed grid whose cells ran on
-    dataset. Failures are reported, never raised. csv_quantized says the
-    records were read from a results CSV: check 2 then compares CSV rows, and
-    checks 7 and 14 allow for its 6-decimal precision."""
+    dataset. Failures are reported, never raised. Check 2 re-runs the first
+    cell and compares its records with the recorded ones exactly."""
     config = result.config
     records = result.records
     checks: list = []
-    sum_tol = 5e-6 * max(config.k, 1) if csv_quantized else 1e-9
 
     # 1. coherence index formula against reference values
     errs = [abs(compute_icc(NodeProfile(*profile)) - expected) for *profile, expected in REFERENCE_PROFILES]
     checks.append(("icc_formula", max(errs) <= 0.0005, f"max deviation {max(errs):.2e}"))
 
-    # 2. seed reproducibility: re-run the first cell; records read back from
-    # a results CSV are compared as the CSV rows they were read from
+    # 2. seed reproducibility: re-run the first cell
     try:
         cell = run_cell(config, config.alphas[0], 0, dataset)
         expect = [r for r in records if r.alpha == config.alphas[0] and r.rep == 0]
-        same = (lambda a, b: _csv_row(a, config.k) == _csv_row(b, config.k)) if csv_quantized else (lambda a, b: a == b)
-        ok = len(cell.records) == len(expect) and all(map(same, cell.records, expect))
-        msg = "first cell re-run matches" if ok else _rerun_divergence(cell.records, expect, same)
+        ok = cell.records == expect
+        msg = "first cell re-run matches" if ok else _rerun_divergence(cell.records, expect)
     except Exception as exc:
         ok, msg = False, f"re-run failed: {exc}"
     checks.append(("seed_reproducibility", ok, msg))
@@ -288,11 +285,7 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     checks.append(("metric_ranges", bad is None, f"range violation at {bad}" if bad else "ANLL >= 0 and F1 in [0,1]"))
 
     # 7. weight vectors sum to 1
-    bad = [
-        r
-        for r in records
-        if r.weights is not None and abs(sum(r.weights) - 1.0) > sum_tol
-    ]
+    bad = [r for r in records if r.weights is not None and abs(sum(r.weights) - 1.0) > 1e-9]
     checks.append(("weights_sum_to_one", not bad, f"{len(bad)} violations"))
 
     # 8. McNemar validity; the paper finds p < 0.05 in 70 of its 94 configurations
@@ -336,22 +329,22 @@ def verify(result: GridResult, dataset: Dataset, csv_quantized: bool = False) ->
     checks.append(("config_echo", ok, msg))
 
     # 14. learned weights respect the floor
-    floor = config.optimizer.floor_delta - (2e-6 if csv_quantized else 1e-9)
+    floor = config.optimizer.floor_delta - 1e-9
     a_recs = [r for r in records if r.proposal == "A" and r.weights is not None]
     bad = [r for r in a_recs if min(r.weights) < floor]
     ok = not bad and bool(a_recs or "A" not in config.proposals)
     checks.append(("weight_floor", ok, f"{len(bad)} floor violations"))
 
-    # 15. trace sanity: each trace has a start, and its chosen start minimizes the final objective
+    # 15. trace sanity: each trace has starts, their final objectives are
+    # finite, and the chosen start has the lowest
     traces = result.traces
-    bad = next((key for key, t in traces.items()
-                if not t.starts or t.chosen != np.argmin([s.final_objective for s in t.starts])), None)
+    faults = {key: _trace_fault(t) for key, t in traces.items()}
+    bad = next((key for key, fault in faults.items() if fault), None)
     ok = bad is None and bool(traces or "A" not in config.proposals)
     stops = [s.converged for t in traces.values() for s in t.starts]
     msg = f"{len(traces)} traces checked; starts: {stops.count(True)} converged, {stops.count(False)} at max_iters"
     if bad is not None:
-        fault = f"chose start {traces[bad].chosen}, not its best" if traces[bad].starts else "has no starts"
-        msg += f"; trace (alpha_index, rep) {bad} {fault}"
+        msg += f"; trace (alpha_index, rep) {bad} {faults[bad]}"
     checks.append(("trace_sanity", ok, msg))
 
     return VerificationReport(checks)
@@ -378,15 +371,24 @@ def _first_bad(records, is_bad) -> str | None:
     return None
 
 
-def _rerun_divergence(got, want, same) -> str:
-    """Check 2's message: the first recorded field whose re-run value makes a
-    record differ from the recorded one under same."""
+def _rerun_divergence(got, want) -> str:
+    """Check 2's message: the first recorded field whose re-run value differs."""
     for g, w in zip(got, want):
         for f in fields(w):
-            if not same(replace(w, **{f.name: getattr(g, f.name)}), w):
+            if getattr(g, f.name) != getattr(w, f.name):
                 return (f"first cell re-run diverges at (alpha, rep, proposal) {(w.alpha, w.rep, w.proposal)}: "
                         f"{f.name} = {getattr(g, f.name)}, recorded {getattr(w, f.name)}")
     return f"first cell re-run diverges in length: {len(got)} records, {len(want)} recorded"
+
+
+def _trace_fault(trace: OptimizationTrace) -> str | None:
+    """What check 15 finds wrong with one optimizer trace, or None."""
+    objectives = np.array([s.final_objective for s in trace.starts])
+    if not objectives.size:
+        return "has no starts"
+    if not np.isfinite(objectives).all():
+        return f"has final objectives {objectives.tolist()}"
+    return None if trace.chosen == objectives.argmin() else f"chose start {trace.chosen}, not its best"
 
 
 def _jsd_curve(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
@@ -449,62 +451,24 @@ def _csv_row(r: ExperimentRecord, k: int) -> str:
     return ",".join(row)
 
 
-def emit_results_csv(records, k: int, path) -> None:
-    """Grid-order CSV with fixed 6-decimal formatting; byte-stable.
-
-    Each line is exactly one record (see _csv_row), with k weight columns.
-    The runtime_ms column is kept in the header but left empty: wall-clock
-    time is not a function of the configuration, and the CSV is the
-    deterministic artifact. Measured times are in grid.json, per cell and
-    proposal.
-    """
+def results_csv_lines(records, k: int) -> list[str]:
+    """The results CSV: a header, then one line per record (see _csv_row).
+    runtime_ms stays empty, because wall-clock time is not a function of the
+    configuration; grid.json holds the measured times, per cell and proposal."""
     header = ["dataset", "alpha", "rep", "proposal", "f1_macro", "anll", "jsd"]
-    header += [f"w_{i + 1}" for i in range(k)]
-    header += ["mcnemar_p_vs_B", "runtime_ms"]
-    write_lines(path, [",".join(header)] + [_csv_row(r, k) for r in records])
+    header += [f"w_{i + 1}" for i in range(k)] + ["mcnemar_p_vs_B", "runtime_ms"]
+    return [",".join(header)] + [_csv_row(r, k) for r in records]
 
 
-def load_results_csv(path) -> list[ExperimentRecord]:
-    """Records of a CSV written by emit_results_csv; ParseError names the bad row."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in utf8_lines(fh, path) if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    w_cols = [i for i, h in enumerate(header) if h.startswith("w_")]
-    records = []
-    for row, ln in enumerate(lines[1:], start=1):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ParseError(f"{path}: row {row} has {len(parts)} fields, expected {len(header)}")
-        cols = dict(zip(header, parts))  # a repeated column name keeps its last field
-        try:
-            weights = tuple(float(parts[i]) for i in w_cols if parts[i] != "") or None
-            p_raw = cols["mcnemar_p_vs_B"]
-            records.append(
-                ExperimentRecord(
-                    dataset_name=cols["dataset"],
-                    alpha=float(cols["alpha"]),
-                    rep=int(cols["rep"]),
-                    proposal=cols["proposal"],
-                    f1_macro=float(cols["f1_macro"]),
-                    anll=float(cols["anll"]),
-                    jsd=float(cols["jsd"]),
-                    weights=weights,
-                    mcnemar_p_vs_B=float(p_raw) if p_raw else None,
-                )
-            )
-        except KeyError as exc:
-            raise ParseError(f"{path}: no column {exc}") from None
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {row}: {exc}") from None
-    return records
+def emit_results_csv(records, k: int, path) -> None:
+    """Grid-order CSV with fixed 6-decimal formatting; byte-stable."""
+    write_lines(path, results_csv_lines(records, k))
 
 
 def emit_plot_data(result: GridResult, out_dir) -> None:
-    """Write four tab-separated plot-data files into out_dir from a saved
-    grid: its records, the last cell's density profile, and the profiles'
-    names and normalized coherence prior for the per-node files."""
+    """Write four tab-separated plot-data files into out_dir from a grid:
+    its records, the last cell's density profile, and the profiles' names
+    and normalized coherence prior for the per-node files."""
     os.makedirs(out_dir, exist_ok=True)
     records, node_names = result.records, [p.name for p in result.config.profiles]
     alphas = sorted({r.alpha for r in records})

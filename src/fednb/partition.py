@@ -85,7 +85,7 @@ def dirichlet_partition(labels, k: int, alpha: float, seed: int) -> Partition:
         shuffled = {}
         for cls, rows in by_class.items():
             shuffled[cls] = rng.permutation(rows)
-            counts[:, cls] = largest_remainder(len(rows), rng.dirichlet(np.full(k, alpha)))
+            counts[:, cls] = largest_remainder(len(rows), _proportions(rng, k, alpha))
         if counts.any(axis=1).all():
             break
     del by_class, rows  # the class rows are freed before the node arrays are built
@@ -106,7 +106,7 @@ def dirichlet_counts(class_sizes, k: int, alpha: float, seed: int) -> np.ndarray
     for rng in _attempts(k, alpha, seed):
         counts = np.zeros((k, len(sizes)), dtype=np.int64)
         for cls in np.flatnonzero(sizes):
-            counts[:, cls] = largest_remainder(int(sizes[cls]), rng.dirichlet(np.full(k, alpha)))
+            counts[:, cls] = largest_remainder(int(sizes[cls]), _proportions(rng, k, alpha))
         if counts.any(axis=1).all():
             return counts
 
@@ -121,6 +121,14 @@ def _attempts(k: int, alpha: float, seed: int):
     for attempt in range(100):
         yield np.random.default_rng(np.random.SeedSequence([seed, attempt]))
     raise PartitionError(f"empty node persisted across 100 retries (alpha={alpha}, k={k})")
+
+
+def _proportions(rng, k: int, alpha: float) -> np.ndarray:
+    """One Dirichlet(alpha) draw over k nodes; numpy draws zeros where alpha * k overflows."""
+    p = rng.dirichlet(np.full(k, alpha))
+    if not (np.isfinite(p).all() and p.sum() > 0):
+        raise PartitionError(f"Dirichlet(alpha={alpha}) over k={k} nodes drew {p.tolist()}: alpha * k is too large")
+    return p
 
 
 def entropy2(p: np.ndarray) -> float:

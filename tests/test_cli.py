@@ -1,5 +1,7 @@
 import ctypes
+import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -17,7 +19,7 @@ import fednb.experiment
 import fednb.weights
 from fednb.cli import main
 from fednb.errors import CellError, ConfigError, FedNBError, PartitionError
-from fednb.experiment import load_results_csv, prepare_cell
+from fednb.experiment import ExperimentRecord, emit_results_csv, prepare_cell
 
 ROOT = Path(__file__).resolve().parents[1]
 SYNTH_CFG = ROOT / "configs" / "synth.cfg"
@@ -79,7 +81,7 @@ def test_run_grid_outputs(grid_dir):
         assert (grid_dir / name).exists()
     for name in PLOT_FILES:
         assert (grid_dir / "plots" / name).exists()
-    records = load_results_csv(grid_dir / "results.csv")
+    records = fednb.cli._load_bundle(str(grid_dir)).records
     assert len(records) == 3 * 1 * 4
 
 
@@ -136,64 +138,132 @@ def test_run_grid_deterministic_csv(cfg_path, tmp_path, grid_dir):
 
 def test_verify_on_fresh_results(grid_dir, capsys):
     assert main(["verify", "--results", str(grid_dir)]) == 0
-    assert "15/15" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "15/15" in out
+    assert out == (grid_dir / "verification.txt").read_text()  # what run-grid printed
+
+
+def _records_copy(grid_dir, dest, edit):
+    """A copy of grid_dir at dest whose grid.json holds its records after
+    edit(records), which changes the list of ExperimentRecords in place, and
+    whose results.csv is their CSV."""
+    shutil.copytree(grid_dir, dest)
+    bundle = json.loads((dest / "grid.json").read_text())
+    records = [ExperimentRecord(**r) for r in bundle["records"]]
+    edit(records)
+    bundle["records"] = [dataclasses.asdict(r) for r in records]
+    (dest / "grid.json").write_text(json.dumps(bundle))
+    emit_results_csv(records, len(bundle["config"]["profiles"]), dest / "results.csv")
+    return dest
+
+
+def test_grid_json_keeps_the_records_of_run_grid_exactly(cfg_path, tmp_path, monkeypatch, capsys):
+    held = []
+    real_run_grid = fednb.cli.run_grid
+
+    def run_grid(*args):
+        held.append(real_run_grid(*args))
+        return held[-1]
+
+    monkeypatch.setattr(fednb.cli, "run_grid", run_grid)
+    out = tmp_path / "out"
+    assert main(["run-grid", "--config", str(cfg_path), "--out", str(out)]) == 0
+    loaded = fednb.cli._load_bundle(str(out))
+    assert loaded.records == held[0].records
+    assert [type(x) for x in dataclasses.astuple(loaded.records[-1])] == [
+        str, float, int, str, float, float, float, tuple, float
+    ]
 
 
 def test_verify_detects_corruption(grid_dir, tmp_path, capsys):
-    corrupt = tmp_path / "corrupt"
-    shutil.copytree(grid_dir, corrupt)
-    lines = (corrupt / "results.csv").read_text().splitlines()
-    # tamper the learned weights of the final A record
-    fields = lines[-1].split(",")
-    fields[7] = f"{float(fields[7]) + 0.2:.6f}"
-    lines[-1] = ",".join(fields)
-    (corrupt / "results.csv").write_text("\n".join(lines) + "\n")
+    def heavier_last_a(records):  # tamper the learned weights of the final A record
+        w = records[-1].weights
+        records[-1].weights = [w[0] + 0.2, *w[1:]]
+
+    corrupt = _records_copy(grid_dir, tmp_path / "corrupt", heavier_last_a)
     assert main(["verify", "--results", str(corrupt)]) == 2
     assert "weights_sum_to_one" in capsys.readouterr().out
 
 
-def test_verify_compares_the_rerun_as_csv_rows(grid_dir, tmp_path, capsys):
-    first = (grid_dir / "results.csv").read_text().splitlines()[1].split(",")
-    f1 = float(first[4])
-    moved_f1 = f"{f1 - 1e-6 if f1 > 0.5 else f1 + 1e-6:.6f}"  # one unit in the 6th decimal
+def test_verify_names_the_first_field_where_the_rerun_diverges(grid_dir, tmp_path, capsys):
+    first = fednb.cli._load_bundle(str(grid_dir)).records[0]  # proposal C of the first cell, which check 2 re-runs
+    moved_f1 = first.f1_macro - 1e-6 if first.f1_macro > 0.5 else first.f1_macro + 1e-6
 
-    def move_first_f1(text):
-        lines = text.splitlines()
-        fields = lines[1].split(",")  # proposal C of the first cell, which check 2 re-runs
-        fields[4] = moved_f1
-        lines[1] = ",".join(fields)
-        return "\n".join(lines) + "\n"
+    def move_first_f1(records):
+        records[0].f1_macro = moved_f1
 
-    moved = _corrupt_copy(grid_dir, tmp_path / "moved", "results.csv", move_first_f1)
+    moved = _records_copy(grid_dir, tmp_path / "moved", move_first_f1)
     assert main(["verify", "--results", str(moved)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
-    # the re-run's F1 is quoted at full precision, the recorded one as read back
+    # both F1 values are quoted at full precision
     want = re.escape(f"[FAIL] seed_reproducibility: first cell re-run diverges at (alpha, rep, proposal) "
-                     f"({float(first[1])}, 0, 'C'): f1_macro = ") + r"0\.\d+" + re.escape(f", recorded {float(moved_f1)}")
+                     f"({first.alpha}, 0, 'C'): f1_macro = ") + r"0\.\d+" + re.escape(f", recorded {moved_f1}")
     assert len(failed) == 1 and re.fullmatch(want, failed[0]), failed
 
 
-def test_verify_exits_2_on_an_infinite_anll_and_check_5_alone_names_it(grid_dir, tmp_path, capsys):
-    def infinite_last_anll(text):
+def test_a_last_ulp_change_to_a_rerun_record_fails_check_2_alone(grid_dir, tmp_path, capsys):
+    """The change is far below results.csv's 6 decimals, so that file stays as it is."""
+    f1 = json.loads((grid_dir / "grid.json").read_text())["records"][0]["f1_macro"]  # C of the re-run first cell
+    up = math.nextafter(f1, math.inf)
+    moved = _corrupt_copy(grid_dir, tmp_path / "moved", "grid.json", _set("records", 0, "f1_macro", value=up))
+    assert (moved / "results.csv").read_bytes() == (grid_dir / "results.csv").read_bytes()
+    assert main(["verify", "--results", str(moved)]) == 2
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] seed_reproducibility: first cell re-run diverges at (alpha, rep, proposal) (0.1, 0, 'C'): "
+        f"f1_macro = {f1}, recorded {up}"
+    ]
+
+
+def test_a_results_csv_edited_alone_exits_1_naming_it_and_the_row(grid_dir, tmp_path, capsys):
+    def other_last_f1(text):
         lines = text.splitlines()
         fields = lines[-1].split(",")  # proposal A of the last cell, which check 2 does not re-run
-        fields[5] = "inf"  # anll
+        fields[4] = f"{float(fields[4]) / 2:.6f}"  # f1_macro, still a valid number
         lines[-1] = ",".join(fields)
         return "\n".join(lines) + "\n"
 
-    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "results.csv", infinite_last_anll)
+    edited = _corrupt_copy(grid_dir, tmp_path / "edited", "results.csv", other_last_f1)
+    for argv in (["verify"], ["emit-plots", "--out", str(tmp_path / "plots")]):
+        assert main([*argv, "--results", str(edited)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edited / 'results.csv'}: row 12 is [") and "grid.json" in err, err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "plots").exists()
+
+
+def test_a_nan_final_objective_fails_check_15_alone(grid_dir, tmp_path, capsys):
+    """np.argmin returns the index of the first NaN, so a chosen NaN start
+    would pass a check that only compared it with the lowest objective."""
+    def nan_chosen_start(text):
+        bundle = json.loads(text)
+        trace = bundle["traces"]["0,0"]
+        trace["starts"][0]["final_objective"] = math.nan
+        trace["chosen"] = 0
+        return json.dumps(bundle)
+
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", nan_chosen_start)
+    assert main(["verify", "--results", str(bad)]) == 2
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] trace_sanity: ")
+    assert re.search(r"; trace \(alpha_index, rep\) \(0, 0\) has final objectives \[nan, [^]]+\]$", failed[0]), failed
+
+
+def test_verify_exits_2_on_an_infinite_anll_and_check_5_alone_names_it(grid_dir, tmp_path, capsys):
+    def infinite_last_anll(records):
+        records[-1].anll = math.inf  # proposal A of the last cell, which check 2 does not re-run
+
+    bad = _records_copy(grid_dir, tmp_path / "bad", infinite_last_anll)
     assert main(["verify", "--results", str(bad)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
     assert failed == ["[FAIL] mog_scores_finite: bad scores at (alpha, rep, proposal) (1.0, 0, 'A'): anll = inf"]
 
 
 def test_verify_names_a_cell_row_replaced_by_another_of_the_same_cell(grid_dir, tmp_path, capsys):
-    def e_row_as_c_row(text):
-        lines = text.splitlines()  # the last cell's rows are C, B, E, A
-        lines[-2] = lines[-4]
-        return "\n".join(lines) + "\n"
+    def e_row_as_c_row(records):
+        records[-2] = records[-4]  # the last cell's rows are C, B, E, A
 
-    replaced = _corrupt_copy(grid_dir, tmp_path / "replaced", "results.csv", e_row_as_c_row)
+    replaced = _records_copy(grid_dir, tmp_path / "replaced", e_row_as_c_row)
     assert main(["verify", "--results", str(replaced)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
     assert failed == [
@@ -219,7 +289,7 @@ def test_run_grid_with_overrides(cfg_path, tmp_path):
         ["run-grid", "--config", str(cfg_path), "--out", str(out), "--set", "alphas=0.05,1.0"]
     )
     assert code == 0
-    records = load_results_csv(out / "results.csv")
+    records = fednb.cli._load_bundle(str(out)).records
     assert len(records) == 2 * 1 * 4
     bundle = json.loads((out / "grid.json").read_text())
     assert bundle["config"]["alphas"] == [0.05, 1.0]
@@ -329,6 +399,21 @@ def test_partition_rejects_a_bad_alpha_as_a_usage_error(cfg_path, capsys, alpha)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--alpha" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("alpha", ["1e308", "6e307"])
+def test_an_alpha_too_large_for_the_dirichlet_draw_exits_1_naming_it(cfg_path, tmp_path, capsys, alpha):
+    """numpy draws all-zero proportions where alpha * k overflows."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["partition", "--config", str(cfg_path), "--alpha", alpha]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Dirichlet(alpha={float(alpha)}) over k=3 nodes drew [0.0, 0.0, 0.0]")
+        argv = ["--config", str(cfg_path), "--out", str(tmp_path), "--set", f"alphas={alpha}", "--set", "reps=1"]
+        assert main(["run-grid", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cell (alpha={float(alpha)}, rep=0) failed: Dirichlet(alpha={float(alpha)})")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -451,6 +536,32 @@ def _short_density(text):
     return json.dumps(bundle)
 
 
+def _infinite_density_mean(text):
+    return _set("density", 0, 0, value=math.inf)(text)
+
+
+def _nan_density_sd(text):
+    return _set("density", 1, 0, value=math.nan)(text)
+
+
+def _zero_density_sd(text):
+    return _set("density", 1, 0, value=0.0)(text)
+
+
+def _without_records(text):
+    bundle = json.loads(text)
+    del bundle["records"]
+    return json.dumps(bundle)
+
+
+def _string_record_f1(text):
+    return _set("records", 0, "f1_macro", value="0.9")(text)
+
+
+def _int_record_weight(text):
+    return _set("records", 1, "weights", 0, value=1)(text)
+
+
 def _trace_start_without_iterations(text):
     bundle = json.loads(text)
     del bundle["traces"]["0,0"]["starts"][0]["iterations"]
@@ -533,6 +644,12 @@ def _bad_f1_cell(text):
         ("grid.json", _without_density, "missing key 'density'"),
         ("grid.json", _string_density_entry, "density must hold floats"),
         ("grid.json", _short_density, "density must be two lists of 3 floats"),
+        ("grid.json", _infinite_density_mean, "density must hold finite means"),
+        ("grid.json", _nan_density_sd, "density must hold finite means"),
+        ("grid.json", _zero_density_sd, "finite, positive standard deviations"),
+        ("grid.json", _without_records, "missing key 'records'"),
+        ("grid.json", _string_record_f1, "f1_macro must be float"),
+        ("grid.json", _int_record_weight, "weights must hold floats"),
         ("grid.json", _list_trace, "expected an object holding chosen"),
         ("grid.json", _object_starts, "starts must be list"),
         ("results.csv", _bad_f1_cell, "row 1"),

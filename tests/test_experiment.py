@@ -13,13 +13,13 @@ from fednb.experiment import (
     _jsd_curve,
     emit_plot_data,
     emit_results_csv,
-    load_results_csv,
     materialize_dataset,
     prepare_cell,
     run_cell,
     run_grid,
     verify,
 )
+import fednb.cli
 import fednb.experiment
 import fednb.mog
 import fednb.partition
@@ -168,17 +168,11 @@ def test_emit_results_csv_shape_and_stability(tmp_path, grid):
 
 
 def test_results_csv_round_trip(tmp_path, grid):
-    p = tmp_path / "r.csv"
-    emit_results_csv(grid.records, grid.config.k, p)
-    back = load_results_csv(p)
-    assert len(back) == len(grid.records)
-    for a, b in zip(back, grid.records):
-        assert a.proposal == b.proposal
-        assert a.f1_macro == pytest.approx(b.f1_macro, abs=1e-6)
-        if b.weights is None:
-            assert a.weights is None
-        else:
-            assert np.allclose(a.weights, b.weights, atol=1e-6)
+    """grid.json keeps each record float exactly; results.csv is their CSV."""
+    emit_results_csv(grid.records, grid.config.k, tmp_path / "results.csv")
+    fednb.cli._save_bundle(grid, str(tmp_path))
+    back = fednb.cli._load_bundle(str(tmp_path))
+    assert back.records == grid.records
 
 
 def test_verify_clean_run_passes(grid, dataset):

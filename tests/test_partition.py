@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,7 @@ def test_apportioned_counts_equal_class_counts(k, alpha, seed, classes, retries)
         (3, 0.3, 9, (0, 2), 1),  # class 1 absent: a zero column, and no draw
         (4, 0.05, 2, (0, 2), 3),
         (1, 0.5, 0, (0, 1), 1),
+        (3, 1e307, 5, (0, 1, 2), 1),  # the largest power of ten whose draw is finite at k = 3
     ],
 )
 def test_counts_match_the_oracle_loop(k, alpha, seed, classes, attempts):
@@ -325,6 +327,21 @@ def test_counts_check_every_alpha_and_name_the_one_that_keeps_a_node_empty():
             sample(labels, 0, 1.0, 0)
         with pytest.raises(PartitionError, match=r"100 retries \(alpha=0\.001, k=10\)"):
             sample(labels, 10, 0.001, 0)
+
+
+def test_an_alpha_whose_draw_overflows_raises_naming_alpha_and_k():
+    """Where alpha * k overflows, numpy draws all-zero proportions, which
+    would apportion 0/0 rows: int64's minimum."""
+    labels = np.random.default_rng(0).choice((0, 1), 600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sample in (dirichlet_partition, lambda lab, *args: dirichlet_counts(np.bincount(lab), *args)):
+            with pytest.raises(PartitionError, match=r"^Dirichlet\(alpha=1e\+308\) over k=3 nodes drew \[0\.0, 0\.0, 0\.0\]"):
+                sample(labels, 3, 1e308, 0)
+            for alpha in (1e300, 1e307):
+                counts = sample(labels, 3, alpha, 0)
+                counts = getattr(counts, "counts", counts)
+                assert (counts >= 0).all() and np.array_equal(counts.sum(axis=0), np.bincount(labels))
 
 
 def test_partition_frees_the_class_rows_before_building_the_nodes():
