@@ -15,10 +15,13 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
+import types
+import typing
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .experiment import (
     write_lines,
 )
 from .partition import dirichlet_partition, jsd_heterogeneity
-from .weights import OptimizationTrace, json_floats, json_value
+from .weights import OptimizationTrace
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -72,25 +75,40 @@ def _by_cell_key(d: dict, convert) -> dict:
 def _save_bundle(result: GridResult, out_dir: str) -> None:
     bundle = {
         "config": config_to_dict(result.config),
-        "traces": _by_cell_key(result.traces, OptimizationTrace.to_dict),
-        "density": result.density.tolist(),
+        "traces": _by_cell_key(result.traces, dataclasses.asdict),
+        "density": result.density,
         "records": [dataclasses.asdict(r) for r in result.records],
         "partitions": _by_cell_key(result.partitions, np.ndarray.tolist),
         "runtimes_ms": _by_cell_key(result.runtimes_ms, dict),
     }
     with open(os.path.join(out_dir, GRID_BUNDLE), "w", encoding="utf-8") as fh:
-        json.dump(bundle, fh)
+        json.dump(bundle, fh, default=np.ndarray.tolist)
 
 
-def _record(d) -> ExperimentRecord:
-    """The record of one grid.json entry; each field must have its exact JSON type."""
-    kinds = {"dataset_name": str, "alpha": float, "rep": int, "proposal": str,
-             "f1_macro": float, "anll": float, "jsd": float}
-    return ExperimentRecord(
-        **{key: json_value(d, key, kind) for key, kind in kinds.items()},
-        weights=None if d["weights"] is None else tuple(json_floats(d, "weights").tolist()),
-        mcnemar_p_vs_B=None if d["mcnemar_p_vs_B"] is None else json_value(d, "mcnemar_p_vs_B", float),
-    )
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _decoded(kind, v, key: str):
+    """v, the grid.json value at key, as a value of the annotation kind. v must
+    have kind's exact JSON type, so neither true nor 2.0 is an int and neither
+    1 nor "0.5" is a float. A tuple or np.ndarray is a list of floats, a
+    list[X] a list of X, X | None also null, and a dataclass an object holding
+    its fields (other keys are ignored). TypeError names the key."""
+    if dataclasses.is_dataclass(kind):
+        fields = _field_types(kind)
+        if type(v) is not dict:
+            raise TypeError(f"expected an object holding {', '.join(fields)}, got {v!r}")
+        return kind(**{name: _decoded(t, v[name], name) for name, t in fields.items()})
+    if type(kind) is types.UnionType:  # X | None
+        return None if v is None else _decoded(typing.get_args(kind)[0], v, key)
+    if kind in (tuple, np.ndarray):
+        if any(type(x) is not float for x in _decoded(list, v, key)):
+            raise TypeError(f"{key} must hold floats, got {v!r}")
+        return tuple(v) if kind is tuple else np.array(v)
+    base, args = typing.get_origin(kind) or kind, typing.get_args(kind)
+    if type(v) is not base:
+        raise TypeError(f"{key} must be {base.__name__}, got {v!r}")
+    return [_decoded(args[0], x, key) for x in v] if args else v
 
 
 def _load_bundle(results_dir: str) -> GridResult:
@@ -104,15 +122,19 @@ def _load_bundle(results_dir: str) -> GridResult:
             raise TypeError(f"expected a JSON object, got {type(bundle).__name__}")
         config = config_from_dict(bundle["config"])
         traces = {}
-        for key, trace in json_value(bundle, "traces", dict).items():
+        for key, trace in _decoded(dict, bundle["traces"], "traces").items():
             ai, rep = key.split(",")  # the form of _by_cell_key
-            traces[int(ai), int(rep)] = OptimizationTrace.from_dict(trace)
-        density = [json_floats({"density": row}, "density") for row in json_value(bundle, "density", list)]
+            traces[int(ai), int(rep)] = _decoded(OptimizationTrace, trace, key)
+        density = _decoded(list[np.ndarray], bundle["density"], "density")
         if len(density) != 2 or {len(row) for row in density} not in ({config.k}, {0}):
             raise ValueError(f"density must be two lists of {config.k} floats, or two empty lists")
         if not (np.isfinite(density).all() and (density[1] > 0).all()):
             raise ValueError("density must hold finite means and finite, positive standard deviations")
-        records = [_record(r) for r in json_value(bundle, "records", list)]
+        records = _decoded(list[ExperimentRecord], bundle["records"], "records")
+        for i, r in enumerate(records):
+            if r.weights is not None and len(r.weights) != config.k:
+                raise ValueError(f"record {i} ({r.alpha}, {r.rep}, {r.proposal!r}) must hold null "
+                                 f"or K = {config.k} weights, got {len(r.weights)}")
     except KeyError as exc:
         raise ParseError(f"{bundle_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -480,6 +480,8 @@ def emit_plot_data(result: GridResult, out_dir) -> None:
     for a in alphas:
         for p in proposals:
             sel = [r for r in records if r.proposal == p and r.alpha == a]
+            if not sel:  # a pair without records has no row
+                continue
             stats = [np.array([r.f1_macro for r in sel]), np.array([r.anll for r in sel])]
             lines.append(f"{a:.6f}\t{p}" + "".join(f"\t{x.mean():.6f}\t{x.std():.6f}" for x in stats))
     write_lines(os.path.join(out_dir, "gradient_curves.tsv"), lines)

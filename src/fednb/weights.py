@@ -180,60 +180,6 @@ class OptimizationTrace:
     starts: list[StartResult] = field(default_factory=list)
     chosen: int = -1
 
-    def to_dict(self) -> dict:
-        return {
-            "starts": [
-                {
-                    "initial_theta": s.initial_theta.tolist(),
-                    "final_theta": s.final_theta.tolist(),
-                    "final_objective": s.final_objective,
-                    "evaluations": s.evaluations,
-                    "iterations": s.iterations,
-                    "converged": s.converged,
-                }
-                for s in self.starts
-            ],
-            "chosen": self.chosen,
-            "evaluations": sum(s.evaluations for s in self.starts),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "OptimizationTrace":
-        """The trace of to_dict's output; TypeError names a field of the wrong JSON type."""
-        t = OptimizationTrace(chosen=json_value(d, "chosen", int))
-        for s in json_value(d, "starts", list):
-            t.starts.append(
-                StartResult(
-                    json_floats(s, "initial_theta"),
-                    json_floats(s, "final_theta"),
-                    json_value(s, "final_objective", float),
-                    json_value(s, "evaluations", int),
-                    json_value(s, "iterations", int),
-                    json_value(s, "converged", bool),
-                )
-            )
-        return t
-
-
-def json_value(d: dict, key: str, kind: type):
-    """d[key] when d is a JSON object and d[key]'s type is exactly kind, so
-    neither true nor 2.0 is an int and neither 1 nor "0.5" is a float;
-    TypeError names the key."""
-    if type(d) is not dict:
-        raise TypeError(f"expected an object holding {key}, got {d!r}")
-    v = d[key]
-    if type(v) is not kind:
-        raise TypeError(f"{key} must be {kind.__name__}, got {v!r}")
-    return v
-
-
-def json_floats(d: dict, key: str) -> np.ndarray:
-    """d[key] as a float64 array when it is a list of JSON floats."""
-    v = json_value(d, key, list)
-    if any(type(x) is not float for x in v):
-        raise TypeError(f"{key} must hold floats, got {v!r}")
-    return np.array(v, dtype=np.float64)
-
 
 def learn_weights_icc(models, val: Dataset, prior, config: OptimizerConfig):
     """Multi-start Nelder-Mead over the floored simplex; returns (weights, trace).

@@ -5,6 +5,7 @@ is the slowest in the suite (a few seconds per grid run).
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -37,7 +38,7 @@ CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "synth.cfg"
 # sha256 of the results.csv that configs/synth.cfg produces; any change to the
 # numerics that moves a printed digit moves this hash
 RESULTS_SHA256 = "01102000be67071f90862196de0bc5664555bf36fd6706b9aaf2347aace3552c"
-# OptimizationTrace.to_dict() of four synth cells, keyed "alpha,rep", recorded
+# The grid.json traces of four synth cells, keyed "alpha,rep", recorded
 # before the objective built its per-cell constants (mog.StackedScores).
 # results.csv prints 6 decimals, so a last-ulp drift in the optimizer could
 # hide behind its hash; these pin every start at full precision. Of the four,
@@ -321,8 +322,15 @@ def test_optimizer_traces_match_the_pinned_floats(full_config, full_grid):
     for key, want in pinned.items():
         alpha, rep = key.split(",")
         trace = full_grid.traces[(full_config.alphas.index(float(alpha)), int(rep))]
-        # a JSON round trip reproduces each float exactly, so == compares bits
-        assert json.loads(json.dumps(trace.to_dict())) == want, key
+        _assert_matches_the_pin(trace, want)
+
+
+def _assert_matches_the_pin(trace, want):
+    """trace saved as grid.json saves it equals the pinned object want, which
+    also holds the trace-level total of evaluations that grid.json once had."""
+    assert want.pop("evaluations") == sum(s["evaluations"] for s in want["starts"])
+    # a JSON round trip reproduces each float exactly, so == compares bits
+    assert json.loads(json.dumps(dataclasses.asdict(trace), default=np.ndarray.tolist)) == want
 
 
 def _wide_config_text(alphas=(WIDE_CELL[0],), n_classes=2) -> str:
@@ -353,7 +361,7 @@ def test_k10_optimizer_trace_matches_the_pinned_floats(tmp_path):
     trace = run_cell(load_config(path), *WIDE_CELL).trace
     want = json.loads(WIDE_TRACE_PATH.read_text(encoding="utf-8"))
     assert len(want["starts"]) == 5 and len(want["starts"][0]["final_theta"]) == 9
-    assert json.loads(json.dumps(trace.to_dict())) == want
+    _assert_matches_the_pin(trace, want)
 
 
 # float.hex of check 3's mean JSD per alpha, recorded from the hand-written

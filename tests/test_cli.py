@@ -650,7 +650,7 @@ def _bad_f1_cell(text):
         ("grid.json", _without_records, "missing key 'records'"),
         ("grid.json", _string_record_f1, "f1_macro must be float"),
         ("grid.json", _int_record_weight, "weights must hold floats"),
-        ("grid.json", _list_trace, "expected an object holding chosen"),
+        ("grid.json", _list_trace, "expected an object holding starts, chosen"),
         ("grid.json", _object_starts, "starts must be list"),
         ("results.csv", _bad_f1_cell, "row 1"),
         ("results.csv", _non_utf8_byte, "not UTF-8"),
@@ -677,6 +677,35 @@ def test_malformed_results_exit_1_naming_the_file(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and name in err and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "emit-plots"])
+def test_a_record_with_the_wrong_number_of_weights_exits_1_naming_it_and_k(grid_dir, tmp_path, capsys, command):
+    def two_weights_in_the_last_record(records):
+        records[-1].weights = records[-1].weights[:2]
+
+    # results.csv is re-rendered, so only the count of weights is wrong
+    bad = _records_copy(grid_dir, tmp_path / "bad", two_weights_in_the_last_record)
+    argv = [command, "--results", str(bad)]
+    if command == "emit-plots":
+        argv += ["--out", str(tmp_path / "plots")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad / 'grid.json'}: record 11 (1.0, 0, 'A') must hold null or K = 3 weights, got 2\n"
+
+
+def test_emit_plots_writes_no_curve_row_for_a_pair_without_records(grid_dir, tmp_path):
+    def without_e_at_the_last_alpha(records):
+        records[:] = [r for r in records if not (r.proposal == "E" and r.alpha == records[-1].alpha)]
+
+    sparse = _records_copy(grid_dir, tmp_path / "sparse", without_e_at_the_last_alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["emit-plots", "--results", str(sparse), "--out", str(tmp_path / "plots")]) == 0
+    got = (tmp_path / "plots" / "gradient_curves.tsv").read_text().splitlines()
+    want = [ln for ln in (grid_dir / "plots" / "gradient_curves.tsv").read_text().splitlines()
+            if not ln.startswith("1.000000\tE\t")]
+    assert len(want) == 12 and got == want and "nan" not in "".join(got)
 
 
 def _set(*path, value):
@@ -710,14 +739,32 @@ def test_a_config_echo_of_the_wrong_json_type_exits_64_naming_its_key(
     assert err == f"error: {path[-1]}: expected an object, got []\n"
 
 
-@pytest.mark.parametrize("scores_ok", [True, "false"])
-def test_a_grid_json_that_still_holds_scores_ok_verifies_and_plots_as_before(grid_dir, tmp_path, capsys, scores_ok):
-    old = _corrupt_copy(grid_dir, tmp_path / "old", "grid.json", _set("scores_ok", value=scores_ok))
+def _verifies_and_plots_as_before(grid_dir, old, tmp_path, capsys):
     assert main(["verify", "--results", str(old)]) == 0
     assert capsys.readouterr().out.endswith("15/15 passed\n")
     assert main(["emit-plots", "--results", str(old), "--out", str(tmp_path / "plots")]) == 0
     for name in PLOT_FILES:
         assert (tmp_path / "plots" / name).read_bytes() == (grid_dir / "plots" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("scores_ok", [True, "false"])
+def test_a_grid_json_that_still_holds_scores_ok_verifies_and_plots_as_before(grid_dir, tmp_path, capsys, scores_ok):
+    old = _corrupt_copy(grid_dir, tmp_path / "old", "grid.json", _set("scores_ok", value=scores_ok))
+    _verifies_and_plots_as_before(grid_dir, old, tmp_path, capsys)
+
+
+def _with_trace_totals(text):
+    """grid.json as written when each trace also held its total of evaluations."""
+    bundle = json.loads(text)
+    for trace in bundle["traces"].values():
+        trace["evaluations"] = sum(s["evaluations"] for s in trace["starts"])
+    return json.dumps(bundle)
+
+
+def test_a_grid_json_whose_traces_still_hold_their_totals_verifies_and_plots_as_before(grid_dir, tmp_path, capsys):
+    assert all("evaluations" not in t for t in json.loads((grid_dir / "grid.json").read_text())["traces"].values())
+    old = _corrupt_copy(grid_dir, tmp_path / "old", "grid.json", _with_trace_totals)
+    _verifies_and_plots_as_before(grid_dir, old, tmp_path, capsys)
 
 
 def test_without_numerical_features_the_density_profile_is_empty(tmp_path):

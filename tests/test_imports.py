@@ -1,7 +1,8 @@
 """Layout rules: no fednb module imports another fednb module's private helpers,
-every definition is used, every default is both overridden and taken by some
-call, every field is read, every lookup point of perfbench/tracer.py exists,
-and a traced run passes the tracer's consistency check."""
+only cli.py imports json, every definition is used, every default is both
+overridden and taken by some call, every field is read, every lookup point of
+perfbench/tracer.py exists, and a traced run passes the tracer's consistency
+check."""
 
 import ast
 import importlib.util
@@ -36,6 +37,23 @@ def test_no_module_imports_private_names_of_another():
     assert modules
     offenders = [msg for path in modules for msg in _private_imports(path)]
     assert offenders == []
+
+
+def _imported_modules(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_cli_imports_json():
+    """grid.json has one encoder and one decoder, both in cli.py."""
+    importers = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if "json" in {m.split(".")[0] for m in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))}
+    ]
+    assert importers == ["cli.py"]
 
 
 # Kept although nothing in src/fednb refers to them, each for a stated reason.
@@ -164,6 +182,9 @@ def test_every_defaulted_parameter_is_left_out_by_a_caller():
 
 # Kept although nothing in src/fednb reads them, each for a stated reason.
 UNREAD_FIELDS_ALLOWED = {
+    "StartResult.initial_theta": "saved in grid.json through dataclasses.asdict, for the optimizer trace",
+    "StartResult.evaluations": "saved in grid.json through dataclasses.asdict, for the optimizer trace",
+    "StartResult.iterations": "saved in grid.json through dataclasses.asdict, for the optimizer trace",
     "McNemarResult.b": "a discordant count that acceptance criterion 7 checks",
     "McNemarResult.c": "a discordant count that acceptance criterion 7 checks",
     "McNemarResult.chi2": "the Yates statistic that the McNemar hand example checks",

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
+import fednb.cli
 from fednb.data import SynthSpec, synth_generate
 from fednb.errors import OptimizerError
 from fednb.governance import NodeProfile, coherence_prior
@@ -434,11 +436,11 @@ def test_trace_records_stop_reason_and_round_trips(small_setup):
     _, trace = learn_weights_icc(models, val, prior, OptimizerConfig(seed=12, max_iters=6))
     assert all(s.iterations is not None and s.converged is not None for s in trace.starts)
     assert any(s.converged is False and s.iterations == 6 for s in trace.starts)
-    d = json.loads(json.dumps(trace.to_dict()))
-    back = OptimizationTrace.from_dict(d)
-    assert [(s.iterations, s.converged) for s in back.starts] == [
-        (s.iterations, s.converged) for s in trace.starts
-    ]
+    # saved and loaded as grid.json saves and loads it; each float's repr is exact
+    saved = json.dumps(dataclasses.asdict(trace), default=np.ndarray.tolist)
+    back = fednb.cli._decoded(OptimizationTrace, json.loads(saved), "0,0")
+    assert json.dumps(dataclasses.asdict(back), default=np.ndarray.tolist) == saved
+    assert all(type(s.initial_theta) is type(s.final_theta) is np.ndarray for s in back.starts)
 
 
 def test_learned_weights_on_simplex_with_floor(small_setup):
