@@ -6,7 +6,8 @@ none. grid.json keeps every record float exactly, and results.csv must be the
 CSV of those records. verify and emit-plots read the grid from the two files,
 so they print and write exactly what run-grid did.
 Exit codes: 0 success (and 15/15 verification for run-grid/verify),
-2 verification failure, 64 usage or invalid config, 1 a failed grid cell
+2 verification failure, 64 usage or an invalid config file or override,
+1 a failed grid cell, a malformed saved result (its config echo included)
 or any other error.
 """
 
@@ -111,20 +112,34 @@ def _decoded(kind, v, key: str):
     return [_decoded(args[0], x, key) for x in v] if args else v
 
 
+def _cell_key(key: str) -> tuple[int, int]:
+    """(alpha_index, rep) from a grid.json trace key in the form of
+    _by_cell_key: two runs of ASCII digits joined by one comma."""
+    parts = key.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"traces: key {key!r} is not alpha_index,rep")
+    for part in parts:
+        if not (part.isascii() and part.isdigit()):
+            raise ValueError(f"traces: key {key!r}: {part!r} is not a decimal integer")
+    return int(parts[0]), int(parts[1])
+
+
 def _load_bundle(results_dir: str) -> GridResult:
     """The saved grid, without its timings; ParseError names a malformed
-    grid.json, or a results.csv that is not the CSV of its records."""
+    grid.json (its config echo too), or a results.csv that is not the CSV of
+    its records."""
     bundle_path = os.path.join(results_dir, GRID_BUNDLE)
     try:
         with open(bundle_path, encoding="utf-8") as fh:
             bundle = json.load(fh)
         if type(bundle) is not dict:
             raise TypeError(f"expected a JSON object, got {type(bundle).__name__}")
-        config = config_from_dict(bundle["config"])
-        traces = {}
-        for key, trace in _decoded(dict, bundle["traces"], "traces").items():
-            ai, rep = key.split(",")  # the form of _by_cell_key
-            traces[int(ai), int(rep)] = _decoded(OptimizationTrace, trace, key)
+        try:
+            config = config_from_dict(bundle["config"])
+        except ConfigError as exc:  # a saved file is data, not usage
+            raise ValueError(str(exc)) from None
+        traces = {_cell_key(key): _decoded(OptimizationTrace, trace, key)
+                  for key, trace in _decoded(dict, bundle["traces"], "traces").items()}
         density = _decoded(list[np.ndarray], bundle["density"], "density")
         if len(density) != 2 or {len(row) for row in density} not in ({config.k}, {0}):
             raise ValueError(f"density must be two lists of {config.k} floats, or two empty lists")

@@ -43,16 +43,19 @@ Schema file grammar:
     duration = numerical
     label = label
 
-A missing key takes its dataclass default. An unknown key or a bad value is
-a ConfigError that names the key. load_config reads a file into the dict
-schema of config_to_dict (the grid.json echo), applies `--set` overrides to
-that dict, and hands it to config_from_dict, the one constructor of an
-ExperimentConfig from outside input; its values may be JSON or INI strings.
+A missing key takes its dataclass default. An unknown key, a missing key
+without a default or a bad value is a ConfigError that names the key (cli
+turns one from the grid.json echo into a ParseError). load_config reads a
+file into the dict schema of config_to_dict (the grid.json echo), applies
+`--set` overrides to that dict, and hands it to config_from_dict, the one
+constructor of an ExperimentConfig from outside input; its values may be
+JSON or INI strings.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 import math
 import os
 from contextlib import contextmanager
@@ -232,21 +235,35 @@ def _float(v) -> float:
     return x
 
 
+def _items(v, what: str) -> list:
+    """v, a list (or the tuple of an echo built in this process); TypeError
+    names what it should hold."""
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"expected a list of {what}, got {v!r}")
+    return v
+
+
 def _floats(v) -> tuple[float, ...]:
-    return tuple(_float(x) for x in (v.replace(",", " ").split() if isinstance(v, str) else v))
+    return tuple(_float(x) for x in (v.replace(",", " ").split() if isinstance(v, str) else _items(v, "numbers")))
 
 
 def _names(v) -> tuple[str, ...]:
-    return tuple(str(x).strip() for x in (v.split(",") if isinstance(v, str) else v))
+    return tuple(str(x).strip() for x in (v.split(",") if isinstance(v, str) else _items(v, "names")))
 
 
 def _build(cls, where: str, raw: dict, convert: dict):
-    """cls(**converted raw); unknown keys are errors, missing ones take cls's defaults."""
+    """cls(**converted raw); unknown keys are errors, missing ones take cls's
+    defaults, and a missing key without a default is an error naming it."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object, got {raw!r}")
     unknown = sorted(set(raw) - set(convert))
     if unknown:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+    required = [k for k, p in inspect.signature(cls).parameters.items()
+                if p.default is p.empty and p.kind is not p.VAR_KEYWORD]
+    missing = [k for k in required if ("lambda" if k == "lam" else k) not in raw]
+    if missing:
+        raise ConfigError(f"{where}: missing key {missing[0]!r}")
     kwargs = {}
     for key, value in raw.items():
         with _blame(f"{where}.{key} = {value!r}"):
@@ -261,6 +278,8 @@ def _csv_source(path, columns, n_classes, **name) -> CsvSource:
 
 
 def _source(raw: dict):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"source: expected an object, got {raw!r}")
     raw = dict(raw)
     kind = raw.pop("kind", None)
     if kind == "synth":
@@ -273,12 +292,12 @@ def _source(raw: dict):
 _SYNTH = dict(n_rows=_int, n_classes=_int, n_categorical=_int, n_numerical=_int,
               node_noise=_floats, n_categories=_int, class_sep=_float, name=str)
 _CSV = dict(path=str, name=str, n_classes=_int,
-            columns=lambda cols: tuple((str(n), str(kind)) for n, kind in cols))
+            columns=lambda cols: tuple((str(n), str(kind)) for n, kind in _items(cols, "[name, kind] pairs")))
 _PROFILE = dict(name=str, cmm=_int, kci=_float, kri=_float, cvss=_float)
 _OPTIMIZER = {"lambda": _float, "floor_delta": _float, "max_iters": _int, "n_starts": _int, "seed": _int}
 _CONFIG = dict(
     source=_source,
-    profiles=lambda ps: tuple(_build(NodeProfile, "profiles", p, _PROFILE) for p in ps),
+    profiles=lambda ps: tuple(_build(NodeProfile, "profiles", p, _PROFILE) for p in _items(ps, "objects")),
     optimizer=lambda opt: _build(OptimizerConfig, "optimizer", opt, _OPTIMIZER),
     alphas=_floats, reps=_int, seed=_int, split_fracs=_floats, proposals=_names,
 )

@@ -99,9 +99,9 @@ class CategoryMap:
 class Dataset:
     """Column-typed tabular data with aligned row counts.
 
-    Datasets derived from another (``subset``, ``degrade_copy``) may share
-    arrays with it, so nothing writes into a Dataset's arrays after it is
-    built; code that needs changed values copies them first.
+    Datasets derived from another (``subset``, ``rows``) may share arrays
+    with it, so nothing writes into a Dataset's arrays after it is built;
+    code that needs changed values copies them first.
 
     The loaders store codes and labels in a narrow unsigned dtype (see
     ``narrowest_uint``), and derived datasets keep it. Under numpy 2's
@@ -132,15 +132,10 @@ class Dataset:
         return len(self.labels)
 
     def subset(self, indices) -> "Dataset":
-        """The rows at integer positions ``indices``, in that order, in
-        C-contiguous arrays that may be shared with this dataset (see the
-        class docstring). A boolean mask is refused: read as integers it
-        would select rows 0 and 1.
-        """
-        idx = np.asarray(indices)
-        if idx.size and idx.dtype.kind not in "iu":  # [] arrives as float64
-            raise ShapeError(f"row indices must be integers, got dtype {idx.dtype}")
-        idx = idx.astype(np.int64, copy=False)
+        """The rows at integer positions ``indices`` (see row_indices), in
+        that order, in C-contiguous arrays that may be shared with this
+        dataset (see the class docstring)."""
+        idx = row_indices(indices)
         return Dataset(
             self.schema,
             self.categorical.take(idx, axis=0),
@@ -148,6 +143,22 @@ class Dataset:
             self.labels.take(idx),
             self.n_cats,
         )
+
+    def rows(self, lo: int, hi: int) -> "Dataset":
+        """Rows lo..hi as views of this dataset's arrays; the dataset itself
+        when that is every row."""
+        if (lo, hi) == (0, self.n_rows):
+            return self
+        return Dataset(self.schema, self.categorical[lo:hi], self.numerical[lo:hi], self.labels[lo:hi], self.n_cats)
+
+
+def row_indices(indices) -> np.ndarray:
+    """indices as an int64 array of row positions. A boolean mask is refused:
+    read as integers it would select rows 0 and 1."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":  # [] arrives as float64
+        raise ShapeError(f"row indices must be integers, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
 
 
 def utf8_lines(fh, path):
@@ -309,69 +320,99 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
     return Dataset(spec.schema(), cat, num, labels, (m,) * spec.n_categorical)
 
 
-def row_order_sum(col: np.ndarray, acc: np.ndarray, center: float | None = None) -> np.float64:
-    """The values of col, or with ``center`` their squared deviations from it,
-    added in row order onto 0.0 by one np.add.accumulate into acc, a float64
-    vector of col's length: numpy's float for one column of a C-contiguous
-    (n, F >= 2) array's axis-0 sum."""
-    if center is not None:
-        col = np.square(np.subtract(col, center, out=acc), out=acc)
-    return np.add.accumulate(col, out=acc)[-1] + 0.0  # from 0.0: a column of -0.0 sums to +0.0
+ROW_BLOCK = 8192  # rows of a cell's arrays that a kernel works on at once (at least 2)
 
 
-def mean_var(col: np.ndarray, n_cols: int, acc: np.ndarray) -> tuple[np.float64, np.float64]:
-    """np.mean's and np.var's floats for col, one column of a C-contiguous
-    (len(col), n_cols) array, by np.var's own steps (sum, divide by n; square
-    col - mean, sum, divide by n). numpy sums the only column pairwise, and
-    each of several in row order (row_order_sum, here in acc[:len(col)]), but
-    runs one short inner loop per row of a narrow array."""
-    n = len(col)
-    if n_cols == 1:
-        mean = np.add.reduce(col) / n
-        return mean, np.add.reduce(np.square(col - mean)) / n
-    mean = row_order_sum(col, acc[:n]) / n
-    return mean, row_order_sum(col, acc[:n], mean) / n
+def row_blocks(n: int, one_column: bool = False) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of the row blocks a kernel works in, in row order:
+    ROW_BLOCK rows each, and one (0, 0) block for n = 0. A last block of one
+    row joins the block before it: numpy would sum the class or feature axis
+    of a one-row slice pairwise, where a wider slice adds it in order. With
+    one_column, all n rows are one block, since numpy sums the only column of
+    an (n, 1) array pairwise (see row_order_sum)."""
+    step = max(n, 1) if one_column else ROW_BLOCK
+    bounds = [(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
+    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] == 1:
+        bounds[-2:] = [(bounds[-2][0], n)]
+    return bounds
+
+
+def row_order_sum(block: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """carry plus the sum of each row of block, an (F, b) array holding F
+    columns at b consecutive rows (a row block of an (n, F) array, transposed),
+    which the call overwrites. Fed the blocks of row_blocks(n, F == 1) in order
+    from carry = zeros(F), it returns the floats of numpy's axis-0 sum of the
+    C-contiguous (n, F) array: for F >= 2 each value added in row order onto
+    the carried sum (block[:, 0] becomes carry + its first value, then one
+    np.add.accumulate), and for F = 1, which comes as one block, numpy's
+    pairwise sum. A sum that starts from +0.0 is never -0.0, so a column of
+    -0.0 sums to +0.0 as in numpy."""
+    if len(block) == 1:
+        return carry + np.add.reduce(block, axis=1)
+    if block.shape[1]:
+        block[:, 0] += carry
+        carry = np.add.accumulate(block, axis=1, out=block)[:, -1].copy()
+    return carry
 
 
 def column_mean_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and population variance of an (n >= 1, F) array, each by
-    mean_var, so both equal np.mean's and np.var's floats for a C-ordered
-    copy of x, whatever its layout."""
+    """Column mean and population variance of an (n >= 1, F) array, the floats
+    of np.mean and np.var for a C-ordered copy of x, whatever its layout, by
+    np.var's own steps (sum, divide by n; square x - mean, sum, divide by n),
+    each sum a row_order_sum over row blocks."""
     n, f = x.shape
-    mean, var, acc = np.empty(f), np.empty(f), np.empty(n)
-    for j in range(f):
-        mean[j], var[j] = mean_var(x[:, j], f, acc)
-    return mean, var
+
+    blocks = row_blocks(n, f == 1)
+    total = np.zeros(f)
+    for lo, hi in blocks:
+        total = row_order_sum(x[lo:hi].T.copy(), total)
+    mean = total / n
+    total = np.zeros(f)
+    for lo, hi in blocks:
+        dev = np.subtract(x[lo:hi].T, mean[:, None], out=np.empty((f, hi - lo)))
+        total = row_order_sum(np.square(dev, out=dev), total)
+        del dev  # freed before the next block's is made
+    return mean, total / n
 
 
-def degrade_copy(dataset: Dataset, noise: float, seed: int) -> Dataset:
-    """Node-local quality degradation: label flips w.p. noise, feature noise
-    at ``noise`` times the per-column std.
+def degrade_copy(dataset: Dataset, rows, noise: float, seed: int) -> Dataset:
+    """Node-local quality degradation of the rows of dataset at the integer
+    positions rows (see row_indices): label flips w.p. noise, feature noise at
+    ``noise`` times the per-column std of those rows.
 
-    The input is never written. Arrays the degradation leaves unchanged are
-    shared with it, not copied: the categorical codes always, and at noise 0
-    the whole dataset, which is returned as it is.
+    The input is never written: the rows are gathered into arrays that the
+    result owns, the labels first, and the noise is added into the gathered
+    numerical columns one row block at a time, so beside the result the call
+    holds one block of draws. At noise 0 nothing is drawn, and the result is
+    dataset.subset(rows).
     """
     if noise <= 0.0:
-        return dataset
+        return dataset.subset(rows)
+    rows = row_indices(rows)
+    n, n_classes = len(rows), dataset.schema.n_classes
     rng = np.random.default_rng(seed)
-    labels = dataset.labels.copy()
-    n_classes = dataset.schema.n_classes
-    flip = rng.random(dataset.n_rows) < noise
-    if flip.any():
+    # all uniform draws of the flips, then all shifts, then the noise; drawn a
+    # row block at a time, each stream is the one that a whole draw gives
+    labels = dataset.labels.take(rows)
+    flip = np.empty(n, dtype=bool)
+    for lo, hi in row_blocks(n):
+        np.less(rng.random(hi - lo), noise, out=flip[lo:hi])
+    for lo, hi in row_blocks(n):
         # flip to a uniformly random *other* class
-        shift = rng.integers(1, n_classes, size=int(flip.sum()))
-        labels[flip] = (labels[flip] + shift) % n_classes
-    num = dataset.numerical
+        block, hit = labels[lo:hi], np.flatnonzero(flip[lo:hi])
+        block[hit] = (block[hit] + rng.integers(1, n_classes, size=len(hit))) % n_classes
+    del flip
+    num = dataset.numerical.take(rows, axis=0)
     if num.size:  # no rows or no numerical columns: nothing to perturb
         # the floats of .std(axis=0) on a C-ordered copy of num
         std = np.sqrt(column_mean_var(num)[1])
         std[std == 0.0] = 1.0
-        # num + rng.normal(0.0, noise * std, num.shape) in one buffer: normal
-        # draws 0.0 + scale * z, and IEEE + and * commute
-        noisy = rng.standard_normal(num.shape)
-        noisy *= noise * std
-        noisy += 0.0
-        noisy += num
-        num = noisy
-    return Dataset(dataset.schema, dataset.categorical, num, labels, dataset.n_cats)
+        scale = noise * std
+        for lo, hi in row_blocks(n):
+            # num + rng.normal(0.0, noise * std, num.shape), a block at a time:
+            # normal draws 0.0 + scale * z, and IEEE + and * commute
+            draws = rng.standard_normal((hi - lo, num.shape[1]))
+            draws *= scale
+            draws += 0.0
+            num[lo:hi] += draws
+    return Dataset(dataset.schema, dataset.categorical.take(rows, axis=0), num, labels, dataset.n_cats)

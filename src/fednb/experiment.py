@@ -92,7 +92,7 @@ def _cell_seeds(config: ExperimentConfig, alpha_index: int, rep: int) -> list[in
 
 @dataclass
 class PreparedCell:
-    train_rows: np.ndarray  # the dataset rows of the training split
+    train_rows: np.ndarray | None  # the dataset rows of the training split; run_cell frees them after C's fit
     val: Dataset | None  # None when proposal A does not run
     test: Dataset
     counts: np.ndarray  # (K, n_classes) training rows of each class dealt to each node
@@ -107,17 +107,24 @@ def prepare_cell(
     and fit one local model per node: everything a cell does before weighting.
 
     The training split stays a row-index array. Each node's rows are gathered
-    from dataset when the node is fitted and freed before the next node's,
-    and the validation and test rows only after the last fit.
+    from dataset when the node is fitted (by degrade_copy, which adds its noise
+    into the gathered copy) and freed before the next node's; its index arrays
+    are freed once its rows are gathered. The validation and test rows are
+    gathered only after the last fit.
     """
     split_seed, part_seed, degr_seed, opt_seed = _cell_seeds(config, alpha_index, rep)
     train_rows, val_rows, test_rows = stratified_split(dataset.labels, config.split_fracs, split_seed)
     part = dirichlet_partition(dataset.labels.take(train_rows), config.k, config.alphas[alpha_index], part_seed)
+    nodes = part.node_indices  # emptied as the nodes are gathered
     models = []
-    for node, ix in enumerate(part.node_indices):
-        local = dataset.subset(train_rows.take(ix))
+    for node in range(config.k):
+        rows = train_rows.take(nodes[node])
+        nodes[node] = None
         if isinstance(config.source, SynthSpec):
-            local = degrade_copy(local, config.source.node_noise[node], degr_seed + node)
+            local = degrade_copy(dataset, rows, config.source.node_noise[node], degr_seed + node)
+        else:
+            local = dataset.subset(rows)
+        del rows
         models.append(fit_hybrid(local))
         del local
     # only proposal A reads the validation rows
@@ -153,9 +160,12 @@ def run_cell(
         t0 = time.perf_counter()
         weights = None
         if proposal == "C":
-            # the pooled training rows are gathered for this one fit
+            # the pooled training rows are gathered for this one fit, and no
+            # other proposal reads them
             w = np.array([1.0])
-            stacked = mog.stack_scores([fit_hybrid(dataset.subset(cell.train_rows))], test)
+            pooled = fit_hybrid(dataset.subset(cell.train_rows))
+            cell.train_rows = None
+            stacked = mog.stack_scores([pooled], test)
         else:
             if proposal == "B":
                 w = weights_fedavg(counts.sum(axis=1))
@@ -173,7 +183,7 @@ def run_cell(
             if shared is None:
                 shared = mog.stack_scores(cell.models, test)
             stacked = shared
-        mixed = mog.mix_scores(w, stacked)
+        mixed = mog.mix_blocks(w, stacked)
         preds = mixed.argmax(axis=0)
         p_vs_b = None
         if proposal == "B":

@@ -15,9 +15,9 @@ Every float equals that of numpy's whole-array reductions over the row-major
 (n, F) numerical columns, which sum in a fixed order: an axis-0 sum adds each
 column in row order when F >= 2 and pairwise when F = 1, and a sum over a
 contiguous inner axis goes left to right below 8 terms and pairwise from 8.
-The kernels keep those orders while working one column, or one feature row,
-at a time (data.mean_var, _feature_sums): over a narrow row-major array,
-numpy's whole-array loops run one short inner loop per row.
+The kernels keep those orders while working one row block (data.row_blocks),
+one column or one feature row at a time (data.row_order_sum, _feature_sums),
+so beside their inputs and results they hold one block's scratch.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, column_mean_var, mean_var
+from .data import Dataset, column_mean_var, row_blocks, row_order_sum
 from .errors import FitError, ShapeError
-from .partition import class_rows
 
 NEG_INF = float("-inf")
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -50,20 +49,27 @@ class HybridModel:
 def fit_hybrid(train: Dataset) -> HybridModel:
     if train.n_rows == 0:
         raise FitError("cannot fit on an empty dataset")
-    n_classes = train.schema.n_classes
+    n, n_classes, labels = train.n_rows, train.schema.n_classes, train.labels
 
-    class_counts = np.bincount(train.labels, minlength=n_classes)
+    # the rows of each class, and of each (class, code) of each column, counted
+    # one row block at a time (bincount casts its input to intp)
+    class_counts = np.zeros(n_classes, dtype=np.int64)
+    counts = [np.zeros((n_classes, m + 1), dtype=np.int64) for m in train.n_cats]
+    for lo, hi in row_blocks(n):
+        keys = labels[lo:hi].astype(np.intp)
+        class_counts += np.bincount(keys, minlength=n_classes)
+        for j, m in enumerate(train.n_cats):
+            cell = keys * (m + 1) + train.categorical[lo:hi, j]
+            counts[j] += np.bincount(cell, minlength=n_classes * (m + 1)).reshape(n_classes, m + 1)
+    classes = np.flatnonzero(class_counts)
     log_prior = np.full(n_classes, NEG_INF)
-    for c in np.flatnonzero(class_counts):
-        log_prior[c] = np.log(class_counts[c] / train.n_rows)
-
-    rows_of = class_rows(train.labels)
+    for c in classes:
+        log_prior[c] = np.log(class_counts[c] / n)
     cat_log_prob = []
-    for j, m in enumerate(train.n_cats):
+    for cnt, m in zip(counts, train.n_cats):
         table = np.full((n_classes, m + 1), 1.0 / (m + 1))
-        for c, rows in rows_of.items():
-            cnt = np.bincount(train.categorical[:, j].take(rows), minlength=m + 1)
-            table[c] = (cnt + SMOOTHING) / (class_counts[c] + SMOOTHING * (m + 1))
+        for c in classes:
+            table[c] = (cnt[c] + SMOOTHING) / (class_counts[c] + SMOOTHING * (m + 1))
         cat_log_prob.append(np.log(table))
 
     # np.mean's and np.std's own steps, so every float equals theirs
@@ -72,20 +78,58 @@ def fit_hybrid(train: Dataset) -> HybridModel:
     std = np.sqrt(var)
     scale = np.where(std > 0, std, 1.0)
 
-    # the Gaussians one standardized column z at a time, each sum in numpy's
-    # order for a column of the (n, F) standardized array and its class rows
-    n, n_num = num.shape
-    gauss_mean = np.zeros((n_classes, n_num))
-    gauss_var = np.ones((n_classes, n_num))
-    z, acc = np.empty(n), np.empty(n)
-    for j in range(n_num):
-        np.divide(np.subtract(num[:, j], mean[j], out=z), scale[j], out=z)
-        floor = 1e-9 * np.maximum(mean_var(z, n_num, acc)[1], 1.0)
-        for c, rows in rows_of.items():
-            gauss_mean[c, j], var = mean_var(z.take(rows), n_num, acc)
-            gauss_var[c, j] = var + floor
+    # the Gaussians on the standardized values, each sum in numpy's order for
+    # the (n, F) standardized array and for its rows of each class; the class
+    # rows are set one class at a time, since a fancy-index assignment touched
+    # numpy code pages that no other step reads (ROADMAP item 10)
+    total, by_class = _standardized_sums(num, labels, classes, mean, scale)
+    gauss_mean = np.zeros((n_classes, num.shape[1]))
+    for i, c in enumerate(classes):
+        gauss_mean[c] = by_class[i] / class_counts[c]
+    centers = (total / n, [gauss_mean[c] for c in classes])
+    total, by_class = _standardized_sums(num, labels, classes, mean, scale, centers)
+    floor = 1e-9 * np.maximum(total / n, 1.0)
+    gauss_var = np.ones((n_classes, num.shape[1]))
+    for i, c in enumerate(classes):
+        gauss_var[c] = by_class[i] / class_counts[c] + floor
 
     return HybridModel(mean, scale, cat_log_prob, gauss_mean, gauss_var, log_prior)
+
+
+def _standardized_sums(num, labels, classes, mean, scale, centers=None):
+    """Row-order sums (data.row_order_sum) of z = (num - mean) / scale over
+    all rows, and over the rows of each class in classes: (F,) and
+    (len(classes), F). With centers = (overall, per class) means, the sums
+    are of the squared deviations from them. One row block of z at a time."""
+    f = num.shape[1]
+    total, by_class = np.zeros(f), np.zeros((len(classes), f))
+    overall, per_class = (None, [None] * len(classes)) if centers is None else centers
+    for lo, hi in row_blocks(len(num), f == 1):
+        z = np.subtract(num[lo:hi].T, mean[:, None], out=np.empty((f, hi - lo)))
+        z /= scale[:, None]
+        block_labels = labels[lo:hi]
+        for i, c in enumerate(classes.tolist()):  # int classes keep the comparison in the labels' dtype
+            # the split and the partition keep each class's rows together, so a
+            # block often holds one class: it is copied, faster than a compress
+            rows = block_labels == c
+            k = np.count_nonzero(rows)
+            if not k:
+                continue
+            zc = z.copy() if k == len(rows) else z.compress(rows, axis=1)
+            by_class[i] = row_order_sum(_squared_deviations(zc, per_class[i]), by_class[i])
+            del zc  # freed before the next class's is made
+        total = row_order_sum(_squared_deviations(z, overall), total)
+        del z  # and this block's before the next block's
+    return total, by_class
+
+
+def _squared_deviations(block: np.ndarray, center: np.ndarray | None) -> np.ndarray:
+    """block, an (F, b) array, or with center (F,) the squares of
+    block - center[:, None], computed in block's own buffer."""
+    if center is not None:
+        block -= center[:, None]
+        np.square(block, out=block)
+    return block
 
 
 def density_profile(models) -> np.ndarray:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, row_blocks
 from .errors import EnsembleError, MetricError, NormalizationError, ShapeError
 from .local_model import NEG_INF, joint_log_scores_batch
 
@@ -42,11 +42,14 @@ def check_weights(w, k: int) -> np.ndarray:
 def stack_scores(models, data: Dataset) -> np.ndarray:
     """C-contiguous class-major (K, n_classes, n_rows) joint log-score tensor,
     one slice per node, so node and class reductions run over leading axes.
-    Each model's scores are copied into the tensor as they are computed, so
-    one model's (C, n) array is alive beside it at a time."""
+    Each model scores one row block of data at a time (data.rows, views of
+    its arrays), and the scores are copied into the tensor as they are
+    computed, so one block's scoring scratch is alive beside it at a time."""
     stacked = np.empty((len(models), data.schema.n_classes, data.n_rows))
-    for k, m in enumerate(models):
-        stacked[k] = joint_log_scores_batch(m, data).T
+    for lo, hi in row_blocks(data.n_rows):
+        block = data.rows(lo, hi)
+        for k, m in enumerate(models):
+            stacked[k, :, lo:hi] = joint_log_scores_batch(m, block).T
     return stacked
 
 
@@ -80,21 +83,32 @@ def mix_scores(weights, stacked: np.ndarray, out=None, *, covered: bool = False)
         return m + np.log(np.add.reduce(np.exp(a, out=a), axis=0))
 
 
+def mix_blocks(weights, stacked: np.ndarray) -> np.ndarray:
+    """mix_scores(weights, stacked), computed one row block at a time into
+    one (C, n) result, so its scratch is one block's instead of a (K, C, n)
+    buffer; the floats are the same."""
+    mixed = np.empty(stacked.shape[1:])
+    for lo, hi in row_blocks(stacked.shape[2]):
+        mixed[:, lo:hi] = mix_scores(weights, stacked[:, :, lo:hi])
+    return mixed
+
+
 def mog_log_scores_batch(models, weights, data: Dataset) -> np.ndarray:
     """(n_rows, n_classes) scores of the mixture of models under weights (checked
     by check_weights first), a transposed view of the class-major result."""
     weights = check_weights(weights, len(models))
-    return mix_scores(weights, stack_scores(models, data)).T
+    return mix_blocks(weights, stack_scores(models, data)).T
 
 
-def _logsumexp_classes(a: np.ndarray, checked: bool = True) -> np.ndarray:
-    """logsumexp over the leading class axis of a (C, n) array. NormalizationError
-    names the first row whose class maximum is not finite (every score -inf,
-    or one NaN or +inf); checked=False skips that test."""
+def _logsumexp_classes(a: np.ndarray, checked: bool = True, first_row: int = 0) -> np.ndarray:
+    """logsumexp over the leading class axis of a (C, n) array, rows
+    first_row.. of some larger array. NormalizationError names the first row
+    whose class maximum is not finite (every score -inf, or one NaN or +inf);
+    checked=False skips that test."""
     m = np.maximum.reduce(a, axis=0)
     if checked and not np.isfinite(m).all():
         row = int(np.argmin(np.isfinite(m)))
-        raise NormalizationError(f"row {row} has no finite class maximum: scores {a[:, row].tolist()}")
+        raise NormalizationError(f"row {first_row + row} has no finite class maximum: scores {a[:, row].tolist()}")
     shifted = a - m
     return m + np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=0))
 
@@ -102,11 +116,16 @@ def _logsumexp_classes(a: np.ndarray, checked: bool = True) -> np.ndarray:
 def anll_from_mixed(mixed: np.ndarray, labels: np.ndarray) -> float:
     """ANLL of class-major (C, n) mixture scores: log-softmax over classes,
     evaluated at the true labels only, with a -inf entry clamped at the
-    50-nat penalty."""
+    50-nat penalty. The per-row terms are computed one row block at a time
+    into one (n,) vector, whose mean is one pairwise sum over all n rows."""
     if len(labels) == 0:
         raise MetricError("ANLL on empty data")
-    ll = mixed[labels, np.arange(len(labels))] - _logsumexp_classes(mixed)
-    ll = np.where(np.isfinite(ll), ll, -SENTINEL_ANLL_PENALTY)
+    ll = np.empty(len(labels))
+    for lo, hi in row_blocks(len(labels)):
+        block = mixed[:, lo:hi]
+        terms = block[labels[lo:hi], np.arange(hi - lo)] - _logsumexp_classes(block, first_row=lo)
+        terms[~np.isfinite(terms)] = -SENTINEL_ANLL_PENALTY
+        ll[lo:hi] = terms
     return float(-ll.mean())
 
 

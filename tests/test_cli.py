@@ -727,16 +727,69 @@ def _set(*path, value):
     ids=["config", "optimizer", "profiles"],
 )
 @pytest.mark.parametrize("command", ["verify", "emit-plots"])
-def test_a_config_echo_of_the_wrong_json_type_exits_64_naming_its_key(
+def test_a_config_echo_of_the_wrong_json_type_exits_1_naming_its_key(
     grid_dir, tmp_path, capsys, command, path, value
 ):
+    # a saved file is data, not usage: exit 1, not the config error's 64
     bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", _set(*path, value=value))
     argv = [command, "--results", str(bad)]
     if command == "emit-plots":
         argv += ["--out", str(tmp_path / "plots")]
-    assert main(argv) == 64
+    assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path[-1]}: expected an object, got []\n"
+    assert err == f"error: {bad / 'grid.json'}: {path[-1]}: expected an object, got []\n"
+
+
+def _without_source(text):
+    bundle = json.loads(text)
+    del bundle["config"]["source"]
+    return json.dumps(bundle)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_without_source, "config: missing key 'source'"),
+        (_set("config", "split_fracs", value=-0.0), "config.split_fracs = -0.0: expected a list of numbers, got -0.0"),
+        (_set("config", "proposals", value=5), "config.proposals = 5: expected a list of names, got 5"),
+        (_set("config", "source", value=5), "source: expected an object, got 5"),
+    ],
+    ids=["no source", "a number for split_fracs", "a number for proposals", "a number for source"],
+)
+@pytest.mark.parametrize("command", ["verify", "emit-plots"])
+def test_a_malformed_config_echo_exits_1_naming_the_file_and_the_fault(
+    grid_dir, tmp_path, capsys, command, edit, message
+):
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", edit)
+    argv = [command, "--results", str(bad)]
+    if command == "emit-plots":
+        argv += ["--out", str(tmp_path / "plots")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad / 'grid.json'}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("0,0,0", "traces: key '0,0,0' is not alpha_index,rep"),
+        ("0", "traces: key '0' is not alpha_index,rep"),
+        ("1_0,0", "traces: key '1_0,0': '1_0' is not a decimal integer"),  # int() would read 10
+        (" 0,0", "traces: key ' 0,0': ' 0' is not a decimal integer"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "emit-plots"])
+def test_a_trace_key_other_than_two_ascii_integers_exits_1_naming_it(grid_dir, tmp_path, capsys, command, key, message):
+    def rekeyed(text):
+        bundle = json.loads(text)
+        bundle["traces"][key] = bundle["traces"].pop("0,0")
+        return json.dumps(bundle)
+
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", rekeyed)
+    argv = [command, "--results", str(bad)]
+    if command == "emit-plots":
+        argv += ["--out", str(tmp_path / "plots")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad / 'grid.json'}: {message}\n"
 
 
 def _verifies_and_plots_as_before(grid_dir, old, tmp_path, capsys):

@@ -174,13 +174,13 @@ def test_a_config_or_schema_that_is_not_utf8_exits_64_naming_it(tmp_path, capsys
 
 
 @pytest.mark.parametrize("fracs", [[0.6, 0.4], [0.4, 0.2, 0.2, 0.2]])
-def test_grid_json_with_other_than_three_split_fracs_exits_64(tmp_path, capsys, fracs):
+def test_grid_json_with_other_than_three_split_fracs_exits_1(tmp_path, capsys, fracs):
     bundle = {"config": {**LEGACY_ECHO, "split_fracs": fracs}, "traces": {}, "partitions": {}, "runtimes_ms": {}}
     (tmp_path / "grid.json").write_text(json.dumps(bundle))
     (tmp_path / "results.csv").write_text("dataset,alpha,rep,proposal,f1_macro,anll,jsd\n")
-    assert main(["verify", "--results", str(tmp_path)]) == 64
+    assert main(["verify", "--results", str(tmp_path)]) == 1  # a saved file is data, not usage
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "split_fracs" in err and "Traceback" not in err
+    assert err.startswith(f"error: {tmp_path / 'grid.json'}: ") and "split_fracs" in err and "Traceback" not in err
 
 
 def test_empty_alpha_grid_exits_64_before_writing_anything(tmp_path, capsys):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fednb.data
 from fednb.cli import main
 from fednb.data import (
     CategoryMap,
@@ -14,7 +15,6 @@ from fednb.data import (
     column_mean_var,
     degrade_copy,
     load_csv,
-    mean_var,
     narrowest_uint,
     synth_generate,
 )
@@ -159,19 +159,19 @@ def _columns_on_scales(n, f, seed):
 
 
 @pytest.mark.parametrize("f", [*range(1, 41), 130])
-def test_column_sums_equal_the_axis0_reduction_bitwise(f):
-    """The column sums of data.mean_var and column_mean_var give the floats of
-    numpy's axis-0 mean and var."""
+def test_column_sums_equal_the_axis0_reduction_bitwise(f, monkeypatch):
+    """column_mean_var's carried row-block sums give the floats of numpy's
+    axis-0 mean and var, in blocks of the default size and of 999 rows (20,000
+    rows are not a multiple of either)."""
     negative_zeros = np.full((7, f), -0.0)  # numpy starts each sum from +0.0
-    for x in [*(_columns_on_scales(n, f, seed=n + f) for n in (1, 7, 20_000)), negative_zeros]:
-        acc = np.empty(len(x))
-        mean, var = np.array([mean_var(x[:, j], f, acc) for j in range(f)]).T
-        assert mean.tobytes() == x.mean(axis=0).tobytes(), x.shape
-        assert var.tobytes() == x.var(axis=0).tobytes(), x.shape
-        # numpy sums a column-major array pairwise; column_mean_var keeps the C order's floats
-        for layout in (x, np.asfortranarray(x)):
-            got = column_mean_var(layout)
-            assert got[0].tobytes() == mean.tobytes() and got[1].tobytes() == var.tobytes(), x.shape
+    for block in (fednb.data.ROW_BLOCK, 999):
+        monkeypatch.setattr(fednb.data, "ROW_BLOCK", block)
+        for x in [*(_columns_on_scales(n, f, seed=n + f) for n in (1, 7, 20_000)), negative_zeros]:
+            mean, var = x.mean(axis=0), x.var(axis=0)
+            # numpy sums a column-major array pairwise; column_mean_var keeps the C order's floats
+            for layout in (x, np.asfortranarray(x)):
+                got = column_mean_var(layout)
+                assert got[0].tobytes() == mean.tobytes() and got[1].tobytes() == var.tobytes(), (x.shape, block)
 
 
 def _degraded_numerical(ds, noise, seed):
@@ -192,7 +192,7 @@ def test_degrade_copy_scales_the_noise_by_the_numpy_std_bitwise(n_num):
     num = ds.numerical.copy()
     num[:, -1] = 7.0  # zero spread: noise at unit scale
     ds = Dataset(ds.schema, ds.categorical, num, ds.labels, ds.n_cats)
-    assert degrade_copy(ds, 0.25, 5).numerical.tobytes() == _degraded_numerical(ds, 0.25, 5).tobytes()
+    assert degrade_copy(ds, range(ds.n_rows), 0.25, 5).numerical.tobytes() == _degraded_numerical(ds, 0.25, 5).tobytes()
 
 
 @pytest.mark.parametrize("n_num", [1, 3])
@@ -205,29 +205,29 @@ def test_degrade_copy_in_one_buffer_keeps_the_floats_on_one_column_and_on_negati
     ds = Dataset(ds.schema, ds.categorical, num, ds.labels, ds.n_cats)
     for noise, seed in ((0.25, 5), (0.9, 6)):
         want = _degraded_numerical(ds, noise, seed)
-        assert degrade_copy(ds, noise, seed).numerical.tobytes() == want.tobytes()
+        assert degrade_copy(ds, range(ds.n_rows), noise, seed).numerical.tobytes() == want.tobytes()
     fortran = Dataset(ds.schema, ds.categorical, np.asfortranarray(num), ds.labels, ds.n_cats)
-    assert degrade_copy(fortran, 0.25, 5).numerical.tobytes() == _degraded_numerical(ds, 0.25, 5).tobytes()
+    assert degrade_copy(fortran, range(ds.n_rows), 0.25, 5).numerical.tobytes() == _degraded_numerical(ds, 0.25, 5).tobytes()
 
 
 def test_degrade_copy_keeps_a_zero_row_dataset_at_noise():
     ds = synth_generate(SynthSpec(200, 2, 1, 3, (0.0,)), 3).subset([])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no column statistics of zero rows
-        out = degrade_copy(ds, 0.3, 99)
+        out = degrade_copy(ds, range(ds.n_rows), 0.3, 99)
     assert out.n_rows == 0 and out.numerical.shape == (0, 3) and out.labels.dtype == ds.labels.dtype
 
 
 def test_degrade_copy_zero_noise_is_identity():
     ds = synth_generate(SynthSpec(200, 2, 1, 1, (0.0,)), 3)
-    out = degrade_copy(ds, 0.0, 99)
+    out = degrade_copy(ds, range(ds.n_rows), 0.0, 99)
     assert np.array_equal(out.labels, ds.labels)
     assert np.array_equal(out.numerical, ds.numerical)
 
 
 def test_degrade_copy_flips_labels_and_perturbs():
     ds = synth_generate(SynthSpec(2000, 2, 1, 1, (0.0,)), 3)
-    out = degrade_copy(ds, 0.3, 99)
+    out = degrade_copy(ds, range(ds.n_rows), 0.3, 99)
     flip_rate = (out.labels != ds.labels).mean()
     assert 0.2 < flip_rate < 0.4
     assert not np.array_equal(out.numerical, ds.numerical)
@@ -373,7 +373,7 @@ def test_degrade_copy_never_writes_into_its_input(noise):
     before = [a.copy() for a in arrays]
     for a in arrays:
         a.flags.writeable = False  # any write into them raises
-    out = degrade_copy(ds, noise, 11)
+    out = degrade_copy(ds, range(ds.n_rows), noise, 11)
     assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
     assert np.array_equal(out.categorical, ds.categorical)
 
@@ -462,7 +462,7 @@ def test_a_fixed_map_label_past_the_label_dtype_is_a_label_error_naming_the_row(
 def test_degraded_labels_equal_the_int64_build_at_the_top_class(n_classes):
     ds = synth_generate(SynthSpec(40 * n_classes, n_classes, 1, 1, (0.0,)), 2)
     wide = Dataset(ds.schema, ds.categorical.astype(np.int64), ds.numerical, ds.labels.astype(np.int64), ds.n_cats)
-    got, want = degrade_copy(ds, 0.5, 9), degrade_copy(wide, 0.5, 9)
+    got, want = degrade_copy(ds, range(ds.n_rows), 0.5, 9), degrade_copy(wide, range(ds.n_rows), 0.5, 9)
     assert got.labels.dtype == ds.labels.dtype == np.uint8 and want.labels.dtype == np.int64
     assert got.labels.astype(np.int64).tobytes() == want.labels.tobytes()
     assert got.numerical.tobytes() == want.numerical.tobytes()

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import fednb.data
 from fednb.data import Dataset, FeatureSchema, SynthSpec, degrade_copy, synth_generate
 from fednb.errors import FitError, ShapeError
 from fednb.local_model import (
     NEG_INF, SMOOTHING, HybridModel, _feature_sums, density_profile, fit_hybrid, joint_log_scores_batch,
 )
-from fednb.mog import StackedScores, anll_from_mixed, anll_from_stacked, mix_scores, stack_scores
+from fednb.mog import StackedScores, anll_from_mixed, anll_from_stacked, mix_blocks, mix_scores, stack_scores
 from fednb.partition import class_rows, dirichlet_partition, stratified_split
 
 from conftest import classes_present, make_dataset, score_row
@@ -389,7 +390,7 @@ def _cell_outputs(ds):
     train_rows, val_rows, test_rows = stratified_split(ds.labels, (0.6, 0.2, 0.2), 4)
     train, val, test = ds.subset(train_rows), ds.subset(val_rows), ds.subset(test_rows)
     part = dirichlet_partition(train.labels, 3, 0.3, 5)
-    nodes = [degrade_copy(ds.subset(train_rows.take(ix)), 0.2, 6 + i) for i, ix in enumerate(part.node_indices)]
+    nodes = [degrade_copy(ds, train_rows.take(ix), 0.2, 6 + i) for i, ix in enumerate(part.node_indices)]
     models = [fit_hybrid(node) for node in nodes]
     scores = StackedScores(stack_scores(models, val), val.labels)
     out = {"counts": part.counts, "flat_index": scores.flat_index}
@@ -424,3 +425,46 @@ def test_narrow_codes_and_labels_give_the_int64_build_bitwise():
             assert g.astype(np.int64).tobytes() == w.tobytes(), key
         else:
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), key
+
+
+BLOCK = 64  # the row block patched in below; n is below, equal to and not a multiple of it
+
+
+def _kernel_outputs(f, c, n, seed):
+    """Every array and float the row-blocked kernels derive from one random
+    node of n rows: its degraded copy, the fitted model, the stacked test
+    scores of it and two other models, their mixture and its ANLL."""
+    rng = np.random.default_rng(seed)
+    num = rng.normal(size=(2 * n, f)) * 10.0 ** rng.uniform(-2, 4, f) + rng.uniform(-3, 3, f)
+    num[::9, 0] = -0.0
+    if f > 1:
+        num[:, -1] = 7.5  # zero spread
+    labels = rng.integers(0, c - 1, 2 * n).astype(np.uint8)  # the top class absent
+    labels[: 2 * n // 3] = np.sort(labels[: 2 * n // 3])  # blocks of one class, as in a split
+    cat = rng.integers(0, 4, size=(2 * n, 2)).astype(np.uint8)
+    ds = make_dataset(cat, num, labels, c, (3, 3))  # code 3 is the OOD slot
+    node = degrade_copy(ds, np.arange(0, 2 * n, 2), 0.3, seed)
+    models = [fit_hybrid(node), fit_hybrid(ds.subset(range(1, n))), fit_hybrid(ds.subset(range(n, 2 * n)))]
+    test = ds.subset(np.arange(1, 2 * n, 2))
+    stacked = stack_scores(models, test)
+    mixed = mix_blocks(np.array([0.5, 0.3, 0.2]), stacked)
+    out = {"node.num": node.numerical, "node.labels": node.labels, "stacked": stacked, "mixed": mixed}
+    out.update({f"model.{k}": v for k, v in _model_arrays(models[0]).items()})
+    out["anll"] = np.float64(anll_from_mixed(mixed, test.labels))
+    return out
+
+
+@pytest.mark.parametrize("c", [2, 10])
+@pytest.mark.parametrize("f", [1, 3, 8, 40])
+def test_row_blocks_give_the_floats_of_one_whole_block(monkeypatch, f, c):
+    """Degrade, fit, scores, mixture and ANLL in blocks of 64 rows equal the
+    same computation in one block, bit for bit; n + 1 leaves a last block of
+    one row, which joins the block before it."""
+    for n in (BLOCK - 5, BLOCK, BLOCK + 1, 3 * BLOCK + 17):
+        monkeypatch.setattr(fednb.data, "ROW_BLOCK", 10**9)
+        whole = _kernel_outputs(f, c, n, seed=f + c + n)
+        monkeypatch.setattr(fednb.data, "ROW_BLOCK", BLOCK)
+        blocked = _kernel_outputs(f, c, n, seed=f + c + n)
+        for key, w in whole.items():
+            g = blocked[key]
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), (key, n)

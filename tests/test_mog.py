@@ -1,11 +1,13 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from fednb.data import SynthSpec, synth_generate
+import fednb.data
+from fednb.data import SynthSpec, row_blocks, synth_generate
 from fednb.errors import EnsembleError, MetricError, NormalizationError, ShapeError
 from fednb.local_model import NEG_INF, fit_hybrid, joint_log_scores_batch
 from fednb.mog import (
@@ -506,3 +508,44 @@ def test_only_the_last_weights_are_kept(counted_mixes):
     values = [anll_from_stacked(w, scores) for w in (a, b, a)]
     assert counted_mixes == [3]
     assert values[0] == values[2] == _reference_anll(a, stacked, labels)
+
+
+def test_stack_scores_peaks_a_few_blocks_above_its_output(monkeypatch):
+    """Scored in blocks of 256 rows, the (C, F, rows) scoring buffers stay a
+    few blocks' worth whatever n is; scored whole they would be about 94
+    blocks' worth at these 40 blocks."""
+    monkeypatch.setattr(fednb.data, "ROW_BLOCK", 256)
+    c, f, n = 10, 8, 40 * 256
+    ds = synth_generate(SynthSpec(n, c, 2, f, (0.0,)), 5)
+    models = [fit_hybrid(ds.subset(range(i, n, 3))) for i in range(3)]
+    tracemalloc.start()
+    try:
+        stacked = stack_scores(models, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_buffer = 256 * c * f * 8  # one block's (C, F, rows) float64 buffer
+    assert peak - stacked.nbytes < 4 * block_buffer, (peak - stacked.nbytes) / block_buffer
+
+
+def test_a_last_block_of_one_row_joins_the_block_before_it(monkeypatch):
+    """numpy sums the class axis of a one-row (C, 1) slice pairwise and of a
+    wider slice in order; for these ten class scores the two sums differ in
+    the last bit, so a row alone in a block would change the ANLL."""
+    monkeypatch.setattr(fednb.data, "ROW_BLOCK", 4)
+    assert row_blocks(9) == [(0, 4), (4, 9)] and row_blocks(10) == [(0, 4), (4, 8), (8, 10)]
+    scores = np.array([0.0] + [-36.8] * 9)
+    in_order = 0.0
+    for x in np.exp(scores):
+        in_order += x
+    assert in_order == 1.0 and np.add.reduce(np.exp(scores)) > 1.0  # pairwise: 1 + 7e-16
+    mixed = np.repeat(scores[:, None], 9, axis=1)
+    assert anll_from_mixed(mixed, np.zeros(9, dtype=np.uint8)) == 0.0  # each row's class sum is 1.0
+
+
+def test_normalization_error_names_the_row_of_the_whole_array_from_a_later_block(monkeypatch):
+    monkeypatch.setattr(fednb.data, "ROW_BLOCK", 4)
+    mixed = np.zeros((2, 10))
+    mixed[:, 7] = NEG_INF  # in the second block, at its row 3
+    with pytest.raises(NormalizationError, match=r"^row 7 has no finite class maximum: scores \[-inf, -inf\]$"):
+        anll_from_mixed(mixed, np.zeros(10, dtype=np.uint8))

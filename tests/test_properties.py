@@ -1,4 +1,6 @@
-"""Hypothesis properties of the partition, the floored simplex and the weight learner."""
+"""Hypothesis properties of the partition, the floored simplex, the weight
+learner, and the two facts the row blocks of a cell rest on: carried row-order
+sums and random draws a block at a time equal the whole computation."""
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from fednb.data import SynthSpec, synth_generate  # noqa: E402
+from fednb.data import SynthSpec, row_order_sum, synth_generate  # noqa: E402
 from fednb.errors import PartitionError  # noqa: E402
 from fednb.governance import NodeProfile, coherence_prior  # noqa: E402
 from fednb.local_model import fit_hybrid  # noqa: E402
@@ -69,3 +72,53 @@ def test_learned_weights_stay_at_or_above_the_floor(nodes, lam, delta, seed):
     w, _ = learn_weights_icc(models, val, coherence_prior(PROFILES), config)
     assert w.min() >= delta
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _blocks(n, cuts):
+    """Consecutive (lo, hi) blocks of n rows, split at the cut points in cuts."""
+    edges = sorted({0, n, *(c % n for c in cuts)})
+    return list(zip(edges, edges[1:]))
+
+
+# every finite float64, subnormals and -0.0 included, below 1e300 in magnitude,
+# so that sums of up to 300 values stay finite
+values = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    x=st.integers(1, 300).flatmap(lambda n: st.integers(2, 12).flatmap(lambda f: arrays(np.float64, (n, f), elements=values))),
+    cuts=st.lists(st.integers(0, 10**6), max_size=8),
+    zero_column=st.booleans(),
+)
+def test_carried_block_sums_equal_the_axis0_sum_bitwise(x, cuts, zero_column):
+    if zero_column:
+        x[:, 0] = -0.0  # numpy sums it to +0.0
+    carry = np.zeros(x.shape[1])
+    for lo, hi in _blocks(len(x), cuts):
+        carry = row_order_sum(x[lo:hi].T.copy(), carry)
+    assert carry.tobytes() == np.add.reduce(x, axis=0).tobytes()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3000),
+    f=st.integers(1, 40),
+    cuts=st.lists(st.integers(0, 10**6), max_size=8),
+    noise=st.floats(0.0, 1.0),
+)
+def test_draws_in_row_blocks_equal_one_whole_draw(seed, n, f, cuts, noise):
+    """degrade_copy's draws: the uniform flips, then the shifts of the
+    flipped rows, then the (n, f) noise, each drawn a block at a time."""
+    whole, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
+    blocks = _blocks(n, cuts)
+    flips = whole.random(n) < noise
+    shifts = whole.integers(1, 3, size=int(flips.sum()))
+    noise_draws = whole.standard_normal((n, f))
+    got_flips = np.concatenate([blocked.random(hi - lo) for lo, hi in blocks]) < noise
+    got_shifts = np.concatenate([blocked.integers(1, 3, size=int(flips[lo:hi].sum())) for lo, hi in blocks])
+    got_noise = np.concatenate([blocked.standard_normal((hi - lo, f)) for lo, hi in blocks])
+    assert got_flips.tobytes() == flips.tobytes() and got_shifts.tobytes() == shifts.tobytes()
+    assert got_noise.tobytes() == noise_draws.tobytes()
+    assert blocked.bit_generator.state == whole.bit_generator.state
