@@ -24,13 +24,12 @@ import sys
 import types
 import typing
 
-import numpy as np
-
-from .config import config_from_dict, config_to_dict, load_config
-from .data import utf8_lines
-from .errors import ConfigError, FedNBError, ParseError
+# experiment is imported before numpy: where no bytecode cache is written
+# (PYTHONDONTWRITEBYTECODE), each run compiles experiment.py, the largest
+# module, and numpy's import then reuses the heap that the compile frees
+# instead of leaving it free below numpy's objects.
 from .experiment import (
-    ExperimentRecord,
+    CellResult,
     GridResult,
     emit_plot_data,
     emit_results_csv,
@@ -40,8 +39,12 @@ from .experiment import (
     verify,
     write_lines,
 )
+import numpy as np
+
+from .config import config_from_dict, config_to_dict, load_config
+from .data import utf8_lines
+from .errors import ConfigError, FedNBError, ParseError
 from .partition import dirichlet_partition, jsd_heterogeneity
-from .weights import OptimizationTrace
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,20 +71,8 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _by_cell_key(d: dict, convert) -> dict:
-    """{(ai, rep): v} -> {"ai,rep": convert(v)}, the key form of grid.json."""
-    return {f"{ai},{rep}": convert(v) for (ai, rep), v in d.items()}
-
-
 def _save_bundle(result: GridResult, out_dir: str) -> None:
-    bundle = {
-        "config": config_to_dict(result.config),
-        "traces": _by_cell_key(result.traces, dataclasses.asdict),
-        "density": result.density,
-        "records": [dataclasses.asdict(r) for r in result.records],
-        "partitions": _by_cell_key(result.partitions, np.ndarray.tolist),
-        "runtimes_ms": _by_cell_key(result.runtimes_ms, dict),
-    }
+    bundle = {"config": config_to_dict(result.config), "cells": [dataclasses.asdict(c) for c in result.cells]}
     with open(os.path.join(out_dir, GRID_BUNDLE), "w", encoding="utf-8") as fh:
         json.dump(bundle, fh, default=np.ndarray.tolist)
 
@@ -92,42 +83,40 @@ _field_types = functools.cache(typing.get_type_hints)
 def _decoded(kind, v, key: str):
     """v, the grid.json value at key, as a value of the annotation kind. v must
     have kind's exact JSON type, so neither true nor 2.0 is an int and neither
-    1 nor "0.5" is a float. A tuple or np.ndarray is a list of floats, a
-    list[X] a list of X, X | None also null, and a dataclass an object holding
-    its fields (other keys are ignored). TypeError names the key."""
+    1 nor "0.5" is a float. A tuple is a list of floats, an np.ndarray one too
+    or a list of such lists of one length, a list[X] a list of X, X | None also
+    null, and a dataclass an object holding its fields (other keys are
+    ignored). An error names v's place below key, as in cells[3].rep."""
     if dataclasses.is_dataclass(kind):
         fields = _field_types(kind)
         if type(v) is not dict:
-            raise TypeError(f"expected an object holding {', '.join(fields)}, got {v!r}")
-        return kind(**{name: _decoded(t, v[name], name) for name, t in fields.items()})
+            raise TypeError(f"{key}: expected an object holding {', '.join(fields)}, got {v!r}")
+        missing = [name for name in fields if name not in v]
+        if missing:
+            raise ValueError(f"{key}: missing key {missing[0]!r}")
+        return kind(**{name: _decoded(t, v[name], f"{key}.{name}") for name, t in fields.items()})
     if type(kind) is types.UnionType:  # X | None
         return None if v is None else _decoded(typing.get_args(kind)[0], v, key)
     if kind in (tuple, np.ndarray):
-        if any(type(x) is not float for x in _decoded(list, v, key)):
+        items = _decoded(list, v, key)
+        if kind is np.ndarray and items and type(items[0]) is list:  # a matrix, row by row
+            rows = [_decoded(kind, row, key) for row in items]
+            if len({row.shape for row in rows}) > 1:
+                raise ValueError(f"{key} must hold rows of one length, got {v!r}")
+            return np.array(rows)
+        if any(type(x) is not float for x in items):
             raise TypeError(f"{key} must hold floats, got {v!r}")
         return tuple(v) if kind is tuple else np.array(v)
     base, args = typing.get_origin(kind) or kind, typing.get_args(kind)
     if type(v) is not base:
         raise TypeError(f"{key} must be {base.__name__}, got {v!r}")
-    return [_decoded(args[0], x, key) for x in v] if args else v
-
-
-def _cell_key(key: str) -> tuple[int, int]:
-    """(alpha_index, rep) from a grid.json trace key in the form of
-    _by_cell_key: two runs of ASCII digits joined by one comma."""
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"traces: key {key!r} is not alpha_index,rep")
-    for part in parts:
-        if not (part.isascii() and part.isdigit()):
-            raise ValueError(f"traces: key {key!r}: {part!r} is not a decimal integer")
-    return int(parts[0]), int(parts[1])
+    return [_decoded(args[0], x, f"{key}[{i}]") for i, x in enumerate(v)] if args else v
 
 
 def _load_bundle(results_dir: str) -> GridResult:
-    """The saved grid, without its timings; ParseError names a malformed
-    grid.json (its config echo too), or a results.csv that is not the CSV of
-    its records."""
+    """The saved grid; ParseError names a malformed grid.json (its config echo
+    too) and the place in it, or a results.csv that is not the CSV of its
+    records."""
     bundle_path = os.path.join(results_dir, GRID_BUNDLE)
     try:
         with open(bundle_path, encoding="utf-8") as fh:
@@ -138,18 +127,24 @@ def _load_bundle(results_dir: str) -> GridResult:
             config = config_from_dict(bundle["config"])
         except ConfigError as exc:  # a saved file is data, not usage
             raise ValueError(str(exc)) from None
-        traces = {_cell_key(key): _decoded(OptimizationTrace, trace, key)
-                  for key, trace in _decoded(dict, bundle["traces"], "traces").items()}
-        density = _decoded(list[np.ndarray], bundle["density"], "density")
-        if len(density) != 2 or {len(row) for row in density} not in ({config.k}, {0}):
-            raise ValueError(f"density must be two lists of {config.k} floats, or two empty lists")
-        if not (np.isfinite(density).all() and (density[1] > 0).all()):
-            raise ValueError("density must hold finite means and finite, positive standard deviations")
-        records = _decoded(list[ExperimentRecord], bundle["records"], "records")
-        for i, r in enumerate(records):
-            if r.weights is not None and len(r.weights) != config.k:
-                raise ValueError(f"record {i} ({r.alpha}, {r.rep}, {r.proposal!r}) must hold null "
-                                 f"or K = {config.k} weights, got {len(r.weights)}")
+        result = GridResult(config, _decoded(list[CellResult], bundle["cells"], "cells"))
+        seen = {}  # (alpha_index, rep) -> the position of its cell
+        for i, cell in enumerate(result.cells):
+            for name, n in ("alpha_index", len(config.alphas)), ("rep", config.reps):
+                if not 0 <= getattr(cell, name) < n:
+                    raise ValueError(f"cells[{i}]: {name} {getattr(cell, name)} outside 0..{n - 1}")
+            first = seen.setdefault((cell.alpha_index, cell.rep), i)
+            if first != i:
+                raise ValueError(f"cells[{i}]: (alpha_index, rep) ({cell.alpha_index}, {cell.rep}) "
+                                 f"repeats cells[{first}]")
+            if cell.density.shape not in ((2, config.k), (2, 0)):
+                raise ValueError(f"cells[{i}].density must be two lists of {config.k} floats, or two empty lists")
+            if not (np.isfinite(cell.density).all() and (cell.density[1] > 0).all()):
+                raise ValueError(f"cells[{i}].density must hold finite means and finite, positive standard deviations")
+            for j, r in enumerate(cell.records):
+                if r.weights is not None and len(r.weights) != config.k:
+                    raise ValueError(f"cells[{i}].records[{j}] ({r.alpha}, {r.rep}, {r.proposal!r}) must hold null "
+                                     f"or K = {config.k} weights, got {len(r.weights)}")
     except KeyError as exc:
         raise ParseError(f"{bundle_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -157,12 +152,12 @@ def _load_bundle(results_dir: str) -> GridResult:
     csv_path = os.path.join(results_dir, RESULTS_CSV)
     with open(csv_path, encoding="utf-8", newline="") as fh:
         got = "".join(utf8_lines(fh, csv_path)).split("\n")
-    want = results_csv_lines(records, config.k) + [""]  # write_lines ends the last line too
+    want = results_csv_lines(result.records, config.k) + [""]  # write_lines ends the last line too
     row = next((i for i in range(max(len(got), len(want))) if got[i:i + 1] != want[i:i + 1]), None)
     if row is not None:
         raise ParseError(f"{csv_path}: row {row} is {got[row:row + 1]}; the CSV of the records in "
                          f"{GRID_BUNDLE} has {want[row:row + 1]}")
-    return GridResult(config, records, traces, np.array(density))
+    return result
 
 
 def cmd_run_grid(args) -> int:

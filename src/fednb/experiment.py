@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -60,22 +60,25 @@ class ExperimentRecord:
 
 @dataclass
 class CellResult:
+    """One (alpha, rep) cell: what run_cell returns, grid.json saves whole and
+    check 2 compares with a re-run."""
+    alpha_index: int
+    rep: int
     records: list[ExperimentRecord]
     trace: OptimizationTrace | None
-    counts: np.ndarray  # (K, n_classes) rows of each class dealt to each node
-    runtimes_ms: dict  # proposal -> ms of wall time for its weighting and scoring
+    counts: list[list[int]]  # (K, n_classes) rows of each class dealt to each node
+    runtimes_ms: dict  # proposal -> ms of wall time for its weighting and scoring; a timing, compared by nothing
     density: np.ndarray  # (2, K) local_model.density_profile of the cell's models
 
 
 @dataclass
 class GridResult:
     config: ExperimentConfig
-    records: list[ExperimentRecord]
-    traces: dict  # (alpha_index, rep) -> OptimizationTrace
-    density: np.ndarray  # the last cell's CellResult.density, drawn by emit_plot_data
-    # (alpha_index, rep) -> class count matrix, and -> {proposal: ms}; written to grid.json, not read back
-    partitions: dict = field(default_factory=dict)
-    runtimes_ms: dict = field(default_factory=dict)
+    cells: list[CellResult]  # in the order run_grid ran them
+
+    @property
+    def records(self) -> list[ExperimentRecord]:
+        return [r for cell in self.cells for r in cell.records]
 
 
 def materialize_dataset(config: ExperimentConfig) -> Dataset:
@@ -147,12 +150,10 @@ def run_cell(
         dataset = materialize_dataset(config)
     cell = prepare_cell(config, alpha_index, rep, dataset)
     test, counts = cell.test, cell.counts
-    k = config.k
-    n_classes = dataset.schema.n_classes
     jsd = jsd_heterogeneity(counts)
 
-    records: list[ExperimentRecord] = []
-    runtimes_ms: dict[str, float] = {}
+    records = []
+    runtimes_ms = {}
     trace = None
     preds_b = None  # B's test predictions, for A's McNemar test (B runs first)
     shared = None  # test scores of cell.models, stacked by the first of B/E/A
@@ -178,7 +179,7 @@ def run_cell(
                     coherence_prior(config.profiles),
                     replace(config.optimizer, seed=cell.opt_seed),
                 )
-            w = mog.check_weights(w, k)
+            w = mog.check_weights(w, config.k)
             weights = tuple(float(x) for x in w)
             if shared is None:
                 shared = mog.stack_scores(cell.models, test)
@@ -195,7 +196,7 @@ def run_cell(
             alpha=alpha,
             rep=rep,
             proposal=proposal,
-            f1_macro=f1_macro(test.labels, preds, n_classes),
+            f1_macro=f1_macro(test.labels, preds, dataset.schema.n_classes),
             anll=mog.anll_from_mixed(mixed, test.labels),
             jsd=jsd,
             weights=weights,
@@ -203,24 +204,17 @@ def run_cell(
         ))
         del stacked, mixed, preds  # C's arrays are freed before B/E/A stack the shared tensor
         runtimes_ms[proposal] = (time.perf_counter() - t0) * 1000.0
-    return CellResult(records, trace, counts, runtimes_ms, density_profile(cell.models))
+    return CellResult(alpha_index, rep, records, trace, counts.tolist(), runtimes_ms, density_profile(cell.models))
 
 
 def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
-    result = GridResult(config, [], {}, np.empty((2, 0)))
-    for alpha_index, alpha in enumerate(config.alphas):
+    result = GridResult(config, [])
+    for alpha in config.alphas:
         for rep in range(config.reps):
             try:
-                cell = run_cell(config, alpha, rep, dataset)
+                result.cells.append(run_cell(config, alpha, rep, dataset))
             except Exception as exc:
                 raise CellError(alpha, rep, exc) from exc
-            result.records.extend(cell.records)
-            key = (alpha_index, rep)
-            if cell.trace is not None:
-                result.traces[key] = cell.trace
-            result.partitions[key] = cell.counts
-            result.runtimes_ms[key] = cell.runtimes_ms
-            result.density = cell.density
     return result
 
 
@@ -253,7 +247,7 @@ class VerificationReport:
 def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
     """Evaluate the 15-check protocol on a completed grid whose cells ran on
     dataset. Failures are reported, never raised. Check 2 re-runs the first
-    cell and compares its records with the recorded ones exactly."""
+    cell and compares it with the saved one exactly, all but its timings."""
     config = result.config
     records = result.records
     checks: list = []
@@ -264,10 +258,8 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
 
     # 2. seed reproducibility: re-run the first cell
     try:
-        cell = run_cell(config, config.alphas[0], 0, dataset)
-        expect = [r for r in records if r.alpha == config.alphas[0] and r.rep == 0]
-        ok = cell.records == expect
-        msg = "first cell re-run matches" if ok else _rerun_divergence(cell.records, expect)
+        diff = _rerun_divergence(run_cell(config, config.alphas[0], 0, dataset), result.cells[0])
+        ok, msg = diff is None, diff or "first cell re-run matches"
     except Exception as exc:
         ok, msg = False, f"re-run failed: {exc}"
     checks.append(("seed_reproducibility", ok, msg))
@@ -332,8 +324,9 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
 
     # 13. config echo: the grid.json echo rebuilds this exact config
     try:
-        diff = _first_difference(config, config_from_dict(config_to_dict(config)))
-        ok, msg = diff is None, f"echo differs at {diff}" if diff else "echo rebuilds the config"
+        diff = _first_difference(config, config_from_dict(config_to_dict(config)), "config")
+        ok = diff is None
+        msg = "echo differs at {} ({!r} vs {!r})".format(*diff) if diff else "echo rebuilds the config"
     except ConfigError as exc:
         ok, msg = False, f"echo does not load: {exc}"
     checks.append(("config_echo", ok, msg))
@@ -347,27 +340,31 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
 
     # 15. trace sanity: each trace has starts, their final objectives are
     # finite, and the chosen start has the lowest
-    traces = result.traces
-    faults = {key: _trace_fault(t) for key, t in traces.items()}
-    bad = next((key for key, fault in faults.items() if fault), None)
-    ok = bad is None and bool(traces or "A" not in config.proposals)
-    stops = [s.converged for t in traces.values() for s in t.starts]
-    msg = f"{len(traces)} traces checked; starts: {stops.count(True)} converged, {stops.count(False)} at max_iters"
+    traced = [c for c in result.cells if c.trace]
+    bad = next(((c.alpha_index, c.rep, fault) for c in traced if (fault := _trace_fault(c.trace))), None)
+    ok = bad is None and bool(traced or "A" not in config.proposals)
+    stops = [s.converged for c in traced for s in c.trace.starts]
+    msg = f"{len(traced)} traces checked; starts: {stops.count(True)} converged, {stops.count(False)} at max_iters"
     if bad is not None:
-        msg += f"; trace (alpha_index, rep) {bad} {faults[bad]}"
+        msg += "; trace (alpha_index, rep) ({}, {}) {}".format(*bad)
     checks.append(("trace_sanity", ok, msg))
 
     return VerificationReport(checks)
 
 
-def _first_difference(a, b, path: str = "config") -> str | None:
-    """Dotted field name (and both values) where a and b first differ, or None."""
-    if a == b:
-        return None
+def _first_difference(a, b, path: str) -> tuple | None:
+    """(path, a's value, b's value) where a and b first differ, or None.
+    Dataclasses of one type differ at a field, arrays (as lists) and lists of
+    one length at an entry, so a path reads like config.optimizer.n_starts."""
+    if isinstance(a, np.ndarray):
+        a, b = a.tolist(), b.tolist()
     if is_dataclass(a) and type(a) is type(b):
-        diffs = (_first_difference(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}") for f in fields(a))
-        return next(d for d in diffs if d)
-    return f"{path} ({a!r} vs {b!r})"
+        a, b, step = vars(a), vars(b), "{}.{}"
+    elif type(a) is type(b) in (list, tuple) and len(a) == len(b):
+        a, b, step = dict(enumerate(a)), dict(enumerate(b)), "{}[{}]"
+    else:
+        return None if a == b else (path, a, b)
+    return next(filter(None, (_first_difference(a[k], b[k], step.format(path, k)) for k in a)), None)
 
 
 def _first_bad(records, is_bad) -> str | None:
@@ -381,14 +378,19 @@ def _first_bad(records, is_bad) -> str | None:
     return None
 
 
-def _rerun_divergence(got, want) -> str:
-    """Check 2's message: the first recorded field whose re-run value differs."""
-    for g, w in zip(got, want):
+def _rerun_divergence(got: CellResult, want: CellResult) -> str | None:
+    """Check 2's message: where the saved first cell want and its re-run got
+    first differ, naming a record by its (alpha, rep, proposal) and any other
+    field by its path in grid.json; or None. runtimes_ms, a timing, may differ."""
+    for g, w in zip(got.records, want.records):
         for f in fields(w):
             if getattr(g, f.name) != getattr(w, f.name):
                 return (f"first cell re-run diverges at (alpha, rep, proposal) {(w.alpha, w.rep, w.proposal)}: "
                         f"{f.name} = {getattr(g, f.name)}, recorded {getattr(w, f.name)}")
-    return f"first cell re-run diverges in length: {len(got)} records, {len(want)} recorded"
+    if len(got.records) != len(want.records):
+        return f"first cell re-run diverges in length: {len(got.records)} records, {len(want.records)} recorded"
+    diff = _first_difference(replace(got, runtimes_ms=want.runtimes_ms), want, "cells[0]")
+    return diff and "first cell re-run diverges at {} = {}, recorded {}".format(*diff)
 
 
 def _trace_fault(trace: OptimizationTrace) -> str | None:
@@ -477,18 +479,16 @@ def emit_results_csv(records, k: int, path) -> None:
 
 def emit_plot_data(result: GridResult, out_dir) -> None:
     """Write four tab-separated plot-data files into out_dir from a grid:
-    its records, the last cell's density profile, and the profiles' names
+    its records, its last cell's density profile, and the profiles' names
     and normalized coherence prior for the per-node files."""
     os.makedirs(out_dir, exist_ok=True)
     records, node_names = result.records, [p.name for p in result.config.profiles]
     alphas = sorted({r.alpha for r in records})
-    proposals = [p for p in PROPOSAL_ORDER if any(r.proposal == p for r in records)]
-
     a_recs = [r for r in records if r.proposal == "A" and r.weights is not None]
 
     lines = ["alpha\tproposal\tf1_mean\tf1_std\tanll_mean\tanll_std"]
     for a in alphas:
-        for p in proposals:
+        for p in PROPOSAL_ORDER:
             sel = [r for r in records if r.proposal == p and r.alpha == a]
             if not sel:  # a pair without records has no row
                 continue
@@ -512,7 +512,7 @@ def emit_plot_data(result: GridResult, out_dir) -> None:
     write_lines(os.path.join(out_dir, "weight_trajectories.tsv"), lines)
 
     lines = ["x\t" + "\t".join(node_names)]
-    means, sds = result.density
+    means, sds = result.cells[-1].density
     if means.size:
         for x in np.linspace(float((means - 6 * sds).min()), float((means + 6 * sds).max()), 200):
             dens = np.exp(-0.5 * ((x - means) / sds) ** 2) / (sds * np.sqrt(2 * np.pi))

@@ -289,7 +289,7 @@ def test_criterion_10_verification_protocol(full_grid, full_dataset):
     assert failed == ["weights_sum_to_one"]
 
     tampered = copy.deepcopy(full_grid)
-    tampered.records.pop()
+    tampered.cells[-1].records.pop()
     failed = [n for n, ok, _ in verify(tampered, full_dataset).checks if not ok]
     assert failed == ["grid_completeness"]
 
@@ -319,10 +319,10 @@ def test_results_csv_matches_reference_sha256(full_grid, tmp_path):
 def test_optimizer_traces_match_the_pinned_floats(full_config, full_grid):
     pinned = json.loads(TRACES_PATH.read_text(encoding="utf-8"))
     assert len(pinned) == 4
+    traces = {(full_config.alphas[cell.alpha_index], cell.rep): cell.trace for cell in full_grid.cells}
     for key, want in pinned.items():
         alpha, rep = key.split(",")
-        trace = full_grid.traces[(full_config.alphas.index(float(alpha)), int(rep))]
-        _assert_matches_the_pin(trace, want)
+        _assert_matches_the_pin(traces[float(alpha), int(rep)], want)
 
 
 def _assert_matches_the_pin(trace, want):

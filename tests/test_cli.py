@@ -19,7 +19,7 @@ import fednb.experiment
 import fednb.weights
 from fednb.cli import main
 from fednb.errors import CellError, ConfigError, FedNBError, PartitionError
-from fednb.experiment import ExperimentRecord, emit_results_csv, prepare_cell
+from fednb.experiment import CellResult, ExperimentRecord, emit_results_csv, prepare_cell
 
 ROOT = Path(__file__).resolve().parents[1]
 SYNTH_CFG = ROOT / "configs" / "synth.cfg"
@@ -145,13 +145,17 @@ def test_verify_on_fresh_results(grid_dir, capsys):
 
 def _records_copy(grid_dir, dest, edit):
     """A copy of grid_dir at dest whose grid.json holds its records after
-    edit(records), which changes the list of ExperimentRecords in place, and
-    whose results.csv is their CSV."""
+    edit(records), which changes the grid-order list of every cell's
+    ExperimentRecords in place, each record back in the cell of its (alpha,
+    rep); its results.csv is their CSV."""
     shutil.copytree(grid_dir, dest)
     bundle = json.loads((dest / "grid.json").read_text())
-    records = [ExperimentRecord(**r) for r in bundle["records"]]
+    alphas = bundle["config"]["alphas"]
+    records = [ExperimentRecord(**r) for cell in bundle["cells"] for r in cell["records"]]
     edit(records)
-    bundle["records"] = [dataclasses.asdict(r) for r in records]
+    for cell in bundle["cells"]:
+        key = (alphas[cell["alpha_index"]], cell["rep"])
+        cell["records"] = [dataclasses.asdict(r) for r in records if (r.alpha, r.rep) == key]
     (dest / "grid.json").write_text(json.dumps(bundle))
     emit_results_csv(records, len(bundle["config"]["profiles"]), dest / "results.csv")
     return dest
@@ -203,9 +207,10 @@ def test_verify_names_the_first_field_where_the_rerun_diverges(grid_dir, tmp_pat
 
 def test_a_last_ulp_change_to_a_rerun_record_fails_check_2_alone(grid_dir, tmp_path, capsys):
     """The change is far below results.csv's 6 decimals, so that file stays as it is."""
-    f1 = json.loads((grid_dir / "grid.json").read_text())["records"][0]["f1_macro"]  # C of the re-run first cell
+    f1 = json.loads((grid_dir / "grid.json").read_text())["cells"][0]["records"][0]["f1_macro"]  # C of the re-run cell
     up = math.nextafter(f1, math.inf)
-    moved = _corrupt_copy(grid_dir, tmp_path / "moved", "grid.json", _set("records", 0, "f1_macro", value=up))
+    edit = _set("cells", 0, "records", 0, "f1_macro", value=up)
+    moved = _corrupt_copy(grid_dir, tmp_path / "moved", "grid.json", edit)
     assert (moved / "results.csv").read_bytes() == (grid_dir / "results.csv").read_bytes()
     assert main(["verify", "--results", str(moved)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
@@ -234,10 +239,11 @@ def test_a_results_csv_edited_alone_exits_1_naming_it_and_the_row(grid_dir, tmp_
 
 def test_a_nan_final_objective_fails_check_15_alone(grid_dir, tmp_path, capsys):
     """np.argmin returns the index of the first NaN, so a chosen NaN start
-    would pass a check that only compared it with the lowest objective."""
+    would pass a check that only compared it with the lowest objective. The
+    trace is the last cell's, which check 2 does not re-run."""
     def nan_chosen_start(text):
         bundle = json.loads(text)
-        trace = bundle["traces"]["0,0"]
+        trace = bundle["cells"][-1]["trace"]
         trace["starts"][0]["final_objective"] = math.nan
         trace["chosen"] = 0
         return json.dumps(bundle)
@@ -246,7 +252,7 @@ def test_a_nan_final_objective_fails_check_15_alone(grid_dir, tmp_path, capsys):
     assert main(["verify", "--results", str(bad)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
     assert len(failed) == 1 and failed[0].startswith("[FAIL] trace_sanity: ")
-    assert re.search(r"; trace \(alpha_index, rep\) \(0, 0\) has final objectives \[nan, [^]]+\]$", failed[0]), failed
+    assert re.search(r"; trace \(alpha_index, rep\) \(2, 0\) has final objectives \[nan, [^]]+\]$", failed[0]), failed
 
 
 def test_verify_exits_2_on_an_infinite_anll_and_check_5_alone_names_it(grid_dir, tmp_path, capsys):
@@ -272,11 +278,48 @@ def test_verify_names_a_cell_row_replaced_by_another_of_the_same_cell(grid_dir, 
 
 
 def test_grid_json_keys_runtimes_by_cell_and_proposal(grid_dir):
-    runtimes = json.loads((grid_dir / "grid.json").read_text())["runtimes_ms"]
-    assert sorted(runtimes) == ["0,0", "1,0", "2,0"]  # "alpha_index,rep", like traces
-    for per_proposal in runtimes.values():
-        assert list(per_proposal) == ["C", "B", "E", "A"]
-        assert all(isinstance(ms, float) for ms in per_proposal.values())
+    cells = json.loads((grid_dir / "grid.json").read_text())["cells"]
+    assert [(cell["alpha_index"], cell["rep"]) for cell in cells] == [(0, 0), (1, 0), (2, 0)]
+    for cell in cells:
+        assert list(cell["runtimes_ms"]) == ["C", "B", "E", "A"]
+        assert all(isinstance(ms, float) for ms in cell["runtimes_ms"].values())
+    # read back as the plain dict it was saved as
+    assert [cell.runtimes_ms for cell in fednb.cli._load_bundle(str(grid_dir)).cells] == [
+        cell["runtimes_ms"] for cell in cells
+    ]
+
+
+def test_grid_json_holds_the_config_and_the_cells_of_run_grid_but_their_timings(
+    cfg_path, tmp_path, monkeypatch, capsys
+):
+    held = []
+    real_run_grid = fednb.cli.run_grid
+
+    def run_grid(*args):
+        held.append(real_run_grid(*args))
+        return held[-1]
+
+    monkeypatch.setattr(fednb.cli, "run_grid", run_grid)
+    out = tmp_path / "out"
+    assert main(["run-grid", "--config", str(cfg_path), "--out", str(out)]) == 0
+    bundle = json.loads((out / "grid.json").read_text())
+    assert list(bundle) == ["config", "cells"]
+    assert all(list(cell) == [f.name for f in dataclasses.fields(CellResult)] for cell in bundle["cells"])
+    loaded = fednb.cli._load_bundle(str(out))
+    assert loaded.config == held[0].config
+    for got, want in zip(loaded.cells, held[0].cells, strict=True):
+        assert (got.alpha_index, got.rep, got.records) == (want.alpha_index, want.rep, want.records)
+        assert got.counts == want.counts
+        assert all(type(n) is int for row in got.counts for n in row)
+        assert got.density.dtype == want.density.dtype and got.density.shape == want.density.shape
+        assert got.density.tobytes() == want.density.tobytes()
+        assert got.trace.chosen == want.trace.chosen and len(got.trace.starts) == len(want.trace.starts)
+        for s, t in zip(got.trace.starts, want.trace.starts):
+            assert (s.final_objective, s.evaluations, s.iterations, s.converged) == (
+                t.final_objective, t.evaluations, t.iterations, t.converged
+            )
+            assert s.initial_theta.tobytes() == t.initial_theta.tobytes()
+            assert s.final_theta.tobytes() == t.final_theta.tobytes()
 
 
 def test_verify_missing_directory(tmp_path, capsys):
@@ -470,9 +513,9 @@ def test_grid_json_saves_the_last_cells_density_profile(grid_dir):
     cls = next((c for c in classes if all(np.isfinite(m.log_prior[c]) for m in models)), 0)
     means = [m.gauss_mean[cls, 0] for m in models]
     sds = [float(np.sqrt(m.gauss_var[cls, 0])) for m in models]
-    saved = json.loads((grid_dir / "grid.json").read_text())["density"]
+    saved = json.loads((grid_dir / "grid.json").read_text())["cells"][-1]["density"]
     assert saved == [means, sds]
-    assert result.density.tobytes() == np.array([means, sds]).tobytes()
+    assert result.cells[-1].density.tobytes() == np.array([means, sds]).tobytes()
 
 
 def test_emit_plots_command(grid_dir, tmp_path):
@@ -502,16 +545,12 @@ def _corrupt_copy(grid_dir, dest, name, edit):
     return dest
 
 
-def _bad_trace_key(text):
-    bundle = json.loads(text)
-    bundle["traces"]["x,0"] = bundle["traces"].pop("0,0")
-    return json.dumps(bundle)
+def _string_alpha_index(text):
+    return _set("cells", 0, "alpha_index", value="x")(text)
 
 
-def _list_traces(text):
-    bundle = json.loads(text)
-    bundle["traces"] = []
-    return json.dumps(bundle)
+def _object_cells(text):
+    return _set("cells", value={})(text)
 
 
 def _top_level_list(text):
@@ -520,66 +559,63 @@ def _top_level_list(text):
 
 def _without_density(text):
     bundle = json.loads(text)
-    del bundle["density"]
+    del bundle["cells"][1]["density"]
     return json.dumps(bundle)
 
 
 def _string_density_entry(text):
-    bundle = json.loads(text)
-    bundle["density"][1][0] = "0.5"
-    return json.dumps(bundle)
+    return _set("cells", 1, "density", 1, 0, value="0.5")(text)
 
 
 def _short_density(text):
     bundle = json.loads(text)
-    bundle["density"] = [row[:-1] for row in bundle["density"]]
+    bundle["cells"][1]["density"] = [row[:-1] for row in bundle["cells"][1]["density"]]
     return json.dumps(bundle)
 
 
 def _infinite_density_mean(text):
-    return _set("density", 0, 0, value=math.inf)(text)
+    return _set("cells", 1, "density", 0, 0, value=math.inf)(text)
 
 
 def _nan_density_sd(text):
-    return _set("density", 1, 0, value=math.nan)(text)
+    return _set("cells", 1, "density", 1, 0, value=math.nan)(text)
 
 
 def _zero_density_sd(text):
-    return _set("density", 1, 0, value=0.0)(text)
+    return _set("cells", 1, "density", 1, 0, value=0.0)(text)
 
 
 def _without_records(text):
     bundle = json.loads(text)
-    del bundle["records"]
+    del bundle["cells"][1]["records"]
     return json.dumps(bundle)
 
 
 def _string_record_f1(text):
-    return _set("records", 0, "f1_macro", value="0.9")(text)
+    return _set("cells", 1, "records", 0, "f1_macro", value="0.9")(text)
 
 
 def _int_record_weight(text):
-    return _set("records", 1, "weights", 0, value=1)(text)
+    return _set("cells", 1, "records", 1, "weights", 0, value=1)(text)
 
 
 def _trace_start_without_iterations(text):
     bundle = json.loads(text)
-    del bundle["traces"]["0,0"]["starts"][0]["iterations"]
+    del bundle["cells"][1]["trace"]["starts"][0]["iterations"]
     return json.dumps(bundle)
 
 
 def _edit_trace(text, key, value, start=None):
-    """Set key of trace "0,0" (of its start number start, if given) to value."""
+    """Set key of the trace of cells[1] (of its start number start, if given)
+    to value."""
     bundle = json.loads(text)
-    trace = bundle["traces"]["0,0"]
+    trace = bundle["cells"][1]["trace"]
     (trace if start is None else trace["starts"][start])[key] = value
     return json.dumps(bundle)
 
 
 def _list_trace(text):
-    bundle = json.loads(text)
-    bundle["traces"]["0,0"] = []
-    return json.dumps(bundle)
+    return _set("cells", 1, "trace", value=[])(text)
 
 
 def _object_starts(text):
@@ -637,9 +673,9 @@ def _bad_f1_cell(text):
 @pytest.mark.parametrize(
     "name, edit, message",
     [
-        ("grid.json", _bad_trace_key, "'x'"),
+        ("grid.json", _string_alpha_index, "cells[0].alpha_index must be int, got 'x'"),
         ("grid.json", _trace_start_without_iterations, "iterations"),
-        ("grid.json", _list_traces, "traces must be dict"),
+        ("grid.json", _object_cells, "cells must be list"),
         ("grid.json", _top_level_list, "expected a JSON object"),
         ("grid.json", _without_density, "missing key 'density'"),
         ("grid.json", _string_density_entry, "density must hold floats"),
@@ -691,7 +727,8 @@ def test_a_record_with_the_wrong_number_of_weights_exits_1_naming_it_and_k(grid_
         argv += ["--out", str(tmp_path / "plots")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {bad / 'grid.json'}: record 11 (1.0, 0, 'A') must hold null or K = 3 weights, got 2\n"
+    assert err == (f"error: {bad / 'grid.json'}: cells[2].records[3] (1.0, 0, 'A') must hold null "
+                   "or K = 3 weights, got 2\n")
 
 
 def test_emit_plots_writes_no_curve_row_for_a_pair_without_records(grid_dir, tmp_path):
@@ -769,27 +806,106 @@ def test_a_malformed_config_echo_exits_1_naming_the_file_and_the_fault(
 
 
 @pytest.mark.parametrize(
-    "key, message",
+    "path, value, message",
     [
-        ("0,0,0", "traces: key '0,0,0' is not alpha_index,rep"),
-        ("0", "traces: key '0' is not alpha_index,rep"),
-        ("1_0,0", "traces: key '1_0,0': '1_0' is not a decimal integer"),  # int() would read 10
-        (" 0,0", "traces: key ' 0,0': ' 0' is not a decimal integer"),
+        ((0, "alpha_index"), -1, "cells[0]: alpha_index -1 outside 0..2"),
+        ((2, "alpha_index"), 3, "cells[2]: alpha_index 3 outside 0..2"),
+        ((1, "rep"), 1, "cells[1]: rep 1 outside 0..0"),
+        ((1, "rep"), 1.0, "cells[1].rep must be int, got 1.0"),
+        ((1, "alpha_index"), True, "cells[1].alpha_index must be int, got True"),
+        ((2, "alpha_index"), 0, "cells[2]: (alpha_index, rep) (0, 0) repeats cells[0]"),
     ],
+    ids=["-1", "out of range", "rep out of range", "1.0", "true", "repeated"],
 )
 @pytest.mark.parametrize("command", ["verify", "emit-plots"])
-def test_a_trace_key_other_than_two_ascii_integers_exits_1_naming_it(grid_dir, tmp_path, capsys, command, key, message):
-    def rekeyed(text):
-        bundle = json.loads(text)
-        bundle["traces"][key] = bundle["traces"].pop("0,0")
-        return json.dumps(bundle)
-
-    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", rekeyed)
+def test_a_cell_outside_the_grid_or_repeated_exits_1_naming_its_place(
+    grid_dir, tmp_path, capsys, command, path, value, message
+):
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", _set("cells", *path, value=value))
     argv = [command, "--results", str(bad)]
     if command == "emit-plots":
         argv += ["--out", str(tmp_path / "plots")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {bad / 'grid.json'}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((2, "trace", "starts", 0, "evaluations"), 1.0, "cells[2].trace.starts[0].evaluations must be int, got 1.0"),
+        ((1, "counts", 0, 1), 1.0, "cells[1].counts[0][1] must be int, got 1.0"),
+        ((1, "counts", 0, 1), True, "cells[1].counts[0][1] must be int, got True"),
+        ((1, "density", 0), [0.5], "cells[1].density must hold rows of one length, got [[0.5], ["),
+        ((2, "runtimes_ms"), [], "cells[2].runtimes_ms must be dict, got []"),
+    ],
+    ids=["float evaluations", "float count", "bool count", "ragged density", "list runtimes"],
+)
+def test_a_malformed_cell_field_exits_1_naming_its_place_in_the_cells(grid_dir, tmp_path, capsys, path, value, message):
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", _set("cells", *path, value=value))
+    assert main(["verify", "--results", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad / 'grid.json'}: {message}") and err.count("\n") == 1, err
+
+
+def _before_the_cells(text):
+    """grid.json as written before it held a list of cells."""
+    bundle = json.loads(text)
+    cells = bundle.pop("cells")
+    keys = [f"{cell['alpha_index']},{cell['rep']}" for cell in cells]
+    bundle["traces"] = {key: cell["trace"] for key, cell in zip(keys, cells)}
+    bundle["density"] = cells[-1]["density"]
+    bundle["records"] = [r for cell in cells for r in cell["records"]]
+    bundle["partitions"] = {key: cell["counts"] for key, cell in zip(keys, cells)}
+    bundle["runtimes_ms"] = {key: cell["runtimes_ms"] for key, cell in zip(keys, cells)}
+    return json.dumps(bundle)
+
+
+@pytest.mark.parametrize("command", ["verify", "emit-plots"])
+def test_a_grid_json_from_before_the_list_of_cells_exits_1_naming_the_missing_key(grid_dir, tmp_path, capsys, command):
+    old = _corrupt_copy(grid_dir, tmp_path / "old", "grid.json", _before_the_cells)
+    argv = [command, "--results", str(old)]
+    if command == "emit-plots":
+        argv += ["--out", str(tmp_path / "plots")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {old / 'grid.json'}: missing key 'cells'\n"
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize(
+    "field, keys, change",
+    [
+        ("trace.starts[2].evaluations", ("trace", "starts", 2, "evaluations"), lambda v: v + 1),
+        ("trace.starts[0].initial_theta[1]", ("trace", "starts", 0, "initial_theta", 1), lambda v: v + 0.5),
+        ("counts[1][0]", ("counts", 1, 0), lambda v: v + 1),
+        ("density[1][0]", ("density", 1, 0), lambda v: v * 2),
+    ],
+    ids=["evaluations", "initial_theta", "counts", "density"],
+)
+def test_an_edit_to_the_saved_first_cell_fails_check_2_alone_naming_the_field(
+    grid_dir, tmp_path, capsys, field, keys, change
+):
+    """Check 2 compares the whole saved first cell with its re-run, so an edit
+    of any of its fields fails check 2 alone and names the field with both
+    values. The same edit of the last cell, which check 2 does not re-run and
+    no other check reads, passes check 2 and leaves verification at 15/15."""
+    cells = json.loads((grid_dir / "grid.json").read_text())["cells"]
+    for i in (0, -1):
+        saved = cells[i]
+        for key in keys:
+            saved = saved[key]
+        edit = _set("cells", i, *keys, value=change(saved))
+        edited = _corrupt_copy(grid_dir, tmp_path / f"cell{i}", "grid.json", edit)
+        code = main(["verify", "--results", str(edited)])
+        out = capsys.readouterr().out
+        if i == 0:
+            failed = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
+            assert code == 2 and failed == [
+                f"[FAIL] seed_reproducibility: first cell re-run diverges at cells[0].{field} = {saved}, "
+                f"recorded {change(saved)}"
+            ]
+        else:
+            assert code == 0 and "[PASS] seed_reproducibility: first cell re-run matches" in out
+            assert out.endswith("15/15 passed\n")
 
 
 def _verifies_and_plots_as_before(grid_dir, old, tmp_path, capsys):
@@ -809,13 +925,13 @@ def test_a_grid_json_that_still_holds_scores_ok_verifies_and_plots_as_before(gri
 def _with_trace_totals(text):
     """grid.json as written when each trace also held its total of evaluations."""
     bundle = json.loads(text)
-    for trace in bundle["traces"].values():
+    for trace in (cell["trace"] for cell in bundle["cells"]):
         trace["evaluations"] = sum(s["evaluations"] for s in trace["starts"])
     return json.dumps(bundle)
 
 
 def test_a_grid_json_whose_traces_still_hold_their_totals_verifies_and_plots_as_before(grid_dir, tmp_path, capsys):
-    assert all("evaluations" not in t for t in json.loads((grid_dir / "grid.json").read_text())["traces"].values())
+    assert all("evaluations" not in c["trace"] for c in json.loads((grid_dir / "grid.json").read_text())["cells"])
     old = _corrupt_copy(grid_dir, tmp_path / "old", "grid.json", _with_trace_totals)
     _verifies_and_plots_as_before(grid_dir, old, tmp_path, capsys)
 
@@ -825,18 +941,19 @@ def test_without_numerical_features_the_density_profile_is_empty(tmp_path):
     cfg.write_text(SMALL_CFG.replace("seed = 7", "seed = 1").replace("n_numerical = 2", "n_numerical = 0"))
     out = tmp_path / "out"
     assert main(["run-grid", "--config", str(cfg), "--out", str(out)]) == 0
-    assert json.loads((out / "grid.json").read_text())["density"] == [[], []]
+    assert [cell["density"] for cell in json.loads((out / "grid.json").read_text())["cells"]] == [[[], []]] * 3
     assert main(["emit-plots", "--results", str(out), "--out", str(tmp_path / "plots")]) == 0
     dens = (tmp_path / "plots" / "density_profiles.tsv").read_bytes()
     assert dens == (out / "plots" / "density_profiles.tsv").read_bytes() == b"x\tFinancial\tHealth\tGovernment\n"
 
 
 def test_a_trace_without_starts_fails_check_15_alone(grid_dir, tmp_path, capsys):
-    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", _set("traces", "0,0", "starts", value=[]))
+    """The trace is the last cell's, which check 2 does not re-run."""
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", _set("cells", -1, "trace", "starts", value=[]))
     assert main(["verify", "--results", str(bad)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
     assert len(failed) == 1 and failed[0].startswith("[FAIL] trace_sanity: ")
-    assert failed[0].endswith("; trace (alpha_index, rep) (0, 0) has no starts")
+    assert failed[0].endswith("; trace (alpha_index, rep) (2, 0) has no starts")
 
 
 def _error_classes(cls=FedNBError):

@@ -175,7 +175,7 @@ def test_a_config_or_schema_that_is_not_utf8_exits_64_naming_it(tmp_path, capsys
 
 @pytest.mark.parametrize("fracs", [[0.6, 0.4], [0.4, 0.2, 0.2, 0.2]])
 def test_grid_json_with_other_than_three_split_fracs_exits_1(tmp_path, capsys, fracs):
-    bundle = {"config": {**LEGACY_ECHO, "split_fracs": fracs}, "traces": {}, "partitions": {}, "runtimes_ms": {}}
+    bundle = {"config": {**LEGACY_ECHO, "split_fracs": fracs}, "cells": []}
     (tmp_path / "grid.json").write_text(json.dumps(bundle))
     (tmp_path / "results.csv").write_text("dataset,alpha,rep,proposal,f1_macro,anll,jsd\n")
     assert main(["verify", "--results", str(tmp_path)]) == 1  # a saved file is data, not usage
@@ -231,7 +231,7 @@ def _config_echo(result):
 
 def test_config_echo_check_fails_when_the_round_trip_breaks(monkeypatch):
     cfg = ExperimentConfig(source=SYNTH, profiles=PROFILES, **NON_DEFAULT)
-    result = GridResult(cfg, [], {}, density=None)  # verify reads no density
+    result = GridResult(cfg, [])
     assert _config_echo(result)[1]
 
     def drop_n_starts(c):

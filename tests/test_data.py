@@ -338,9 +338,9 @@ def test_count_matrices_keep_a_column_for_each_class_the_data_lack(tmp_path, cap
     cfg = _csv_config(tmp_path, n_classes=3)
     out = tmp_path / "out"
     assert main(["run-grid", "--config", str(cfg), "--out", str(out)]) == 0
-    partitions = json.loads((out / "grid.json").read_text())["partitions"]
-    assert sorted(partitions) == ["0,0", "1,0"]
-    for counts in partitions.values():
+    cells = json.loads((out / "grid.json").read_text())["cells"]
+    assert [(cell["alpha_index"], cell["rep"]) for cell in cells] == [(0, 0), (1, 0)]
+    for counts in (cell["counts"] for cell in cells):
         assert len(counts) == 3 and all(len(row) == 3 and row[2] == 0 for row in counts)
     capsys.readouterr()
     assert main(["partition", "--config", str(cfg), "--alpha", "0.5"]) == 0

@@ -183,10 +183,11 @@ def test_verify_clean_run_passes(grid, dataset):
 def test_trace_sanity_quotes_stop_reasons(grid, dataset):
     report = verify(grid, dataset)
     msg = {name: m for name, _, m in report.checks}["trace_sanity"]
-    starts = [s for t in grid.traces.values() for s in t.starts]
+    traces = [cell.trace for cell in grid.cells if cell.trace is not None]
+    starts = [s for t in traces for s in t.starts]
     n_conv = sum(s.converged for s in starts)
     assert msg == (
-        f"{len(grid.traces)} traces checked; starts: {n_conv} converged, "
+        f"{len(traces)} traces checked; starts: {n_conv} converged, "
         f"{len(starts) - n_conv} at max_iters"
     )
 
@@ -207,7 +208,7 @@ def test_verify_detects_missing_record(grid, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
-    tampered.records.pop()  # last record: proposal A of the last cell
+    tampered.cells[-1].records.pop()  # last record: proposal A of the last cell
     report = verify(tampered, dataset)
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["grid_completeness"]
@@ -333,7 +334,7 @@ def _middle_node_below_floor(grid, monkeypatch):
 
 
 def _chosen_not_the_best(grid, monkeypatch):
-    trace = grid.traces[max(grid.traces)]
+    trace = grid.cells[-1].trace  # of the last cell, which check 2 does not re-run
     trace.chosen = (int(np.argmin([s.final_objective for s in trace.starts])) + 1) % len(trace.starts)
 
 
@@ -371,7 +372,7 @@ FAIL_TEXT = {
     "weight_floor": lambda grid, dataset: re.escape("1 floor violations"),
     "trace_sanity": lambda grid, dataset: (
         r"6 traces checked; starts: \d+ converged, \d+ at max_iters; "
-        + re.escape(f"trace (alpha_index, rep) {max(grid.traces)} chose start ")
+        + re.escape(f"trace (alpha_index, rep) {(grid.cells[-1].alpha_index, grid.cells[-1].rep)} chose start ")
         + r"\d+, not its best"
     ),
 }
@@ -428,7 +429,7 @@ def test_proposal_subset_runs():
     dataset = materialize_dataset(cfg)
     result = run_grid(cfg, dataset)
     assert [r.proposal for r in result.records] == ["B", "E"]
-    assert not result.traces
+    assert [cell.trace for cell in result.cells] == [None]
     assert prepare_cell(cfg, 0, 0, dataset).val is None  # only proposal A reads it
 
 
