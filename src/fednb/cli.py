@@ -141,10 +141,16 @@ def _load_bundle(results_dir: str) -> GridResult:
                 raise ValueError(f"cells[{i}].density must be two lists of {config.k} floats, or two empty lists")
             if not (np.isfinite(cell.density).all() and (cell.density[1] > 0).all()):
                 raise ValueError(f"cells[{i}].density must hold finite means and finite, positive standard deviations")
+            # the cell's JSD is read off its counts
+            if not (len(cell.counts) == config.k and len({len(row) for row in cell.counts}) == 1
+                    and all(any(row) and min(row) >= 0 for row in cell.counts)):
+                raise ValueError(f"cells[{i}].counts must be K = {config.k} rows of one length of non-negative "
+                                 f"integers, none all zero, got {cell.counts}")
             for j, r in enumerate(cell.records):
                 if r.weights is not None and len(r.weights) != config.k:
-                    raise ValueError(f"cells[{i}].records[{j}] ({r.alpha}, {r.rep}, {r.proposal!r}) must hold null "
-                                     f"or K = {config.k} weights, got {len(r.weights)}")
+                    place = config.alphas[cell.alpha_index], cell.rep, r.proposal
+                    raise ValueError(f"cells[{i}].records[{j}] {place} must hold null or K = {config.k} weights, "
+                                     f"got {len(r.weights)}")
     except KeyError as exc:
         raise ParseError(f"{bundle_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -152,7 +158,7 @@ def _load_bundle(results_dir: str) -> GridResult:
     csv_path = os.path.join(results_dir, RESULTS_CSV)
     with open(csv_path, encoding="utf-8", newline="") as fh:
         got = "".join(utf8_lines(fh, csv_path)).split("\n")
-    want = results_csv_lines(result.records, config.k) + [""]  # write_lines ends the last line too
+    want = results_csv_lines(result) + [""]  # write_lines ends the last line too
     row = next((i for i in range(max(len(got), len(want))) if got[i:i + 1] != want[i:i + 1]), None)
     if row is not None:
         raise ParseError(f"{csv_path}: row {row} is {got[row:row + 1]}; the CSV of the records in "
@@ -168,7 +174,7 @@ def cmd_run_grid(args) -> int:
     # hand back the heap pages the cells freed, so that the peak of the steps
     # below does not depend on where their allocations land among those pages
     _c_call("malloc_trim", (ctypes.c_size_t,), 0)
-    emit_results_csv(result.records, config.k, os.path.join(args.out, RESULTS_CSV))
+    emit_results_csv(result, os.path.join(args.out, RESULTS_CSV))
     _save_bundle(result, args.out)
     emit_plot_data(result, os.path.join(args.out, "plots"))
     report = verify(result, dataset)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .data import CategoryMap, Dataset, SynthSpec, degrade_copy, load_csv, synth
 from .errors import CellError, ConfigError
 from .evaluation import f1_macro, mcnemar_yates
 from .governance import REFERENCE_PROFILES, NodeProfile, coherence_prior, compute_icc
-from .local_model import density_profile, fit_hybrid
+from .local_model import HybridModel, density_profile, fit_hybrid
 from . import mog
 from .mog import anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
 from .partition import dirichlet_counts, dirichlet_partition, jsd_heterogeneity, stratified_split
@@ -47,13 +47,10 @@ from .weights import (
 
 @dataclass
 class ExperimentRecord:
-    dataset_name: str
-    alpha: float
-    rep: int
+    """One proposal's results; its alpha, rep, JSD and dataset name are its cell's."""
     proposal: str
     f1_macro: float
     anll: float
-    jsd: float
     weights: tuple | None
     mcnemar_p_vs_B: float | None
 
@@ -61,7 +58,8 @@ class ExperimentRecord:
 @dataclass
 class CellResult:
     """One (alpha, rep) cell: what run_cell returns, grid.json saves whole and
-    check 2 compares with a re-run."""
+    check 2 compares with a re-run. It holds each fact of the cell once: its
+    records hold only their proposals' results, and its JSD is that of counts."""
     alpha_index: int
     rep: int
     records: list[ExperimentRecord]
@@ -77,8 +75,14 @@ class GridResult:
     cells: list[CellResult]  # in the order run_grid ran them
 
     @property
-    def records(self) -> list[ExperimentRecord]:
-        return [r for cell in self.cells for r in cell.records]
+    def rows(self) -> list[tuple]:
+        """(alpha, rep, jsd, record) of each record in grid order, one per
+        results CSV line: the record beside the facts its cell holds."""
+        rows = []
+        for cell in self.cells:
+            facts = self.config.alphas[cell.alpha_index], cell.rep, jsd_heterogeneity(cell.counts)
+            rows += [(*facts, r) for r in cell.records]
+        return rows
 
 
 def materialize_dataset(config: ExperimentConfig) -> Dataset:
@@ -95,7 +99,7 @@ def _cell_seeds(config: ExperimentConfig, alpha_index: int, rep: int) -> list[in
 
 @dataclass
 class PreparedCell:
-    train_rows: np.ndarray | None  # the dataset rows of the training split; run_cell frees them after C's fit
+    pooled: HybridModel | None  # proposal C's model of the whole training split; None when C does not run
     val: Dataset | None  # None when proposal A does not run
     test: Dataset
     counts: np.ndarray  # (K, n_classes) training rows of each class dealt to each node
@@ -106,14 +110,15 @@ class PreparedCell:
 def prepare_cell(
     config: ExperimentConfig, alpha_index: int, rep: int, dataset: Dataset
 ) -> PreparedCell:
-    """Split, partition the training rows, degrade (synthetic sources only)
-    and fit one local model per node: everything a cell does before weighting.
+    """Split, partition the training rows, degrade (synthetic sources only),
+    fit one local model per node and proposal C's pooled model: everything a
+    cell does before weighting.
 
     The training split stays a row-index array. Each node's rows are gathered
     from dataset when the node is fitted (by degrade_copy, which adds its noise
     into the gathered copy) and freed before the next node's; its index arrays
-    are freed once its rows are gathered. The validation and test rows are
-    gathered only after the last fit.
+    are freed once its rows are gathered. The pooled rows are gathered for C's
+    fit alone, and the validation and test rows only after it.
     """
     split_seed, part_seed, degr_seed, opt_seed = _cell_seeds(config, alpha_index, rep)
     train_rows, val_rows, test_rows = stratified_split(dataset.labels, config.split_fracs, split_seed)
@@ -130,10 +135,11 @@ def prepare_cell(
         del rows
         models.append(fit_hybrid(local))
         del local
+    pooled = fit_hybrid(dataset.subset(train_rows)) if "C" in config.proposals else None
     # only proposal A reads the validation rows
     val = dataset.subset(val_rows) if "A" in config.proposals else None
     counts = np.pad(part.counts, ((0, 0), (0, dataset.schema.n_classes - part.counts.shape[1])))
-    return PreparedCell(train_rows, val, dataset.subset(test_rows), counts, models, opt_seed)
+    return PreparedCell(pooled, val, dataset.subset(test_rows), counts, models, opt_seed)
 
 
 def run_cell(
@@ -150,7 +156,6 @@ def run_cell(
         dataset = materialize_dataset(config)
     cell = prepare_cell(config, alpha_index, rep, dataset)
     test, counts = cell.test, cell.counts
-    jsd = jsd_heterogeneity(counts)
 
     records = []
     runtimes_ms = {}
@@ -161,12 +166,8 @@ def run_cell(
         t0 = time.perf_counter()
         weights = None
         if proposal == "C":
-            # the pooled training rows are gathered for this one fit, and no
-            # other proposal reads them
             w = np.array([1.0])
-            pooled = fit_hybrid(dataset.subset(cell.train_rows))
-            cell.train_rows = None
-            stacked = mog.stack_scores([pooled], test)
+            stacked = mog.stack_scores([cell.pooled], test)
         else:
             if proposal == "B":
                 w = weights_fedavg(counts.sum(axis=1))
@@ -192,13 +193,9 @@ def run_cell(
         elif proposal == "A" and preds_b is not None:
             p_vs_b = mcnemar_yates(preds, preds_b, test.labels).p_value
         records.append(ExperimentRecord(
-            dataset_name=config.dataset_name,
-            alpha=alpha,
-            rep=rep,
             proposal=proposal,
             f1_macro=f1_macro(test.labels, preds, dataset.schema.n_classes),
             anll=mog.anll_from_mixed(mixed, test.labels),
-            jsd=jsd,
             weights=weights,
             mcnemar_p_vs_B=p_vs_b,
         ))
@@ -246,10 +243,12 @@ class VerificationReport:
 
 def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
     """Evaluate the 15-check protocol on a completed grid whose cells ran on
-    dataset. Failures are reported, never raised. Check 2 re-runs the first
-    cell and compares it with the saved one exactly, all but its timings."""
+    dataset. Failures are reported, never raised. Check 2 re-runs the cell
+    that cells[0] names and compares it with the saved one exactly, all but
+    its timings."""
     config = result.config
-    records = result.records
+    rows = result.rows
+    records = [r for *_, r in rows]
     checks: list = []
 
     # 1. coherence index formula against reference values
@@ -258,8 +257,11 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
 
     # 2. seed reproducibility: re-run the first cell
     try:
-        diff = _rerun_divergence(run_cell(config, config.alphas[0], 0, dataset), result.cells[0])
-        ok, msg = diff is None, diff or "first cell re-run matches"
+        first = result.cells[0]
+        rerun = run_cell(config, config.alphas[first.alpha_index], first.rep, dataset)
+        diff = _first_difference(replace(rerun, runtimes_ms=first.runtimes_ms), first, "cells[0]")
+        ok = diff is None
+        msg = "first cell re-run matches" if ok else "first cell re-run diverges at {} = {}, recorded {}".format(*diff)
     except Exception as exc:
         ok, msg = False, f"re-run failed: {exc}"
     checks.append(("seed_reproducibility", ok, msg))
@@ -279,11 +281,11 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
     checks.append(("ood_slot_index", code == 2, f"unseen value encoded as {code}, n_cats=2"))
 
     # 5. mixture scores finite or explicit sentinel: each record's ANLL
-    bad = _first_bad(records, lambda f, v: f == "anll" and not np.isfinite(v))
+    bad = _first_bad(rows, lambda f, v: f == "anll" and not np.isfinite(v))
     checks.append(("mog_scores_finite", bad is None, f"bad scores at {bad}" if bad else "no NaN/+inf mixture scores"))
 
     # 6. metric ranges
-    bad = _first_bad(records, lambda f, v: (f == "anll" and not v >= 0) or (f == "f1_macro" and not 0.0 <= v <= 1.0))
+    bad = _first_bad(rows, lambda f, v: (f == "anll" and not v >= 0) or (f == "f1_macro" and not 0.0 <= v <= 1.0))
     checks.append(("metric_ranges", bad is None, f"range violation at {bad}" if bad else "ANLL >= 0 and F1 in [0,1]"))
 
     # 7. weight vectors sum to 1
@@ -295,13 +297,13 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
     if not ps and "A" in config.proposals and "B" in config.proposals:
         ok, msg = False, "invalid p: no p-values, though A and B ran"
     else:
-        bad = _first_bad(records, lambda f, v: f == "mcnemar_p_vs_B" and not 0.0 <= v <= 1.0)
+        bad = _first_bad(rows, lambda f, v: f == "mcnemar_p_vs_B" and not 0.0 <= v <= 1.0)
         ok = bad is None
         msg = f"invalid p at {bad}" if bad else f"{len(ps)} p-values in [0,1], {sum(p < 0.05 for p in ps)} below 0.05"
     checks.append(("mcnemar_validity", ok, msg))
 
     # 9. downward JSD gradient at per-rep granularity, on average
-    ok, msg = _per_rep_gradient(records, config)
+    ok, msg = _per_rep_gradient(result.cells, config)
     checks.append(("jsd_gradient_per_rep", ok, msg))
 
     # 10. highest-coherence node outweighs lowest (proposal A, mean level)
@@ -309,13 +311,13 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
     checks.append(("icc_weight_alignment", ok, msg))
 
     # 11. no NaN/Inf in the record fields check 5 does not read
-    bad = _first_bad(records, lambda f, v: f != "anll" and not np.isfinite(v))
+    bad = _first_bad(rows, lambda f, v: f != "anll" and not np.isfinite(v))
     msg = f"non-finite field at {bad}" if bad else "F1, JSD, McNemar p and weights finite"
     checks.append(("no_nan_inf", bad is None, msg))
 
     # 12. grid completeness: each (alpha, rep, proposal) of the grid exactly once
     grid = [(a, rep, p) for a in config.alphas for rep in range(config.reps) for p in config.proposals]
-    seen = Counter((r.alpha, r.rep, r.proposal) for r in records)
+    seen = Counter((alpha, rep, r.proposal) for alpha, rep, _, r in rows)
     bad = next((key for key in grid if seen[key] != 1), None)
     msg = f"{len(records)}/{len(grid)} records"
     if bad is not None:
@@ -354,43 +356,31 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
 
 def _first_difference(a, b, path: str) -> tuple | None:
     """(path, a's value, b's value) where a and b first differ, or None.
-    Dataclasses of one type differ at a field, arrays (as lists) and lists of
-    one length at an entry, so a path reads like config.optimizer.n_starts."""
+    Dataclasses of one type differ at a field, arrays (as lists) and lists at
+    their length or an entry, so a path reads like config.optimizer.n_starts,
+    cells[0].records[1].f1_macro or len(cells[0].records)."""
     if isinstance(a, np.ndarray):
         a, b = a.tolist(), b.tolist()
     if is_dataclass(a) and type(a) is type(b):
         a, b, step = vars(a), vars(b), "{}.{}"
-    elif type(a) is type(b) in (list, tuple) and len(a) == len(b):
+    elif type(a) is type(b) in (list, tuple):
+        if len(a) != len(b):
+            return f"len({path})", len(a), len(b)
         a, b, step = dict(enumerate(a)), dict(enumerate(b)), "{}[{}]"
     else:
         return None if a == b else (path, a, b)
     return next(filter(None, (_first_difference(a[k], b[k], step.format(path, k)) for k in a)), None)
 
 
-def _first_bad(records, is_bad) -> str | None:
-    """Where the first record number that is_bad(field, value) flags sits,
-    with its field and value; else None."""
-    for r in records:
-        named = [("f1_macro", r.f1_macro), ("anll", r.anll), ("jsd", r.jsd), ("mcnemar_p_vs_B", r.mcnemar_p_vs_B)]
+def _first_bad(rows, is_bad) -> str | None:
+    """Where the first number of a results CSV row that is_bad(field, value)
+    flags sits, with its field and value; else None."""
+    for alpha, rep, jsd, r in rows:
+        named = [("f1_macro", r.f1_macro), ("anll", r.anll), ("jsd", jsd), ("mcnemar_p_vs_B", r.mcnemar_p_vs_B)]
         for f, v in named + [(f"w_{i + 1}", w) for i, w in enumerate(r.weights or ())]:
             if v is not None and is_bad(f, v):
-                return f"(alpha, rep, proposal) {(r.alpha, r.rep, r.proposal)}: {f} = {v}"
+                return f"(alpha, rep, proposal) {(alpha, rep, r.proposal)}: {f} = {v}"
     return None
-
-
-def _rerun_divergence(got: CellResult, want: CellResult) -> str | None:
-    """Check 2's message: where the saved first cell want and its re-run got
-    first differ, naming a record by its (alpha, rep, proposal) and any other
-    field by its path in grid.json; or None. runtimes_ms, a timing, may differ."""
-    for g, w in zip(got.records, want.records):
-        for f in fields(w):
-            if getattr(g, f.name) != getattr(w, f.name):
-                return (f"first cell re-run diverges at (alpha, rep, proposal) {(w.alpha, w.rep, w.proposal)}: "
-                        f"{f.name} = {getattr(g, f.name)}, recorded {getattr(w, f.name)}")
-    if len(got.records) != len(want.records):
-        return f"first cell re-run diverges in length: {len(got.records)} records, {len(want.records)} recorded"
-    diff = _first_difference(replace(got, runtimes_ms=want.runtimes_ms), want, "cells[0]")
-    return diff and "first cell re-run diverges at {} = {}, recorded {}".format(*diff)
 
 
 def _trace_fault(trace: OptimizationTrace) -> str | None:
@@ -413,15 +403,13 @@ def _jsd_curve(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
     ])
 
 
-def _per_rep_gradient(records, config) -> tuple[bool, str]:
+def _per_rep_gradient(cells, config) -> tuple[bool, str]:
     if len(config.alphas) < 2:
         return True, "single alpha level (vacuous)"
     if config.reps < 2:  # one Dirichlet draw per alpha need not order two levels
         return True, "single rep (vacuous)"
-    first = {}  # (rep, alpha) -> the JSD of its first record
-    for r in records:
-        first.setdefault((r.rep, r.alpha), r.jsd)
-    seqs = [[first[rep, a] for a in config.alphas if (rep, a) in first] for rep in range(config.reps)]
+    jsd = {(cell.rep, cell.alpha_index): jsd_heterogeneity(cell.counts) for cell in cells}  # one per cell
+    seqs = [[jsd[rep, a] for a in range(len(config.alphas)) if (rep, a) in jsd] for rep in range(config.reps)]
     drops = [seq[0] - seq[-1] for seq in seqs if len(seq) >= 2]
     ok = bool(drops) and float(np.mean(drops)) > 0.0
     return ok, f"mean per-rep JSD drop from first to last alpha: {np.mean(drops) if drops else float('nan'):.4f}"
@@ -455,26 +443,29 @@ def _fmt(x) -> str:
     return "" if x is None else f"{x:.6f}"
 
 
-def _csv_row(r: ExperimentRecord, k: int) -> str:
-    """One results CSV line: weights padded to k columns, runtime_ms empty."""
+def _csv_row(name: str, row: tuple, k: int) -> str:
+    """One results CSV line of dataset name and a GridResult row: weights
+    padded to k columns, runtime_ms empty."""
+    alpha, rep, jsd, r = row
     weights = [] if r.weights is None else [_fmt(w) for w in r.weights]
-    row = [r.dataset_name, f"{r.alpha:.6f}", str(r.rep), r.proposal, _fmt(r.f1_macro), _fmt(r.anll), _fmt(r.jsd)]
-    row += weights + [""] * (k - len(weights)) + [_fmt(r.mcnemar_p_vs_B), ""]
-    return ",".join(row)
+    line = [name, f"{alpha:.6f}", str(rep), r.proposal, _fmt(r.f1_macro), _fmt(r.anll), _fmt(jsd)]
+    line += weights + [""] * (k - len(weights)) + [_fmt(r.mcnemar_p_vs_B), ""]
+    return ",".join(line)
 
 
-def results_csv_lines(records, k: int) -> list[str]:
+def results_csv_lines(result: GridResult) -> list[str]:
     """The results CSV: a header, then one line per record (see _csv_row).
     runtime_ms stays empty, because wall-clock time is not a function of the
     configuration; grid.json holds the measured times, per cell and proposal."""
+    config = result.config
     header = ["dataset", "alpha", "rep", "proposal", "f1_macro", "anll", "jsd"]
-    header += [f"w_{i + 1}" for i in range(k)] + ["mcnemar_p_vs_B", "runtime_ms"]
-    return [",".join(header)] + [_csv_row(r, k) for r in records]
+    header += [f"w_{i + 1}" for i in range(config.k)] + ["mcnemar_p_vs_B", "runtime_ms"]
+    return [",".join(header)] + [_csv_row(config.dataset_name, row, config.k) for row in result.rows]
 
 
-def emit_results_csv(records, k: int, path) -> None:
+def emit_results_csv(result: GridResult, path) -> None:
     """Grid-order CSV with fixed 6-decimal formatting; byte-stable."""
-    write_lines(path, results_csv_lines(records, k))
+    write_lines(path, results_csv_lines(result))
 
 
 def emit_plot_data(result: GridResult, out_dir) -> None:
@@ -482,14 +473,14 @@ def emit_plot_data(result: GridResult, out_dir) -> None:
     its records, its last cell's density profile, and the profiles' names
     and normalized coherence prior for the per-node files."""
     os.makedirs(out_dir, exist_ok=True)
-    records, node_names = result.records, [p.name for p in result.config.profiles]
-    alphas = sorted({r.alpha for r in records})
-    a_recs = [r for r in records if r.proposal == "A" and r.weights is not None]
+    rows, node_names = result.rows, [p.name for p in result.config.profiles]
+    alphas = sorted({alpha for alpha, *_ in rows})
+    a_rows = [(alpha, r) for alpha, _, _, r in rows if r.proposal == "A" and r.weights is not None]
 
     lines = ["alpha\tproposal\tf1_mean\tf1_std\tanll_mean\tanll_std"]
     for a in alphas:
         for p in PROPOSAL_ORDER:
-            sel = [r for r in records if r.proposal == p and r.alpha == a]
+            sel = [r for alpha, _, _, r in rows if r.proposal == p and alpha == a]
             if not sel:  # a pair without records has no row
                 continue
             stats = [np.array([r.f1_macro for r in sel]), np.array([r.anll for r in sel])]
@@ -497,17 +488,17 @@ def emit_plot_data(result: GridResult, out_dir) -> None:
     write_lines(os.path.join(out_dir, "gradient_curves.tsv"), lines)
 
     lines = ["node\tmean_learned_weight\ticc_prior"]
-    if a_recs:
-        mean_w = np.array([r.weights for r in a_recs]).mean(axis=0)
+    if a_rows:
+        mean_w = np.array([r.weights for _, r in a_rows]).mean(axis=0)
         prior = coherence_prior(result.config.profiles)
         lines += [f"{name}\t{w:.6f}\t{q:.6f}" for name, w, q in zip(node_names, mean_w, prior)]
     write_lines(os.path.join(out_dir, "alignment_bars.tsv"), lines)
 
     lines = ["alpha\tnode\tmean_weight"]
     for a in alphas:
-        sel = [r for r in a_recs if r.alpha == a]
+        sel = [r.weights for alpha, r in a_rows if alpha == a]
         if sel:
-            mean_w = np.array([r.weights for r in sel]).mean(axis=0)
+            mean_w = np.array(sel).mean(axis=0)
             lines += [f"{a:.6f}\t{name}\t{w:.6f}" for name, w in zip(node_names, mean_w)]
     write_lines(os.path.join(out_dir, "weight_trajectories.tsv"), lines)
 

@@ -266,14 +266,14 @@ def test_criterion_08_jsd_alpha_gradient(full_config, full_dataset):
 def test_criterion_09_alignment_and_f1(full_grid):
     prior_order = np.argsort([compute_icc(p) for p in PROFILES])
     lo, hi = int(prior_order[0]), int(prior_order[-1])
-    a_records = [r for r in full_grid.records if r.proposal == "A"]
-    assert len(a_records) == 35
-    for r in a_records:
+    a_rows = [(alpha, rep, r) for alpha, rep, _, r in full_grid.rows if r.proposal == "A"]
+    assert len(a_rows) == 35
+    for alpha, rep, r in a_rows:
         assert r.weights[hi] > r.weights[lo], (
-            f"cell alpha={r.alpha} rep={r.rep}: w[{hi}]={r.weights[hi]} <= w[{lo}]={r.weights[lo]}"
+            f"cell alpha={alpha} rep={rep}: w[{hi}]={r.weights[hi]} <= w[{lo}]={r.weights[lo]}"
         )
-    f1_a = float(np.mean([r.f1_macro for r in a_records]))
-    f1_b = float(np.mean([r.f1_macro for r in full_grid.records if r.proposal == "B"]))
+    f1_a = float(np.mean([r.f1_macro for *_, r in a_rows]))
+    f1_b = float(np.mean([r.f1_macro for *_, r in full_grid.rows if r.proposal == "B"]))
     assert f1_a >= f1_b, f"grid-mean F1: A={f1_a} < B={f1_b}"
     _report(9, f"highest-ICC node outweighs lowest in all 35 cells; grid-mean F1 A={f1_a:.4f} >= B={f1_b:.4f}")
 
@@ -283,7 +283,7 @@ def test_criterion_10_verification_protocol(full_grid, full_dataset):
     assert clean.passed_count == 15, clean.to_text()
 
     tampered = copy.deepcopy(full_grid)
-    victim = [r for r in tampered.records if r.proposal == "B"][-1]
+    victim = [r for *_, r in tampered.rows if r.proposal == "B"][-1]
     victim.weights = tuple(w + 0.05 for w in victim.weights)
     failed = [n for n, ok, _ in verify(tampered, full_dataset).checks if not ok]
     assert failed == ["weights_sum_to_one"]
@@ -294,7 +294,8 @@ def test_criterion_10_verification_protocol(full_grid, full_dataset):
     assert failed == ["grid_completeness"]
 
     tampered = copy.deepcopy(full_grid)
-    tampered.records[-1].jsd = float("nan")
+    victim = tampered.cells[-1].records[1]  # proposal B, whose weights only check 11 reads
+    victim.weights = (float("nan"), *victim.weights[1:])
     failed = [n for n, ok, _ in verify(tampered, full_dataset).checks if not ok]
     assert failed == ["no_nan_inf"]
     _report(10, "clean run 15/15; each injected corruption trips exactly one check")
@@ -304,15 +305,15 @@ def test_criterion_11_byte_identical_results(full_config, full_grid, tmp_path):
     second = run_grid(full_config, materialize_dataset(full_config))
     p1 = tmp_path / "first.csv"
     p2 = tmp_path / "second.csv"
-    emit_results_csv(full_grid.records, full_grid.config.k, p1)
-    emit_results_csv(second.records, second.config.k, p2)
+    emit_results_csv(full_grid, p1)
+    emit_results_csv(second, p2)
     assert p1.read_bytes() == p2.read_bytes()
     _report(11, "two independent grid runs emit byte-identical results files")
 
 
 def test_results_csv_matches_reference_sha256(full_grid, tmp_path):
     path = tmp_path / "results.csv"
-    emit_results_csv(full_grid.records, full_grid.config.k, path)
+    emit_results_csv(full_grid, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RESULTS_SHA256
 
 
@@ -431,7 +432,7 @@ def test_one_and_nine_numerical_columns_match_the_pinned_results(n_numerical, tm
     path.write_text(_narrow_wide_config_text(n_numerical), encoding="utf-8")
     config = load_config(path)
     result = run_grid(config, materialize_dataset(config))
-    emit_results_csv(result.records, config.k, tmp_path / "results.csv")
+    emit_results_csv(result, tmp_path / "results.csv")
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == NARROW_WIDE_SHA256[n_numerical]
 
 

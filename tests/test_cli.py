@@ -18,8 +18,10 @@ import fednb.cli
 import fednb.experiment
 import fednb.weights
 from fednb.cli import main
+from fednb.config import config_from_dict
 from fednb.errors import CellError, ConfigError, FedNBError, PartitionError
-from fednb.experiment import CellResult, ExperimentRecord, emit_results_csv, prepare_cell
+from fednb.experiment import CellResult, ExperimentRecord, GridResult, emit_results_csv, prepare_cell
+from fednb.partition import jsd_heterogeneity
 
 ROOT = Path(__file__).resolve().parents[1]
 SYNTH_CFG = ROOT / "configs" / "synth.cfg"
@@ -81,8 +83,8 @@ def test_run_grid_outputs(grid_dir):
         assert (grid_dir / name).exists()
     for name in PLOT_FILES:
         assert (grid_dir / "plots" / name).exists()
-    records = fednb.cli._load_bundle(str(grid_dir)).records
-    assert len(records) == 3 * 1 * 4
+    rows = fednb.cli._load_bundle(str(grid_dir)).rows
+    assert len(rows) == 3 * 1 * 4
 
 
 def test_run_grid_verification_text(grid_dir, capsys):
@@ -143,21 +145,15 @@ def test_verify_on_fresh_results(grid_dir, capsys):
     assert out == (grid_dir / "verification.txt").read_text()  # what run-grid printed
 
 
-def _records_copy(grid_dir, dest, edit):
-    """A copy of grid_dir at dest whose grid.json holds its records after
-    edit(records), which changes the grid-order list of every cell's
-    ExperimentRecords in place, each record back in the cell of its (alpha,
-    rep); its results.csv is their CSV."""
+def _cells_copy(grid_dir, dest, edit):
+    """A copy of grid_dir at dest whose grid.json holds its grid after
+    edit(cells), which changes the grid's list of CellResults in place; its
+    results.csv is the CSV of the edited grid."""
     shutil.copytree(grid_dir, dest)
-    bundle = json.loads((dest / "grid.json").read_text())
-    alphas = bundle["config"]["alphas"]
-    records = [ExperimentRecord(**r) for cell in bundle["cells"] for r in cell["records"]]
-    edit(records)
-    for cell in bundle["cells"]:
-        key = (alphas[cell["alpha_index"]], cell["rep"])
-        cell["records"] = [dataclasses.asdict(r) for r in records if (r.alpha, r.rep) == key]
-    (dest / "grid.json").write_text(json.dumps(bundle))
-    emit_results_csv(records, len(bundle["config"]["profiles"]), dest / "results.csv")
+    result = fednb.cli._load_bundle(str(grid_dir))
+    edit(result.cells)
+    fednb.cli._save_bundle(result, str(dest))
+    emit_results_csv(result, dest / "results.csv")
     return dest
 
 
@@ -173,35 +169,33 @@ def test_grid_json_keeps_the_records_of_run_grid_exactly(cfg_path, tmp_path, mon
     out = tmp_path / "out"
     assert main(["run-grid", "--config", str(cfg_path), "--out", str(out)]) == 0
     loaded = fednb.cli._load_bundle(str(out))
-    assert loaded.records == held[0].records
-    assert [type(x) for x in dataclasses.astuple(loaded.records[-1])] == [
-        str, float, int, str, float, float, float, tuple, float
-    ]
+    assert loaded.rows == held[0].rows
+    assert [type(x) for x in dataclasses.astuple(loaded.cells[-1].records[-1])] == [str, float, float, tuple, float]
 
 
 def test_verify_detects_corruption(grid_dir, tmp_path, capsys):
-    def heavier_last_a(records):  # tamper the learned weights of the final A record
-        w = records[-1].weights
-        records[-1].weights = [w[0] + 0.2, *w[1:]]
+    def heavier_last_a(cells):  # tamper the learned weights of the final A record
+        last = cells[-1].records[-1]
+        last.weights = (last.weights[0] + 0.2, *last.weights[1:])
 
-    corrupt = _records_copy(grid_dir, tmp_path / "corrupt", heavier_last_a)
+    corrupt = _cells_copy(grid_dir, tmp_path / "corrupt", heavier_last_a)
     assert main(["verify", "--results", str(corrupt)]) == 2
     assert "weights_sum_to_one" in capsys.readouterr().out
 
 
 def test_verify_names_the_first_field_where_the_rerun_diverges(grid_dir, tmp_path, capsys):
-    first = fednb.cli._load_bundle(str(grid_dir)).records[0]  # proposal C of the first cell, which check 2 re-runs
+    first = fednb.cli._load_bundle(str(grid_dir)).cells[0].records[0]  # proposal C of the cell check 2 re-runs
     moved_f1 = first.f1_macro - 1e-6 if first.f1_macro > 0.5 else first.f1_macro + 1e-6
 
-    def move_first_f1(records):
-        records[0].f1_macro = moved_f1
+    def move_first_f1(cells):
+        cells[0].records[0].f1_macro = moved_f1
 
-    moved = _records_copy(grid_dir, tmp_path / "moved", move_first_f1)
+    moved = _cells_copy(grid_dir, tmp_path / "moved", move_first_f1)
     assert main(["verify", "--results", str(moved)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
     # both F1 values are quoted at full precision
-    want = re.escape(f"[FAIL] seed_reproducibility: first cell re-run diverges at (alpha, rep, proposal) "
-                     f"({first.alpha}, 0, 'C'): f1_macro = ") + r"0\.\d+" + re.escape(f", recorded {moved_f1}")
+    want = re.escape("[FAIL] seed_reproducibility: first cell re-run diverges at cells[0].records[0].f1_macro = "
+                     ) + r"0\.\d+" + re.escape(f", recorded {moved_f1}")
     assert len(failed) == 1 and re.fullmatch(want, failed[0]), failed
 
 
@@ -215,8 +209,7 @@ def test_a_last_ulp_change_to_a_rerun_record_fails_check_2_alone(grid_dir, tmp_p
     assert main(["verify", "--results", str(moved)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
     assert failed == [
-        "[FAIL] seed_reproducibility: first cell re-run diverges at (alpha, rep, proposal) (0.1, 0, 'C'): "
-        f"f1_macro = {f1}, recorded {up}"
+        f"[FAIL] seed_reproducibility: first cell re-run diverges at cells[0].records[0].f1_macro = {f1}, recorded {up}"
     ]
 
 
@@ -256,20 +249,21 @@ def test_a_nan_final_objective_fails_check_15_alone(grid_dir, tmp_path, capsys):
 
 
 def test_verify_exits_2_on_an_infinite_anll_and_check_5_alone_names_it(grid_dir, tmp_path, capsys):
-    def infinite_last_anll(records):
-        records[-1].anll = math.inf  # proposal A of the last cell, which check 2 does not re-run
+    def infinite_last_anll(cells):
+        cells[-1].records[-1].anll = math.inf  # proposal A of the last cell, which check 2 does not re-run
 
-    bad = _records_copy(grid_dir, tmp_path / "bad", infinite_last_anll)
+    bad = _cells_copy(grid_dir, tmp_path / "bad", infinite_last_anll)
     assert main(["verify", "--results", str(bad)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
     assert failed == ["[FAIL] mog_scores_finite: bad scores at (alpha, rep, proposal) (1.0, 0, 'A'): anll = inf"]
 
 
 def test_verify_names_a_cell_row_replaced_by_another_of_the_same_cell(grid_dir, tmp_path, capsys):
-    def e_row_as_c_row(records):
-        records[-2] = records[-4]  # the last cell's rows are C, B, E, A
+    def e_row_as_c_row(cells):
+        records = cells[-1].records  # C, B, E, A
+        records[-2] = records[-4]
 
-    replaced = _records_copy(grid_dir, tmp_path / "replaced", e_row_as_c_row)
+    replaced = _cells_copy(grid_dir, tmp_path / "replaced", e_row_as_c_row)
     assert main(["verify", "--results", str(replaced)]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
     assert failed == [
@@ -305,6 +299,12 @@ def test_grid_json_holds_the_config_and_the_cells_of_run_grid_but_their_timings(
     bundle = json.loads((out / "grid.json").read_text())
     assert list(bundle) == ["config", "cells"]
     assert all(list(cell) == [f.name for f in dataclasses.fields(CellResult)] for cell in bundle["cells"])
+    # a record holds its proposal's results alone; alpha, rep, JSD and dataset name are its cell's
+    assert [f.name for f in dataclasses.fields(ExperimentRecord)] == [
+        "proposal", "f1_macro", "anll", "weights", "mcnemar_p_vs_B"
+    ]
+    assert all(list(r) == ["proposal", "f1_macro", "anll", "weights", "mcnemar_p_vs_B"]
+               for cell in bundle["cells"] for r in cell["records"])
     loaded = fednb.cli._load_bundle(str(out))
     assert loaded.config == held[0].config
     for got, want in zip(loaded.cells, held[0].cells, strict=True):
@@ -332,8 +332,8 @@ def test_run_grid_with_overrides(cfg_path, tmp_path):
         ["run-grid", "--config", str(cfg_path), "--out", str(out), "--set", "alphas=0.05,1.0"]
     )
     assert code == 0
-    records = fednb.cli._load_bundle(str(out)).records
-    assert len(records) == 2 * 1 * 4
+    rows = fednb.cli._load_bundle(str(out)).rows
+    assert len(rows) == 2 * 1 * 4
     bundle = json.loads((out / "grid.json").read_text())
     assert bundle["config"]["alphas"] == [0.05, 1.0]
 
@@ -545,6 +545,14 @@ def _corrupt_copy(grid_dir, dest, name, edit):
     return dest
 
 
+def _with_its_csv(results_dir):
+    """results_dir, its results.csv rewritten as the CSV of its grid.json."""
+    bundle = json.loads((results_dir / "grid.json").read_text())
+    cells = fednb.cli._decoded(list[CellResult], bundle["cells"], "cells")
+    emit_results_csv(GridResult(config_from_dict(bundle["config"]), cells), results_dir / "results.csv")
+    return results_dir
+
+
 def _string_alpha_index(text):
     return _set("cells", 0, "alpha_index", value="x")(text)
 
@@ -717,11 +725,12 @@ def test_malformed_results_exit_1_naming_the_file(
 
 @pytest.mark.parametrize("command", ["verify", "emit-plots"])
 def test_a_record_with_the_wrong_number_of_weights_exits_1_naming_it_and_k(grid_dir, tmp_path, capsys, command):
-    def two_weights_in_the_last_record(records):
-        records[-1].weights = records[-1].weights[:2]
+    def two_weights_in_the_last_record(cells):
+        last = cells[-1].records[-1]
+        last.weights = last.weights[:2]
 
     # results.csv is re-rendered, so only the count of weights is wrong
-    bad = _records_copy(grid_dir, tmp_path / "bad", two_weights_in_the_last_record)
+    bad = _cells_copy(grid_dir, tmp_path / "bad", two_weights_in_the_last_record)
     argv = [command, "--results", str(bad)]
     if command == "emit-plots":
         argv += ["--out", str(tmp_path / "plots")]
@@ -732,10 +741,10 @@ def test_a_record_with_the_wrong_number_of_weights_exits_1_naming_it_and_k(grid_
 
 
 def test_emit_plots_writes_no_curve_row_for_a_pair_without_records(grid_dir, tmp_path):
-    def without_e_at_the_last_alpha(records):
-        records[:] = [r for r in records if not (r.proposal == "E" and r.alpha == records[-1].alpha)]
+    def without_e_at_the_last_alpha(cells):  # its one cell, as the grid has one rep
+        cells[-1].records = [r for r in cells[-1].records if r.proposal != "E"]
 
-    sparse = _records_copy(grid_dir, tmp_path / "sparse", without_e_at_the_last_alpha)
+    sparse = _cells_copy(grid_dir, tmp_path / "sparse", without_e_at_the_last_alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["emit-plots", "--results", str(sparse), "--out", str(tmp_path / "plots")]) == 0
@@ -830,6 +839,57 @@ def test_a_cell_outside_the_grid_or_repeated_exits_1_naming_its_place(
 
 
 @pytest.mark.parametrize(
+    "edit",
+    [
+        lambda counts: [[1]],
+        lambda counts: [[-1, *counts[0][1:]], *counts[1:]],
+        lambda counts: [counts[0], [0] * len(counts[1]), *counts[2:]],
+        lambda counts: [counts[0][:1], *counts[1:]],
+    ],
+    ids=["[[1]]", "negative", "zero row", "ragged"],
+)
+@pytest.mark.parametrize("command", ["verify", "emit-plots"])
+def test_counts_that_hold_no_jsd_of_k_nodes_exit_1_naming_them(grid_dir, tmp_path, capsys, command, edit):
+    """A cell's JSD is read off its counts, so they must be K rows of one
+    length of non-negative integers, none all zero."""
+    counts = edit(json.loads((grid_dir / "grid.json").read_text())["cells"][2]["counts"])
+    bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", _set("cells", 2, "counts", value=counts))
+    argv = [command, "--results", str(bad)]
+    if command == "emit-plots":
+        argv += ["--out", str(tmp_path / "plots")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {bad / 'grid.json'}: cells[2].counts must be K = 3 rows of one "
+                                       f"length of non-negative integers, none all zero, got {counts}\n")
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "emit-plots"])
+def test_an_edit_to_a_cells_counts_alone_exits_1_naming_results_csv(grid_dir, tmp_path, capsys, command):
+    """The JSD of a cell's rows in results.csv is that of its counts."""
+    edit = _set("cells", -1, "counts", value=[[5, 1], [1, 5], [3, 3]])
+    edited = _corrupt_copy(grid_dir, tmp_path / "edited", "grid.json", edit)
+    argv = [command, "--results", str(edited)]
+    if command == "emit-plots":
+        argv += ["--out", str(tmp_path / "plots")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {edited / 'results.csv'}: row 9 is [") and err.count("\n") == 1, err
+
+
+def test_a_grid_whose_first_two_cells_are_swapped_verifies_as_before(grid_dir, tmp_path, capsys):
+    """Check 2 re-runs the cell that cells[0] names, whatever its place in the grid."""
+    def swap(cells):
+        cells[0], cells[1] = cells[1], cells[0]
+
+    swapped = _cells_copy(grid_dir, tmp_path / "swapped", swap)
+    assert [(c["alpha_index"], c["rep"]) for c in json.loads((swapped / "grid.json").read_text())["cells"]] == [
+        (1, 0), (0, 0), (2, 0)
+    ]
+    assert main(["verify", "--results", str(swapped)]) == 0
+    assert capsys.readouterr().out == (grid_dir / "verification.txt").read_text()
+
+
+@pytest.mark.parametrize(
     "path, value, message",
     [
         ((2, "trace", "starts", 0, "evaluations"), 1.0, "cells[2].trace.starts[0].evaluations must be int, got 1.0"),
@@ -887,14 +947,16 @@ def test_an_edit_to_the_saved_first_cell_fails_check_2_alone_naming_the_field(
     """Check 2 compares the whole saved first cell with its re-run, so an edit
     of any of its fields fails check 2 alone and names the field with both
     values. The same edit of the last cell, which check 2 does not re-run and
-    no other check reads, passes check 2 and leaves verification at 15/15."""
+    no other check of this one-rep grid reads, passes check 2 and leaves
+    verification at 15/15. results.csv is re-rendered, as its JSD column is
+    read off the counts."""
     cells = json.loads((grid_dir / "grid.json").read_text())["cells"]
     for i in (0, -1):
         saved = cells[i]
         for key in keys:
             saved = saved[key]
         edit = _set("cells", i, *keys, value=change(saved))
-        edited = _corrupt_copy(grid_dir, tmp_path / f"cell{i}", "grid.json", edit)
+        edited = _with_its_csv(_corrupt_copy(grid_dir, tmp_path / f"cell{i}", "grid.json", edit))
         code = main(["verify", "--results", str(edited)])
         out = capsys.readouterr().out
         if i == 0:
@@ -928,6 +990,30 @@ def _with_trace_totals(text):
     for trace in (cell["trace"] for cell in bundle["cells"]):
         trace["evaluations"] = sum(s["evaluations"] for s in trace["starts"])
     return json.dumps(bundle)
+
+
+def _with_the_cells_facts_in_each_record(text):
+    """grid.json as written when each record also held the dataset name,
+    alpha, rep and JSD of its cell; the last record's alpha and JSD disagree
+    with its cell's."""
+    bundle = json.loads(text)
+    name = config_from_dict(bundle["config"]).dataset_name
+    for cell in bundle["cells"]:
+        alpha, jsd = bundle["config"]["alphas"][cell["alpha_index"]], jsd_heterogeneity(cell["counts"])
+        cell["records"] = [{"dataset_name": name, "alpha": alpha, "rep": cell["rep"], **r, "jsd": jsd}
+                           for r in cell["records"]]
+    bundle["cells"][-1]["records"][-1].update(alpha=0.5, jsd=0.5)
+    return json.dumps(bundle)
+
+
+def test_a_grid_json_whose_records_still_hold_their_cells_facts_verifies_and_plots_as_before(
+    grid_dir, tmp_path, capsys
+):
+    """The decoder ignores the copies; results.csv holds the cells' values."""
+    old = _corrupt_copy(grid_dir, tmp_path / "old", "grid.json", _with_the_cells_facts_in_each_record)
+    assert fednb.cli._load_bundle(str(old)).rows == fednb.cli._load_bundle(str(grid_dir)).rows
+    assert (old / "results.csv").read_bytes() == (grid_dir / "results.csv").read_bytes()
+    _verifies_and_plots_as_before(grid_dir, old, tmp_path, capsys)
 
 
 def test_a_grid_json_whose_traces_still_hold_their_totals_verifies_and_plots_as_before(grid_dir, tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fednb.config import DEFAULT_ALPHAS, ExperimentConfig
-from fednb.data import CategoryMap, SynthSpec
+from fednb.data import CategoryMap, Dataset, SynthSpec
 from fednb.errors import CellError, ConfigError, NormalizationError
 from fednb.experiment import (
     _jsd_curve,
@@ -28,7 +28,7 @@ from fednb.evaluation import f1_macro, mcnemar_yates
 from fednb.governance import NodeProfile
 from fednb.local_model import fit_hybrid
 from fednb.mog import anll, mog_log_scores_batch
-from fednb.partition import Partition, stratified_split
+from fednb.partition import Partition, jsd_heterogeneity, stratified_split
 from fednb.weights import OptimizerConfig
 
 PROFILES = (
@@ -82,7 +82,7 @@ def test_config_rejects_infeasible_proposal_a():
 
 
 def test_grid_record_count(grid):
-    assert len(grid.records) == 3 * 2 * 4
+    assert len(grid.rows) == 3 * 2 * 4
 
 
 def test_default_grid_arithmetic():
@@ -92,7 +92,7 @@ def test_default_grid_arithmetic():
 
 
 def test_records_in_grid_order(grid):
-    seen = [(r.alpha, r.rep, r.proposal) for r in grid.records]
+    seen = [(alpha, rep, r.proposal) for alpha, rep, _, r in grid.rows]
     expected = [
         (a, rep, p)
         for a in (0.1, 0.5, 1.0)
@@ -103,13 +103,13 @@ def test_records_in_grid_order(grid):
 
 
 def test_fedavg_weights_match_partition_sizes(grid):
-    for r in grid.records:
+    for *_, r in grid.rows:
         if r.proposal == "B":
             assert sum(r.weights) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_proposal_c_has_no_weights(grid):
-    for r in grid.records:
+    for *_, r in grid.rows:
         if r.proposal == "C":
             assert r.weights is None
         else:
@@ -117,7 +117,7 @@ def test_proposal_c_has_no_weights(grid):
 
 
 def test_mcnemar_only_on_proposal_a(grid):
-    for r in grid.records:
+    for *_, r in grid.rows:
         if r.proposal == "A":
             assert r.mcnemar_p_vs_B is not None and 0.0 <= r.mcnemar_p_vs_B <= 1.0
         else:
@@ -156,11 +156,11 @@ def test_equal_size_nodes_give_uniform_fedavg():
 def test_emit_results_csv_shape_and_stability(tmp_path, grid):
     p1 = tmp_path / "r1.csv"
     p2 = tmp_path / "r2.csv"
-    emit_results_csv(grid.records, grid.config.k, p1)
-    emit_results_csv(grid.records, grid.config.k, p2)
+    emit_results_csv(grid, p1)
+    emit_results_csv(grid, p2)
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().splitlines()
-    assert len(lines) == len(grid.records) + 1
+    assert len(lines) == len(grid.rows) + 1
     assert lines[0] == "dataset,alpha,rep,proposal,f1_macro,anll,jsd,w_1,w_2,w_3,mcnemar_p_vs_B,runtime_ms"
     c_line = next(ln for ln in lines[1:] if ",C," in ln)
     fields = c_line.split(",")
@@ -169,10 +169,10 @@ def test_emit_results_csv_shape_and_stability(tmp_path, grid):
 
 def test_results_csv_round_trip(tmp_path, grid):
     """grid.json keeps each record float exactly; results.csv is their CSV."""
-    emit_results_csv(grid.records, grid.config.k, tmp_path / "results.csv")
+    emit_results_csv(grid, tmp_path / "results.csv")
     fednb.cli._save_bundle(grid, str(tmp_path))
     back = fednb.cli._load_bundle(str(tmp_path))
-    assert back.records == grid.records
+    assert back.rows == grid.rows
 
 
 def test_verify_clean_run_passes(grid, dataset):
@@ -197,7 +197,7 @@ def test_verify_detects_weight_sum_tamper(grid, dataset):
 
     tampered = copy.deepcopy(grid)
     # tamper a record in the *last* cell so the first-cell re-run check is unaffected
-    victim = [r for r in tampered.records if r.proposal == "B"][-1]
+    victim = [r for *_, r in tampered.rows if r.proposal == "B"][-1]
     victim.weights = tuple(w + 0.1 / 3 for w in victim.weights)
     report = verify(tampered, dataset)
     failed = [name for name, ok, _ in report.checks if not ok]
@@ -218,9 +218,11 @@ def test_verify_detects_a_jsd_rise_across_alphas(grid, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
-    for r in tampered.records:
-        if r.alpha == tampered.config.alphas[-1]:  # not the first cell, which check 2 re-runs
-            r.jsd = 1.0
+    pure_nodes = [[1, 0], [0, 1], [1, 0]]  # more heterogeneous than every cell at the first alpha
+    assert all(jsd < jsd_heterogeneity(pure_nodes) for alpha, _, jsd, _ in grid.rows if alpha == grid.config.alphas[0])
+    for cell in tampered.cells:
+        if cell.alpha_index == len(tampered.config.alphas) - 1:  # not the first cell, which check 2 re-runs
+            cell.counts = pure_nodes
     report = verify(tampered, dataset)
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["jsd_gradient_per_rep"]
@@ -230,16 +232,17 @@ def test_verify_detects_nan(grid, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
-    tampered.records[-1].jsd = float("nan")
+    row = tampered.rows[-3]  # proposal B of the last cell, whose weights only check 11 reads
+    row[-1].weights = (float("nan"), *row[-1].weights[1:])
     report = verify(tampered, dataset)
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
-    assert failed == [("no_nan_inf", f"non-finite field at {_key(tampered.records[-1])}: jsd = nan")]
+    assert failed == [("no_nan_inf", f"non-finite field at {_key(row)}: w_1 = nan")]
 
 
 def test_a_non_finite_anll_is_named_by_check_5_alone(grid, dataset):
     tampered = copy.deepcopy(grid)
-    victim = tampered.records[-2]  # proposal E of the last cell
-    victim.anll = float("inf")
+    victim = tampered.rows[-2]  # proposal E of the last cell
+    victim[-1].anll = float("inf")
     report = verify(tampered, dataset)
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
     assert failed == [("mog_scores_finite", f"bad scores at {_key(victim)}: anll = inf")]
@@ -249,20 +252,20 @@ def test_verify_detects_a_one_ulp_rerun_difference(grid, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
-    first = tampered.records[0]  # proposal C of the first cell, which check 2 re-runs
+    first = tampered.cells[0].records[0]  # proposal C of the first cell, which check 2 re-runs
     rerun = first.f1_macro
     first.f1_macro = float(np.nextafter(first.f1_macro, 0.0))
     report = verify(tampered, dataset)
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
     assert failed == [(
         "seed_reproducibility",
-        f"first cell re-run diverges at {_key(first)}: f1_macro = {rerun}, recorded {first.f1_macro}",
+        f"first cell re-run diverges at cells[0].records[0].f1_macro = {rerun}, recorded {first.f1_macro}",
     )]
 
 
 def test_mcnemar_check_fails_without_p_values_when_a_and_b_ran(grid, dataset):
     tampered = copy.deepcopy(grid)
-    for r in tampered.records:
+    for *_, r in tampered.rows:
         r.mcnemar_p_vs_B = None
     checks = {name: (ok, msg) for name, ok, msg in verify(tampered, dataset).checks}
     assert checks["mcnemar_validity"] == (False, "invalid p: no p-values, though A and B ran")
@@ -279,15 +282,16 @@ def test_verify_names_a_rerun_that_returns_fewer_records(grid, dataset, monkeypa
     monkeypatch.setattr(fednb.experiment, "run_cell", drop_last)
     report = verify(grid, dataset)
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
-    assert failed == [("seed_reproducibility", "first cell re-run diverges in length: 3 records, 4 recorded")]
+    assert failed == [("seed_reproducibility", "first cell re-run diverges at len(cells[0].records) = 3, recorded 4")]
 
 
-def _key(r):
-    return f"(alpha, rep, proposal) {(r.alpha, r.rep, r.proposal)}"
+def _key(row):
+    alpha, rep, _, r = row
+    return f"(alpha, rep, proposal) {(alpha, rep, r.proposal)}"
 
 
 def _last_a(grid):
-    return [r for r in grid.records if r.proposal == "A"][-1]
+    return [row for row in grid.rows if row[-1].proposal == "A"][-1]
 
 
 def _off_reference_icc(grid, monkeypatch):
@@ -309,26 +313,26 @@ def _unseen_category_on_a_seen_code(grid, monkeypatch):
 
 
 def _bad_scores(grid, monkeypatch):
-    grid.records[-1].anll = float("inf")  # the last cell, which check 2 does not re-run
+    grid.cells[-1].records[-1].anll = float("inf")  # the last cell, which check 2 does not re-run
 
 
 def _f1_above_one(grid, monkeypatch):
-    grid.records[-1].f1_macro = 1.5  # the last cell, which check 2 does not re-run
+    grid.cells[-1].records[-1].f1_macro = 1.5  # the last cell, which check 2 does not re-run
 
 
 def _p_above_one(grid, monkeypatch):
-    _last_a(grid).mcnemar_p_vs_B = 1.5
+    _last_a(grid)[-1].mcnemar_p_vs_B = 1.5
 
 
 def _first_and_last_node_swapped(grid, monkeypatch):
-    first_cell = (grid.config.alphas[0], 0)
-    for r in grid.records:
-        if r.proposal == "A" and (r.alpha, r.rep) != first_cell:
-            r.weights = (r.weights[-1], *r.weights[1:-1], r.weights[0])
+    for cell in grid.cells[1:]:  # not the first cell, which check 2 re-runs
+        for r in cell.records:
+            if r.proposal == "A":
+                r.weights = (r.weights[-1], *r.weights[1:-1], r.weights[0])
 
 
 def _middle_node_below_floor(grid, monkeypatch):
-    r = _last_a(grid)
+    r = _last_a(grid)[-1]
     w0, w1, w2 = r.weights
     r.weights = (w0 + w1 - 0.03, 0.03, w2)
 
@@ -362,8 +366,8 @@ FAIL_TEXT = {
         f"mean JSD per alpha: {np.round(_jsd_curve(grid.config, dataset), 4).tolist()[::-1]}"
     ),
     "ood_slot_index": lambda grid, dataset: re.escape("unseen value encoded as 0, n_cats=2"),
-    "mog_scores_finite": lambda grid, dataset: re.escape(f"bad scores at {_key(grid.records[-1])}: anll = inf"),
-    "metric_ranges": lambda grid, dataset: re.escape(f"range violation at {_key(grid.records[-1])}: f1_macro = 1.5"),
+    "mog_scores_finite": lambda grid, dataset: re.escape(f"bad scores at {_key(grid.rows[-1])}: anll = inf"),
+    "metric_ranges": lambda grid, dataset: re.escape(f"range violation at {_key(grid.rows[-1])}: f1_macro = 1.5"),
     "mcnemar_validity": lambda grid, dataset: re.escape(f"invalid p at {_key(_last_a(grid))}: mcnemar_p_vs_B = 1.5"),
     "icc_weight_alignment": lambda grid, dataset: (
         r"mean weight Financial=0\.\d{4} vs Government=0\.\d{4}; highest Government=0\.\d{4}; "
@@ -428,26 +432,43 @@ def test_proposal_subset_runs():
     cfg = small_config(proposals=("B", "E"), alphas=(0.5,), reps=1)
     dataset = materialize_dataset(cfg)
     result = run_grid(cfg, dataset)
-    assert [r.proposal for r in result.records] == ["B", "E"]
+    assert [r.proposal for *_, r in result.rows] == ["B", "E"]
     assert [cell.trace for cell in result.cells] == [None]
     assert prepare_cell(cfg, 0, 0, dataset).val is None  # only proposal A reads it
 
 
-def test_prepare_cell_keeps_the_training_split_as_row_indices(monkeypatch):
-    splits = []
+def test_prepare_cell_fits_proposal_c_on_the_training_split_before_the_test_rows(monkeypatch):
+    """C's pooled rows are gathered, fitted and freed before the validation
+    and test rows are gathered, so those are not alive during C's fit."""
+    splits, steps = [], []
+    real_subset, real_fit = Dataset.subset, fednb.experiment.fit_hybrid
 
     def split(*args):
         splits.append(stratified_split(*args))
         return splits[-1]
 
+    def subset(data, rows):
+        steps.append(("gather", len(rows)))
+        return real_subset(data, rows)
+
+    def fit(train):
+        steps.append(("fit", train.n_rows))
+        return real_fit(train)
+
     monkeypatch.setattr(fednb.experiment, "stratified_split", split)
     cfg = small_config()
     dataset = materialize_dataset(cfg)
+    monkeypatch.setattr(Dataset, "subset", subset)
+    monkeypatch.setattr(fednb.experiment, "fit_hybrid", fit)
     cell = prepare_cell(cfg, 0, 1, dataset)
-    (train_rows, _, test_rows), = splits
-    assert cell.train_rows.dtype == np.int64 and cell.train_rows.tobytes() == train_rows.tobytes()
+    monkeypatch.undo()
+    (train_rows, val_rows, test_rows), = splits
+    n_train = len(train_rows)
+    assert steps[-4:] == [("gather", n_train), ("fit", n_train), ("gather", len(val_rows)), ("gather", len(test_rows))]
+    assert pickle.dumps(cell.pooled) == pickle.dumps(fit_hybrid(dataset.subset(train_rows)))  # bit for bit
     assert np.array_equal(cell.counts.sum(axis=0), np.bincount(dataset.labels[train_rows], minlength=2))
     assert cell.test.labels.tobytes() == dataset.labels[test_rows].tobytes()
+    assert prepare_cell(small_config(proposals=("B", "E", "A")), 0, 1, dataset).pooled is None
 
 
 def _cell_peak_per_dataset_byte(cfg):
@@ -535,7 +556,7 @@ def test_shared_test_scores_match_per_proposal_formulas():
     preds = {}
     for rec in result.records:
         if rec.proposal == "C":
-            models, w = [fit_hybrid(dataset.subset(cell.train_rows))], np.array([1.0])
+            models, w = [cell.pooled], np.array([1.0])
         else:
             models, w = cell.models, np.array(rec.weights)
         preds[rec.proposal] = mog_log_scores_batch(models, w, cell.test).argmax(axis=1)
