@@ -171,8 +171,9 @@ def cmd_run_grid(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     dataset = materialize_dataset(config)
     result = run_grid(config, dataset)
-    # hand back the heap pages the cells freed, so that the peak of the steps
-    # below does not depend on where their allocations land among those pages
+    # hand back the heap pages the cells freed (when they ran in this process),
+    # so that the peak of the steps below does not depend on where their
+    # allocations land among those pages
     _c_call("malloc_trim", (ctypes.c_size_t,), 0)
     emit_results_csv(result, os.path.join(args.out, RESULTS_CSV))
     _save_bundle(result, args.out)

@@ -22,6 +22,7 @@ it was run in this process or loaded from grid.json, which keeps it exactly.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from collections import Counter
 from dataclasses import dataclass, is_dataclass, replace
@@ -65,14 +66,14 @@ class CellResult:
     records: list[ExperimentRecord]
     trace: OptimizationTrace | None
     counts: list[list[int]]  # (K, n_classes) rows of each class dealt to each node
-    runtimes_ms: dict  # proposal -> ms of wall time for its weighting and scoring; a timing, compared by nothing
+    stage_ms: dict  # stage (see STAGES) -> ms of wall time the cell spent in it; a timing, compared by nothing
     density: np.ndarray  # (2, K) local_model.density_profile of the cell's models
 
 
 @dataclass
 class GridResult:
     config: ExperimentConfig
-    cells: list[CellResult]  # in the order run_grid ran them
+    cells: list[CellResult]  # in grid order
 
     @property
     def rows(self) -> list[tuple]:
@@ -97,6 +98,23 @@ def _cell_seeds(config: ExperimentConfig, alpha_index: int, rep: int) -> list[in
     return [int(s) for s in ss.generate_state(4)]
 
 
+STAGES = ("split", "partition", "degrade", "fit", "stack", "optimize", "score")
+
+
+class Stopwatch:
+    """Milliseconds of wall time per stage of a cell, each of STAGES from 0.0:
+    lap(stage) adds the time since the previous lap (or the start) to stage."""
+
+    def __init__(self):
+        self.ms = dict.fromkeys(STAGES, 0.0)
+        self.last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.ms[stage] += (now - self.last) * 1000.0
+        self.last = now
+
+
 @dataclass
 class PreparedCell:
     pooled: HybridModel | None  # proposal C's model of the whole training split; None when C does not run
@@ -105,6 +123,7 @@ class PreparedCell:
     counts: np.ndarray  # (K, n_classes) training rows of each class dealt to each node
     models: list  # one fitted HybridModel per node, in profile order
     opt_seed: int
+    watch: Stopwatch  # started by prepare_cell; run_cell laps the stages after it
 
 
 def prepare_cell(
@@ -120,9 +139,12 @@ def prepare_cell(
     are freed once its rows are gathered. The pooled rows are gathered for C's
     fit alone, and the validation and test rows only after it.
     """
+    watch = Stopwatch()
     split_seed, part_seed, degr_seed, opt_seed = _cell_seeds(config, alpha_index, rep)
     train_rows, val_rows, test_rows = stratified_split(dataset.labels, config.split_fracs, split_seed)
+    watch.lap("split")
     part = dirichlet_partition(dataset.labels.take(train_rows), config.k, config.alphas[alpha_index], part_seed)
+    watch.lap("partition")
     nodes = part.node_indices  # emptied as the nodes are gathered
     models = []
     for node in range(config.k):
@@ -133,13 +155,18 @@ def prepare_cell(
         else:
             local = dataset.subset(rows)
         del rows
+        watch.lap("degrade")
         models.append(fit_hybrid(local))
         del local
+        watch.lap("fit")
     pooled = fit_hybrid(dataset.subset(train_rows)) if "C" in config.proposals else None
+    watch.lap("fit")
     # only proposal A reads the validation rows
     val = dataset.subset(val_rows) if "A" in config.proposals else None
+    test = dataset.subset(test_rows)
+    watch.lap("split")
     counts = np.pad(part.counts, ((0, 0), (0, dataset.schema.n_classes - part.counts.shape[1])))
-    return PreparedCell(pooled, val, dataset.subset(test_rows), counts, models, opt_seed)
+    return PreparedCell(pooled, val, test, counts, models, opt_seed, watch)
 
 
 def run_cell(
@@ -155,19 +182,18 @@ def run_cell(
     if dataset is None:  # a standalone call; the commands pass the dataset they built
         dataset = materialize_dataset(config)
     cell = prepare_cell(config, alpha_index, rep, dataset)
-    test, counts = cell.test, cell.counts
+    test, counts, watch = cell.test, cell.counts, cell.watch
 
     records = []
-    runtimes_ms = {}
     trace = None
     preds_b = None  # B's test predictions, for A's McNemar test (B runs first)
     shared = None  # test scores of cell.models, stacked by the first of B/E/A
     for proposal in [p for p in PROPOSAL_ORDER if p in config.proposals]:
-        t0 = time.perf_counter()
         weights = None
         if proposal == "C":
             w = np.array([1.0])
             stacked = mog.stack_scores([cell.pooled], test)
+            watch.lap("stack")
         else:
             if proposal == "B":
                 w = weights_fedavg(counts.sum(axis=1))
@@ -180,10 +206,12 @@ def run_cell(
                     coherence_prior(config.profiles),
                     replace(config.optimizer, seed=cell.opt_seed),
                 )
+                watch.lap("optimize")
             w = mog.check_weights(w, config.k)
             weights = tuple(float(x) for x in w)
             if shared is None:
                 shared = mog.stack_scores(cell.models, test)
+                watch.lap("stack")
             stacked = shared
         mixed = mog.mix_blocks(w, stacked)
         preds = mixed.argmax(axis=0)
@@ -200,19 +228,85 @@ def run_cell(
             mcnemar_p_vs_B=p_vs_b,
         ))
         del stacked, mixed, preds  # C's arrays are freed before B/E/A stack the shared tensor
-        runtimes_ms[proposal] = (time.perf_counter() - t0) * 1000.0
-    return CellResult(alpha_index, rep, records, trace, counts.tolist(), runtimes_ms, density_profile(cell.models))
+        watch.lap("score")
+    return CellResult(alpha_index, rep, records, trace, counts.tolist(), watch.ms, density_profile(cell.models))
 
 
 def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
-    result = GridResult(config, [])
-    for alpha in config.alphas:
-        for rep in range(config.reps):
-            try:
-                result.cells.append(run_cell(config, alpha, rep, dataset))
-            except Exception as exc:
-                raise CellError(alpha, rep, exc) from exc
-    return result
+    """Every (alpha, rep) cell of the grid, run on dataset, in grid order.
+
+    With one CPU in this process's affinity mask, or no os.fork, the cells run
+    here one after another. Otherwise min(CPUs, cells) forked workers run
+    them, sharing dataset copy-on-write: worker w runs cells w, w + workers,
+    ... Each cell draws from its own seeds, so the cells are the same at any
+    worker count, and so is a failure: the CellError of the earliest failing
+    cell in grid order, the one a serial run raises.
+    """
+    cells = [(alpha, rep) for alpha in config.alphas for rep in range(config.reps)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(cells)) if hasattr(os, "fork") else 1
+    if workers > 1:
+        outcomes = sorted(_run_in_workers(config, dataset, cells, workers))
+    else:
+        outcomes = _run_cells(config, dataset, cells, range(len(cells)))
+    for _, outcome in outcomes:
+        if isinstance(outcome, CellError):
+            raise outcome from outcome.cause
+    return GridResult(config, [outcome for _, outcome in outcomes])
+
+
+def _run_cells(config: ExperimentConfig, dataset: Dataset, cells: list, indices) -> list[tuple]:
+    """(index, CellResult) of the cells at indices, in order, up to the first
+    that fails, whose (index, CellError) ends the list."""
+    done = []
+    for i in indices:
+        alpha, rep = cells[i]
+        try:
+            done.append((i, run_cell(config, alpha, rep, dataset)))
+        except Exception as exc:
+            done.append((i, CellError(alpha, rep, exc)))
+            break
+    return done
+
+
+def _run_in_workers(config: ExperimentConfig, dataset: Dataset, cells: list, workers: int) -> list[tuple]:
+    """The _run_cells lists of workers forked processes (see run_grid), one
+    after another. Each worker writes the pickle of its list to its own pipe
+    and ends with os._exit. Every worker is reaped before this returns or
+    raises. A worker exits 0 once its report is written; one that ends
+    otherwise, killed say, yields a CellError of its first cell."""
+    outcomes, children = [], {}  # children: pid -> (worker, the read end of its pipe)
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with open(write_fd, "wb") as fh:
+                        pickle.dump(_run_cells(config, dataset, cells, range(w, len(cells), workers)), fh)
+                    status = 0
+                finally:
+                    os._exit(status)  # never the parent's exit handlers or its buffered output
+            children[pid] = w, open(read_fd, "rb")
+            os.close(write_fd)
+        for pid, (w, fh) in list(children.items()):
+            with fh:
+                report = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code == 0:  # the report is whole
+                outcomes += pickle.loads(report)
+            else:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                cause = ChildProcessError(f"its worker process {how} before reporting it")
+                outcomes.append((w, CellError(*cells[w], cause)))
+    finally:  # left early, by KeyboardInterrupt say: stop and reap the workers still running
+        for pid, (_, fh) in children.items():
+            fh.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +353,7 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
     try:
         first = result.cells[0]
         rerun = run_cell(config, config.alphas[first.alpha_index], first.rep, dataset)
-        diff = _first_difference(replace(rerun, runtimes_ms=first.runtimes_ms), first, "cells[0]")
+        diff = _first_difference(replace(rerun, stage_ms=first.stage_ms), first, "cells[0]")
         ok = diff is None
         msg = "first cell re-run matches" if ok else "first cell re-run diverges at {} = {}, recorded {}".format(*diff)
     except Exception as exc:
@@ -312,7 +406,7 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
 
     # 11. no NaN/Inf in the record fields check 5 does not read
     bad = _first_bad(rows, lambda f, v: f != "anll" and not np.isfinite(v))
-    msg = f"non-finite field at {bad}" if bad else "F1, JSD, McNemar p and weights finite"
+    msg = f"non-finite field at {bad}" if bad else "F1, McNemar p and weights finite"
     checks.append(("no_nan_inf", bad is None, msg))
 
     # 12. grid completeness: each (alpha, rep, proposal) of the grid exactly once
@@ -373,10 +467,10 @@ def _first_difference(a, b, path: str) -> tuple | None:
 
 
 def _first_bad(rows, is_bad) -> str | None:
-    """Where the first number of a results CSV row that is_bad(field, value)
-    flags sits, with its field and value; else None."""
-    for alpha, rep, jsd, r in rows:
-        named = [("f1_macro", r.f1_macro), ("anll", r.anll), ("jsd", jsd), ("mcnemar_p_vs_B", r.mcnemar_p_vs_B)]
+    """Where the first number of a record (F1, ANLL, McNemar p or a weight)
+    that is_bad(field, value) flags sits, with its field and value; else None."""
+    for alpha, rep, _, r in rows:
+        named = [("f1_macro", r.f1_macro), ("anll", r.anll), ("mcnemar_p_vs_B", r.mcnemar_p_vs_B)]
         for f, v in named + [(f"w_{i + 1}", w) for i, w in enumerate(r.weights or ())]:
             if v is not None and is_bad(f, v):
                 return f"(alpha, rep, proposal) {(alpha, rep, r.proposal)}: {f} = {v}"

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import dataclasses
 import json
@@ -5,8 +6,10 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -271,15 +274,15 @@ def test_verify_names_a_cell_row_replaced_by_another_of_the_same_cell(grid_dir, 
     ]
 
 
-def test_grid_json_keys_runtimes_by_cell_and_proposal(grid_dir):
+def test_grid_json_keys_stage_times_by_cell_and_stage(grid_dir):
     cells = json.loads((grid_dir / "grid.json").read_text())["cells"]
     assert [(cell["alpha_index"], cell["rep"]) for cell in cells] == [(0, 0), (1, 0), (2, 0)]
     for cell in cells:
-        assert list(cell["runtimes_ms"]) == ["C", "B", "E", "A"]
-        assert all(isinstance(ms, float) for ms in cell["runtimes_ms"].values())
+        assert list(cell["stage_ms"]) == ["split", "partition", "degrade", "fit", "stack", "optimize", "score"]
+        assert all(isinstance(ms, float) for ms in cell["stage_ms"].values())
     # read back as the plain dict it was saved as
-    assert [cell.runtimes_ms for cell in fednb.cli._load_bundle(str(grid_dir)).cells] == [
-        cell["runtimes_ms"] for cell in cells
+    assert [cell.stage_ms for cell in fednb.cli._load_bundle(str(grid_dir)).cells] == [
+        cell["stage_ms"] for cell in cells
     ]
 
 
@@ -364,9 +367,11 @@ def test_failed_cell_exits_1_and_names_the_cell(cfg_path, tmp_path, monkeypatch,
     assert "alpha=0.1" in err and "rep=0" in err and "forced failure" in err
 
 
-def test_a_nan_objective_exits_1_and_names_the_cell(cfg_path, tmp_path, monkeypatch, capsys):
+def test_a_nan_objective_exits_1_and_names_the_cell(cfg_path, tmp_path, monkeypatch, capsys, pin_cpus):
     # the first cell (alpha 0.1) makes 1492 objective evaluations, so the
-    # 2001st, the first NaN, falls in the second
+    # 2001st, the first NaN, falls in the second; the counters live in this
+    # process, so the cells must run here
+    pin_cpus(1)
     real, calls, cells = fednb.weights.anll_from_stacked, [], []
 
     def turns_nan(*args):
@@ -387,6 +392,146 @@ def test_a_nan_objective_exits_1_and_names_the_cell(cfg_path, tmp_path, monkeypa
     assert re.fullmatch(
         r"error: cell \(alpha=0\.5, rep=0\) failed: objective not finite at \[[^]]+\]: nan\n", err
     ), err
+
+
+def _no_child_process_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process once seconds pass, so that a hung
+    command fails its test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _untimed_grid(out):
+    bundle = json.loads((out / "grid.json").read_text())
+    for cell in bundle["cells"]:
+        del cell["stage_ms"]
+    return bundle
+
+
+def test_one_and_two_workers_write_the_same_outputs(cfg_path, tmp_path, monkeypatch, pin_cpus):
+    forked, real_fork = [], os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        forked.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    outs = []
+    for cpus in (1, 2):
+        pin_cpus(cpus)
+        outs.append(tmp_path / f"cpus{cpus}")
+        assert main(["run-grid", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
+    assert len(forked) == 2  # both by the run on two CPUs
+    serial, pooled = outs
+    for name in ["results.csv", "verification.txt", "verification.kv", *(f"plots/{f}" for f in PLOT_FILES)]:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    assert _untimed_grid(serial) == _untimed_grid(pooled)
+    assert _no_child_process_left()
+
+
+def test_the_earliest_failing_cell_is_named_though_a_later_one_fails_first(
+    cfg_path, tmp_path, monkeypatch, capsys, pin_cpus
+):
+    """Of the three cells, worker 0 runs cells 0 and 2 and worker 1 runs cell 1.
+    Cell 2 fails first; cell 1 fails after it, and is the one named."""
+    pin_cpus(2)
+    failed_late, real_cell = tmp_path / "cell 2 failed", fednb.experiment.run_cell
+
+    def failing_cell(config, alpha, rep, *rest):
+        if alpha == 1.0:
+            failed_late.touch()
+            raise PartitionError("the later cell")
+        if alpha == 0.5:
+            for _ in range(6000):  # up to a minute
+                if failed_late.exists():
+                    break
+                time.sleep(0.01)
+            raise PartitionError("the earlier cell")
+        return real_cell(config, alpha, rep, *rest)
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", failing_cell)
+    with _deadline(120):
+        assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: cell (alpha=0.5, rep=0) failed: the earlier cell\n"
+    assert failed_late.exists() and _no_child_process_left()
+
+
+def test_a_worker_killed_inside_run_cell_exits_1_naming_its_cell(cfg_path, tmp_path, monkeypatch, capsys, pin_cpus):
+    pin_cpus(2)
+    parent, real_cell = os.getpid(), fednb.experiment.run_cell
+
+    def killed_cell(config, alpha, rep, *rest):
+        if alpha == 0.5 and os.getpid() != parent:  # worker 1's first cell
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_cell(config, alpha, rep, *rest)
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", killed_cell)
+    with _deadline(120):
+        assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: cell (alpha=0.5, rep=0) failed: its worker process was killed by signal 9 before reporting it\n"
+    )
+    assert _no_child_process_left()
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+def test_run_grid_leaves_no_child_process(cfg_path, tmp_path, monkeypatch, pin_cpus, fails):
+    """On failure, cell 0 fails in worker 0 while worker 1 still runs cell 1."""
+    pin_cpus(2)
+    assert _no_child_process_left()
+    real_cell = fednb.experiment.run_cell
+
+    def cell(config, alpha, rep, *rest):
+        if fails and alpha == 0.1:
+            raise PartitionError("forced failure")
+        return real_cell(config, alpha, rep, *rest)
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", cell)
+    with _deadline(120):
+        assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == (1 if fails else 0)
+    assert _no_child_process_left()
+
+
+def test_an_interrupted_run_grid_stops_and_reaps_its_workers(cfg_path, tmp_path, monkeypatch, pin_cpus):
+    pin_cpus(2)
+    parent = os.getpid()
+
+    def stuck_cell(config, alpha, rep, *rest):
+        if alpha == 0.5:  # worker 1 interrupts the parent, by then waiting for the reports
+            time.sleep(0.5)
+            os.kill(parent, signal.SIGINT)
+        time.sleep(30)
+        raise PartitionError("not interrupted")
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", stuck_cell)
+    old = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    finally:
+        signal.signal(signal.SIGINT, old)
+    assert time.perf_counter() - t0 < 20
+    assert _no_child_process_left()
 
 
 def test_bad_config_path_is_usage_error(tmp_path):
@@ -896,7 +1041,7 @@ def test_a_grid_whose_first_two_cells_are_swapped_verifies_as_before(grid_dir, t
         ((1, "counts", 0, 1), 1.0, "cells[1].counts[0][1] must be int, got 1.0"),
         ((1, "counts", 0, 1), True, "cells[1].counts[0][1] must be int, got True"),
         ((1, "density", 0), [0.5], "cells[1].density must hold rows of one length, got [[0.5], ["),
-        ((2, "runtimes_ms"), [], "cells[2].runtimes_ms must be dict, got []"),
+        ((2, "stage_ms"), [], "cells[2].stage_ms must be dict, got []"),
     ],
     ids=["float evaluations", "float count", "bool count", "ragged density", "list runtimes"],
 )
@@ -916,7 +1061,7 @@ def _before_the_cells(text):
     bundle["density"] = cells[-1]["density"]
     bundle["records"] = [r for cell in cells for r in cell["records"]]
     bundle["partitions"] = {key: cell["counts"] for key, cell in zip(keys, cells)}
-    bundle["runtimes_ms"] = {key: cell["runtimes_ms"] for key, cell in zip(keys, cells)}
+    bundle["runtimes_ms"] = {key: cell["stage_ms"] for key, cell in zip(keys, cells)}
     return json.dumps(bundle)
 
 
@@ -929,6 +1074,21 @@ def test_a_grid_json_from_before_the_list_of_cells_exits_1_naming_the_missing_ke
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {old / 'grid.json'}: missing key 'cells'\n"
     assert not (tmp_path / "plots").exists()
+
+
+def _runtimes_instead_of_stage_times(text):
+    """grid.json as written when each cell held its proposals' runtimes_ms."""
+    bundle = json.loads(text)
+    for cell in bundle["cells"]:
+        del cell["stage_ms"]
+        cell["runtimes_ms"] = {r["proposal"]: 1.0 for r in cell["records"]}
+    return json.dumps(bundle)
+
+
+def test_a_grid_json_from_before_the_stage_times_exits_1_naming_the_missing_key(grid_dir, tmp_path, capsys):
+    old = _corrupt_copy(grid_dir, tmp_path / "old", "grid.json", _runtimes_instead_of_stage_times)
+    assert main(["verify", "--results", str(old)]) == 1
+    assert capsys.readouterr().err == f"error: {old / 'grid.json'}: cells[0]: missing key 'stage_ms'\n"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import copy
 import pickle
 import re
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -584,3 +586,17 @@ def test_cell_error_survives_a_pickle_round_trip():
     assert type(back) is CellError and str(back) == str(err) == "cell (alpha=0.1, rep=3) failed: x"
     assert (back.alpha, back.rep) == (0.1, 3)
     assert type(back.cause) is ValueError and back.cause.args == ("x",)
+
+
+def test_run_cell_times_each_stage_within_the_cells_wall_time(dataset):
+    t0 = time.perf_counter()
+    cell = run_cell(small_config(), 0.5, 1, dataset)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    assert list(cell.stage_ms) == ["split", "partition", "degrade", "fit", "stack", "optimize", "score"]
+    assert sum(cell.stage_ms.values()) <= wall_ms
+
+
+def test_check_2_ignores_the_stage_times_of_the_first_cell(grid, dataset):
+    first = replace(grid.cells[0], stage_ms={"fit": -1.0})
+    report = verify(replace(grid, cells=[first, *grid.cells[1:]]), dataset)
+    assert ("seed_reproducibility", True, "first cell re-run matches") in report.checks

@@ -6,6 +6,9 @@ check."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -267,10 +270,12 @@ Government = 2, 0.55, 0.40, 6.8
 """
 
 
-def test_traced_run_grid_passes_the_tracer_consistency_check(tmp_path):
+def test_traced_run_grid_passes_the_tracer_consistency_check(tmp_path, pin_cpus):
     """The tracer counts one weights.anll_from_stacked call under nelder_mead per
     objective evaluation; a second call per evaluation, or a call that bypasses
-    that lookup point, would otherwise break only `pytest perfbench`."""
+    that lookup point, would otherwise break only `pytest perfbench`. The
+    tracer sees only this process, so the grid's cells run here."""
+    pin_cpus(1)
     tracer = _load_tracer()
     cfg = tmp_path / "traced.cfg"
     cfg.write_text(TRACED_CFG)
@@ -281,3 +286,20 @@ def test_traced_run_grid_passes_the_tracer_consistency_check(tmp_path):
     assert tracer.consistency_errors(tr.spans) == []
     evaluations = sum(tracer.evals_per_start(tr.spans))
     assert evaluations > 0 and len(tracer.objective_calls(tr.spans)) == evaluations
+
+
+def test_run_grid_loads_no_process_pool_module(tmp_path):
+    """run_grid forks its workers with os.fork and pickle alone; importing
+    multiprocessing or concurrent.futures would add to every run's memory."""
+    cfg = tmp_path / "traced.cfg"
+    cfg.write_text(TRACED_CFG)
+    code = (
+        "import atexit, sys, fednb.cli\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules\n"
+        "                                     if m.split('.')[0] in ('multiprocessing', 'concurrent'))))\n"
+        f"sys.exit(fednb.cli.main(['run-grid', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
