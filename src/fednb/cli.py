@@ -29,6 +29,7 @@ import typing
 # module, and numpy's import then reuses the heap that the compile frees
 # instead of leaving it free below numpy's objects.
 from .experiment import (
+    STAGES,
     CellResult,
     GridResult,
     emit_plot_data,
@@ -84,9 +85,10 @@ def _decoded(kind, v, key: str):
     """v, the grid.json value at key, as a value of the annotation kind. v must
     have kind's exact JSON type, so neither true nor 2.0 is an int and neither
     1 nor "0.5" is a float. A tuple is a list of floats, an np.ndarray one too
-    or a list of such lists of one length, a list[X] a list of X, X | None also
-    null, and a dataclass an object holding its fields (other keys are
-    ignored). An error names v's place below key, as in cells[3].rep."""
+    or a list of such lists of one length, a list[X] a list of X, a dict[str, X]
+    an object of X values, X | None also null, and a dataclass an object
+    holding its fields (other keys are ignored). An error names v's place
+    below key, as in cells[3].rep or cells[0].stage_ms.fit."""
     if dataclasses.is_dataclass(kind):
         fields = _field_types(kind)
         if type(v) is not dict:
@@ -110,6 +112,8 @@ def _decoded(kind, v, key: str):
     base, args = typing.get_origin(kind) or kind, typing.get_args(kind)
     if type(v) is not base:
         raise TypeError(f"{key} must be {base.__name__}, got {v!r}")
+    if base is dict:  # a JSON object's keys are strings
+        return {name: _decoded(args[1], x, f"{key}.{name}") for name, x in v.items()}
     return [_decoded(args[0], x, f"{key}[{i}]") for i, x in enumerate(v)] if args else v
 
 
@@ -128,8 +132,13 @@ def _load_bundle(results_dir: str) -> GridResult:
         except ConfigError as exc:  # a saved file is data, not usage
             raise ValueError(str(exc)) from None
         result = GridResult(config, _decoded(list[CellResult], bundle["cells"], "cells"))
+        if not result.cells:  # run-grid writes every cell of the grid
+            raise ValueError("cells must hold at least one cell, got []")
         seen = {}  # (alpha_index, rep) -> the position of its cell
         for i, cell in enumerate(result.cells):
+            if tuple(cell.stage_ms) != STAGES:
+                raise ValueError(f"cells[{i}].stage_ms must hold the stages {', '.join(STAGES)} in that order, "
+                                 f"got {', '.join(cell.stage_ms) or 'none'}")
             for name, n in ("alpha_index", len(config.alphas)), ("rep", config.reps):
                 if not 0 <= getattr(cell, name) < n:
                     raise ValueError(f"cells[{i}]: {name} {getattr(cell, name)} outside 0..{n - 1}")

@@ -257,7 +257,8 @@ class SynthSpec:
 
     ``node_noise`` is a side channel: the generated dataset itself is clean;
     the experiment runner degrades node-local training copies with
-    ``degrade_copy`` using these levels (label flips + feature noise).
+    ``local_model.degrade_copy`` using these levels (label flips + feature
+    noise).
     """
 
     n_rows: int
@@ -353,66 +354,3 @@ def row_order_sum(block: np.ndarray, carry: np.ndarray) -> np.ndarray:
         block[:, 0] += carry
         carry = np.add.accumulate(block, axis=1, out=block)[:, -1].copy()
     return carry
-
-
-def column_mean_var(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and population variance of an (n >= 1, F) array, the floats
-    of np.mean and np.var for a C-ordered copy of x, whatever its layout, by
-    np.var's own steps (sum, divide by n; square x - mean, sum, divide by n),
-    each sum a row_order_sum over row blocks."""
-    n, f = x.shape
-
-    blocks = row_blocks(n, f == 1)
-    total = np.zeros(f)
-    for lo, hi in blocks:
-        total = row_order_sum(x[lo:hi].T.copy(), total)
-    mean = total / n
-    total = np.zeros(f)
-    for lo, hi in blocks:
-        dev = np.subtract(x[lo:hi].T, mean[:, None], out=np.empty((f, hi - lo)))
-        total = row_order_sum(np.square(dev, out=dev), total)
-        del dev  # freed before the next block's is made
-    return mean, total / n
-
-
-def degrade_copy(dataset: Dataset, rows, noise: float, seed: int) -> Dataset:
-    """Node-local quality degradation of the rows of dataset at the integer
-    positions rows (see row_indices): label flips w.p. noise, feature noise at
-    ``noise`` times the per-column std of those rows.
-
-    The input is never written: the rows are gathered into arrays that the
-    result owns, the labels first, and the noise is added into the gathered
-    numerical columns one row block at a time, so beside the result the call
-    holds one block of draws. At noise 0 nothing is drawn, and the result is
-    dataset.subset(rows).
-    """
-    if noise <= 0.0:
-        return dataset.subset(rows)
-    rows = row_indices(rows)
-    n, n_classes = len(rows), dataset.schema.n_classes
-    rng = np.random.default_rng(seed)
-    # all uniform draws of the flips, then all shifts, then the noise; drawn a
-    # row block at a time, each stream is the one that a whole draw gives
-    labels = dataset.labels.take(rows)
-    flip = np.empty(n, dtype=bool)
-    for lo, hi in row_blocks(n):
-        np.less(rng.random(hi - lo), noise, out=flip[lo:hi])
-    for lo, hi in row_blocks(n):
-        # flip to a uniformly random *other* class
-        block, hit = labels[lo:hi], np.flatnonzero(flip[lo:hi])
-        block[hit] = (block[hit] + rng.integers(1, n_classes, size=len(hit))) % n_classes
-    del flip
-    num = dataset.numerical.take(rows, axis=0)
-    if num.size:  # no rows or no numerical columns: nothing to perturb
-        # the floats of .std(axis=0) on a C-ordered copy of num
-        std = np.sqrt(column_mean_var(num)[1])
-        std[std == 0.0] = 1.0
-        scale = noise * std
-        for lo, hi in row_blocks(n):
-            # num + rng.normal(0.0, noise * std, num.shape), a block at a time:
-            # normal draws 0.0 + scale * z, and IEEE + and * commute
-            draws = rng.standard_normal((hi - lo, num.shape[1]))
-            draws *= scale
-            draws += 0.0
-            num[lo:hi] += draws
-    return Dataset(dataset.schema, dataset.categorical.take(rows, axis=0), num, labels, dataset.n_cats)

@@ -21,6 +21,7 @@ it was run in this process or loaded from grid.json, which keeps it exactly.
 
 from __future__ import annotations
 
+import _signal  # the C module behind signal, loaded at interpreter start; signal adds ~40 kB of enums
 import os
 import pickle
 import time
@@ -30,11 +31,11 @@ from dataclasses import dataclass, is_dataclass, replace
 import numpy as np
 
 from .config import PROPOSAL_ORDER, ExperimentConfig, config_from_dict, config_to_dict
-from .data import CategoryMap, Dataset, SynthSpec, degrade_copy, load_csv, synth_generate
+from .data import CategoryMap, Dataset, SynthSpec, load_csv, synth_generate
 from .errors import CellError, ConfigError
 from .evaluation import f1_macro, mcnemar_yates
 from .governance import REFERENCE_PROFILES, NodeProfile, coherence_prior, compute_icc
-from .local_model import HybridModel, density_profile, fit_hybrid
+from .local_model import HybridModel, degrade_copy, density_profile, fit_hybrid
 from . import mog
 from .mog import anll, mog_log_scores_batch  # noqa: F401  lookup points of perfbench/tracer.py
 from .partition import dirichlet_counts, dirichlet_partition, jsd_heterogeneity, stratified_split
@@ -66,7 +67,7 @@ class CellResult:
     records: list[ExperimentRecord]
     trace: OptimizationTrace | None
     counts: list[list[int]]  # (K, n_classes) rows of each class dealt to each node
-    stage_ms: dict  # stage (see STAGES) -> ms of wall time the cell spent in it; a timing, compared by nothing
+    stage_ms: dict[str, float]  # stage (see STAGES) -> ms of wall time the cell spent in it; compared by nothing
     density: np.ndarray  # (2, K) local_model.density_profile of the cell's models
 
 
@@ -134,9 +135,9 @@ def prepare_cell(
     cell does before weighting.
 
     The training split stays a row-index array. Each node's rows are gathered
-    from dataset when the node is fitted (by degrade_copy, which adds its noise
-    into the gathered copy) and freed before the next node's; its index arrays
-    are freed once its rows are gathered. The pooled rows are gathered for C's
+    from dataset when the node is fitted (by degrade_copy, which adds a synthetic
+    node's noise into the gathered copy) and freed before the next node's; its
+    index arrays are freed once its rows are gathered. The pooled rows are gathered for C's
     fit alone, and the validation and test rows only after it.
     """
     watch = Stopwatch()
@@ -150,10 +151,8 @@ def prepare_cell(
     for node in range(config.k):
         rows = train_rows.take(nodes[node])
         nodes[node] = None
-        if isinstance(config.source, SynthSpec):
-            local = degrade_copy(dataset, rows, config.source.node_noise[node], degr_seed + node)
-        else:
-            local = dataset.subset(rows)
+        noise = config.source.node_noise[node] if isinstance(config.source, SynthSpec) else 0.0
+        local = degrade_copy(dataset, rows, noise, degr_seed + node)
         del rows
         watch.lap("degrade")
         models.append(fit_hybrid(local))
@@ -274,8 +273,11 @@ def _run_in_workers(config: ExperimentConfig, dataset: Dataset, cells: list, wor
     after another. Each worker writes the pickle of its list to its own pipe
     and ends with os._exit. Every worker is reaped before this returns or
     raises. A worker exits 0 once its report is written; one that ends
-    otherwise, killed say, yields a CellError of its first cell."""
+    otherwise, killed say, yields a CellError of its first cell. SIGINT waits
+    out the forks: raised in an at-fork hook (logging registers one), its
+    KeyboardInterrupt would be reported and ignored."""
     outcomes, children = [], {}  # children: pid -> (worker, the read end of its pipe)
+    mask = _signal.pthread_sigmask(_signal.SIG_BLOCK, [_signal.SIGINT])
     try:
         for w in range(workers):
             read_fd, write_fd = os.pipe()
@@ -283,6 +285,7 @@ def _run_in_workers(config: ExperimentConfig, dataset: Dataset, cells: list, wor
             if pid == 0:
                 status = 1
                 try:
+                    _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)
                     with open(write_fd, "wb") as fh:
                         pickle.dump(_run_cells(config, dataset, cells, range(w, len(cells), workers)), fh)
                     status = 0
@@ -290,6 +293,7 @@ def _run_in_workers(config: ExperimentConfig, dataset: Dataset, cells: list, wor
                     os._exit(status)  # never the parent's exit handlers or its buffered output
             children[pid] = w, open(read_fd, "rb")
             os.close(write_fd)
+        _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)
         for pid, (w, fh) in list(children.items()):
             with fh:
                 report = fh.read()
@@ -306,6 +310,7 @@ def _run_in_workers(config: ExperimentConfig, dataset: Dataset, cells: list, wor
             fh.close()
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
+        _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)  # when a fork failed
     return outcomes
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, column_mean_var, row_blocks, row_order_sum
+from .data import Dataset, row_blocks, row_indices, row_order_sum
 from .errors import FitError, ShapeError
 
 NEG_INF = float("-inf")
@@ -72,64 +72,110 @@ def fit_hybrid(train: Dataset) -> HybridModel:
             table[c] = (cnt[c] + SMOOTHING) / (class_counts[c] + SMOOTHING * (m + 1))
         cat_log_prob.append(np.log(table))
 
-    # np.mean's and np.std's own steps, so every float equals theirs
+    # the Gaussians on the values standardized by the columns' mean and spread;
+    # the class rows are set one class at a time, since a fancy-index assignment
+    # touched numpy code pages that no other step reads (ROADMAP item 10)
     num = train.numerical
-    mean, var = column_mean_var(num)
-    std = np.sqrt(var)
-    scale = np.where(std > 0, std, 1.0)
-
-    # the Gaussians on the standardized values, each sum in numpy's order for
-    # the (n, F) standardized array and for its rows of each class; the class
-    # rows are set one class at a time, since a fancy-index assignment touched
-    # numpy code pages that no other step reads (ROADMAP item 10)
-    total, by_class = _standardized_sums(num, labels, classes, mean, scale)
-    gauss_mean = np.zeros((n_classes, num.shape[1]))
+    f = num.shape[1]
+    mean, var, _, _ = column_mean_var(num, np.zeros((f, 1)), np.ones((f, 1)), labels, [])
+    scale = _spread(var)
+    _, var, class_mean, class_var = column_mean_var(num, mean[:, None], scale[:, None], labels, classes.tolist())
+    floor = 1e-9 * np.maximum(var, 1.0)
+    gauss_mean, gauss_var = np.zeros((n_classes, f)), np.ones((n_classes, f))
     for i, c in enumerate(classes):
-        gauss_mean[c] = by_class[i] / class_counts[c]
-    centers = (total / n, [gauss_mean[c] for c in classes])
-    total, by_class = _standardized_sums(num, labels, classes, mean, scale, centers)
-    floor = 1e-9 * np.maximum(total / n, 1.0)
-    gauss_var = np.ones((n_classes, num.shape[1]))
-    for i, c in enumerate(classes):
-        gauss_var[c] = by_class[i] / class_counts[c] + floor
+        gauss_mean[c] = class_mean[i]
+        gauss_var[c] = class_var[i] + floor
 
     return HybridModel(mean, scale, cat_log_prob, gauss_mean, gauss_var, log_prior)
 
 
-def _standardized_sums(num, labels, classes, mean, scale, centers=None):
-    """Row-order sums (data.row_order_sum) of z = (num - mean) / scale over
-    all rows, and over the rows of each class in classes: (F,) and
-    (len(classes), F). With centers = (overall, per class) means, the sums
-    are of the squared deviations from them. One row block of z at a time."""
-    f = num.shape[1]
-    total, by_class = np.zeros(f), np.zeros((len(classes), f))
-    overall, per_class = (None, [None] * len(classes)) if centers is None else centers
-    for lo, hi in row_blocks(len(num), f == 1):
-        z = np.subtract(num[lo:hi].T, mean[:, None], out=np.empty((f, hi - lo)))
-        z /= scale[:, None]
-        block_labels = labels[lo:hi]
-        for i, c in enumerate(classes.tolist()):  # int classes keep the comparison in the labels' dtype
-            # the split and the partition keep each class's rows together, so a
-            # block often holds one class: it is copied, faster than a compress
-            rows = block_labels == c
-            k = np.count_nonzero(rows)
-            if not k:
-                continue
-            zc = z.copy() if k == len(rows) else z.compress(rows, axis=1)
-            by_class[i] = row_order_sum(_squared_deviations(zc, per_class[i]), by_class[i])
-            del zc  # freed before the next class's is made
-        total = row_order_sum(_squared_deviations(z, overall), total)
-        del z  # and this block's before the next block's
-    return total, by_class
+def column_mean_var(x: np.ndarray, shift: np.ndarray, scale: np.ndarray, labels: np.ndarray, classes: list):
+    """(mean, var, class_mean, class_var): the column means and population
+    variances of z = (x - shift) / scale, for an (n >= 1, F) array x and (F, 1)
+    arrays shift and scale, over all rows, (F,) each, and over the rows of each
+    class in classes (ints present in labels), (len(classes), F) each. They are
+    np.mean's and np.var's floats (axis 0) for a C-ordered z, by np.var's own
+    steps (sum, divide by the count; square z - mean, sum, divide), each sum a
+    row_order_sum over the row blocks of z, which is made a block at a time."""
+    n, f = x.shape
+    means = None  # (overall, per class) after the first pass
+    for _ in range(2):
+        total, by_class, counts = np.zeros(f), np.zeros((len(classes), f)), np.zeros(len(classes), np.int64)
+        for lo, hi in row_blocks(n, f == 1):
+            z = np.subtract(x[lo:hi].T, shift, out=np.empty((f, hi - lo)))
+            z /= scale
+            for i, c in enumerate(classes):  # int classes keep the comparison in the labels' dtype
+                # the split and the partition keep each class's rows together, so a
+                # block often holds one class: it is copied, faster than a compress
+                rows = labels[lo:hi] == c
+                k = np.count_nonzero(rows)
+                if not k:
+                    continue
+                counts[i] += k
+                zc = z.copy() if k == len(rows) else z.compress(rows, axis=1)
+                by_class[i] = row_order_sum(_squared_deviations(zc, means[1][i] if means else None), by_class[i])
+                del zc  # freed before the next class's is made
+            total = row_order_sum(_squared_deviations(z, means[0] if means else None), total)
+            del z  # and this block's before the next block's
+        moments = total / n, by_class / counts[:, None]
+        if means is not None:
+            return means[0], moments[0], means[1], moments[1]
+        means = moments
 
 
 def _squared_deviations(block: np.ndarray, center: np.ndarray | None) -> np.ndarray:
-    """block, an (F, b) array, or with center (F,) the squares of
-    block - center[:, None], computed in block's own buffer."""
+    """block (F, b), or with center (F,) the squares of block - center[:, None], in place."""
     if center is not None:
         block -= center[:, None]
         np.square(block, out=block)
     return block
+
+
+def _spread(var: np.ndarray) -> np.ndarray:
+    """The standard deviations sqrt(var), 1.0 for a column of zero spread."""
+    return np.where(var > 0, np.sqrt(var), 1.0)
+
+
+def degrade_copy(dataset: Dataset, rows, noise: float, seed: int) -> Dataset:
+    """Node-local quality degradation of the rows of dataset at the integer
+    positions rows (see data.row_indices): label flips w.p. noise, feature
+    noise at ``noise`` times the per-column std of those rows.
+
+    The input is never written: the rows are gathered into arrays that the
+    result owns, the labels first, and the noise is added into the gathered
+    numerical columns one row block at a time, so beside the result the call
+    holds one block of draws. At noise 0 nothing is drawn, and the result is
+    dataset.subset(rows).
+    """
+    if noise <= 0.0:
+        return dataset.subset(rows)
+    rows = row_indices(rows)
+    n, n_classes = len(rows), dataset.schema.n_classes
+    rng = np.random.default_rng(seed)
+    # all uniform draws of the flips, then all shifts, then the noise; drawn a
+    # row block at a time, each stream is the one that a whole draw gives
+    labels = dataset.labels.take(rows)
+    flip = np.empty(n, dtype=bool)
+    for lo, hi in row_blocks(n):
+        np.less(rng.random(hi - lo), noise, out=flip[lo:hi])
+    for lo, hi in row_blocks(n):
+        # flip to a uniformly random *other* class
+        block, hit = labels[lo:hi], np.flatnonzero(flip[lo:hi])
+        block[hit] = (block[hit] + rng.integers(1, n_classes, size=len(hit))) % n_classes
+    del flip
+    num = dataset.numerical.take(rows, axis=0)
+    if num.size:  # no rows or no numerical columns: nothing to perturb
+        # noise times the floats of .std(axis=0) for a C-ordered num, or 1.0 where that is 0
+        f = num.shape[1]
+        scale = noise * _spread(column_mean_var(num, np.zeros((f, 1)), np.ones((f, 1)), labels, [])[1])
+        for lo, hi in row_blocks(n):
+            # num + rng.normal(0.0, noise * std, num.shape), a block at a time:
+            # normal draws 0.0 + scale * z, and IEEE + and * commute
+            draws = rng.standard_normal((hi - lo, f))
+            draws *= scale
+            draws += 0.0
+            num[lo:hi] += draws
+    return Dataset(dataset.schema, dataset.categorical.take(rows, axis=0), num, labels, dataset.n_cats)
 
 
 def density_profile(models) -> np.ndarray:

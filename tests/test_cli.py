@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import fednb.cli
+import fednb.config
 import fednb.experiment
 import fednb.weights
 from fednb.cli import main
@@ -534,6 +535,46 @@ def test_an_interrupted_run_grid_stops_and_reaps_its_workers(cfg_path, tmp_path,
     assert _no_child_process_left()
 
 
+_interrupt_at_fork = []  # the pid of a process whose next fork interrupts it
+
+
+def _interrupt_after_fork():
+    """An after-fork hook in the parent, as logging registers one: off until
+    a pid is put in _interrupt_at_fork, then it sends SIGINT to that process
+    once."""
+    if _interrupt_at_fork and _interrupt_at_fork[0] == os.getpid():
+        os.kill(_interrupt_at_fork.pop(), signal.SIGINT)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_parent=_interrupt_after_fork)
+
+
+def test_a_sigint_while_the_workers_are_forked_stops_and_reaps_them(cfg_path, monkeypatch, pin_cpus):
+    """Raised inside the hook, the KeyboardInterrupt would be reported and
+    ignored, and run_grid would wait for every cell."""
+    pin_cpus(2)
+    config = fednb.config.load_config(cfg_path, {})
+    dataset = fednb.experiment.materialize_dataset(config)
+
+    def slow_cell(config, alpha, rep, *rest):
+        time.sleep(10)
+        raise PartitionError("not interrupted")
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", slow_cell)
+    old = signal.signal(signal.SIGINT, signal.default_int_handler)
+    _interrupt_at_fork.append(os.getpid())
+    try:
+        t0 = time.perf_counter()
+        with _deadline(120), pytest.raises(KeyboardInterrupt):
+            fednb.experiment.run_grid(config, dataset)
+    finally:
+        _interrupt_at_fork.clear()
+        signal.signal(signal.SIGINT, old)
+    assert time.perf_counter() - t0 < 5
+    assert _no_child_process_left()
+
+
 def test_bad_config_path_is_usage_error(tmp_path):
     assert main(["run-grid", "--config", str(tmp_path / "no.cfg"), "--out", str(tmp_path)]) == 64
 
@@ -1042,14 +1083,34 @@ def test_a_grid_whose_first_two_cells_are_swapped_verifies_as_before(grid_dir, t
         ((1, "counts", 0, 1), True, "cells[1].counts[0][1] must be int, got True"),
         ((1, "density", 0), [0.5], "cells[1].density must hold rows of one length, got [[0.5], ["),
         ((2, "stage_ms"), [], "cells[2].stage_ms must be dict, got []"),
+        ((0, "stage_ms", "fit"), "slow", "cells[0].stage_ms.fit must be float, got 'slow'"),
+        ((0, "stage_ms", "stack"), 1, "cells[0].stage_ms.stack must be float, got 1"),
+        ((1, "stage_ms"), {"fit": 1.0}, "cells[1].stage_ms must hold the stages split, partition, degrade, fit, "
+         "stack, optimize, score in that order, got fit\n"),
+        ((1, "stage_ms"), dict.fromkeys(["fit", "split", "partition", "degrade", "stack", "optimize", "score"], 1.0),
+         "cells[1].stage_ms must hold the stages split, partition, degrade, fit, stack, optimize, score in that "
+         "order, got fit, split, partition, degrade, stack, optimize, score\n"),
     ],
-    ids=["float evaluations", "float count", "bool count", "ragged density", "list runtimes"],
+    ids=["float evaluations", "float count", "bool count", "ragged density", "list runtimes", "string stage time",
+         "int stage time", "missing stages", "reordered stages"],
 )
 def test_a_malformed_cell_field_exits_1_naming_its_place_in_the_cells(grid_dir, tmp_path, capsys, path, value, message):
     bad = _corrupt_copy(grid_dir, tmp_path / "bad", "grid.json", _set("cells", *path, value=value))
     assert main(["verify", "--results", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad / 'grid.json'}: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["verify", "emit-plots"])
+def test_a_grid_without_cells_exits_1_naming_them(grid_dir, tmp_path, capsys, command):
+    empty = _with_its_csv(_corrupt_copy(grid_dir, tmp_path / "empty", "grid.json", _set("cells", value=[])))
+    assert (empty / "results.csv").read_text().count("\n") == 1  # the header alone
+    argv = [command, "--results", str(empty)]
+    if command == "emit-plots":
+        argv += ["--out", str(tmp_path / "plots")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {empty / 'grid.json'}: cells must hold at least one cell, got []\n"
+    assert not (tmp_path / "plots").exists()
 
 
 def _before_the_cells(text):

@@ -12,15 +12,13 @@ from fednb.data import (
     Dataset,
     FeatureSchema,
     SynthSpec,
-    column_mean_var,
-    degrade_copy,
     load_csv,
     narrowest_uint,
     synth_generate,
 )
 from fednb.errors import LabelError, ParseError, SchemaError, ShapeError, SynthSpecError
 from fednb.evaluation import f1_macro
-from fednb.local_model import fit_hybrid, joint_log_scores_batch
+from fednb.local_model import column_mean_var, degrade_copy, fit_hybrid, joint_log_scores_batch
 
 SCHEMA = FeatureSchema((("proto", "categorical"), ("dur", "numerical"), ("label", "label")), 2)
 LABEL_NAMES = ("benign", "attack")
@@ -161,17 +159,38 @@ def _columns_on_scales(n, f, seed):
 @pytest.mark.parametrize("f", [*range(1, 41), 130])
 def test_column_sums_equal_the_axis0_reduction_bitwise(f, monkeypatch):
     """column_mean_var's carried row-block sums give the floats of numpy's
-    axis-0 mean and var, in blocks of the default size and of 999 rows (20,000
-    rows are not a multiple of either)."""
+    axis-0 mean and var of z = (x - shift) / scale and of its rows of each of
+    two classes: the raw columns (shift 0, scale 1) of labels sorted by class,
+    so that a class is absent from a block, in row-major and column-major x,
+    and standardized columns of interleaved labels. n runs below, at and past
+    the default block size, with a last block of one row, and over blocks of
+    999 rows to a last block of neither."""
+    rng = np.random.default_rng(f)
+    raw = np.zeros((f, 1)), np.ones((f, 1))
     negative_zeros = np.full((7, f), -0.0)  # numpy starts each sum from +0.0
-    for block in (fednb.data.ROW_BLOCK, 999):
+    _assert_column_moments(negative_zeros, *raw, np.zeros(7, np.uint8))
+    default = fednb.data.ROW_BLOCK
+    for block, sizes in ((default, (1, 7, default, 2 * default + 1)), (999, (999, 2 * 999 + 1, 2500))):
         monkeypatch.setattr(fednb.data, "ROW_BLOCK", block)
-        for x in [*(_columns_on_scales(n, f, seed=n + f) for n in (1, 7, 20_000)), negative_zeros]:
-            mean, var = x.mean(axis=0), x.var(axis=0)
-            # numpy sums a column-major array pairwise; column_mean_var keeps the C order's floats
-            for layout in (x, np.asfortranarray(x)):
-                got = column_mean_var(layout)
-                assert got[0].tobytes() == mean.tobytes() and got[1].tobytes() == var.tobytes(), (x.shape, block)
+        for n in sizes:
+            x = _columns_on_scales(n, f, seed=n + f)
+            labels = (np.arange(n) >= n // 3).astype(np.uint8)
+            _assert_column_moments(x, *raw, labels)
+            _assert_column_moments(np.asfortranarray(x), *raw, labels)
+            spread = np.abs(x).max(axis=0)[:, None] + 1.0
+            shift, scale = rng.uniform(-1, 1, (f, 1)) * spread, rng.uniform(0.1, 10, (f, 1)) * spread
+            _assert_column_moments(x, shift, scale, rng.permutation(labels))
+
+
+def _assert_column_moments(x, shift, scale, labels):
+    """column_mean_var's floats are numpy's of a C-ordered z, whatever x's
+    layout (numpy sums a column-major array pairwise)."""
+    z = np.ascontiguousarray((x - shift.T) / scale.T)
+    classes = np.unique(labels).tolist()
+    by_class = [(z[labels == c].mean(axis=0), z[labels == c].var(axis=0)) for c in classes]
+    want = z.mean(axis=0), z.var(axis=0), *(np.array(m).reshape(len(classes), -1) for m in zip(*by_class))
+    got = column_mean_var(x, shift, scale, labels, classes)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (x.shape, fednb.data.ROW_BLOCK)
 
 
 def _degraded_numerical(ds, noise, seed):

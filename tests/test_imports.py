@@ -1,8 +1,8 @@
 """Layout rules: no fednb module imports another fednb module's private helpers,
-only cli.py imports json, every definition is used, every default is both
-overridden and taken by some call, every field is read, every lookup point of
-perfbench/tracer.py exists, and a traced run passes the tracer's consistency
-check."""
+only cli.py imports json, one function calls the row-order sum, every
+definition is used, every default is both overridden and taken by some call,
+every field is read, every lookup point of perfbench/tracer.py exists, and a
+traced run passes the tracer's consistency check."""
 
 import ast
 import importlib.util
@@ -57,6 +57,21 @@ def test_only_cli_imports_json():
         if "json" in {m.split(".")[0] for m in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))}
     ]
     assert importers == ["cli.py"]
+
+
+def test_one_function_calls_row_order_sum():
+    """Every column statistic of the node path comes from one routine that
+    replays numpy's row order (local_model.column_mean_var); a second caller
+    would be a second copy of that rule."""
+    callers = {
+        f"{path.name}:{func.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "row_order_sum"
+    }
+    assert callers == {"local_model.py:column_mean_var"}
 
 
 # Kept although nothing in src/fednb refers to them, each for a stated reason.

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import fednb.data
-from fednb.data import Dataset, FeatureSchema, SynthSpec, degrade_copy, synth_generate
+from fednb.data import Dataset, FeatureSchema, SynthSpec, synth_generate
 from fednb.errors import FitError, ShapeError
 from fednb.local_model import (
-    NEG_INF, SMOOTHING, HybridModel, _feature_sums, density_profile, fit_hybrid, joint_log_scores_batch,
+    NEG_INF, SMOOTHING, HybridModel, _feature_sums, degrade_copy, density_profile, fit_hybrid,
+    joint_log_scores_batch,
 )
 from fednb.mog import StackedScores, anll_from_mixed, anll_from_stacked, mix_blocks, mix_scores, stack_scores
 from fednb.partition import class_rows, dirichlet_partition, stratified_split
