@@ -436,5 +436,38 @@ def test_one_and_nine_numerical_columns_match_the_pinned_results(n_numerical, tm
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == NARROW_WIDE_SHA256[n_numerical]
 
 
+# results.csv sha256 of MANY_CLASS_CONFIG, recorded before the validation and
+# test ANLL shared one row-blocked kernel. Every reference workload is binary;
+# from 8 classes on numpy sums a one-row slice's class axis pairwise, so this
+# pins the class-axis kernels at the paper's largest class count (CIC-IDS2017).
+MANY_CLASS_SHA256 = "f3152ab824a72784cf8bc43c01b7929fcf02bae3422f4c7ea799201d2950c6c5"
+MANY_CLASS_CONFIG = "\n".join([
+    "[experiment]", "name = many-class", "seed = 42", "alphas = 0.05, 1.00", "reps = 1",
+    "proposals = C, B, E, A",
+    "[synth]", "n_rows = 3000", "n_classes = 15", "n_categorical = 2", "n_numerical = 8",
+    "n_categories = 4", "class_sep = 2.0", "node_noise = 0.0, 0.2, 0.45",
+    "[profiles]", "Financial = 4, 0.82, 0.12, 3.2", "Health = 3, 0.70, 0.25, 5.1",
+    "Government = 2, 0.55, 0.40, 6.8",
+]) + "\n"
+
+
+def test_fifteen_classes_match_the_pinned_results_and_outcome(tmp_path):
+    """The outcome is pinned as it stands, 14/15: on this one-rep grid proposal
+    A favours the node whose training rows hold the most classes (Government),
+    so check 10 fails."""
+    path = tmp_path / "grid.cfg"
+    path.write_text(MANY_CLASS_CONFIG, encoding="utf-8")
+    config = load_config(path)
+    dataset = materialize_dataset(config)
+    result = run_grid(config, dataset)
+    emit_results_csv(result, tmp_path / "results.csv")
+    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == MANY_CLASS_SHA256
+    report = verify(result, dataset)
+    assert report.passed_count == 14 and len(report.checks) == 15
+    failed = [(name, msg) for name, ok, msg in report.checks if not ok]
+    assert [name for name, _ in failed] == ["icc_weight_alignment"]
+    assert failed[0][1].startswith("mean weight Financial=0.4084 vs Government=0.5416;")
+
+
 def test_criterion_12_external_dataset_optional():
     pytest.skip("optional, not gating: requires user-supplied intrusion-detection CSVs")
