@@ -183,37 +183,37 @@ def run_cell(
     cell = prepare_cell(config, alpha_index, rep, dataset)
     test, counts, watch = cell.test, cell.counts, cell.watch
 
-    records = []
+    proposals = [p for p in PROPOSAL_ORDER if p in config.proposals]
     trace = None
+    if "A" in proposals:  # before any test tensor exists, so the optimizer's buffers never meet one
+        learned, trace = learn_weights_icc(
+            cell.models, cell.val, coherence_prior(config.profiles), replace(config.optimizer, seed=cell.opt_seed))
+        watch.lap("optimize")
+
+    records = []
     preds_b = None  # B's test predictions, for A's McNemar test (B runs first)
     shared = None  # test scores of cell.models, stacked by the first of B/E/A
-    for proposal in [p for p in PROPOSAL_ORDER if p in config.proposals]:
+    for proposal in proposals:
         weights = None
         if proposal == "C":
             w = np.array([1.0])
-            stacked = mog.stack_scores([cell.pooled], test)
+            scores = mog.StackedScores(mog.stack_scores([cell.pooled], test), test.labels)
             watch.lap("stack")
         else:
             if proposal == "B":
                 w = weights_fedavg(counts.sum(axis=1))
             elif proposal == "E":
                 w = weights_entropy(counts)
-            else:  # A
-                w, trace = learn_weights_icc(
-                    cell.models,
-                    cell.val,
-                    coherence_prior(config.profiles),
-                    replace(config.optimizer, seed=cell.opt_seed),
-                )
-                watch.lap("optimize")
+            else:
+                w = learned
             w = mog.check_weights(w, config.k)
             weights = tuple(float(x) for x in w)
             if shared is None:
-                shared = mog.stack_scores(cell.models, test)
+                shared = mog.StackedScores(mog.stack_scores(cell.models, test), test.labels)
                 watch.lap("stack")
-            stacked = shared
-        mixed = mog.mix_blocks(w, stacked)
-        preds = mixed.argmax(axis=0)
+            scores = shared
+        preds = np.empty(test.n_rows, dtype=np.intp)
+        test_anll = mog.anll_from_stacked(w, scores, preds)
         p_vs_b = None
         if proposal == "B":
             preds_b = preds
@@ -222,11 +222,11 @@ def run_cell(
         records.append(ExperimentRecord(
             proposal=proposal,
             f1_macro=f1_macro(test.labels, preds, dataset.schema.n_classes),
-            anll=mog.anll_from_mixed(mixed, test.labels),
+            anll=test_anll,
             weights=weights,
             mcnemar_p_vs_B=p_vs_b,
         ))
-        del stacked, mixed, preds  # C's arrays are freed before B/E/A stack the shared tensor
+        del scores, preds  # C's scores are freed before B/E/A stack the shared tensor
         watch.lap("score")
     return CellResult(alpha_index, rep, records, trace, counts.tolist(), watch.ms, density_profile(cell.models))
 

@@ -9,6 +9,10 @@ with max-subtraction for stability. Nodes lacking a class contribute the
 a class absent from every node stays at the sentinel. ANLL clamps sentinel
 contributions at a fixed 50-nat penalty so the optimizer objective remains
 finite under extreme partitions.
+
+One kernel, anll_from_stacked, mixes a stacked score tensor and takes its
+ANLL (and, when asked, its predictions) one data.row_blocks block at a time:
+the optimizer's validation objective and every proposal's test scores.
 """
 
 from __future__ import annotations
@@ -83,24 +87,14 @@ def mix_scores(weights, stacked: np.ndarray, out=None, *, covered: bool = False)
         return m + np.log(np.add.reduce(np.exp(a, out=a), axis=0))
 
 
-def mix_blocks(weights, stacked: np.ndarray) -> np.ndarray:
-    """mix_scores(weights, stacked), computed one row block at a time into
-    one (C, n) result, so its scratch is one block's instead of a (K, C, n)
-    buffer; the floats are the same."""
-    mixed = np.empty(stacked.shape[1:])
-    for lo, hi in row_blocks(stacked.shape[2]):
-        mixed[:, lo:hi] = mix_scores(weights, stacked[:, :, lo:hi])
-    return mixed
-
-
 def mog_log_scores_batch(models, weights, data: Dataset) -> np.ndarray:
     """(n_rows, n_classes) scores of the mixture of models under weights (checked
     by check_weights first), a transposed view of the class-major result."""
     weights = check_weights(weights, len(models))
-    return mix_blocks(weights, stack_scores(models, data)).T
+    return mix_scores(weights, stack_scores(models, data)).T
 
 
-def _logsumexp_classes(a: np.ndarray, checked: bool = True, first_row: int = 0) -> np.ndarray:
+def _logsumexp_classes(a: np.ndarray, checked: bool, first_row: int) -> np.ndarray:
     """logsumexp over the leading class axis of a (C, n) array, rows
     first_row.. of some larger array. NormalizationError names the first row
     whose class maximum is not finite (every score -inf, or one NaN or +inf);
@@ -113,34 +107,19 @@ def _logsumexp_classes(a: np.ndarray, checked: bool = True, first_row: int = 0) 
     return m + np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=0))
 
 
-def anll_from_mixed(mixed: np.ndarray, labels: np.ndarray) -> float:
-    """ANLL of class-major (C, n) mixture scores: log-softmax over classes,
-    evaluated at the true labels only, with a -inf entry clamped at the
-    50-nat penalty. The per-row terms are computed one row block at a time
-    into one (n,) vector, whose mean is one pairwise sum over all n rows."""
-    if len(labels) == 0:
-        raise MetricError("ANLL on empty data")
-    ll = np.empty(len(labels))
-    for lo, hi in row_blocks(len(labels)):
-        block = mixed[:, lo:hi]
-        terms = block[labels[lo:hi], np.arange(hi - lo)] - _logsumexp_classes(block, first_row=lo)
-        terms[~np.isfinite(terms)] = -SENTINEL_ANLL_PENALTY
-        ll[lo:hi] = terms
-    return float(-ll.mean())
-
-
 class StackedScores:
     """A class-major (K, C, n) score tensor (see stack_scores) with the true
     labels of its n rows, and the constants of the ANLL kernel that depend
     only on them, built once instead of on every weight vector:
 
-    - flat_index: labels * n + arange(n), the true-label entries of a (C, n)
-      array, read with ``take``;
     - covered: every (class, row) has a finite score in at least one node and
       no score is NaN or +inf, so the mixture under positive finite weights
       has no sentinel entry;
-    - scratch: the (K, C, n) buffer that mix_scores overwrites on each call,
-      so one StackedScores must not serve two calls at once.
+    - scratch: the widest row block's (K, C, rows) floats, which mix_scores
+      overwrites, so one StackedScores must not serve two calls at once;
+    - blocks: for each (lo, hi) of data.row_blocks(n), (lo, hi, the block's
+      view of the tensor, a C-contiguous view of scratch of its shape, the
+      block's true-label entries of a (C, hi - lo) array, read with take).
 
     It also keeps anll_from_stacked's last weight vector (as bytes) and its
     ANLL, so the tensor and labels must not change after construction.
@@ -157,42 +136,54 @@ class StackedScores:
         finite = np.isfinite(stacked)
         self.stacked = stacked
         self.labels = labels
-        self.flat_index = labels.astype(np.intp) * n + np.arange(n)
         self.covered = bool(finite.any(axis=0).all() and (finite | (stacked == NEG_INF)).all())
-        self.scratch = np.empty_like(stacked)
+        k, c = stacked.shape[:2]
+        bounds = row_blocks(n)
+        self.scratch = np.empty(k * c * max(hi - lo for lo, hi in bounds))
+        self.blocks = [
+            (lo, hi, stacked[:, :, lo:hi], self.scratch[: k * c * (hi - lo)].reshape(k, c, hi - lo),
+             labels[lo:hi].astype(np.intp) * (hi - lo) + np.arange(hi - lo))
+            for lo, hi in bounds
+        ]
         self._last_weights: bytes | None = None
         self._last_anll = 0.0
 
 
-def anll_from_stacked(weights, scores: StackedScores) -> float:
-    """ANLL of the mixture of scores.stacked under weights; the optimizer's
-    validation ANLL, called once per objective evaluation.
+def anll_from_stacked(weights, scores: StackedScores, preds: np.ndarray | None = None) -> float:
+    """ANLL of the mixture of scores.stacked under weights, the mean negative
+    log-softmax score of the true labels: the optimizer's validation ANLL
+    (once per objective evaluation) and each proposal's test ANLL. preds, an
+    (n,) intp array, receives each row's argmax class.
 
-    When the weights are byte-equal to those of the previous call on the same
-    scores, the call returns that call's float without mixing again (a
-    Nelder-Mead start often evaluates a point whose floored weights equal
-    the last ones). Only the last call is kept; -0.0 and 0.0 differ, and a
-    call that raises keeps nothing.
+    Block by block, the call mixes into the block's view of scores.scratch
+    and writes the true-label terms into one (n,) vector ll; it returns
+    add.reduce(ll) / n (what ll.mean() computes), one sum over all n rows.
+    When scores.covered holds and every weight is finite and > 0, the
+    errstate blocks, finiteness tests and the 50-nat clamp are identities and
+    are skipped. Otherwise, e.g. for a class absent from every node or a zero
+    weight, they run, and NormalizationError names the first row (of all n)
+    whose class maximum is not finite.
 
-    When scores.covered holds and every weight is finite and > 0, the call
-    mixes into scores.scratch, takes the log-softmax over classes, gathers the
-    true-label entries with scores.flat_index and returns add.reduce(ll) / n
-    (what ll.mean() computes). The steps it skips (errstate, finiteness
-    tests, the 50-nat clamp) are identities under that condition, so the
-    float equals anll_from_mixed(mix_scores(weights, stacked), labels).
-    Otherwise, e.g. for a class absent from every node or a zero weight, it
-    takes that path itself.
+    Without preds, weights byte-equal to those of the previous call on the
+    same scores return that call's float without mixing again (a Nelder-Mead
+    start often evaluates a point whose floored weights equal the last ones).
+    Only the last call is kept; -0.0 and 0.0 differ, and a call that raises
+    keeps nothing.
     """
     w = np.asarray(weights, dtype=np.float64)
     key = w.tobytes()
-    if key == scores._last_weights:
+    if preds is None and key == scores._last_weights:
         return scores._last_anll
-    if scores.covered and all(0.0 < x < math.inf for x in w.tolist()):
-        mixed = mix_scores(w, scores.stacked, scores.scratch, covered=True)
-        ll = mixed.take(scores.flat_index) - _logsumexp_classes(mixed, checked=False)
-        value = float(-(np.add.reduce(ll) / len(ll)))
-    else:
-        value = anll_from_mixed(mix_scores(w, scores.stacked, scores.scratch), scores.labels)
+    covered = scores.covered and all(0.0 < x < math.inf for x in w.tolist())
+    ll = np.empty(len(scores.labels))
+    for lo, hi, block, out, index in scores.blocks:
+        mixed = mix_scores(w, block, out, covered=covered)
+        if preds is not None:
+            mixed.argmax(axis=0, out=preds[lo:hi])
+        terms = np.subtract(mixed.take(index), _logsumexp_classes(mixed, not covered, lo), out=ll[lo:hi])
+        if not covered:
+            terms[~np.isfinite(terms)] = -SENTINEL_ANLL_PENALTY
+    value = float(-(np.add.reduce(ll) / len(ll)))
     scores._last_weights, scores._last_anll = key, value
     return value
 

@@ -193,10 +193,10 @@ def learn_weights_icc(models, val: Dataset, prior, config: OptimizerConfig):
     lowest final objective.
 
     The per-cell constants are built once, in one mog.StackedScores that
-    every evaluation of every start reuses: the flat label index, the flag
-    saying whether every (class, row) has a finite score in some node, and
-    the (K, C, n) scratch buffer. With that flag set and a positive floor,
-    every evaluation takes anll_from_stacked's cheap path.
+    every evaluation of every start reuses: the label indices of each row
+    block, the flag saying whether every (class, row) has a finite score in
+    some node, and one row block's scratch. With that flag set and a positive
+    floor, every evaluation takes anll_from_stacked's cheap path.
     """
     k = len(models)
     if k < 2:

@@ -536,6 +536,34 @@ def test_run_cell_scores_the_test_split_once_per_model(monkeypatch):
     assert len(scored) == 2 * cfg.k + 1
 
 
+def test_run_cell_learns_a_weights_before_it_stacks_any_test_scores(monkeypatch):
+    """The optimizer's buffers and a stacked test tensor, with its kernel
+    scratch, are never alive at once: on wide-k10 that raised the peak RSS."""
+    cells, calls = [], []
+    real_prepare, real_learn, real_stack = (
+        fednb.experiment.prepare_cell, fednb.experiment.learn_weights_icc, fednb.mog.stack_scores)
+
+    def prepare(*args):
+        cells.append(real_prepare(*args))
+        return cells[-1]
+
+    def learn(*args):
+        calls.append("learn")
+        learned = real_learn(*args)
+        calls.append("learned")
+        return learned
+
+    def stack(models, data):
+        calls.append("stack test" if data is cells[-1].test else "stack other")
+        return real_stack(models, data)
+
+    monkeypatch.setattr(fednb.experiment, "prepare_cell", prepare)
+    monkeypatch.setattr(fednb.experiment, "learn_weights_icc", learn)
+    monkeypatch.setattr(fednb.mog, "stack_scores", stack)
+    run_cell(small_config(), 0.5, 0)
+    assert calls == ["learn", "learned", "stack test", "stack test"]  # C's tensor, then B/E/A's shared one
+
+
 def test_a_nan_test_score_fails_the_cell_instead_of_a_clamped_anll(monkeypatch):
     real_score = fednb.mog.joint_log_scores_batch
 

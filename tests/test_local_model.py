@@ -10,7 +10,7 @@ from fednb.local_model import (
     NEG_INF, SMOOTHING, HybridModel, _feature_sums, degrade_copy, density_profile, fit_hybrid,
     joint_log_scores_batch,
 )
-from fednb.mog import StackedScores, anll_from_mixed, anll_from_stacked, mix_blocks, mix_scores, stack_scores
+from fednb.mog import StackedScores, anll_from_stacked, stack_scores
 from fednb.partition import class_rows, dirichlet_partition, stratified_split
 
 from conftest import classes_present, make_dataset, score_row
@@ -394,7 +394,8 @@ def _cell_outputs(ds):
     nodes = [degrade_copy(ds, train_rows.take(ix), 0.2, 6 + i) for i, ix in enumerate(part.node_indices)]
     models = [fit_hybrid(node) for node in nodes]
     scores = StackedScores(stack_scores(models, val), val.labels)
-    out = {"counts": part.counts, "flat_index": scores.flat_index}
+    out = {"counts": part.counts}
+    out.update({f"take_index{lo}": index for lo, _, _, _, index in scores.blocks})
     for name, d in (("train", train), ("val", val), ("test", test), *((f"node{i}", d) for i, d in enumerate(nodes))):
         out.update({f"{name}.cat": d.categorical, f"{name}.num": d.numerical, f"{name}.labels": d.labels})
     for i, ix in enumerate(part.node_indices):
@@ -405,7 +406,9 @@ def _cell_outputs(ds):
         out[f"scores{i}"] = joint_log_scores_batch(m, test)
     for w in ([0.5, 0.3, 0.2], [1.0, 0.0, 0.0]):  # the covered path, then the uncovered one
         out[f"anll{w}"] = anll_from_stacked(np.array(w), scores)
-        out[f"test anll{w}"] = anll_from_mixed(mix_scores(np.array(w), stack_scores(models, test)), test.labels)
+        out[f"test preds{w}"] = np.empty(test.n_rows, dtype=np.intp)
+        test_scores = StackedScores(stack_scores(models, test), test.labels)
+        out[f"test anll{w}"] = anll_from_stacked(np.array(w), test_scores, out[f"test preds{w}"])
     return out
 
 
@@ -434,7 +437,9 @@ BLOCK = 64  # the row block patched in below; n is below, equal to and not a mul
 def _kernel_outputs(f, c, n, seed):
     """Every array and float the row-blocked kernels derive from one random
     node of n rows: its degraded copy, the fitted model, the stacked test
-    scores of it and two other models, their mixture and its ANLL."""
+    scores of it and two other models, and the ANLL and predictions of their
+    mixture on three kernel paths: the covered one (the classes some node
+    has), the uncovered one (a class in no node) and a zero weight."""
     rng = np.random.default_rng(seed)
     num = rng.normal(size=(2 * n, f)) * 10.0 ** rng.uniform(-2, 4, f) + rng.uniform(-3, 3, f)
     num[::9, 0] = -0.0
@@ -448,17 +453,25 @@ def _kernel_outputs(f, c, n, seed):
     models = [fit_hybrid(node), fit_hybrid(ds.subset(range(1, n))), fit_hybrid(ds.subset(range(n, 2 * n)))]
     test = ds.subset(np.arange(1, 2 * n, 2))
     stacked = stack_scores(models, test)
-    mixed = mix_blocks(np.array([0.5, 0.3, 0.2]), stacked)
-    out = {"node.num": node.numerical, "node.labels": node.labels, "stacked": stacked, "mixed": mixed}
+    out = {"node.num": node.numerical, "node.labels": node.labels, "stacked": stacked}
     out.update({f"model.{k}": v for k, v in _model_arrays(models[0]).items()})
-    out["anll"] = np.float64(anll_from_mixed(mixed, test.labels))
+    present = np.isfinite(stacked).any(axis=(0, 2))  # the classes some node has, every test row's among them
+    covered = StackedScores(stacked[:, present], (np.cumsum(present) - 1)[test.labels])
+    labels = test.labels.astype(np.intp)
+    labels[::5] = c  # a class added in no node: these rows take the 50-nat clamp
+    uncovered = StackedScores(np.concatenate([stacked, np.full_like(stacked[:, :1], NEG_INF)], axis=1), labels)
+    assert covered.covered and not uncovered.covered
+    for name, scores, w in (("covered", covered, [0.5, 0.3, 0.2]), ("uncovered", uncovered, [0.5, 0.3, 0.2]),
+                            ("zero weight", covered, [0.0, 0.6, 0.4])):
+        out[f"{name} preds"] = np.empty(test.n_rows, dtype=np.intp)
+        out[f"{name} anll"] = np.float64(anll_from_stacked(np.array(w), scores, out[f"{name} preds"]))
     return out
 
 
-@pytest.mark.parametrize("c", [2, 10])
+@pytest.mark.parametrize("c", [2, 8, 10, 15])
 @pytest.mark.parametrize("f", [1, 3, 8, 40])
 def test_row_blocks_give_the_floats_of_one_whole_block(monkeypatch, f, c):
-    """Degrade, fit, scores, mixture and ANLL in blocks of 64 rows equal the
+    """Degrade, fit, scores, mixture ANLL and predictions in blocks of 64 rows equal the
     same computation in one block, bit for bit; n + 1 leaves a last block of
     one row, which joins the block before it."""
     for n in (BLOCK - 5, BLOCK, BLOCK + 1, 3 * BLOCK + 17):

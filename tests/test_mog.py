@@ -15,7 +15,6 @@ from fednb.mog import (
     StackedScores,
     anll,
     check_weights,
-    anll_from_mixed,
     anll_from_stacked,
     mix_scores,
     mog_log_scores_batch,
@@ -331,12 +330,13 @@ def test_nan_and_inf_scores_propagate_and_every_other_entry_keeps_the_masked_flo
 
 @pytest.mark.parametrize("row_scores", [[0.0, math.nan, -1.0], [0.0, -1.0, math.inf], [NEG_INF] * 3])
 def test_normalization_error_names_the_first_row_without_a_finite_class_maximum(row_scores):
-    mixed = np.zeros((3, 6))
-    mixed[:, 2] = row_scores
-    mixed[:, 4] = NEG_INF  # a later such row is not the one named
+    # one node of weight 1 mixes to its own scores, NaN, +inf and -inf included
+    stacked = np.zeros((1, 3, 6))
+    stacked[0, :, 2] = row_scores
+    stacked[0, :, 4] = NEG_INF  # a later such row is not the one named
     message = f"row 2 has no finite class maximum: scores {row_scores}"
     with pytest.raises(NormalizationError, match=f"^{re.escape(message)}$"):
-        anll_from_mixed(mixed, np.zeros(6, dtype=np.uint8))
+        anll_from_stacked(np.array([1.0]), StackedScores(stacked, np.zeros(6, dtype=np.uint8)))
 
 
 def _reference_anll(weights, stacked, labels):
@@ -351,11 +351,14 @@ def _reference_anll(weights, stacked, labels):
 
 def _assert_optimizer_path_bit_exact(scores, weight_vectors):
     """anll_from_stacked, reusing one StackedScores (and its scratch buffer)
-    across weight vectors as the optimizer does, equals both the unfused path
-    and the reference formula with ==."""
+    across weight vectors as the optimizer does, equals both a call on a fresh
+    StackedScores that also fills preds, as the test scores do, and the
+    reference formula with ==; preds are the argmax of the whole mixture."""
     for w in weight_vectors:
         got = anll_from_stacked(w, scores)
-        assert got == anll_from_mixed(mix_scores(w, scores.stacked), scores.labels)
+        preds = np.empty(len(scores.labels), dtype=np.intp)
+        assert got == anll_from_stacked(w, StackedScores(scores.stacked, scores.labels), preds)
+        assert np.array_equal(preds, mix_scores(w, scores.stacked).argmax(axis=0))
         assert got == _reference_anll(w, scores.stacked, scores.labels)
 
 
@@ -399,12 +402,22 @@ def test_zero_weight_takes_the_uncovered_zero_shift_without_warnings(weights):
         _assert_optimizer_path_bit_exact(scores, [np.array(weights)])
 
 
-def test_stacked_scores_constants_and_input_errors():
+def test_stacked_scores_constants_and_input_errors(monkeypatch):
     _, stacked, labels = _oracle_inputs(3, 2, 40, (), seed=14)
     scores = StackedScores(stacked, labels)
     assert scores.covered
-    assert np.array_equal(scores.flat_index, labels * 40 + np.arange(40))
-    assert scores.scratch.shape == stacked.shape and scores.scratch is not scores.stacked
+    [(lo, hi, block, out, index)] = scores.blocks
+    assert (lo, hi) == (0, 40) and np.shares_memory(block, stacked)
+    assert np.array_equal(index, labels * 40 + np.arange(40))
+    assert scores.scratch.shape == (3 * 2 * 40,) and out.shape == stacked.shape and np.shares_memory(out, scores.scratch)
+    monkeypatch.setattr(fednb.data, "ROW_BLOCK", 16)
+    scores = StackedScores(stacked, labels)
+    assert [(lo, hi) for lo, hi, *_ in scores.blocks] == [(0, 16), (16, 32), (32, 40)]
+    assert scores.scratch.shape == (3 * 2 * 16,)  # the widest block's, not the tensor's
+    for lo, hi, block, out, index in scores.blocks:
+        assert np.array_equal(block, stacked[:, :, lo:hi]) and np.shares_memory(block, stacked)
+        assert out.shape == block.shape and out.flags["C_CONTIGUOUS"] and np.shares_memory(out, scores.scratch)
+        assert np.array_equal(index, labels[lo:hi] * (hi - lo) + np.arange(hi - lo))
     for bad in (np.nan, np.inf):  # neither is a score or the -inf sentinel
         poisoned = stacked.copy()
         poisoned[1, 0, 5] = bad
@@ -539,13 +552,53 @@ def test_a_last_block_of_one_row_joins_the_block_before_it(monkeypatch):
     for x in np.exp(scores):
         in_order += x
     assert in_order == 1.0 and np.add.reduce(np.exp(scores)) > 1.0  # pairwise: 1 + 7e-16
-    mixed = np.repeat(scores[:, None], 9, axis=1)
-    assert anll_from_mixed(mixed, np.zeros(9, dtype=np.uint8)) == 0.0  # each row's class sum is 1.0
+    stacked = np.repeat(scores[None, :, None], 9, axis=2)  # one node of weight 1 mixes to its scores
+    one_row_blocks = StackedScores(stacked, np.zeros(9, dtype=np.uint8))
+    assert anll_from_stacked(np.array([1.0]), one_row_blocks) == 0.0  # each row's class sum is 1.0
 
 
 def test_normalization_error_names_the_row_of_the_whole_array_from_a_later_block(monkeypatch):
     monkeypatch.setattr(fednb.data, "ROW_BLOCK", 4)
-    mixed = np.zeros((2, 10))
-    mixed[:, 7] = NEG_INF  # in the second block, at its row 3
+    stacked = np.zeros((1, 2, 10))
+    stacked[0, :, 7] = NEG_INF  # in the second block, at its row 3
+    scores = StackedScores(stacked, np.zeros(10, dtype=np.uint8))
     with pytest.raises(NormalizationError, match=r"^row 7 has no finite class maximum: scores \[-inf, -inf\]$"):
-        anll_from_mixed(mixed, np.zeros(10, dtype=np.uint8))
+        anll_from_stacked(np.array([1.0]), scores)
+
+
+def test_calls_that_pass_preds_skip_the_memo_and_each_fill_preds(counted_mixes):
+    """B and E can get byte-equal weights on the shared test scores; each
+    proposal's predictions must still be written."""
+    weights, stacked, labels = _oracle_inputs(3, 4, 60, (), seed=25)
+    scores = StackedScores(stacked, labels)
+    want = mix_scores(weights, stacked).argmax(axis=0)
+    first, second = np.full(60, -1, dtype=np.intp), np.full(60, -1, dtype=np.intp)
+    a = anll_from_stacked(weights, scores, first)
+    b = anll_from_stacked(weights.copy(), scores, second)
+    assert counted_mixes == [2] and a == b == _reference_anll(weights, stacked, labels)
+    assert np.array_equal(first, want) and np.array_equal(second, want)
+    assert anll_from_stacked(weights, scores) == a and counted_mixes == [2]  # a call without preds reads the memo
+
+
+@pytest.mark.parametrize("k, c", [(3, 2), (10, 15)])
+def test_one_evaluation_peaks_a_few_blocks_above_its_ll_vector(monkeypatch, k, c):
+    """Mixed in blocks of 256 rows, an evaluation's temporaries beside the
+    (n,) ll vector and preds stay a few blocks' worth whatever n is; the
+    scratch too. Mixed whole, the (K, C, n) buffer alone would be 40 blocks'
+    worth."""
+    monkeypatch.setattr(fednb.data, "ROW_BLOCK", 256)
+    n = 40 * 256
+    weights, stacked, labels = _oracle_inputs(k, c, n, (), seed=26)
+    scores = StackedScores(stacked, labels)
+    block = k * c * 256 * 8  # one block's (K, C, rows) float64 buffer
+    assert scores.scratch.nbytes == block
+    preds = np.empty(n, dtype=np.intp)
+    for p in (None, preds):
+        tracemalloc.start()
+        try:
+            anll_from_stacked(weights, scores, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ll = 8 * n
+        assert peak - ll < 4 * block, (peak - ll) / block
