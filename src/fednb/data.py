@@ -295,28 +295,38 @@ class SynthSpec:
 
 
 def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
-    """Class-conditional Gaussian + multinomial data, deterministic in (spec, seed)."""
+    """Class-conditional Gaussian + multinomial data, deterministic in (spec, seed).
+
+    Built in row_blocks blocks, so that its scratch is a few blocks of rows
+    whatever n: each column's draws come from the generator one block after
+    another, in the order (and so with the values) of one whole-column draw.
+    """
     rng = np.random.default_rng(seed)
     n, c = spec.n_rows, spec.n_classes
+    blocks = row_blocks(n)
 
     # balanced by construction; cast after the modulo, since an arange in a
     # narrow dtype would wrap
-    labels = (np.arange(n, dtype=np.int64) % c).astype(narrowest_uint(c - 1))
+    labels = np.empty(n, dtype=narrowest_uint(c - 1))
+    for lo, hi in blocks:
+        labels[lo:hi] = np.arange(lo, hi) % c
     rng.shuffle(labels)
 
+    means = spec.class_sep * np.arange(c, dtype=np.float64)
     num = np.empty((n, spec.n_numerical), dtype=np.float64)
     for j in range(spec.n_numerical):
-        means = spec.class_sep * np.arange(c, dtype=np.float64)
-        num[:, j] = rng.normal(loc=means[labels], scale=1.0)
+        for lo, hi in blocks:
+            num[lo:hi, j] = rng.normal(loc=means[labels[lo:hi]], scale=1.0)
 
     m = spec.n_categories
     cat = np.empty((n, spec.n_categorical), dtype=narrowest_uint(m))
     for j in range(spec.n_categorical):
-        for cls in range(c):
-            mask = labels == cls
+        for cls in range(c):  # each class's rows in row order, drawn block by block
             probs = np.full(m, 0.45 / (m - 1))
             probs[(cls + j) % m] = 0.55
-            cat[mask, j] = rng.choice(m, size=int(mask.sum()), p=probs)
+            for lo, hi in blocks:
+                mask = labels[lo:hi] == cls
+                cat[lo:hi, j][mask] = rng.choice(m, size=int(mask.sum()), p=probs)
 
     return Dataset(spec.schema(), cat, num, labels, (m,) * spec.n_categorical)
 

@@ -14,16 +14,21 @@ randomness derives from the master seed via per-cell seed sequences, making
 the grid fully re-runnable cell by cell.
 
 Each command that needs the dataset materializes it once and hands it on:
-run_grid, the re-run and the JSD curve of verify, and prepare_cell take it
-from their caller. verify and the plot data read a GridResult alone, whether
+run_tasks (the one runner of cells, here or in forked workers), the JSD curve
+of verify and prepare_cell take it from their caller. run-grid's workers
+also re-run the grid's first cell after their cells, and verify's check 2
+compares that re-run with the saved cell; the verify command re-runs it
+itself. Otherwise verify and the plot data read a GridResult alone, whether
 it was run in this process or loaded from grid.json, which keeps it exactly.
 """
 
 from __future__ import annotations
 
 import _signal  # the C module behind signal, loaded at interpreter start; signal adds ~40 kB of enums
+import io
 import os
 import pickle
+import select
 import time
 from collections import Counter
 from dataclasses import dataclass, is_dataclass, replace
@@ -31,7 +36,7 @@ from dataclasses import dataclass, is_dataclass, replace
 import numpy as np
 
 from .config import PROPOSAL_ORDER, ExperimentConfig, config_from_dict, config_to_dict
-from .data import CategoryMap, Dataset, SynthSpec, load_csv, synth_generate
+from .data import CategoryMap, Dataset, SynthSpec, load_csv, row_blocks, synth_generate
 from .errors import CellError, ConfigError
 from .evaluation import f1_macro, mcnemar_yates
 from .governance import REFERENCE_PROFILES, NodeProfile, coherence_prior, compute_icc
@@ -231,55 +236,77 @@ def run_cell(
     return CellResult(alpha_index, rep, records, trace, counts.tolist(), watch.ms, density_profile(cell.models))
 
 
-def run_grid(config: ExperimentConfig, dataset: Dataset) -> GridResult:
-    """Every (alpha, rep) cell of the grid, run on dataset, in grid order.
+def run_grid(config: ExperimentConfig, dataset: Dataset, replay: list) -> tuple[GridResult, list]:
+    """Every (alpha, rep) cell of the grid, run on dataset, in grid order; and
+    the outcome of each (alpha, rep) of replay, run again after the grid's
+    cells (see run_tasks): its CellResult, or the CellError of its failure.
+    run-grid replays the first cell for verify's check 2.
 
-    With one CPU in this process's affinity mask, or no os.fork, the cells run
-    here one after another. Otherwise min(CPUs, cells) forked workers run
-    them, sharing dataset copy-on-write: worker w runs cells w, w + workers,
-    ... Each cell draws from its own seeds, so the cells are the same at any
-    worker count, and so is a failure: the CellError of the earliest failing
-    cell in grid order, the one a serial run raises.
+    A failed grid cell raises the CellError of the earliest failing cell in
+    grid order, the one a serial run raises.
     """
     cells = [(alpha, rep) for alpha in config.alphas for rep in range(config.reps)]
+    outcomes = run_tasks(config, dataset, cells, replay)
+    error = next((o for o in outcomes[:len(cells)] if not isinstance(o, CellResult)), None)
+    if error is not None:  # a CellError: a cell without outcome follows a failed one in its worker's list
+        raise error from error.cause
+    return GridResult(config, outcomes[:len(cells)]), outcomes[len(cells):]
+
+
+def run_tasks(config: ExperimentConfig, dataset: Dataset, cells: list, replay: list = ()) -> list:
+    """The outcome of each (alpha, rep) of cells and then of replay, run on
+    dataset: its CellResult, the CellError of its failure, or None when a task
+    before it in its worker's list failed, since a worker stops there.
+
+    With one CPU in this process's affinity mask, no os.fork or one cell,
+    the tasks run here one after another. Otherwise min(CPUs, cells) forked
+    workers run them, sharing dataset copy-on-write: worker w runs cells w,
+    w + workers, ..., and the last worker then runs replay. It never runs
+    cell 0 and holds no more cells than worker 0. Each cell draws from its own
+    seeds, so the outcomes are the same at any worker count.
+    """
+    tasks = [*cells, *replay]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, len(cells)) if hasattr(os, "fork") else 1
     if workers > 1:
-        outcomes = sorted(_run_in_workers(config, dataset, cells, workers))
+        lists = [[*range(w, len(cells), workers)] for w in range(workers)]
+        lists[-1] += range(len(cells), len(tasks))
+        done = _run_in_workers(config, dataset, tasks, lists)
     else:
-        outcomes = _run_cells(config, dataset, cells, range(len(cells)))
-    for _, outcome in outcomes:
-        if isinstance(outcome, CellError):
-            raise outcome from outcome.cause
-    return GridResult(config, [outcome for _, outcome in outcomes])
+        done = _run_tasks(config, dataset, tasks, range(len(tasks)))
+    outcomes = [None] * len(tasks)
+    for i, outcome in done:
+        outcomes[i] = outcome
+    return outcomes
 
 
-def _run_cells(config: ExperimentConfig, dataset: Dataset, cells: list, indices) -> list[tuple]:
-    """(index, CellResult) of the cells at indices, in order, up to the first
-    that fails, whose (index, CellError) ends the list."""
-    done = []
+def _run_tasks(config: ExperimentConfig, dataset: Dataset, tasks: list, indices):
+    """(index, CellResult) of each task at indices, in order, up to the first
+    that fails, whose (index, CellError) ends them."""
     for i in indices:
-        alpha, rep = cells[i]
+        alpha, rep = tasks[i]
         try:
-            done.append((i, run_cell(config, alpha, rep, dataset)))
+            outcome = run_cell(config, alpha, rep, dataset)
         except Exception as exc:
-            done.append((i, CellError(alpha, rep, exc)))
-            break
-    return done
+            yield i, CellError(alpha, rep, exc)
+            return
+        yield i, outcome
 
 
-def _run_in_workers(config: ExperimentConfig, dataset: Dataset, cells: list, workers: int) -> list[tuple]:
-    """The _run_cells lists of workers forked processes (see run_grid), one
-    after another. Each worker writes the pickle of its list to its own pipe
-    and ends with os._exit. Every worker is reaped before this returns or
-    raises. A worker exits 0 once its report is written; one that ends
-    otherwise, killed say, yields a CellError of its first cell. SIGINT waits
-    out the forks: raised in an at-fork hook (logging registers one), its
+def _run_in_workers(config: ExperimentConfig, dataset: Dataset, tasks: list, lists: list) -> list[tuple]:
+    """The _run_tasks pairs of each of lists, run in its own forked worker
+    (see run_tasks). A worker writes the pickle of each pair to its own pipe
+    as its task ends and ends with os._exit; the pipes are read as the pairs
+    arrive, so that no worker waits on a full pipe. Every worker is reaped
+    before this returns or raises. A worker exits 0 once its list is
+    reported; one that ends otherwise, killed say, yields a CellError of the
+    first task of its list that it did not report. SIGINT waits out the
+    forks: raised in an at-fork hook (logging registers one), its
     KeyboardInterrupt would be reported and ignored."""
-    outcomes, children = [], {}  # children: pid -> (worker, the read end of its pipe)
+    outcomes, children = [], {}  # children: pid -> (its list, the read end of its pipe)
     mask = _signal.pthread_sigmask(_signal.SIG_BLOCK, [_signal.SIGINT])
     try:
-        for w in range(workers):
+        for todo in lists:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -287,31 +314,63 @@ def _run_in_workers(config: ExperimentConfig, dataset: Dataset, cells: list, wor
                 try:
                     _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)
                     with open(write_fd, "wb") as fh:
-                        pickle.dump(_run_cells(config, dataset, cells, range(w, len(cells), workers)), fh)
+                        for pair in _run_tasks(config, dataset, tasks, todo):
+                            pickle.dump(pair, fh)
+                            fh.flush()  # whole in the pipe before the next task starts
                     status = 0
                 finally:
                     os._exit(status)  # never the parent's exit handlers or its buffered output
-            children[pid] = w, open(read_fd, "rb")
+            children[pid] = todo, read_fd
             os.close(write_fd)
         _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)
-        for pid, (w, fh) in list(children.items()):
-            with fh:
-                report = fh.read()
+        reports = _read_pipes([fd for _, fd in children.values()])
+        for pid, (todo, fd) in list(children.items()):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(fd)
             del children[pid]
-            if code == 0:  # the report is whole
-                outcomes += pickle.loads(report)
-            else:
+            pairs = _unpickled(reports[fd])
+            outcomes += pairs
+            if code != 0 and len(pairs) < len(todo):
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 cause = ChildProcessError(f"its worker process {how} before reporting it")
-                outcomes.append((w, CellError(*cells[w], cause)))
+                outcomes.append((todo[len(pairs)], CellError(*tasks[todo[len(pairs)]], cause)))
     finally:  # left early, by KeyboardInterrupt say: stop and reap the workers still running
-        for pid, (_, fh) in children.items():
-            fh.close()
+        for pid, (_, fd) in children.items():
+            os.close(fd)
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
         _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)  # when a fork failed
     return outcomes
+
+
+def _read_pipes(fds: list) -> dict:
+    """fd -> every byte written to the pipe whose read end is fd, up to its
+    end. The pipes are read together, as their bytes arrive."""
+    chunks, poller = {fd: [] for fd in fds}, select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    left = len(fds)
+    while left:
+        for fd, _ in poller.poll():
+            chunk = os.read(fd, 1 << 16)
+            if chunk:
+                chunks[fd].append(chunk)
+            else:  # the end: the worker has closed its end of the pipe
+                poller.unregister(fd)
+                left -= 1
+    return {fd: b"".join(parts) for fd, parts in chunks.items()}
+
+
+def _unpickled(data: bytes) -> list:
+    """The pickles written one after another into data, in order, up to one
+    cut short (by its writer's death)."""
+    stream, items = io.BytesIO(data), []
+    while stream.tell() < len(data):
+        try:
+            items.append(pickle.load(stream))
+        except (EOFError, pickle.UnpicklingError):
+            break
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +399,11 @@ class VerificationReport:
         return "\n".join(lines + [f"passed_count={self.passed_count}", f"total={len(self.checks)}"])
 
 
-def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
+def verify(result: GridResult, dataset: Dataset, rerun: CellResult | CellError) -> VerificationReport:
     """Evaluate the 15-check protocol on a completed grid whose cells ran on
-    dataset. Failures are reported, never raised. Check 2 re-runs the cell
-    that cells[0] names and compares it with the saved one exactly, all but
-    its timings."""
+    dataset. Failures are reported, never raised. Check 2 compares rerun, a
+    new run of the cell that cells[0] names (or the CellError of its failure),
+    with the saved cell exactly, all but its timings."""
     config = result.config
     rows = result.rows
     records = [r for *_, r in rows]
@@ -354,15 +413,14 @@ def verify(result: GridResult, dataset: Dataset) -> VerificationReport:
     errs = [abs(compute_icc(NodeProfile(*profile)) - expected) for *profile, expected in REFERENCE_PROFILES]
     checks.append(("icc_formula", max(errs) <= 0.0005, f"max deviation {max(errs):.2e}"))
 
-    # 2. seed reproducibility: re-run the first cell
-    try:
+    # 2. seed reproducibility: the re-run of the first cell
+    if isinstance(rerun, CellError):
+        ok, msg = False, f"re-run failed: {rerun.cause}"
+    else:
         first = result.cells[0]
-        rerun = run_cell(config, config.alphas[first.alpha_index], first.rep, dataset)
         diff = _first_difference(replace(rerun, stage_ms=first.stage_ms), first, "cells[0]")
         ok = diff is None
         msg = "first cell re-run matches" if ok else "first cell re-run diverges at {} = {}, recorded {}".format(*diff)
-    except Exception as exc:
-        ok, msg = False, f"re-run failed: {exc}"
     checks.append(("seed_reproducibility", ok, msg))
 
     # 3. mean JSD non-increasing across ascending alphas (20-seed average;
@@ -494,8 +552,11 @@ def _trace_fault(trace: OptimizationTrace) -> str | None:
 
 def _jsd_curve(config: ExperimentConfig, dataset: Dataset) -> np.ndarray:
     """Mean JSD per alpha over 20 fresh seeds of Dirichlet counts drawn from
-    the whole dataset's class sizes."""
-    k, sizes = max(config.k, 2), np.bincount(dataset.labels)
+    the whole dataset's class sizes, counted one row block at a time (bincount
+    casts its input to intp)."""
+    labels, k = dataset.labels, max(config.k, 2)
+    top = int(labels.max()) + 1  # the length of bincount(labels)
+    sizes = sum(np.bincount(labels[lo:hi], minlength=top) for lo, hi in row_blocks(len(labels)))
     return np.array([
         np.mean([jsd_heterogeneity(dirichlet_counts(sizes, k, alpha, seed)) for seed in range(20)])
         for alpha in config.alphas

@@ -114,7 +114,7 @@ class StackedScores:
 
     - covered: every (class, row) has a finite score in at least one node and
       no score is NaN or +inf, so the mixture under positive finite weights
-      has no sentinel entry;
+      has no sentinel entry; tested block by block (see blocks);
     - scratch: the widest row block's (K, C, rows) floats, which mix_scores
       overwrites, so one StackedScores must not serve two calls at once;
     - blocks: for each (lo, hi) of data.row_blocks(n), (lo, hi, the block's
@@ -133,10 +133,8 @@ class StackedScores:
         stacked = np.ascontiguousarray(stacked, dtype=np.float64)
         if stacked.ndim != 3 or stacked.shape[2] != n:
             raise ShapeError(f"score tensor of shape {stacked.shape} for {n} labels")
-        finite = np.isfinite(stacked)
         self.stacked = stacked
         self.labels = labels
-        self.covered = bool(finite.any(axis=0).all() and (finite | (stacked == NEG_INF)).all())
         k, c = stacked.shape[:2]
         bounds = row_blocks(n)
         self.scratch = np.empty(k * c * max(hi - lo for lo, hi in bounds))
@@ -145,8 +143,16 @@ class StackedScores:
              labels[lo:hi].astype(np.intp) * (hi - lo) + np.arange(hi - lo))
             for lo, hi in bounds
         ]
+        self.covered = all(_covered(block) for _, _, block, _, _ in self.blocks)
         self._last_weights: bytes | None = None
         self._last_anll = 0.0
+
+
+def _covered(block: np.ndarray) -> bool:
+    """StackedScores.covered of a (K, C, rows) block of a score tensor: every
+    (class, row) is finite in some node, and every score is finite or -inf."""
+    finite = np.isfinite(block)
+    return bool(finite.any(axis=0).all() and (finite | (block == NEG_INF)).all())
 
 
 def anll_from_stacked(weights, scores: StackedScores, preds: np.ndarray | None = None) -> float:

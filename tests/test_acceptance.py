@@ -74,8 +74,19 @@ def full_dataset(full_config):
 
 
 @pytest.fixture(scope="module")
-def full_grid(full_config, full_dataset):
-    return run_grid(full_config, full_dataset)
+def full_run(full_config, full_dataset):
+    """The grid and the outcomes of its replay: the first cell, which check 2 compares."""
+    return run_grid(full_config, full_dataset, [(full_config.alphas[0], 0)])
+
+
+@pytest.fixture(scope="module")
+def full_grid(full_run):
+    return full_run[0]
+
+
+@pytest.fixture(scope="module")
+def full_rerun(full_run):
+    return full_run[1][0]
 
 
 def test_criterion_01_icc_reference_values():
@@ -278,31 +289,31 @@ def test_criterion_09_alignment_and_f1(full_grid):
     _report(9, f"highest-ICC node outweighs lowest in all 35 cells; grid-mean F1 A={f1_a:.4f} >= B={f1_b:.4f}")
 
 
-def test_criterion_10_verification_protocol(full_grid, full_dataset):
-    clean = verify(full_grid, full_dataset)
+def test_criterion_10_verification_protocol(full_grid, full_rerun, full_dataset):
+    clean = verify(full_grid, full_dataset, full_rerun)
     assert clean.passed_count == 15, clean.to_text()
 
     tampered = copy.deepcopy(full_grid)
     victim = [r for *_, r in tampered.rows if r.proposal == "B"][-1]
     victim.weights = tuple(w + 0.05 for w in victim.weights)
-    failed = [n for n, ok, _ in verify(tampered, full_dataset).checks if not ok]
+    failed = [n for n, ok, _ in verify(tampered, full_dataset, full_rerun).checks if not ok]
     assert failed == ["weights_sum_to_one"]
 
     tampered = copy.deepcopy(full_grid)
     tampered.cells[-1].records.pop()
-    failed = [n for n, ok, _ in verify(tampered, full_dataset).checks if not ok]
+    failed = [n for n, ok, _ in verify(tampered, full_dataset, full_rerun).checks if not ok]
     assert failed == ["grid_completeness"]
 
     tampered = copy.deepcopy(full_grid)
     victim = tampered.cells[-1].records[1]  # proposal B, whose weights only check 11 reads
     victim.weights = (float("nan"), *victim.weights[1:])
-    failed = [n for n, ok, _ in verify(tampered, full_dataset).checks if not ok]
+    failed = [n for n, ok, _ in verify(tampered, full_dataset, full_rerun).checks if not ok]
     assert failed == ["no_nan_inf"]
     _report(10, "clean run 15/15; each injected corruption trips exactly one check")
 
 
 def test_criterion_11_byte_identical_results(full_config, full_grid, tmp_path):
-    second = run_grid(full_config, materialize_dataset(full_config))
+    second, _ = run_grid(full_config, materialize_dataset(full_config), [])
     p1 = tmp_path / "first.csv"
     p2 = tmp_path / "second.csv"
     emit_results_csv(full_grid, p1)
@@ -431,7 +442,7 @@ def test_one_and_nine_numerical_columns_match_the_pinned_results(n_numerical, tm
     path = tmp_path / "grid.cfg"
     path.write_text(_narrow_wide_config_text(n_numerical), encoding="utf-8")
     config = load_config(path)
-    result = run_grid(config, materialize_dataset(config))
+    result, _ = run_grid(config, materialize_dataset(config), [])
     emit_results_csv(result, tmp_path / "results.csv")
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == NARROW_WIDE_SHA256[n_numerical]
 
@@ -459,10 +470,10 @@ def test_fifteen_classes_match_the_pinned_results_and_outcome(tmp_path):
     path.write_text(MANY_CLASS_CONFIG, encoding="utf-8")
     config = load_config(path)
     dataset = materialize_dataset(config)
-    result = run_grid(config, dataset)
+    result, (rerun,) = run_grid(config, dataset, [(config.alphas[0], 0)])
     emit_results_csv(result, tmp_path / "results.csv")
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == MANY_CLASS_SHA256
-    report = verify(result, dataset)
+    report = verify(result, dataset, rerun)
     assert report.passed_count == 14 and len(report.checks) == 15
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
     assert [name for name, _ in failed] == ["icc_weight_alignment"]

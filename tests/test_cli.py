@@ -166,8 +166,9 @@ def test_grid_json_keeps_the_records_of_run_grid_exactly(cfg_path, tmp_path, mon
     real_run_grid = fednb.cli.run_grid
 
     def run_grid(*args):
-        held.append(real_run_grid(*args))
-        return held[-1]
+        outcomes = real_run_grid(*args)
+        held.append(outcomes[0])  # the GridResult, beside the replayed cells
+        return outcomes
 
     monkeypatch.setattr(fednb.cli, "run_grid", run_grid)
     out = tmp_path / "out"
@@ -294,8 +295,9 @@ def test_grid_json_holds_the_config_and_the_cells_of_run_grid_but_their_timings(
     real_run_grid = fednb.cli.run_grid
 
     def run_grid(*args):
-        held.append(real_run_grid(*args))
-        return held[-1]
+        outcomes = real_run_grid(*args)
+        held.append(outcomes[0])  # the GridResult, beside the replayed cells
+        return outcomes
 
     monkeypatch.setattr(fednb.cli, "run_grid", run_grid)
     out = tmp_path / "out"
@@ -452,8 +454,9 @@ def test_one_and_two_workers_write_the_same_outputs(cfg_path, tmp_path, monkeypa
 def test_the_earliest_failing_cell_is_named_though_a_later_one_fails_first(
     cfg_path, tmp_path, monkeypatch, capsys, pin_cpus
 ):
-    """Of the three cells, worker 0 runs cells 0 and 2 and worker 1 runs cell 1.
-    Cell 2 fails first; cell 1 fails after it, and is the one named."""
+    """Of the three cells, worker 0 runs cells 0 and 2 and worker 1 runs cell 1
+    (and then check 2's replay of cell 0). Cell 2 fails first; cell 1 fails
+    after it, and is the one named."""
     pin_cpus(2)
     failed_late, real_cell = tmp_path / "cell 2 failed", fednb.experiment.run_cell
 
@@ -494,9 +497,128 @@ def test_a_worker_killed_inside_run_cell_exits_1_naming_its_cell(cfg_path, tmp_p
     assert _no_child_process_left()
 
 
+def test_a_worker_killed_in_its_second_cell_exits_1_naming_that_cell(cfg_path, tmp_path, monkeypatch, capsys, pin_cpus):
+    """Worker 0 reports cell 0 (alpha 0.1) and dies in cell 2 (alpha 1.0)."""
+    pin_cpus(2)
+    parent, real_cell = os.getpid(), fednb.experiment.run_cell
+
+    def killed_cell(config, alpha, rep, *rest):
+        if alpha == 1.0 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_cell(config, alpha, rep, *rest)
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", killed_cell)
+    with _deadline(120):
+        assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: cell (alpha=1.0, rep=0) failed: its worker process was killed by signal 9 before reporting it\n"
+    )
+    assert _no_child_process_left()
+
+
+def _log_cells(monkeypatch, log, hook=lambda alpha, ran: None):
+    """Patch run_cell to append "pid alpha rep" to the file log and then call
+    hook(alpha, ran), ran being the alphas of the cells this process ran
+    before (each worker gets a copy of the parent's at its fork)."""
+    real_cell, ran = fednb.experiment.run_cell, []
+
+    def cell(config, alpha, rep, *rest):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {alpha} {rep}\n")
+        hook(alpha, ran)
+        ran.append(alpha)
+        return real_cell(config, alpha, rep, *rest)
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", cell)
+
+
+def _logged(log):
+    """The (pid, alpha, rep) lines _log_cells wrote, in order."""
+    return [tuple(line.split()) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+def test_on_one_cpu_the_replay_runs_here_after_the_grid(cfg_path, tmp_path, monkeypatch, capsys, pin_cpus):
+    pin_cpus(1)
+    _log_cells(monkeypatch, tmp_path / "cells")
+    assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    here = str(os.getpid())
+    assert _logged(tmp_path / "cells") == [(here, alpha, "0") for alpha in ("0.1", "0.5", "1.0", "0.1")]
+
+
+def test_on_two_cpus_the_parent_runs_no_cell_and_the_last_worker_replays_cell_0(
+    cfg_path, tmp_path, monkeypatch, capsys, pin_cpus
+):
+    """Worker 0 runs cells 0 and 2, worker 1 runs cell 1 and then the replay
+    of cell 0 that check 2 compares with it."""
+    pin_cpus(2)
+    _log_cells(monkeypatch, tmp_path / "cells")
+    with _deadline(120):
+        assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    logged = _logged(tmp_path / "cells")
+    pids = {alpha: {pid for pid, a, _ in logged if a == alpha} for alpha in ("0.1", "0.5", "1.0")}
+    assert sorted((a, rep) for _, a, rep in logged) == [("0.1", "0"), ("0.1", "0"), ("0.5", "0"), ("1.0", "0")]
+    assert str(os.getpid()) not in pids["0.1"] | pids["0.5"] | pids["1.0"]
+    assert len(pids["0.1"]) == 2 and pids["0.1"] == pids["0.5"] | pids["1.0"] and pids["0.5"] != pids["1.0"]
+    assert _no_child_process_left()
+
+
+def _assert_check_2_alone_failed(out, grid_dir, message):
+    """out holds grid_dir's outputs, but check 2 FAILs with message."""
+    for name in ["results.csv", *(f"plots/{f}" for f in PLOT_FILES)]:
+        assert (out / name).read_bytes() == (grid_dir / name).read_bytes(), name
+    assert _untimed_grid(out) == _untimed_grid(grid_dir)
+    passed = "[PASS] seed_reproducibility: first cell re-run matches"
+    text = (grid_dir / "verification.txt").read_text()
+    assert passed in text
+    want = text.replace(passed, f"[FAIL] seed_reproducibility: {message}").replace("15/15 passed", "14/15 passed")
+    assert (out / "verification.txt").read_text() == want
+    kv = (grid_dir / "verification.kv").read_text()
+    want = kv.replace("check.seed_reproducibility=pass", "check.seed_reproducibility=fail")
+    assert (out / "verification.kv").read_text() == want.replace("passed_count=15", "passed_count=14")
+
+
+def _in_the_replay(alpha, ran):
+    """True in the run_cell call of the replay: the only second cell of alpha 0.1 in one process."""
+    return alpha == 0.1 and bool(ran)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_replay_that_raises_fails_check_2_alone(cfg_path, grid_dir, tmp_path, monkeypatch, capsys, pin_cpus, cpus):
+    pin_cpus(cpus)
+
+    def raises(alpha, ran):
+        if _in_the_replay(alpha, ran):
+            raise PartitionError("forced replay failure")
+
+    _log_cells(monkeypatch, tmp_path / "cells", raises)
+    out = tmp_path / "out"
+    with _deadline(120):
+        assert main(["run-grid", "--config", str(cfg_path), "--out", str(out)]) == 2
+    _assert_check_2_alone_failed(out, grid_dir, "re-run failed: forced replay failure")
+    assert _no_child_process_left()
+
+
+def test_a_worker_killed_in_the_replay_fails_check_2_alone(cfg_path, grid_dir, tmp_path, monkeypatch, capsys, pin_cpus):
+    """Worker 1 reports cell 1 and dies in the replay, after its grid cells."""
+    pin_cpus(2)
+
+    def killed(alpha, ran):
+        if _in_the_replay(alpha, ran):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _log_cells(monkeypatch, tmp_path / "cells", killed)
+    out = tmp_path / "out"
+    with _deadline(120):
+        assert main(["run-grid", "--config", str(cfg_path), "--out", str(out)]) == 2
+    _assert_check_2_alone_failed(
+        out, grid_dir, "re-run failed: its worker process was killed by signal 9 before reporting it")
+    assert _no_child_process_left()
+
+
 @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
 def test_run_grid_leaves_no_child_process(cfg_path, tmp_path, monkeypatch, pin_cpus, fails):
-    """On failure, cell 0 fails in worker 0 while worker 1 still runs cell 1."""
+    """On failure, cell 0 fails in worker 0 while worker 1 still runs cell 1,
+    and then the replay of cell 0."""
     pin_cpus(2)
     assert _no_child_process_left()
     real_cell = fednb.experiment.run_cell
@@ -567,7 +689,7 @@ def test_a_sigint_while_the_workers_are_forked_stops_and_reaps_them(cfg_path, mo
     try:
         t0 = time.perf_counter()
         with _deadline(120), pytest.raises(KeyboardInterrupt):
-            fednb.experiment.run_grid(config, dataset)
+            fednb.experiment.run_grid(config, dataset, [])
     finally:
         _interrupt_at_fork.clear()
         signal.signal(signal.SIGINT, old)

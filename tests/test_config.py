@@ -6,7 +6,7 @@ import fednb.experiment
 from fednb.cli import main
 from fednb.config import CsvSource, ExperimentConfig, config_from_dict, config_to_dict, load_config
 from fednb.data import FeatureSchema, SynthSpec
-from fednb.errors import ConfigError
+from fednb.errors import CellError, ConfigError
 from fednb.experiment import GridResult, materialize_dataset, verify
 from fednb.governance import NodeProfile
 from fednb.weights import OptimizerConfig
@@ -225,7 +225,8 @@ def test_negative_seed_exits_64_and_names_it(tmp_path, capsys, where):
 
 
 def _config_echo(result):
-    checks = verify(result, materialize_dataset(result.config)).checks
+    unrun = CellError(result.config.alphas[0], 0, RuntimeError("not run"))  # the grid holds no cell to re-run
+    checks = verify(result, materialize_dataset(result.config), unrun).checks
     return next(c for c in checks if c[0] == "config_echo")
 
 

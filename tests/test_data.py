@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import fednb.data
 from fednb.cli import main
 from fednb.data import (
+    ROW_BLOCK,
     CategoryMap,
     Dataset,
     FeatureSchema,
@@ -407,7 +409,8 @@ def test_storage_dtype_is_the_narrowest_unsigned_that_holds_the_largest_value():
 
 
 def _synth_int64(spec, seed):
-    """synth_generate with int64 codes and labels, step for step."""
+    """synth_generate with int64 codes and labels, step for step, each column
+    drawn whole: the oracle of its row-blocked draws."""
     rng = np.random.default_rng(seed)
     n, c, m = spec.n_rows, spec.n_classes, spec.n_categories
     labels = np.arange(n, dtype=np.int64) % c
@@ -442,6 +445,37 @@ def test_synth_stores_narrow_codes_and_labels_with_the_int64_values(spec, code_d
     assert ds.categorical.astype(np.int64).tobytes() == cat.tobytes()
     assert ds.labels.astype(np.int64).tobytes() == labels.tobytes()
     assert ds.numerical.tobytes() == num.tobytes()
+
+
+@pytest.mark.parametrize("c", [2, 15])
+@pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 20000])
+def test_synth_drawn_in_row_blocks_equals_the_whole_column_draws_bitwise(n, c):
+    spec = SynthSpec(max(n, 3 * c), c, 2, 3, (0.0,))
+    # SynthSpec refuses n < 3c, whose classes could not be split three ways; the draws hold at any n
+    object.__setattr__(spec, "n_rows", n)
+    ds = synth_generate(spec, n)
+    cat, num, labels = _synth_int64(spec, n)
+    assert ds.categorical.dtype == ds.labels.dtype == np.uint8 and ds.numerical.shape == (n, 3)
+    assert ds.categorical.astype(np.int64).tobytes() == cat.tobytes()
+    assert ds.labels.astype(np.int64).tobytes() == labels.tobytes()
+    assert ds.numerical.tobytes() == num.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [5, 25])
+def test_synth_generate_peaks_a_few_row_blocks_above_its_dataset(blocks):
+    """Drawn block by block, the build's scratch is about ten bytes per row
+    of a block whatever n is; drawn whole, the labels' int64 arange and its
+    modulo alone took sixteen bytes per row of the dataset."""
+    spec = SynthSpec(blocks * ROW_BLOCK, 2, 2, 3, (0.0,))
+    synth_generate(SynthSpec(600, 2, 2, 3, (0.0,)), 1)  # numpy's lazy imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        ds = synth_generate(spec, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = peak - (ds.categorical.nbytes + ds.numerical.nbytes + ds.labels.nbytes)
+    assert scratch < 32 * ROW_BLOCK, scratch / ROW_BLOCK
 
 
 def _encoded_int64(path, schema, cmap):

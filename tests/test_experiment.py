@@ -19,6 +19,7 @@ from fednb.experiment import (
     prepare_cell,
     run_cell,
     run_grid,
+    run_tasks,
     verify,
 )
 import fednb.cli
@@ -58,8 +59,19 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
-def grid(dataset):
-    return run_grid(small_config(), dataset)
+def grid_run(dataset):
+    """The grid and the outcomes of its replay: the first cell, which check 2 compares."""
+    return run_grid(small_config(), dataset, [(0.1, 0)])
+
+
+@pytest.fixture(scope="module")
+def grid(grid_run):
+    return grid_run[0]
+
+
+@pytest.fixture(scope="module")
+def rerun(grid_run):
+    return grid_run[1][0]
 
 
 def test_config_validation():
@@ -177,13 +189,13 @@ def test_results_csv_round_trip(tmp_path, grid):
     assert back.rows == grid.rows
 
 
-def test_verify_clean_run_passes(grid, dataset):
-    report = verify(grid, dataset)
+def test_verify_clean_run_passes(grid, rerun, dataset):
+    report = verify(grid, dataset, rerun)
     assert report.passed_count == 15, report.to_text()
 
 
-def test_trace_sanity_quotes_stop_reasons(grid, dataset):
-    report = verify(grid, dataset)
+def test_trace_sanity_quotes_stop_reasons(grid, rerun, dataset):
+    report = verify(grid, dataset, rerun)
     msg = {name: m for name, _, m in report.checks}["trace_sanity"]
     traces = [cell.trace for cell in grid.cells if cell.trace is not None]
     starts = [s for t in traces for s in t.starts]
@@ -194,29 +206,29 @@ def test_trace_sanity_quotes_stop_reasons(grid, dataset):
     )
 
 
-def test_verify_detects_weight_sum_tamper(grid, dataset):
+def test_verify_detects_weight_sum_tamper(grid, rerun, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
     # tamper a record in the *last* cell so the first-cell re-run check is unaffected
     victim = [r for *_, r in tampered.rows if r.proposal == "B"][-1]
     victim.weights = tuple(w + 0.1 / 3 for w in victim.weights)
-    report = verify(tampered, dataset)
+    report = verify(tampered, dataset, rerun)
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["weights_sum_to_one"]
 
 
-def test_verify_detects_missing_record(grid, dataset):
+def test_verify_detects_missing_record(grid, rerun, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
     tampered.cells[-1].records.pop()  # last record: proposal A of the last cell
-    report = verify(tampered, dataset)
+    report = verify(tampered, dataset, rerun)
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["grid_completeness"]
 
 
-def test_verify_detects_a_jsd_rise_across_alphas(grid, dataset):
+def test_verify_detects_a_jsd_rise_across_alphas(grid, rerun, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
@@ -225,51 +237,51 @@ def test_verify_detects_a_jsd_rise_across_alphas(grid, dataset):
     for cell in tampered.cells:
         if cell.alpha_index == len(tampered.config.alphas) - 1:  # not the first cell, which check 2 re-runs
             cell.counts = pure_nodes
-    report = verify(tampered, dataset)
+    report = verify(tampered, dataset, rerun)
     failed = [name for name, ok, _ in report.checks if not ok]
     assert failed == ["jsd_gradient_per_rep"]
 
 
-def test_verify_detects_nan(grid, dataset):
+def test_verify_detects_nan(grid, rerun, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
     row = tampered.rows[-3]  # proposal B of the last cell, whose weights only check 11 reads
     row[-1].weights = (float("nan"), *row[-1].weights[1:])
-    report = verify(tampered, dataset)
+    report = verify(tampered, dataset, rerun)
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
     assert failed == [("no_nan_inf", f"non-finite field at {_key(row)}: w_1 = nan")]
 
 
-def test_a_non_finite_anll_is_named_by_check_5_alone(grid, dataset):
+def test_a_non_finite_anll_is_named_by_check_5_alone(grid, rerun, dataset):
     tampered = copy.deepcopy(grid)
     victim = tampered.rows[-2]  # proposal E of the last cell
     victim[-1].anll = float("inf")
-    report = verify(tampered, dataset)
+    report = verify(tampered, dataset, rerun)
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
     assert failed == [("mog_scores_finite", f"bad scores at {_key(victim)}: anll = inf")]
 
 
-def test_verify_detects_a_one_ulp_rerun_difference(grid, dataset):
+def test_verify_detects_a_one_ulp_rerun_difference(grid, rerun, dataset):
     import copy
 
     tampered = copy.deepcopy(grid)
     first = tampered.cells[0].records[0]  # proposal C of the first cell, which check 2 re-runs
-    rerun = first.f1_macro
+    rerun_f1 = first.f1_macro
     first.f1_macro = float(np.nextafter(first.f1_macro, 0.0))
-    report = verify(tampered, dataset)
+    report = verify(tampered, dataset, rerun)
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
     assert failed == [(
         "seed_reproducibility",
-        f"first cell re-run diverges at cells[0].records[0].f1_macro = {rerun}, recorded {first.f1_macro}",
+        f"first cell re-run diverges at cells[0].records[0].f1_macro = {rerun_f1}, recorded {first.f1_macro}",
     )]
 
 
-def test_mcnemar_check_fails_without_p_values_when_a_and_b_ran(grid, dataset):
+def test_mcnemar_check_fails_without_p_values_when_a_and_b_ran(grid, rerun, dataset):
     tampered = copy.deepcopy(grid)
     for *_, r in tampered.rows:
         r.mcnemar_p_vs_B = None
-    checks = {name: (ok, msg) for name, ok, msg in verify(tampered, dataset).checks}
+    checks = {name: (ok, msg) for name, ok, msg in verify(tampered, dataset, rerun).checks}
     assert checks["mcnemar_validity"] == (False, "invalid p: no p-values, though A and B ran")
 
 
@@ -282,7 +294,8 @@ def test_verify_names_a_rerun_that_returns_fewer_records(grid, dataset, monkeypa
         return cell
 
     monkeypatch.setattr(fednb.experiment, "run_cell", drop_last)
-    report = verify(grid, dataset)
+    (rerun,) = run_tasks(grid.config, dataset, [(0.1, 0)])
+    report = verify(grid, dataset, rerun)
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
     assert failed == [("seed_reproducibility", "first cell re-run diverges at len(cells[0].records) = 3, recorded 4")]
 
@@ -385,11 +398,11 @@ FAIL_TEXT = {
 
 
 @pytest.mark.parametrize("name, probe", CHECK_PROBES.items(), ids=CHECK_PROBES)
-def test_verify_fails_the_probed_check_alone(grid, dataset, monkeypatch, name, probe):
+def test_verify_fails_the_probed_check_alone(grid, rerun, dataset, monkeypatch, name, probe):
     tampered = copy.deepcopy(grid)
     want = FAIL_TEXT[name](tampered, dataset)
     probe(tampered, monkeypatch)
-    report = verify(tampered, dataset)
+    report = verify(tampered, dataset, rerun)
     failed = [(n, msg) for n, ok, msg in report.checks if not ok]
     assert [n for n, _ in failed] == [name], report.to_text()
     assert re.fullmatch(want, failed[0][1]), failed[0][1]
@@ -433,7 +446,7 @@ def test_emit_plot_data_files(tmp_path, grid):
 def test_proposal_subset_runs():
     cfg = small_config(proposals=("B", "E"), alphas=(0.5,), reps=1)
     dataset = materialize_dataset(cfg)
-    result = run_grid(cfg, dataset)
+    result, _ = run_grid(cfg, dataset, [])
     assert [r.proposal for *_, r in result.rows] == ["B", "E"]
     assert [cell.trace for cell in result.cells] == [None]
     assert prepare_cell(cfg, 0, 0, dataset).val is None  # only proposal A reads it
@@ -624,7 +637,7 @@ def test_run_cell_times_each_stage_within_the_cells_wall_time(dataset):
     assert sum(cell.stage_ms.values()) <= wall_ms
 
 
-def test_check_2_ignores_the_stage_times_of_the_first_cell(grid, dataset):
+def test_check_2_ignores_the_stage_times_of_the_first_cell(grid, rerun, dataset):
     first = replace(grid.cells[0], stage_ms={"fit": -1.0})
-    report = verify(replace(grid, cells=[first, *grid.cells[1:]]), dataset)
+    report = verify(replace(grid, cells=[first, *grid.cells[1:]]), dataset, rerun)
     assert ("seed_reproducibility", True, "first cell re-run matches") in report.checks

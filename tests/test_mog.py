@@ -523,6 +523,53 @@ def test_only_the_last_weights_are_kept(counted_mixes):
     assert values[0] == values[2] == _reference_anll(a, stacked, labels)
 
 
+def _whole_tensor_covered(stacked):
+    """StackedScores.covered computed on the whole (K, C, n) tensor at once."""
+    finite = np.isfinite(stacked)
+    return bool(finite.any(axis=0).all() and (finite | (stacked == NEG_INF)).all())
+
+
+# (node, class, row, value) edits of a covered (3, 2, 10) tensor, all in its
+# last row, and whether the edited tensor is covered
+COVER_EDITS = {
+    "covered": ([], True),
+    "a -inf sentinel in one node": ([(0, 1, 9, NEG_INF)], True),
+    "a class in no node": ([(k, 1, 9, NEG_INF) for k in range(3)], False),
+    "a NaN": ([(1, 0, 9, np.nan)], False),
+    "a +inf": ([(2, 1, 9, np.inf)], False),
+}
+
+
+@pytest.mark.parametrize("block, n_blocks", [(10**9, 1), (4, 3)])
+@pytest.mark.parametrize("edits, covered", COVER_EDITS.values(), ids=COVER_EDITS)
+def test_covered_per_row_block_equals_the_whole_tensor_formula(monkeypatch, edits, covered, block, n_blocks):
+    monkeypatch.setattr(fednb.data, "ROW_BLOCK", block)
+    _, stacked, labels = _oracle_inputs(3, 2, 10, (), seed=15)
+    for node, cls, row, value in edits:
+        stacked[node, cls, row] = value
+    scores = StackedScores(stacked, labels)
+    assert len(scores.blocks) == n_blocks
+    assert scores.covered == _whole_tensor_covered(stacked) == covered
+
+
+@pytest.mark.parametrize("k, c", [(3, 2), (10, 15)])
+def test_stacked_scores_construction_peaks_a_few_blocks_above_what_it_keeps(monkeypatch, k, c):
+    """Tested block by block, covered's boolean temporaries are a fraction
+    of a block whatever n is. Tested on the whole tensor, its three (K, C, n)
+    boolean temporaries were 15 blocks' worth at these 40 blocks."""
+    monkeypatch.setattr(fednb.data, "ROW_BLOCK", 256)
+    _, stacked, labels = _oracle_inputs(k, c, 40 * 256, (), seed=16)
+    block = k * c * 256 * 8  # one block's (K, C, rows) float64 buffer
+    tracemalloc.start()
+    try:
+        scores = StackedScores(stacked, labels)
+        kept, peak = tracemalloc.get_traced_memory()  # kept: the scratch and the label indices
+    finally:
+        tracemalloc.stop()
+    assert scores.covered
+    assert peak - kept < 2 * block, (peak - kept) / block
+
+
 def test_stack_scores_peaks_a_few_blocks_above_its_output(monkeypatch):
     """Scored in blocks of 256 rows, the (C, F, rows) scoring buffers stay a
     few blocks' worth whatever n is; scored whole they would be about 94
