@@ -615,6 +615,39 @@ def test_a_worker_killed_in_the_replay_fails_check_2_alone(cfg_path, grid_dir, t
     assert _no_child_process_left()
 
 
+def test_no_worker_waits_on_a_full_pipe(cfg_path, tmp_path, pin_cpus, monkeypatch):
+    """Worker 0 holds cell 0 until worker 1 has run cell 1 and the replay,
+    each of whose reports holds more than a pipe's 64 kB. Were the pipes read
+    one after another, worker 1 would wait for the parent, which would wait
+    for worker 0."""
+    pin_cpus(2)
+    config = fednb.config.load_config(cfg_path, {})
+    dataset = fednb.experiment.materialize_dataset(config)
+    released, real_cell, ran = tmp_path / "worker 1 done", fednb.experiment.run_cell, []
+
+    def cell(config, alpha, rep, *rest):
+        ran.append(alpha)
+        if ran == [0.1]:  # worker 0's first cell
+            for _ in range(3000):  # up to 30 s
+                if released.exists():
+                    break
+                time.sleep(0.01)
+            else:
+                raise TimeoutError("worker 1 did not finish")
+        result = real_cell(config, alpha, rep, *rest)
+        if ran[0] == 0.5:  # worker 1
+            result.density = np.zeros((2, 2**14))  # 256 kB of report
+            if len(ran) == 2:
+                released.touch()
+        return result
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", cell)
+    with _deadline(120):
+        grid, (rerun,) = fednb.experiment.run_grid(config, dataset, [(0.1, 0)])
+    assert grid.cells[1].density.shape == rerun.density.shape == (2, 2**14)
+    assert _no_child_process_left()
+
+
 @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
 def test_run_grid_leaves_no_child_process(cfg_path, tmp_path, monkeypatch, pin_cpus, fails):
     """On failure, cell 0 fails in worker 0 while worker 1 still runs cell 1,
