@@ -32,13 +32,16 @@ from .experiment import (
     STAGES,
     CellResult,
     GridResult,
+    VerificationReport,
     emit_plot_data,
     emit_results_csv,
+    in_grid_process,
     materialize_dataset,
     results_csv_lines,
     run_grid,
     run_tasks,
     verify,
+    worker_count,
     write_lines,
 )
 import numpy as np
@@ -176,9 +179,8 @@ def _load_bundle(results_dir: str) -> GridResult:
     return result
 
 
-def cmd_run_grid(args) -> int:
-    config = load_config(args.config, _parse_overrides(args.set))
-    os.makedirs(args.out, exist_ok=True)
+def _checked_grid(config) -> tuple[GridResult, VerificationReport]:
+    """The grid of config, run on the dataset it builds, and its verification."""
     dataset = materialize_dataset(config)
     # check 2 compares the first cell with a re-run of it, run with the cells
     result, (rerun,) = run_grid(config, dataset, [(config.alphas[0], 0)])
@@ -186,10 +188,19 @@ def cmd_run_grid(args) -> int:
     # so that the peak of the steps below does not depend on where their
     # allocations land among those pages
     _c_call("malloc_trim", (ctypes.c_size_t,), 0)
+    return result, verify(result, dataset, rerun)
+
+
+def cmd_run_grid(args) -> int:
+    config = load_config(args.config, _parse_overrides(args.set))
+    os.makedirs(args.out, exist_ok=True)
+    if worker_count(len(config.alphas) * config.reps) > 1:
+        result, report = in_grid_process(_checked_grid, config)
+    else:
+        result, report = _checked_grid(config)
     emit_results_csv(result, os.path.join(args.out, RESULTS_CSV))
     _save_bundle(result, args.out)
     emit_plot_data(result, os.path.join(args.out, "plots"))
-    report = verify(result, dataset, rerun)
     write_lines(os.path.join(args.out, "verification.txt"), [report.to_text()])
     write_lines(os.path.join(args.out, "verification.kv"), [report.to_kv()])
     print(report.to_text())

@@ -15,16 +15,18 @@ the grid fully re-runnable cell by cell.
 
 Each command that needs the dataset materializes it once and hands it on:
 run_tasks (the one runner of cells, here or in forked workers), the JSD curve
-of verify and prepare_cell take it from their caller. run-grid's workers
-also re-run the grid's first cell after their cells, and verify's check 2
-compares that re-run with the saved cell; the verify command re-runs it
-itself. Otherwise verify and the plot data read a GridResult alone, whether
+of verify and prepare_cell take it from their caller. Where the cells run in
+workers, run-grid builds it in the grid process (see in_grid_process), from
+which they fork. run-grid's workers also re-run the grid's first cell after
+their cells, and verify's check 2 compares that re-run with the saved cell;
+the verify command re-runs it itself. Otherwise verify and the plot data read a GridResult alone, whether
 it was run in this process or loaded from grid.json, which keeps it exactly.
 """
 
 from __future__ import annotations
 
 import _signal  # the C module behind signal, loaded at interpreter start; signal adds ~40 kB of enums
+import functools
 import io
 import os
 import pickle
@@ -258,16 +260,14 @@ def run_tasks(config: ExperimentConfig, dataset: Dataset, cells: list, replay: l
     dataset: its CellResult, the CellError of its failure, or None when a task
     before it in its worker's list failed, since a worker stops there.
 
-    With one CPU in this process's affinity mask, no os.fork or one cell,
-    the tasks run here one after another. Otherwise min(CPUs, cells) forked
-    workers run them, sharing dataset copy-on-write: worker w runs cells w,
-    w + workers, ..., and the last worker then runs replay. It never runs
-    cell 0 and holds no more cells than worker 0. Each cell draws from its own
-    seeds, so the outcomes are the same at any worker count.
+    worker_count(len(cells)) workers run them. One runs them here one after
+    another. More are forked, sharing dataset copy-on-write: worker w runs
+    cells w, w + workers, ..., and the last worker then runs replay. It never
+    runs cell 0 and holds no more cells than worker 0. Each cell draws from
+    its own seeds, so the outcomes are the same at any worker count.
     """
     tasks = [*cells, *replay]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(cells)) if hasattr(os, "fork") else 1
+    workers = worker_count(len(cells))
     if workers > 1:
         lists = [[*range(w, len(cells), workers)] for w in range(workers)]
         lists[-1] += range(len(cells), len(tasks))
@@ -278,6 +278,13 @@ def run_tasks(config: ExperimentConfig, dataset: Dataset, cells: list, replay: l
     for i, outcome in done:
         outcomes[i] = outcome
     return outcomes
+
+
+def worker_count(cells: int) -> int:
+    """How many workers run a grid of cells: min(CPUs in this process's
+    affinity mask, cells), or 1 where os.fork does not exist."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, cells) if hasattr(os, "fork") else 1
 
 
 def _run_tasks(config: ExperimentConfig, dataset: Dataset, tasks: list, indices):
@@ -295,52 +302,104 @@ def _run_tasks(config: ExperimentConfig, dataset: Dataset, tasks: list, indices)
 
 def _run_in_workers(config: ExperimentConfig, dataset: Dataset, tasks: list, lists: list) -> list[tuple]:
     """The _run_tasks pairs of each of lists, run in its own forked worker
-    (see run_tasks). A worker writes the pickle of each pair to its own pipe
-    as its task ends and ends with os._exit; the pipes are read as the pairs
-    arrive, so that no worker waits on a full pipe. Every worker is reaped
-    before this returns or raises. A worker exits 0 once its list is
-    reported; one that ends otherwise, killed say, yields a CellError of the
-    first task of its list that it did not report. SIGINT waits out the
-    forks: raised in an at-fork hook (logging registers one), its
-    KeyboardInterrupt would be reported and ignored."""
-    outcomes, children = [], {}  # children: pid -> (its list, the read end of its pipe)
+    (see run_tasks and _forked), which reports each pair as its task ends.
+    A worker that ends before reporting its list, killed say, yields a
+    CellError of the first task of its list that it did not report. Left
+    early, this kills the workers still running."""
+    jobs = [functools.partial(_run_tasks, config, dataset, tasks, todo) for todo in lists]
+    outcomes = []
+    for todo, (pairs, code) in zip(lists, _forked(jobs, _signal.SIGKILL)):
+        outcomes += pairs
+        if code != 0 and len(pairs) < len(todo):
+            cause = ChildProcessError(f"its worker process {_ended(code)} before reporting it")
+            outcomes.append((todo[len(pairs)], CellError(*tasks[todo[len(pairs)]], cause)))
+    return outcomes
+
+
+def in_grid_process(func, *args):
+    """func(*args), called in one forked child, the grid process, which
+    pickles back what func returns or the exception it raises; that
+    exception is raised here. Where the cells run in workers, run-grid runs
+    its checked grid so: the workers fork from the grid process, and this
+    process neither builds the dataset nor loads numpy.random. A grid
+    process that ends before reporting raises ChildProcessError, which says
+    how it ended. Left early, by KeyboardInterrupt say, this sends the grid
+    process SIGINT, on which it stops and reaps its workers, and reaps it."""
+    ((report, code),) = _forked([functools.partial(_returned, func, args)], _signal.SIGINT)
+    if not report:
+        raise ChildProcessError(f"the grid process {_ended(code)} before reporting its results")
+    (outcome,) = report
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _returned(func, args: tuple) -> list:
+    """[func(*args)], or [the exception it raised]: a grid process's report."""
+    try:
+        return [func(*args)]
+    except Exception as exc:  # raised again by in_grid_process
+        return [exc]
+
+
+def _ended(code: int) -> str:
+    """How a child process with exit code code (waitstatus_to_exitcode's) ended."""
+    return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+
+
+def _forked(jobs: list, stop: int) -> list[tuple[list, int]]:
+    """Each of jobs, a function returning an iterable, called in its own
+    forked child; returns what each child reported, with its exit code, in
+    the order of jobs. A child writes the pickle of each item to its own
+    pipe as the item comes and ends with os._exit: 0 once every item is
+    written, 1 otherwise. Its report is the items read back whole, so those
+    of a child that died are the ones it wrote before. The pipes are read
+    together as their bytes arrive, so that no child waits on a full pipe,
+    and a child is reaped only once its pipe has ended. A child closes the
+    read ends it inherits, so that its writes fail once this process is gone.
+
+    SIGINT waits out the forks: raised in an at-fork hook (logging registers
+    one), its KeyboardInterrupt would be reported and ignored. Left early, by
+    KeyboardInterrupt say, this sends stop to each child it has not reaped
+    and reaps it, with SIGINT held off, so that a second one does not cut
+    the reaping short."""
+    children = {}  # pid -> the read end of its pipe, until it is reaped
     mask = _signal.pthread_sigmask(_signal.SIG_BLOCK, [_signal.SIGINT])
     try:
-        for todo in lists:
+        for job in jobs:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
+                    for fd in [read_fd, *children.values()]:
+                        os.close(fd)
                     _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)
                     with open(write_fd, "wb") as fh:
-                        for pair in _run_tasks(config, dataset, tasks, todo):
-                            pickle.dump(pair, fh)
-                            fh.flush()  # whole in the pipe before the next task starts
+                        for item in job():
+                            pickle.dump(item, fh)
+                            fh.flush()  # whole in the pipe before the next item is made
                     status = 0
                 finally:
                     os._exit(status)  # never the parent's exit handlers or its buffered output
-            children[pid] = todo, read_fd
+            children[pid] = read_fd
             os.close(write_fd)
         _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)
-        reports = _read_pipes([fd for _, fd in children.values()])
-        for pid, (todo, fd) in list(children.items()):
+        reports = _read_pipes(list(children.values()))
+        done = []
+        for pid, fd in list(children.items()):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             os.close(fd)
             del children[pid]
-            pairs = _unpickled(reports[fd])
-            outcomes += pairs
-            if code != 0 and len(pairs) < len(todo):
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                cause = ChildProcessError(f"its worker process {how} before reporting it")
-                outcomes.append((todo[len(pairs)], CellError(*tasks[todo[len(pairs)]], cause)))
-    finally:  # left early, by KeyboardInterrupt say: stop and reap the workers still running
-        for pid, (_, fd) in children.items():
+            done.append((_unpickled(reports[fd]), code))
+        return done
+    finally:
+        _signal.pthread_sigmask(_signal.SIG_BLOCK, [_signal.SIGINT])
+        for pid, fd in children.items():
             os.close(fd)
-            os.kill(pid, 9)  # SIGKILL
+            os.kill(pid, stop)
             os.waitpid(pid, 0)
-        _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)  # when a fork failed
-    return outcomes
+        _signal.pthread_sigmask(_signal.SIG_SETMASK, mask)
 
 
 def _read_pipes(fds: list) -> dict:

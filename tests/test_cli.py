@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -161,20 +162,26 @@ def _cells_copy(grid_dir, dest, edit):
     return dest
 
 
-def test_grid_json_keeps_the_records_of_run_grid_exactly(cfg_path, tmp_path, monkeypatch, capsys):
-    held = []
+def _keep_grid(monkeypatch, path):
+    """Patch cli.run_grid to pickle the GridResult it returns into the file
+    path, from the process that calls it: the grid process, where the cells
+    run in workers."""
     real_run_grid = fednb.cli.run_grid
 
     def run_grid(*args):
         outcomes = real_run_grid(*args)
-        held.append(outcomes[0])  # the GridResult, beside the replayed cells
+        path.write_bytes(pickle.dumps(outcomes[0]))  # the GridResult, beside the replayed cells
         return outcomes
 
     monkeypatch.setattr(fednb.cli, "run_grid", run_grid)
+
+
+def test_grid_json_keeps_the_records_of_run_grid_exactly(cfg_path, tmp_path, monkeypatch, capsys):
+    _keep_grid(monkeypatch, tmp_path / "grid.pickle")
     out = tmp_path / "out"
     assert main(["run-grid", "--config", str(cfg_path), "--out", str(out)]) == 0
     loaded = fednb.cli._load_bundle(str(out))
-    assert loaded.rows == held[0].rows
+    assert loaded.rows == pickle.loads((tmp_path / "grid.pickle").read_bytes()).rows
     assert [type(x) for x in dataclasses.astuple(loaded.cells[-1].records[-1])] == [str, float, float, tuple, float]
 
 
@@ -291,17 +298,10 @@ def test_grid_json_keys_stage_times_by_cell_and_stage(grid_dir):
 def test_grid_json_holds_the_config_and_the_cells_of_run_grid_but_their_timings(
     cfg_path, tmp_path, monkeypatch, capsys
 ):
-    held = []
-    real_run_grid = fednb.cli.run_grid
-
-    def run_grid(*args):
-        outcomes = real_run_grid(*args)
-        held.append(outcomes[0])  # the GridResult, beside the replayed cells
-        return outcomes
-
-    monkeypatch.setattr(fednb.cli, "run_grid", run_grid)
+    _keep_grid(monkeypatch, tmp_path / "grid.pickle")
     out = tmp_path / "out"
     assert main(["run-grid", "--config", str(cfg_path), "--out", str(out)]) == 0
+    held = pickle.loads((tmp_path / "grid.pickle").read_bytes())
     bundle = json.loads((out / "grid.json").read_text())
     assert list(bundle) == ["config", "cells"]
     assert all(list(cell) == [f.name for f in dataclasses.fields(CellResult)] for cell in bundle["cells"])
@@ -312,8 +312,8 @@ def test_grid_json_holds_the_config_and_the_cells_of_run_grid_but_their_timings(
     assert all(list(r) == ["proposal", "f1_macro", "anll", "weights", "mcnemar_p_vs_B"]
                for cell in bundle["cells"] for r in cell["records"])
     loaded = fednb.cli._load_bundle(str(out))
-    assert loaded.config == held[0].config
-    for got, want in zip(loaded.cells, held[0].cells, strict=True):
+    assert loaded.config == held.config
+    for got, want in zip(loaded.cells, held.cells, strict=True):
         assert (got.alpha_index, got.rep, got.records) == (want.alpha_index, want.rep, want.records)
         assert got.counts == want.counts
         assert all(type(n) is int for row in got.counts for n in row)
@@ -406,6 +406,49 @@ def _no_child_process_left():
     return False
 
 
+def _log_forks(monkeypatch, log):
+    """Patch os.fork to append "parent child" pids to the file log at each
+    fork, from the child before it returns, so that a parent killed at once
+    misses none: the grid process's forks of its workers too, since it
+    inherits the patch."""
+    real_fork = os.fork
+
+    def fork():
+        parent = os.getpid()  # not the child's getppid(), which reads 1 once an orphan
+        pid = real_fork()
+        if pid == 0:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{parent} {os.getpid()}\n")
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _forks(log):
+    """The (parent, child) pids of each fork _log_forks logged, in order."""
+    return [tuple(map(int, line.split())) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+def _gone(pid):
+    """True once no process runs as pid: none has it, or a zombie does, one
+    that has ended but that its parent (init, for an orphan) has not reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+        return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _grid_process_and_workers(log, here):
+    """The grid process this process forked (one, after _log_forks) and the
+    workers that it forked."""
+    forks = _forks(log)
+    (grid,) = [child for parent, child in forks if parent == here]
+    assert all(parent in (here, grid) for parent, _ in forks), forks
+    return grid, [child for parent, child in forks if parent == grid]
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Raise TimeoutError in this process once seconds pass, so that a hung
@@ -429,26 +472,48 @@ def _untimed_grid(out):
     return bundle
 
 
-def test_one_and_two_workers_write_the_same_outputs(cfg_path, tmp_path, monkeypatch, pin_cpus):
-    forked, real_fork = [], os.fork
-
-    def counted_fork():
-        pid = real_fork()
-        forked.extend([pid] if pid else [])
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+def _one_and_two_cpus_write_the_same_outputs(cfg_path, tmp_path, monkeypatch, pin_cpus):
+    """Run the grid on one CPU, which forks nothing, and then on two, where
+    this process forks the grid process and it forks two workers; both runs
+    write the same outputs, all but the timings in grid.json."""
+    log = tmp_path / "forks"
+    _log_forks(monkeypatch, log)
     outs = []
     for cpus in (1, 2):
         pin_cpus(cpus)
         outs.append(tmp_path / f"cpus{cpus}")
-        assert main(["run-grid", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
-    assert len(forked) == 2  # both by the run on two CPUs
+        with _deadline(120):
+            assert main(["run-grid", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
+        assert log.exists() == (cpus == 2)
+    _, workers = _grid_process_and_workers(log, os.getpid())
+    assert len(workers) == 2
     serial, pooled = outs
     for name in ["results.csv", "verification.txt", "verification.kv", *(f"plots/{f}" for f in PLOT_FILES)]:
         assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
     assert _untimed_grid(serial) == _untimed_grid(pooled)
     assert _no_child_process_left()
+
+
+def test_one_and_two_workers_write_the_same_outputs(cfg_path, tmp_path, monkeypatch, pin_cpus):
+    _one_and_two_cpus_write_the_same_outputs(cfg_path, tmp_path, monkeypatch, pin_cpus)
+
+
+def test_a_grid_process_report_larger_than_a_pipe_is_read_whole(cfg_path, tmp_path, monkeypatch, pin_cpus):
+    """Cells 0 and 1 and the replay get a (2, 2**14) density, 256 kB each,
+    in whichever process runs them, so the grid process's report holds more
+    than a pipe's 64 kB. Were the grid process reaped before its pipe is
+    read, each would wait for the other. The last cell, whose density the
+    plots draw, keeps its own."""
+    real_cell = fednb.experiment.run_cell
+
+    def cell(config, alpha, rep, *rest):
+        result = real_cell(config, alpha, rep, *rest)
+        if alpha != 1.0:
+            result.density = np.zeros((2, 2**14))
+        return result
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", cell)
+    _one_and_two_cpus_write_the_same_outputs(cfg_path, tmp_path, monkeypatch, pin_cpus)
 
 
 def test_the_earliest_failing_cell_is_named_though_a_later_one_fails_first(
@@ -654,7 +719,7 @@ def test_run_grid_leaves_no_child_process(cfg_path, tmp_path, monkeypatch, pin_c
     and then the replay of cell 0."""
     pin_cpus(2)
     assert _no_child_process_left()
-    real_cell = fednb.experiment.run_cell
+    real_cell, log = fednb.experiment.run_cell, tmp_path / "forks"
 
     def cell(config, alpha, rep, *rest):
         if fails and alpha == 0.1:
@@ -662,23 +727,29 @@ def test_run_grid_leaves_no_child_process(cfg_path, tmp_path, monkeypatch, pin_c
         return real_cell(config, alpha, rep, *rest)
 
     monkeypatch.setattr(fednb.experiment, "run_cell", cell)
+    _log_forks(monkeypatch, log)
     with _deadline(120):
         assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == (1 if fails else 0)
+    grid, workers = _grid_process_and_workers(log, os.getpid())
+    assert len(workers) == 2 and all(map(_gone, [grid, *workers]))
     assert _no_child_process_left()
 
 
 def test_an_interrupted_run_grid_stops_and_reaps_its_workers(cfg_path, tmp_path, monkeypatch, pin_cpus):
+    """The SIGINT reaches the run-grid process alone, which passes it on to
+    the grid process, which kills and reaps its workers."""
     pin_cpus(2)
-    parent = os.getpid()
+    parent, log = os.getpid(), tmp_path / "forks"
 
     def stuck_cell(config, alpha, rep, *rest):
-        if alpha == 0.5:  # worker 1 interrupts the parent, by then waiting for the reports
+        if alpha == 0.5:  # worker 1 interrupts the parent, by then waiting for the report
             time.sleep(0.5)
             os.kill(parent, signal.SIGINT)
         time.sleep(30)
         raise PartitionError("not interrupted")
 
     monkeypatch.setattr(fednb.experiment, "run_cell", stuck_cell)
+    _log_forks(monkeypatch, log)
     old = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         t0 = time.perf_counter()
@@ -687,6 +758,74 @@ def test_an_interrupted_run_grid_stops_and_reaps_its_workers(cfg_path, tmp_path,
     finally:
         signal.signal(signal.SIGINT, old)
     assert time.perf_counter() - t0 < 20
+    grid, workers = _grid_process_and_workers(log, parent)
+    assert len(workers) == 2 and all(map(_gone, [grid, *workers]))
+    assert _no_child_process_left()
+
+
+_STUCK_RUN_GRID = """\
+import os, sys, time
+import fednb.cli, fednb.experiment
+
+def stuck_cell(*args):
+    with open(sys.argv[1], "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()} {os.getppid()}\\n")
+    time.sleep(30)
+
+fednb.experiment.run_cell = stuck_cell
+sys.exit(fednb.cli.main(["run-grid", "--config", sys.argv[2], "--out", sys.argv[3]]))
+"""
+
+
+def test_a_sigint_to_the_process_group_of_run_grid_stops_and_reaps_every_process(cfg_path, tmp_path, pin_cpus):
+    """As a terminal's Ctrl-C does, the SIGINT reaches the run-grid process,
+    the grid process and the workers at once. run-grid runs in a session of
+    its own, so that the SIGINT reaches no other process."""
+    pin_cpus(2)
+    cells = tmp_path / "cells"  # "pid parent" of each cell's worker
+    argv = [sys.executable, "-c", _STUCK_RUN_GRID, str(cells), str(cfg_path), str(tmp_path / "out")]
+    proc = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, start_new_session=True,
+                            stderr=subprocess.PIPE)
+    try:
+        with _deadline(120):
+            while not cells.exists() or len(cells.read_text(encoding="utf-8").splitlines()) < 2:
+                time.sleep(0.01)  # until both workers are in a cell
+        t0 = time.perf_counter()
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=20)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert time.perf_counter() - t0 < 20
+    assert proc.returncode == -signal.SIGINT and b"KeyboardInterrupt" in err
+    logged = [tuple(map(int, line.split())) for line in cells.read_text(encoding="utf-8").splitlines()]
+    workers, (grid,) = {pid for pid, _ in logged}, {parent for _, parent in logged}
+    assert len(workers) == 2 and grid != proc.pid
+    assert all(map(_gone, [grid, *workers]))
+
+
+def test_a_killed_grid_process_exits_1_naming_the_signal(cfg_path, tmp_path, monkeypatch, capsys, pin_cpus):
+    """Worker 1 kills the grid process in its first cell. No results are
+    written, and each worker stops at its next report, which has no reader."""
+    pin_cpus(2)
+    parent, log, real_cell = os.getpid(), tmp_path / "forks", fednb.experiment.run_cell
+
+    def cell(config, alpha, rep, *rest):
+        if alpha == 0.5 and os.getppid() != parent:  # in worker 1, not in this process or the grid process
+            os.kill(os.getppid(), signal.SIGKILL)
+        return real_cell(config, alpha, rep, *rest)
+
+    monkeypatch.setattr(fednb.experiment, "run_cell", cell)
+    _log_forks(monkeypatch, log)
+    out = tmp_path / "out"
+    with _deadline(120):
+        assert main(["run-grid", "--config", str(cfg_path), "--out", str(out)]) == 1
+        grid, workers = _grid_process_and_workers(log, parent)
+        while not all(map(_gone, workers)):
+            time.sleep(0.01)
+    assert capsys.readouterr().err == "error: the grid process was killed by signal 9 before reporting its results\n"
+    assert len(workers) == 2 and _gone(grid) and not (out / "results.csv").exists()
     assert _no_child_process_left()
 
 
@@ -813,12 +952,14 @@ def test_partition_takes_seeds_from_0_to_2_to_the_32_minus_1(cfg_path, capsys, s
 
 
 def test_each_command_materializes_its_dataset_once(cfg_path, grid_dir, tmp_path, monkeypatch):
-    """emit-plots needs no dataset: it neither builds one nor fits a model."""
-    calls, fits = [], []
+    """emit-plots needs no dataset: it neither builds one nor fits a model.
+    Each build is logged to a file, from the grid process too."""
+    calls, fits = tmp_path / "builds", []
     real, real_fit = fednb.experiment.materialize_dataset, fednb.experiment.fit_hybrid
 
     def counting(config):
-        calls.append(config)
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
         return real(config)
 
     def counting_fit(train):
@@ -834,10 +975,10 @@ def test_each_command_materializes_its_dataset_once(cfg_path, grid_dir, tmp_path
         ["verify", "--results", str(grid_dir)],
         ["emit-plots", "--results", str(grid_dir), "--out", str(tmp_path / "plots")],
     ):
-        calls.clear()
+        calls.write_text("")
         fits.clear()
         assert main(argv) == 0
-        counts[argv[0]] = len(calls)
+        counts[argv[0]] = len(calls.read_text().splitlines())
     assert counts == {"run-grid": 1, "verify": 1, "emit-plots": 0}
     assert fits == []  # those of emit-plots
 
@@ -1427,17 +1568,21 @@ def _error_classes(cls=FedNBError):
 @pytest.mark.parametrize("error", sorted(set(_error_classes()), key=lambda c: c.__name__),
                          ids=lambda c: c.__name__)
 def test_each_error_class_maps_to_its_exit_code(cfg_path, tmp_path, monkeypatch, capsys, error):
+    """run-grid, where the cells run in workers, builds the dataset in the
+    grid process, which pickles the error back to be raised here."""
     exc = error(0.1, 0, RuntimeError("boom")) if error is CellError else error("boom")
 
     def raising(*args, **kwargs):
         raise exc
 
     monkeypatch.setattr(fednb.cli, "materialize_dataset", raising)
-    argv = ["partition", "--config", str(cfg_path), "--alpha", "0.1", "--out", str(tmp_path / "p.tsv")]
-    code = main(argv)
-    assert code == (64 if error is ConfigError else 1)
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "boom" in err
+    for argv in (
+        ["partition", "--config", str(cfg_path), "--alpha", "0.1", "--out", str(tmp_path / "p.tsv")],
+        ["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+    ):
+        code = main(argv)
+        assert code == (64 if error is ConfigError else 1)
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def _no_mallopt(name):
@@ -1475,7 +1620,8 @@ def test_main_sets_both_malloc_thresholds_once(cfg_path, monkeypatch, capsys):
     assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
 
 
-def test_run_grid_releases_the_freed_heap_once_after_the_cells(cfg_path, tmp_path, monkeypatch, capsys):
+def test_run_grid_releases_the_freed_heap_once_after_the_cells(cfg_path, tmp_path, monkeypatch, capsys, pin_cpus):
+    pin_cpus(1)  # the cells run in this process, and calls records what it calls
     calls = []
     real_run_grid = fednb.cli.run_grid
 

@@ -318,3 +318,34 @@ def test_run_grid_loads_no_process_pool_module(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_run_grid_on_two_cpus_loads_no_numpy_random(tmp_path, pin_cpus):
+    """Where the cells run in workers, they fork from the grid process, which
+    builds the dataset and verifies the grid; the run-grid process holds
+    neither the dataset nor numpy.random (about 5 MB of its memory)."""
+    pin_cpus(2)
+    cfg, log = tmp_path / "traced.cfg", tmp_path / "calls"
+    cfg.write_text(TRACED_CFG)
+    code = (
+        "import atexit, os, sys, fednb.cli\n"
+        "def logged(name):\n"
+        "    real = getattr(fednb.cli, name)\n"
+        "    def call(*args):\n"
+        f"        with open({str(log)!r}, 'a', encoding='utf-8') as fh:\n"
+        "            fh.write(f'{name} {os.getpid()}\\n')\n"
+        "        return real(*args)\n"
+        "    setattr(fednb.cli, name, call)\n"
+        "logged('materialize_dataset')\n"
+        "logged('verify')\n"
+        "atexit.register(lambda: print(os.getpid(), 'numpy.random' in sys.modules))\n"
+        f"sys.exit(fednb.cli.main(['run-grid', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    pid, loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == "False"
+    calls = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    assert [name for name, _ in calls] == ["materialize_dataset", "verify"]
+    assert len({p for _, p in calls}) == 1 and calls[0][1] != pid
