@@ -38,10 +38,9 @@ from .experiment import (
     in_grid_process,
     materialize_dataset,
     results_csv_lines,
+    run_cells,
     run_grid,
-    run_tasks,
     verify,
-    worker_count,
     write_lines,
 )
 import numpy as np
@@ -182,8 +181,7 @@ def _load_bundle(results_dir: str) -> GridResult:
 def _checked_grid(config) -> tuple[GridResult, VerificationReport]:
     """The grid of config, run on the dataset it builds, and its verification."""
     dataset = materialize_dataset(config)
-    # check 2 compares the first cell with a re-run of it, run with the cells
-    result, (rerun,) = run_grid(config, dataset, [(config.alphas[0], 0)])
+    result, rerun = run_grid(config, dataset)
     # hand back the heap pages the cells freed (when they ran in this process),
     # so that the peak of the steps below does not depend on where their
     # allocations land among those pages
@@ -194,10 +192,7 @@ def _checked_grid(config) -> tuple[GridResult, VerificationReport]:
 def cmd_run_grid(args) -> int:
     config = load_config(args.config, _parse_overrides(args.set))
     os.makedirs(args.out, exist_ok=True)
-    if worker_count(len(config.alphas) * config.reps) > 1:
-        result, report = in_grid_process(_checked_grid, config)
-    else:
-        result, report = _checked_grid(config)
+    result, report = in_grid_process(_checked_grid, config)
     emit_results_csv(result, os.path.join(args.out, RESULTS_CSV))
     _save_bundle(result, args.out)
     emit_plot_data(result, os.path.join(args.out, "plots"))
@@ -213,7 +208,7 @@ def cmd_verify(args) -> int:
     # rebuilt from the grid.json echo, so check 2 also tests that the data
     # and the first cell's records come out the same in a new process
     dataset = materialize_dataset(config)
-    (rerun,) = run_tasks(config, dataset, [(config.alphas[first.alpha_index], first.rep)])
+    (rerun,) = run_cells(config, dataset, [(config.alphas[first.alpha_index], first.rep)])
     report = verify(result, dataset, rerun)
     print(report.to_text())
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL

@@ -43,6 +43,10 @@ Schema file grammar:
     duration = numerical
     label = label
 
+A CSV header's names are matched after str.strip(), as configparser strips
+the schema's, so ` Flow Duration, Label` (CIC-IDS2017's form) names the
+columns `Flow Duration` and `Label`.
+
 A missing key takes its dataclass default. An unknown key, a missing key
 without a default or a bad value is a ConfigError that names the key (cli
 turns one from the grid.json echo into a ParseError). load_config reads a

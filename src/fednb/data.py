@@ -71,10 +71,9 @@ class CategoryMap:
     """Raw-text-to-code mapping for categorical columns, plus the label universe.
 
     ``load_csv`` builds it from the whole file, before any train/val/test
-    split, so a category seen only in test rows still gets a code and counts
-    in the arity (the plan is to take the arities from each cell's training
-    split instead). ``encode`` maps unknown raw values to the OOD code
-    ``n_cats`` for that column.
+    split, so a category seen only in test rows gets a code and counts in the
+    arity. ``encode`` maps unknown raw values to the OOD code ``n_cats`` for
+    that column.
     """
 
     mappings: tuple[dict, ...]
@@ -181,7 +180,7 @@ def load_csv(path, schema: FeatureSchema, category_map: CategoryMap | None = Non
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(utf8_lines(fh, path))
         try:
-            header = next(reader)
+            header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         repeated = [h for i, h in enumerate(header) if h in header[:i]]

@@ -14,19 +14,21 @@ randomness derives from the master seed via per-cell seed sequences, making
 the grid fully re-runnable cell by cell.
 
 Each command that needs the dataset materializes it once and hands it on:
-run_tasks (the one runner of cells, here or in forked workers), the JSD curve
-of verify and prepare_cell take it from their caller. Where the cells run in
-workers, run-grid builds it in the grid process (see in_grid_process), from
-which they fork. run-grid's workers also re-run the grid's first cell after
-their cells, and verify's check 2 compares that re-run with the saved cell;
-the verify command re-runs it itself. Otherwise verify and the plot data read a GridResult alone, whether
-it was run in this process or loaded from grid.json, which keeps it exactly.
+run_grid, run_cells (the one runner of cells, here or in a forked worker),
+the JSD curve of verify and prepare_cell take it from their caller. Where
+the cells run in workers, run-grid builds it in the grid process (see
+in_grid_process), from which they fork. run_grid re-runs the grid's first
+cell after its cells, and verify's check 2 compares that re-run with the
+saved cell; the verify command re-runs it through run_cells. Otherwise
+verify and the plot data read a GridResult alone, whether it was run in
+this process or loaded from grid.json, which keeps it exactly.
 """
 
 from __future__ import annotations
 
 import _signal  # the C module behind signal, loaded at interpreter start; signal adds ~40 kB of enums
 import functools
+import gc
 import io
 import os
 import pickle
@@ -238,94 +240,89 @@ def run_cell(
     return CellResult(alpha_index, rep, records, trace, counts.tolist(), watch.ms, density_profile(cell.models))
 
 
-def run_grid(config: ExperimentConfig, dataset: Dataset, replay: list) -> tuple[GridResult, list]:
-    """Every (alpha, rep) cell of the grid, run on dataset, in grid order; and
-    the outcome of each (alpha, rep) of replay, run again after the grid's
-    cells (see run_tasks): its CellResult, or the CellError of its failure.
-    run-grid replays the first cell for verify's check 2.
+def run_grid(config: ExperimentConfig, dataset: Dataset) -> tuple[GridResult, CellResult | CellError]:
+    """Every (alpha, rep) cell of the grid, run on dataset, in grid order, and
+    check 2's re-run of the first cell after them: its CellResult, or the
+    CellError of its failure.
+
+    worker_count(config) workers run them. One runs them here one after
+    another. More are forked, sharing dataset copy-on-write: worker w runs
+    cells w, w + workers, ..., and the last worker then re-runs cell 0. It
+    never runs cell 0 and holds no more cells than worker 0. Each cell draws
+    from its own seeds, so the outcomes are the same at any worker count.
 
     A failed grid cell raises the CellError of the earliest failing cell in
     grid order, the one a serial run raises.
     """
     cells = [(alpha, rep) for alpha in config.alphas for rep in range(config.reps)]
-    outcomes = run_tasks(config, dataset, cells, replay)
-    error = next((o for o in outcomes[:len(cells)] if not isinstance(o, CellResult)), None)
-    if error is not None:  # a CellError: a cell without outcome follows a failed one in its worker's list
-        raise error from error.cause
-    return GridResult(config, outcomes[:len(cells)]), outcomes[len(cells):]
-
-
-def run_tasks(config: ExperimentConfig, dataset: Dataset, cells: list, replay: list = ()) -> list:
-    """The outcome of each (alpha, rep) of cells and then of replay, run on
-    dataset: its CellResult, the CellError of its failure, or None when a task
-    before it in its worker's list failed, since a worker stops there.
-
-    worker_count(len(cells)) workers run them. One runs them here one after
-    another. More are forked, sharing dataset copy-on-write: worker w runs
-    cells w, w + workers, ..., and the last worker then runs replay. It never
-    runs cell 0 and holds no more cells than worker 0. Each cell draws from
-    its own seeds, so the outcomes are the same at any worker count.
-    """
-    tasks = [*cells, *replay]
-    workers = worker_count(len(cells))
+    tasks = [*cells, cells[0]]
+    workers = worker_count(config)
     if workers > 1:
         lists = [[*range(w, len(cells), workers)] for w in range(workers)]
-        lists[-1] += range(len(cells), len(tasks))
-        done = _run_in_workers(config, dataset, tasks, lists)
+        lists[-1].append(len(cells))
+        outcomes = _run_in_workers(config, dataset, tasks, lists)
     else:
-        done = _run_tasks(config, dataset, tasks, range(len(tasks)))
-    outcomes = [None] * len(tasks)
-    for i, outcome in done:
-        outcomes[i] = outcome
-    return outcomes
+        outcomes = dict(enumerate(run_cells(config, dataset, tasks)))
+    # a cell without outcome follows a failed one in its worker's list
+    error = next((o for o in map(outcomes.get, range(len(cells))) if not isinstance(o, CellResult)), None)
+    if error is not None:
+        raise error from error.cause
+    return GridResult(config, [outcomes[i] for i in range(len(cells))]), outcomes[len(cells)]
 
 
-def worker_count(cells: int) -> int:
-    """How many workers run a grid of cells: min(CPUs in this process's
+def worker_count(config: ExperimentConfig) -> int:
+    """How many workers run the grid of config: min(CPUs in this process's
     affinity mask, cells), or 1 where os.fork does not exist."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, cells) if hasattr(os, "fork") else 1
+    return min(cpus, len(config.alphas) * config.reps) if hasattr(os, "fork") else 1
 
 
-def _run_tasks(config: ExperimentConfig, dataset: Dataset, tasks: list, indices):
-    """(index, CellResult) of each task at indices, in order, up to the first
-    that fails, whose (index, CellError) ends them."""
-    for i in indices:
-        alpha, rep = tasks[i]
+def run_cells(config: ExperimentConfig, dataset: Dataset, cells: list):
+    """The CellResult of each (alpha, rep) of cells, run here in order, up to
+    the first that fails, whose CellError ends them."""
+    for alpha, rep in cells:
         try:
             outcome = run_cell(config, alpha, rep, dataset)
         except Exception as exc:
-            yield i, CellError(alpha, rep, exc)
+            yield CellError(alpha, rep, exc)
             return
-        yield i, outcome
+        yield outcome
 
 
-def _run_in_workers(config: ExperimentConfig, dataset: Dataset, tasks: list, lists: list) -> list[tuple]:
-    """The _run_tasks pairs of each of lists, run in its own forked worker
-    (see run_tasks and _forked), which reports each pair as its task ends.
-    A worker that ends before reporting its list, killed say, yields a
-    CellError of the first task of its list that it did not report. Left
-    early, this kills the workers still running."""
-    jobs = [functools.partial(_run_tasks, config, dataset, tasks, todo) for todo in lists]
-    outcomes = []
-    for todo, (pairs, code) in zip(lists, _forked(jobs, _signal.SIGKILL)):
-        outcomes += pairs
-        if code != 0 and len(pairs) < len(todo):
+def _run_in_workers(config: ExperimentConfig, dataset: Dataset, tasks: list, lists: list) -> dict:
+    """index -> outcome of each task at the indices of lists, each list run
+    by run_cells in its own forked worker (see run_grid and _forked), which
+    reports each outcome as its task ends. A worker that ends before
+    reporting its list, killed say, gives the first task of its list that it
+    did not report a CellError. Left early, this kills the workers still
+    running."""
+    jobs = [functools.partial(run_cells, config, dataset, [tasks[i] for i in todo]) for todo in lists]
+    outcomes = {}
+    for todo, (report, code) in zip(lists, _forked(jobs, _signal.SIGKILL)):
+        outcomes.update(zip(todo, report))
+        if code != 0 and len(report) < len(todo):
             cause = ChildProcessError(f"its worker process {_ended(code)} before reporting it")
-            outcomes.append((todo[len(pairs)], CellError(*tasks[todo[len(pairs)]], cause)))
+            outcomes[todo[len(report)]] = CellError(*tasks[todo[len(report)]], cause)
     return outcomes
 
 
-def in_grid_process(func, *args):
-    """func(*args), called in one forked child, the grid process, which
-    pickles back what func returns or the exception it raises; that
-    exception is raised here. Where the cells run in workers, run-grid runs
-    its checked grid so: the workers fork from the grid process, and this
-    process neither builds the dataset nor loads numpy.random. A grid
-    process that ends before reporting raises ChildProcessError, which says
-    how it ended. Left early, by KeyboardInterrupt say, this sends the grid
-    process SIGINT, on which it stops and reaps its workers, and reaps it."""
-    ((report, code),) = _forked([functools.partial(_returned, func, args)], _signal.SIGINT)
+def in_grid_process(func, config: ExperimentConfig):
+    """func(config), called in this process where the cells of config run in
+    it (see worker_count), else in one forked child, the grid process, which
+    pickles back what func returns or the exception it raises; that exception
+    is raised here. So where the cells run in workers, they fork from the
+    grid process, and this process neither builds the dataset nor loads
+    numpy.random. A grid process that ends before reporting raises
+    ChildProcessError, which says how it ended. Left early, by
+    KeyboardInterrupt say, this sends the grid process SIGINT, on which it
+    stops and reaps its workers, and reaps it."""
+    if worker_count(config) == 1:
+        return func(config)
+    # free the imports' cyclic garbage (pure-Python classes that datetime and
+    # pickle replace with C ones) before the grid process and its workers
+    # inherit it: where it lay moved their peak with any edit to the sources
+    gc.collect()
+    ((report, code),) = _forked([functools.partial(_returned, func, config)], _signal.SIGINT)
     if not report:
         raise ChildProcessError(f"the grid process {_ended(code)} before reporting its results")
     (outcome,) = report
@@ -334,10 +331,10 @@ def in_grid_process(func, *args):
     return outcome
 
 
-def _returned(func, args: tuple) -> list:
-    """[func(*args)], or [the exception it raised]: a grid process's report."""
+def _returned(func, config: ExperimentConfig) -> list:
+    """[func(config)], or [the exception it raised]: a grid process's report."""
     try:
-        return [func(*args)]
+        return [func(config)]
     except Exception as exc:  # raised again by in_grid_process
         return [exc]
 

@@ -75,8 +75,8 @@ def full_dataset(full_config):
 
 @pytest.fixture(scope="module")
 def full_run(full_config, full_dataset):
-    """The grid and the outcomes of its replay: the first cell, which check 2 compares."""
-    return run_grid(full_config, full_dataset, [(full_config.alphas[0], 0)])
+    """The grid and check 2's re-run of its first cell."""
+    return run_grid(full_config, full_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ def full_grid(full_run):
 
 @pytest.fixture(scope="module")
 def full_rerun(full_run):
-    return full_run[1][0]
+    return full_run[1]
 
 
 def test_criterion_01_icc_reference_values():
@@ -313,7 +313,7 @@ def test_criterion_10_verification_protocol(full_grid, full_rerun, full_dataset)
 
 
 def test_criterion_11_byte_identical_results(full_config, full_grid, tmp_path):
-    second, _ = run_grid(full_config, materialize_dataset(full_config), [])
+    second, _ = run_grid(full_config, materialize_dataset(full_config))
     p1 = tmp_path / "first.csv"
     p2 = tmp_path / "second.csv"
     emit_results_csv(full_grid, p1)
@@ -442,7 +442,7 @@ def test_one_and_nine_numerical_columns_match_the_pinned_results(n_numerical, tm
     path = tmp_path / "grid.cfg"
     path.write_text(_narrow_wide_config_text(n_numerical), encoding="utf-8")
     config = load_config(path)
-    result, _ = run_grid(config, materialize_dataset(config), [])
+    result, _ = run_grid(config, materialize_dataset(config))
     emit_results_csv(result, tmp_path / "results.csv")
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == NARROW_WIDE_SHA256[n_numerical]
 
@@ -470,7 +470,7 @@ def test_fifteen_classes_match_the_pinned_results_and_outcome(tmp_path):
     path.write_text(MANY_CLASS_CONFIG, encoding="utf-8")
     config = load_config(path)
     dataset = materialize_dataset(config)
-    result, (rerun,) = run_grid(config, dataset, [(config.alphas[0], 0)])
+    result, rerun = run_grid(config, dataset)
     emit_results_csv(result, tmp_path / "results.csv")
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == MANY_CLASS_SHA256
     report = verify(result, dataset, rerun)

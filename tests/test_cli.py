@@ -169,9 +169,9 @@ def _keep_grid(monkeypatch, path):
     real_run_grid = fednb.cli.run_grid
 
     def run_grid(*args):
-        outcomes = real_run_grid(*args)
-        path.write_bytes(pickle.dumps(outcomes[0]))  # the GridResult, beside the replayed cells
-        return outcomes
+        grid, rerun = real_run_grid(*args)
+        path.write_bytes(pickle.dumps(grid))
+        return grid, rerun
 
     monkeypatch.setattr(fednb.cli, "run_grid", run_grid)
 
@@ -627,6 +627,26 @@ def test_on_two_cpus_the_parent_runs_no_cell_and_the_last_worker_replays_cell_0(
     assert _no_child_process_left()
 
 
+def test_at_two_cells_the_last_worker_replays_cell_0_not_the_worker_of_cell_0(
+    cfg_path, tmp_path, monkeypatch, capsys, pin_cpus
+):
+    """Worker 0 runs cell 0 alone, worker 1 runs cell 1 and then the replay
+    of cell 0. Dealt round the two workers with the cells, the replay (task
+    2) would go to worker 0, which ran cell 0."""
+    pin_cpus(2)
+    _log_cells(monkeypatch, tmp_path / "cells")
+    argv = ["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--set", "alphas=0.1,1.0"]
+    with _deadline(120):
+        assert main(argv) == 0
+    logged = _logged(tmp_path / "cells")
+    assert sorted((a, rep) for _, a, rep in logged) == [("0.1", "0"), ("0.1", "0"), ("1.0", "0")]
+    (last,) = {pid for pid, a, _ in logged if a == "1.0"}
+    first = {pid for pid, a, _ in logged if a == "0.1"} - {last}
+    assert len(first) == 1 and str(os.getpid()) not in first | {last}
+    assert [a for pid, a, _ in logged if pid == last] == ["1.0", "0.1"]
+    assert _no_child_process_left()
+
+
 def _assert_check_2_alone_failed(out, grid_dir, message):
     """out holds grid_dir's outputs, but check 2 FAILs with message."""
     for name in ["results.csv", *(f"plots/{f}" for f in PLOT_FILES)]:
@@ -708,7 +728,7 @@ def test_no_worker_waits_on_a_full_pipe(cfg_path, tmp_path, pin_cpus, monkeypatc
 
     monkeypatch.setattr(fednb.experiment, "run_cell", cell)
     with _deadline(120):
-        grid, (rerun,) = fednb.experiment.run_grid(config, dataset, [(0.1, 0)])
+        grid, rerun = fednb.experiment.run_grid(config, dataset)
     assert grid.cells[1].density.shape == rerun.density.shape == (2, 2**14)
     assert _no_child_process_left()
 
@@ -861,7 +881,7 @@ def test_a_sigint_while_the_workers_are_forked_stops_and_reaps_them(cfg_path, mo
     try:
         t0 = time.perf_counter()
         with _deadline(120), pytest.raises(KeyboardInterrupt):
-            fednb.experiment.run_grid(config, dataset, [])
+            fednb.experiment.run_grid(config, dataset)
     finally:
         _interrupt_at_fork.clear()
         signal.signal(signal.SIGINT, old)
@@ -1642,6 +1662,26 @@ def test_run_grid_releases_the_freed_heap_once_after_the_cells(cfg_path, tmp_pat
     # verify, emit-plots and partition release nothing
     assert main(["verify", "--results", str(tmp_path / "out")]) == 0
     assert calls == ["run_grid", ("malloc_trim", 0)]
+
+
+@pytest.mark.parametrize("cpus, want", [(1, []), (2, ["collect", "fork"])])
+def test_run_grid_collects_garbage_once_before_it_forks_the_grid_process(
+    cfg_path, tmp_path, monkeypatch, capsys, pin_cpus, cpus, want
+):
+    """What this process calls: a child's calls go to its own copy of calls.
+    One CPU forks nothing, so nothing inherits the imports' garbage."""
+    pin_cpus(cpus)
+    calls, real_fork = [], os.fork
+
+    def fork():
+        calls.append("fork")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(fednb.experiment, "gc", types.SimpleNamespace(collect=lambda: calls.append("collect")))
+    with _deadline(120):
+        assert main(["run-grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == want
 
 
 def test_run_grid_runs_where_the_c_library_has_no_malloc_trim(cfg_path, tmp_path, monkeypatch, capsys):

@@ -87,6 +87,24 @@ def test_header_repeating_a_column_is_a_schema_error(tmp_path):
         load_csv(p, SCHEMA)
 
 
+@pytest.mark.parametrize("header", [" proto, dur, label", "proto , dur,label "], ids=["after", "around"])
+def test_header_names_match_after_stripping_their_spaces(tmp_path, header):
+    """CIC-IDS2017's headers put a space after each comma."""
+    rows = ["tcp,1.0,a", "udp,2.0,b", "tcp,3.0,a"]
+    want, want_map = load_csv(_write(tmp_path, rows), SCHEMA)
+    got, got_map = load_csv(_write(tmp_path, rows, header=header), SCHEMA)
+    assert got_map == want_map and got.schema == want.schema and got.n_cats == want.n_cats
+    for name in ("categorical", "numerical", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_a_header_name_repeated_after_stripping_is_a_schema_error(tmp_path):
+    p = _write(tmp_path, ["tcp,1.0,2.0,a", "udp,3.0,4.0,b"], header="proto,dur, dur,label")
+    with pytest.raises(SchemaError, match="repeats column 'dur'"):
+        load_csv(p, SCHEMA)
+
+
 def test_unknown_label_with_fixed_map(tmp_path):
     p = _write(tmp_path, ["tcp,1.0,a", "udp,2.0,b", "udp,2.5,b"])
     _, cmap = load_csv(p, SCHEMA)

@@ -18,8 +18,8 @@ from fednb.experiment import (
     materialize_dataset,
     prepare_cell,
     run_cell,
+    run_cells,
     run_grid,
-    run_tasks,
     verify,
 )
 import fednb.cli
@@ -60,8 +60,8 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def grid_run(dataset):
-    """The grid and the outcomes of its replay: the first cell, which check 2 compares."""
-    return run_grid(small_config(), dataset, [(0.1, 0)])
+    """The grid and check 2's re-run of its first cell."""
+    return run_grid(small_config(), dataset)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def grid(grid_run):
 
 @pytest.fixture(scope="module")
 def rerun(grid_run):
-    return grid_run[1][0]
+    return grid_run[1]
 
 
 def test_config_validation():
@@ -294,7 +294,7 @@ def test_verify_names_a_rerun_that_returns_fewer_records(grid, dataset, monkeypa
         return cell
 
     monkeypatch.setattr(fednb.experiment, "run_cell", drop_last)
-    (rerun,) = run_tasks(grid.config, dataset, [(0.1, 0)])
+    (rerun,) = run_cells(grid.config, dataset, [(0.1, 0)])
     report = verify(grid, dataset, rerun)
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]
     assert failed == [("seed_reproducibility", "first cell re-run diverges at len(cells[0].records) = 3, recorded 4")]
@@ -446,7 +446,7 @@ def test_emit_plot_data_files(tmp_path, grid):
 def test_proposal_subset_runs():
     cfg = small_config(proposals=("B", "E"), alphas=(0.5,), reps=1)
     dataset = materialize_dataset(cfg)
-    result, _ = run_grid(cfg, dataset, [])
+    result, _ = run_grid(cfg, dataset)
     assert [r.proposal for *_, r in result.rows] == ["B", "E"]
     assert [cell.trace for cell in result.cells] == [None]
     assert prepare_cell(cfg, 0, 0, dataset).val is None  # only proposal A reads it
