@@ -139,27 +139,32 @@ class PreparedCell:
 def prepare_cell(
     config: ExperimentConfig, alpha_index: int, rep: int, dataset: Dataset
 ) -> PreparedCell:
-    """Split, partition the training rows, degrade (synthetic sources only),
-    fit one local model per node and proposal C's pooled model: everything a
+    """Split, fit proposal C's pooled model from the training rows'
+    positions (no copy of those rows), partition the training rows, degrade
+    (synthetic sources only) and fit one local model per node: everything a
     cell does before weighting.
 
-    The training split stays a row-index array. Each node's rows are gathered
-    from dataset when the node is fitted (by degrade_copy, which adds a synthetic
-    node's noise into the gathered copy) and freed before the next node's; its
-    index arrays are freed once its rows are gathered. The pooled rows are gathered for C's
-    fit alone, and the validation and test rows only after it.
+    The splits stay row-index arrays. The nodes' partition indices are mapped
+    to dataset positions, and the training rows freed, before any node is
+    gathered. Each node's rows are gathered when it is fitted (by degrade_copy,
+    which adds a synthetic node's noise into the gathered copy) and freed, with
+    its positions, before the next node's; the validation and test rows last.
     """
     watch = Stopwatch()
     split_seed, part_seed, degr_seed, opt_seed = _cell_seeds(config, alpha_index, rep)
     train_rows, val_rows, test_rows = stratified_split(dataset.labels, config.split_fracs, split_seed)
     watch.lap("split")
+    pooled = fit_hybrid(dataset, train_rows) if "C" in config.proposals else None
+    watch.lap("fit")
     part = dirichlet_partition(dataset.labels.take(train_rows), config.k, config.alphas[alpha_index], part_seed)
+    nodes = part.node_indices  # mapped to dataset positions, emptied as the nodes are gathered
+    for node, idx in enumerate(nodes):
+        nodes[node] = train_rows.take(idx)
+    del train_rows, idx
     watch.lap("partition")
-    nodes = part.node_indices  # emptied as the nodes are gathered
     models = []
     for node in range(config.k):
-        rows = train_rows.take(nodes[node])
-        nodes[node] = None
+        rows, nodes[node] = nodes[node], None
         noise = config.source.node_noise[node] if isinstance(config.source, SynthSpec) else 0.0
         local = degrade_copy(dataset, rows, noise, degr_seed + node)
         del rows
@@ -167,8 +172,6 @@ def prepare_cell(
         models.append(fit_hybrid(local))
         del local
         watch.lap("fit")
-    pooled = fit_hybrid(dataset.subset(train_rows)) if "C" in config.proposals else None
-    watch.lap("fit")
     # only proposal A reads the validation rows
     val = dataset.subset(val_rows) if "A" in config.proposals else None
     test = dataset.subset(test_rows)

@@ -46,27 +46,34 @@ class HybridModel:
     log_prior: np.ndarray  # (n_classes,), -inf for absent classes
 
 
-def fit_hybrid(train: Dataset) -> HybridModel:
-    if train.n_rows == 0:
+def fit_hybrid(data: Dataset, rows=None) -> HybridModel:
+    """The model of the rows of data at the integer positions rows (see
+    data.row_indices), or of every row for None. Each row block is gathered
+    through rows as it is read, so the fit of a dataset's rows equals that of
+    data.subset(rows) bit for bit without holding such a copy."""
+    rows = None if rows is None else row_indices(rows)
+    n = data.n_rows if rows is None else len(rows)
+    if n == 0:
         raise FitError("cannot fit on an empty dataset")
-    n, n_classes, labels = train.n_rows, train.schema.n_classes, train.labels
+    n_classes, labels = data.schema.n_classes, data.labels
 
     # the rows of each class, and of each (class, code) of each column, counted
     # one row block at a time (bincount casts its input to intp)
     class_counts = np.zeros(n_classes, dtype=np.int64)
-    counts = [np.zeros((n_classes, m + 1), dtype=np.int64) for m in train.n_cats]
+    counts = [np.zeros((n_classes, m + 1), dtype=np.int64) for m in data.n_cats]
     for lo, hi in row_blocks(n):
-        keys = labels[lo:hi].astype(np.intp)
+        keys = _block(labels, rows, lo, hi).astype(np.intp)
         class_counts += np.bincount(keys, minlength=n_classes)
-        for j, m in enumerate(train.n_cats):
-            cell = keys * (m + 1) + train.categorical[lo:hi, j]
+        codes = _block(data.categorical, rows, lo, hi)
+        for j, m in enumerate(data.n_cats):
+            cell = keys * (m + 1) + codes[:, j]
             counts[j] += np.bincount(cell, minlength=n_classes * (m + 1)).reshape(n_classes, m + 1)
     classes = np.flatnonzero(class_counts)
     log_prior = np.full(n_classes, NEG_INF)
     for c in classes:
         log_prior[c] = np.log(class_counts[c] / n)
     cat_log_prob = []
-    for cnt, m in zip(counts, train.n_cats):
+    for cnt, m in zip(counts, data.n_cats):
         table = np.full((n_classes, m + 1), 1.0 / (m + 1))
         for c in classes:
             table[c] = (cnt[c] + SMOOTHING) / (class_counts[c] + SMOOTHING * (m + 1))
@@ -75,11 +82,11 @@ def fit_hybrid(train: Dataset) -> HybridModel:
     # the Gaussians on the values standardized by the columns' mean and spread;
     # the class rows are set one class at a time, since a fancy-index assignment
     # touched numpy code pages that no other step reads (ROADMAP item 10)
-    num = train.numerical
+    num = data.numerical
     f = num.shape[1]
-    mean, var, _, _ = column_mean_var(num, np.zeros((f, 1)), np.ones((f, 1)), labels, [])
+    mean, var, _, _ = column_mean_var(num, rows, np.zeros((f, 1)), np.ones((f, 1)), labels, [])
     scale = _spread(var)
-    _, var, class_mean, class_var = column_mean_var(num, mean[:, None], scale[:, None], labels, classes.tolist())
+    _, var, class_mean, class_var = column_mean_var(num, rows, mean[:, None], scale[:, None], labels, classes.tolist())
     floor = 1e-9 * np.maximum(var, 1.0)
     gauss_mean, gauss_var = np.zeros((n_classes, f)), np.ones((n_classes, f))
     for i, c in enumerate(classes):
@@ -89,38 +96,47 @@ def fit_hybrid(train: Dataset) -> HybridModel:
     return HybridModel(mean, scale, cat_log_prob, gauss_mean, gauss_var, log_prior)
 
 
-def column_mean_var(x: np.ndarray, shift: np.ndarray, scale: np.ndarray, labels: np.ndarray, classes: list):
+def column_mean_var(x: np.ndarray, rows, shift: np.ndarray, scale: np.ndarray, labels: np.ndarray, classes: list):
     """(mean, var, class_mean, class_var): the column means and population
-    variances of z = (x - shift) / scale, for an (n >= 1, F) array x and (F, 1)
-    arrays shift and scale, over all rows, (F,) each, and over the rows of each
-    class in classes (ints present in labels), (len(classes), F) each. They are
-    np.mean's and np.var's floats (axis 0) for a C-ordered z, by np.var's own
-    steps (sum, divide by the count; square z - mean, sum, divide), each sum a
-    row_order_sum over the row blocks of z, which is made a block at a time."""
-    n, f = x.shape
+    variances of z = (x[rows] - shift) / scale, for an (N, F) array x, an
+    int64 array rows of n >= 1 positions in x and labels (None: every row,
+    n = N) and (F, 1) arrays shift and scale, over all n rows, (F,) each, and
+    over the rows of each class in classes (ints present in labels[rows]),
+    (len(classes), F) each. They are np.mean's and np.var's floats (axis 0)
+    for a C-ordered z, by np.var's own steps (sum, divide by the count;
+    square z - mean, sum, divide), each sum a row_order_sum over the row
+    blocks of z, which is made a block at a time from the block of x, and
+    of labels, gathered through rows."""
+    n, f = x.shape[0] if rows is None else len(rows), x.shape[1]
     means = None  # (overall, per class) after the first pass
     for _ in range(2):
         total, by_class, counts = np.zeros(f), np.zeros((len(classes), f)), np.zeros(len(classes), np.int64)
         for lo, hi in row_blocks(n, f == 1):
-            z = np.subtract(x[lo:hi].T, shift, out=np.empty((f, hi - lo)))
+            z = np.subtract(_block(x, rows, lo, hi).T, shift, out=np.empty((f, hi - lo)))
             z /= scale
+            block_labels = _block(labels, rows, lo, hi) if classes else None
             for i, c in enumerate(classes):  # int classes keep the comparison in the labels' dtype
                 # the split and the partition keep each class's rows together, so a
                 # block often holds one class: it is copied, faster than a compress
-                rows = labels[lo:hi] == c
-                k = np.count_nonzero(rows)
+                in_class = block_labels == c
+                k = np.count_nonzero(in_class)
                 if not k:
                     continue
                 counts[i] += k
-                zc = z.copy() if k == len(rows) else z.compress(rows, axis=1)
+                zc = z.copy() if k == len(in_class) else z.compress(in_class, axis=1)
                 by_class[i] = row_order_sum(_squared_deviations(zc, means[1][i] if means else None), by_class[i])
                 del zc  # freed before the next class's is made
             total = row_order_sum(_squared_deviations(z, means[0] if means else None), total)
-            del z  # and this block's before the next block's
+            del z, block_labels  # and this block's before the next block's
         moments = total / n, by_class / counts[:, None]
         if means is not None:
             return means[0], moments[0], means[1], moments[1]
         means = moments
+
+
+def _block(a: np.ndarray, rows, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi of a, or with rows the rows of a at rows[lo:hi]."""
+    return a[lo:hi] if rows is None else a.take(rows[lo:hi], axis=0)
 
 
 def _squared_deviations(block: np.ndarray, center: np.ndarray | None) -> np.ndarray:
@@ -167,7 +183,7 @@ def degrade_copy(dataset: Dataset, rows, noise: float, seed: int) -> Dataset:
     if num.size:  # no rows or no numerical columns: nothing to perturb
         # noise times the floats of .std(axis=0) for a C-ordered num, or 1.0 where that is 0
         f = num.shape[1]
-        scale = noise * _spread(column_mean_var(num, np.zeros((f, 1)), np.ones((f, 1)), labels, [])[1])
+        scale = noise * _spread(column_mean_var(num, None, np.zeros((f, 1)), np.ones((f, 1)), labels, [])[1])
         for lo, hi in row_blocks(n):
             # num + rng.normal(0.0, noise * std, num.shape), a block at a time:
             # normal draws 0.0 + scale * z, and IEEE + and * commute

@@ -33,20 +33,30 @@ def stratified_split(labels, fracs, seed: int) -> tuple[np.ndarray, np.ndarray, 
     deterministic in seed: three int64 row-index arrays, each class's rows
     in its shuffled order, classes ascending. Callers gather the rows they
     read, when they read them.
+
+    The outputs are sized from the class counts, and each class's rows are
+    shuffled and written into them before the next class's are found, so
+    beside the outputs the split holds one class's rows and one mask.
     """
+    labels = np.asarray(labels)
+    sizes = class_sizes(labels)
+    classes = np.flatnonzero(sizes)
+    for cls in classes:
+        if sizes[cls] < 3:
+            raise StratificationError(f"class {cls} has only {sizes[cls]} samples")
+    counts = np.array([largest_remainder(int(sizes[cls]), fracs) for cls in classes], dtype=np.int64).reshape(-1, 3)
+    ends = counts.cumsum(axis=0)  # each class's rows of a split end where the next class's start
+    parts = tuple(np.empty(int(total), dtype=np.int64) for total in counts.sum(axis=0))
     rng = np.random.default_rng(seed)
-    parts: list[list[np.ndarray]] = [[], [], []]
-    # an absent class would shuffle an empty array, which draws nothing
-    for cls, idx in class_rows(labels).items():
-        if len(idx) < 3:
-            raise StratificationError(f"class {cls} has only {len(idx)} samples")
+    for i, cls in enumerate(classes):
+        idx = np.flatnonzero(labels == int(cls))
         rng.shuffle(idx)
-        counts = largest_remainder(len(idx), fracs)
         start = 0
         for s in range(3):
-            parts[s].append(idx[start : start + counts[s]])
-            start += counts[s]
-    return tuple(np.concatenate(p) if p else np.array([], dtype=np.int64) for p in parts)
+            parts[s][ends[i, s] - counts[i, s] : ends[i, s]] = idx[start : start + counts[i, s]]
+            start += counts[i, s]
+        del idx  # freed before the next class's rows are found
+    return parts
 
 
 @dataclass
@@ -58,14 +68,19 @@ class Partition:
     counts: np.ndarray  # (k, max label + 1) int64
 
 
+def class_sizes(labels) -> np.ndarray:
+    """np.bincount(labels): the rows of each class up to the largest label."""
+    try:
+        return np.bincount(labels)
+    except (TypeError, ValueError):  # floats, uint64; negative values
+        raise PartitionError("labels must be non-negative integers") from None
+
+
 def class_rows(labels) -> dict[int, np.ndarray]:
     """Ascending row indices of each class present in labels, by ascending class."""
     labels = np.asarray(labels)  # any integer dtype, not copied
-    try:  # the classes present, ascending; a tenth of np.unique's cost on 200k labels
-        classes = np.flatnonzero(np.bincount(labels))
-    except (TypeError, ValueError):  # floats, uint64; negative values
-        raise PartitionError("labels must be non-negative integers") from None
-    return {int(cls): np.flatnonzero(labels == cls) for cls in classes}
+    # the classes present, ascending; a tenth of np.unique's cost on 200k labels
+    return {int(cls): np.flatnonzero(labels == cls) for cls in np.flatnonzero(class_sizes(labels))}
 
 
 def dirichlet_partition(labels, k: int, alpha: float, seed: int) -> Partition:

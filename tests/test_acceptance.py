@@ -447,6 +447,22 @@ def test_one_and_nine_numerical_columns_match_the_pinned_results(n_numerical, tm
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == NARROW_WIDE_SHA256[n_numerical]
 
 
+# results.csv sha256 of _narrow_wide_config_text(40), recorded before proposal
+# C's model was fitted through the training rows' positions. The paper's
+# datasets have about 38 to 80 numerical columns; this pins the fit's row-order
+# column sums and the pairwise feature sums at that width end to end.
+FORTY_COLUMNS_SHA256 = "7e894ba6e564613b40fe747cfbcb027b08e87a1872048b2d3ce8d4506762f677"
+
+
+def test_forty_numerical_columns_match_the_pinned_results(tmp_path):
+    path = tmp_path / "grid.cfg"
+    path.write_text(_narrow_wide_config_text(40), encoding="utf-8")
+    config = load_config(path)
+    result, _ = run_grid(config, materialize_dataset(config))
+    emit_results_csv(result, tmp_path / "results.csv")
+    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == FORTY_COLUMNS_SHA256
+
+
 # results.csv sha256 of MANY_CLASS_CONFIG, recorded before the validation and
 # test ANLL shared one row-blocked kernel. Every reference workload is binary;
 # from 8 classes on numpy sums a one-row slice's class axis pairwise, so this

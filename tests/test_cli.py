@@ -982,9 +982,9 @@ def test_each_command_materializes_its_dataset_once(cfg_path, grid_dir, tmp_path
             fh.write(f"{os.getpid()}\n")
         return real(config)
 
-    def counting_fit(train):
-        fits.append(train.n_rows)
-        return real_fit(train)
+    def counting_fit(data, rows=None):
+        fits.append(data.n_rows if rows is None else len(rows))
+        return real_fit(data, rows)
 
     monkeypatch.setattr(fednb.cli, "materialize_dataset", counting)
     monkeypatch.setattr(fednb.experiment, "materialize_dataset", counting)

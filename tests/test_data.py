@@ -204,13 +204,20 @@ def test_column_sums_equal_the_axis0_reduction_bitwise(f, monkeypatch):
 
 def _assert_column_moments(x, shift, scale, labels):
     """column_mean_var's floats are numpy's of a C-ordered z, whatever x's
-    layout (numpy sums a column-major array pairwise)."""
+    layout (numpy sums a column-major array pairwise), for x itself and for
+    x's rows read through shuffled positions in a larger array."""
     z = np.ascontiguousarray((x - shift.T) / scale.T)
     classes = np.unique(labels).tolist()
     by_class = [(z[labels == c].mean(axis=0), z[labels == c].var(axis=0)) for c in classes]
-    want = z.mean(axis=0), z.var(axis=0), *(np.array(m).reshape(len(classes), -1) for m in zip(*by_class))
-    got = column_mean_var(x, shift, scale, labels, classes)
-    assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (x.shape, fednb.data.ROW_BLOCK)
+    want = [b.tobytes() for b in (z.mean(axis=0), z.var(axis=0), *(np.array(m).reshape(len(classes), -1) for m in zip(*by_class)))]
+    got = column_mean_var(x, None, shift, scale, labels, classes)
+    assert [a.tobytes() for a in got] == want, (x.shape, fednb.data.ROW_BLOCK)
+    n = len(x)
+    rows = np.random.default_rng(n).permutation(n + 2)[:n]
+    pool, pool_labels = np.zeros((n + 2, x.shape[1])), np.zeros(n + 2, labels.dtype)
+    pool[rows], pool_labels[rows] = x, labels
+    got = column_mean_var(pool, rows, shift, scale, pool_labels, classes)
+    assert [a.tobytes() for a in got] == want, (x.shape, fednb.data.ROW_BLOCK)
 
 
 def _degraded_numerical(ds, noise, seed):

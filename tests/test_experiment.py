@@ -453,10 +453,11 @@ def test_proposal_subset_runs():
 
 
 def test_prepare_cell_fits_proposal_c_on_the_training_split_before_the_test_rows(monkeypatch):
-    """C's pooled rows are gathered, fitted and freed before the validation
-    and test rows are gathered, so those are not alive during C's fit."""
+    """C's model is fitted from the training rows' positions, before any
+    node, validation or test rows are gathered, and no gather of all the
+    training rows happens."""
     splits, steps = [], []
-    real_subset, real_fit = Dataset.subset, fednb.experiment.fit_hybrid
+    real_subset, real_fit, real_degrade = Dataset.subset, fednb.experiment.fit_hybrid, fednb.experiment.degrade_copy
 
     def split(*args):
         splits.append(stratified_split(*args))
@@ -466,20 +467,28 @@ def test_prepare_cell_fits_proposal_c_on_the_training_split_before_the_test_rows
         steps.append(("gather", len(rows)))
         return real_subset(data, rows)
 
-    def fit(train):
-        steps.append(("fit", train.n_rows))
-        return real_fit(train)
+    def degrade(data, rows, noise, seed):
+        steps.append(("node", len(rows)))
+        return real_degrade(data, rows, noise, seed)
+
+    def fit(data, rows=None):
+        steps.append(("fit", data if rows is None else rows))
+        return real_fit(data, rows)
 
     monkeypatch.setattr(fednb.experiment, "stratified_split", split)
     cfg = small_config()
     dataset = materialize_dataset(cfg)
     monkeypatch.setattr(Dataset, "subset", subset)
+    monkeypatch.setattr(fednb.experiment, "degrade_copy", degrade)
     monkeypatch.setattr(fednb.experiment, "fit_hybrid", fit)
     cell = prepare_cell(cfg, 0, 1, dataset)
     monkeypatch.undo()
     (train_rows, val_rows, test_rows), = splits
-    n_train = len(train_rows)
-    assert steps[-4:] == [("gather", n_train), ("fit", n_train), ("gather", len(val_rows)), ("gather", len(test_rows))]
+    (step, fitted), *later = steps
+    assert step == "fit" and fitted is train_rows  # the first step, from the split's own array
+    assert [s for s, _ in later].count("node") == cfg.k
+    assert later[-2:] == [("gather", len(val_rows)), ("gather", len(test_rows))]
+    assert ("gather", len(train_rows)) not in steps
     assert pickle.dumps(cell.pooled) == pickle.dumps(fit_hybrid(dataset.subset(train_rows)))  # bit for bit
     assert np.array_equal(cell.counts.sum(axis=0), np.bincount(dataset.labels[train_rows], minlength=2))
     assert cell.test.labels.tobytes() == dataset.labels[test_rows].tobytes()

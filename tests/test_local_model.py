@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,58 @@ def test_column_at_a_time_fit_equals_the_whole_matrix_fit_bitwise(f, zero_spread
     numpy_fit = _fit_by_numpy_reductions(train)
     for name in ("num_mean", "num_scale", "gauss_mean", "gauss_var", "log_prior"):
         assert got[name].tobytes() == numpy_fit[name].tobytes(), name
+
+
+def _fit_case(f, n_classes, n, seed):
+    """n rows: two categorical columns, f numerical columns on scales from
+    1e-2 to 1e6, and uint8 labels of n_classes classes."""
+    rng = np.random.default_rng(seed)
+    num = rng.normal(size=(n, f)) * 10.0 ** rng.uniform(-2, 6, f) + rng.uniform(-3, 3, f)
+    cat = rng.integers(0, 4, size=(n, 2)).astype(np.uint8)
+    return make_dataset(cat, num, rng.integers(0, n_classes, n).astype(np.uint8), n_classes, (3, 3))
+
+
+@pytest.mark.parametrize("n_classes", [2, 10])
+@pytest.mark.parametrize("f", [1, 3, 8, 40])
+def test_fit_from_row_indices_equals_the_fit_of_the_gathered_rows_bitwise(f, n_classes):
+    """n below, equal to and not a multiple of the block, one past a block
+    (whose last block of one row joins the one before it) too, through
+    shuffled positions."""
+    block = fednb.data.ROW_BLOCK
+    data = _fit_case(f, n_classes, 2 * block + 500, seed=f + n_classes)
+    rng = np.random.default_rng(f)
+    for n in (100, block, block + 1, 2 * block + 3):
+        rows = rng.permutation(data.n_rows)[:n]
+        got, want = _model_arrays(fit_hybrid(data, rows)), _model_arrays(fit_hybrid(data.subset(rows)))
+        assert got.keys() == want.keys()
+        for name, g in got.items():
+            w = want[name]
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), (n, name)
+    for empty in ([], np.array([], dtype=np.int64)):
+        with pytest.raises(FitError):
+            fit_hybrid(data, empty)
+
+
+@pytest.mark.parametrize("f", [3, 8])
+def test_fit_from_row_indices_peaks_a_few_row_blocks_above_its_model(f):
+    """The rows are gathered a block at a time, so above its output the fit
+    holds a few blocks of f + 1 eight-byte columns at any n: here under half
+    of what a gather of all the rows' numerical columns alone takes. (At
+    f = 1 numpy sums the one column whole, so z has n rows.)"""
+    block = fednb.data.ROW_BLOCK
+    data = _fit_case(f, 10, 12 * block + 7, seed=f)
+    rows = np.random.default_rng(f).permutation(data.n_rows)[: 12 * block]
+    fit_hybrid(data, rows[:100])  # numpy's lazy imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        model = fit_hybrid(data, rows)
+        kept, peak = tracemalloc.get_traced_memory()  # kept: the model's arrays
+    finally:
+        tracemalloc.stop()
+    bound = 3 * 8 * block * (f + 1)
+    assert peak - kept < bound, (peak - kept) / (8 * block * (f + 1))
+    assert bound < data.numerical.take(rows, axis=0).nbytes / 2
+    assert model.gauss_mean.shape == (10, f)
 
 
 @pytest.mark.parametrize("f", [*range(1, 41), 130])

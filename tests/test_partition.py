@@ -79,6 +79,94 @@ def test_split_skips_an_absent_class_without_changing_a_draw(seed):
         assert g.dtype == w.dtype == np.int64 and g.tobytes() == w.tobytes()
 
 
+def _concatenating_split(labels, fracs, seed):
+    """stratified_split as it was before it wrote into outputs sized from the
+    class counts: every class's shuffled rows alive at once, then concatenated."""
+    labels = np.asarray(labels)
+    try:
+        classes = np.flatnonzero(np.bincount(labels))
+    except (TypeError, ValueError):
+        raise PartitionError("labels must be non-negative integers") from None
+    rng = np.random.default_rng(seed)
+    parts = [[], [], []]
+    for cls in classes:
+        idx = np.flatnonzero(labels == cls)
+        if len(idx) < 3:
+            raise StratificationError(f"class {int(cls)} has only {len(idx)} samples")
+        rng.shuffle(idx)
+        counts = largest_remainder(len(idx), fracs)
+        start = 0
+        for s in range(3):
+            parts[s].append(idx[start : start + counts[s]])
+            start += counts[s]
+    return tuple(np.concatenate(p) if p else np.array([], dtype=np.int64) for p in parts)
+
+
+def _split_outcome(split, labels, fracs, seed):
+    """The dtype and bytes of each of split's three arrays, or its error's type and text."""
+    try:
+        return [(part.dtype, part.tobytes()) for part in split(labels, fracs, seed)]
+    except (PartitionError, StratificationError) as exc:
+        return type(exc), str(exc)
+
+
+def _labels_of(n_classes, n, seed, absent=()):
+    labels = np.random.default_rng(seed).integers(0, n_classes, n).astype(np.uint8)
+    for cls in absent:
+        labels[labels == cls] = cls + 1
+    return labels
+
+
+SPLIT_CASES = {
+    "uint8 labels, class 1 absent": lambda seed: _labels_of(4, 3000, seed, absent=(1,)),
+    "fifteen classes": lambda seed: _labels_of(15, 3000, seed),
+    "empty uint8 labels": lambda seed: np.array([], dtype=np.uint8),
+    "empty list": lambda seed: [],
+    "class 2 with two rows": lambda seed: np.r_[_labels_of(2, 300, seed), 2, 2, 3],
+    "negative labels": lambda seed: np.array([0, 1, -1] * 5),
+    "float labels": lambda seed: np.array([0.0, 1.0] * 5),
+}
+NOT_INTEGERS = (PartitionError, "labels must be non-negative integers")
+SPLIT_ERRORS = {
+    "empty list": NOT_INTEGERS,  # [] is a float64 array
+    "class 2 with two rows": (StratificationError, "class 2 has only 2 samples"),
+    "negative labels": NOT_INTEGERS,
+    "float labels": NOT_INTEGERS,
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_equals_the_concatenating_split(case):
+    """The same draws in the same order, the same arrays bit for bit, and
+    the same error with the same text."""
+    for seed in range(4):
+        labels = SPLIT_CASES[case](seed)
+        for fracs in (FRACS, (0.5, 0.3, 0.2), (0.7, 0.15, 0.15)):
+            want = _split_outcome(_concatenating_split, labels, fracs, seed)
+            assert _split_outcome(stratified_split, labels, fracs, seed) == want, (case, seed, fracs)
+    if case in SPLIT_ERRORS:
+        assert want == SPLIT_ERRORS[case]
+    else:
+        assert sum(len(rows) for _, rows in want) == 8 * len(labels)  # int64 positions of every row
+
+
+@pytest.mark.parametrize("n_classes, weights", [(2, (0.5, 0.5)), (2, (0.7, 0.3)), (15, None)])
+def test_split_peaks_one_class_and_one_mask_above_its_outputs(n_classes, weights):
+    """Beside its three outputs the split holds one class's int64 rows and
+    the bool mask that finds them, plus a few kB (the generator and the class
+    counts); the concatenating split held every class's rows beside them."""
+    labels = np.random.default_rng(1).choice(n_classes, 200_000, p=weights).astype(np.uint8)
+    stratified_split(labels[:100], FRACS, 0)  # numpy's lazy imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        parts = stratified_split(labels, FRACS, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    above = peak - sum(part.nbytes for part in parts)
+    assert above < 8 * np.bincount(labels).max() + len(labels) + 8192, above
+
+
 def test_split_config_validation():
     # ExperimentConfig checks the fractions stratified_split takes
     base = dict(source=SynthSpec(100, 2, 1, 1, (0.0,)), profiles=(NodeProfile("n", 3, 0.5, 0.5, 5.0),),
