@@ -9,6 +9,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +63,19 @@ PROFILES = (
 
 def _report(num, desc):
     print(f"criterion {num} PASS: {desc}")
+
+
+def _platform() -> str:
+    """numpy's version and the code its float64 exp and log dispatch to: the
+    pinned floats were recorded on numpy 2.4.6 at X86_V4 (AVX-512), and the
+    last bits of exp and log differ between dispatch targets."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy before 2.0 has no dispatch introspection
+        return f"numpy {np.__version__}, float64 exp/log dispatch unknown"
+    info = opt_func_info(func_name="^exp$|^log$", signature="float64")
+    targets = ", ".join(f"{name} {sig['current']}" for name, sigs in info.items() for sig in sigs.values())
+    return f"numpy {np.__version__}, float64 dispatch: {targets}"
 
 
 @pytest.fixture(scope="module")
@@ -325,7 +340,13 @@ def test_criterion_11_byte_identical_results(full_config, full_grid, tmp_path):
 def test_results_csv_matches_reference_sha256(full_grid, tmp_path):
     path = tmp_path / "results.csv"
     emit_results_csv(full_grid, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == RESULTS_SHA256
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RESULTS_SHA256, _platform()
+
+
+def test_pin_failures_name_numpy_and_its_exp_log_dispatch(monkeypatch):
+    assert re.fullmatch(rf"numpy {re.escape(np.__version__)}, float64 dispatch: exp \w+, log \w+", _platform())
+    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)  # as on a numpy without the module
+    assert _platform() == f"numpy {np.__version__}, float64 exp/log dispatch unknown"
 
 
 def test_optimizer_traces_match_the_pinned_floats(full_config, full_grid):
@@ -342,7 +363,7 @@ def _assert_matches_the_pin(trace, want):
     also holds the trace-level total of evaluations that grid.json once had."""
     assert want.pop("evaluations") == sum(s["evaluations"] for s in want["starts"])
     # a JSON round trip reproduces each float exactly, so == compares bits
-    assert json.loads(json.dumps(dataclasses.asdict(trace), default=np.ndarray.tolist)) == want
+    assert json.loads(json.dumps(dataclasses.asdict(trace), default=np.ndarray.tolist)) == want, _platform()
 
 
 def _wide_config_text(alphas=(WIDE_CELL[0],), n_classes=2) -> str:
@@ -393,7 +414,7 @@ JSD_CURVE_HEX = {
 
 def test_jsd_curve_of_the_shipped_config_matches_the_pinned_floats(full_config, full_dataset):
     curve = _jsd_curve(full_config, full_dataset)
-    assert [float(x).hex() for x in curve] == JSD_CURVE_HEX["synth"]
+    assert [float(x).hex() for x in curve] == JSD_CURVE_HEX["synth"], _platform()
 
 
 def test_jsd_curve_with_retried_partitions_matches_the_pinned_floats(tmp_path, monkeypatch):
@@ -410,7 +431,7 @@ def test_jsd_curve_with_retried_partitions_matches_the_pinned_floats(tmp_path, m
 
     monkeypatch.setattr(fednb.partition, "largest_remainder", counted)
     curve = _jsd_curve(config, dataset)
-    assert [float(x).hex() for x in curve] == JSD_CURVE_HEX["wide"]
+    assert [float(x).hex() for x in curve] == JSD_CURVE_HEX["wide"], _platform()
     assert len(draws) == 4 * 266  # one Dirichlet draw per class and attempt
 
 
@@ -444,7 +465,8 @@ def test_one_and_nine_numerical_columns_match_the_pinned_results(n_numerical, tm
     config = load_config(path)
     result, _ = run_grid(config, materialize_dataset(config))
     emit_results_csv(result, tmp_path / "results.csv")
-    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == NARROW_WIDE_SHA256[n_numerical]
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == NARROW_WIDE_SHA256[n_numerical], _platform()
 
 
 # results.csv sha256 of _narrow_wide_config_text(40), recorded before proposal
@@ -460,7 +482,7 @@ def test_forty_numerical_columns_match_the_pinned_results(tmp_path):
     config = load_config(path)
     result, _ = run_grid(config, materialize_dataset(config))
     emit_results_csv(result, tmp_path / "results.csv")
-    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == FORTY_COLUMNS_SHA256
+    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == FORTY_COLUMNS_SHA256, _platform()
 
 
 # results.csv sha256 of MANY_CLASS_CONFIG, recorded before the validation and
@@ -488,7 +510,7 @@ def test_fifteen_classes_match_the_pinned_results_and_outcome(tmp_path):
     dataset = materialize_dataset(config)
     result, rerun = run_grid(config, dataset)
     emit_results_csv(result, tmp_path / "results.csv")
-    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == MANY_CLASS_SHA256
+    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == MANY_CLASS_SHA256, _platform()
     report = verify(result, dataset, rerun)
     assert report.passed_count == 14 and len(report.checks) == 15
     failed = [(name, msg) for name, ok, msg in report.checks if not ok]

@@ -108,9 +108,10 @@ def test_a_header_name_repeated_after_stripping_is_a_schema_error(tmp_path):
 def test_unknown_label_with_fixed_map(tmp_path):
     p = _write(tmp_path, ["tcp,1.0,a", "udp,2.0,b", "udp,2.5,b"])
     _, cmap = load_csv(p, SCHEMA)
-    p2 = _write(tmp_path, ["tcp,1.0,zzz"])
-    with pytest.raises(LabelError):
+    p2 = _write(tmp_path, ["tcp,1.0,a", "tcp,1.0,zzz", "udp,2.0,zzz"])
+    with pytest.raises(LabelError) as info:
         load_csv(p2, SCHEMA, cmap)
+    assert str(info.value) == f"{p2}: row 1: unknown label value 'zzz'"
 
 
 def test_labels_sorted_by_raw_value(tmp_path):
@@ -503,12 +504,32 @@ def test_synth_generate_peaks_a_few_row_blocks_above_its_dataset(blocks):
     assert scratch < 32 * ROW_BLOCK, scratch / ROW_BLOCK
 
 
+def test_load_csv_peaks_near_its_dataset(tmp_path):
+    """Read in one pass into typed buffers, the load holds beside the finished
+    arrays only each code and label staged as int64 (8 bytes), the float
+    buffer's growth room (a sixteenth) and a fixed 64 KiB for the reader.
+    Kept as Python lists of strings and floats, the rows took about 570 bytes
+    each here."""
+    spec = SynthSpec(4000, 2, 2, 6, (0.0,), n_categories=3)
+    write_csv(synth_generate(spec, 5), tmp_path / "data.csv")
+    load_csv(tmp_path / "data.csv", spec.schema())  # lazy imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        ds, _ = load_csv(tmp_path / "data.csv", spec.schema())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    staged = 8 * (ds.categorical.size + ds.labels.size)
+    slack = staged + ds.numerical.nbytes // 16 + 64 * 1024
+    assert peak - (ds.categorical.nbytes + ds.numerical.nbytes + ds.labels.nbytes) <= slack
+
+
 def _encoded_int64(path, schema, cmap):
     """The codes and labels of a CSV file by CategoryMap.encode, as int64."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     cat = [[cmap.encode(j, row[name]) for j, name in enumerate(schema.categorical_names)] for row in rows]
-    labels = [cmap.encode_label(row[schema.label_name]) for row in rows]
+    labels = [cmap.label_values.index(row[schema.label_name]) for row in rows]
     return np.array(cat, dtype=np.int64).reshape(len(rows), -1), np.array(labels, dtype=np.int64)
 
 
